@@ -5,153 +5,22 @@ when the Weyl volume term is subtracted from the quantum eigenvalue sum of an
 atomic Thomas-Fermi Hamiltonian.  Supporting pieces are a radial eigenvalue
 engine, the Thomas-Fermi solver, Weyl-term quadratures, and a coherent-state
 calculus with trial density matrices.
+
+The public names are those of each module's ``__all__``.
 """
 
-from .coherent import (
-    ClassicalSymbol,
-    CoherentParams,
-    GridOperator,
-    OperatorSymbol,
-    PhasePoint,
-    constant_symbol,
-    fourier_multiplier_matrix,
-    gaussian_moment_cancellation,
-    harmonic_symbol,
-    momentum_lattice,
-    new_kernel_G,
-    old_state_wavefunction,
-    operator_symbol,
-    representation_error_norm,
-    resolution_of_identity_check,
-    schrodinger_operator,
-    trial_density_matrix,
-    weight_w,
-)
-from .numerics import (
-    Bump,
-    FitResult,
-    Grid1D,
-    PartitionPair,
-    fit_power_series,
-    gaussian_weight,
-    make_bump,
-    make_partition,
-    richardson,
-)
-from .scott import (
-    HydrogenExpansion,
-    MolecularAssembly,
-    ScottExperiment,
-    hydrogen_exact_sum,
-    hydrogen_expansion_check,
-    molecular_energy_assembly,
-    scott_experiment_tf,
-    scott_term,
-)
-from .semiclassics import (
-    WeylSpec,
-    local_trace_experiment,
-    unit_ball_volume,
-    weyl_density,
-    weyl_energy,
-)
-from .spectra import (
-    BoxSizeError,
-    ChannelCutoffError,
-    ChannelSpectrum,
-    DensityMatrixGrid,
-    RadialProblem,
-    RadialSum,
-    SpectralSum,
-    TraceResult,
-    density_of,
-    ims_identity_check,
-    lieb_thirring_ratio,
-    neg_sum_1d,
-    neg_sum_radial,
-    sentinel_channel,
-)
-from .thomas_fermi import (
-    GeometryRecord,
-    NucleiConfig,
-    TFSolution,
-    UniversalTF,
-    atomic_tf,
-    coulomb_energy_D,
-    geometry_functions,
-    screened_potential_W,
-    solve_universal_tf,
-    tf_length_scale,
-    tf_scaling_transform,
-)
+from . import coherent, numerics, scott, semiclassics, spectra, thomas_fermi
+from .coherent import *  # noqa: F401,F403
+from .numerics import *  # noqa: F401,F403
+from .scott import *  # noqa: F401,F403
+from .semiclassics import *  # noqa: F401,F403
+from .spectra import *  # noqa: F401,F403
+from .thomas_fermi import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ClassicalSymbol",
-    "CoherentParams",
-    "GridOperator",
-    "OperatorSymbol",
-    "PhasePoint",
-    "constant_symbol",
-    "fourier_multiplier_matrix",
-    "gaussian_moment_cancellation",
-    "harmonic_symbol",
-    "momentum_lattice",
-    "new_kernel_G",
-    "old_state_wavefunction",
-    "operator_symbol",
-    "representation_error_norm",
-    "resolution_of_identity_check",
-    "schrodinger_operator",
-    "trial_density_matrix",
-    "weight_w",
-    "Bump",
-    "FitResult",
-    "Grid1D",
-    "PartitionPair",
-    "fit_power_series",
-    "gaussian_weight",
-    "make_bump",
-    "make_partition",
-    "richardson",
-    "HydrogenExpansion",
-    "MolecularAssembly",
-    "ScottExperiment",
-    "hydrogen_exact_sum",
-    "hydrogen_expansion_check",
-    "molecular_energy_assembly",
-    "scott_experiment_tf",
-    "scott_term",
-    "WeylSpec",
-    "local_trace_experiment",
-    "unit_ball_volume",
-    "weyl_density",
-    "weyl_energy",
-    "BoxSizeError",
-    "ChannelCutoffError",
-    "ChannelSpectrum",
-    "DensityMatrixGrid",
-    "RadialProblem",
-    "RadialSum",
-    "SpectralSum",
-    "TraceResult",
-    "density_of",
-    "ims_identity_check",
-    "lieb_thirring_ratio",
-    "neg_sum_1d",
-    "neg_sum_radial",
-    "sentinel_channel",
-    "GeometryRecord",
-    "NucleiConfig",
-    "TFSolution",
-    "UniversalTF",
-    "atomic_tf",
-    "coulomb_energy_D",
-    "geometry_functions",
-    "screened_potential_W",
-    "solve_universal_tf",
-    "tf_length_scale",
-    "tf_scaling_transform",
-    "__version__",
-]
+    name
+    for module in (coherent, numerics, scott, semiclassics, spectra, thomas_fermi)
+    for name in module.__all__
+] + ["__version__"]

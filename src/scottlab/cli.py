@@ -10,7 +10,9 @@ summaries and accuracy warnings.  Floats print with 17 significant digits,
 wall-clock time or iteration order, so repeated runs are byte-identical.
 
 Exit status: 0 on success, 1 on solver failure (diagnostic on stderr) or,
-under --strict, when the run emitted accuracy warnings; 2 on usage errors.
+under --strict, when the run emitted accuracy warnings; 2 on usage or domain
+errors, non-finite numbers included.  Domain checks live in RunConfig, so a
+configuration replayed from a results file is checked the same way.
 
 The heavy imports happen inside the pipelines so that the thread-count
 environment variable (SCOTTLAB_THREADS) can be applied to the BLAS layer
@@ -39,8 +41,27 @@ __all__ = [
 CONFIG_PREFIX = "# scottlab-config: "
 COMMANDS = ("tf-atom", "coherent-check", "local-trace", "scott", "hydrogen", "weyl")
 
-# parameter keys that hold h sweeps and must decrease strictly
-_H_SEQUENCE_KEYS = ("h_values",)
+# parameters whose option is not "--" + the key with "_" -> "-"
+_FLAGS = {"h_values": "--h"}
+
+# commands whose h sweep feeds a fit and so needs at least two values
+_SWEEP_COMMANDS = ("scott", "local-trace")
+
+# domain of each numeric parameter (every entry of a sweep), where it has
+# one beyond being finite
+_DOMAINS = {
+    "z": (lambda v: v > 0, "must be positive"),
+    "h": (lambda v: v > 0, "must be positive"),
+    "h_values": (lambda v: v > 0, "must be positive"),
+    "x_max": (lambda v: v > 0, "must be positive"),
+    "half_width": (lambda v: v > 0, "must be positive"),
+    "bump_radius": (lambda v: v > 0, "must be positive"),
+    "spacing_scale": (lambda v: 0 < v <= 1, "must lie in (0, 1]"),
+    "extra_channels": (lambda v: v >= 0, "must be nonnegative"),
+    "spacing_divisor": (lambda v: v >= 8, "must be at least 8"),
+    "k": (lambda v: v >= 1, "must be at least 1"),
+    "bump_order": (lambda v: v >= 1, "must be at least 1"),
+}
 
 
 class UsageError(ValueError):
@@ -61,15 +82,35 @@ class RunConfig:
             raise UsageError(f"unknown command {self.command!r}")
         if self.format not in ("csv", "json"):
             raise UsageError(f"unknown format {self.format!r}")
-        for key in _H_SEQUENCE_KEYS:
-            seq = self.parameters.get(key)
-            if seq is None:
-                continue
-            values = list(seq)
-            if any(b >= a for a, b in zip(values, values[1:])):
-                raise UsageError("h values must be strictly decreasing")
-            if any(v <= 0 for v in values):
-                raise UsageError("h values must be positive")
+        for key, value in self.parameters.items():
+            values = value if isinstance(value, (list, tuple)) else (value,)
+            numbers = [
+                v for v in values
+                if isinstance(v, (int, float)) and not isinstance(v, bool)
+            ]
+            # ints are always finite, and huge ones overflow math.isfinite
+            if not all(math.isfinite(v) for v in numbers if isinstance(v, float)):
+                raise UsageError(f"{key} must be a finite number")
+            if key in _DOMAINS:
+                test, rule = _DOMAINS[key]
+                if not all(test(v) for v in numbers):
+                    raise UsageError(f"{key} {rule}")
+        hs = list(self.parameters.get("h_values", ()))
+        if any(b >= a for a, b in zip(hs, hs[1:])):
+            raise UsageError("h values must be strictly decreasing")
+        if self.command in _SWEEP_COMMANDS and len(hs) < 2:
+            raise UsageError("the h sweep needs at least two values")
+        if self.command == "coherent-check":
+            a_rule = _parse_a_rule(self.parameters.get("a_rule", "h^-0.8"))
+            for h in hs:
+                try:
+                    a = a_rule(h)
+                except OverflowError:
+                    a = math.inf
+                if not 0 < a < 1.0 / h:
+                    raise UsageError(
+                        f"a-rule gives a outside (0, 1/h) at h = {h:g}"
+                    )
 
     def to_header_line(self) -> str:
         doc = {
@@ -78,7 +119,7 @@ class RunConfig:
             "output_path": self.output_path,
             "format": self.format,
         }
-        return CONFIG_PREFIX + json.dumps(doc, sort_keys=True)
+        return CONFIG_PREFIX + json.dumps(doc, sort_keys=True, allow_nan=False)
 
     @classmethod
     def from_header_line(cls, line: str) -> "RunConfig":
@@ -101,7 +142,7 @@ class RunConfig:
         argv = [self.command]
         for key in sorted(self.parameters):
             value = self.parameters[key]
-            flag = "--" + key.replace("_", "-")
+            flag = _FLAGS.get(key, "--" + key.replace("_", "-"))
             if isinstance(value, bool):
                 if value:
                     argv.append(flag)
@@ -424,27 +465,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_PARAM_KEYS = {
-    "hydrogen": ("z", "h", "k"),
-    "weyl": ("n", "potential", "z", "shift", "h"),
-    "tf-atom": ("z",),
-    "scott": ("z", "h_values", "x_max", "spacing_scale", "extra_channels"),
-    "local-trace": (
-        "h_values", "n", "potential", "z", "shift",
-        "bump_center", "bump_radius", "bump_order", "spacing_divisor",
-    ),
-    "coherent-check": ("h_values", "a_rule", "half_width"),
-}
-
-
 def config_from_args(argv: Sequence[str]) -> RunConfig:
     parser = _build_parser()
     ns = parser.parse_args(list(argv))
-    params = {}
-    for key in _PARAM_KEYS[ns.command]:
-        value = getattr(ns, key)
-        if value is not None:
-            params[key] = value
+    # every subcommand argument except the output options is a parameter
+    params = {
+        key: value
+        for key, value in vars(ns).items()
+        if key not in ("command", "out", "format", "strict") and value is not None
+    }
     params["strict"] = bool(ns.strict)
     return RunConfig(
         command=ns.command,

@@ -30,12 +30,11 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import Grid1D
+from .numerics import Grid1D, GridOperator, require_positive
 
 __all__ = [
     "ClassicalSymbol",
     "CoherentParams",
-    "GridOperator",
     "OperatorSymbol",
     "PhasePoint",
     "constant_symbol",
@@ -68,8 +67,7 @@ class CoherentParams:
     n: int = 1
 
     def __post_init__(self):
-        if self.h <= 0:
-            raise ValueError("h must be positive")
+        require_positive(self.h, "h")
         if self.a is None:
             object.__setattr__(self, "a", self.h ** (-0.8))
         if not 0 < self.a < 1.0 / self.h:
@@ -150,38 +148,6 @@ class OperatorSymbol:
     grad_u: float
     grad_q: float
     point: PhasePoint
-
-
-@dataclass(frozen=True)
-class GridOperator:
-    """Dense Hermitian matrix acting on function values over a Grid1D."""
-
-    matrix: np.ndarray
-    grid: Grid1D
-    h: float
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("matrix must be square")
-        if m.shape[0] != self.grid.size:
-            raise ValueError("matrix size must match the grid")
-        if self.h <= 0:
-            raise ValueError("h must be positive")
-        scale = np.linalg.norm(m)
-        if scale > 0 and np.linalg.norm(m - m.conj().T) > 1e-12 * scale:
-            raise ValueError("matrix is not Hermitian to 1e-12 relative")
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
-
-    def negative_sum(self) -> float:
-        w = self.eigenvalues()
-        return float(np.sum(w[w < 0.0]))
-
-    @property
-    def trace(self) -> float:
-        return float(np.real(np.trace(self.matrix)))
 
 
 def momentum_lattice(grid: Grid1D, h: float) -> np.ndarray:
@@ -453,7 +419,7 @@ def trial_density_matrix(
 ) -> GridOperator:
     """gamma = int G chi(hhat) G du dq/(2 pi h) with hhat linearized.
 
-    hhat at (u, q) is the first-order operator symbol for |u| inside the
+    hhat at (u, q) is the first-order operator_symbol for |u| inside the
     support ball and zero outside, so only interior nodes contribute.  Each
     chi is the exact spectral projection of the dense Hermitian hhat matrix
     onto its negative part; accumulating G P P^H G keeps gamma positive
@@ -503,12 +469,9 @@ def trial_density_matrix(
     gamma = np.zeros((n, n), dtype=complex)
     for u in us:
         a_mat = _gaussian_factor_matrix(p, x, dx, float(u))
-        gu = float(sym.dV(u))
-        base = gu * (x - u) + float(sym.V(u)) + float(sym.d2V(u)) / (4.0 * p.b)
         for q in qs:
-            gq = float(sym.dF(q))
-            c0 = float(sym.F(q)) + float(sym.d2F(q)) / (4.0 * p.b)
-            hhat = np.diag((base + c0).astype(complex)) + gq * (
+            s = operator_symbol(sym, p, PhasePoint(float(u), float(q)))
+            hhat = np.diag((s.c0 + s.grad_u * (x - u)).astype(complex)) + s.grad_q * (
                 p_mat - q * np.eye(n)
             )
             w, vec = np.linalg.eigh(0.5 * (hhat + hhat.conj().T))

@@ -1,4 +1,4 @@
-"""Shared numerical utilities: grids, smooth cutoffs, Gaussian weights, power fits.
+"""Shared numerical utilities: grids, grid operators, cutoffs, weights, fits.
 
 Everything here is deterministic and stateless. The smooth cutoff functions
 are built from the classic exponential transition exp(-1/s), which gives
@@ -7,12 +7,14 @@ genuinely C-infinity profiles with compact support.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
     "Grid1D",
+    "GridOperator",
     "Bump",
     "PartitionPair",
     "FitResult",
@@ -60,6 +62,56 @@ class Grid1D:
     def halved(self) -> "Grid1D":
         """Same interval with the spacing halved (2n-1 points)."""
         return Grid1D.uniform(self.points[0], self.points[-1], 2 * self.size - 1)
+
+
+def require_positive(value: float, name: str) -> None:
+    """Raise ValueError unless value is a finite number above zero.
+
+    Written so that NaN fails too: `nan <= 0` is False.
+    """
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite")
+
+
+@dataclass(frozen=True)
+class GridOperator:
+    """Dense Hermitian matrix acting on function values over a Grid1D.
+
+    Hamiltonians and density matrices alike; validate_density adds the
+    0 <= gamma <= 1 check that a density matrix must pass.
+    """
+
+    matrix: np.ndarray
+    grid: Grid1D
+    h: float
+
+    def __post_init__(self):
+        m = np.asarray(self.matrix)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError("matrix must be square")
+        if m.shape[0] != self.grid.size:
+            raise ValueError("matrix size must match the grid")
+        require_positive(self.h, "h")
+        scale = np.linalg.norm(m)
+        if scale > 0 and np.linalg.norm(m - m.conj().T) > 1e-12 * scale:
+            raise ValueError("matrix is not Hermitian to 1e-12 relative")
+
+    def eigenvalues(self) -> np.ndarray:
+        return np.linalg.eigvalsh(self.matrix)
+
+    def negative_sum(self) -> float:
+        w = self.eigenvalues()
+        return float(np.sum(w[w < 0.0]))
+
+    @property
+    def trace(self) -> float:
+        return float(np.real(np.trace(self.matrix)))
+
+    def validate_density(self, tol: float = 1e-6) -> None:
+        """Raise ValueError unless the spectrum lies in [0, 1] up to tol."""
+        w = self.eigenvalues()
+        if w[0] < -tol or w[-1] > 1.0 + tol:
+            raise ValueError(f"spectrum [{w[0]:.3g}, {w[-1]:.3g}] escapes [0, 1]")
 
 
 # ---------------------------------------------------------------------------
@@ -146,25 +198,6 @@ class Bump:
             / ((1.0 - self.plateau) * self.radius)
         )
         return out if out.ndim else float(out)
-
-    def derivative_sup_norms(self, max_order: int | None = None, samples: int = 4096):
-        """Sampled sup_x |radius^k d^k phi / dx^k| for k = 1 .. max_order.
-
-        Central finite differences on a fine dyadic grid; diagnostic use only,
-        the high orders are noisy at the floor of double precision.
-        """
-        kmax = self.order if max_order is None else max_order
-        lo = self.center - 1.05 * self.radius
-        hi = self.center + 1.05 * self.radius
-        x = np.linspace(lo, hi, samples)
-        dx = x[1] - x[0]
-        vals = self.__call__(x)
-        sups = []
-        d = vals
-        for k in range(1, kmax + 1):
-            d = np.gradient(d, dx)
-            sups.append(float(np.max(np.abs(d)) * self.radius**k))
-        return tuple(sups)
 
 
 def make_bump(center: float, radius: float, order: int = 4) -> Bump:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .numerics import FitResult, fit_power_series
+from .numerics import FitResult, fit_power_series, require_positive
 from .semiclassics import WeylSpec, weyl_energy
 from .spectra import RadialProblem, TraceResult, neg_sum_radial, sentinel_channel
 from .thomas_fermi import NucleiConfig, TFSolution, atomic_tf, tf_length_scale
@@ -53,7 +53,7 @@ def hydrogen_exact_sum(z, h) -> float:
     if zq <= 0 or hq <= 0:
         raise ValueError("z and h must be positive")
     top = zq / (2 * hq)
-    K = int(top) if top.denominator == 1 else int(math.floor(top))
+    K = math.floor(top)
     if K < 1:
         return 0.0
     total = -K * zq**2 / (4 * hq**2) + Fraction(K * (K + 1) * (2 * K + 1), 6)
@@ -103,8 +103,7 @@ def hydrogen_expansion_check(z, K: int) -> HydrogenExpansion:
 
 def scott_term(charges: Sequence[float], h: float) -> float:
     """(1/(8 h^2)) sum of z_k^2; additive over nuclei."""
-    if h <= 0:
-        raise ValueError("h must be positive")
+    require_positive(h, "h")
     return sum(float(z) ** 2 for z in charges) / (8.0 * h * h)
 
 

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import integrate, optimize
 
-from .numerics import Bump, FitResult, Grid1D, fit_power_series
+from .numerics import Bump, FitResult, Grid1D, fit_power_series, require_positive
 from .spectra import RadialProblem, TraceResult, neg_sum_1d, neg_sum_radial
 
 __all__ = [
@@ -62,8 +62,7 @@ class WeylSpec:
     def __post_init__(self):
         if self.n not in (1, 3):
             raise ValueError("only n = 1 and n = 3 are supported")
-        if self.h <= 0:
-            raise ValueError("h must be positive")
+        require_positive(self.h, "h")
 
 
 def _eval_scalar(potential: Callable, x: float) -> float:

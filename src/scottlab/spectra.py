@@ -21,13 +21,12 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
-from .numerics import Bump, Grid1D, richardson
+from .numerics import Bump, Grid1D, GridOperator, require_positive, richardson
 
 __all__ = [
     "BoxSizeError",
     "ChannelCutoffError",
     "ChannelSpectrum",
-    "DensityMatrixGrid",
     "RadialProblem",
     "RadialSum",
     "SpectralSum",
@@ -47,6 +46,9 @@ CONVERGENCE_RTOL = 2e-3
 # weighted eigenfunction mass in the outer 5% of the box above which the
 # box is declared too small
 BOUNDARY_MASS_TOL = 1e-6
+
+# the sentinel search gives up past this angular momentum
+SENTINEL_MAX_ELL = 400
 
 
 class ChannelCutoffError(RuntimeError):
@@ -135,8 +137,7 @@ class RadialProblem:
     channels: tuple | None = None
 
     def __post_init__(self):
-        if self.h <= 0:
-            raise ValueError("h must be positive")
+        require_positive(self.h, "h")
         step = self.grid.spacing
         if abs(self.grid.points[0] - step) > 1e-9 * step:
             raise ValueError("radial grid must start one spacing from the origin")
@@ -179,8 +180,19 @@ class RadialProblem:
         return step * np.arange(1, n), step
 
 
-def _negative_spectrum(diag, off, need_vectors=False):
-    """All eigenvalues < 0 of the symmetric tridiagonal matrix."""
+def _negative_spectrum(diag, points, step, h2, bump, need_vectors=False):
+    """All eigenvalues < 0 of phi T phi, T the 3-point Dirichlet matrix.
+
+    diag is the caller's whole diagonal of T (2 h^2/step^2 plus the
+    potential); the coupling -h^2/step^2 between neighbours is added here,
+    and the optional bump phi is sampled at points.  Eigenvectors come back
+    only with need_vectors, otherwise None.
+    """
+    off = np.full(points.size - 1, -h2 / step**2)
+    if bump is not None:
+        phi = np.asarray(bump(points), dtype=float)
+        diag = phi**2 * diag
+        off = phi[:-1] * off * phi[1:]
     lower = float(min(np.min(diag) - 2.0 * np.max(np.abs(off)), -1.0))
     if need_vectors:
         w, v = eigh_tridiagonal(diag, off, select="v", select_range=(lower, 0.0))
@@ -192,12 +204,7 @@ def _negative_spectrum(diag, off, need_vectors=False):
 def _sum_1d(potential, h, points, step, bump):
     v = np.asarray(potential(points), dtype=float)
     diag = 2.0 * h**2 / step**2 + v
-    off = np.full(points.size - 1, -(h**2) / step**2)
-    if bump is not None:
-        phi = np.asarray(bump(points), dtype=float)
-        diag = phi**2 * diag
-        off = phi[:-1] * off * phi[1:]
-    w, _ = _negative_spectrum(diag, off)
+    w, _ = _negative_spectrum(diag, points, step, h**2, bump)
     return float(np.sum(w))
 
 
@@ -215,8 +222,7 @@ def neg_sum_1d(
     and a warning is attached when the refinement pair still moves by more
     than rtol relatively.
     """
-    if h <= 0:
-        raise ValueError("h must be positive")
+    require_positive(h, "h")
     coarse = _sum_1d(potential, h, grid.points[1:-1], grid.spacing, bump)
     fine_grid = grid.halved()
     fine = _sum_1d(potential, h, fine_grid.points[1:-1], fine_grid.spacing, bump)
@@ -229,24 +235,21 @@ def neg_sum_1d(
     return SpectralSum(value=value, coarse=coarse, fine=fine, warnings=tuple(warnings))
 
 
-def _auto_sentinel(problem: RadialProblem, shift: float, max_ell: int = 400) -> int:
-    """First ell whose effective potential is nonnegative on the whole grid."""
-    r, _ = problem.interior(level=0)
-    v = np.asarray(problem.potential(r), dtype=float)
-    h2 = problem.h**2
-    for ell in range(max_ell + 1):
-        if np.min(ell * (ell + 1) * h2 / r**2 - v + shift) >= 0.0:
-            return ell
-    raise ChannelCutoffError(f"no empty channel found below ell = {max_ell}")
-
-
 def sentinel_channel(problem: RadialProblem, shift: float = 0.0) -> int:
     """Smallest ell whose effective potential never dips below zero.
 
     Channels 0 .. sentinel-1 can bind; the sentinel itself is solved as the
     emptiness witness.
     """
-    return _auto_sentinel(problem, shift)
+    r, _ = problem.interior(level=0)
+    v = np.asarray(problem.potential(r), dtype=float)
+    h2 = problem.h**2
+    for ell in range(SENTINEL_MAX_ELL + 1):
+        if np.min(ell * (ell + 1) * h2 / r**2 - v + shift) >= 0.0:
+            return ell
+    raise ChannelCutoffError(
+        f"no empty channel found below ell = {SENTINEL_MAX_ELL}"
+    )
 
 
 def neg_sum_radial(
@@ -254,7 +257,6 @@ def neg_sum_radial(
     shift: float = 0.0,
     bump: Bump | None = None,
     rtol: float = CONVERGENCE_RTOL,
-    check_boundary_mass: bool = True,
 ) -> RadialSum:
     """Sum over channels of (2 ell + 1) * (negative half-line eigenvalues).
 
@@ -264,7 +266,7 @@ def neg_sum_radial(
     otherwise BoxSizeError.  Grid convergence warnings propagate into the
     result as for neg_sum_1d.
     """
-    auto = _auto_sentinel(problem, shift)
+    auto = sentinel_channel(problem, shift)
     if problem.channels is None:
         ells = list(range(auto + 1))
     else:
@@ -283,19 +285,14 @@ def neg_sum_radial(
     mass_den = 0.0
 
     for ell in ells:
-        want_vectors = check_boundary_mass and ell < sentinel
+        want_vectors = ell < sentinel
         eigs = {}
         for level in (0, 1):
             r, step = problem.interior(level=level)
             v = np.asarray(problem.potential(r), dtype=float)
             diag = 2.0 * h2 / step**2 + ell * (ell + 1) * h2 / r**2 - v + shift
-            off = np.full(r.size - 1, -h2 / step**2)
-            if bump is not None:
-                phi = np.asarray(bump(r), dtype=float)
-                diag = phi**2 * diag
-                off = phi[:-1] * off * phi[1:]
             w, vec = _negative_spectrum(
-                diag, off, need_vectors=(want_vectors and level == 1)
+                diag, r, step, h2, bump, need_vectors=(want_vectors and level == 1)
             )
             eigs[level] = w
             if vec is not None and w.size:
@@ -316,7 +313,7 @@ def neg_sum_radial(
             ChannelSpectrum(ell=ell, negative_eigenvalues=np.sort(eigs[1])[::-1])
         )
 
-    if check_boundary_mass and mass_den > 0:
+    if mass_den > 0:
         frac = mass_num / mass_den
         if frac > BOUNDARY_MASS_TOL:
             raise BoxSizeError(
@@ -341,34 +338,7 @@ def neg_sum_radial(
 # density matrices on grids
 
 
-@dataclass(frozen=True)
-class DensityMatrixGrid:
-    """Operator 0 <= gamma <= 1 realized as a matrix on a uniform grid."""
-
-    matrix: np.ndarray
-    grid: Grid1D
-    h: float
-
-    def __post_init__(self):
-        if self.h <= 0:
-            raise ValueError("h must be positive")
-        if self.matrix.shape != (self.grid.size, self.grid.size):
-            raise ValueError("matrix shape does not match the grid")
-
-    def validate(self, tol: float = 1e-6) -> None:
-        m = self.matrix
-        if np.max(np.abs(m - m.conj().T)) > 1e-10 * max(np.max(np.abs(m)), 1.0):
-            raise ValueError("density matrix is not Hermitian")
-        w = np.linalg.eigvalsh(m)
-        if w[0] < -tol or w[-1] > 1.0 + tol:
-            raise ValueError(f"spectrum [{w[0]:.3g}, {w[-1]:.3g}] escapes [0, 1]")
-
-    @property
-    def trace(self) -> float:
-        return float(np.real(np.trace(self.matrix)))
-
-
-def density_of(gamma: DensityMatrixGrid) -> np.ndarray:
+def density_of(gamma: GridOperator) -> np.ndarray:
     """Position density: the diagonal over the quadrature weight.
 
     With this normalization Tr(gamma Theta) equals the grid quadrature of

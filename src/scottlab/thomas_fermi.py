@@ -26,7 +26,7 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid, solve_bvp, solve_ivp
 from scipy.interpolate import CubicSpline
 
-from .numerics import Grid1D
+from .numerics import require_positive
 
 __all__ = [
     "DENSITY_CONST",
@@ -60,8 +60,7 @@ _SHOOT_XMAX = 40.0
 
 def tf_length_scale(z: float) -> float:
     """l with z l^3 = 9 pi^2/128, the radius unit of the atomic TF problem."""
-    if z <= 0:
-        raise ValueError("z must be positive")
+    require_positive(z, "z")
     return (9.0 * np.pi**2 / 128.0) ** (1.0 / 3.0) * z ** (-1.0 / 3.0)
 
 
@@ -414,26 +413,17 @@ def coulomb_energy_D(r: np.ndarray, f: np.ndarray) -> float:
     return float((4.0 * np.pi) ** 2 * np.trapezoid(r * f * q, r))
 
 
-def atomic_tf(z: float, grid=None, universal: UniversalTF | None = None) -> TFSolution:
+def atomic_tf(z: float, universal: UniversalTF | None = None) -> TFSolution:
     """Solve the neutral TF atom of charge z in the fixed unit convention.
 
-    grid: radii for the tables; None builds a log grid from 1e-6 l to the
-    decay tail (4000 points).  universal: pass a solved UniversalTF to reuse
-    it; by default each call solves afresh, which keeps cross-z comparisons
-    honest.
+    The tables live on a log grid of 4000 radii from 1e-6 l to the decay
+    tail.  universal: pass a solved UniversalTF to reuse it; by default each
+    call solves afresh, which keeps cross-z comparisons honest.
     """
-    if z <= 0:
-        raise ValueError("z must be positive")
+    require_positive(z, "z")
     uni = universal if universal is not None else solve_universal_tf()
     ell = tf_length_scale(z)
-    if grid is None:
-        r = np.geomspace(1e-6 * ell, _BVP_XEND * ell, 4000)
-    elif isinstance(grid, Grid1D):
-        r = grid.points
-    else:
-        r = np.asarray(grid, dtype=float)
-    if np.any(r <= 0):
-        raise ValueError("radial grid must be positive")
+    r = np.geomspace(1e-6 * ell, _BVP_XEND * ell, 4000)
 
     v = (z / r) * uni.phi(r / ell)
     rho = DENSITY_CONST * v**1.5

@@ -1,9 +1,13 @@
 """Command-line contract: reproducible tables, config round trip, exits."""
 
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scottlab.cli import (
     CONFIG_PREFIX,
@@ -215,3 +219,138 @@ class TestCoherentCheckCommand:
         assert row["err_over_h2b"] == pytest.approx(
             1.0 + (row["h"] * row["a"]) ** 2, rel=0.05
         )
+
+
+# numbers for the input-boundary properties: an in-domain band kept small
+# enough that every command finishes quickly, and the values that are out of
+# domain for a positive parameter (zero of both signs, negatives, NaN, +-inf)
+IN_DOMAIN = st.floats(0.05, 10.0)
+OUT_OF_DOMAIN = st.one_of(
+    st.floats(-10.0, 0.0),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
+)
+ANY_VALUE = st.one_of(IN_DOMAIN, OUT_OF_DOMAIN)
+
+
+def positive(value):
+    return math.isfinite(value) and value > 0
+
+
+def run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = main(argv)
+    return status, out.getvalue(), err.getvalue()
+
+
+class TestInputBoundary:
+    @settings(max_examples=100, deadline=None)
+    @given(command=st.sampled_from(["hydrogen", "weyl"]), z=ANY_VALUE, h=ANY_VALUE)
+    def test_exit_two_exactly_when_out_of_domain(self, command, z, h):
+        # --flag=value keeps argparse from reading "-inf" as an option
+        status, out, err = run_captured([command, f"--z={z!r}", f"--h={h!r}"])
+        assert status == (0 if positive(z) and positive(h) else 2)
+        if status == 2:
+            assert out == ""
+        assert "nan" not in (out + err).lower()
+
+    @settings(max_examples=60, deadline=None)
+    @given(z=ANY_VALUE, h1=ANY_VALUE, h2=ANY_VALUE)
+    def test_scott_domain(self, z, h1, h2):
+        params = {"z": z, "h_values": (h1, h2), "strict": False}
+        if positive(z) and positive(h1) and positive(h2) and h2 < h1:
+            RunConfig(command="scott", parameters=params)
+        else:
+            with pytest.raises(UsageError):
+                RunConfig(command="scott", parameters=params)
+
+    @settings(max_examples=30, deadline=None)
+    @given(z=ANY_VALUE)
+    def test_tf_atom_domain(self, z):
+        if positive(z):
+            RunConfig(command="tf-atom", parameters={"z": z})
+        else:
+            with pytest.raises(UsageError):
+                RunConfig(command="tf-atom", parameters={"z": z})
+
+    @settings(max_examples=40, deadline=None)
+    @given(h=st.one_of(st.floats(0.05, 0.95), st.floats(1.0, 10.0), OUT_OF_DOMAIN))
+    def test_coherent_check_domain(self, h):
+        # the default rule a = h^-0.8 lies below 1/h exactly when h < 1
+        params = {"h_values": (h,)}
+        if positive(h) and h < 1.0:
+            RunConfig(command="coherent-check", parameters=params)
+        else:
+            with pytest.raises(UsageError):
+                RunConfig(command="coherent-check", parameters=params)
+
+    @pytest.mark.parametrize(
+        "command, parameters",
+        [
+            ("scott", {"z": 1.0, "h_values": (0.1,)}),
+            ("scott", {"z": 1.0, "h_values": (0.2, 0.1), "spacing_scale": 1.5}),
+            ("scott", {"z": 1.0, "h_values": (0.2, 0.1), "spacing_scale": 0.0}),
+            ("scott", {"z": 1.0, "h_values": (0.2, 0.1), "extra_channels": -1}),
+            ("scott", {"z": 1.0, "h_values": (0.2, 0.1), "x_max": 0.0}),
+            ("local-trace", {"h_values": (0.4,)}),
+            ("local-trace", {"h_values": (0.4, 0.3), "spacing_divisor": 4.0}),
+            ("local-trace", {"h_values": (0.4, 0.3), "bump_radius": -2.0}),
+            ("hydrogen", {"z": 1.0, "h": 0.1, "k": 0}),
+            ("coherent-check", {"h_values": (0.4,), "a_rule": "3"}),
+            ("coherent-check", {"h_values": (0.4,), "half_width": 0.0}),
+            ("weyl", {"z": 1.0, "h": 1.0, "shift": math.inf}),
+        ],
+    )
+    def test_range_rules(self, command, parameters):
+        with pytest.raises(UsageError):
+            RunConfig(command=command, parameters=parameters)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tf-atom", "--z", "-1"],
+            ["weyl", "--h", "0"],
+            ["scott", "--z", "1", "--h", "0.1"],
+            ["coherent-check", "--h", "2"],
+            ["weyl", "--z", "nan", "--h", "1"],
+            ["weyl", "--h", "nan"],
+            ["weyl", "--h", "inf"],
+        ],
+    )
+    def test_domain_errors_exit_two_before_any_output(self, argv):
+        status, out, err = run_captured(argv)
+        assert status == 2
+        assert out == ""
+        assert "usage error" in err
+
+    def test_header_is_strict_json(self):
+        cfg = RunConfig(command="hydrogen", parameters={"z": 1.0, "h": 0.1})
+        # a NaN slipped into the mutable parameter map after validation
+        # must not reach a header as a bare NaN token
+        cfg.parameters["z"] = math.nan
+        with pytest.raises(ValueError):
+            cfg.to_header_line()
+
+
+# one command line per subcommand, each with the parameter keys it must give
+ROUND_TRIPS = [
+    (["hydrogen", "--z", "1", "--h", "0.1", "--k", "5"], {"z", "h", "k"}),
+    (["weyl", "--n", "1", "--potential", "well", "--h", "0.5"],
+     {"n", "potential", "z", "shift", "h"}),
+    (["tf-atom", "--z", "8", "--format", "json"], {"z"}),
+    (["scott", "--z", "1", "--h", "0.12,0.09", "--spacing-scale", "0.5",
+      "--extra-channels", "1", "--strict"],
+     {"z", "h_values", "x_max", "spacing_scale", "extra_channels"}),
+    (["local-trace", "--h", "0.4,0.3", "--bump-order", "6", "--out", "lt.csv"],
+     {"h_values", "n", "potential", "z", "shift", "bump_center", "bump_radius",
+      "bump_order", "spacing_divisor"}),
+    (["coherent-check", "--h", "0.4,0.25", "--a-rule", "h^-0.7"],
+     {"h_values", "a_rule", "half_width"}),
+]
+
+
+@pytest.mark.parametrize("argv, keys", ROUND_TRIPS, ids=[a[0] for a, _ in ROUND_TRIPS])
+def test_argv_round_trip(argv, keys):
+    cfg = config_from_args(argv)
+    assert set(cfg.parameters) == keys | {"strict"}
+    assert config_from_args(cfg.to_argv()) == cfg

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from scottlab.coherent import (
     ClassicalSymbol,
     CoherentParams,
-    GridOperator,
     PhasePoint,
     constant_symbol,
     fourier_multiplier_matrix,
@@ -27,7 +26,7 @@ from scottlab.coherent import (
     trial_density_matrix,
     weight_w,
 )
-from scottlab.numerics import Grid1D
+from scottlab.numerics import Grid1D, GridOperator
 
 
 def sin_symbol():

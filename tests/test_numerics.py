@@ -7,15 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scottlab.coherent import CoherentParams
 from scottlab.numerics import (
     Bump,
     Grid1D,
+    GridOperator,
     fit_power_series,
     gaussian_weight,
     make_bump,
     make_partition,
     richardson,
 )
+from scottlab.scott import scott_term
+from scottlab.semiclassics import WeylSpec
+from scottlab.spectra import RadialProblem, neg_sum_1d
+from scottlab.thomas_fermi import atomic_tf, tf_length_scale
 
 
 class TestGrid:
@@ -138,3 +144,30 @@ class TestGaussianWeight:
         val = gaussian_weight(b, np.array([0.3, -0.1]))
         expect = (b / math.pi) * math.exp(-b * (0.3**2 + 0.1**2))
         assert val == pytest.approx(expect, rel=1e-12)
+
+
+class TestPositivity:
+    """Every h and z the library takes goes through one positivity check."""
+
+    CONSTRUCTORS = {
+        "CoherentParams": lambda v: CoherentParams(h=v),
+        "GridOperator": lambda v: GridOperator(
+            matrix=np.eye(8), grid=Grid1D.uniform(0.0, 1.0, 8), h=v
+        ),
+        "RadialProblem": lambda v: RadialProblem.build(
+            lambda r: 1.0 / r, h=v, r_max=1.0, spacing=0.01
+        ),
+        "neg_sum_1d": lambda v: neg_sum_1d(
+            lambda x: -np.ones_like(x), v, Grid1D.uniform(0.0, 1.0, 64)
+        ),
+        "WeylSpec": lambda v: WeylSpec(n=1, potential=lambda x: x * x - 1.0, h=v),
+        "scott_term": lambda v: scott_term([1.0], v),
+        "tf_length_scale": tf_length_scale,
+        "atomic_tf": atomic_tf,
+    }
+
+    @pytest.mark.parametrize("name", sorted(CONSTRUCTORS))
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_rejects_zero_negative_and_non_finite(self, name, bad):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            self.CONSTRUCTORS[name](bad)

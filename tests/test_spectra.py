@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from scottlab.coherent import harmonic_symbol, schrodinger_operator
-from scottlab.numerics import Grid1D, PartitionPair
+from scottlab.numerics import Grid1D, GridOperator, PartitionPair
 from scottlab.spectra import (
     BoxSizeError,
     ChannelCutoffError,
-    DensityMatrixGrid,
     RadialProblem,
     density_of,
     ims_identity_check,
@@ -164,11 +163,11 @@ class TestDensityMatrix:
         grid = Grid1D.uniform(-2.0, 2.0, 65)
         v = np.exp(-grid.points**2)
         v /= np.linalg.norm(v)
-        return DensityMatrixGrid(matrix=np.outer(v, v), grid=grid, h=0.1), v
+        return GridOperator(matrix=np.outer(v, v), grid=grid, h=0.1), v
 
     def test_rank_one_projector_validates(self):
         gamma, _ = self.make_rank_one()
-        gamma.validate()
+        gamma.validate_density()
         assert gamma.trace == pytest.approx(1.0, abs=1e-12)
 
     def test_density_pairs_with_multipliers(self):
@@ -182,24 +181,22 @@ class TestDensityMatrix:
 
     def test_eigenvalue_above_one_rejected(self):
         gamma, v = self.make_rank_one()
-        bad = DensityMatrixGrid(
-            matrix=1.5 * gamma.matrix, grid=gamma.grid, h=gamma.h
-        )
+        bad = GridOperator(matrix=1.5 * gamma.matrix, grid=gamma.grid, h=gamma.h)
         with pytest.raises(ValueError, match="escapes"):
-            bad.validate()
+            bad.validate_density()
 
     def test_non_hermitian_rejected(self):
         gamma, _ = self.make_rank_one()
         m = gamma.matrix.copy()
         m[0, 1] += 0.5
-        bad = DensityMatrixGrid(matrix=m, grid=gamma.grid, h=gamma.h)
+        # the single grid-operator type refuses it at construction
         with pytest.raises(ValueError, match="Hermitian"):
-            bad.validate()
+            GridOperator(matrix=m, grid=gamma.grid, h=gamma.h)
 
     def test_shape_mismatch_rejected(self):
         grid = Grid1D.uniform(-2.0, 2.0, 65)
-        with pytest.raises(ValueError, match="shape"):
-            DensityMatrixGrid(matrix=np.eye(8), grid=grid, h=0.1)
+        with pytest.raises(ValueError, match="match the grid"):
+            GridOperator(matrix=np.eye(8), grid=grid, h=0.1)
 
 
 class TestIMS:
