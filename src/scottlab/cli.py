@@ -11,12 +11,12 @@ wall-clock time or iteration order, so repeated runs are byte-identical.
 
 Exit status: 0 on success, 1 on solver failure (diagnostic on stderr) or,
 under --strict, when the run emitted accuracy warnings; 2 on usage or domain
-errors, non-finite numbers included.  Domain checks live in RunConfig, so a
-configuration replayed from a results file is checked the same way.
+errors, non-numeric and non-finite values included.  Domain checks live in
+RunConfig, so a configuration replayed from a results file is checked the
+same way.
 
-The heavy imports happen inside the pipelines so that the thread-count
-environment variable (SCOTTLAB_THREADS) can be applied to the BLAS layer
-before numpy loads.
+Pipelines call the library through its modules (``scott.scott_experiment_tf``),
+so a function replaced on its module, as a profiler does, is the one called.
 """
 
 from __future__ import annotations
@@ -25,11 +25,14 @@ import argparse
 import io
 import json
 import math
-import os
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
+
+import numpy as np
+
+from . import coherent, numerics, scott, semiclassics, thomas_fermi
 
 __all__ = [
     "RunConfig",
@@ -47,9 +50,9 @@ _FLAGS = {"h_values": "--h"}
 # commands whose h sweep feeds a fit and so needs at least two values
 _SWEEP_COMMANDS = ("scott", "local-trace")
 
-# domain of each numeric parameter (every entry of a sweep), where it has
-# one beyond being finite
-_DOMAINS = {
+# every parameter the parser reads as a number, with its domain (for each
+# entry of a sweep) beyond being a finite number, or None for any number
+_NUMBERS = {
     "z": (lambda v: v > 0, "must be positive"),
     "h": (lambda v: v > 0, "must be positive"),
     "h_values": (lambda v: v > 0, "must be positive"),
@@ -61,7 +64,12 @@ _DOMAINS = {
     "spacing_divisor": (lambda v: v >= 8, "must be at least 8"),
     "k": (lambda v: v >= 1, "must be at least 1"),
     "bump_order": (lambda v: v >= 1, "must be at least 1"),
+    "n": (lambda v: v in (1, 3), "must be 1 or 3"),
+    "shift": None,
+    "bump_center": None,
 }
+# numeric parameters that hold a sweep of values
+_SWEEPS = ("h_values",)
 
 
 class UsageError(ValueError):
@@ -83,17 +91,22 @@ class RunConfig:
         if self.format not in ("csv", "json"):
             raise UsageError(f"unknown format {self.format!r}")
         for key, value in self.parameters.items():
-            values = value if isinstance(value, (list, tuple)) else (value,)
-            numbers = [
-                v for v in values
-                if isinstance(v, (int, float)) and not isinstance(v, bool)
-            ]
+            if key not in _NUMBERS:
+                continue
+            sweep = key in _SWEEPS
+            values = value if sweep else (value,)
+            if not isinstance(values, (list, tuple)) or not all(
+                isinstance(v, (int, float)) and not isinstance(v, bool)
+                for v in values
+            ):
+                kind = "a list of numbers" if sweep else "a number"
+                raise UsageError(f"{key} must be {kind}, got {value!r}")
             # ints are always finite, and huge ones overflow math.isfinite
-            if not all(math.isfinite(v) for v in numbers if isinstance(v, float)):
+            if not all(math.isfinite(v) for v in values if isinstance(v, float)):
                 raise UsageError(f"{key} must be a finite number")
-            if key in _DOMAINS:
-                test, rule = _DOMAINS[key]
-                if not all(test(v) for v in numbers):
+            if _NUMBERS[key] is not None:
+                test, rule = _NUMBERS[key]
+                if not all(test(v) for v in values):
                     raise UsageError(f"{key} {rule}")
         hs = list(self.parameters.get("h_values", ()))
         if any(b >= a for a, b in zip(hs, hs[1:])):
@@ -201,14 +214,12 @@ def _parse_a_rule(rule: str) -> Callable[[float], float]:
 
 
 def _pipeline_hydrogen(params: dict[str, Any]):
-    from .scott import hydrogen_exact_sum, hydrogen_expansion_check
-
     z, h = params["z"], params["h"]
     columns = ["z", "h", "sum"]
-    rows = [[z, h, hydrogen_exact_sum(z, h)]]
+    rows = [[z, h, scott.hydrogen_exact_sum(z, h)]]
     meta: dict[str, Any] = {}
     if params.get("k") is not None:
-        exp = hydrogen_expansion_check(z, int(params["k"]))
+        exp = scott.hydrogen_expansion_check(z, int(params["k"]))
         meta["expansion"] = {
             "K": int(exp.K),
             "h": str(exp.h),
@@ -220,9 +231,7 @@ def _pipeline_hydrogen(params: dict[str, Any]):
     return columns, rows, meta
 
 
-def _named_potential(params: dict[str, Any], n: int):
-    import numpy as np
-
+def _named_potential(params: dict[str, Any]):
     name = params.get("potential", "coulomb")
     z, shift = params.get("z", 1.0), params.get("shift", 1.0)
     if name == "coulomb":
@@ -237,20 +246,17 @@ def _named_potential(params: dict[str, Any], n: int):
 
 
 def _pipeline_weyl(params: dict[str, Any]):
-    from .semiclassics import WeylSpec, weyl_energy
-
     n, h = int(params["n"]), params["h"]
-    potential = _named_potential(params, n)
-    value = weyl_energy(WeylSpec(n=n, potential=potential, bump=None, h=h))
+    potential = _named_potential(params)
+    spec = semiclassics.WeylSpec(n=n, potential=potential, bump=None, h=h)
+    value = semiclassics.weyl_energy(spec)
     columns = ["n", "z", "shift", "h", "weyl"]
     rows = [[n, params.get("z", 1.0), params.get("shift", 1.0), h, value]]
     return columns, rows, {"potential": params.get("potential", "coulomb")}
 
 
 def _pipeline_tf_atom(params: dict[str, Any]):
-    from .thomas_fermi import atomic_tf
-
-    sol = atomic_tf(params["z"])
+    sol = thomas_fermi.atomic_tf(params["z"])
     columns = ["r", "v_tf", "rho_tf"]
     rows = [
         [float(r), float(v), float(rho)]
@@ -278,9 +284,7 @@ def _fit_summary(fit) -> dict[str, Any]:
 
 
 def _pipeline_scott(params: dict[str, Any]):
-    from .scott import scott_experiment_tf
-
-    experiment = scott_experiment_tf(
+    experiment = scott.scott_experiment_tf(
         params["z"],
         params["h_values"],
         x_max=params.get("x_max", 15.0),
@@ -301,17 +305,14 @@ def _pipeline_scott(params: dict[str, Any]):
 
 
 def _pipeline_local_trace(params: dict[str, Any]):
-    from .numerics import make_bump
-    from .semiclassics import local_trace_experiment
-
     n = int(params.get("n", 3))
-    bump = make_bump(
+    bump = numerics.make_bump(
         center=params.get("bump_center", 0.0),
         radius=params.get("bump_radius", 2.0),
         order=int(params.get("bump_order", 4)),
     )
-    potential = _named_potential(params, n)
-    results, fit = local_trace_experiment(
+    potential = _named_potential(params)
+    results, fit = semiclassics.local_trace_experiment(
         potential,
         bump,
         params["h_values"],
@@ -332,22 +333,9 @@ def _pipeline_local_trace(params: dict[str, Any]):
 
 
 def _pipeline_coherent_check(params: dict[str, Any]):
-    import numpy as np
-
-    from .coherent import (
-        CoherentParams,
-        PhasePoint,
-        gaussian_moment_cancellation,
-        harmonic_symbol,
-        representation_error_norm,
-        resolution_of_identity_check,
-        weight_w,
-    )
-    from .numerics import Grid1D
-
     a_rule = _parse_a_rule(params.get("a_rule", "h^-0.8"))
     half = params.get("half_width", 4.0)
-    sym = harmonic_symbol()
+    sym = coherent.harmonic_symbol()
     columns = [
         "h", "a", "b",
         "weight_dev", "resolution_dev", "cancellation", "representation_err",
@@ -355,29 +343,31 @@ def _pipeline_coherent_check(params: dict[str, Any]):
     ]
     rows = []
     for h in params["h_values"]:
-        p = CoherentParams(h=h, a=a_rule(h))
+        p = coherent.CoherentParams(h=h, a=a_rule(h))
         # weight normalization over +-9 Gaussian widths
         alpha = p.a / (1.0 - p.h * p.a)
         span = 9.0 / math.sqrt(2.0 * alpha)
         t = np.linspace(-span, span, 801)
         uu, qq = np.meshgrid(t, t, indexing="ij")
-        w_vals = weight_w(p, uu, qq)
+        w_vals = coherent.weight_w(p, uu, qq)
         step = t[1] - t[0]
         weight_dev = float(np.sum(w_vals) * step * step - 1.0)
 
         dx = min(h, 1.0 / math.sqrt(p.b)) / 6.0
         n_pts = int(round(2.0 * half / dx)) + 1
-        grid = Grid1D.uniform(-half, half, n_pts)
+        grid = numerics.Grid1D.uniform(-half, half, n_pts)
         # the identity check wants the test vector to decay below the
         # quadrature floor before the grid ends, so it gets a wider box
         r_half = max(half, 7.0)
         r_n = int(round(2.0 * r_half / dx)) + 1
-        r_grid = Grid1D.uniform(-r_half, r_half, r_n)
+        r_grid = numerics.Grid1D.uniform(-r_half, r_half, r_n)
         psi = np.exp(-r_grid.points**2 / 2.0)
         psi /= math.sqrt(float(np.sum(psi**2) * r_grid.spacing))
-        resolution = resolution_of_identity_check(p, psi, r_grid)
-        cancel = gaussian_moment_cancellation(sym, p, PhasePoint(0.3, -0.2))
-        rep = representation_error_norm(sym, p, grid)
+        resolution = coherent.resolution_of_identity_check(p, psi, r_grid)
+        cancel = coherent.gaussian_moment_cancellation(
+            sym, p, coherent.PhasePoint(0.3, -0.2)
+        )
+        rep = coherent.representation_error_norm(sym, p, grid)
         rows.append([
             h, p.a, p.b, weight_dev, resolution, cancel, rep,
             rep / (h * h * p.b),
@@ -550,10 +540,6 @@ def run(config: RunConfig) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    if "SCOTTLAB_THREADS" in os.environ:
-        count = os.environ["SCOTTLAB_THREADS"]
-        for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(name, count)
     try:
         config = config_from_args(sys.argv[1:] if argv is None else argv)
         return run(config)

@@ -1,14 +1,13 @@
 """Thomas-Fermi atoms: universal equation, physical tables, Coulomb energy.
 
 Everything reduces to the dimensionless equation phi'' = phi^(3/2)/sqrt(x)
-with phi(0) = 1 and phi decaying at infinity.  The initial slope is found by
-bisection on the shooting classification (solutions either cross zero or
-turn back upward), which is reliable because departures from the neutral
-branch are amplified along the sweep.  The same amplification makes an
-outward table useless past x of order 30, so the global table comes from a
-collocation boundary value solve whose outer condition is the algebraic
-decay phi ~ 144 x^-3 (1 + c x^lambda + ...) with the correction exponent
-lambda = (7 - sqrt(73))/2 and the amplitude c as an unknown parameter.
+with phi(0) = 1 and phi decaying at infinity.  Outward integration loses the
+neutral branch past x of order 30, so phi comes from one collocation
+boundary value solve in t = sqrt(x).  Its inner conditions are the small-x
+series phi = 1 + s x + (4/3) x^(3/2) + ..., its outer conditions the
+algebraic decay phi ~ 144 x^-3 (1 + c x^lambda + ...) with the correction
+exponent lambda = (7 - sqrt(73))/2; the initial slope s and the amplitude c
+are the two unknown parameters of the solve.
 
 Physical scale: V(r) = (z/r) phi(r/l) satisfies both the TF equation and
 the radial Poisson relation exactly when z l^3 = 9 pi^2 / 128, giving
@@ -23,7 +22,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, solve_bvp, solve_ivp
+# solve_ivp is unused but kept: bench/tracer.py wraps it by this name
+from scipy.integrate import cumulative_trapezoid, solve_bvp, solve_ivp  # noqa: F401
 from scipy.interpolate import CubicSpline
 
 from .numerics import require_positive
@@ -52,10 +52,8 @@ DENSITY_CONST = 2.0**1.5 / (3.0 * np.pi**2)
 
 SOMMERFELD_LAMBDA = (7.0 - np.sqrt(73.0)) / 2.0
 
-_SERIES_X0 = 1e-4  # start point for outward shooting
 _BVP_X0 = 1e-6
 _BVP_XEND = 2500.0  # phi < 1e-8 out here
-_SHOOT_XMAX = 40.0
 
 
 def tf_length_scale(z: float) -> float:
@@ -124,38 +122,6 @@ def _rhs_sqrt(t, y):
     # and the equation becomes psi'' = psi'/t + 4 t psi^(3/2)
     psi = np.maximum(y[0], 0.0)
     return np.vstack((y[1], y[1] / t + 4.0 * t * psi**1.5))
-
-
-def _classify_shot(s: float) -> int:
-    """-1 if phi crosses zero, +1 if phi turns back upward, 0 if neither."""
-
-    def crossing(x, y):
-        return y[0]
-
-    crossing.terminal = True
-    crossing.direction = -1.0
-
-    def upturn(x, y):
-        return y[1]
-
-    upturn.terminal = True
-    upturn.direction = 1.0
-
-    phi0, dphi0 = _series_phi_dphi(_SERIES_X0, s)
-    sol = solve_ivp(
-        lambda x, y: [y[1], max(y[0], 0.0) ** 1.5 / np.sqrt(x)],
-        (_SERIES_X0, _SHOOT_XMAX),
-        [phi0, dphi0],
-        method="DOP853",
-        rtol=1e-12,
-        atol=1e-14,
-        events=[crossing, upturn],
-    )
-    if sol.t_events[0].size:
-        return -1
-    if sol.t_events[1].size:
-        return 1
-    return 0
 
 
 @dataclass(frozen=True)
@@ -235,65 +201,34 @@ class UniversalTF:
         )
 
 
-def solve_universal_tf(tolerance: float = 1e-10) -> UniversalTF:
-    """Universal TF function: bisection for the slope, collocation for the table.
+def solve_universal_tf() -> UniversalTF:
+    """Universal TF function from one collocation solve in t = sqrt(x).
 
-    The slope bracket is classified by shooting events (zero crossing vs
-    upturn); bisection narrows it to `tolerance`.  The full table is then a
-    boundary value solve on [1e-6, 2500] whose outer condition enforces the
-    144 x^-3 decay with the correction amplitude as a free parameter, since
-    outward integration loses the neutral branch long before the tail is
-    reached.
+    The interval is [1e-6, 2500] in x.  The initial slope s and the tail
+    amplitude c are the two free parameters: the small-x series fixes psi
+    and psi' at the inner end, the Sommerfeld decay fixes them at the outer
+    end.  Sommerfeld's closed-form approximant seeds the mesh, and its own
+    tail amplitude seeds c; s enters the inner conditions linearly, so a
+    rough value suffices.
     """
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
-    lo, hi = -1.65, -1.45
-    if _classify_shot(lo) != -1 or _classify_shot(hi) != 1:
-        raise RuntimeError("bisection bracket not found for the initial slope")
-    target = max(tolerance, 1e-13)
-    while hi - lo > target:
-        mid = 0.5 * (lo + hi)
-        side = _classify_shot(mid)
-        if side == -1:
-            lo = mid
-        elif side == 1:
-            hi = mid
-        else:
-            lo = mid - 0.25 * (hi - lo)
-            hi = mid + 0.25 * (hi - lo)
-            break
-    slope = 0.5 * (lo + hi)
-
-    # short trustworthy outward table seeds the BVP guess
-    phi0, dphi0 = _series_phi_dphi(_SERIES_X0, slope)
-    seed = solve_ivp(
-        lambda x, y: [y[1], max(y[0], 0.0) ** 1.5 / np.sqrt(x)],
-        (_SERIES_X0, 25.0),
-        [phi0, dphi0],
-        method="DOP853",
-        rtol=1e-12,
-        atol=1e-14,
-        dense_output=True,
-    )
-
-    # collocation in t = sqrt(x); the solution is analytic there
     t_mesh = np.geomspace(np.sqrt(_BVP_X0), np.sqrt(_BVP_XEND), 2500)
     x_mesh = t_mesh**2
-    inner = np.clip(x_mesh, _SERIES_X0, 25.0)
-    psi_guess = seed.sol(inner)[0] * (inner / x_mesh) ** 3
-    low = x_mesh < _SERIES_X0
-    psi_guess[low] = _series_phi_dphi(x_mesh[low], slope)[0]
+    lam = SOMMERFELD_LAMBDA
+    psi_guess = (1.0 + (x_mesh**3 / 144.0) ** (-lam / 3.0)) ** (3.0 / lam)
     dpsi_guess = np.gradient(psi_guess, t_mesh)
+    c_guess = (3.0 / lam) * 144.0 ** (-lam / 3.0)
     t0, te = t_mesh[0], t_mesh[-1]
 
     def bc(ya, yb, p):
-        c = p[0]
-        phi_e, dphi_e = _tail_phi_dphi(np.array([te**2]), c)
+        s, c = p
+        phi_0, dphi_0 = _series_phi_dphi(t0**2, s)
+        phi_e, dphi_e = _tail_phi_dphi(te**2, c)
         return np.array(
             [
-                ya[0] - 0.5 * t0 * ya[1] - (1.0 - (2.0 / 3.0) * t0**3),
-                yb[0] - phi_e[0],
-                yb[1] - 2.0 * te * dphi_e[0],
+                ya[0] - phi_0,
+                ya[1] - 2.0 * t0 * dphi_0,
+                yb[0] - phi_e,
+                yb[1] - 2.0 * te * dphi_e,
             ]
         )
 
@@ -302,7 +237,7 @@ def solve_universal_tf(tolerance: float = 1e-10) -> UniversalTF:
         bc,
         t_mesh,
         np.vstack((psi_guess, dpsi_guess)),
-        p=np.array([-13.0]),
+        p=np.array([-1.5, c_guess]),
         tol=1e-10,
         max_nodes=200000,
     )
@@ -314,8 +249,8 @@ def solve_universal_tf(tolerance: float = 1e-10) -> UniversalTF:
     return UniversalTF(
         x=x,
         phi_table=phi_table,
-        initial_slope=slope,
-        tail_coefficient=float(bvp.p[0]),
+        initial_slope=float(bvp.p[0]),
+        tail_coefficient=float(bvp.p[1]),
         max_rms_residual=float(np.max(bvp.rms_residuals)),
     )
 

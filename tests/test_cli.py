@@ -10,9 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scottlab.cli import (
+    _NUMBERS,
     CONFIG_PREFIX,
     RunConfig,
     UsageError,
+    _build_parser,
+    _floats,
     config_from_args,
     main,
     read_config,
@@ -299,6 +302,7 @@ class TestInputBoundary:
             ("coherent-check", {"h_values": (0.4,), "a_rule": "3"}),
             ("coherent-check", {"h_values": (0.4,), "half_width": 0.0}),
             ("weyl", {"z": 1.0, "h": 1.0, "shift": math.inf}),
+            ("weyl", {"z": 1.0, "h": 1.0, "n": 2}),
         ],
     )
     def test_range_rules(self, command, parameters):
@@ -322,6 +326,51 @@ class TestInputBoundary:
         assert status == 2
         assert out == ""
         assert "usage error" in err
+
+    @pytest.mark.parametrize(
+        "command, parameters, key, bad",
+        [
+            ("tf-atom", {"z": 8.0}, "z", "8"),
+            ("hydrogen", {"z": 1.0, "h": 0.1}, "h", "0.1"),
+            ("hydrogen", {"z": 1.0, "h": 0.1, "k": 5}, "k", "5"),
+            ("scott", {"z": 1.0, "h_values": (0.2, 0.1)}, "h_values", ("0.2", "0.1")),
+            ("scott", {"z": 1.0, "h_values": (0.2, 0.1)}, "h_values", 0.2),
+            ("scott", {"z": 1.0, "h_values": (0.2, 0.1)}, "x_max", "15"),
+            ("scott", {"z": 1.0, "h_values": (0.2, 0.1)}, "spacing_scale", None),
+            ("scott", {"z": 1.0, "h_values": (0.2, 0.1)}, "extra_channels", "0"),
+            ("weyl", {"z": 1.0, "h": 1.0}, "n", "3"),
+            ("weyl", {"z": 1.0, "h": 1.0}, "shift", True),
+            ("local-trace", {"h_values": (0.4, 0.3)}, "bump_center", "0"),
+            ("local-trace", {"h_values": (0.4, 0.3)}, "bump_radius", [2.0]),
+            ("local-trace", {"h_values": (0.4, 0.3)}, "bump_order", "4"),
+            ("local-trace", {"h_values": (0.4, 0.3)}, "spacing_divisor", "8"),
+            ("coherent-check", {"h_values": (0.4,)}, "half_width", "4"),
+        ],
+    )
+    def test_non_numbers_rejected(self, command, parameters, key, bad):
+        RunConfig(command=command, parameters=parameters)
+        with pytest.raises(UsageError, match=key):
+            RunConfig(command=command, parameters={**parameters, key: bad})
+
+    def test_every_numeric_option_is_type_checked(self):
+        subcommands = _build_parser()._subparsers._group_actions[0].choices
+        numeric = {
+            action.dest
+            for sub in subcommands.values()
+            for action in sub._actions
+            if action.type in (int, float, _floats)
+        }
+        assert numeric == set(_NUMBERS)
+
+    def test_replayed_string_number_is_a_usage_error(self, tmp_path):
+        # a hand-edited header with "z": "8" is a usage error, not a solver
+        # failure of the pipeline
+        path = tmp_path / "tf.csv"
+        doc = {"command": "tf-atom", "parameters": {"z": "8", "strict": False},
+               "output_path": None, "format": "csv"}
+        path.write_text(CONFIG_PREFIX + json.dumps(doc) + "\n")
+        with pytest.raises(UsageError, match="z must be a number"):
+            read_config(str(path))
 
     def test_header_is_strict_json(self):
         cfg = RunConfig(command="hydrogen", parameters={"z": 1.0, "h": 0.1})

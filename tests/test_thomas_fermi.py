@@ -22,7 +22,8 @@ from scottlab.thomas_fermi import (
 
 class TestUniversal:
     def test_initial_slope(self, universal):
-        assert universal.initial_slope == pytest.approx(-1.588071, abs=1e-4)
+        # Boyd, J. Comput. Appl. Math. 244 (2013), rational Chebyshev series
+        assert universal.initial_slope == pytest.approx(-1.5880710226113753, abs=1e-10)
 
     def test_ode_residual(self, universal):
         assert universal.max_rms_residual < 1e-9
