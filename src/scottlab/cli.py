@@ -70,6 +70,8 @@ _NUMBERS = {
 }
 # numeric parameters that hold a sweep of values
 _SWEEPS = ("h_values",)
+# options that shape the output rather than feed a pipeline
+_OUTPUT_OPTIONS = ("out", "format", "strict")
 
 
 class UsageError(ValueError):
@@ -113,8 +115,13 @@ class RunConfig:
             raise UsageError("h values must be strictly decreasing")
         if self.command in _SWEEP_COMMANDS and len(hs) < 2:
             raise UsageError("the h sweep needs at least two values")
+        missing = _filled_parameters(self.command) - set(self.parameters)
+        if missing:
+            raise UsageError(
+                f"{self.command} config lacks {', '.join(sorted(missing))}"
+            )
         if self.command == "coherent-check":
-            a_rule = _parse_a_rule(self.parameters.get("a_rule", "h^-0.8"))
+            a_rule = _parse_a_rule(self.parameters["a_rule"])
             for h in hs:
                 try:
                     a = a_rule(h)
@@ -195,6 +202,8 @@ def _floats(text: str) -> tuple[float, ...]:
 
 def _parse_a_rule(rule: str) -> Callable[[float], float]:
     """'h^-0.8' style power rules, or a plain number for a constant a."""
+    if not isinstance(rule, str):
+        raise UsageError(f"a-rule must be a string, got {rule!r}")
     text = rule.strip()
     if text.startswith("h^"):
         try:
@@ -232,8 +241,7 @@ def _pipeline_hydrogen(params: dict[str, Any]):
 
 
 def _named_potential(params: dict[str, Any]):
-    name = params.get("potential", "coulomb")
-    z, shift = params.get("z", 1.0), params.get("shift", 1.0)
+    name, z, shift = params["potential"], params["z"], params["shift"]
     if name == "coulomb":
         return lambda r: -z / np.abs(np.asarray(r, dtype=float)) + shift
     if name == "well":
@@ -251,8 +259,8 @@ def _pipeline_weyl(params: dict[str, Any]):
     spec = semiclassics.WeylSpec(n=n, potential=potential, bump=None, h=h)
     value = semiclassics.weyl_energy(spec)
     columns = ["n", "z", "shift", "h", "weyl"]
-    rows = [[n, params.get("z", 1.0), params.get("shift", 1.0), h, value]]
-    return columns, rows, {"potential": params.get("potential", "coulomb")}
+    rows = [[n, params["z"], params["shift"], h, value]]
+    return columns, rows, {"potential": params["potential"]}
 
 
 def _pipeline_tf_atom(params: dict[str, Any]):
@@ -287,9 +295,9 @@ def _pipeline_scott(params: dict[str, Any]):
     experiment = scott.scott_experiment_tf(
         params["z"],
         params["h_values"],
-        x_max=params.get("x_max", 15.0),
-        spacing_scale=params.get("spacing_scale", 1.0),
-        extra_channels=int(params.get("extra_channels", 0)),
+        x_max=params["x_max"],
+        spacing_scale=params["spacing_scale"],
+        extra_channels=int(params["extra_channels"]),
     )
     columns = ["h", "quantum", "weyl", "scott", "residual"]
     rows = [
@@ -305,11 +313,11 @@ def _pipeline_scott(params: dict[str, Any]):
 
 
 def _pipeline_local_trace(params: dict[str, Any]):
-    n = int(params.get("n", 3))
+    n = int(params["n"])
     bump = numerics.make_bump(
-        center=params.get("bump_center", 0.0),
-        radius=params.get("bump_radius", 2.0),
-        order=int(params.get("bump_order", 4)),
+        center=params["bump_center"],
+        radius=params["bump_radius"],
+        order=int(params["bump_order"]),
     )
     potential = _named_potential(params)
     results, fit = semiclassics.local_trace_experiment(
@@ -317,7 +325,7 @@ def _pipeline_local_trace(params: dict[str, Any]):
         bump,
         params["h_values"],
         n=n,
-        spacing_divisor=params.get("spacing_divisor", 8.0),
+        spacing_divisor=params["spacing_divisor"],
     )
     columns = ["h", "quantum", "weyl", "residual", "scaled_residual"]
     rows = [
@@ -333,8 +341,8 @@ def _pipeline_local_trace(params: dict[str, Any]):
 
 
 def _pipeline_coherent_check(params: dict[str, Any]):
-    a_rule = _parse_a_rule(params.get("a_rule", "h^-0.8"))
-    half = params.get("half_width", 4.0)
+    a_rule = _parse_a_rule(params["a_rule"])
+    half = params["half_width"]
     sym = coherent.harmonic_symbol()
     columns = [
         "h", "a", "b",
@@ -455,6 +463,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _filled_parameters(command: str) -> set[str]:
+    """The parameters the parser fills on every command line of a command.
+
+    These are the required options and those with a default, so a config
+    that lacks one was not written by the parser and is a usage error.
+    """
+    sub = _build_parser()._subparsers._group_actions[0].choices[command]
+    return {
+        action.dest
+        for action in sub._actions
+        if action.dest not in ("help", *_OUTPUT_OPTIONS)
+        and (action.required or action.default is not None)
+    }
+
+
 def config_from_args(argv: Sequence[str]) -> RunConfig:
     parser = _build_parser()
     ns = parser.parse_args(list(argv))
@@ -462,7 +485,7 @@ def config_from_args(argv: Sequence[str]) -> RunConfig:
     params = {
         key: value
         for key, value in vars(ns).items()
-        if key not in ("command", "out", "format", "strict") and value is not None
+        if key not in ("command", *_OUTPUT_OPTIONS) and value is not None
     }
     params["strict"] = bool(ns.strict)
     return RunConfig(

@@ -216,6 +216,35 @@ def _gaussian_factor_matrix(p: CoherentParams, x: np.ndarray, dx: float, u: floa
     )
 
 
+def _u_summed_square(
+    p: CoherentParams, x: np.ndarray, dx: float, us: np.ndarray, du: float
+) -> np.ndarray:
+    """sum_u du A_u A_u over the nodes us, with the u sum done first.
+
+    With m1 = (x+y)/2 and m2 = (y+z)/2 the exponents combine as
+    -a(m1-u)^2 - a(m2-u)^2 = -2a(u - (x+2y+z)/4)^2 - a(x-z)^2/8, so
+
+        sum_u du A_u A_u = (pi h)^{-1} dx^2 exp(-a(x-z)^2/8)
+                           sum_y g(x,y) g(y,z) U[i+2j+l],
+
+    g(x,y) = exp(-(x-y)^2/(4 h^2 a)), where U is the node sum
+    sum_u du exp(-2a(u-c)^2) at the 4n-3 quarter-lattice centres
+    c = x_0 + (i+2j+l) dx/4.  This holds for any nodes; it costs one O(n^3)
+    elementwise pass plus O(N_u n) exponentials instead of N_u products.
+    """
+    n = x.size
+    centres = x[0] + 0.25 * dx * np.arange(4 * n - 3)
+    u_sum = du * sum(np.exp(-2.0 * p.a * (centres - u) ** 2) for u in us)
+    # hankel[k, l] = U[k + l], so rows 2j..2j+n-1 hold U[i + 2j + l]
+    hankel = np.lib.stride_tricks.sliding_window_view(u_sum, n)
+    diff = x[:, None] - x[None, :]
+    g = np.exp(-(diff**2) / (4.0 * p.h**2 * p.a))
+    acc = np.zeros((n, n))
+    for j in range(n):
+        acc += np.outer(g[:, j], g[j]) * hankel[2 * j : 2 * j + n]
+    return dx * dx / (math.pi * p.h) * np.exp(-p.a * diff**2 / 8.0) * acc
+
+
 def _phase_rule(p: CoherentParams) -> float:
     return min(p.h, 1.0 / math.sqrt(p.a)) / 6.0
 
@@ -230,10 +259,13 @@ def resolution_of_identity_check(
     """Relative L2 deviation of the quadratured resolution of the identity.
 
     Computes int G_{u,q}^2 psi du dq/(2 pi h) on a uniform tensor phase grid
-    and compares with psi.  The q sum enters through its Dirichlet kernel in
-    the difference variable, which is identical to summing nodes explicitly.
-    Under-resolved quadrature (fewer than 8 nodes per axis) raises a Python
-    warning and still returns the measured deviation.
+    and compares with psi.  The q sum enters through its Dirichlet kernel S
+    in the difference variable, which is identical to summing nodes
+    explicitly.  The u sum is done first: the exponent identity in
+    _u_summed_square gives M = sum_u du A_u A_u over the same u-nodes in one
+    O(n^3) pass, so the check is (M o S) psi.  Under-resolved
+    quadrature (fewer than 8 nodes per axis) raises a Python warning and
+    still returns the measured deviation.
     """
     if p.n != 1:
         raise ValueError("grid realization is one-dimensional")
@@ -272,10 +304,7 @@ def resolution_of_identity_check(
     idx = np.arange(grid.size)
     s_mat = s_vec[idx[:, None] - idx[None, :] + grid.size - 1]
 
-    out = np.zeros_like(psi, dtype=complex)
-    for u in us:
-        a_mat = _gaussian_factor_matrix(p, x, dx, float(u))
-        out += du * (((a_mat @ a_mat) * s_mat) @ psi)
+    out = (_u_summed_square(p, x, dx, us, du) * s_mat) @ psi
     return float(np.linalg.norm(out - psi) / norm)
 
 
@@ -301,17 +330,24 @@ def representation_error_norm(
 
     q runs over the grid's conjugate lattice, so for each u the three q sums
     (weights 1, F + F''/4b, F') are exact circulant kernels; u is a plain
-    trapezoid over the grid range plus seven Gaussian widths.  The difference
-    is measured on a core window: at least 10% of the grid is dropped per
-    side, widened to six reach lengths h sqrt(a) of the smearing kernel,
-    because rows closer to the edge than the kernel reach lose Gaussian mass
-    and that breakage couples to the symbol at the lattice Nyquist momentum.
-    Momentum gets the matching treatment: the sandwich smears the symbol over
-    a width sqrt(h^2 a + 1/a)/2 in q, and near the lattice momentum boundary
-    the smeared symbol folds back into the zone, an artifact of order
-    q_max times the smearing width that would swamp the h^2-scale residual.
-    Modes within eight smearing widths of the boundary are excluded from the
-    reported norm.
+    trapezoid over the grid range plus seven Gaussian widths.  The F term
+    needs only sum_u du A_u A_u, which _u_summed_square gives with the u sum
+    done first.  The F' term needs sum_u du A_u P A_u for the spectral
+    momentum P = i S_P + (q_N/n) s s^T, where S_P is the real antisymmetric
+    sine kernel of the paired lattice momenta +-q_m and, on an even grid,
+    q_N is the unpaired Nyquist momentum with s_j = (-1)^j; each node then
+    costs the real product A_u (S_P A_u) plus the rank-one (A_u s)(A_u s)^T.
+
+    The difference is measured on a core window: at least 10% of the grid is
+    dropped per side, widened to six reach lengths h sqrt(a) of the
+    smearing kernel, because rows closer to the edge than the kernel reach
+    lose Gaussian mass and that breakage couples to the symbol at the
+    lattice Nyquist momentum.  Momentum gets the matching treatment: the
+    sandwich smears the symbol over a width sqrt(h^2 a + 1/a)/2 in q, and
+    near the lattice momentum boundary the smeared symbol folds back into
+    the zone, an artifact of order q_max times the smearing width that would
+    swamp the h^2-scale residual.  Modes within eight smearing widths of the
+    boundary are excluded from the reported norm.
     """
     if p.n != 1:
         raise ValueError("grid realization is one-dimensional")
@@ -340,7 +376,13 @@ def representation_error_norm(
     du = _phase_rule(p)
     us = np.arange(x[0] - 7.0 * sigma, x[-1] + 7.0 * sigma + du, du)
 
-    assembled = np.zeros((n, n), dtype=complex)
+    # P = i S_P + (q_N/n) s s^T, the Nyquist term on even grids only
+    s_p = np.fft.ifft(qs).imag[wrap]
+    sign = (-1.0) ** idx
+
+    t1_diag = np.zeros(n)
+    a_sp_a = np.zeros((n, n))
+    nyquist = np.zeros((n, n))
     for u in us:
         a_mat = _gaussian_factor_matrix(p, x, dx, float(u))
         c_diag = (
@@ -349,14 +391,19 @@ def representation_error_norm(
             + float(sym.dV(u)) * (x - u)
         )
         # weight-1 q sum collapses to the exact diagonal projection
-        t1_diag = np.einsum("xy,xy->x", a_mat * c_diag[None, :], a_mat)
-        assembled[idx, idx] += du * t1_diag / dx
-        a_sq = a_mat @ a_mat
-        assembled += du * (a_sq * s_f)
-        # A P A = (F A)^H diag(q) (F A) / n for the spectral momentum P
-        fa = np.fft.fft(a_mat, axis=0)
-        apa = fa.conj().T @ (qs[:, None] * fa) / n
-        assembled += du * (apa * s_df)
+        t1_diag += du * np.einsum("xy,xy->x", a_mat * c_diag[None, :], a_mat)
+        a_sp_a += du * (a_mat @ (s_p @ a_mat))
+        if n % 2 == 0:
+            a_s = a_mat @ sign
+            nyquist += du * np.outer(a_s, a_s)
+    apa = 1j * a_sp_a
+    if n % 2 == 0:
+        apa += qs[n // 2] / n * nyquist
+    assembled = (
+        np.diag(t1_diag / dx)
+        + _u_summed_square(p, x, dx, us, du) * s_f
+        + apa * s_df
+    )
 
     reach = 6.0 * p.h * math.sqrt(p.a)
     margin = max(int(round(0.1 * n)), int(math.ceil(reach / dx)), 1)

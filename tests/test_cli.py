@@ -239,6 +239,18 @@ def positive(value):
     return math.isfinite(value) and value > 0
 
 
+# complete parameter maps, each a minimal command line with every default
+# the parser fills, to vary one parameter at a time
+BASE = {
+    "hydrogen": config_from_args(["hydrogen", "--z", "1", "--h", "0.1"]).parameters,
+    "weyl": config_from_args(["weyl"]).parameters,
+    "tf-atom": config_from_args(["tf-atom", "--z", "8"]).parameters,
+    "scott": config_from_args(["scott", "--z", "1", "--h", "0.2,0.1"]).parameters,
+    "local-trace": config_from_args(["local-trace", "--h", "0.4,0.3"]).parameters,
+    "coherent-check": config_from_args(["coherent-check", "--h", "0.4"]).parameters,
+}
+
+
 def run_captured(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -260,7 +272,7 @@ class TestInputBoundary:
     @settings(max_examples=60, deadline=None)
     @given(z=ANY_VALUE, h1=ANY_VALUE, h2=ANY_VALUE)
     def test_scott_domain(self, z, h1, h2):
-        params = {"z": z, "h_values": (h1, h2), "strict": False}
+        params = {**BASE["scott"], "z": z, "h_values": (h1, h2)}
         if positive(z) and positive(h1) and positive(h2) and h2 < h1:
             RunConfig(command="scott", parameters=params)
         else:
@@ -280,7 +292,7 @@ class TestInputBoundary:
     @given(h=st.one_of(st.floats(0.05, 0.95), st.floats(1.0, 10.0), OUT_OF_DOMAIN))
     def test_coherent_check_domain(self, h):
         # the default rule a = h^-0.8 lies below 1/h exactly when h < 1
-        params = {"h_values": (h,)}
+        params = {**BASE["coherent-check"], "h_values": (h,)}
         if positive(h) and h < 1.0:
             RunConfig(command="coherent-check", parameters=params)
         else:
@@ -290,19 +302,20 @@ class TestInputBoundary:
     @pytest.mark.parametrize(
         "command, parameters",
         [
-            ("scott", {"z": 1.0, "h_values": (0.1,)}),
-            ("scott", {"z": 1.0, "h_values": (0.2, 0.1), "spacing_scale": 1.5}),
-            ("scott", {"z": 1.0, "h_values": (0.2, 0.1), "spacing_scale": 0.0}),
-            ("scott", {"z": 1.0, "h_values": (0.2, 0.1), "extra_channels": -1}),
-            ("scott", {"z": 1.0, "h_values": (0.2, 0.1), "x_max": 0.0}),
-            ("local-trace", {"h_values": (0.4,)}),
-            ("local-trace", {"h_values": (0.4, 0.3), "spacing_divisor": 4.0}),
-            ("local-trace", {"h_values": (0.4, 0.3), "bump_radius": -2.0}),
-            ("hydrogen", {"z": 1.0, "h": 0.1, "k": 0}),
-            ("coherent-check", {"h_values": (0.4,), "a_rule": "3"}),
-            ("coherent-check", {"h_values": (0.4,), "half_width": 0.0}),
-            ("weyl", {"z": 1.0, "h": 1.0, "shift": math.inf}),
-            ("weyl", {"z": 1.0, "h": 1.0, "n": 2}),
+            ("scott", {**BASE["scott"], "h_values": (0.1,)}),
+            ("scott", {**BASE["scott"], "spacing_scale": 1.5}),
+            ("scott", {**BASE["scott"], "spacing_scale": 0.0}),
+            ("scott", {**BASE["scott"], "extra_channels": -1}),
+            ("scott", {**BASE["scott"], "x_max": 0.0}),
+            ("local-trace", {**BASE["local-trace"], "h_values": (0.4,)}),
+            ("local-trace", {**BASE["local-trace"], "spacing_divisor": 4.0}),
+            ("local-trace", {**BASE["local-trace"], "bump_radius": -2.0}),
+            ("hydrogen", {**BASE["hydrogen"], "k": 0}),
+            ("coherent-check", {**BASE["coherent-check"], "a_rule": "3"}),
+            ("coherent-check", {**BASE["coherent-check"], "half_width": 0.0}),
+            ("weyl", {**BASE["weyl"], "shift": math.inf}),
+            ("weyl", {**BASE["weyl"], "n": 2}),
+            ("coherent-check", {**BASE["coherent-check"], "a_rule": 0.5}),
         ],
     )
     def test_range_rules(self, command, parameters):
@@ -330,21 +343,21 @@ class TestInputBoundary:
     @pytest.mark.parametrize(
         "command, parameters, key, bad",
         [
-            ("tf-atom", {"z": 8.0}, "z", "8"),
-            ("hydrogen", {"z": 1.0, "h": 0.1}, "h", "0.1"),
-            ("hydrogen", {"z": 1.0, "h": 0.1, "k": 5}, "k", "5"),
-            ("scott", {"z": 1.0, "h_values": (0.2, 0.1)}, "h_values", ("0.2", "0.1")),
-            ("scott", {"z": 1.0, "h_values": (0.2, 0.1)}, "h_values", 0.2),
-            ("scott", {"z": 1.0, "h_values": (0.2, 0.1)}, "x_max", "15"),
-            ("scott", {"z": 1.0, "h_values": (0.2, 0.1)}, "spacing_scale", None),
-            ("scott", {"z": 1.0, "h_values": (0.2, 0.1)}, "extra_channels", "0"),
-            ("weyl", {"z": 1.0, "h": 1.0}, "n", "3"),
-            ("weyl", {"z": 1.0, "h": 1.0}, "shift", True),
-            ("local-trace", {"h_values": (0.4, 0.3)}, "bump_center", "0"),
-            ("local-trace", {"h_values": (0.4, 0.3)}, "bump_radius", [2.0]),
-            ("local-trace", {"h_values": (0.4, 0.3)}, "bump_order", "4"),
-            ("local-trace", {"h_values": (0.4, 0.3)}, "spacing_divisor", "8"),
-            ("coherent-check", {"h_values": (0.4,)}, "half_width", "4"),
+            ("tf-atom", BASE["tf-atom"], "z", "8"),
+            ("hydrogen", BASE["hydrogen"], "h", "0.1"),
+            ("hydrogen", {**BASE["hydrogen"], "k": 5}, "k", "5"),
+            ("scott", BASE["scott"], "h_values", ("0.2", "0.1")),
+            ("scott", BASE["scott"], "h_values", 0.2),
+            ("scott", BASE["scott"], "x_max", "15"),
+            ("scott", BASE["scott"], "spacing_scale", None),
+            ("scott", BASE["scott"], "extra_channels", "0"),
+            ("weyl", BASE["weyl"], "n", "3"),
+            ("weyl", BASE["weyl"], "shift", True),
+            ("local-trace", BASE["local-trace"], "bump_center", "0"),
+            ("local-trace", BASE["local-trace"], "bump_radius", [2.0]),
+            ("local-trace", BASE["local-trace"], "bump_order", "4"),
+            ("local-trace", BASE["local-trace"], "spacing_divisor", "8"),
+            ("coherent-check", BASE["coherent-check"], "half_width", "4"),
         ],
     )
     def test_non_numbers_rejected(self, command, parameters, key, bad):
@@ -370,6 +383,26 @@ class TestInputBoundary:
                "output_path": None, "format": "csv"}
         path.write_text(CONFIG_PREFIX + json.dumps(doc) + "\n")
         with pytest.raises(UsageError, match="z must be a number"):
+            read_config(str(path))
+
+    @pytest.mark.parametrize(
+        "command, key",
+        [("weyl", "n"), ("coherent-check", "h_values"), ("scott", "z")],
+    )
+    def test_missing_parameter_is_a_usage_error(self, command, key):
+        params = {k: v for k, v in BASE[command].items() if k != key}
+        with pytest.raises(UsageError, match=f"lacks {key}"):
+            RunConfig(command=command, parameters=params)
+
+    def test_replayed_header_without_a_filled_parameter(self, tmp_path):
+        # a weyl header without "n" used to reach the pipeline and fail
+        # there as a solver failure (exit 1)
+        path = tmp_path / "w.csv"
+        assert main(["weyl", "--out", str(path)]) == 0
+        doc = json.loads(path.read_text().splitlines()[0][len(CONFIG_PREFIX):])
+        del doc["parameters"]["n"]
+        path.write_text(CONFIG_PREFIX + json.dumps(doc) + "\n")
+        with pytest.raises(UsageError, match="lacks n"):
             read_config(str(path))
 
     def test_header_is_strict_json(self):

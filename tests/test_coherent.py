@@ -26,6 +26,7 @@ from scottlab.coherent import (
     trial_density_matrix,
     weight_w,
 )
+from scottlab.coherent import _gaussian_factor_matrix, _phase_rule
 from scottlab.numerics import Grid1D, GridOperator
 
 
@@ -345,3 +346,108 @@ class TestTrialDensity:
             trial_density_matrix(
                 sym, CoherentParams(h=0.4, a=1.0, n=2), grid, support_radius=1.5
             )
+
+
+# Per-node oracles: the identities assembled one phase-space u-node at a
+# time, each node a dense product, the way the library first computed them.
+
+
+def per_node_resolution(p, psi, grid, u_count=None, q_count=None):
+    sigma = 1.0 / math.sqrt(2.0 * p.a)
+    step = _phase_rule(p)
+    x, dx = grid.points, grid.spacing
+    u_lo, u_hi = x[0] - 7.0 * sigma, x[-1] + 7.0 * sigma
+    if u_count is None:
+        u_count = int(math.ceil((u_hi - u_lo) / step)) + 1
+    q_half = math.pi * p.h / dx + 7.0 * sigma
+    if q_count is None:
+        q_count = 2 * int(math.ceil(q_half / step)) + 1
+    us = np.linspace(u_lo, u_hi, u_count)
+    du = us[1] - us[0]
+    qs = np.linspace(-q_half, q_half, q_count)
+    dq = qs[1] - qs[0]
+    diffs = dx * np.arange(-(grid.size - 1), grid.size)
+    s_vec = np.sum(np.cos(np.outer(qs, diffs) / p.h), axis=0) * dq / (
+        2.0 * math.pi * p.h
+    )
+    idx = np.arange(grid.size)
+    s_mat = s_vec[idx[:, None] - idx[None, :] + grid.size - 1]
+    out = np.zeros_like(psi, dtype=complex)
+    for u in us:
+        a_mat = _gaussian_factor_matrix(p, x, dx, float(u))
+        out += du * (((a_mat @ a_mat) * s_mat) @ psi)
+    return float(np.linalg.norm(out - psi) / np.linalg.norm(psi))
+
+
+def per_node_representation(sym, p, grid):
+    x, dx, n = grid.points, grid.spacing, grid.size
+    target = schrodinger_operator(sym, grid, p.h).matrix
+    qs = momentum_lattice(grid, p.h)
+    w_f = np.asarray(sym.F(qs), dtype=float) + np.asarray(
+        sym.d2F(qs), dtype=float
+    ) / (4.0 * p.b)
+    w_df = np.asarray(sym.dF(qs), dtype=float)
+    idx = np.arange(n)
+    wrap = (idx[:, None] - idx[None, :]) % n
+    s_f = (np.fft.ifft(w_f) / dx)[wrap]
+    s_df = (np.fft.ifft(w_df) / dx)[wrap]
+    sigma = 1.0 / math.sqrt(2.0 * p.a)
+    du = _phase_rule(p)
+    us = np.arange(x[0] - 7.0 * sigma, x[-1] + 7.0 * sigma + du, du)
+    assembled = np.zeros((n, n), dtype=complex)
+    for u in us:
+        a_mat = _gaussian_factor_matrix(p, x, dx, float(u))
+        c_diag = (
+            float(sym.V(u))
+            + float(sym.d2V(u)) / (4.0 * p.b)
+            + float(sym.dV(u)) * (x - u)
+        )
+        t1_diag = np.einsum("xy,xy->x", a_mat * c_diag[None, :], a_mat)
+        assembled[idx, idx] += du * t1_diag / dx
+        assembled += du * ((a_mat @ a_mat) * s_f)
+        # A P A = (F A)^H diag(q) (F A) / n for the spectral momentum P
+        fa = np.fft.fft(a_mat, axis=0)
+        assembled += du * ((fa.conj().T @ (qs[:, None] * fa) / n) * s_df)
+    reach = 6.0 * p.h * math.sqrt(p.a)
+    margin = max(int(round(0.1 * n)), int(math.ceil(reach / dx)), 1)
+    window = slice(margin, n - margin)
+    diff = assembled - target
+    diff = 0.5 * (diff + diff.conj().T)
+    core = diff[window, window]
+    smear = 0.5 * math.sqrt(p.h * p.h * p.a + 1.0 / p.a)
+    q_cut = math.pi * p.h / dx - 8.0 * smear
+    q_core = 2.0 * math.pi * p.h * np.fft.fftfreq(core.shape[0], d=dx)
+    keep = np.abs(q_core) <= q_cut
+    rotated = np.fft.fft(np.fft.ifft(core, axis=1), axis=0)
+    band = rotated[np.ix_(keep, keep)]
+    band = 0.5 * (band + band.conj().T)
+    return float(np.max(np.abs(np.linalg.eigvalsh(band))))
+
+
+class TestAgainstPerNodeLoops:
+    """The u-first sums agree with one dense product per node.
+
+    n = 121 is the odd grid the h = 0.4 rule gives on [-4, 4]; n = 122 is
+    even, so the lattice has an unpaired Nyquist momentum.
+    """
+
+    p = CoherentParams(h=0.4, a=0.4**-0.8)
+
+    @pytest.mark.parametrize("n", [121, 122])
+    @pytest.mark.parametrize("u_count", [None, 4, 80])
+    def test_resolution_of_identity(self, n, u_count):
+        grid = Grid1D.uniform(-4.0, 4.0, n)
+        psi = np.exp(-((grid.points - 0.5) ** 2) / 1.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # u_count = 4 is under-resolved
+            fast = resolution_of_identity_check(self.p, psi, grid, u_count=u_count)
+            slow = per_node_resolution(self.p, psi, grid, u_count=u_count)
+        assert abs(fast - slow) < 1e-14
+
+    @pytest.mark.parametrize("n", [121, 122])
+    @pytest.mark.parametrize("symbol", [harmonic_symbol, sin_symbol])
+    def test_representation_error(self, n, symbol):
+        grid = Grid1D.uniform(-4.0, 4.0, n)
+        fast = representation_error_norm(symbol(), self.p, grid)
+        slow = per_node_representation(symbol(), self.p, grid)
+        assert fast == pytest.approx(slow, rel=1e-11)
