@@ -19,6 +19,12 @@ over the grid's own conjugate lattice q_m = 2 pi h m/(N dx), which makes the
 momentum side of the assembly exact.  The remaining artifacts are position
 boundary wrap and symbol folding at the lattice momentum boundary; the error
 measurement masks both out (margins documented on the function).
+
+The real Gaussian factor A_u of G_{u,q} is a Toeplitz factor in x - y times a
+Hankel factor in x + y: A_u[i, j] = T[i-j] M_u[i+j], with
+T = (pi h)^{-1/2} dx exp(-(x_i - x_j)^2/(4 h^2 a)) built once per grid and
+M_u[s] = exp(-a(x_0 + s dx/2 - u)^2) for s = 0..2n-2.  Every kernel here
+takes A_u and T from that one template.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.linalg import circulant, toeplitz
 
 from .numerics import Grid1D, GridOperator, require_positive
 
@@ -96,8 +103,7 @@ class PhasePoint:
 class ClassicalSymbol:
     """Separable symbol sigma(u, q) = F(q) + V(u) with derivative data.
 
-    First and second derivatives are callables; the third-derivative sup
-    norms enter error-bound bookkeeping only and may be inf when unknown.
+    First and second derivatives are callables.
     """
 
     F: Callable
@@ -106,7 +112,6 @@ class ClassicalSymbol:
     V: Callable
     dV: Callable
     d2V: Callable
-    third_sup: tuple = (math.inf, math.inf)
 
     def sigma(self, u, q):
         return self.F(q) + self.V(u)
@@ -124,7 +129,6 @@ def harmonic_symbol(offset: float = 0.0) -> ClassicalSymbol:
         V=lambda u: np.asarray(u) ** 2 + offset,
         dV=lambda u: 2.0 * np.asarray(u),
         d2V=lambda u: 2.0 * np.ones_like(np.asarray(u, dtype=float)),
-        third_sup=(0.0, 0.0),
     )
 
 
@@ -136,7 +140,6 @@ def constant_symbol(value: float) -> ClassicalSymbol:
         V=lambda u: np.full_like(np.asarray(u, dtype=float), value),
         dV=lambda u: np.zeros_like(np.asarray(u, dtype=float)),
         d2V=lambda u: np.zeros_like(np.asarray(u, dtype=float)),
-        third_sup=(0.0, 0.0),
     )
 
 
@@ -156,8 +159,11 @@ def momentum_lattice(grid: Grid1D, h: float) -> np.ndarray:
 
 
 def fourier_multiplier_matrix(values: np.ndarray, n: int) -> np.ndarray:
-    """Dense matrix of a Fourier multiplier given its lattice values."""
-    return np.fft.ifft(values[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0)
+    """Dense Fourier multiplier on n lattice values: ifft(values)[(i - j) mod n]."""
+    values = np.asarray(values)
+    if values.shape != (n,):
+        raise ValueError("need one multiplier value per lattice momentum")
+    return circulant(np.fft.ifft(values))
 
 
 def schrodinger_operator(
@@ -205,44 +211,49 @@ def new_kernel_G(p: CoherentParams, pt: PhasePoint, x, y):
     return val if (np.ndim(x) or np.ndim(y)) else complex(val)
 
 
-def _gaussian_factor_matrix(p: CoherentParams, x: np.ndarray, dx: float, u: float):
-    """Real part A_u of G_{u,q} = E_q A_u E_q^*, quadrature weight included."""
-    mid = 0.5 * (x[:, None] + x[None, :]) - u
-    diff = x[:, None] - x[None, :]
-    return (
-        (math.pi * p.h) ** (-0.5)
-        * np.exp(-p.a * mid**2 - diff**2 / (4.0 * p.h**2 * p.a))
-        * dx
+def _gaussian_factor(p: CoherentParams, grid: Grid1D):
+    """T and u -> A_u = T[i-j] M_u[i+j], the real part of G_{u,q} = E_q A_u E_q^*
+    with the quadrature weight dx included (the template of the module
+    docstring); each node costs the 2n-1 exponentials of M_u."""
+    x, dx, n = grid.points, grid.spacing, grid.size
+    t = (math.pi * p.h) ** (-0.5) * dx * toeplitz(
+        np.exp(-((dx * np.arange(n)) ** 2) / (4.0 * p.h**2 * p.a))
     )
+    mids = x[0] + 0.5 * dx * np.arange(2 * n - 1)
+
+    def factor(u: float) -> np.ndarray:
+        # hankel[i, j] = M_u[i + j]
+        m_u = np.exp(-p.a * (mids - u) ** 2)
+        return t * np.lib.stride_tricks.sliding_window_view(m_u, n)
+
+    return t, factor
 
 
 def _u_summed_square(
-    p: CoherentParams, x: np.ndarray, dx: float, us: np.ndarray, du: float
+    p: CoherentParams, t: np.ndarray, grid: Grid1D, us: np.ndarray, du: float
 ) -> np.ndarray:
     """sum_u du A_u A_u over the nodes us, with the u sum done first.
 
-    With m1 = (x+y)/2 and m2 = (y+z)/2 the exponents combine as
+    A_u[i, j] = T[i-j] M_u[i+j] is the template of _gaussian_factor.  With
+    m1 = (x+y)/2 and m2 = (y+z)/2 the exponents of the M_u factors combine as
     -a(m1-u)^2 - a(m2-u)^2 = -2a(u - (x+2y+z)/4)^2 - a(x-z)^2/8, so
 
-        sum_u du A_u A_u = (pi h)^{-1} dx^2 exp(-a(x-z)^2/8)
-                           sum_y g(x,y) g(y,z) U[i+2j+l],
+        sum_u du A_u A_u = exp(-a(x-z)^2/8) sum_y T(x-y) T(y-z) U[i+2j+l],
 
-    g(x,y) = exp(-(x-y)^2/(4 h^2 a)), where U is the node sum
-    sum_u du exp(-2a(u-c)^2) at the 4n-3 quarter-lattice centres
-    c = x_0 + (i+2j+l) dx/4.  This holds for any nodes; it costs one O(n^3)
-    elementwise pass plus O(N_u n) exponentials instead of N_u products.
+    where U is the node sum sum_u du exp(-2a(u-c)^2) at the 4n-3
+    quarter-lattice centres c = x_0 + (i+2j+l) dx/4.  This holds for any
+    nodes; it costs one O(n^3) elementwise pass plus O(N_u n) exponentials
+    instead of N_u products.
     """
-    n = x.size
+    x, dx, n = grid.points, grid.spacing, grid.size
     centres = x[0] + 0.25 * dx * np.arange(4 * n - 3)
     u_sum = du * sum(np.exp(-2.0 * p.a * (centres - u) ** 2) for u in us)
     # hankel[k, l] = U[k + l], so rows 2j..2j+n-1 hold U[i + 2j + l]
     hankel = np.lib.stride_tricks.sliding_window_view(u_sum, n)
-    diff = x[:, None] - x[None, :]
-    g = np.exp(-(diff**2) / (4.0 * p.h**2 * p.a))
     acc = np.zeros((n, n))
     for j in range(n):
-        acc += np.outer(g[:, j], g[j]) * hankel[2 * j : 2 * j + n]
-    return dx * dx / (math.pi * p.h) * np.exp(-p.a * diff**2 / 8.0) * acc
+        acc += np.outer(t[:, j], t[j]) * hankel[2 * j : 2 * j + n]
+    return toeplitz(np.exp(-p.a * (dx * np.arange(n)) ** 2 / 8.0)) * acc
 
 
 def _phase_rule(p: CoherentParams) -> float:
@@ -301,19 +312,25 @@ def resolution_of_identity_check(
     s_vec = np.sum(np.cos(np.outer(qs, diffs) / p.h), axis=0) * dq / (
         2.0 * math.pi * p.h
     )
-    idx = np.arange(grid.size)
-    s_mat = s_vec[idx[:, None] - idx[None, :] + grid.size - 1]
+    s_mat = toeplitz(s_vec[grid.size - 1 :], s_vec[grid.size - 1 :: -1])
 
-    out = (_u_summed_square(p, x, dx, us, du) * s_mat) @ psi
+    t, _ = _gaussian_factor(p, grid)
+    out = (_u_summed_square(p, t, grid, us, du) * s_mat) @ psi
     return float(np.linalg.norm(out - psi) / norm)
+
+
+def _symbol_half(f: Callable, d2f: Callable, t, b: float) -> np.ndarray:
+    """Half of the first-order symbol with its curvature counterterm, f + f''/(4b):
+    the momentum half for (F, F'') at q, the position half for (V, V'') at u."""
+    return np.asarray(f(t), dtype=float) + np.asarray(d2f(t), dtype=float) / (4.0 * b)
 
 
 def operator_symbol(
     sym: ClassicalSymbol, p: CoherentParams, pt: PhasePoint
 ) -> OperatorSymbol:
     """First-order symbol with the b-dependent curvature counterterm."""
-    c0 = float(sym.sigma(pt.u, pt.q)) + float(sym.laplacian(pt.u, pt.q)) / (
-        4.0 * p.b
+    c0 = float(_symbol_half(sym.F, sym.d2F, pt.q, p.b)) + float(
+        _symbol_half(sym.V, sym.d2V, pt.u, p.b)
     )
     return OperatorSymbol(
         c0=c0,
@@ -362,34 +379,26 @@ def representation_error_norm(
     target = schrodinger_operator(sym, grid, p.h).matrix
 
     qs = momentum_lattice(grid, p.h)
-    w_f = np.asarray(sym.F(qs), dtype=float) + np.asarray(
-        sym.d2F(qs), dtype=float
-    ) / (4.0 * p.b)
-    w_df = np.asarray(sym.dF(qs), dtype=float)
     # circulant kernels of the conjugate-lattice q sums
-    idx = np.arange(n)
-    wrap = (idx[:, None] - idx[None, :]) % n
-    s_f = (np.fft.ifft(w_f) / dx)[wrap]
-    s_df = (np.fft.ifft(w_df) / dx)[wrap]
+    s_f = fourier_multiplier_matrix(_symbol_half(sym.F, sym.d2F, qs, p.b), n) / dx
+    s_df = fourier_multiplier_matrix(np.asarray(sym.dF(qs), dtype=float), n) / dx
 
     sigma = 1.0 / math.sqrt(2.0 * p.a)
     du = _phase_rule(p)
     us = np.arange(x[0] - 7.0 * sigma, x[-1] + 7.0 * sigma + du, du)
 
     # P = i S_P + (q_N/n) s s^T, the Nyquist term on even grids only
-    s_p = np.fft.ifft(qs).imag[wrap]
-    sign = (-1.0) ** idx
+    s_p = fourier_multiplier_matrix(qs, n).imag
+    sign = (-1.0) ** np.arange(n)
 
+    t, factor = _gaussian_factor(p, grid)
     t1_diag = np.zeros(n)
     a_sp_a = np.zeros((n, n))
     nyquist = np.zeros((n, n))
     for u in us:
-        a_mat = _gaussian_factor_matrix(p, x, dx, float(u))
-        c_diag = (
-            float(sym.V(u))
-            + float(sym.d2V(u)) / (4.0 * p.b)
-            + float(sym.dV(u)) * (x - u)
-        )
+        a_mat = factor(float(u))
+        v_half = float(_symbol_half(sym.V, sym.d2V, u, p.b))
+        c_diag = v_half + float(sym.dV(u)) * (x - u)
         # weight-1 q sum collapses to the exact diagonal projection
         t1_diag += du * np.einsum("xy,xy->x", a_mat * c_diag[None, :], a_mat)
         a_sp_a += du * (a_mat @ (s_p @ a_mat))
@@ -401,7 +410,7 @@ def representation_error_norm(
         apa += qs[n // 2] / n * nyquist
     assembled = (
         np.diag(t1_diag / dx)
-        + _u_summed_square(p, x, dx, us, du) * s_f
+        + _u_summed_square(p, t, grid, us, du) * s_f
         + apa * s_df
     )
 
@@ -474,6 +483,10 @@ def trial_density_matrix(
     at one plus quadrature error.  Node spacing follows min(h, 1/sqrt(a))/3
     and the q range extends past the classically negative shell by 10/sqrt(a),
     beyond which the momentum overlap with the projection is negligible.
+    The shell is the largest |q| where sigma < 0 on the support, scanned over
+    |q| <= 20; a symbol still negative at either end of the scan raises
+    ValueError.  Each node operator is grad_q P plus a real diagonal, with the
+    spectral momentum P made Hermitian once.
 
     Each projected state spreads about 1/sqrt(2a) in momentum around its
     node, so the grid should put pi h/dx several such widths above the q
@@ -482,8 +495,7 @@ def trial_density_matrix(
     """
     if p.n != 1:
         raise ValueError("grid realization is one-dimensional")
-    if support_radius <= 0:
-        raise ValueError("support radius must be positive")
+    require_positive(support_radius, "support radius")
     x, dx, n = grid.points, grid.spacing, grid.size
 
     step = 2.0 * _phase_rule(p)
@@ -491,13 +503,18 @@ def trial_density_matrix(
     us = us[np.abs(us) <= support_radius]
 
     # classically negative momentum shell, scanned on the support
-    q_scan = np.linspace(0.0, 20.0, 2001)
+    q_mags = np.linspace(0.0, 20.0, 2001)
+    q_scan = np.concatenate((-q_mags[::-1], q_mags))
     shell = 0.0
     for u in np.linspace(-support_radius, support_radius, 41):
         vals = np.asarray(sym.sigma(u, q_scan), dtype=float)
-        neg = q_scan[vals < 0.0]
+        if vals[0] < 0.0 or vals[-1] < 0.0:
+            raise ValueError(
+                "symbol still negative at |q| = 20, the end of the momentum scan"
+            )
+        neg = np.abs(q_scan[vals < 0.0])
         if neg.size:
-            shell = max(shell, float(neg[-1]))
+            shell = max(shell, float(neg.max()))
     q_half = shell + 10.0 / math.sqrt(p.a)
     qs = np.arange(-q_half, q_half + step, step)
 
@@ -508,20 +525,20 @@ def trial_density_matrix(
             stacklevel=2,
         )
 
-    p_mat = fourier_multiplier_matrix(
-        momentum_lattice(grid, p.h).astype(complex), n
-    )
+    p_mat = fourier_multiplier_matrix(momentum_lattice(grid, p.h), n)
+    p_mat = 0.5 * (p_mat + p_mat.conj().T)
+    diag = np.diag_indices(n)
+    _, factor = _gaussian_factor(p, grid)
     weight = step * step / (2.0 * math.pi * p.h)
 
     gamma = np.zeros((n, n), dtype=complex)
     for u in us:
-        a_mat = _gaussian_factor_matrix(p, x, dx, float(u))
+        a_mat = factor(float(u))
         for q in qs:
             s = operator_symbol(sym, p, PhasePoint(float(u), float(q)))
-            hhat = np.diag((s.c0 + s.grad_u * (x - u)).astype(complex)) + s.grad_q * (
-                p_mat - q * np.eye(n)
-            )
-            w, vec = np.linalg.eigh(0.5 * (hhat + hhat.conj().T))
+            hhat = s.grad_q * p_mat
+            hhat[diag] += s.c0 - s.grad_q * q + s.grad_u * (x - u)
+            w, vec = np.linalg.eigh(hhat)
             k = int(np.searchsorted(w, 0.0))
             if k == 0:
                 continue

@@ -170,8 +170,7 @@ class Bump:
     plateau: float = 0.5  # fraction of the radius where the bump is exactly 1
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("bump radius must be positive")
+        require_positive(self.radius, "bump radius")
         if not 0 < self.plateau < 1:
             raise ValueError("plateau fraction must lie in (0, 1)")
         if self.order < 1:
@@ -221,8 +220,7 @@ class PartitionPair:
     R: float
 
     def __post_init__(self):
-        if self.R <= 0:
-            raise ValueError("localization radius R must be positive")
+        require_positive(self.R, "localization radius R")
 
     def _theta(self, d):
         s = (np.asarray(d, dtype=float) - self.R) / self.R
@@ -272,8 +270,7 @@ def gaussian_weight(b: float, v) -> float | np.ndarray:
     v is a single point: a scalar means n = 1, a 1D array of length n is a
     point of R^n.  A 2D array is a batch of points (rows).
     """
-    if b <= 0:
-        raise ValueError("Gaussian parameter b must be positive")
+    require_positive(b, "Gaussian parameter b")
     v = np.asarray(v, dtype=float)
     if v.ndim == 0:
         n = 1
@@ -319,8 +316,10 @@ def fit_power_series(h_values, y_values, exponents) -> FitResult:
     exps = tuple(float(e) for e in exponents)
     if h.ndim != 1 or y.shape != h.shape:
         raise ValueError("h_values and y_values must be 1D arrays of equal length")
-    if np.any(h <= 0):
-        raise ValueError("h values must be positive")
+    if not np.all(np.isfinite(h) & (h > 0)):
+        raise ValueError("h values must be positive and finite")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("y values must be finite")
     if len(set(exps)) != len(exps):
         raise ValueError("exponents must be distinct")
     if h.size < len(exps):

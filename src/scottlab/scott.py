@@ -241,8 +241,7 @@ def molecular_energy_assembly(cfg: NucleiConfig, Z_total: float) -> MolecularAss
     the record is flagged sum_of_atoms).  Each distinct reduced charge is
     solved once.
     """
-    if Z_total <= 0:
-        raise ValueError("total charge must be positive")
+    require_positive(Z_total, "total charge")
     atomic_energy: dict[float, float] = {}
     for zk in cfg.charges:
         if zk not in atomic_energy:

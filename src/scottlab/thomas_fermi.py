@@ -301,27 +301,6 @@ class TFSolution:
         recon = TF_EQ_CONST * self.rho_tf_table ** (2.0 / 3.0)
         return float(np.max(np.abs(self.v_tf_table - recon) / self.v_tf_table))
 
-    def poisson_residual(self) -> float:
-        """Integral-norm residual of (1/r)(r V)'' = 4 pi rho on the interior.
-
-        r V = z phi(r/l), so the left side is z phi''/(r l^2) with phi''
-        differenced from the tabulated universal function.
-        """
-        x, phipp = self.universal.curvature_table()
-        r = x * self.ell
-        lhs = self.z * phipp / (r * self.ell**2)
-        rho = DENSITY_CONST * ((self.z / r) * self.universal.phi(x)) ** 1.5
-        rhs = 4.0 * np.pi * rho
-        # Charge-weighted L1 norm: both sides are charge densities, so
-        # compare the volume integrals they produce (denominator is the
-        # total electron charge).  Without the r^2 weight the norm piles up
-        # at the innermost cells where rho ~ r^(-3/2) diverges and
-        # differencing the table is noise-limited.
-        w = r * r
-        return float(
-            np.trapezoid(np.abs(lhs - rhs) * w, r) / np.trapezoid(rhs * w, r)
-        )
-
     def validate(self) -> None:
         if np.any(self.v_tf_table <= 0) or np.any(self.rho_tf_table <= 0):
             raise ValueError("TF potential and density must stay positive")
@@ -398,8 +377,7 @@ def atomic_tf(z: float, universal: UniversalTF | None = None) -> TFSolution:
 def tf_scaling_transform(sol: TFSolution, gamma: float) -> TFSolution:
     """Rescale a solved atom: charge z/gamma^3, radii gamma r, V by gamma^-4,
     rho by gamma^-6, energies by gamma^-7.  gamma = 1 is the identity."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    require_positive(gamma, "gamma")
     return TFSolution(
         z=sol.z / gamma**3,
         r=gamma * sol.r,
@@ -428,8 +406,8 @@ class NucleiConfig:
         pos = np.atleast_2d(np.asarray(self.positions, dtype=float))
         if pos.shape != (len(charges), 3):
             raise ValueError("positions must be an (M, 3) array")
-        if any(c <= 0 for c in charges):
-            raise ValueError("all charges must be positive")
+        for c in charges:
+            require_positive(c, "nuclear charge")
         if len(charges) >= 2:
             diff = pos[:, None, :] - pos[None, :, :]
             dist = np.sqrt(np.sum(diff**2, axis=-1))

@@ -26,7 +26,7 @@ from scottlab.coherent import (
     trial_density_matrix,
     weight_w,
 )
-from scottlab.coherent import _gaussian_factor_matrix, _phase_rule
+from scottlab.coherent import _gaussian_factor, _phase_rule
 from scottlab.numerics import Grid1D, GridOperator
 
 
@@ -38,7 +38,6 @@ def sin_symbol():
         V=lambda u: np.sin(np.asarray(u)),
         dV=lambda u: np.cos(np.asarray(u)),
         d2V=lambda u: -np.sin(np.asarray(u)),
-        third_sup=(0.0, 1.0),
     )
 
 
@@ -95,7 +94,6 @@ class TestSymbols:
         sym = harmonic_symbol(offset=-1.0)
         assert sym.sigma(0.5, 2.0) == pytest.approx(0.25 + 4.0 - 1.0)
         assert sym.laplacian(0.3, 0.7) == pytest.approx(4.0)
-        assert sym.third_sup == (0.0, 0.0)
 
     def test_constant(self):
         sym = constant_symbol(0.7)
@@ -181,13 +179,19 @@ class TestMomentCancellation:
 
 class TestGridOperators:
     def test_momentum_lattice_diagonalizes_multiplier(self):
-        grid = Grid1D.uniform(-3.0, 3.0, 64)
         h = 0.25
-        q = momentum_lattice(grid, h)
-        mat = fourier_multiplier_matrix(q.astype(complex), grid.size)
-        k = q[5] / h
-        wave = np.exp(1j * k * grid.points)
-        np.testing.assert_allclose(mat @ wave, q[5] * wave, atol=1e-10)
+        for n in (64, 65):
+            grid = Grid1D.uniform(-3.0, 3.0, n)
+            q = momentum_lattice(grid, h)
+            for values in (q.astype(complex), q**2):
+                mat = fourier_multiplier_matrix(values, grid.size)
+                wave = np.exp(1j * (q[5] / h) * grid.points)
+                np.testing.assert_allclose(mat @ wave, values[5] * wave, atol=1e-10)
+                # the same multiplier as the FFT of the identity
+                by_fft = np.fft.ifft(
+                    values[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0
+                )
+                assert np.max(np.abs(mat - by_fft)) <= 1e-14 * np.max(np.abs(by_fft))
 
     def test_schrodinger_harmonic_levels(self):
         grid = Grid1D.uniform(-6.0, 6.0, 256)
@@ -331,6 +335,29 @@ class TestTrialDensity:
         energy = float(np.real(np.sum(H.matrix * gamma.matrix.T)))
         assert energy >= H.negative_sum()
 
+    def test_shell_off_the_momentum_origin(self):
+        # sigma = (q + 8)^2 + u^2 - 1 is negative only at q < 0; the grid's
+        # Nyquist momentum clears the q range 9 + 10/sqrt(a)
+        p, _, small = self.build_small()
+        sym = ClassicalSymbol(
+            F=lambda q: (np.asarray(q) + 8.0) ** 2,
+            dF=lambda q: 2.0 * (np.asarray(q) + 8.0),
+            d2F=lambda q: 2.0 * np.ones_like(np.asarray(q, dtype=float)),
+            V=lambda u: np.asarray(u) ** 2 - 1.0,
+            dV=lambda u: 2.0 * np.asarray(u),
+            d2V=lambda u: 2.0 * np.ones_like(np.asarray(u, dtype=float)),
+        )
+        half = small.points[-1]
+        grid = Grid1D.uniform(-half, half, 161)
+        assert math.pi * p.h / grid.spacing > 9.0 + 10.0 / math.sqrt(p.a)
+        gamma = trial_density_matrix(sym, p, grid, support_radius=1.5)
+        assert gamma.trace == pytest.approx(1.0 / (2.0 * p.h), rel=0.1)
+
+    def test_shell_past_the_scan_rejected(self):
+        p, _, grid = self.build_small()
+        with pytest.raises(ValueError, match=r"\|q\| = 20"):
+            trial_density_matrix(harmonic_symbol(-1000.0), p, grid, support_radius=1.5)
+
     def test_under_resolved_grid_warns(self):
         p = CoherentParams(h=0.4, a=0.4**-0.8)
         sym = harmonic_symbol(offset=-1.0)
@@ -350,6 +377,11 @@ class TestTrialDensity:
 
 # Per-node oracles: the identities assembled one phase-space u-node at a
 # time, each node a dense product, the way the library first computed them.
+
+
+def kernel_factor(p, x, dx, u):
+    """A_u from the public pointwise kernel: G_{u,0} with the weight dx."""
+    return new_kernel_G(p, PhasePoint(u, 0.0), x[:, None], x[None, :]).real * dx
 
 
 def per_node_resolution(p, psi, grid, u_count=None, q_count=None):
@@ -374,7 +406,7 @@ def per_node_resolution(p, psi, grid, u_count=None, q_count=None):
     s_mat = s_vec[idx[:, None] - idx[None, :] + grid.size - 1]
     out = np.zeros_like(psi, dtype=complex)
     for u in us:
-        a_mat = _gaussian_factor_matrix(p, x, dx, float(u))
+        a_mat = kernel_factor(p, x, dx, float(u))
         out += du * (((a_mat @ a_mat) * s_mat) @ psi)
     return float(np.linalg.norm(out - psi) / np.linalg.norm(psi))
 
@@ -396,7 +428,7 @@ def per_node_representation(sym, p, grid):
     us = np.arange(x[0] - 7.0 * sigma, x[-1] + 7.0 * sigma + du, du)
     assembled = np.zeros((n, n), dtype=complex)
     for u in us:
-        a_mat = _gaussian_factor_matrix(p, x, dx, float(u))
+        a_mat = kernel_factor(p, x, dx, float(u))
         c_diag = (
             float(sym.V(u))
             + float(sym.d2V(u)) / (4.0 * p.b)
@@ -432,6 +464,14 @@ class TestAgainstPerNodeLoops:
     """
 
     p = CoherentParams(h=0.4, a=0.4**-0.8)
+
+    @pytest.mark.parametrize("n", [121, 122])
+    @pytest.mark.parametrize("u", [0.37, -5.3])  # off the half-lattice; off the grid
+    def test_gaussian_factor_template(self, n, u):
+        grid = Grid1D.uniform(-4.0, 4.0, n)
+        _, factor = _gaussian_factor(self.p, grid)
+        a_ref = kernel_factor(self.p, grid.points, grid.spacing, u)
+        assert np.max(np.abs(factor(u) - a_ref)) <= 1e-14 * np.max(np.abs(a_ref))
 
     @pytest.mark.parametrize("n", [121, 122])
     @pytest.mark.parametrize("u_count", [None, 4, 80])

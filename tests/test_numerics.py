@@ -7,21 +7,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scottlab.coherent import CoherentParams
+from scottlab.coherent import CoherentParams, harmonic_symbol, trial_density_matrix
 from scottlab.numerics import (
     Bump,
     Grid1D,
     GridOperator,
+    PartitionPair,
     fit_power_series,
     gaussian_weight,
     make_bump,
     make_partition,
     richardson,
 )
-from scottlab.scott import scott_term
+from scottlab.scott import molecular_energy_assembly, scott_term
 from scottlab.semiclassics import WeylSpec
 from scottlab.spectra import RadialProblem, neg_sum_1d
-from scottlab.thomas_fermi import atomic_tf, tf_length_scale
+from scottlab.thomas_fermi import (
+    NucleiConfig,
+    atomic_tf,
+    tf_length_scale,
+    tf_scaling_transform,
+)
 
 
 class TestGrid:
@@ -117,6 +123,11 @@ class TestFit:
         fit = fit_power_series(hs, 1.0 / hs, (-1.0,))
         assert any("factor 2" in w for w in fit.warnings)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_y(self, bad):
+        with pytest.raises(ValueError, match="y values must be finite"):
+            fit_power_series([0.4, 0.2, 0.1], [1.0, bad, 4.0], (-1.0,))
+
     def test_unknown_exponent_raises(self):
         fit = fit_power_series(
             np.array([0.4, 0.2, 0.1]), np.array([1.0, 2.0, 4.0]), (-1.0,)
@@ -147,7 +158,8 @@ class TestGaussianWeight:
 
 
 class TestPositivity:
-    """Every h and z the library takes goes through one positivity check."""
+    """Every h, z, radius and scale the library takes goes through one
+    positivity check."""
 
     CONSTRUCTORS = {
         "CoherentParams": lambda v: CoherentParams(h=v),
@@ -164,6 +176,20 @@ class TestPositivity:
         "scott_term": lambda v: scott_term([1.0], v),
         "tf_length_scale": tf_length_scale,
         "atomic_tf": atomic_tf,
+        "make_bump": lambda v: make_bump(0.0, v),
+        "PartitionPair": lambda v: PartitionPair(R=v),
+        "gaussian_weight": lambda v: gaussian_weight(v, 0.0),
+        "tf_scaling_transform": lambda v: tf_scaling_transform(atomic_tf(1.0), v),
+        "NucleiConfig": lambda v: NucleiConfig(charges=(v,), positions=np.zeros(3)),
+        "molecular_energy_assembly": lambda v: molecular_energy_assembly(
+            NucleiConfig(charges=(1.0,), positions=np.zeros(3)), v
+        ),
+        "trial_density_matrix": lambda v: trial_density_matrix(
+            harmonic_symbol(-1.0), CoherentParams(h=0.4), Grid1D.uniform(-4, 4, 33), v
+        ),
+        "fit_power_series": lambda v: fit_power_series(
+            [v, 0.2, 0.1], [1.0, 2.0, 4.0], (-1.0,)
+        ),
     }
 
     @pytest.mark.parametrize("name", sorted(CONSTRUCTORS))
