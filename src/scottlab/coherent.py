@@ -31,13 +31,20 @@ from __future__ import annotations
 
 import math
 import warnings as _warnmod
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from scipy.linalg import circulant, toeplitz
 
-from .numerics import Grid1D, GridOperator, require_positive
+from .numerics import (
+    Grid1D,
+    GridOperator,
+    _one_blas_thread,
+    _row_workers,
+    require_positive,
+)
 
 __all__ = [
     "ClassicalSymbol",
@@ -467,6 +474,47 @@ def gaussian_moment_cancellation(
     return lap / (4.0 * b) * m0 * m0 - 0.5 * (hess_u + hess_q) * m2 * m0
 
 
+def _trial_nodes(
+    sym: ClassicalSymbol, p: CoherentParams, grid: Grid1D, support_radius: float
+):
+    """u-nodes, q-nodes and their common step for trial_density_matrix.
+
+    The q span is [q_min - 10/sqrt(a), q_max + 10/sqrt(a)] over the
+    classically negative set, scanned at 41 support points over |q| <= 20.
+    The scan is mirrored exactly, so an even symbol gets nodes symmetric
+    about q = 0; a symbol negative nowhere keeps the span about q = 0.
+    """
+    step = 2.0 * _phase_rule(p)
+    us = np.arange(-support_radius, support_radius + step, step)
+    us = us[np.abs(us) <= support_radius]
+
+    q_mags = np.linspace(0.0, 20.0, 2001)
+    q_scan = np.concatenate((-q_mags[::-1], q_mags))
+    q_min, q_max = math.inf, -math.inf
+    for u in np.linspace(-support_radius, support_radius, 41):
+        vals = np.asarray(sym.sigma(u, q_scan), dtype=float)
+        if vals[0] < 0.0 or vals[-1] < 0.0:
+            raise ValueError(
+                "symbol still negative at |q| = 20, the end of the momentum scan"
+            )
+        neg = q_scan[vals < 0.0]
+        if neg.size:
+            q_min, q_max = min(q_min, float(neg[0])), max(q_max, float(neg[-1]))
+    if q_min > q_max:
+        q_min = q_max = 0.0
+    margin = 10.0 / math.sqrt(p.a)
+    q_lo, q_hi = q_min - margin, q_max + margin
+    qs = np.arange(q_lo, q_hi + step, step)
+
+    if math.pi * p.h / grid.spacing < max(abs(q_lo), abs(q_hi)):
+        _warnmod.warn(
+            "grid Nyquist momentum below the phase-space q range; "
+            "trial density under-resolved",
+            stacklevel=3,
+        )
+    return us, qs, step
+
+
 def trial_density_matrix(
     sym: ClassicalSymbol,
     p: CoherentParams,
@@ -481,49 +529,33 @@ def trial_density_matrix(
     onto its negative part; accumulating G P P^H G keeps gamma positive
     semidefinite by construction, and the resolution of the identity caps it
     at one plus quadrature error.  Node spacing follows min(h, 1/sqrt(a))/3
-    and the q range extends past the classically negative shell by 10/sqrt(a),
-    beyond which the momentum overlap with the projection is negligible.
-    The shell is the largest |q| where sigma < 0 on the support, scanned over
-    |q| <= 20; a symbol still negative at either end of the scan raises
-    ValueError.  Each node operator is grad_q P plus a real diagonal, with the
-    spectral momentum P made Hermitian once.
+    and the q range extends past the classically negative set by 10/sqrt(a)
+    on each side, beyond which the momentum overlap with the projection is
+    negligible.  The set is scanned on the support over |q| <= 20; a symbol
+    still negative at either end of the scan raises ValueError.  Each node
+    operator is grad_q P plus a real diagonal, with the spectral momentum P
+    made Hermitian once.
+
+    The u-rows run in parallel worker threads, one per usable CPU, with
+    numpy's OpenBLAS held at one thread meanwhile and restored afterwards.
+    Where no bundled OpenBLAS is found to pin, the rows run one after
+    another in one worker, because unpinned BLAS threads oversubscribe the
+    cores.  Each row sums its own part in q order and the parts are added
+    in u order, so gamma is bitwise the same for any worker count.  The
+    symbol's callables therefore run in worker threads; an exception they
+    raise in a row reaches the caller.  The scan, the node grids, the
+    warning and the argument checks run in the calling thread first.
 
     Each projected state spreads about 1/sqrt(2a) in momentum around its
     node, so the grid should put pi h/dx several such widths above the q
     range or the tails alias across the zone edge and inflate energy
-    expectations; the warning below fires only at the bare q range.
+    expectations; the warning fires only at the bare q range.
     """
     if p.n != 1:
         raise ValueError("grid realization is one-dimensional")
     require_positive(support_radius, "support radius")
-    x, dx, n = grid.points, grid.spacing, grid.size
-
-    step = 2.0 * _phase_rule(p)
-    us = np.arange(-support_radius, support_radius + step, step)
-    us = us[np.abs(us) <= support_radius]
-
-    # classically negative momentum shell, scanned on the support
-    q_mags = np.linspace(0.0, 20.0, 2001)
-    q_scan = np.concatenate((-q_mags[::-1], q_mags))
-    shell = 0.0
-    for u in np.linspace(-support_radius, support_radius, 41):
-        vals = np.asarray(sym.sigma(u, q_scan), dtype=float)
-        if vals[0] < 0.0 or vals[-1] < 0.0:
-            raise ValueError(
-                "symbol still negative at |q| = 20, the end of the momentum scan"
-            )
-        neg = np.abs(q_scan[vals < 0.0])
-        if neg.size:
-            shell = max(shell, float(neg.max()))
-    q_half = shell + 10.0 / math.sqrt(p.a)
-    qs = np.arange(-q_half, q_half + step, step)
-
-    if math.pi * p.h / dx < q_half:
-        _warnmod.warn(
-            "grid Nyquist momentum below the phase-space q range; "
-            "trial density under-resolved",
-            stacklevel=2,
-        )
+    x, n = grid.points, grid.size
+    us, qs, step = _trial_nodes(sym, p, grid, support_radius)
 
     p_mat = fourier_multiplier_matrix(momentum_lattice(grid, p.h), n)
     p_mat = 0.5 * (p_mat + p_mat.conj().T)
@@ -531,11 +563,11 @@ def trial_density_matrix(
     _, factor = _gaussian_factor(p, grid)
     weight = step * step / (2.0 * math.pi * p.h)
 
-    gamma = np.zeros((n, n), dtype=complex)
-    for u in us:
-        a_mat = factor(float(u))
+    def row(u: float) -> np.ndarray:
+        a_mat = factor(u)
+        part = np.zeros((n, n), dtype=complex)
         for q in qs:
-            s = operator_symbol(sym, p, PhasePoint(float(u), float(q)))
+            s = operator_symbol(sym, p, PhasePoint(u, float(q)))
             hhat = s.grad_q * p_mat
             hhat[diag] += s.c0 - s.grad_q * q + s.grad_u * (x - u)
             w, vec = np.linalg.eigh(hhat)
@@ -546,7 +578,14 @@ def trial_density_matrix(
             g_neg = phases[:, None] * (
                 a_mat @ (phases.conj()[:, None] * vec[:, :k])
             )
-            gamma += weight * (g_neg @ g_neg.conj().T)
+            part += weight * (g_neg @ g_neg.conj().T)
+        return part
+
+    gamma = np.zeros((n, n), dtype=complex)
+    workers = min(_row_workers(), us.size)
+    with _one_blas_thread(), ThreadPoolExecutor(workers) as pool:
+        for part in pool.map(row, us.tolist()):
+            gamma += part
 
     gamma = 0.5 * (gamma + gamma.conj().T)
     return GridOperator(matrix=gamma, grid=grid, h=p.h)

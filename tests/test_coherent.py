@@ -1,6 +1,7 @@
 """Smeared coherent states: weights, kernels, representation, trial density."""
 
 import math
+import threading
 import warnings
 
 import numpy as np
@@ -26,7 +27,8 @@ from scottlab.coherent import (
     trial_density_matrix,
     weight_w,
 )
-from scottlab.coherent import _gaussian_factor, _phase_rule
+from scottlab import numerics
+from scottlab.coherent import _gaussian_factor, _phase_rule, _trial_nodes
 from scottlab.numerics import Grid1D, GridOperator
 
 
@@ -38,6 +40,18 @@ def sin_symbol():
         V=lambda u: np.sin(np.asarray(u)),
         dV=lambda u: np.cos(np.asarray(u)),
         d2V=lambda u: -np.sin(np.asarray(u)),
+    )
+
+
+def shifted_symbol():
+    """sigma = (q + 8)^2 + u^2 - 1, negative only near q = -8."""
+    return ClassicalSymbol(
+        F=lambda q: (np.asarray(q) + 8.0) ** 2,
+        dF=lambda q: 2.0 * (np.asarray(q) + 8.0),
+        d2F=lambda q: 2.0 * np.ones_like(np.asarray(q, dtype=float)),
+        V=lambda u: np.asarray(u) ** 2 - 1.0,
+        dV=lambda u: 2.0 * np.asarray(u),
+        d2V=lambda u: 2.0 * np.ones_like(np.asarray(u, dtype=float)),
     )
 
 
@@ -339,19 +353,81 @@ class TestTrialDensity:
         # sigma = (q + 8)^2 + u^2 - 1 is negative only at q < 0; the grid's
         # Nyquist momentum clears the q range 9 + 10/sqrt(a)
         p, _, small = self.build_small()
-        sym = ClassicalSymbol(
-            F=lambda q: (np.asarray(q) + 8.0) ** 2,
-            dF=lambda q: 2.0 * (np.asarray(q) + 8.0),
-            d2F=lambda q: 2.0 * np.ones_like(np.asarray(q, dtype=float)),
-            V=lambda u: np.asarray(u) ** 2 - 1.0,
-            dV=lambda u: 2.0 * np.asarray(u),
-            d2V=lambda u: 2.0 * np.ones_like(np.asarray(u, dtype=float)),
-        )
+        sym = shifted_symbol()
         half = small.points[-1]
         grid = Grid1D.uniform(-half, half, 161)
         assert math.pi * p.h / grid.spacing > 9.0 + 10.0 / math.sqrt(p.a)
         gamma = trial_density_matrix(sym, p, grid, support_radius=1.5)
         assert gamma.trace == pytest.approx(1.0 / (2.0 * p.h), rel=0.1)
+
+    def test_even_symbol_keeps_symmetric_q_nodes(self):
+        p, sym, grid = self.build_small()
+        _, qs, step = _trial_nodes(sym, p, grid, 1.5)
+        # the symmetric span: largest scanned |q| with sigma < 0, plus margin
+        q_mags = np.linspace(0.0, 20.0, 2001)
+        q_scan = np.concatenate((-q_mags[::-1], q_mags))
+        shell = max(
+            np.abs(q_scan[sym.sigma(u, q_scan) < 0.0]).max(initial=0.0)
+            for u in np.linspace(-1.5, 1.5, 41)
+        )
+        q_half = shell + 10.0 / math.sqrt(p.a)
+        assert np.array_equal(qs, np.arange(-q_half, q_half + step, step))
+
+    def test_q_nodes_follow_a_shifted_shell(self):
+        p, _, grid = self.build_small()
+        sym = shifted_symbol()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # grid Nyquist is below q = -9
+            _, qs, step = _trial_nodes(sym, p, grid, 1.5)
+        margin = 10.0 / math.sqrt(p.a)
+        assert qs.min() >= -9.0 - margin - step
+        assert qs.max() <= -7.0 + margin + step
+
+    def test_gamma_same_for_any_worker_count(self, monkeypatch):
+        p, sym, grid = self.build_small()
+        gammas = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(numerics, "_usable_cpus", lambda: cpus)
+            gammas.append(trial_density_matrix(sym, p, grid, support_radius=0.5))
+        assert np.array_equal(gammas[0].matrix, gammas[1].matrix)
+
+    def test_gamma_same_without_the_blas_pin(self, monkeypatch):
+        p, sym, grid = self.build_small()
+        pinned = trial_density_matrix(sym, p, grid, support_radius=0.5)
+        monkeypatch.setattr(numerics, "_openblas_thread_calls", lambda: None)
+        serial = trial_density_matrix(sym, p, grid, support_radius=0.5)
+        assert np.array_equal(pinned.matrix, serial.matrix)
+
+    def test_blas_threads_restored_after_normal_and_raising_calls(self, monkeypatch):
+        calls = numerics._openblas_thread_calls()
+        if calls is None:
+            pytest.skip("numpy has no bundled OpenBLAS to pin")
+        set_threads, get_threads = calls
+        monkeypatch.setattr(numerics, "_usable_cpus", lambda: 2)
+        p, sym, grid = self.build_small()
+        prior = get_threads()
+        set_threads(2)
+        try:
+            trial_density_matrix(sym, p, grid, support_radius=0.5)
+            assert get_threads() == 2
+
+            raised_in = []
+
+            def dV(u):
+                if u > 0.0:
+                    raised_in.append(threading.current_thread())
+                    raise RuntimeError("symbol failed in a row")
+                return 2.0 * np.asarray(u)
+
+            failing = ClassicalSymbol(
+                F=sym.F, dF=sym.dF, d2F=sym.d2F, V=sym.V, dV=dV, d2V=sym.d2V
+            )
+            with pytest.raises(RuntimeError, match="failed in a row"):
+                trial_density_matrix(failing, p, grid, support_radius=0.5)
+            assert get_threads() == 2
+            assert threading.main_thread() not in raised_in
+        finally:
+            set_threads(prior)
 
     def test_shell_past_the_scan_rejected(self):
         p, _, grid = self.build_small()
