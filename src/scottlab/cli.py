@@ -314,7 +314,7 @@ def _pipeline_scott(params: dict[str, Any]):
 
 def _pipeline_local_trace(params: dict[str, Any]):
     n = int(params["n"])
-    bump = numerics.make_bump(
+    bump = numerics.Bump(
         center=params["bump_center"],
         radius=params["bump_radius"],
         order=int(params["bump_order"]),

@@ -1,8 +1,8 @@
 """Gaussian-smeared coherent operators on a 1D grid.
 
 The objects here realize, at desk scale, a coherent-state calculus with an
-adjustable localization parameter a between h and 1/h: classic coherent
-wave packets, the smeared operators G_{u,q} with kernel
+adjustable localization parameter a between h and 1/h: the smeared
+operators G_{u,q} with kernel
 
     (pi h)^{-1/2} exp(-a((x+y)/2 - u)^2 + i q (x-y)/h - (x-y)^2/(4 h^2 a)),
 
@@ -57,7 +57,6 @@ __all__ = [
     "harmonic_symbol",
     "momentum_lattice",
     "new_kernel_G",
-    "old_state_wavefunction",
     "operator_symbol",
     "representation_error_norm",
     "resolution_of_identity_check",
@@ -182,17 +181,6 @@ def schrodinger_operator(
     mat = mat + np.diag(np.asarray(sym.V(grid.points), dtype=float))
     mat = 0.5 * (mat + mat.conj().T)
     return GridOperator(matrix=mat, grid=grid, h=h)
-
-
-def old_state_wavefunction(p: CoherentParams, pt: PhasePoint, x):
-    """Classic packet (pi h)^{-n/4} exp(-(x-u)^2/2h) exp(i q x/h)."""
-    xs = np.asarray(x, dtype=float)
-    val = (
-        (math.pi * p.h) ** (-p.n / 4.0)
-        * np.exp(-((xs - pt.u) ** 2) / (2.0 * p.h))
-        * np.exp(1j * pt.q * xs / p.h)
-    )
-    return val if np.ndim(x) else complex(val)
 
 
 def weight_w(p: CoherentParams, u, q):

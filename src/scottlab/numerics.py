@@ -1,4 +1,4 @@
-"""Shared numerical utilities: grids, grid operators, cutoffs, weights, fits.
+"""Shared numerical utilities: grids, grid operators, cutoffs, fits.
 
 Everything here is deterministic and stateless, except the BLAS thread pin,
 which holds numpy's OpenBLAS at one thread for the length of a with block.
@@ -25,9 +25,6 @@ __all__ = [
     "Bump",
     "PartitionPair",
     "FitResult",
-    "make_bump",
-    "make_partition",
-    "gaussian_weight",
     "fit_power_series",
     "richardson",
 ]
@@ -207,27 +204,11 @@ def _f(s: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fprime(s: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(s)
-    pos = s > 0
-    out[pos] = np.exp(-1.0 / s[pos]) / s[pos] ** 2
-    return out
-
-
 def _step(s: np.ndarray) -> np.ndarray:
     s = np.asarray(s, dtype=float)
     a = _f(s)
     b = _f(1.0 - s)
     return a / (a + b)
-
-
-def _step_prime(s: np.ndarray) -> np.ndarray:
-    s = np.asarray(s, dtype=float)
-    a, b = _f(s), _f(1.0 - s)
-    ap, bp = _fprime(s), _fprime(1.0 - s)
-    g = a + b
-    # d/ds [a/g] with db/ds = -bp
-    return (ap * g - a * (ap - bp)) / g**2
 
 
 # ---------------------------------------------------------------------------
@@ -254,32 +235,11 @@ class Bump:
         if self.order < 1:
             raise ValueError("order must be >= 1")
 
-    def _s(self, x: np.ndarray) -> np.ndarray:
-        t = np.abs(np.asarray(x, dtype=float) - self.center) / self.radius
-        return (1.0 - t) / (1.0 - self.plateau)
-
     def __call__(self, x):
-        val = _step(np.clip(self._s(x), 0.0, 1.0))
+        t = np.abs(np.asarray(x, dtype=float) - self.center) / self.radius
+        s = (1.0 - t) / (1.0 - self.plateau)
+        val = _step(np.clip(s, 0.0, 1.0))
         return val if np.ndim(x) else float(val)
-
-    def derivative(self, x):
-        """First derivative, analytic."""
-        x = np.asarray(x, dtype=float)
-        s = self._s(x)
-        inside = (s > 0.0) & (s < 1.0)
-        out = np.zeros_like(x, dtype=float)
-        sign = np.sign(x - self.center)
-        out[inside] = (
-            _step_prime(s[inside])
-            * (-sign[inside])
-            / ((1.0 - self.plateau) * self.radius)
-        )
-        return out if out.ndim else float(out)
-
-
-def make_bump(center: float, radius: float, order: int = 4) -> Bump:
-    """Smooth bump, 1 on |x-center| <= radius/2, 0 outside |x-center| >= radius."""
-    return Bump(center=center, radius=radius, order=order)
 
 
 # ---------------------------------------------------------------------------
@@ -304,14 +264,6 @@ class PartitionPair:
         s = (np.asarray(d, dtype=float) - self.R) / self.R
         return 0.5 * np.pi * _step(np.clip(s, 0.0, 1.0))
 
-    def _theta_prime(self, d):
-        d = np.asarray(d, dtype=float)
-        s = (d - self.R) / self.R
-        out = np.zeros_like(d, dtype=float)
-        inside = (s > 0.0) & (s < 1.0)
-        out[inside] = 0.5 * np.pi * _step_prime(s[inside]) / self.R
-        return out
-
     def inner(self, d):
         val = np.cos(self._theta(d))
         return val if np.ndim(d) else float(val)
@@ -319,48 +271,6 @@ class PartitionPair:
     def outer(self, d):
         val = np.sin(self._theta(d))
         return val if np.ndim(d) else float(val)
-
-    def inner_grad(self, d):
-        val = -np.sin(self._theta(d)) * self._theta_prime(d)
-        return val if np.ndim(d) else float(val)
-
-    def outer_grad(self, d):
-        val = np.cos(self._theta(d)) * self._theta_prime(d)
-        return val if np.ndim(d) else float(val)
-
-    def grad_sq_sum(self, d):
-        """(d inner/dd)^2 + (d outer/dd)^2, which collapses to theta'(d)^2."""
-        val = self._theta_prime(d) ** 2
-        return val if np.ndim(d) else float(val)
-
-
-def make_partition(R: float) -> PartitionPair:
-    return PartitionPair(R=R)
-
-
-# ---------------------------------------------------------------------------
-# Gaussian weight
-
-
-def gaussian_weight(b: float, v) -> float | np.ndarray:
-    """Normalized Gaussian G_b(v) = (b/pi)^(n/2) exp(-b |v|^2) on R^n.
-
-    v is a single point: a scalar means n = 1, a 1D array of length n is a
-    point of R^n.  A 2D array is a batch of points (rows).
-    """
-    require_positive(b, "Gaussian parameter b")
-    v = np.asarray(v, dtype=float)
-    if v.ndim == 0:
-        n = 1
-        sq = v**2
-    elif v.ndim == 1:
-        n = v.size
-        sq = np.dot(v, v)
-    else:
-        n = v.shape[-1]
-        sq = np.sum(v**2, axis=-1)
-    val = (b / np.pi) ** (n / 2.0) * np.exp(-b * sq)
-    return val if np.ndim(val) else float(val)
 
 
 # ---------------------------------------------------------------------------

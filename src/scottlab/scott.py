@@ -11,22 +11,20 @@ z/(2h) landing on an integer cannot be lost to floating point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .numerics import FitResult, fit_power_series, require_positive
 from .semiclassics import WeylSpec, weyl_energy
 from .spectra import RadialProblem, TraceResult, neg_sum_radial, sentinel_channel
-from .thomas_fermi import NucleiConfig, TFSolution, atomic_tf, tf_length_scale
+from .thomas_fermi import TFSolution, atomic_tf, tf_length_scale
 
 __all__ = [
     "HydrogenExpansion",
-    "MolecularAssembly",
     "ScottExperiment",
     "hydrogen_exact_sum",
     "hydrogen_expansion_check",
-    "molecular_energy_assembly",
     "scott_experiment_tf",
     "scott_term",
 ]
@@ -209,59 +207,3 @@ def scott_experiment_tf(
     )
     return ScottExperiment(z=z, h_values=tuple(hs), results=tuple(results), fit=fit)
 
-
-@dataclass(frozen=True)
-class MolecularAssembly:
-    """Two-term molecular energy bookkeeping in the sum-of-atoms mode.
-
-    Physical charges are Z_k = |Z| z_k.  E_TF_scaled applies the exact TF
-    scaling E(Z, R) = |Z|^{7/3} E(z, r); scott_total is (1/2) sum Z_k^2 with
-    the spin factor folded in; h_effective ties the semiclassical parameter
-    to |Z| through epsilon = |Z|^{-2/3}.
-    """
-
-    charges: tuple
-    Z_total: float
-    E_TF_scaled: float
-    scott_total: float
-    h_effective: float
-    epsilon: float
-    sum_of_atoms: bool = True
-    warnings: tuple = field(default_factory=tuple)
-
-    @property
-    def two_term_energy(self) -> float:
-        return self.E_TF_scaled + self.scott_total
-
-
-def molecular_energy_assembly(cfg: NucleiConfig, Z_total: float) -> MolecularAssembly:
-    """Assemble the two-term expansion for reduced charges cfg at scale |Z|.
-
-    Atomic TF energies are summed per nucleus (interaction terms dropped;
-    the record is flagged sum_of_atoms).  Each distinct reduced charge is
-    solved once.
-    """
-    require_positive(Z_total, "total charge")
-    atomic_energy: dict[float, float] = {}
-    for zk in cfg.charges:
-        if zk not in atomic_energy:
-            atomic_energy[zk] = atomic_tf(zk).E_TF
-    e_tf = sum(atomic_energy[zk] for zk in cfg.charges)
-    scott_total = 0.5 * sum((Z_total * zk) ** 2 for zk in cfg.charges)
-    eps = Z_total ** (-2.0 / 3.0)
-    warnings = []
-    if eps >= 1.0:
-        warnings.append("epsilon = |Z|^(-2/3) >= 1; h_effective loses meaning")
-        h_eff = float("nan")
-    else:
-        h_eff = math.sqrt((1.0 - eps) / 2.0) * Z_total ** (-1.0 / 3.0)
-    return MolecularAssembly(
-        charges=tuple(cfg.charges),
-        Z_total=float(Z_total),
-        E_TF_scaled=Z_total ** (7.0 / 3.0) * e_tf,
-        scott_total=scott_total,
-        h_effective=h_eff,
-        epsilon=eps,
-        sum_of_atoms=True,
-        warnings=tuple(warnings),
-    )

@@ -27,7 +27,6 @@ __all__ = [
     "WeylSpec",
     "local_trace_experiment",
     "unit_ball_volume",
-    "weyl_density",
     "weyl_energy",
 ]
 
@@ -188,18 +187,6 @@ def weyl_energy(spec: WeylSpec) -> float:
     )
     val = prefactor * _position_integral(spec)
     return val if val != 0.0 else 0.0
-
-
-def weyl_density(spec: WeylSpec, x) -> float | np.ndarray:
-    """Semiclassical density (2 pi h)^{-n} omega_n |V(x)_-|^{n/2}."""
-    xs = np.asarray(x, dtype=float)
-    v = np.asarray(spec.potential(np.atleast_1d(xs)), dtype=float)
-    neg = np.minimum(v, 0.0)
-    omega = unit_ball_volume(spec.n)
-    val = (2.0 * math.pi * spec.h) ** (-spec.n) * omega * np.abs(neg) ** (
-        spec.n / 2.0
-    )
-    return val.reshape(xs.shape) if xs.ndim else float(val[0])
 
 
 def local_trace_experiment(

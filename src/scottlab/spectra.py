@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
-from .numerics import Bump, Grid1D, GridOperator, require_positive, richardson
+from .numerics import Bump, Grid1D, require_positive, richardson
 
 __all__ = [
     "BoxSizeError",
@@ -31,9 +31,7 @@ __all__ = [
     "RadialSum",
     "SpectralSum",
     "TraceResult",
-    "density_of",
     "ims_identity_check",
-    "lieb_thirring_ratio",
     "neg_sum_1d",
     "neg_sum_radial",
     "sentinel_channel",
@@ -335,19 +333,6 @@ def neg_sum_radial(
 
 
 # ---------------------------------------------------------------------------
-# density matrices on grids
-
-
-def density_of(gamma: GridOperator) -> np.ndarray:
-    """Position density: the diagonal over the quadrature weight.
-
-    With this normalization Tr(gamma Theta) equals the grid quadrature of
-    rho * theta for every multiplication operator Theta = diag(theta).
-    """
-    return np.real(np.diag(gamma.matrix)) / gamma.grid.spacing
-
-
-# ---------------------------------------------------------------------------
 # IMS localization identity
 
 
@@ -389,36 +374,3 @@ def ims_identity_check(H, partition) -> float:
         return 0.5 * (s * (m @ v) + m @ (s * v))
 
     return _two_norm_by_power_iteration(matvec, x.size)
-
-
-# ---------------------------------------------------------------------------
-# Lieb-Thirring diagnostic
-
-
-def lieb_thirring_ratio(potential: Callable, h: float, grid: Grid1D, n: int) -> float:
-    """|Tr(-h^2 Lap + V)_-| / (h^-n Int |V_-|^(1+n/2)).
-
-    V is in the repulsive sign convention (negative where it binds); the
-    integral runs over the supplied grid (a symmetric box for n = 1, a
-    radial grid on (0, r_max] for n = 3).  The semiclassical limit of the
-    ratio is (2 pi)^-n * 2 omega_n/(n + 2), which is 1/(15 pi^2) in three
-    dimensions.  Returns 0 for V >= 0 and NaN when only the denominator
-    vanishes.
-    """
-    pts = grid.points
-    if n == 1:
-        quantum = neg_sum_1d(potential, h, grid).value
-        vneg = np.minimum(np.asarray(potential(pts), float), 0.0)
-        integral = float(np.trapezoid(np.abs(vneg) ** 1.5, pts))
-    elif n == 3:
-        prob = RadialProblem(
-            potential=lambda r: -np.asarray(potential(r), float), h=h, grid=grid
-        )
-        quantum = neg_sum_radial(prob, shift=0.0).total.value
-        vneg = np.minimum(np.asarray(potential(pts), float), 0.0)
-        integral = float(np.trapezoid(4.0 * np.pi * pts**2 * np.abs(vneg) ** 2.5, pts))
-    else:
-        raise ValueError("only n = 1 and n = 3 are realized")
-    if integral < 1e-300:
-        return 0.0 if abs(quantum) < 1e-300 else float("nan")
-    return abs(quantum) / (integral / h**n)

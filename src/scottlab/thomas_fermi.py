@@ -19,7 +19,6 @@ integral equals z^2 |phi'(0)| / l and the neutral-atom energy comes out as
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 # solve_ivp is unused but kept: bench/tracer.py wraps it by this name
@@ -30,14 +29,10 @@ from .numerics import require_positive
 
 __all__ = [
     "DENSITY_CONST",
-    "GeometryRecord",
-    "NucleiConfig",
     "TFSolution",
     "UniversalTF",
     "atomic_tf",
     "coulomb_energy_D",
-    "geometry_functions",
-    "screened_potential_W",
     "solve_universal_tf",
     "tf_length_scale",
     "tf_scaling_transform",
@@ -389,76 +384,3 @@ def tf_scaling_transform(sol: TFSolution, gamma: float) -> TFSolution:
         universal=sol.universal,
     )
 
-
-# ---------------------------------------------------------------------------
-# molecular geometry helpers
-
-
-@dataclass(frozen=True)
-class NucleiConfig:
-    """Charges and positions of the nuclei."""
-
-    charges: tuple
-    positions: np.ndarray  # shape (M, 3)
-
-    def __post_init__(self):
-        charges = tuple(float(c) for c in self.charges)
-        pos = np.atleast_2d(np.asarray(self.positions, dtype=float))
-        if pos.shape != (len(charges), 3):
-            raise ValueError("positions must be an (M, 3) array")
-        for c in charges:
-            require_positive(c, "nuclear charge")
-        if len(charges) >= 2:
-            diff = pos[:, None, :] - pos[None, :, :]
-            dist = np.sqrt(np.sum(diff**2, axis=-1))
-            off = dist[~np.eye(len(charges), dtype=bool)]
-            if np.min(off) <= 0:
-                raise ValueError("nuclear positions must be distinct")
-        object.__setattr__(self, "charges", charges)
-        object.__setattr__(self, "positions", pos)
-
-    @property
-    def count(self) -> int:
-        return len(self.charges)
-
-    @property
-    def r_min(self) -> float:
-        if self.count < 2:
-            return float("inf")
-        diff = self.positions[:, None, :] - self.positions[None, :, :]
-        dist = np.sqrt(np.sum(diff**2, axis=-1))
-        return float(np.min(dist[~np.eye(self.count, dtype=bool)]))
-
-
-@dataclass(frozen=True)
-class GeometryRecord:
-    d: float
-    f: float
-    ell: float
-
-
-def geometry_functions(cfg: NucleiConfig, x, h: float) -> GeometryRecord:
-    """Distance to the nearest nucleus d, the weight f = min(d^-1/2, d^-2),
-    and the regularized length ell = (1/2)(1 + sum_k (|x-r_k|^2+h^2)^-1/2)^-1."""
-    x = np.asarray(x, dtype=float).reshape(3)
-    dists = np.sqrt(np.sum((cfg.positions - x) ** 2, axis=1))
-    d = float(np.min(dists))
-    f = float("inf") if d == 0.0 else float(min(d**-0.5, d**-2.0))
-    ell = 0.5 / (1.0 + float(np.sum(1.0 / np.sqrt(dists**2 + h**2))))
-    return GeometryRecord(d=d, f=f, ell=ell)
-
-
-def screened_potential_W(sol: TFSolution, k: int, x) -> float:
-    """W_k = V_TF - z_k/|x - r_k| near nucleus k; atomic solver has k = 0.
-
-    For the single atom this is minus the electron-cloud potential, finite
-    at the origin (value z phi'(0)/l) and tending to 0 from below at large
-    radii by neutrality.
-    """
-    if k != 0:
-        raise ValueError("atomic solution carries a single nucleus, k = 0")
-    x = np.asarray(x, dtype=float)
-    r = float(np.sqrt(np.sum(x**2))) if x.ndim else float(x)
-    if r == 0.0:
-        return sol.z * sol.universal.initial_slope / sol.ell
-    return float(sol.v_tf(r) - sol.z / r)

@@ -19,7 +19,6 @@ from scottlab.coherent import (
     harmonic_symbol,
     momentum_lattice,
     new_kernel_G,
-    old_state_wavefunction,
     operator_symbol,
     representation_error_norm,
     resolution_of_identity_check,
@@ -125,17 +124,6 @@ class TestSymbols:
 
 
 class TestStatesAndWeights:
-    def test_old_state_is_normalized(self):
-        p = CoherentParams(h=0.1, a=5.0)
-        pt = PhasePoint(u=0.4, q=1.3)
-        x = np.linspace(-3.0, 4.0, 20001)
-        psi = old_state_wavefunction(p, pt, x)
-        mass = float(np.trapezoid(np.abs(psi) ** 2, x))
-        assert mass == pytest.approx(1.0, abs=1e-10)
-        assert abs(old_state_wavefunction(p, pt, 0.4)) == pytest.approx(
-            (math.pi * p.h) ** -0.25
-        )
-
     def test_weight_normalization(self):
         p = CoherentParams(h=0.1, a=0.1**-0.8)
         alpha = p.a / (1.0 - p.h * p.a)
@@ -167,13 +155,17 @@ class TestStatesAndWeights:
 
     def test_kernel_collapses_to_old_state_at_a_cap(self):
         # at a = 1/h the smeared kernel is exactly the rank-one projector
-        # onto the classic packet
+        # onto the classic packet (pi h)^{-1/4} e^{-(x-u)^2/2h} e^{iqx/h}
         h = 0.1
         p = CoherentParams(h=h, a=(1.0 - 1e-12) / h)
         pt = PhasePoint(u=-0.3, q=0.7)
         x = np.linspace(-1.2, 0.8, 37)
         g = new_kernel_G(p, pt, x[:, None], x[None, :])
-        psi = old_state_wavefunction(p, pt, x)
+        psi = (
+            (math.pi * h) ** -0.25
+            * np.exp(-((x - pt.u) ** 2) / (2.0 * h))
+            * np.exp(1j * pt.q * x / h)
+        )
         np.testing.assert_allclose(g, np.outer(psi, psi.conj()), rtol=1e-9)
 
 

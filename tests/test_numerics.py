@@ -1,4 +1,4 @@
-"""Grids, bumps, partitions, fits, and the shared Gaussian weight."""
+"""Grids, bumps, partitions, fits, and the shared positivity check."""
 
 import math
 
@@ -14,20 +14,12 @@ from scottlab.numerics import (
     GridOperator,
     PartitionPair,
     fit_power_series,
-    gaussian_weight,
-    make_bump,
-    make_partition,
     richardson,
 )
-from scottlab.scott import molecular_energy_assembly, scott_term
+from scottlab.scott import scott_term
 from scottlab.semiclassics import WeylSpec
 from scottlab.spectra import RadialProblem, neg_sum_1d
-from scottlab.thomas_fermi import (
-    NucleiConfig,
-    atomic_tf,
-    tf_length_scale,
-    tf_scaling_transform,
-)
+from scottlab.thomas_fermi import atomic_tf, tf_length_scale, tf_scaling_transform
 
 
 class TestGrid:
@@ -51,7 +43,7 @@ class TestGrid:
 
 class TestBump:
     def test_plateau_and_support(self):
-        b = make_bump(center=0.0, radius=2.0, order=4)
+        b = Bump(center=0.0, radius=2.0, order=4)
         assert b(0.0) == 1.0
         assert b(0.9) == 1.0  # inside the half-radius plateau
         assert b(2.0) == 0.0
@@ -59,24 +51,9 @@ class TestBump:
         mid = b(1.5)
         assert 0.0 < mid < 1.0
 
-    def test_derivative_matches_finite_difference(self):
-        b = make_bump(center=0.3, radius=1.7, order=4)
-        xs = np.linspace(-1.2, 1.9, 401)
-        eps = 1e-6
-        fd = (b(xs + eps) - b(xs - eps)) / (2 * eps)
-        assert np.max(np.abs(b.derivative(xs) - fd)) < 5e-5
-
-    def test_smooth_at_plateau_edge(self):
-        # exponential profile: flat to all orders at both seams
-        b = make_bump(center=0.0, radius=2.0, order=4)
-        seam = 1.0
-        left = b.derivative(seam - 1e-9)
-        right = b.derivative(seam + 1e-9)
-        assert abs(left - right) < 1e-6
-
     @given(st.floats(-10, 10))
     def test_range_bounded(self, x):
-        b = make_bump(center=0.0, radius=3.0, order=4)
+        b = Bump(center=0.0, radius=3.0, order=4)
         assert 0.0 <= b(x) <= 1.0
 
 
@@ -84,12 +61,12 @@ class TestPartition:
     @given(st.floats(0.0, 50.0))
     @settings(max_examples=80)
     def test_quadratic_identity(self, d):
-        pair = make_partition(R=5.0)
+        pair = PartitionPair(R=5.0)
         total = pair.inner(d) ** 2 + pair.outer(d) ** 2
         assert abs(total - 1.0) < 1e-10
 
     def test_inner_dominates_core(self):
-        pair = make_partition(R=2.0)
+        pair = PartitionPair(R=2.0)
         assert pair.inner(0.0) == 1.0
         assert pair.outer(0.0) == 0.0
         assert pair.inner(1e3) == pytest.approx(0.0, abs=1e-12)
@@ -144,19 +121,6 @@ class TestRichardson:
         assert richardson(coarse, fine, order=2) == pytest.approx(exact)
 
 
-class TestGaussianWeight:
-    def test_normalization_1d(self):
-        t = np.linspace(-6, 6, 2001)
-        vals = gaussian_weight(4.0, t[:, None])  # batch of R^1 points
-        assert np.trapezoid(vals, t) == pytest.approx(1.0, abs=1e-10)
-
-    def test_2d_point_value(self):
-        b = 2.0
-        val = gaussian_weight(b, np.array([0.3, -0.1]))
-        expect = (b / math.pi) * math.exp(-b * (0.3**2 + 0.1**2))
-        assert val == pytest.approx(expect, rel=1e-12)
-
-
 class TestPositivity:
     """Every h, z, radius and scale the library takes goes through one
     positivity check."""
@@ -176,14 +140,9 @@ class TestPositivity:
         "scott_term": lambda v: scott_term([1.0], v),
         "tf_length_scale": tf_length_scale,
         "atomic_tf": atomic_tf,
-        "make_bump": lambda v: make_bump(0.0, v),
+        "Bump": lambda v: Bump(center=0.0, radius=v, order=4),
         "PartitionPair": lambda v: PartitionPair(R=v),
-        "gaussian_weight": lambda v: gaussian_weight(v, 0.0),
         "tf_scaling_transform": lambda v: tf_scaling_transform(atomic_tf(1.0), v),
-        "NucleiConfig": lambda v: NucleiConfig(charges=(v,), positions=np.zeros(3)),
-        "molecular_energy_assembly": lambda v: molecular_energy_assembly(
-            NucleiConfig(charges=(1.0,), positions=np.zeros(3)), v
-        ),
         "trial_density_matrix": lambda v: trial_density_matrix(
             harmonic_symbol(-1.0), CoherentParams(h=0.4), Grid1D.uniform(-4, 4, 33), v
         ),

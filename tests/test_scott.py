@@ -1,9 +1,7 @@
 """Scott-correction bookkeeping: exact hydrogen sums and the TF sweep."""
 
-import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,11 +9,9 @@ from hypothesis import strategies as st
 from scottlab.scott import (
     hydrogen_exact_sum,
     hydrogen_expansion_check,
-    molecular_energy_assembly,
     scott_experiment_tf,
     scott_term,
 )
-from scottlab.thomas_fermi import NucleiConfig
 
 
 class TestHydrogenSum:
@@ -133,40 +129,3 @@ class TestScottExperiment:
         with pytest.raises(ValueError, match="different charge"):
             scott_experiment_tf(2.0, (0.12, 0.09), solution=atom_z1)
 
-
-class TestMolecularAssembly:
-    def make_cfg(self):
-        return NucleiConfig(
-            charges=(0.6, 0.4),
-            positions=np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]]),
-        )
-
-    def test_bookkeeping(self, atom_z1):
-        asm = molecular_energy_assembly(self.make_cfg(), Z_total=10.0)
-        assert asm.sum_of_atoms
-        assert asm.scott_total == pytest.approx(0.5 * (6.0**2 + 4.0**2))
-        # per-atom TF energies obey the z^(7/3) law
-        expect = (
-            10.0 ** (7.0 / 3.0)
-            * (0.6 ** (7.0 / 3.0) + 0.4 ** (7.0 / 3.0))
-            * atom_z1.E_TF
-        )
-        assert asm.E_TF_scaled == pytest.approx(expect, rel=1e-5)
-        assert asm.two_term_energy == pytest.approx(
-            asm.E_TF_scaled + asm.scott_total
-        )
-        assert asm.epsilon == pytest.approx(10.0 ** (-2.0 / 3.0))
-        assert asm.h_effective == pytest.approx(
-            math.sqrt((1.0 - asm.epsilon) / 2.0) * 10.0 ** (-1.0 / 3.0)
-        )
-        assert not asm.warnings
-
-    def test_small_total_charge_degrades_h(self):
-        asm = molecular_energy_assembly(self.make_cfg(), Z_total=1.0)
-        assert asm.epsilon >= 1.0
-        assert math.isnan(asm.h_effective)
-        assert any("loses meaning" in w for w in asm.warnings)
-
-    def test_rejects_nonpositive_total(self):
-        with pytest.raises(ValueError):
-            molecular_energy_assembly(self.make_cfg(), Z_total=0.0)

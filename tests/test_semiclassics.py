@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from scottlab.numerics import make_bump
+from scottlab.numerics import Bump
 from scottlab.semiclassics import (
     OMEGA_1,
     OMEGA_2,
@@ -13,7 +13,6 @@ from scottlab.semiclassics import (
     WeylSpec,
     local_trace_experiment,
     unit_ball_volume,
-    weyl_density,
     weyl_energy,
 )
 
@@ -60,7 +59,7 @@ class TestWeylEnergy:
 
     def test_bump_weight_matches_quadrature(self):
         # constant well: the integral reduces to the bump's squared mass
-        bump = make_bump(center=0.0, radius=2.0)
+        bump = Bump(center=0.0, radius=2.0, order=4)
         spec = WeylSpec(n=1, potential=lambda x: -np.ones_like(x), bump=bump, h=1.0)
         x = np.linspace(-2.0, 2.0, 200001)
         mass = float(np.trapezoid(bump(x) ** 2, x))
@@ -90,28 +89,13 @@ class TestWeylEnergy:
             WeylSpec(n=1, potential=lambda x: -x, h=0.0)
 
 
-class TestWeylDensity:
-    def test_ball_closed_form(self):
-        spec = WeylSpec(n=3, potential=lambda r: -1.0 * (r < 1.0), h=0.5)
-        inside = (2.0 * math.pi * 0.5) ** -3 * OMEGA_3
-        assert weyl_density(spec, 0.5) == pytest.approx(inside, rel=1e-12)
-        assert weyl_density(spec, 2.0) == 0.0
-
-    def test_array_evaluation(self):
-        spec = WeylSpec(n=1, potential=lambda x: x * x - 1.0, h=1.0)
-        x = np.array([0.0, 0.5, 2.0])
-        out = weyl_density(spec, x)
-        expect = OMEGA_1 / (2.0 * math.pi) * np.sqrt([1.0, 0.75, 0.0])
-        np.testing.assert_allclose(out, expect, rtol=1e-12)
-
-
 class TestLocalTrace:
     def test_1d_harmonic_sweep(self):
         # plateau covers the well, so the Weyl term is exactly -1/(4h);
         # the level sum oscillates around it as h moves (and matches it
         # exactly whenever 1/(2h) is an integer), so only convergence and
         # bookkeeping are asserted, not a residual rate
-        bump = make_bump(center=0.0, radius=3.0)
+        bump = Bump(center=0.0, radius=3.0, order=4)
         rows, fit = local_trace_experiment(
             lambda x: x * x - 1.0, bump, (0.4, 0.2, 0.1), n=1
         )
@@ -124,7 +108,7 @@ class TestLocalTrace:
         assert math.isfinite(fit.coefficient(6.0 / 5.0 - 1.0))
 
     def test_rejects_bad_arguments(self):
-        bump = make_bump(center=0.0, radius=3.0)
+        bump = Bump(center=0.0, radius=3.0, order=4)
         v = lambda x: x * x - 1.0
         with pytest.raises(ValueError, match="strictly decreasing"):
             local_trace_experiment(v, bump, (0.1, 0.2), n=1)

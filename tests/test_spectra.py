@@ -11,9 +11,7 @@ from scottlab.spectra import (
     BoxSizeError,
     ChannelCutoffError,
     RadialProblem,
-    density_of,
     ims_identity_check,
-    lieb_thirring_ratio,
     neg_sum_1d,
     neg_sum_radial,
     sentinel_channel,
@@ -170,15 +168,6 @@ class TestDensityMatrix:
         gamma.validate_density()
         assert gamma.trace == pytest.approx(1.0, abs=1e-12)
 
-    def test_density_pairs_with_multipliers(self):
-        # Tr(gamma Theta) must equal the quadrature of rho * theta
-        gamma, v = self.make_rank_one()
-        theta = gamma.grid.points**2
-        lhs = float(v @ (theta * v))
-        rho = density_of(gamma)
-        rhs = float(np.sum(rho * theta) * gamma.grid.spacing)
-        assert lhs == pytest.approx(rhs, rel=1e-12)
-
     def test_eigenvalue_above_one_rejected(self):
         gamma, v = self.make_rank_one()
         bad = GridOperator(matrix=1.5 * gamma.matrix, grid=gamma.grid, h=gamma.h)
@@ -218,29 +207,3 @@ class TestIMS:
                 return 1.1 * PartitionPair(R=2.0).outer(d)
 
         assert ims_identity_check(H, Lopsided()) > 1.0
-
-
-class TestLiebThirringRatio:
-    def test_positive_potential_gives_zero(self):
-        grid = Grid1D.uniform(-4.0, 4.0, 129)
-        assert lieb_thirring_ratio(lambda x: 1.0 + x * x, 0.1, grid, n=1) == 0.0
-
-    def test_1d_harmonic_near_semiclassical_constant(self):
-        # exact sum -2.5 at h = 0.1 against integral 3 pi / 8: the ratio
-        # lands on the 1D classical constant 2/(3 pi)
-        grid = Grid1D.uniform(-6.0, 6.0, 513)
-        ratio = lieb_thirring_ratio(lambda x: x * x - 1.0, 0.1, grid, n=1)
-        assert ratio == pytest.approx(2.0 / (3.0 * math.pi), rel=2e-3)
-
-    def test_3d_truncated_well_near_semiclassical_constant(self):
-        n_pts = 320
-        grid = Grid1D.uniform(4.0 / n_pts, 4.0, n_pts)
-        ratio = lieb_thirring_ratio(
-            lambda r: np.minimum(r * r - 1.0, 0.0), 0.1, grid, n=3
-        )
-        assert ratio == pytest.approx(1.0 / (15.0 * math.pi**2), rel=0.2)
-
-    def test_unsupported_dimension(self):
-        grid = Grid1D.uniform(-4.0, 4.0, 129)
-        with pytest.raises(ValueError, match="n = 1 and n = 3"):
-            lieb_thirring_ratio(lambda x: x * x - 1.0, 0.1, grid, n=2)

@@ -1,4 +1,4 @@
-"""Thomas-Fermi solver: universal function, atoms, geometry helpers."""
+"""Thomas-Fermi solver: universal function, atoms, Coulomb energy, scaling."""
 
 import math
 
@@ -9,12 +9,8 @@ from hypothesis import strategies as st
 
 from scottlab.semiclassics import WeylSpec, weyl_energy
 from scottlab.thomas_fermi import (
-    NucleiConfig,
-    TFSolution,
     atomic_tf,
     coulomb_energy_D,
-    geometry_functions,
-    screened_potential_W,
     tf_length_scale,
     tf_scaling_transform,
 )
@@ -147,69 +143,3 @@ class TestCoulombEnergy:
         with pytest.raises(ValueError):
             coulomb_energy_D(np.linspace(0, 1, 5), np.zeros(6))
 
-
-class TestGeometry:
-    def make_pair(self):
-        return NucleiConfig(
-            charges=(1.0, 2.0),
-            positions=np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0]]),
-        )
-
-    def test_record_against_hand_computation(self):
-        cfg = self.make_pair()
-        rec = geometry_functions(cfg, (1.0, 1.0, 0.0), h=0.1)
-        d = math.sqrt(2.0)
-        assert rec.d == pytest.approx(d)
-        assert rec.f == pytest.approx(min(d**-0.5, d**-2.0))
-        s = 1.0 / math.sqrt(2.0 + 0.01) + 1.0 / math.sqrt(5.0 + 0.01)
-        assert rec.ell == pytest.approx(0.5 / (1.0 + s))
-
-    def test_weight_switches_branch_at_unit_distance(self):
-        cfg = self.make_pair()
-        near = geometry_functions(cfg, (0.25, 0.0, 0.0), h=0.1)
-        assert near.f == pytest.approx(0.25**-0.5)  # d < 1: d^-1/2 branch
-        far = geometry_functions(cfg, (0.0, 2.0, 0.0), h=0.1)
-        assert far.f == pytest.approx(0.25)  # d = 2: d^-2 branch
-
-    def test_r_min_and_count(self):
-        cfg = self.make_pair()
-        assert cfg.count == 2
-        assert cfg.r_min == pytest.approx(3.0)
-        lone = NucleiConfig(charges=(1.0,), positions=np.zeros((1, 3)))
-        assert lone.r_min == math.inf
-
-    def test_rejects_bad_configs(self):
-        with pytest.raises(ValueError, match="distinct"):
-            NucleiConfig(charges=(1.0, 1.0), positions=np.zeros((2, 3)))
-        with pytest.raises(ValueError, match="positive"):
-            NucleiConfig(charges=(-1.0,), positions=np.zeros((1, 3)))
-        with pytest.raises(ValueError, match=r"\(M, 3\)"):
-            NucleiConfig(charges=(1.0, 2.0), positions=np.zeros((2, 2)))
-
-
-class TestScreenedPotential:
-    def test_origin_value(self, atom_z1):
-        w0 = screened_potential_W(atom_z1, 0, 0.0)
-        expect = atom_z1.universal.initial_slope / atom_z1.ell
-        assert w0 == pytest.approx(expect, rel=1e-12)
-
-    def test_matches_potential_minus_nuclear(self, atom_z1):
-        for r in (0.3, 1.0, 4.0):
-            w = screened_potential_W(atom_z1, 0, r)
-            expect = float(atom_z1.v_tf(r)) - 1.0 / r
-            assert w == pytest.approx(expect, rel=1e-10)
-
-    def test_accepts_three_vector(self, atom_z1):
-        w_vec = screened_potential_W(atom_z1, 0, np.array([0.6, 0.0, 0.8]))
-        w_rad = screened_potential_W(atom_z1, 0, 1.0)
-        assert w_vec == pytest.approx(w_rad, rel=1e-12)
-
-    def test_negative_and_vanishing_far_out(self, atom_z1):
-        w_near = screened_potential_W(atom_z1, 0, 0.5)
-        w_far = screened_potential_W(atom_z1, 0, 50.0)
-        assert w_near < 0 and w_far < 0
-        assert abs(w_far) < abs(w_near)
-
-    def test_only_nucleus_zero(self, atom_z1):
-        with pytest.raises(ValueError, match="k = 0"):
-            screened_potential_W(atom_z1, 1, 1.0)
