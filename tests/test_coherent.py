@@ -124,6 +124,20 @@ class TestSymbols:
 
 
 class TestStatesAndWeights:
+    def test_old_state_is_normalized(self):
+        # at the a = 1/h cap the kernel's diagonal is |psi|^2 of the classic
+        # packet, so it carries unit mass and peaks at (pi h)^{-1/2} over u
+        p = CoherentParams(h=0.1, a=(1.0 - 1e-12) / 0.1)
+        pt = PhasePoint(u=0.4, q=1.3)
+        x = np.linspace(-3.0, 4.0, 20001)
+        diag = new_kernel_G(p, pt, x, x)
+        np.testing.assert_allclose(diag.imag, 0.0, atol=1e-14)
+        mass = float(np.trapezoid(diag.real, x))
+        assert mass == pytest.approx(1.0, abs=1e-10)
+        assert abs(new_kernel_G(p, pt, 0.4, 0.4)) == pytest.approx(
+            (math.pi * p.h) ** -0.5
+        )
+
     def test_weight_normalization(self):
         p = CoherentParams(h=0.1, a=0.1**-0.8)
         alpha = p.a / (1.0 - p.h * p.a)

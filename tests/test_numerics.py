@@ -51,6 +51,34 @@ class TestBump:
         mid = b(1.5)
         assert 0.0 < mid < 1.0
 
+    def test_derivative_matches_finite_difference(self):
+        # closed-form slope of step(s) = f(s)/(f(s)+f(1-s)), f(s) = e^{-1/s},
+        # composed with s = (1 - |x-c|/R)/(1 - plateau)
+        b = Bump(center=0.3, radius=1.7, order=4)
+        xs = np.linspace(-1.2, 1.9, 401)
+        s = (1.0 - np.abs(xs - b.center) / b.radius) / (1.0 - b.plateau)
+        inside = (s > 0.0) & (s < 1.0)
+        si = s[inside]
+        f, g = np.exp(-1.0 / si), np.exp(-1.0 / (1.0 - si))
+        step_prime = (f / si**2 * g + f * g / (1.0 - si) ** 2) / (f + g) ** 2
+        slope = np.zeros_like(xs)
+        slope[inside] = (
+            -np.sign(xs[inside] - b.center) * step_prime
+            / ((1.0 - b.plateau) * b.radius)
+        )
+        eps = 1e-6
+        fd = (b(xs + eps) - b(xs - eps)) / (2 * eps)
+        assert np.max(np.abs(slope - fd)) < 5e-5
+
+    def test_smooth_at_plateau_edge(self):
+        # exponential profile: flat to all orders at both seams, so the
+        # one-sided slopes agree across the plateau edge
+        b = Bump(center=0.0, radius=2.0, order=4)
+        seam, eps = 1.0, 1e-3
+        left = (b(seam) - b(seam - eps)) / eps
+        right = (b(seam + eps) - b(seam)) / eps
+        assert abs(left - right) < 1e-6
+
     @given(st.floats(-10, 10))
     def test_range_bounded(self, x):
         b = Bump(center=0.0, radius=3.0, order=4)
@@ -140,7 +168,7 @@ class TestPositivity:
         "scott_term": lambda v: scott_term([1.0], v),
         "tf_length_scale": tf_length_scale,
         "atomic_tf": atomic_tf,
-        "Bump": lambda v: Bump(center=0.0, radius=v, order=4),
+        "make_bump": lambda v: Bump(center=0.0, radius=v, order=4),
         "PartitionPair": lambda v: PartitionPair(R=v),
         "tf_scaling_transform": lambda v: tf_scaling_transform(atomic_tf(1.0), v),
         "trial_density_matrix": lambda v: trial_density_matrix(

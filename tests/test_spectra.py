@@ -207,3 +207,36 @@ class TestIMS:
                 return 1.1 * PartitionPair(R=2.0).outer(d)
 
         assert ims_identity_check(H, Lopsided()) > 1.0
+
+
+class TestLiebThirringRatio:
+    """|Tr(-h^2 Lap + V)_-| / (h^-n Int |V_-|^(1+n/2)) tends to the
+    classical constant (2 pi)^-n * 2 omega_n/(n + 2)."""
+
+    def test_positive_potential_gives_zero(self):
+        grid = Grid1D.uniform(-4.0, 4.0, 129)
+        assert neg_sum_1d(lambda x: 1.0 + x * x, 0.1, grid).value == 0.0
+
+    def test_1d_harmonic_near_semiclassical_constant(self):
+        # exact sum -2.5 at h = 0.1 against integral 3 pi / 8: the ratio
+        # lands on the 1D classical constant 2/(3 pi)
+        h, grid = 0.1, Grid1D.uniform(-6.0, 6.0, 513)
+        v = lambda x: x * x - 1.0
+        quantum = neg_sum_1d(v, h, grid).value
+        vneg = np.minimum(v(grid.points), 0.0)
+        integral = float(np.trapezoid(np.abs(vneg) ** 1.5, grid.points))
+        assert abs(quantum) / (integral / h) == pytest.approx(
+            2.0 / (3.0 * math.pi), rel=2e-3
+        )
+
+    def test_3d_truncated_well_near_semiclassical_constant(self):
+        h, n_pts = 0.1, 320
+        grid = Grid1D.uniform(4.0 / n_pts, 4.0, n_pts)
+        v = lambda r: np.minimum(r * r - 1.0, 0.0)
+        prob = RadialProblem(potential=lambda r: -v(r), h=h, grid=grid)
+        quantum = neg_sum_radial(prob, shift=0.0).total.value
+        r = grid.points
+        integral = float(np.trapezoid(4.0 * np.pi * r**2 * np.abs(v(r)) ** 2.5, r))
+        assert abs(quantum) / (integral / h**3) == pytest.approx(
+            1.0 / (15.0 * math.pi**2), rel=0.2
+        )

@@ -143,3 +143,12 @@ class TestCoulombEnergy:
         with pytest.raises(ValueError):
             coulomb_energy_D(np.linspace(0, 1, 5), np.zeros(6))
 
+
+class TestScreenedPotential:
+    def test_negative_and_vanishing_far_out(self, atom_z1):
+        # V_TF - z/r is minus the electron cloud's potential: negative, and
+        # fading to 0 by neutrality
+        w_near = float(atom_z1.v_tf(0.5)) - 1.0 / 0.5
+        w_far = float(atom_z1.v_tf(50.0)) - 1.0 / 50.0
+        assert w_near < 0 and w_far < 0
+        assert abs(w_far) < abs(w_near)
