@@ -1,7 +1,8 @@
 """Shared numerical utilities: grids, grid operators, cutoffs, fits.
 
 Everything here is deterministic and stateless, except the BLAS thread pin,
-which holds numpy's OpenBLAS at one thread for the length of a with block.
+which holds numpy's and scipy's OpenBLAS at one thread for the length of a
+with block.
 The smooth cutoff functions are built from the classic exponential
 transition exp(-1/s), which gives genuinely C-infinity profiles with
 compact support.
@@ -11,9 +12,10 @@ from __future__ import annotations
 
 import ctypes
 import glob
+import importlib.util
 import math
 import os
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -119,14 +121,19 @@ class GridOperator:
 
 
 # ---------------------------------------------------------------------------
-# worker threads for rows of small dense linear algebra
+# worker threads for independent pieces of small linear algebra
 #
-# Small eigh and matmul calls gain little from OpenBLAS's own threads.  On
-# two cores a complex Hermitian eigh of order 79 / 121 / 163 took 1.89 /
-# 4.58 / 8.76 ms per call serially with the default two BLAS threads, and
-# 0.82 / 2.17 / 4.47 ms per call from two Python threads with OpenBLAS held
-# at one thread.  Unpinned, the same two Python threads oversubscribe the
-# cores: 3.32 / 6.92 / 14.5 ms per call, slower than serial.
+# Small eigh, matmul and tridiagonal calls gain little from OpenBLAS's own
+# threads.  On two cores a complex Hermitian eigh of order 79 / 121 / 163
+# took 1.89 / 4.58 / 8.76 ms per call serially with the default two BLAS
+# threads, and 0.82 / 2.17 / 4.47 ms per call from two Python threads with
+# OpenBLAS held at one thread.  Unpinned, the same two Python threads
+# oversubscribe the cores: 3.32 / 6.92 / 14.5 ms per call, slower than
+# serial.  numpy and scipy wheels each bundle their own OpenBLAS, and both
+# are pinned: the radial channel solves (spectra) run LAPACK dstein from
+# scipy's, whose level-1 BLAS oversubscribes two cores the same way (the
+# radial sum of the Scott sweep at h = 0.05 took 3.2 s on two threads with
+# scipy's OpenBLAS unpinned, 2.0 s pinned).
 
 
 def _usable_cpus() -> int:
@@ -138,14 +145,19 @@ def _usable_cpus() -> int:
 
 
 @cache
-def _openblas_thread_calls():
-    """(set, get) thread-count entry points of numpy's bundled OpenBLAS, or None.
+def _bundled_openblas(package: str):
+    """(set, get) thread-count entry points of the OpenBLAS bundled in the
+    wheel of package (numpy or scipy), or None.
 
-    Wheels ship the library in numpy.libs beside the package, its symbols
+    Wheels ship the library in <package>.libs beside the package, its symbols
     renamed by a prefix and an ILP64 suffix, e.g.
     scipy_openblas_set_num_threads64_.
     """
-    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    spec = importlib.util.find_spec(package)
+    if spec is None or not spec.submodule_search_locations:
+        return None
+    site = os.path.dirname(list(spec.submodule_search_locations)[0])
+    libs = os.path.join(site, f"{package}.libs")
     for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
         try:
             lib = ctypes.CDLL(path)
@@ -164,29 +176,35 @@ def _openblas_thread_calls():
     return None
 
 
+def _openblas_thread_calls():
+    """(set, get) thread-count entry points of numpy's OpenBLAS, or None."""
+    return _bundled_openblas("numpy")
+
+
+def _scipy_openblas_thread_calls():
+    """(set, get) thread-count entry points of scipy's OpenBLAS, or None."""
+    return _bundled_openblas("scipy")
+
+
 def _row_workers() -> int:
-    """Threads for independent rows of small BLAS work: one per usable CPU
-    when _one_blas_thread can pin OpenBLAS, else 1."""
+    """Threads for independent pieces of small BLAS work: one per usable CPU
+    when _one_blas_thread can pin numpy's OpenBLAS, else 1."""
     return _usable_cpus() if _openblas_thread_calls() is not None else 1
 
 
 @contextmanager
 def _one_blas_thread():
-    """Hold numpy's OpenBLAS at one thread inside the block, then restore the
-    prior count, also when the block raises.  A no-op where no bundled
-    OpenBLAS is found.  The count is process-wide, so blocks entered from
-    several threads at once restore in the order they exit."""
-    calls = _openblas_thread_calls()
-    if calls is None:
+    """Hold numpy's and scipy's OpenBLAS at one thread inside the block, then
+    restore each prior count, also when the block raises.  A library that is
+    not found is left alone.  The counts are process-wide, so blocks entered
+    from several threads at once restore in the order they exit."""
+    with ExitStack() as restore:
+        for calls in (_openblas_thread_calls(), _scipy_openblas_thread_calls()):
+            if calls is not None:
+                set_n, get_n = calls
+                restore.callback(set_n, get_n())
+                set_n(1)
         yield
-        return
-    set_n, get_n = calls
-    prior = get_n()
-    set_n(1)
-    try:
-        yield
-    finally:
-        set_n(prior)
 
 
 # ---------------------------------------------------------------------------

@@ -136,19 +136,21 @@ class TestConfigRoundTrip:
 
 
 class TestValidation:
-    def test_unknown_command_exits_two(self):
+    def test_unknown_command_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+        assert "invalid choice: 'frobnicate'" in capsys.readouterr().err
 
     def test_increasing_h_sequence_exits_two(self, capsys):
         assert main(["scott", "--z", "1", "--h", "0.05,0.12"]) == 2
         assert "usage error" in capsys.readouterr().err
 
-    def test_nonnumeric_h_exits_two(self):
+    def test_nonnumeric_h_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["scott", "--z", "1", "--h", "abc"])
         assert exc.value.code == 2
+        assert "argument --h: invalid _floats value: 'abc'" in capsys.readouterr().err
 
     def test_bad_a_rule_exits_two(self, capsys):
         status = main(["coherent-check", "--h", "0.4", "--a-rule", "bogus^2"])
@@ -181,6 +183,7 @@ class TestStrictMode:
 
         strict_path = tmp_path / "lt2.csv"
         assert main(argv + ["--strict", "--out", str(strict_path)]) == 1
+        assert "warning: h range spans less than a factor 2" in capsys.readouterr().err
         # the table is still written for inspection
         assert strict_path.exists()
 

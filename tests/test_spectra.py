@@ -1,13 +1,18 @@
 """Eigenvalue-sum machinery checked against closed-form spectra."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
+from scottlab import numerics, spectra
+from scottlab.cli import main
 from scottlab.coherent import harmonic_symbol, schrodinger_operator
-from scottlab.numerics import Grid1D, GridOperator, PartitionPair
+from scottlab.numerics import Bump, Grid1D, GridOperator, PartitionPair
 from scottlab.spectra import (
+    BOUNDARY_MASS_TOL,
     BoxSizeError,
     ChannelCutoffError,
     RadialProblem,
@@ -130,6 +135,300 @@ class TestNegSumRadial:
         )
         res = neg_sum_radial(prob)
         assert res.total.value < 0.0
+
+
+def scipy_radial_reference(problem, shift=0.0, bump=None):
+    """The radial sum as one serial loop over scipy's tridiagonal solvers:
+    (coarse, fine, level-1 eigenvalues per channel, boundary mass)."""
+    ells = list(range(sentinel_channel(problem, shift) + 1))
+    h2 = problem.h**2
+    totals, spectra_fine, num, den = [0.0, 0.0], [], 0.0, 0.0
+    for ell in ells[:-1]:
+        for level in (0, 1):
+            r, step = problem.interior(level=level)
+            v = np.asarray(problem.potential(r), dtype=float)
+            diag = 2.0 * h2 / step**2 + ell * (ell + 1) * h2 / r**2 - v + shift
+            off = np.full(r.size - 1, -h2 / step**2)
+            if bump is not None:
+                phi = bump(r)
+                diag, off = phi**2 * diag, phi[:-1] * off * phi[1:]
+            window = (float(min(np.min(diag) - 2.0 * np.max(np.abs(off)), -1.0)), 0.0)
+            if level == 0:
+                w = eigvalsh_tridiagonal(diag, off, select="v", select_range=window)
+                totals[0] += (2 * ell + 1) * float(np.sum(w[w < 0]))
+                continue
+            w, vec = eigh_tridiagonal(diag, off, select="v", select_range=window)
+            w, vec = w[w < 0], vec[:, w < 0]
+            totals[1] += (2 * ell + 1) * float(np.sum(w))
+            mass = np.sum(vec[-max(2, int(0.05 * r.size)):, :] ** 2, axis=0)
+            num += (2 * ell + 1) * float(np.sum(np.abs(w) * mass))
+            den += (2 * ell + 1) * float(np.sum(np.abs(w)))
+            spectra_fine.append(w)
+    return totals[0], totals[1], spectra_fine, num / den if den else 0.0
+
+
+def harmonic_problem():
+    return RadialProblem.build(lambda r: 1.0 - r * r, h=0.1, r_max=8.0, spacing=0.0125)
+
+
+def well_with_hidden_spike():
+    # a square well whose sentinel would be ell = 5, plus a deep spike at a
+    # point of the halved grid only, so the sentinel binds at level 1
+    def potential(r):
+        r = np.asarray(r, dtype=float)
+        spike = np.abs(r - 3.0125) < 1e-9
+        return np.where(spike, 1e4, np.where(r <= 1.0, 1.0, 0.0))
+
+    return RadialProblem.build(potential, h=0.2, r_max=4.0, spacing=0.025)
+
+
+def assert_same_radial_sum(a, b):
+    assert (a.total.value, a.total.coarse, a.total.fine) == (
+        b.total.value,
+        b.total.coarse,
+        b.total.fine,
+    )
+    assert [c.ell for c in a.channels] == [c.ell for c in b.channels]
+    for ca, cb in zip(a.channels, b.channels):
+        assert np.array_equal(ca.negative_eigenvalues, cb.negative_eigenvalues)
+    assert (a.boundary_mass, a.sentinel) == (b.boundary_mass, b.sentinel)
+
+
+class TestRadialAgainstScipy:
+    """neg_sum_radial gives scipy's serial loop bit for bit."""
+
+    @pytest.mark.parametrize("case", ["harmonic", "coulomb", "bump"])
+    def test_sums_and_eigenvalues_bitwise(self, case):
+        bump = None
+        if case == "harmonic":
+            prob, shift = harmonic_problem(), 0.0
+        elif case == "coulomb":
+            prob = RadialProblem.build(
+                lambda r: 1.0 / r, h=0.2, r_max=25.0, spacing=0.025
+            )
+            shift = 1.0
+        else:  # local-trace --n 3: well under a bump whose zeros split T
+            prob = RadialProblem.build(
+                lambda r: np.where(r < 1.0, (1.0 - r * r) ** 2, 0.0),
+                h=0.2, r_max=2.5, spacing=0.025,
+            )
+            shift, bump = 0.0, Bump(center=0.0, radius=2.0, order=4)
+        coarse, fine, eigs, mass = scipy_radial_reference(prob, shift, bump)
+        res = neg_sum_radial(prob, shift=shift, bump=bump)
+        assert (res.total.coarse, res.total.fine) == (coarse, fine)
+        assert len(res.channels) == len(eigs)
+        for channel, w in zip(res.channels, eigs):
+            assert np.array_equal(channel.negative_eigenvalues, w[::-1])
+        assert res.boundary_mass == pytest.approx(mass, rel=1e-10)
+
+
+class TestTridiagonalBinding:
+    """The LAPACK binding against scipy's eigvalsh / eigh_tridiagonal."""
+
+    def coulomb_channel(self):
+        h, step, ell = 0.1, 0.0125, 1
+        r = step * np.arange(1, 1600)
+        diag = 2.0 * h * h / step**2 + ell * (ell + 1) * h * h / r**2 - 1.0 / r
+        return diag, spectra._conjugation(r, step, h * h, None)
+
+    def split_channels(self):
+        # channels 0 and 1 side by side: two stebz blocks whose eigenvalues
+        # interleave, so block order is not ascending order
+        h, step = 0.1, 0.0125
+        r = step * np.arange(1, 1600)
+        diag = np.concatenate(
+            [
+                2.0 * h * h / step**2 + ell * (ell + 1) * h * h / r**2 - 1.0 / r
+                for ell in (0, 1)
+            ]
+        )
+        off = np.full(diag.size - 1, -h * h / step**2)
+        off[r.size - 1] = 0.0
+        return diag, (None, off, 2.0 * np.max(np.abs(off)))
+
+    def bump_channel(self):
+        h, step = 0.05, 0.00625
+        r = step * np.arange(1, 400)
+        v = np.where(r < 1.0, (1.0 - r * r) ** 2, 0.0)
+        conjugation = spectra._conjugation(r, step, h * h, Bump(0.0, 2.0, 4))
+        return 2.0 * h * h / step**2 - v, conjugation
+
+    @pytest.mark.parametrize(
+        "matrix", ["coulomb_channel", "split_channels", "bump_channel"]
+    )
+    def test_matches_scipy(self, matrix):
+        raw, conjugation = getattr(self, matrix)()
+        phi2, off, spread = conjugation
+        diag = raw
+        if phi2 is not None:
+            diag = phi2 * raw
+            assert np.count_nonzero(off == 0.0) > 1  # several stebz blocks
+        lower = float(min(np.min(diag) - spread, -1.0))
+        tail = 40
+
+        w = eigvalsh_tridiagonal(diag, off, select="v", select_range=(lower, 0.0))
+        plain = spectra._negative_solve(raw, conjugation).finish()
+        assert plain.eigenvalues.size > 3
+        assert np.array_equal(plain.eigenvalues, w[w < 0])
+        assert plain.tail_masses is None
+
+        w, vec = eigh_tridiagonal(diag, off, select="v", select_range=(lower, 0.0))
+        guarded = spectra._negative_solve(raw, conjugation, tail).finish()
+        assert np.array_equal(guarded.eigenvalues, w[w < 0])
+        np.testing.assert_allclose(
+            guarded.tail_masses,
+            np.sum(vec[-tail:, w < 0] ** 2, axis=0),
+            rtol=0.0,
+            atol=1e-12,
+        )
+
+    def test_capsule_signatures_are_checked(self, monkeypatch):
+        ilp64 = "void (char *, char *, int64_t *, double *)"
+        assert spectra._parameter_kinds(ilp64) == "cc?d"
+        for name in ("dstebz", "dstein"):
+            spectra._lapack(name)  # the installed scipy passes the check
+        monkeypatch.setitem(spectra._PARAMETERS, "dstein", "iddidiididii?")
+        with pytest.raises(RuntimeError, match="LP64"):
+            spectra._lapack.__wrapped__("dstein")
+
+    def test_non_finite_entries_rejected(self):
+        diag, conjugation = self.coulomb_channel()
+        diag[7] = np.nan
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            spectra._negative_solve(diag, conjugation)
+
+
+def lapack_reporting(name, info):
+    """A _lapack whose routine name runs and then reports info."""
+    real = spectra._lapack
+
+    def lookup(routine):
+        call = real(routine)
+        if routine != name:
+            return call
+
+        def reporting(*args):
+            call(*args)
+            args[-1]._obj.value = info
+
+        return reporting
+
+    return lookup
+
+
+class TestLapackFailures:
+    @pytest.mark.parametrize(
+        "name, info, message",
+        [
+            ("dstebz", 1, "dstebz failed with info = 1"),
+            ("dstein", 2, "2 eigenvectors failed to converge"),
+            ("dstein", -4, "dstein failed with info = -4"),
+        ],
+    )
+    def test_info_raises(self, monkeypatch, name, info, message):
+        monkeypatch.setattr(spectra, "_lapack", lapack_reporting(name, info))
+        with pytest.raises(RuntimeError, match=message):
+            neg_sum_radial(harmonic_problem())
+
+    def test_unconverged_vectors_fail_the_cli(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(spectra, "_lapack", lapack_reporting("dstein", 1))
+        argv = ["local-trace", "--n", "3", "--h", "0.4,0.3"]
+        assert main(argv + ["--out", str(tmp_path / "lt.csv")]) == 1
+        assert "1 eigenvectors failed to converge" in capsys.readouterr().err
+        assert not (tmp_path / "lt.csv").exists()
+
+
+class TestRadialWorkers:
+    def test_same_bits_for_any_worker_count(self, monkeypatch):
+        results = []
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            for cpus in (1, 2, 8):
+                monkeypatch.setattr(numerics, "_usable_cpus", lambda: cpus)
+                results.append(neg_sum_radial(harmonic_problem()))
+        finally:
+            sys.setswitchinterval(interval)
+        for other in results[1:]:
+            assert_same_radial_sum(results[0], other)
+
+    def test_same_bits_without_the_blas_pins(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_usable_cpus", lambda: 2)
+        pinned = neg_sum_radial(harmonic_problem())
+        monkeypatch.setattr(numerics, "_openblas_thread_calls", lambda: None)
+        monkeypatch.setattr(numerics, "_scipy_openblas_thread_calls", lambda: None)
+        assert numerics._row_workers() == 1
+        assert_same_radial_sum(pinned, neg_sum_radial(harmonic_problem()))
+
+    def test_blas_threads_restored_after_normal_and_raising_calls(self, monkeypatch):
+        pins = [
+            calls
+            for calls in (
+                numerics._openblas_thread_calls(),
+                numerics._scipy_openblas_thread_calls(),
+            )
+            if calls is not None
+        ]
+        if not pins:
+            pytest.skip("no bundled OpenBLAS to pin")
+        monkeypatch.setattr(numerics, "_usable_cpus", lambda: 2)
+        priors = [get_threads() for _, get_threads in pins]
+        small_box = RadialProblem.build(
+            square_well(0.2), h=0.2, r_max=4.0, spacing=0.025
+        )
+        try:
+            for set_threads, _ in pins:
+                set_threads(2)
+            neg_sum_radial(harmonic_problem())
+            assert [get_threads() for _, get_threads in pins] == [2] * len(pins)
+            with pytest.raises(ChannelCutoffError, match="sentinel channel"):
+                neg_sum_radial(well_with_hidden_spike())
+            assert [get_threads() for _, get_threads in pins] == [2] * len(pins)
+            with pytest.raises(BoxSizeError):
+                neg_sum_radial(small_box)
+            assert [get_threads() for _, get_threads in pins] == [2] * len(pins)
+            monkeypatch.setattr(spectra, "_lapack", lapack_reporting("dstein", 1))
+            with pytest.raises(RuntimeError, match="failed to converge"):
+                neg_sum_radial(harmonic_problem())
+            assert [get_threads() for _, get_threads in pins] == [2] * len(pins)
+        finally:
+            for (set_threads, _), prior in zip(pins, priors):
+                set_threads(prior)
+
+
+class TestRadialDiagnostics:
+    def test_sentinel_is_the_solved_empty_channel(self):
+        prob = harmonic_problem()
+        res = neg_sum_radial(prob)
+        assert res.sentinel == sentinel_channel(prob) == len(res.channels)
+        explicit = RadialProblem.build(
+            lambda r: 1.0 - r * r, h=0.1, r_max=8.0, spacing=0.0125,
+            channels=tuple(range(8)),
+        )
+        res = neg_sum_radial(explicit)
+        assert res.sentinel == 7
+        assert len(res.channels) == 7
+
+    def test_boundary_mass_below_the_guard_and_growing_as_the_box_shrinks(self):
+        masses = []
+        for r_max in (40.0, 20.0):
+            prob = RadialProblem.build(
+                square_well(0.2), h=0.2, r_max=r_max, spacing=0.025
+            )
+            masses.append(neg_sum_radial(prob).boundary_mass)
+        assert 0.0 < masses[0] < masses[1] <= BOUNDARY_MASS_TOL
+
+    def test_nothing_binds_gives_zero_mass(self):
+        prob = RadialProblem.build(
+            lambda r: -1.0 + 0.0 * r, h=0.2, r_max=4.0, spacing=0.025
+        )
+        res = neg_sum_radial(prob)
+        assert (res.channels, res.sentinel, res.boundary_mass) == ((), 0, 0.0)
+        assert res.total.value == 0.0
+
+    def test_spike_in_the_sentinel_channel_is_caught(self):
+        with pytest.raises(ChannelCutoffError, match="ell = 5 holds 1 negative"):
+            neg_sum_radial(well_with_hidden_spike())
 
 
 class TestSentinel:
