@@ -122,6 +122,7 @@ class RunConfig:
             )
         if self.command == "coherent-check":
             a_rule = _parse_a_rule(self.parameters["a_rule"])
+            half = self.parameters["half_width"]
             for h in hs:
                 try:
                     a = a_rule(h)
@@ -131,6 +132,25 @@ class RunConfig:
                     raise UsageError(
                         f"a-rule gives a outside (0, 1/h) at h = {h:g}"
                     )
+                p = coherent.CoherentParams(h=h, a=a)
+                try:
+                    dx, n, _, r_n = _coherent_grids(p, half)
+                except (OverflowError, ZeroDivisionError) as exc:
+                    raise UsageError(
+                        f"half-width {half:g} at h = {h:g} gives more grid "
+                        "points than a float counts"
+                    ) from exc
+                if min(n, r_n) < 8:
+                    raise UsageError(
+                        f"half-width {half:g} gives a {min(n, r_n)}-point grid "
+                        f"at h = {h:g}; a grid needs at least 8 points"
+                    )
+                try:
+                    coherent._core_window(p, n, dx)
+                except ValueError as exc:
+                    raise UsageError(
+                        f"grid at h = {h:g}, a = {a:.6g}, half-width {half:g}: {exc}"
+                    ) from exc
 
     def to_header_line(self) -> str:
         doc = {
@@ -306,6 +326,7 @@ def _pipeline_scott(params: dict[str, Any]):
     ]
     meta = {
         "scott_coefficient": experiment.scott_coefficient,
+        **experiment.fit_spread(),
         "fit": _fit_summary(experiment.fit),
         "recorded_warnings": list(experiment.warnings),
     }
@@ -340,6 +361,19 @@ def _pipeline_local_trace(params: dict[str, Any]):
     return columns, rows, meta
 
 
+def _coherent_grids(p, half: float) -> tuple[float, int, float, int]:
+    """Spacing, representation grid points on [-half, half], and the half
+    width and points of the resolution grid at coherent parameters p.
+
+    The identity check wants its test vector to decay below the quadrature
+    floor before the grid ends, so its grid is at least [-7, 7].
+    """
+    dx = min(p.h, 1.0 / math.sqrt(p.b)) / 6.0
+    r_half = max(half, 7.0)
+    n, r_n = (int(round(2.0 * w / dx)) + 1 for w in (half, r_half))
+    return dx, n, r_half, r_n
+
+
 def _pipeline_coherent_check(params: dict[str, Any]):
     a_rule = _parse_a_rule(params["a_rule"])
     half = params["half_width"]
@@ -349,7 +383,7 @@ def _pipeline_coherent_check(params: dict[str, Any]):
         "weight_dev", "resolution_dev", "cancellation", "representation_err",
         "err_over_h2b",
     ]
-    rows = []
+    rows, sizes = [], []
     for h in params["h_values"]:
         p = coherent.CoherentParams(h=h, a=a_rule(h))
         # weight normalization over +-9 Gaussian widths
@@ -361,13 +395,8 @@ def _pipeline_coherent_check(params: dict[str, Any]):
         step = t[1] - t[0]
         weight_dev = float(np.sum(w_vals) * step * step - 1.0)
 
-        dx = min(h, 1.0 / math.sqrt(p.b)) / 6.0
-        n_pts = int(round(2.0 * half / dx)) + 1
+        _, n_pts, r_half, r_n = _coherent_grids(p, half)
         grid = numerics.Grid1D.uniform(-half, half, n_pts)
-        # the identity check wants the test vector to decay below the
-        # quadrature floor before the grid ends, so it gets a wider box
-        r_half = max(half, 7.0)
-        r_n = int(round(2.0 * r_half / dx)) + 1
         r_grid = numerics.Grid1D.uniform(-r_half, r_half, r_n)
         psi = np.exp(-r_grid.points**2 / 2.0)
         psi /= math.sqrt(float(np.sum(psi**2) * r_grid.spacing))
@@ -380,7 +409,17 @@ def _pipeline_coherent_check(params: dict[str, Any]):
             h, p.a, p.b, weight_dev, resolution, cancel, rep,
             rep / (h * h * p.b),
         ])
-    return columns, rows, {"symbol": "q^2 + u^2", "grid_half_width": half}
+        res_us, res_qs = coherent._resolution_nodes(p, r_grid)
+        sizes.append({
+            "h": h,
+            "representation_grid_points": grid.size,
+            "representation_u_nodes": coherent._representation_u_nodes(p, grid).size,
+            "resolution_grid_points": r_grid.size,
+            "resolution_u_nodes": res_us.size,
+            "resolution_q_nodes": res_qs.size,
+        })
+    meta = {"symbol": "q^2 + u^2", "grid_half_width": half, "problem_sizes": sizes}
+    return columns, rows, meta
 
 
 _PIPELINES = {

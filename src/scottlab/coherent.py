@@ -25,6 +25,16 @@ Hankel factor in x + y: A_u[i, j] = T[i-j] M_u[i+j], with
 T = (pi h)^{-1/2} dx exp(-(x_i - x_j)^2/(4 h^2 a)) built once per grid and
 M_u[s] = exp(-a(x_0 + s dx/2 - u)^2) for s = 0..2n-2.  Every kernel here
 takes A_u and T from that one template.
+
+The u sums of both identities integrate M_u[x+y] M_u[y'+z]
+= exp(-a(m1-m2)^2/2) exp(-2a(u-(m1+m2)/2)^2), an exact Gaussian in u of
+variance 1/(4a), whatever kernel sits between the two factors.  The
+trapezoid rule with step du aliases such a Gaussian by at most
+2 exp(-pi^2/(2a du^2)) relative (Trefethen & Weideman, The exponentially
+convergent trapezoidal rule, SIAM Review 56, 2014), so the u step
+du = 0.365/sqrt(a) of _u_step puts the bound at 2 exp(-37) = 1.6e-16, the
+roundoff floor.  The q sum of the resolution check is a Dirichlet kernel,
+not a Gaussian, and keeps the step min(h, 1/sqrt(a))/6 of _phase_rule.
 """
 
 from __future__ import annotations
@@ -243,16 +253,43 @@ def _u_summed_square(
     x, dx, n = grid.points, grid.spacing, grid.size
     centres = x[0] + 0.25 * dx * np.arange(4 * n - 3)
     u_sum = du * sum(np.exp(-2.0 * p.a * (centres - u) ** 2) for u in us)
-    # hankel[k, l] = U[k + l], so rows 2j..2j+n-1 hold U[i + 2j + l]
-    hankel = np.lib.stride_tricks.sliding_window_view(u_sum, n)
-    acc = np.zeros((n, n))
-    for j in range(n):
-        acc += np.outer(t[:, j], t[j]) * hankel[2 * j : 2 * j + n]
+    # zero-copy view u3[i, j, l] = U[i + 2j + l]
+    stride = u_sum.strides[0]
+    u3 = np.lib.stride_tricks.as_strided(
+        u_sum, shape=(n, n, n), strides=(stride, 2 * stride, stride), writeable=False
+    )
+    acc = np.einsum("ij,jl,ijl->il", t, t, u3, optimize=False)
     return toeplitz(np.exp(-p.a * (dx * np.arange(n)) ** 2 / 8.0)) * acc
 
 
+def _u_step(p: CoherentParams) -> float:
+    """u step of both identities: 0.365/sqrt(a), where the trapezoid aliasing
+    bound 2 exp(-pi^2/(2a du^2)) of their Gaussian u-integrand is 1.6e-16."""
+    return 0.365 / math.sqrt(p.a)
+
+
 def _phase_rule(p: CoherentParams) -> float:
+    """q step of the resolution check; twice it is the trial density's node step."""
     return min(p.h, 1.0 / math.sqrt(p.a)) / 6.0
+
+
+def _resolution_nodes(
+    p: CoherentParams,
+    grid: Grid1D,
+    u_count: int | None = None,
+    q_count: int | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """u- and q-nodes of resolution_of_identity_check; a count left None
+    follows _u_step or _phase_rule."""
+    sigma = 1.0 / math.sqrt(2.0 * p.a)
+    x, dx = grid.points, grid.spacing
+    u_lo, u_hi = x[0] - 7.0 * sigma, x[-1] + 7.0 * sigma
+    if u_count is None:
+        u_count = int(math.ceil((u_hi - u_lo) / _u_step(p))) + 1
+    q_half = math.pi * p.h / dx + 7.0 * sigma
+    if q_count is None:
+        q_count = 2 * int(math.ceil(q_half / _phase_rule(p))) + 1
+    return np.linspace(u_lo, u_hi, u_count), np.linspace(-q_half, q_half, q_count)
 
 
 def resolution_of_identity_check(
@@ -269,9 +306,14 @@ def resolution_of_identity_check(
     in the difference variable, which is identical to summing nodes
     explicitly.  The u sum is done first: the exponent identity in
     _u_summed_square gives M = sum_u du A_u A_u over the same u-nodes in one
-    O(n^3) pass, so the check is (M o S) psi.  Under-resolved
-    quadrature (fewer than 8 nodes per axis) raises a Python warning and
-    still returns the measured deviation.
+    O(n^3) pass, so the check is (M o S) psi.  By default the u-nodes span
+    the grid plus seven widths 1/sqrt(2a) per side at step at most
+    0.365/sqrt(a), where the trapezoid aliasing bound 2 exp(-pi^2/(2a du^2))
+    of the Gaussian u-integrand is 1.6e-16 (Trefethen & Weideman, SIAM
+    Review 56, 2014); the q-nodes span the lattice momenta plus seven widths
+    at step at most min(h, 1/sqrt(a))/6.  Under-resolved quadrature (fewer
+    than 8 nodes per axis) raises a Python warning and still returns the
+    measured deviation.
     """
     if p.n != 1:
         raise ValueError("grid realization is one-dimensional")
@@ -282,25 +324,16 @@ def resolution_of_identity_check(
     if norm == 0.0:
         return 0.0
 
-    sigma = 1.0 / math.sqrt(2.0 * p.a)
-    step = _phase_rule(p)
-    x, dx = grid.points, grid.spacing
-    u_lo, u_hi = x[0] - 7.0 * sigma, x[-1] + 7.0 * sigma
-    if u_count is None:
-        u_count = int(math.ceil((u_hi - u_lo) / step)) + 1
-    q_half = math.pi * p.h / dx + 7.0 * sigma
-    if q_count is None:
-        q_count = 2 * int(math.ceil(q_half / step)) + 1
-    if u_count < 8 or q_count < 8:
+    us, qs = _resolution_nodes(p, grid, u_count, q_count)
+    if us.size < 8 or qs.size < 8:
         _warnmod.warn(
             "phase-space quadrature under-resolved "
-            f"({u_count} x {q_count} nodes)",
+            f"({us.size} x {qs.size} nodes)",
             stacklevel=2,
         )
-    us = np.linspace(u_lo, u_hi, u_count)
     du = us[1] - us[0]
-    qs = np.linspace(-q_half, q_half, q_count)
     dq = qs[1] - qs[0]
+    dx = grid.spacing
 
     # Dirichlet kernel of the q sum on the difference lattice
     diffs = dx * np.arange(-(grid.size - 1), grid.size)
@@ -335,6 +368,35 @@ def operator_symbol(
     )
 
 
+def _representation_u_nodes(p: CoherentParams, grid: Grid1D) -> np.ndarray:
+    """u-nodes of representation_error_norm: the grid range plus seven widths
+    1/sqrt(2a) per side, at step _u_step(p)."""
+    sigma = 1.0 / math.sqrt(2.0 * p.a)
+    x, du = grid.points, _u_step(p)
+    return np.arange(x[0] - 7.0 * sigma, x[-1] + 7.0 * sigma + du, du)
+
+
+def _core_window(p: CoherentParams, n: int, dx: float) -> tuple[int, float]:
+    """Edge margin in points and momentum cut of the core on which
+    representation_error_norm measures (rules on that function); ValueError
+    when an n-point grid of spacing dx leaves no core."""
+    reach = 6.0 * p.h * math.sqrt(p.a)
+    margin = max(int(round(0.1 * n)), int(math.ceil(reach / dx)), 1)
+    if 2 * margin >= n:
+        raise ValueError(
+            "grid too short for the edge margin; extend it past "
+            f"{reach:.3g} on each side of the region of interest"
+        )
+    smear = 0.5 * math.sqrt(p.h * p.h * p.a + 1.0 / p.a)
+    q_cut = math.pi * p.h / dx - 8.0 * smear
+    if q_cut <= 0:
+        raise ValueError(
+            "grid spacing too coarse to leave a band below the momentum "
+            "boundary; refine the grid"
+        )
+    return margin, q_cut
+
+
 def representation_error_norm(
     sym: ClassicalSymbol, p: CoherentParams, grid: Grid1D
 ) -> float:
@@ -342,7 +404,11 @@ def representation_error_norm(
 
     q runs over the grid's conjugate lattice, so for each u the three q sums
     (weights 1, F + F''/4b, F') are exact circulant kernels; u is a plain
-    trapezoid over the grid range plus seven Gaussian widths.  The F term
+    trapezoid over the grid range plus seven Gaussian widths 1/sqrt(2a), at
+    step 0.365/sqrt(a).  Each u-integrand is a Gaussian of variance 1/(4a)
+    times the symbol's smooth u-dependence, and the trapezoid aliasing bound
+    2 exp(-pi^2/(2a du^2)) of that Gaussian is 1.6e-16 at this step
+    (Trefethen & Weideman, SIAM Review 56, 2014).  The F term
     needs only sum_u du A_u A_u, which _u_summed_square gives with the u sum
     done first.  The F' term needs sum_u du A_u P A_u for the spectral
     momentum P = i S_P + (q_N/n) s s^T, where S_P is the real antisymmetric
@@ -370,6 +436,7 @@ def representation_error_norm(
             "representation measurement may be polluted",
             stacklevel=2,
         )
+    margin, q_cut = _core_window(p, n, dx)
 
     target = schrodinger_operator(sym, grid, p.h).matrix
 
@@ -378,9 +445,8 @@ def representation_error_norm(
     s_f = fourier_multiplier_matrix(_symbol_half(sym.F, sym.d2F, qs, p.b), n) / dx
     s_df = fourier_multiplier_matrix(np.asarray(sym.dF(qs), dtype=float), n) / dx
 
-    sigma = 1.0 / math.sqrt(2.0 * p.a)
-    du = _phase_rule(p)
-    us = np.arange(x[0] - 7.0 * sigma, x[-1] + 7.0 * sigma + du, du)
+    du = _u_step(p)
+    us = _representation_u_nodes(p, grid)
 
     # P = i S_P + (q_N/n) s s^T, the Nyquist term on even grids only
     s_p = fourier_multiplier_matrix(qs, n).imag
@@ -409,25 +475,11 @@ def representation_error_norm(
         + apa * s_df
     )
 
-    reach = 6.0 * p.h * math.sqrt(p.a)
-    margin = max(int(round(0.1 * n)), int(math.ceil(reach / dx)), 1)
-    if 2 * margin >= n:
-        raise ValueError(
-            "grid too short for the edge margin; extend it past "
-            f"{reach:.3g} on each side of the region of interest"
-        )
     window = slice(margin, n - margin)
     diff = assembled - target
     diff = 0.5 * (diff + diff.conj().T)
     core = diff[window, window]
 
-    smear = 0.5 * math.sqrt(p.h * p.h * p.a + 1.0 / p.a)
-    q_cut = math.pi * p.h / dx - 8.0 * smear
-    if q_cut <= 0:
-        raise ValueError(
-            "grid spacing too coarse to leave a band below the momentum "
-            "boundary; refine the grid"
-        )
     m = core.shape[0]
     q_core = 2.0 * math.pi * p.h * np.fft.fftfreq(m, d=dx)
     keep = np.abs(q_core) <= q_cut

@@ -105,6 +105,13 @@ def scott_term(charges: Sequence[float], h: float) -> float:
     return sum(float(z) ** 2 for z in charges) / (8.0 * h * h)
 
 
+_FIT_SPREAD_KEYS = (
+    "scott_leave_one_out",
+    "scott_constant_shift",
+    "h_inverse_leave_one_out",
+)
+
+
 @dataclass(frozen=True)
 class ScottExperiment:
     """One h sweep of quantum-minus-Weyl on the TF potential, with its fit."""
@@ -125,6 +132,35 @@ class ScottExperiment:
     def scott_coefficient(self) -> float:
         """Fitted h^-2 coefficient; z^2/8 is the target."""
         return self.fit.coefficient(-2.0)
+
+    def fit_spread(self) -> dict:
+        """How far the choice of samples and of model moves the fit.
+
+        scott_leave_one_out and h_inverse_leave_one_out are the [min, max] of
+        the h^-2 and h^-1 coefficients over the fits that each drop one h;
+        scott_constant_shift is the change of the h^-2 coefficient when an
+        h^0 column joins the fit.  Each is None with fewer than three h
+        values.  The sub-fits' own warnings are dropped: leaving out an end
+        of the sweep may narrow its range below the factor 2 that the full
+        fit is judged by.
+        """
+        hs = self.h_values
+        if len(hs) < 3:
+            return dict.fromkeys(_FIT_SPREAD_KEYS)
+        ys = tuple(row.quantum_sum - row.weyl_sum for row in self.results)
+        exponents = self.fit.exponents
+        loo = [
+            fit_power_series(hs[:k] + hs[k + 1 :], ys[:k] + ys[k + 1 :], exponents)
+            for k in range(len(hs))
+        ]
+        with_constant = fit_power_series(hs, ys, (*exponents, 0.0))
+
+        def span(exponent):
+            values = [fit.coefficient(exponent) for fit in loo]
+            return [min(values), max(values)]
+
+        shift = with_constant.coefficient(-2.0) - self.scott_coefficient
+        return dict(zip(_FIT_SPREAD_KEYS, (span(-2.0), shift, span(-1.0))))
 
     @property
     def warnings(self) -> tuple:

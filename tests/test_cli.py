@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scottlab import scott
 from scottlab.cli import (
     _NUMBERS,
     CONFIG_PREFIX,
@@ -192,6 +193,23 @@ class TestStrictMode:
         assert main(argv + ["--out", str(tmp_path / "h.csv")]) == 0
 
 
+class TestScottCommand:
+    def test_fit_spread_in_metadata_without_sub_fit_warnings(
+        self, tmp_path, monkeypatch, scott_z1
+    ):
+        # the acceptance sweep from the shared fixture; the fit that leaves
+        # out h = 0.05 spans only 0.12/0.07 < 2, and its warning must not
+        # reach the run's warnings or --strict
+        monkeypatch.setattr(scott, "scott_experiment_tf", lambda *a, **k: scott_z1)
+        argv = ["scott", "--z", "1", "--h", "0.12,0.09,0.07,0.05", "--strict"]
+        status, _ = run_to_file(argv, tmp_path / "s.csv")
+        assert status == 0
+        sidecar = json.loads((tmp_path / "s.csv.meta.json").read_text())
+        assert sidecar["warnings"] == []
+        spread = scott_z1.fit_spread()
+        assert {key: sidecar["meta"][key] for key in spread} == spread
+
+
 class TestTfAtomCommand:
     def test_tables_and_metadata(self, tmp_path):
         path = tmp_path / "tf.csv"
@@ -225,6 +243,16 @@ class TestCoherentCheckCommand:
         assert row["err_over_h2b"] == pytest.approx(
             1.0 + (row["h"] * row["a"]) ** 2, rel=0.05
         )
+        # the problem sizes are deterministic counts of the h = 0.4 rule
+        meta = json.loads((tmp_path / "cc.csv.meta.json").read_text())["meta"]
+        assert meta["problem_sizes"] == [{
+            "h": 0.4,
+            "representation_grid_points": 121,
+            "representation_u_nodes": 60,
+            "resolution_grid_points": 211,
+            "resolution_u_nodes": 84,
+            "resolution_q_nodes": 671,
+        }]
 
 
 # numbers for the input-boundary properties: an in-domain band kept small
@@ -294,8 +322,10 @@ class TestInputBoundary:
     @settings(max_examples=40, deadline=None)
     @given(h=st.one_of(st.floats(0.05, 0.95), st.floats(1.0, 10.0), OUT_OF_DOMAIN))
     def test_coherent_check_domain(self, h):
-        # the default rule a = h^-0.8 lies below 1/h exactly when h < 1
-        params = {**BASE["coherent-check"], "h_values": (h,)}
+        # the default rule a = h^-0.8 lies below 1/h exactly when h < 1; a
+        # half-width of 8 leaves every such h a core window past the edge
+        # margin 6 h sqrt(a), where the default 4 leaves none above h ~ 0.51
+        params = {**BASE["coherent-check"], "h_values": (h,), "half_width": 8.0}
         if positive(h) and h < 1.0:
             RunConfig(command="coherent-check", parameters=params)
         else:
@@ -342,6 +372,29 @@ class TestInputBoundary:
         assert status == 2
         assert out == ""
         assert "usage error" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--h", "0.4", "--half-width", "0.1"],
+             "half-width 0.1 gives a 4-point grid at h = 0.4; "
+             "a grid needs at least 8 points"),
+            (["--h", "0.99"],
+             "grid at h = 0.99, a = 1.00807, half-width 4: grid too short "
+             "for the edge margin"),
+            (["--h", "0.5", "--a-rule", "0.01"],
+             "grid at h = 0.5, a = 0.01, half-width 4: grid spacing too coarse"),
+            (["--h", "0.3", "--half-width", "1e308"],
+             "half-width 1e+308 at h = 0.3 gives more grid points than a float"),
+        ],
+    )
+    def test_coherent_check_grid_errors_exit_two(self, argv, message):
+        # the grid each h gets follows from the input alone, so a grid that
+        # the pipeline cannot build is a domain error
+        status, out, err = run_captured(["coherent-check", *argv])
+        assert status == 2
+        assert out == ""
+        assert f"scottlab: usage error: {message}" in err
 
     @pytest.mark.parametrize(
         "command, parameters, key, bad",

@@ -27,7 +27,8 @@ from scottlab.coherent import (
     weight_w,
 )
 from scottlab import numerics
-from scottlab.coherent import _gaussian_factor, _phase_rule, _trial_nodes
+from scottlab import coherent
+from scottlab.coherent import _gaussian_factor, _phase_rule, _trial_nodes, _u_step
 from scottlab.numerics import Grid1D, GridOperator
 
 
@@ -468,14 +469,13 @@ def kernel_factor(p, x, dx, u):
 
 def per_node_resolution(p, psi, grid, u_count=None, q_count=None):
     sigma = 1.0 / math.sqrt(2.0 * p.a)
-    step = _phase_rule(p)
     x, dx = grid.points, grid.spacing
     u_lo, u_hi = x[0] - 7.0 * sigma, x[-1] + 7.0 * sigma
     if u_count is None:
-        u_count = int(math.ceil((u_hi - u_lo) / step)) + 1
+        u_count = int(math.ceil((u_hi - u_lo) / _u_step(p))) + 1
     q_half = math.pi * p.h / dx + 7.0 * sigma
     if q_count is None:
-        q_count = 2 * int(math.ceil(q_half / step)) + 1
+        q_count = 2 * int(math.ceil(q_half / _phase_rule(p))) + 1
     us = np.linspace(u_lo, u_hi, u_count)
     du = us[1] - us[0]
     qs = np.linspace(-q_half, q_half, q_count)
@@ -506,7 +506,7 @@ def per_node_representation(sym, p, grid):
     s_f = (np.fft.ifft(w_f) / dx)[wrap]
     s_df = (np.fft.ifft(w_df) / dx)[wrap]
     sigma = 1.0 / math.sqrt(2.0 * p.a)
-    du = _phase_rule(p)
+    du = _u_step(p)
     us = np.arange(x[0] - 7.0 * sigma, x[-1] + 7.0 * sigma + du, du)
     assembled = np.zeros((n, n), dtype=complex)
     for u in us:
@@ -573,3 +573,62 @@ class TestAgainstPerNodeLoops:
         fast = representation_error_norm(symbol(), self.p, grid)
         slow = per_node_representation(symbol(), self.p, grid)
         assert fast == pytest.approx(slow, rel=1e-11)
+
+
+def old_u_step(p):
+    """The u step both identities used before _u_step: min(h, 1/sqrt(a))/6."""
+    return min(p.h, 1.0 / math.sqrt(p.a)) / 6.0
+
+
+class TestUStep:
+    """The u sums at the Gaussian aliasing step.
+
+    Both u-integrands are Gaussians of variance 1/(4a), on which the
+    trapezoid rule aliases by at most 2 exp(-pi^2/(2a du^2)).  The old step
+    min(h, 1/sqrt(a))/6 put that below e^-177; the new one puts it at the
+    roundoff floor, so the measured figures may move only at roundoff scale.
+    """
+
+    @pytest.mark.parametrize("h", [0.6, 0.4, 0.25, 0.2, 0.1, 0.05])
+    @pytest.mark.parametrize("rule", [-0.8, -0.6])
+    def test_aliasing_bound_at_roundoff(self, h, rule):
+        p = CoherentParams(h=h, a=h**rule)
+        du = _u_step(p)
+        assert 2.0 * math.exp(-math.pi**2 / (2.0 * p.a * du * du)) <= 2e-16
+        # the step only ever coarsens the old rule's nodes
+        assert du > old_u_step(p)
+
+    @pytest.mark.parametrize("h", [0.4, 0.25, 0.2])
+    @pytest.mark.parametrize("symbol", [harmonic_symbol, sin_symbol])
+    def test_representation_converged_against_old_step(self, monkeypatch, h, symbol):
+        p = CoherentParams(h=h, a=h**-0.8)
+        grid = working_grid(p, 4.0)
+        new = representation_error_norm(symbol(), p, grid)
+        monkeypatch.setattr(coherent, "_u_step", old_u_step)
+        old = representation_error_norm(symbol(), p, grid)
+        assert new == pytest.approx(old, rel=1e-10)
+
+    @pytest.mark.parametrize("h", [0.4, 0.25, 0.2])
+    def test_resolution_converged_against_old_step(self, monkeypatch, h):
+        p = CoherentParams(h=h, a=h**-0.8)
+        grid = working_grid(p, 7.0)
+        psi = np.exp(-grid.points**2 / 2.0)
+        new = resolution_of_identity_check(p, psi, grid)
+        monkeypatch.setattr(coherent, "_u_step", old_u_step)
+        old = resolution_of_identity_check(p, psi, grid)
+        assert abs(new - old) <= 1e-16
+
+    @pytest.mark.parametrize("h", [0.6, 0.5, 0.2, 0.1])
+    def test_trial_density_keeps_its_node_step(self, h):
+        # criterion 8's grid rule; the trial density's integrand has rank
+        # jumps, not a Gaussian u-dependence, so its step stays
+        p = CoherentParams(h=h, a=h**-0.8)
+        spread = 1.0 / math.sqrt(2.0 * p.a)
+        q_half = 1.0 + 10.0 / math.sqrt(p.a)
+        half = 1.5 + 7.0 * spread + 0.5
+        dx = math.pi * p.h / (q_half + 5.0 * spread)
+        grid = Grid1D.uniform(-half, half, 2 * int(math.ceil(half / dx)) + 1)
+        us, qs, step = _trial_nodes(harmonic_symbol(offset=-1.0), p, grid, 1.5)
+        assert step == min(h, 1.0 / math.sqrt(p.a)) / 3.0
+        assert us[1] - us[0] == pytest.approx(step, rel=1e-12)
+        assert qs[1] - qs[0] == pytest.approx(step, rel=1e-12)

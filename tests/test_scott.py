@@ -6,12 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scottlab.numerics import fit_power_series
 from scottlab.scott import (
+    ScottExperiment,
     hydrogen_exact_sum,
     hydrogen_expansion_check,
     scott_experiment_tf,
     scott_term,
 )
+from scottlab.spectra import TraceResult
 
 
 class TestHydrogenSum:
@@ -114,6 +117,40 @@ class TestScottExperiment:
             assert model == pytest.approx(
                 row.quantum_sum - row.weyl_sum, rel=5e-3
             )
+
+    def test_fit_spread_of_the_acceptance_sweep(self, scott_z1):
+        spread = scott_z1.fit_spread()
+        lo, hi = spread["scott_leave_one_out"]
+        assert lo < scott_z1.scott_coefficient < hi
+        assert [lo, hi] == pytest.approx([0.124979, 0.125147], abs=1e-6)
+        with_constant = scott_z1.scott_coefficient + spread["scott_constant_shift"]
+        assert with_constant == pytest.approx(0.124785, abs=1e-6)
+        lo, hi = spread["h_inverse_leave_one_out"]
+        assert lo <= scott_z1.fit.coefficient(-1.0) <= hi
+
+    def test_fit_spread_vanishes_on_an_exact_model(self):
+        hs = (0.12, 0.09, 0.07, 0.05)
+        rows = [
+            TraceResult(h=h, quantum_sum=0.125 / h**2 - 0.02 / h, weyl_sum=0.0,
+                        scott_term=0.0)
+            for h in hs
+        ]
+
+        def experiment(k):
+            ys = [row.quantum_sum for row in rows[:k]]
+            fit = fit_power_series(hs[:k], ys, (-2.0, -1.0))
+            return ScottExperiment(z=1.0, h_values=hs[:k], results=rows[:k], fit=fit)
+
+        spread = experiment(4).fit_spread()
+        assert spread["scott_leave_one_out"] == pytest.approx([0.125] * 2, rel=1e-10)
+        assert spread["h_inverse_leave_one_out"] == pytest.approx([-0.02] * 2, rel=1e-8)
+        assert abs(spread["scott_constant_shift"]) < 1e-10
+        # two h values leave no fit to drop one from
+        assert experiment(2).fit_spread() == {
+            "scott_leave_one_out": None,
+            "scott_constant_shift": None,
+            "h_inverse_leave_one_out": None,
+        }
 
     def test_rejects_bad_arguments(self, atom_z1):
         with pytest.raises(ValueError, match="strictly decreasing"):
