@@ -327,6 +327,7 @@ def _pipeline_scott(params: dict[str, Any]):
     meta = {
         "scott_coefficient": experiment.scott_coefficient,
         **experiment.fit_spread(),
+        "per_h": list(experiment.per_h),
         "fit": _fit_summary(experiment.fit),
         "recorded_warnings": list(experiment.warnings),
     }

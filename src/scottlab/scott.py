@@ -114,12 +114,17 @@ _FIT_SPREAD_KEYS = (
 
 @dataclass(frozen=True)
 class ScottExperiment:
-    """One h sweep of quantum-minus-Weyl on the TF potential, with its fit."""
+    """One h sweep of quantum-minus-Weyl on the TF potential, with its fit.
+
+    per_h holds, for each h, the radial sum's diagnostics: grid_points,
+    negative_eigenvalues, sentinel, boundary_mass and refinement_change.
+    """
 
     z: float
     h_values: tuple
     results: tuple
     fit: FitResult
+    per_h: tuple = ()
 
     def __post_init__(self):
         hs = tuple(float(h) for h in self.h_values)
@@ -127,6 +132,7 @@ class ScottExperiment:
             raise ValueError("h_values must be strictly decreasing")
         object.__setattr__(self, "h_values", hs)
         object.__setattr__(self, "results", tuple(self.results))
+        object.__setattr__(self, "per_h", tuple(self.per_h))
 
     @property
     def scott_coefficient(self) -> float:
@@ -171,13 +177,6 @@ class ScottExperiment:
         return tuple(out)
 
 
-def _tf_weyl_term(solution: TFSolution, h: float) -> float:
-    spec = WeylSpec(
-        n=3, potential=lambda r: -solution.v_tf(r), bump=None, h=h
-    )
-    return weyl_energy(spec)
-
-
 def scott_experiment_tf(
     z: float,
     h_values: Sequence[float],
@@ -194,11 +193,14 @@ def scott_experiment_tf(
     quantum - weyl against {h^-2, h^-1}; the h^-1 column absorbs the slow
     next-order drift so the h^-2 coefficient settles.
 
-    The TF potential is solved once (it does not depend on h).  The box ends
-    at x_max TF lengths: far enough that the phase-space volume beyond it,
-    which falls off like x_max^-7, is negligible against the fit tolerance.
-    spacing_scale and extra_channels exist for discretization-independence
-    checks; defaults leave the spacing rule min(h/8, h^2/(5z)) and the
+    The TF potential and the Weyl position integral are computed once: they
+    do not depend on h, and the Weyl term is h^-3 times that integral.  The
+    box ends at x_max TF lengths; the phase-space volume beyond it falls
+    off like x_max^-7, but at the default 15 the truncation still moves the
+    coefficient by a few 1e-5, more than halving the step does.  The radial
+    grid is mapped, r = t + z t^2/(4h^2), with the t-step min(h/8,
+    h^2/(5z)).  spacing_scale and extra_channels exist for
+    discretization-independence checks; defaults leave that step and the
     automatic channel list alone.
     """
     hs = [float(h) for h in h_values]
@@ -213,27 +215,43 @@ def scott_experiment_tf(
     if abs(sol.z - z) > 1e-12 * max(z, 1.0):
         raise ValueError("supplied TF solution is for a different charge")
     r_max = x_max * tf_length_scale(z)
+    weyl_h3 = weyl_energy(WeylSpec(n=3, potential=lambda r: -sol.v_tf(r), h=1.0))
 
-    results = []
+    results, per_h = [], []
     for h in hs:
         # the innermost Bohr-like orbit lives at scale ~ 2h^2/z; resolve it
-        # with ten points, and never let the spacing exceed h/8
-        spacing = spacing_scale * min(h / 8.0, 2.0 * h * h / (10.0 * z))
-        problem = RadialProblem.build(sol.v_tf, h, r_max, spacing)
+        # with ten points, and never let the step exceed h/8.  The map stays
+        # linear out to about twice that radius, then widens the step like
+        # sqrt(r), as the local Coulomb wavelength h sqrt(r/z) does.
+        step = spacing_scale * min(h / 8.0, 2.0 * h * h / (10.0 * z))
+        stretch = z / (4.0 * h * h)
+        problem = RadialProblem.build(sol.v_tf, h, r_max, step, stretch=stretch)
         if extra_channels:
             ells = tuple(range(sentinel_channel(problem) + 1 + extra_channels))
             problem = RadialProblem.build(
-                sol.v_tf, h, r_max, spacing, channels=ells
+                sol.v_tf, h, r_max, step, channels=ells, stretch=stretch
             )
         quantum = neg_sum_radial(problem)
         results.append(
             TraceResult(
                 h=h,
                 quantum_sum=quantum.total.value,
-                weyl_sum=_tf_weyl_term(sol, h),
+                weyl_sum=weyl_h3 / h**3,
                 scott_term=scott_term([z], h),
                 warnings=quantum.warnings,
             )
+        )
+        per_h.append(
+            {
+                "h": h,
+                "grid_points": problem.grid.size,
+                "negative_eigenvalues": sum(
+                    c.negative_eigenvalues.size for c in quantum.channels
+                ),
+                "sentinel": quantum.sentinel,
+                "boundary_mass": quantum.boundary_mass,
+                "refinement_change": quantum.total.refinement_change,
+            }
         )
 
     fit = fit_power_series(
@@ -241,5 +259,6 @@ def scott_experiment_tf(
         [row.quantum_sum - row.weyl_sum for row in results],
         exponents=(-2.0, -1.0),
     )
-    return ScottExperiment(z=z, h_values=tuple(hs), results=tuple(results), fit=fit)
-
+    return ScottExperiment(
+        z=z, h_values=tuple(hs), results=tuple(results), fit=fit, per_h=per_h
+    )

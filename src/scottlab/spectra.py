@@ -12,6 +12,17 @@ by the substitution u = r psi: channel ell contributes its half-line spectrum
 with degeneracy 2 ell + 1, and the Dirichlet condition u(0) = 0 regularizes
 Coulomb-type singularities at the origin.
 
+A radial grid is uniform in t and maps to the radius r(t) = t + stretch t^2.
+With stretch = 0 it is uniform in r.  A positive stretch keeps the step near
+the origin, where a Coulomb well needs it, and widens it like sqrt(r) further
+out, as the local wavelength does.  Every channel matrix is assembled one
+way, the lumped-mass 3-point scheme in t: mass s r'(t_i) at node i, coupling
+-h^2 / (s r'(t_{i+1/2})) between nodes i and i+1, both scaled by the square
+root of the mass so that the matrix stays symmetric tridiagonal.  With
+stretch = 0 that is the uniform 3-point matrix entry for entry.  The
+boundary-mass guard measures the mass in the outer 5% of the box in r; on a
+uniform grid that is the last max(2, int(0.05 n)) of its n interior points.
+
 The channel solves of a radial sum are independent, so they run in a thread
 pool, one worker per usable CPU.  Each worker calls LAPACK dstebz / dstein
 through scipy's cython_lapack function pointers with the interpreter lock
@@ -24,6 +35,7 @@ eigh_tridiagonal return for the same matrix.
 from __future__ import annotations
 
 import ctypes
+import math
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from functools import cache, partial
@@ -153,20 +165,27 @@ class RadialProblem:
 
     V is the attractive profile (positive where binding); the channel-ell
     half-line operator is -h^2 u'' + [ell(ell+1) h^2/r^2 - V(r) + shift] u.
-    The grid lives on (0, r_max]: its first point sits one spacing from the
-    origin and its last point is the outer Dirichlet boundary.  channels may
-    list the angular momenta explicitly (the largest acting as the empty
-    sentinel); by default the list is derived from the sign of the effective
-    potential.
+    The grid is uniform in t on (0, t_max]: its first point sits one step
+    from the origin and its last point is the outer Dirichlet boundary.  The
+    radius is r(t) = t + stretch t^2, so stretch = 0 makes the grid uniform
+    in r.  channels may list the angular momenta explicitly (the largest
+    acting as the empty sentinel); by default the list is derived from the
+    sign of the effective potential.
+
+    The step may not exceed h/8.  With stretch > 0 the local step s r'(t)
+    must also stay within 1/8 of the local wavelength 2 pi h / sqrt(V_+(r)).
     """
 
     potential: Callable[[np.ndarray], np.ndarray]
     h: float
     grid: Grid1D
     channels: tuple | None = None
+    stretch: float = 0.0
 
     def __post_init__(self):
         require_positive(self.h, "h")
+        if not (math.isfinite(self.stretch) and self.stretch >= 0.0):
+            raise ValueError("stretch must be nonnegative and finite")
         step = self.grid.spacing
         if abs(self.grid.points[0] - step) > 1e-9 * step:
             raise ValueError("radial grid must start one spacing from the origin")
@@ -175,6 +194,20 @@ class RadialProblem:
                 f"radial spacing {step:g} exceeds h/8 = {self.h / 8:g}; "
                 "the Coulomb scale near the origin would be unresolved"
             )
+        if self.stretch:
+            t, _ = self.interior(level=0)
+            r = self.radius(t)
+            v = np.maximum(np.asarray(self.potential(r), dtype=float), 0.0)
+            local = step * self.jacobian(t)
+            # local step over 1/8 of the local wavelength 2 pi h / sqrt(V_+)
+            excess = 8.0 * local * np.sqrt(v) / (2.0 * math.pi * self.h)
+            worst = int(np.argmax(excess))
+            if excess[worst] > 1.0:
+                raise ValueError(
+                    f"mapped radial step {local[worst]:g} at r = {r[worst]:g} "
+                    "exceeds 1/8 of the local wavelength 2 pi h / sqrt(V); "
+                    "refine the step or lower the stretch"
+                )
         if self.channels is not None:
             ch = tuple(self.channels)
             if not ch or any(int(l) != l or l < 0 for l in ch):
@@ -191,21 +224,34 @@ class RadialProblem:
         r_max: float,
         spacing: float,
         channels: tuple | None = None,
+        stretch: float = 0.0,
     ) -> "RadialProblem":
-        """Grid on (0, r_max] with the spacing rounded to divide r_max."""
-        n = max(int(round(r_max / spacing)), 16)
-        step = r_max / n
-        grid = Grid1D.uniform(step, r_max, n)
-        return cls(potential=potential, h=h, grid=grid, channels=channels)
+        """Grid on (0, r_max] in r, with the t-step rounded to divide t_max."""
+        t_max = 2.0 * r_max / (1.0 + math.sqrt(1.0 + 4.0 * stretch * r_max))
+        n = max(int(round(t_max / spacing)), 16)
+        step = t_max / n
+        grid = Grid1D.uniform(step, t_max, n)
+        return cls(
+            potential=potential, h=h, grid=grid, channels=channels, stretch=stretch
+        )
+
+    def radius(self, t):
+        """r(t) = t + stretch t^2."""
+        return t + self.stretch * t * t
+
+    def jacobian(self, t):
+        """r'(t) = 1 + 2 stretch t."""
+        return 1.0 + 2.0 * self.stretch * t
 
     @property
     def r_max(self) -> float:
-        return float(self.grid.points[-1])
+        return float(self.radius(self.grid.points[-1]))
 
     def interior(self, level: int = 0) -> tuple[np.ndarray, float]:
-        """Interior points at refinement level 0 or 1 (halved spacing)."""
+        """Interior t-points at refinement level 0 or 1 (halved step), with
+        the step; with stretch = 0 they are the radii."""
         step = self.grid.spacing / (2.0**level)
-        n = int(round(self.r_max / step))
+        n = int(round(self.grid.points[-1] / step))
         return step * np.arange(1, n), step
 
 
@@ -409,13 +455,12 @@ def _run_solves(jobs, workers: int) -> dict:
     return finished
 
 
-def _conjugation(points, step, h2, bump):
+def _conjugation(points, off, bump):
     """(phi^2 or None, off-diagonal, 2 max |off|) of phi T phi.
 
-    T is the 3-point Dirichlet matrix on points with coupling -h^2/step^2
-    between neighbours; phi is the optional bump sampled at points.
+    T is the Dirichlet tridiagonal matrix on points with off-diagonal off;
+    phi is the optional bump sampled at points.
     """
-    off = np.full(points.size - 1, -h2 / step**2)
     phi2 = None
     if bump is not None:
         phi = np.asarray(bump(points), dtype=float)
@@ -426,7 +471,7 @@ def _conjugation(points, step, h2, bump):
 
 def _negative_solve(diag, conjugation, tail=0) -> _TridiagonalSolve:
     """Unstarted solve for all eigenvalues < 0 of phi T phi, diag the whole
-    diagonal of T (2 h^2/step^2 plus the potential)."""
+    diagonal of T (kinetic part plus the potential)."""
     phi2, off, spread = conjugation
     if phi2 is not None:
         diag = phi2 * diag
@@ -437,7 +482,8 @@ def _negative_solve(diag, conjugation, tail=0) -> _TridiagonalSolve:
 def _sum_1d(potential, h, points, step, bump):
     v = np.asarray(potential(points), dtype=float)
     diag = 2.0 * h**2 / step**2 + v
-    solve = _negative_solve(diag, _conjugation(points, step, h**2, bump))
+    off = np.full(points.size - 1, -(h**2) / step**2)
+    solve = _negative_solve(diag, _conjugation(points, off, bump))
     return float(np.sum(solve.finish().eigenvalues))
 
 
@@ -474,7 +520,8 @@ def sentinel_channel(problem: RadialProblem, shift: float = 0.0) -> int:
     Channels 0 .. sentinel-1 can bind; the sentinel itself is solved as the
     emptiness witness.
     """
-    r, _ = problem.interior(level=0)
+    t, _ = problem.interior(level=0)
+    r = problem.radius(t)
     v = np.asarray(problem.potential(r), dtype=float)
     h2 = problem.h**2
     for ell in range(SENTINEL_MAX_ELL + 1):
@@ -483,6 +530,32 @@ def sentinel_channel(problem: RadialProblem, shift: float = 0.0) -> int:
     raise ChannelCutoffError(
         f"no empty channel found below ell = {SENTINEL_MAX_ELL}"
     )
+
+
+def _radial_level(problem: RadialProblem, level: int, bump):
+    """(r^2, kinetic diagonal, V, conjugation, tail points) of the channel
+    matrices at one refinement level.
+
+    The lumped-mass scheme in t, scaled by the square root of the mass
+    s r'(t_i): the kinetic diagonal is h^2/(s^2 r'_i) (1/r'_{i-1/2} +
+    1/r'_{i+1/2}) and the off-diagonal -h^2/(s^2 r'_{i+1/2} sqrt(r'_i
+    r'_{i+1})); the matrix norm stays below 4 h^2/s^2.  The tail is the
+    interior points in the outer 5% of the box in r, and on a uniform grid
+    the last max(2, int(0.05 n)) of its n interior points.
+    """
+    h2 = problem.h**2
+    t, step = problem.interior(level=level)
+    r = problem.radius(t)
+    v = np.asarray(problem.potential(r), dtype=float)
+    node = problem.jacobian(t)
+    half = problem.jacobian(step * (np.arange(t.size + 1) + 0.5))
+    kinetic = h2 / (step**2 * node) * (1.0 / half[:-1] + 1.0 / half[1:])
+    off = -h2 / (step**2 * half[1:-1] * np.sqrt(node[:-1] * node[1:]))
+    if problem.stretch:
+        tail = int(np.count_nonzero(r >= 0.95 * problem.r_max))
+    else:
+        tail = int(0.05 * r.size)
+    return r**2, kinetic, v, _conjugation(r, off, bump), max(2, tail)
 
 
 def neg_sum_radial(
@@ -514,17 +587,12 @@ def neg_sum_radial(
     sentinel = ells[-1]
     h2 = problem.h**2
 
-    levels = []
-    for level in (0, 1):
-        r, step = problem.interior(level=level)
-        v = np.asarray(problem.potential(r), dtype=float)
-        tail = max(2, int(0.05 * r.size))
-        levels.append((r**2, step, v, _conjugation(r, step, h2, bump), tail))
+    levels = [_radial_level(problem, level, bump) for level in (0, 1)]
 
     def jobs():
         for ell in ells:
-            for level, (r2, step, v, conjugation, tail) in enumerate(levels):
-                diag = 2.0 * h2 / step**2 + ell * (ell + 1) * h2 / r2 - v + shift
+            for level, (r2, kinetic, v, conjugation, tail) in enumerate(levels):
+                diag = kinetic + ell * (ell + 1) * h2 / r2 - v + shift
                 guarded = level == 1 and ell < sentinel
                 yield (ell, level), _negative_solve(
                     diag, conjugation, tail if guarded else 0

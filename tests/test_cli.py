@@ -208,6 +208,7 @@ class TestScottCommand:
         assert sidecar["warnings"] == []
         spread = scott_z1.fit_spread()
         assert {key: sidecar["meta"][key] for key in spread} == spread
+        assert sidecar["meta"]["per_h"] == list(scott_z1.per_h)
 
 
 class TestTfAtomCommand:

@@ -122,11 +122,26 @@ class TestScottExperiment:
         spread = scott_z1.fit_spread()
         lo, hi = spread["scott_leave_one_out"]
         assert lo < scott_z1.scott_coefficient < hi
-        assert [lo, hi] == pytest.approx([0.124979, 0.125147], abs=1e-6)
+        assert [lo, hi] == pytest.approx([0.1249782, 0.1251460], abs=1e-6)
         with_constant = scott_z1.scott_coefficient + spread["scott_constant_shift"]
         assert with_constant == pytest.approx(0.124785, abs=1e-6)
         lo, hi = spread["h_inverse_leave_one_out"]
         assert lo <= scott_z1.fit.coefficient(-1.0) <= hi
+
+    def test_weyl_term_is_one_integral_over_h_cubed(self, scott_z1):
+        scaled = [row.weyl_sum * row.h**3 for row in scott_z1.results]
+        assert scaled == pytest.approx([scaled[0]] * len(scaled), rel=1e-15)
+
+    def test_per_h_diagnostics_of_the_acceptance_sweep(self, scott_z1):
+        rows = scott_z1.per_h
+        assert [row["h"] for row in rows] == list(scott_z1.h_values)
+        # the mapped grid: n grows like 1/h, not like 1/h^2
+        assert [row["grid_points"] for row in rows] == [294, 395, 511, 719]
+        assert [row["negative_eigenvalues"] for row in rows] == [26, 44, 75, 145]
+        assert [row["sentinel"] for row in rows] == [5, 7, 9, 13]
+        for row in rows:
+            assert 0.0 < row["boundary_mass"] <= 2e-7
+            assert 0.0 < row["refinement_change"] < 1e-3
 
     def test_fit_spread_vanishes_on_an_exact_model(self):
         hs = (0.12, 0.09, 0.07, 0.05)

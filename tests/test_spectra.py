@@ -137,6 +137,66 @@ class TestNegSumRadial:
         assert res.total.value < 0.0
 
 
+def mapped_coulomb(h, scale=1.0, r_max=6.0, stretch=None):
+    """-h^2 Lap - 1/r on r = t + t^2/(4h^2), the Scott sweep's map for z = 1."""
+    if stretch is None:
+        stretch = 1.0 / (4.0 * h * h)
+    step = scale * min(h / 8.0, h * h / 5.0)
+    return RadialProblem.build(lambda r: 1.0 / r, h, r_max, step, stretch=stretch)
+
+
+class TestMappedRadialGrid:
+    @pytest.mark.parametrize("h, exact", [(0.2, -7.5), (0.1, -70.0)])
+    def test_bohr_sum(self, h, exact):
+        prob = mapped_coulomb(h)
+        assert prob.grid.size < 250
+        res = neg_sum_radial(prob, shift=1.0)
+        assert res.total.value == pytest.approx(exact, rel=1e-5)
+        assert res.boundary_mass < 1e-20
+
+    @pytest.mark.parametrize("h", [0.2, 0.1])
+    def test_refinement_change_falls_fourfold_as_the_step_halves(self, h):
+        changes = [
+            neg_sum_radial(mapped_coulomb(h, scale), shift=1.0).total
+            for scale in (1.0, 0.5)
+        ]
+        ratio = (changes[0].fine - changes[0].coarse) / (
+            changes[1].fine - changes[1].coarse
+        )
+        assert ratio == pytest.approx(4.0, rel=0.03)
+
+    def test_radius_ends_at_r_max_and_tail_is_measured_in_r(self):
+        prob = mapped_coulomb(0.1)
+        assert prob.r_max == pytest.approx(6.0, rel=1e-12)
+        tail = spectra._radial_level(prob, 1, None)[-1]
+        r = prob.radius(prob.interior(level=1)[0])
+        # the map widens the step outwards, so the outer 5% in r holds about
+        # half as many points as the last 5% of them
+        assert tail == np.count_nonzero(r >= 0.95 * prob.r_max) < int(0.05 * r.size)
+
+    def test_small_box_trips_boundary_guard(self):
+        prob = RadialProblem.build(
+            square_well(0.2), h=0.2, r_max=4.0, spacing=0.025, stretch=6.25
+        )
+        with pytest.raises(BoxSizeError, match="enlarge r_max"):
+            neg_sum_radial(prob)
+
+    def test_map_too_coarse_for_the_local_wavelength(self):
+        with pytest.raises(ValueError, match="local wavelength"):
+            mapped_coulomb(0.1, stretch=100.0 / (4.0 * 0.01))
+        with pytest.raises(ValueError, match="local wavelength"):
+            # a step of h/8 at the origin, where the Coulomb wavelength is short
+            RadialProblem.build(
+                lambda r: 1.0 / r, h=0.1, r_max=6.0, spacing=0.0125, stretch=25.0
+            )
+
+    @pytest.mark.parametrize("stretch", [-1.0, math.nan, math.inf])
+    def test_stretch_must_be_nonnegative_and_finite(self, stretch):
+        grid = Grid1D.uniform(0.025, 4.0, 160)
+        with pytest.raises(ValueError, match="stretch"):
+            RadialProblem(square_well(1.0), h=0.2, grid=grid, stretch=stretch)
+
+
 def scipy_radial_reference(problem, shift=0.0, bump=None):
     """The radial sum as one serial loop over scipy's tridiagonal solvers:
     (coarse, fine, level-1 eigenvalues per channel, boundary mass)."""
@@ -229,7 +289,8 @@ class TestTridiagonalBinding:
         h, step, ell = 0.1, 0.0125, 1
         r = step * np.arange(1, 1600)
         diag = 2.0 * h * h / step**2 + ell * (ell + 1) * h * h / r**2 - 1.0 / r
-        return diag, spectra._conjugation(r, step, h * h, None)
+        off = np.full(r.size - 1, -h * h / step**2)
+        return diag, spectra._conjugation(r, off, None)
 
     def split_channels(self):
         # channels 0 and 1 side by side: two stebz blocks whose eigenvalues
@@ -250,7 +311,8 @@ class TestTridiagonalBinding:
         h, step = 0.05, 0.00625
         r = step * np.arange(1, 400)
         v = np.where(r < 1.0, (1.0 - r * r) ** 2, 0.0)
-        conjugation = spectra._conjugation(r, step, h * h, Bump(0.0, 2.0, 4))
+        off = np.full(r.size - 1, -h * h / step**2)
+        conjugation = spectra._conjugation(r, off, Bump(0.0, 2.0, 4))
         return 2.0 * h * h / step**2 - v, conjugation
 
     @pytest.mark.parametrize(
