@@ -41,20 +41,13 @@ from __future__ import annotations
 
 import math
 import warnings as _warnmod
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from scipy.linalg import circulant, toeplitz
 
-from .numerics import (
-    Grid1D,
-    GridOperator,
-    _one_blas_thread,
-    _row_workers,
-    require_positive,
-)
+from .numerics import Grid1D, GridOperator, _pinned_map, require_positive
 
 __all__ = [
     "ClassicalSymbol",
@@ -576,12 +569,11 @@ def trial_density_matrix(
     operator is grad_q P plus a real diagonal, with the spectral momentum P
     made Hermitian once.
 
-    The u-rows run in parallel worker threads, one per usable CPU, with
-    numpy's OpenBLAS held at one thread meanwhile and restored afterwards.
-    Where no bundled OpenBLAS is found to pin, the rows run one after
-    another in one worker, because unpinned BLAS threads oversubscribe the
-    cores.  Each row sums its own part in q order and the parts are added
-    in u order, so gamma is bitwise the same for any worker count.  The
+    The u-rows run through numerics._pinned_map: one worker thread per
+    usable CPU with OpenBLAS held at one thread, or a single worker where no
+    bundled OpenBLAS is found to pin.  Each row sums its own part in q order
+    and the parts are added in u order as they arrive, so gamma is bitwise
+    the same for any worker count and each part is freed once added.  The
     symbol's callables therefore run in worker threads; an exception they
     raise in a row reaches the caller.  The scan, the node grids, the
     warning and the argument checks run in the calling thread first.
@@ -622,10 +614,8 @@ def trial_density_matrix(
         return part
 
     gamma = np.zeros((n, n), dtype=complex)
-    workers = min(_row_workers(), us.size)
-    with _one_blas_thread(), ThreadPoolExecutor(workers) as pool:
-        for part in pool.map(row, us.tolist()):
-            gamma += part
+    for part in _pinned_map(row, us.tolist()):
+        gamma += part
 
     gamma = 0.5 * (gamma + gamma.conj().T)
     return GridOperator(matrix=gamma, grid=grid, h=p.h)

@@ -1,8 +1,7 @@
 """Shared numerical utilities: grids, grid operators, cutoffs, fits.
 
-Everything here is deterministic and stateless, except the BLAS thread pin,
-which holds numpy's and scipy's OpenBLAS at one thread for the length of a
-with block.
+Everything here is deterministic and stateless, except the pinned worker
+pool, which holds numpy's and scipy's OpenBLAS at one thread while it runs.
 The smooth cutoff functions are built from the classic exponential
 transition exp(-1/s), which gives genuinely C-infinity profiles with
 compact support.
@@ -15,6 +14,7 @@ import glob
 import importlib.util
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from functools import cache
@@ -134,6 +134,11 @@ class GridOperator:
 # scipy's, whose level-1 BLAS oversubscribes two cores the same way (the
 # radial sum of the Scott sweep at h = 0.05 took 3.2 s on two threads with
 # scipy's OpenBLAS unpinned, 2.0 s pinned).
+#
+# _pinned_map is the one place that decides how such pieces run: the rows
+# of the trial density (coherent) and the channel solves of a radial sum
+# (spectra) both go through it.  Each caller folds the results in item
+# order, so its numbers are bitwise the same for any worker count.
 
 
 def _usable_cpus() -> int:
@@ -205,6 +210,23 @@ def _one_blas_thread():
                 restore.callback(set_n, get_n())
                 set_n(1)
         yield
+
+
+def _pinned_map(fn, items):
+    """Yield fn(item) for each of items, in item order, computed on
+    _row_workers() threads (at most one per item) with numpy's and scipy's
+    OpenBLAS held at one thread meanwhile.
+
+    Results stream: each is yielded once it and those before it are done,
+    so a caller that folds them as they come need not hold them all.  An
+    exception that fn raises reaches the caller at its item.  Once the
+    generator is exhausted, raises or is closed, the items not yet started
+    are cancelled, the running ones are waited for and the thread counts are
+    restored.
+    """
+    workers = min(_row_workers(), len(items))
+    with _one_blas_thread(), ThreadPoolExecutor(workers) as pool:
+        yield from pool.map(fn, items)
 
 
 # ---------------------------------------------------------------------------

@@ -23,23 +23,22 @@ stretch = 0 that is the uniform 3-point matrix entry for entry.  The
 boundary-mass guard measures the mass in the outer 5% of the box in r; on a
 uniform grid that is the last max(2, int(0.05 n)) of its n interior points.
 
-The channel solves of a radial sum are independent, so they run in a thread
-pool, one worker per usable CPU.  Each worker calls LAPACK dstebz / dstein
+The channel solves of a radial sum are independent, so they run through
+numerics._pinned_map, one worker thread per usable CPU.  Each solve is one
+function: it assembles its channel matrix and calls LAPACK dstebz / dstein
 through scipy's cython_lapack function pointers with the interpreter lock
-released; the calling thread allocates every array and adds the results in
-ell order, so every eigenvalue and every sum is bitwise the same for any
-worker count and equal to what scipy's eigvalsh_tridiagonal /
-eigh_tridiagonal return for the same matrix.
+released.  The calling thread adds the results in ell order, so every
+eigenvalue and every sum is bitwise the same for any worker count and equal
+to what scipy's eigvalsh_tridiagonal / eigh_tridiagonal return for the same
+matrix.
 """
 
 from __future__ import annotations
 
 import ctypes
 import math
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-from functools import cache, partial
-from itertools import islice
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -48,14 +47,7 @@ import numpy as np
 # this module; the eigensolves below call LAPACK directly instead.
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal  # noqa: F401
 
-from .numerics import (
-    Bump,
-    Grid1D,
-    _one_blas_thread,
-    _row_workers,
-    require_positive,
-    richardson,
-)
+from .numerics import Bump, Grid1D, _pinned_map, require_positive, richardson
 
 __all__ = [
     "BoxSizeError",
@@ -174,6 +166,9 @@ class RadialProblem:
 
     The step may not exceed h/8.  With stretch > 0 the local step s r'(t)
     must also stay within 1/8 of the local wavelength 2 pi h / sqrt(V_+(r)).
+    A potential that is not finite on the level-0 grid raises ValueError
+    where it is first sampled: here with stretch > 0, else in
+    sentinel_channel.
     """
 
     potential: Callable[[np.ndarray], np.ndarray]
@@ -197,7 +192,7 @@ class RadialProblem:
         if self.stretch:
             t, _ = self.interior(level=0)
             r = self.radius(t)
-            v = np.maximum(np.asarray(self.potential(r), dtype=float), 0.0)
+            v = np.maximum(self._coarse_potential(r), 0.0)
             local = step * self.jacobian(t)
             # local step over 1/8 of the local wavelength 2 pi h / sqrt(V_+)
             excess = 8.0 * local * np.sqrt(v) / (2.0 * math.pi * self.h)
@@ -242,6 +237,15 @@ class RadialProblem:
     def jacobian(self, t):
         """r'(t) = 1 + 2 stretch t."""
         return 1.0 + 2.0 * self.stretch * t
+
+    def _coarse_potential(self, r) -> np.ndarray:
+        """V at the level-0 radii r, where the potential is first sampled;
+        ValueError naming the first radius where it is not finite."""
+        v = np.asarray(self.potential(r), dtype=float)
+        bad = np.flatnonzero(~np.isfinite(np.broadcast_to(v, r.shape)))
+        if bad.size:
+            raise ValueError(f"potential is not finite at r = {r[bad[0]]:g}")
+        return v
 
     @property
     def r_max(self) -> float:
@@ -320,141 +324,6 @@ def _ptr(array: np.ndarray):
     return array.ctypes.data_as(_POINTERS[kind])
 
 
-class _TridiagonalSolve:
-    """Eigenvalues in (lower, 0) of the symmetric tridiagonal matrix with
-    diagonal diag and off-diagonal off.
-
-    LAPACK dstebz (range V, abstol 0) finds them, and with tail > 0 dstein
-    adds their eigenvectors, of which only the mass on the last tail points
-    is kept.  These are scipy's eigh_tridiagonal(select="v") calls with its
-    arguments, so eigenvalues and vectors are bitwise scipy's.
-
-    The constructor and advance() allocate every buffer, in the calling
-    thread.  run() only makes the pending Fortran call on those buffers,
-    without the interpreter lock, so it may run in a worker thread.  The
-    calling thread alternates run() and advance() until advance() returns
-    False; then eigenvalues (ascending) and, with tail, tail_masses (one per
-    eigenvalue) are set and the buffers are released.
-    """
-
-    def __init__(self, diag, off, lower: float, tail: int = 0):
-        n = diag.size
-        if off.size != n - 1:
-            raise ValueError(f"off-diagonal has {off.size} entries, not {n - 1}")
-        if not (np.isfinite(diag).all() and np.isfinite(off).all()):
-            raise ValueError("array must not contain infs or NaNs")
-        self.tail = tail
-        self._n = ctypes.c_int(n)
-        self._m, self._info = ctypes.c_int(), ctypes.c_int()
-        self._d = np.ascontiguousarray(diag, dtype=float)
-        self._e = np.ascontiguousarray(off, dtype=float)
-        self._w = np.empty(n)
-        self._iblock = np.empty(n, dtype=np.intc)
-        self._isplit = np.empty(n, dtype=np.intc)
-        work, iwork = np.empty(4 * n), np.empty(3 * n, dtype=np.intc)
-        self._call = partial(
-            _lapack("dstebz"),
-            b"V",
-            b"B" if tail else b"E",  # block order is what dstein takes
-            ctypes.byref(self._n),
-            ctypes.byref(ctypes.c_double(lower)),
-            ctypes.byref(ctypes.c_double(0.0)),
-            ctypes.byref(ctypes.c_int(0)),
-            ctypes.byref(ctypes.c_int(0)),
-            ctypes.byref(ctypes.c_double(0.0)),
-            _ptr(self._d),
-            _ptr(self._e),
-            ctypes.byref(self._m),
-            ctypes.byref(ctypes.c_int()),
-            _ptr(self._w),
-            _ptr(self._iblock),
-            _ptr(self._isplit),
-            _ptr(work),
-            _ptr(iwork),
-            ctypes.byref(self._info),
-        )
-        self._vectors = None
-
-    def run(self) -> None:
-        self._call()
-
-    def advance(self) -> bool:
-        """Check the call run() made; True when a further run() is due."""
-        info, m, n = self._info.value, self._m.value, self._n.value
-        if self._vectors is None:
-            if info != 0:
-                raise RuntimeError(f"LAPACK dstebz failed with info = {info}")
-            if self.tail and m:
-                self._vectors = np.empty((m, n))  # column-major n x m
-                work, iwork = np.empty(5 * n), np.empty(n, dtype=np.intc)
-                self._call = partial(
-                    _lapack("dstein"),
-                    ctypes.byref(self._n),
-                    _ptr(self._d),
-                    _ptr(self._e),
-                    ctypes.byref(self._m),
-                    _ptr(self._w),
-                    _ptr(self._iblock),
-                    _ptr(self._isplit),
-                    _ptr(self._vectors),
-                    ctypes.byref(self._n),
-                    _ptr(work),
-                    _ptr(iwork),
-                    _ptr(np.empty(m, dtype=np.intc)),
-                    ctypes.byref(self._info),
-                )
-                return True
-            masses = np.zeros(m) if self.tail else None
-        else:
-            if info < 0:
-                raise RuntimeError(f"LAPACK dstein failed with info = {info}")
-            if info > 0:
-                raise RuntimeError(
-                    f"LAPACK dstein: {info} eigenvectors failed to converge"
-                )
-            masses = np.sum(self._vectors[:, n - self.tail :] ** 2, axis=1)
-        order = np.argsort(self._w[:m])  # block order to ascending
-        values = self._w[:m][order]
-        negative = values < 0.0
-        self.eigenvalues = values[negative]
-        self.tail_masses = None if masses is None else masses[order][negative]
-        del self._call, self._d, self._e, self._w, self._iblock, self._isplit
-        del self._vectors
-        return False
-
-    def finish(self) -> "_TridiagonalSolve":
-        """Run every step in the calling thread."""
-        self.run()
-        while self.advance():
-            self.run()
-        return self
-
-
-def _run_solves(jobs, workers: int) -> dict:
-    """Finish every (key, solve) that jobs yields on workers threads, with at
-    most one Fortran call per thread in flight; {key: finished solve}.
-
-    jobs is advanced, and every solve advanced, in the calling thread only.
-    """
-    finished = {}
-    with ThreadPoolExecutor(workers) as pool:
-        running = {}
-        for key, solve in islice(jobs, workers):
-            running[pool.submit(solve.run)] = key, solve
-        while running:
-            done, _ = wait(running, return_when=FIRST_COMPLETED)
-            for future in done:
-                key, solve = running.pop(future)
-                future.result()
-                if solve.advance():
-                    running[pool.submit(solve.run)] = key, solve
-                    continue
-                finished[key] = solve
-                for key, solve in islice(jobs, 1):
-                    running[pool.submit(solve.run)] = key, solve
-    return finished
-
-
 def _conjugation(points, off, bump):
     """(phi^2 or None, off-diagonal, 2 max |off|) of phi T phi.
 
@@ -469,22 +338,94 @@ def _conjugation(points, off, bump):
     return phi2, off, 2.0 * np.max(np.abs(off))
 
 
-def _negative_solve(diag, conjugation, tail=0) -> _TridiagonalSolve:
-    """Unstarted solve for all eigenvalues < 0 of phi T phi, diag the whole
-    diagonal of T (kinetic part plus the potential)."""
+def _negative_solve(diag, conjugation, tail=0):
+    """(eigenvalues, tail masses) of phi T phi below 0, diag the whole
+    diagonal of T (kinetic part plus the potential).
+
+    LAPACK dstebz (range V, abstol 0) finds the eigenvalues in (lower, 0),
+    returned ascending, and with tail > 0 dstein adds their eigenvectors, of
+    which only the mass on the last tail points is kept, one per eigenvalue
+    (None without tail).  These are scipy's eigh_tridiagonal(select="v")
+    calls with its arguments, so eigenvalues and vectors are bitwise scipy's.
+    Each Fortran call runs without the interpreter lock, so solves in
+    several threads overlap.
+    """
     phi2, off, spread = conjugation
     if phi2 is not None:
         diag = phi2 * diag
+    n = diag.size
+    if off.size != n - 1:
+        raise ValueError(f"off-diagonal has {off.size} entries, not {n - 1}")
+    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+        raise ValueError("array must not contain infs or NaNs")
     lower = float(min(np.min(diag) - spread, -1.0))
-    return _TridiagonalSolve(diag, off, lower, tail)
+    d = np.ascontiguousarray(diag, dtype=float)
+    e = np.ascontiguousarray(off, dtype=float)
+    size, m, info = ctypes.c_int(n), ctypes.c_int(), ctypes.c_int()
+    w = np.empty(n)
+    iblock, isplit = np.empty(n, dtype=np.intc), np.empty(n, dtype=np.intc)
+    work, iwork = np.empty(4 * n), np.empty(3 * n, dtype=np.intc)
+    _lapack("dstebz")(
+        b"V",
+        b"B" if tail else b"E",  # block order is what dstein takes
+        ctypes.byref(size),
+        ctypes.byref(ctypes.c_double(lower)),
+        ctypes.byref(ctypes.c_double(0.0)),
+        ctypes.byref(ctypes.c_int(0)),
+        ctypes.byref(ctypes.c_int(0)),
+        ctypes.byref(ctypes.c_double(0.0)),
+        _ptr(d),
+        _ptr(e),
+        ctypes.byref(m),
+        ctypes.byref(ctypes.c_int()),
+        _ptr(w),
+        _ptr(iblock),
+        _ptr(isplit),
+        _ptr(work),
+        _ptr(iwork),
+        ctypes.byref(info),
+    )
+    if info.value != 0:
+        raise RuntimeError(f"LAPACK dstebz failed with info = {info.value}")
+    found = m.value
+    masses = np.zeros(found) if tail else None
+    if tail and found:
+        vectors = np.empty((found, n))  # column-major n x found
+        work, iwork = np.empty(5 * n), np.empty(n, dtype=np.intc)
+        _lapack("dstein")(
+            ctypes.byref(size),
+            _ptr(d),
+            _ptr(e),
+            ctypes.byref(m),
+            _ptr(w),
+            _ptr(iblock),
+            _ptr(isplit),
+            _ptr(vectors),
+            ctypes.byref(size),
+            _ptr(work),
+            _ptr(iwork),
+            _ptr(np.empty(found, dtype=np.intc)),
+            ctypes.byref(info),
+        )
+        if info.value < 0:
+            raise RuntimeError(f"LAPACK dstein failed with info = {info.value}")
+        if info.value > 0:
+            raise RuntimeError(
+                f"LAPACK dstein: {info.value} eigenvectors failed to converge"
+            )
+        masses = np.sum(vectors[:, n - tail :] ** 2, axis=1)
+    order = np.argsort(w[:found])  # block order to ascending
+    values = w[:found][order]
+    negative = values < 0.0
+    return values[negative], None if masses is None else masses[order][negative]
 
 
 def _sum_1d(potential, h, points, step, bump):
     v = np.asarray(potential(points), dtype=float)
     diag = 2.0 * h**2 / step**2 + v
     off = np.full(points.size - 1, -(h**2) / step**2)
-    solve = _negative_solve(diag, _conjugation(points, off, bump))
-    return float(np.sum(solve.finish().eigenvalues))
+    eigenvalues, _ = _negative_solve(diag, _conjugation(points, off, bump))
+    return float(np.sum(eigenvalues))
 
 
 def neg_sum_1d(
@@ -492,14 +433,13 @@ def neg_sum_1d(
     h: float,
     grid: Grid1D,
     bump: Bump | None = None,
-    rtol: float = CONVERGENCE_RTOL,
 ) -> SpectralSum:
     """Sum of negative eigenvalues of phi (-h^2 d^2/dx^2 + V) phi on a box.
 
     Dirichlet ends; phi is an optional multiplicative bump.  The returned
     value is Richardson-extrapolated over one halving of the grid spacing,
     and a warning is attached when the refinement pair still moves by more
-    than rtol relatively.
+    than CONVERGENCE_RTOL relatively.
     """
     require_positive(h, "h")
     coarse = _sum_1d(potential, h, grid.points[1:-1], grid.spacing, bump)
@@ -507,7 +447,7 @@ def neg_sum_1d(
     fine = _sum_1d(potential, h, fine_grid.points[1:-1], fine_grid.spacing, bump)
     value = richardson(coarse, fine, order=2)
     warnings = []
-    if abs(fine - coarse) > rtol * max(abs(value), 1e-12):
+    if abs(fine - coarse) > CONVERGENCE_RTOL * max(abs(value), 1e-12):
         warnings.append(
             f"eigenvalue sum moved {abs(fine - coarse):.3g} between refinements"
         )
@@ -522,7 +462,7 @@ def sentinel_channel(problem: RadialProblem, shift: float = 0.0) -> int:
     """
     t, _ = problem.interior(level=0)
     r = problem.radius(t)
-    v = np.asarray(problem.potential(r), dtype=float)
+    v = problem._coarse_potential(r)
     h2 = problem.h**2
     for ell in range(SENTINEL_MAX_ELL + 1):
         if np.min(ell * (ell + 1) * h2 / r**2 - v + shift) >= 0.0:
@@ -562,7 +502,6 @@ def neg_sum_radial(
     problem: RadialProblem,
     shift: float = 0.0,
     bump: Bump | None = None,
-    rtol: float = CONVERGENCE_RTOL,
 ) -> RadialSum:
     """Sum over channels of (2 ell + 1) * (negative half-line eigenvalues).
 
@@ -589,19 +528,17 @@ def neg_sum_radial(
 
     levels = [_radial_level(problem, level, bump) for level in (0, 1)]
 
-    def jobs():
-        for ell in ells:
-            for level, (r2, kinetic, v, conjugation, tail) in enumerate(levels):
-                diag = kinetic + ell * (ell + 1) * h2 / r2 - v + shift
-                guarded = level == 1 and ell < sentinel
-                yield (ell, level), _negative_solve(
-                    diag, conjugation, tail if guarded else 0
-                )
+    def solve(key):
+        ell, level = key
+        r2, kinetic, v, conjugation, tail = levels[level]
+        diag = kinetic + ell * (ell + 1) * h2 / r2 - v + shift
+        guarded = level == 1 and ell < sentinel
+        return _negative_solve(diag, conjugation, tail if guarded else 0)
 
-    with _one_blas_thread():
-        solved = _run_solves(jobs(), min(_row_workers(), 2 * len(ells)))
+    keys = [(ell, level) for ell in ells for level in (0, 1)]
+    solved = dict(zip(keys, _pinned_map(solve, keys), strict=True))
 
-    found = max(solved[sentinel, level].eigenvalues.size for level in (1, 0))
+    found = max(solved[sentinel, level][0].size for level in (1, 0))
     if found:
         raise ChannelCutoffError(
             f"sentinel channel ell = {sentinel} holds {found} negative eigenvalues"
@@ -613,15 +550,13 @@ def neg_sum_radial(
     mass_den = 0.0
     for ell in ells[:-1]:
         for level in (0, 1):
-            eigs = solved[ell, level].eigenvalues
+            eigs, _ = solved[ell, level]
             totals[level] += (2 * ell + 1) * float(np.sum(eigs))
-        fine = solved[ell, 1]
-        weight = np.abs(fine.eigenvalues)
-        mass_num += (2 * ell + 1) * float(np.sum(weight * fine.tail_masses))
+        eigs, tail_masses = solved[ell, 1]
+        weight = np.abs(eigs)
+        mass_num += (2 * ell + 1) * float(np.sum(weight * tail_masses))
         mass_den += (2 * ell + 1) * float(np.sum(weight))
-        channels.append(
-            ChannelSpectrum(ell=ell, negative_eigenvalues=fine.eigenvalues[::-1])
-        )
+        channels.append(ChannelSpectrum(ell=ell, negative_eigenvalues=eigs[::-1]))
 
     frac = mass_num / mass_den if mass_den > 0 else 0.0
     if frac > BOUNDARY_MASS_TOL:
@@ -632,7 +567,7 @@ def neg_sum_radial(
 
     value = richardson(totals[0], totals[1], order=2)
     warnings = []
-    if abs(totals[1] - totals[0]) > rtol * max(abs(value), 1e-12):
+    if abs(totals[1] - totals[0]) > CONVERGENCE_RTOL * max(abs(value), 1e-12):
         warnings.append(
             f"radial sum moved {abs(totals[1] - totals[0]):.3g} "
             "between refinements"

@@ -2,6 +2,7 @@
 
 import pytest
 
+from scottlab import numerics
 from scottlab.scott import scott_experiment_tf
 from scottlab.thomas_fermi import atomic_tf, solve_universal_tf
 
@@ -25,3 +26,24 @@ def atom_z8(universal):
 def scott_z1(atom_z1):
     """The headline experiment: z = 1 over the acceptance h sweep."""
     return scott_experiment_tf(1.0, (0.12, 0.09, 0.07, 0.05), solution=atom_z1)
+
+
+@pytest.fixture
+def blas_pins(monkeypatch):
+    """Thread-count getters of the bundled OpenBLAS copies found, each set to
+    2 for the test and restored after it; two usable CPUs meanwhile."""
+    monkeypatch.setattr(numerics, "_usable_cpus", lambda: 2)
+    found = [
+        calls
+        for calls in (
+            numerics._openblas_thread_calls(),
+            numerics._scipy_openblas_thread_calls(),
+        )
+        if calls is not None
+    ]
+    priors = [get_threads() for _, get_threads in found]
+    for set_threads, _ in found:
+        set_threads(2)
+    yield [get_threads for _, get_threads in found]
+    for (set_threads, _), prior in zip(found, priors):
+        set_threads(prior)

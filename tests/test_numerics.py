@@ -1,6 +1,8 @@
 """Grids, bumps, partitions, fits, and the shared positivity check."""
 
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from scottlab.numerics import (
     Grid1D,
     GridOperator,
     PartitionPair,
+    _pinned_map,
     fit_power_series,
     richardson,
 )
@@ -147,6 +150,46 @@ class TestRichardson:
         coarse = exact + 0.04
         fine = exact + 0.01  # error ratio 4 at order 2
         assert richardson(coarse, fine, order=2) == pytest.approx(exact)
+
+
+class TestPinnedMap:
+    def test_results_in_item_order(self, blas_pins):
+        def late_first(i):
+            time.sleep(0.002 * (8 - i))  # later items finish first
+            return i * i
+
+        assert list(_pinned_map(late_first, list(range(8)))) == [
+            i * i for i in range(8)
+        ]
+        assert [get() for get in blas_pins] == [2] * len(blas_pins)
+
+    def test_worker_exception_reaches_the_caller(self, blas_pins):
+        raised_in = []
+
+        def fail_at_three(i):
+            if i == 3:
+                raised_in.append(threading.current_thread())
+                raise RuntimeError("item 3 failed")
+            return i
+
+        results = _pinned_map(fail_at_three, list(range(6)))
+        assert [next(results) for _ in range(3)] == [0, 1, 2]
+        with pytest.raises(RuntimeError, match="item 3 failed"):
+            next(results)
+        assert raised_in and threading.main_thread() not in raised_in
+        assert [get() for get in blas_pins] == [2] * len(blas_pins)
+
+    def test_early_close_restores_the_pins(self, blas_pins):
+        if not blas_pins:
+            pytest.skip("no bundled OpenBLAS to pin")
+        def counts(_):
+            return [get() for get in blas_pins]
+
+        results = _pinned_map(counts, list(range(6)))
+        assert next(results) == [1] * len(blas_pins)
+        assert [get() for get in blas_pins] == [1] * len(blas_pins)
+        results.close()
+        assert [get() for get in blas_pins] == [2] * len(blas_pins)
 
 
 class TestPositivity:

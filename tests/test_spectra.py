@@ -51,9 +51,10 @@ class TestNegSum1D:
             abs(s.fine - s.coarse) / abs(s.value)
         )
 
-    def test_tight_rtol_attaches_warning(self):
+    def test_tight_rtol_attaches_warning(self, monkeypatch):
         grid = Grid1D.uniform(-8.0, 8.0, 129)
-        s = neg_sum_1d(lambda x: x * x - 1.0, 0.1, grid, rtol=1e-16)
+        monkeypatch.setattr(spectra, "CONVERGENCE_RTOL", 1e-16)
+        s = neg_sum_1d(lambda x: x * x - 1.0, 0.1, grid)
         assert s.warnings and "moved" in s.warnings[0]
 
     def test_rejects_nonpositive_h(self):
@@ -76,6 +77,19 @@ class TestRadialProblem:
         with pytest.raises(ValueError, match="without gaps"):
             RadialProblem.build(
                 square_well(1.0), h=0.2, r_max=4.0, spacing=0.025, channels=(0, 2)
+            )
+
+    def test_non_finite_potential_named_where_first_sampled(self):
+        def potential(r):
+            return np.where(r > 1, np.nan, 1 - r * r)
+
+        prob = RadialProblem.build(potential, h=0.2, r_max=3.0, spacing=0.025)
+        # the first coarse radius past 1 is 41 * 0.025
+        with pytest.raises(ValueError, match=r"not finite at r = 1\.025$"):
+            neg_sum_radial(prob)
+        with pytest.raises(ValueError, match=r"not finite at r = 1\."):
+            RadialProblem.build(
+                potential, h=0.2, r_max=3.0, spacing=0.025, stretch=0.5
             )
 
 
@@ -329,16 +343,16 @@ class TestTridiagonalBinding:
         tail = 40
 
         w = eigvalsh_tridiagonal(diag, off, select="v", select_range=(lower, 0.0))
-        plain = spectra._negative_solve(raw, conjugation).finish()
-        assert plain.eigenvalues.size > 3
-        assert np.array_equal(plain.eigenvalues, w[w < 0])
-        assert plain.tail_masses is None
+        eigenvalues, tail_masses = spectra._negative_solve(raw, conjugation)
+        assert eigenvalues.size > 3
+        assert np.array_equal(eigenvalues, w[w < 0])
+        assert tail_masses is None
 
         w, vec = eigh_tridiagonal(diag, off, select="v", select_range=(lower, 0.0))
-        guarded = spectra._negative_solve(raw, conjugation, tail).finish()
-        assert np.array_equal(guarded.eigenvalues, w[w < 0])
+        eigenvalues, tail_masses = spectra._negative_solve(raw, conjugation, tail)
+        assert np.array_equal(eigenvalues, w[w < 0])
         np.testing.assert_allclose(
-            guarded.tail_masses,
+            tail_masses,
             np.sum(vec[-tail:, w < 0] ** 2, axis=0),
             rtol=0.0,
             atol=1e-12,
@@ -456,6 +470,19 @@ class TestRadialWorkers:
         finally:
             for (set_threads, _), prior in zip(pins, priors):
                 set_threads(prior)
+
+    def test_worker_error_reaches_the_caller(self, blas_pins):
+        # NaN only at a point of the halved grid, so the coarse check passes
+        # and the solve in a worker thread raises
+        prob = RadialProblem.build(
+            lambda r: np.where(np.isclose(r, 1.0125), np.nan, 1 - r * r),
+            h=0.2,
+            r_max=3.0,
+            spacing=0.025,
+        )
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            neg_sum_radial(prob)
+        assert [get() for get in blas_pins] == [2] * len(blas_pins)
 
 
 class TestRadialDiagnostics:
