@@ -410,14 +410,12 @@ def _pipeline_coherent_check(params: dict[str, Any]):
             h, p.a, p.b, weight_dev, resolution, cancel, rep,
             rep / (h * h * p.b),
         ])
-        res_us, res_qs = coherent._resolution_nodes(p, r_grid)
         sizes.append({
             "h": h,
             "representation_grid_points": grid.size,
             "representation_u_nodes": coherent._representation_u_nodes(p, grid).size,
             "resolution_grid_points": r_grid.size,
-            "resolution_u_nodes": res_us.size,
-            "resolution_q_nodes": res_qs.size,
+            "resolution_q_nodes": coherent._resolution_nodes(p, r_grid).size,
         })
     meta = {"symbol": "q^2 + u^2", "grid_half_width": half, "problem_sizes": sizes}
     return columns, rows, meta

@@ -26,15 +26,19 @@ T = (pi h)^{-1/2} dx exp(-(x_i - x_j)^2/(4 h^2 a)) built once per grid and
 M_u[s] = exp(-a(x_0 + s dx/2 - u)^2) for s = 0..2n-2.  Every kernel here
 takes A_u and T from that one template.
 
-The u sums of both identities integrate M_u[x+y] M_u[y'+z]
+The u integrals of both identities integrate M_u[x+y] M_u[y'+z]
 = exp(-a(m1-m2)^2/2) exp(-2a(u-(m1+m2)/2)^2), an exact Gaussian in u of
-variance 1/(4a), whatever kernel sits between the two factors.  The
-trapezoid rule with step du aliases such a Gaussian by at most
-2 exp(-pi^2/(2a du^2)) relative (Trefethen & Weideman, The exponentially
-convergent trapezoidal rule, SIAM Review 56, 2014), so the u step
-du = 0.365/sqrt(a) of _u_step puts the bound at 2 exp(-37) = 1.6e-16, the
-roundoff floor.  The q sum of the resolution check is a Dirichlet kernel,
-not a Gaussian, and keeps the step min(h, 1/sqrt(a))/6 of _phase_rule.
+variance 1/(4a), whatever kernel sits between the two factors.  Where
+nothing else depends on u (the resolution of the identity and the F term
+of the representation check) the integral over the whole line is done in
+closed form, sqrt(pi/(2a)) for every centre.  The representation check's
+other terms carry the symbol's u-dependence and keep a trapezoid sum: the
+rule with step du aliases such a Gaussian by at most 2 exp(-pi^2/(2a du^2))
+relative (Trefethen & Weideman, The exponentially convergent trapezoidal
+rule, SIAM Review 56, 2014), so the u step du = 0.365/sqrt(a) of _u_step
+puts the bound at 2 exp(-37) = 1.6e-16, the roundoff floor.  The q sum of
+the resolution check is a Dirichlet kernel, not a Gaussian, and keeps the
+step min(h, 1/sqrt(a))/6 of _phase_rule.
 """
 
 from __future__ import annotations
@@ -227,37 +231,26 @@ def _gaussian_factor(p: CoherentParams, grid: Grid1D):
     return t, factor
 
 
-def _u_summed_square(
-    p: CoherentParams, t: np.ndarray, grid: Grid1D, us: np.ndarray, du: float
-) -> np.ndarray:
-    """sum_u du A_u A_u over the nodes us, with the u sum done first.
+def _u_integrated_square(p: CoherentParams, t: np.ndarray, grid: Grid1D) -> np.ndarray:
+    """int A_u A_u du over the whole u line, in closed form.
 
     A_u[i, j] = T[i-j] M_u[i+j] is the template of _gaussian_factor.  With
     m1 = (x+y)/2 and m2 = (y+z)/2 the exponents of the M_u factors combine as
-    -a(m1-u)^2 - a(m2-u)^2 = -2a(u - (x+2y+z)/4)^2 - a(x-z)^2/8, so
+    -a(m1-u)^2 - a(m2-u)^2 = -2a(u - (m1+m2)/2)^2 - a(x-z)^2/8, and the
+    Gaussian integrates to sqrt(pi/(2a)) whatever its centre, so
 
-        sum_u du A_u A_u = exp(-a(x-z)^2/8) sum_y T(x-y) T(y-z) U[i+2j+l],
-
-    where U is the node sum sum_u du exp(-2a(u-c)^2) at the 4n-3
-    quarter-lattice centres c = x_0 + (i+2j+l) dx/4.  This holds for any
-    nodes; it costs one O(n^3) elementwise pass plus O(N_u n) exponentials
-    instead of N_u products.
+        int A_u A_u du = sqrt(pi/(2a)) exp(-a(x-z)^2/8) (T T)[x, z].
     """
-    x, dx, n = grid.points, grid.spacing, grid.size
-    centres = x[0] + 0.25 * dx * np.arange(4 * n - 3)
-    u_sum = du * sum(np.exp(-2.0 * p.a * (centres - u) ** 2) for u in us)
-    # zero-copy view u3[i, j, l] = U[i + 2j + l]
-    stride = u_sum.strides[0]
-    u3 = np.lib.stride_tricks.as_strided(
-        u_sum, shape=(n, n, n), strides=(stride, 2 * stride, stride), writeable=False
-    )
-    acc = np.einsum("ij,jl,ijl->il", t, t, u3, optimize=False)
-    return toeplitz(np.exp(-p.a * (dx * np.arange(n)) ** 2 / 8.0)) * acc
+    dx, n = grid.spacing, grid.size
+    return math.sqrt(math.pi / (2.0 * p.a)) * toeplitz(
+        np.exp(-p.a * (dx * np.arange(n)) ** 2 / 8.0)
+    ) * (t @ t)
 
 
 def _u_step(p: CoherentParams) -> float:
-    """u step of both identities: 0.365/sqrt(a), where the trapezoid aliasing
-    bound 2 exp(-pi^2/(2a du^2)) of their Gaussian u-integrand is 1.6e-16."""
+    """u step of the representation check: 0.365/sqrt(a), where the trapezoid
+    aliasing bound 2 exp(-pi^2/(2a du^2)) of its Gaussian u-integrand is
+    1.6e-16."""
     return 0.365 / math.sqrt(p.a)
 
 
@@ -267,45 +260,32 @@ def _phase_rule(p: CoherentParams) -> float:
 
 
 def _resolution_nodes(
-    p: CoherentParams,
-    grid: Grid1D,
-    u_count: int | None = None,
-    q_count: int | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """u- and q-nodes of resolution_of_identity_check; a count left None
-    follows _u_step or _phase_rule."""
-    sigma = 1.0 / math.sqrt(2.0 * p.a)
-    x, dx = grid.points, grid.spacing
-    u_lo, u_hi = x[0] - 7.0 * sigma, x[-1] + 7.0 * sigma
-    if u_count is None:
-        u_count = int(math.ceil((u_hi - u_lo) / _u_step(p))) + 1
-    q_half = math.pi * p.h / dx + 7.0 * sigma
+    p: CoherentParams, grid: Grid1D, q_count: int | None = None
+) -> np.ndarray:
+    """q-nodes of resolution_of_identity_check; a count left None follows
+    _phase_rule."""
+    q_half = math.pi * p.h / grid.spacing + 7.0 / math.sqrt(2.0 * p.a)
     if q_count is None:
         q_count = 2 * int(math.ceil(q_half / _phase_rule(p))) + 1
-    return np.linspace(u_lo, u_hi, u_count), np.linspace(-q_half, q_half, q_count)
+    return np.linspace(-q_half, q_half, q_count)
 
 
 def resolution_of_identity_check(
     p: CoherentParams,
     psi: np.ndarray,
     grid: Grid1D,
-    u_count: int | None = None,
     q_count: int | None = None,
 ) -> float:
     """Relative L2 deviation of the quadratured resolution of the identity.
 
-    Computes int G_{u,q}^2 psi du dq/(2 pi h) on a uniform tensor phase grid
-    and compares with psi.  The q sum enters through its Dirichlet kernel S
-    in the difference variable, which is identical to summing nodes
-    explicitly.  The u sum is done first: the exponent identity in
-    _u_summed_square gives M = sum_u du A_u A_u over the same u-nodes in one
-    O(n^3) pass, so the check is (M o S) psi.  By default the u-nodes span
-    the grid plus seven widths 1/sqrt(2a) per side at step at most
-    0.365/sqrt(a), where the trapezoid aliasing bound 2 exp(-pi^2/(2a du^2))
-    of the Gaussian u-integrand is 1.6e-16 (Trefethen & Weideman, SIAM
-    Review 56, 2014); the q-nodes span the lattice momenta plus seven widths
-    at step at most min(h, 1/sqrt(a))/6.  Under-resolved quadrature (fewer
-    than 8 nodes per axis) raises a Python warning and still returns the
+    Computes int G_{u,q}^2 psi du dq/(2 pi h) and compares with psi.  The u
+    integral is exact: the exponent identity in _u_integrated_square gives
+    M = int A_u A_u du in closed form.  The q sum runs over uniform nodes
+    spanning the lattice momenta plus seven widths 1/sqrt(2a) per side at
+    step at most min(h, 1/sqrt(a))/6, and enters through its Dirichlet
+    kernel S in the difference variable, which is identical to summing the
+    nodes explicitly; the check is (M o S) psi.  Under-resolved quadrature
+    (fewer than 8 q-nodes) raises a Python warning and still returns the
     measured deviation.
     """
     if p.n != 1:
@@ -317,14 +297,12 @@ def resolution_of_identity_check(
     if norm == 0.0:
         return 0.0
 
-    us, qs = _resolution_nodes(p, grid, u_count, q_count)
-    if us.size < 8 or qs.size < 8:
+    qs = _resolution_nodes(p, grid, q_count)
+    if qs.size < 8:
         _warnmod.warn(
-            "phase-space quadrature under-resolved "
-            f"({us.size} x {qs.size} nodes)",
+            f"phase-space quadrature under-resolved ({qs.size} q-nodes)",
             stacklevel=2,
         )
-    du = us[1] - us[0]
     dq = qs[1] - qs[0]
     dx = grid.spacing
 
@@ -336,7 +314,7 @@ def resolution_of_identity_check(
     s_mat = toeplitz(s_vec[grid.size - 1 :], s_vec[grid.size - 1 :: -1])
 
     t, _ = _gaussian_factor(p, grid)
-    out = (_u_summed_square(p, t, grid, us, du) * s_mat) @ psi
+    out = (_u_integrated_square(p, t, grid) * s_mat) @ psi
     return float(np.linalg.norm(out - psi) / norm)
 
 
@@ -396,14 +374,15 @@ def representation_error_norm(
     """Spectral norm of int G Hhat G du dq/(2 pi h) minus F(-ih d/dx) + V.
 
     q runs over the grid's conjugate lattice, so for each u the three q sums
-    (weights 1, F + F''/4b, F') are exact circulant kernels; u is a plain
-    trapezoid over the grid range plus seven Gaussian widths 1/sqrt(2a), at
-    step 0.365/sqrt(a).  Each u-integrand is a Gaussian of variance 1/(4a)
-    times the symbol's smooth u-dependence, and the trapezoid aliasing bound
-    2 exp(-pi^2/(2a du^2)) of that Gaussian is 1.6e-16 at this step
-    (Trefethen & Weideman, SIAM Review 56, 2014).  The F term
-    needs only sum_u du A_u A_u, which _u_summed_square gives with the u sum
-    done first.  The F' term needs sum_u du A_u P A_u for the spectral
+    (weights 1, F + F''/4b, F') are exact circulant kernels.  The F term
+    needs only int A_u A_u du, which _u_integrated_square gives in closed
+    form.  The weight-1 and F' terms carry the symbol's u-dependence, so
+    their u integral is a plain trapezoid over the grid range plus seven
+    Gaussian widths 1/sqrt(2a), at step 0.365/sqrt(a).  Each of their
+    u-integrands is a Gaussian of variance 1/(4a) times the symbol's smooth
+    u-dependence, and the trapezoid aliasing bound 2 exp(-pi^2/(2a du^2))
+    of that Gaussian is 1.6e-16 at this step (Trefethen & Weideman, SIAM
+    Review 56, 2014).  The F' term needs sum_u du A_u P A_u for the spectral
     momentum P = i S_P + (q_N/n) s s^T, where S_P is the real antisymmetric
     sine kernel of the paired lattice momenta +-q_m and, on an even grid,
     q_N is the unpaired Nyquist momentum with s_j = (-1)^j; each node then
@@ -464,7 +443,7 @@ def representation_error_norm(
         apa += qs[n // 2] / n * nyquist
     assembled = (
         np.diag(t1_diag / dx)
-        + _u_summed_square(p, t, grid, us, du) * s_f
+        + _u_integrated_square(p, t, grid) * s_f
         + apa * s_df
     )
 

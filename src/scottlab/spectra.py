@@ -92,6 +92,19 @@ class SpectralSum:
     fine: float
     warnings: tuple = field(default_factory=tuple)
 
+    @classmethod
+    def richardson_pair(cls, coarse: float, fine: float, label: str) -> "SpectralSum":
+        """Richardson value of a refinement pair one halving apart, with a
+        warning "<label> moved ..." when the pair differs by more than
+        CONVERGENCE_RTOL relatively."""
+        value = richardson(coarse, fine, order=2)
+        warnings = []
+        if abs(fine - coarse) > CONVERGENCE_RTOL * max(abs(value), 1e-12):
+            warnings.append(
+                f"{label} moved {abs(fine - coarse):.3g} between refinements"
+            )
+        return cls(value=value, coarse=coarse, fine=fine, warnings=tuple(warnings))
+
     def __float__(self) -> float:
         return self.value
 
@@ -168,7 +181,8 @@ class RadialProblem:
     must also stay within 1/8 of the local wavelength 2 pi h / sqrt(V_+(r)).
     A potential that is not finite on the level-0 grid raises ValueError
     where it is first sampled: here with stretch > 0, else in
-    sentinel_channel.
+    sentinel_channel.  One that is not finite only on the halved grid
+    raises it in neg_sum_radial, before any channel is solved.
     """
 
     potential: Callable[[np.ndarray], np.ndarray]
@@ -192,7 +206,7 @@ class RadialProblem:
         if self.stretch:
             t, _ = self.interior(level=0)
             r = self.radius(t)
-            v = np.maximum(self._coarse_potential(r), 0.0)
+            v = np.maximum(self._sampled_potential(r), 0.0)
             local = step * self.jacobian(t)
             # local step over 1/8 of the local wavelength 2 pi h / sqrt(V_+)
             excess = 8.0 * local * np.sqrt(v) / (2.0 * math.pi * self.h)
@@ -238,9 +252,9 @@ class RadialProblem:
         """r'(t) = 1 + 2 stretch t."""
         return 1.0 + 2.0 * self.stretch * t
 
-    def _coarse_potential(self, r) -> np.ndarray:
-        """V at the level-0 radii r, where the potential is first sampled;
-        ValueError naming the first radius where it is not finite."""
+    def _sampled_potential(self, r) -> np.ndarray:
+        """V at the radii r of either refinement level; ValueError naming the
+        first radius where it is not finite."""
         v = np.asarray(self.potential(r), dtype=float)
         bad = np.flatnonzero(~np.isfinite(np.broadcast_to(v, r.shape)))
         if bad.size:
@@ -445,13 +459,7 @@ def neg_sum_1d(
     coarse = _sum_1d(potential, h, grid.points[1:-1], grid.spacing, bump)
     fine_grid = grid.halved()
     fine = _sum_1d(potential, h, fine_grid.points[1:-1], fine_grid.spacing, bump)
-    value = richardson(coarse, fine, order=2)
-    warnings = []
-    if abs(fine - coarse) > CONVERGENCE_RTOL * max(abs(value), 1e-12):
-        warnings.append(
-            f"eigenvalue sum moved {abs(fine - coarse):.3g} between refinements"
-        )
-    return SpectralSum(value=value, coarse=coarse, fine=fine, warnings=tuple(warnings))
+    return SpectralSum.richardson_pair(coarse, fine, "eigenvalue sum")
 
 
 def sentinel_channel(problem: RadialProblem, shift: float = 0.0) -> int:
@@ -462,7 +470,7 @@ def sentinel_channel(problem: RadialProblem, shift: float = 0.0) -> int:
     """
     t, _ = problem.interior(level=0)
     r = problem.radius(t)
-    v = problem._coarse_potential(r)
+    v = problem._sampled_potential(r)
     h2 = problem.h**2
     for ell in range(SENTINEL_MAX_ELL + 1):
         if np.min(ell * (ell + 1) * h2 / r**2 - v + shift) >= 0.0:
@@ -486,7 +494,7 @@ def _radial_level(problem: RadialProblem, level: int, bump):
     h2 = problem.h**2
     t, step = problem.interior(level=level)
     r = problem.radius(t)
-    v = np.asarray(problem.potential(r), dtype=float)
+    v = problem._sampled_potential(r)
     node = problem.jacobian(t)
     half = problem.jacobian(step * (np.arange(t.size + 1) + 0.5))
     kinetic = h2 / (step**2 * node) * (1.0 / half[:-1] + 1.0 / half[1:])
@@ -565,19 +573,9 @@ def neg_sum_radial(
             f"the box exceeds {BOUNDARY_MASS_TOL:g}; enlarge r_max"
         )
 
-    value = richardson(totals[0], totals[1], order=2)
-    warnings = []
-    if abs(totals[1] - totals[0]) > CONVERGENCE_RTOL * max(abs(value), 1e-12):
-        warnings.append(
-            f"radial sum moved {abs(totals[1] - totals[0]):.3g} "
-            "between refinements"
-        )
-    total = SpectralSum(
-        value=value, coarse=totals[0], fine=totals[1], warnings=tuple(warnings)
-    )
     return RadialSum(
         channels=tuple(channels),
-        total=total,
+        total=SpectralSum.richardson_pair(totals[0], totals[1], "radial sum"),
         boundary_mass=frac,
         sentinel=sentinel,
     )

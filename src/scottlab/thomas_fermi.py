@@ -153,23 +153,6 @@ class UniversalTF:
             out[hi] = _tail_phi_dphi(x[hi], self.tail_coefficient)[0]
         return out[0] if scalar else out
 
-    def dphi(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
-        out = np.empty_like(x)
-        lo = x < self.x[0]
-        hi = x > self.x[-1]
-        mid = ~(lo | hi)
-        if np.any(lo):
-            out[lo] = _series_phi_dphi(x[lo], self.initial_slope)[1]
-        if np.any(mid):
-            lx = np.log(x[mid])
-            out[mid] = np.exp(self._spline(lx)) * self._spline(lx, 1) / x[mid]
-        if np.any(hi):
-            out[hi] = _tail_phi_dphi(x[hi], self.tail_coefficient)[1]
-        return out[0] if scalar else out
-
     def curvature_table(self) -> tuple[np.ndarray, np.ndarray]:
         """phi'' on the trimmed table, by differencing the tabulated values
         in log-log coordinates (independent of how the table was produced)."""

@@ -161,7 +161,9 @@ def test_criterion_7_coherent_identities():
     h_values = (0.4, 0.2, 0.1)
     half_widths = {0.4: 5.0, 0.2: 4.0, 0.1: 4.0}
     weight_devs, resolution_devs, cancels, ratios = [], [], [], []
+    seconds = []
     for h in h_values:
+        start = time.perf_counter()
         p = CoherentParams(h=h, a=h**-0.8)
         weight_devs.append(_weight_deviation(p))
 
@@ -183,6 +185,7 @@ def test_criterion_7_coherent_identities():
             harmonic_symbol(), p, _representation_grid(p, half_widths[h])
         )
         ratios.append(err / (p.h**2 * p.b))
+        seconds.append(time.perf_counter() - start)
 
     assert max(weight_devs) < 1e-8, f"weight normalization {max(weight_devs):.2e}"
     assert max(resolution_devs) < 1e-6, f"resolution {max(resolution_devs):.2e}"
@@ -192,7 +195,8 @@ def test_criterion_7_coherent_identities():
     budget.check(
         f"criterion 7 PASS: weight {max(weight_devs):.1e}, resolution "
         f"{max(resolution_devs):.1e}, cancellation {max(cancels):.1e}, "
-        f"err/(h^2 b) stability {stability:.3f} over h = 0.4, 0.2, 0.1"
+        f"err/(h^2 b) stability {stability:.3f} over h = 0.4, 0.2, 0.1; "
+        + ", ".join(f"{s:.1f}s at h = {h}" for s, h in zip(seconds, h_values))
     )
 
 

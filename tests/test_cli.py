@@ -251,7 +251,6 @@ class TestCoherentCheckCommand:
             "representation_grid_points": 121,
             "representation_u_nodes": 60,
             "resolution_grid_points": 211,
-            "resolution_u_nodes": 84,
             "resolution_q_nodes": 671,
         }]
 

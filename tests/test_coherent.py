@@ -28,7 +28,13 @@ from scottlab.coherent import (
 )
 from scottlab import numerics
 from scottlab import coherent
-from scottlab.coherent import _gaussian_factor, _phase_rule, _trial_nodes, _u_step
+from scottlab.coherent import (
+    _gaussian_factor,
+    _phase_rule,
+    _trial_nodes,
+    _u_integrated_square,
+    _u_step,
+)
 from scottlab.numerics import Grid1D, GridOperator
 
 
@@ -263,15 +269,15 @@ class TestResolutionOfIdentity:
         grid = working_grid(p, 7.0)
         psi = np.exp(-grid.points**2)
         with pytest.warns(UserWarning, match="under-resolved"):
-            dev = resolution_of_identity_check(p, psi, grid, u_count=4, q_count=9)
+            dev = resolution_of_identity_check(p, psi, grid, q_count=7)
         assert dev > 1e-3
 
     def test_coarse_quadrature_recovers_under_refinement(self):
         p = CoherentParams(h=0.4, a=0.4**-0.8)
         grid = working_grid(p, 7.0)
         psi = np.exp(-grid.points**2)
-        coarse = resolution_of_identity_check(p, psi, grid, u_count=80, q_count=81)
-        fine = resolution_of_identity_check(p, psi, grid, u_count=160, q_count=161)
+        coarse = resolution_of_identity_check(p, psi, grid, q_count=81)
+        fine = resolution_of_identity_check(p, psi, grid, q_count=161)
         assert fine < coarse
 
     def test_rejects_wrong_shapes(self):
@@ -467,17 +473,20 @@ def kernel_factor(p, x, dx, u):
     return new_kernel_G(p, PhasePoint(u, 0.0), x[:, None], x[None, :]).real * dx
 
 
-def per_node_resolution(p, psi, grid, u_count=None, q_count=None):
+def trapezoid_u_nodes(p, grid):
+    """The grid range plus seven widths 1/sqrt(2a) per side, at step _u_step."""
+    sigma = 1.0 / math.sqrt(2.0 * p.a)
+    x, du = grid.points, _u_step(p)
+    return np.arange(x[0] - 7.0 * sigma, x[-1] + 7.0 * sigma + du, du), du
+
+
+def per_node_resolution(p, psi, grid):
+    """The resolution check as a u trapezoid, one dense product per node."""
     sigma = 1.0 / math.sqrt(2.0 * p.a)
     x, dx = grid.points, grid.spacing
-    u_lo, u_hi = x[0] - 7.0 * sigma, x[-1] + 7.0 * sigma
-    if u_count is None:
-        u_count = int(math.ceil((u_hi - u_lo) / _u_step(p))) + 1
+    us, du = trapezoid_u_nodes(p, grid)
     q_half = math.pi * p.h / dx + 7.0 * sigma
-    if q_count is None:
-        q_count = 2 * int(math.ceil(q_half / _phase_rule(p))) + 1
-    us = np.linspace(u_lo, u_hi, u_count)
-    du = us[1] - us[0]
+    q_count = 2 * int(math.ceil(q_half / _phase_rule(p))) + 1
     qs = np.linspace(-q_half, q_half, q_count)
     dq = qs[1] - qs[0]
     diffs = dx * np.arange(-(grid.size - 1), grid.size)
@@ -505,9 +514,7 @@ def per_node_representation(sym, p, grid):
     wrap = (idx[:, None] - idx[None, :]) % n
     s_f = (np.fft.ifft(w_f) / dx)[wrap]
     s_df = (np.fft.ifft(w_df) / dx)[wrap]
-    sigma = 1.0 / math.sqrt(2.0 * p.a)
-    du = _u_step(p)
-    us = np.arange(x[0] - 7.0 * sigma, x[-1] + 7.0 * sigma + du, du)
+    us, du = trapezoid_u_nodes(p, grid)
     assembled = np.zeros((n, n), dtype=complex)
     for u in us:
         a_mat = kernel_factor(p, x, dx, float(u))
@@ -539,7 +546,8 @@ def per_node_representation(sym, p, grid):
 
 
 class TestAgainstPerNodeLoops:
-    """The u-first sums agree with one dense product per node.
+    """The u-first sums and the closed-form u integral agree with one dense
+    product per node of a u trapezoid at _u_step.
 
     n = 121 is the odd grid the h = 0.4 rule gives on [-4, 4]; n = 122 is
     even, so the lattice has an unpaired Nyquist momentum.
@@ -556,14 +564,24 @@ class TestAgainstPerNodeLoops:
         assert np.max(np.abs(factor(u) - a_ref)) <= 1e-14 * np.max(np.abs(a_ref))
 
     @pytest.mark.parametrize("n", [121, 122])
-    @pytest.mark.parametrize("u_count", [None, 4, 80])
-    def test_resolution_of_identity(self, n, u_count):
+    def test_u_integrated_square(self, n):
+        # off-centre grid, so the u-integrand centres are not symmetric about 0
+        grid = Grid1D.uniform(-3.0, 5.0, n)
+        t, _ = _gaussian_factor(self.p, grid)
+        us, du = trapezoid_u_nodes(self.p, grid)
+        ref = np.zeros((n, n))
+        for u in us:
+            a_mat = kernel_factor(self.p, grid.points, grid.spacing, float(u))
+            ref += du * (a_mat @ a_mat)
+        exact = _u_integrated_square(self.p, t, grid)
+        assert np.max(np.abs(exact - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", [121, 122])
+    def test_resolution_of_identity(self, n):
         grid = Grid1D.uniform(-4.0, 4.0, n)
         psi = np.exp(-((grid.points - 0.5) ** 2) / 1.5)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # u_count = 4 is under-resolved
-            fast = resolution_of_identity_check(self.p, psi, grid, u_count=u_count)
-            slow = per_node_resolution(self.p, psi, grid, u_count=u_count)
+        fast = resolution_of_identity_check(self.p, psi, grid)
+        slow = per_node_resolution(self.p, psi, grid)
         assert abs(fast - slow) < 1e-14
 
     @pytest.mark.parametrize("n", [121, 122])
@@ -576,17 +594,19 @@ class TestAgainstPerNodeLoops:
 
 
 def old_u_step(p):
-    """The u step both identities used before _u_step: min(h, 1/sqrt(a))/6."""
+    """The u step the representation check used before _u_step:
+    min(h, 1/sqrt(a))/6."""
     return min(p.h, 1.0 / math.sqrt(p.a)) / 6.0
 
 
 class TestUStep:
-    """The u sums at the Gaussian aliasing step.
+    """The representation check's u sums at the Gaussian aliasing step.
 
-    Both u-integrands are Gaussians of variance 1/(4a), on which the
-    trapezoid rule aliases by at most 2 exp(-pi^2/(2a du^2)).  The old step
-    min(h, 1/sqrt(a))/6 put that below e^-177; the new one puts it at the
-    roundoff floor, so the measured figures may move only at roundoff scale.
+    Its u-integrands are Gaussians of variance 1/(4a) times the symbol's
+    smooth u-dependence, on which the trapezoid rule aliases by at most
+    2 exp(-pi^2/(2a du^2)).  The old step min(h, 1/sqrt(a))/6 put that below
+    e^-177; the new one puts it at the roundoff floor, so the measured
+    figures may move only at roundoff scale.
     """
 
     @pytest.mark.parametrize("h", [0.6, 0.4, 0.25, 0.2, 0.1, 0.05])
@@ -607,16 +627,6 @@ class TestUStep:
         monkeypatch.setattr(coherent, "_u_step", old_u_step)
         old = representation_error_norm(symbol(), p, grid)
         assert new == pytest.approx(old, rel=1e-10)
-
-    @pytest.mark.parametrize("h", [0.4, 0.25, 0.2])
-    def test_resolution_converged_against_old_step(self, monkeypatch, h):
-        p = CoherentParams(h=h, a=h**-0.8)
-        grid = working_grid(p, 7.0)
-        psi = np.exp(-grid.points**2 / 2.0)
-        new = resolution_of_identity_check(p, psi, grid)
-        monkeypatch.setattr(coherent, "_u_step", old_u_step)
-        old = resolution_of_identity_check(p, psi, grid)
-        assert abs(new - old) <= 1e-16
 
     @pytest.mark.parametrize("h", [0.6, 0.5, 0.2, 0.1])
     def test_trial_density_keeps_its_node_step(self, h):

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -91,6 +92,22 @@ class TestRadialProblem:
             RadialProblem.build(
                 potential, h=0.2, r_max=3.0, spacing=0.025, stretch=0.5
             )
+
+    def test_non_finite_potential_named_on_the_halved_grid(self, monkeypatch):
+        # NaN only at a point of the halved grid: the level-0 checks pass, and
+        # the level-1 sample names the radius before any solve is mapped
+        def no_workers(fn, items):
+            pytest.fail("channel solves started")
+
+        monkeypatch.setattr(spectra, "_pinned_map", no_workers)
+        prob = RadialProblem.build(
+            lambda r: np.where(np.isclose(r, 1.0125), np.nan, 1 - r * r),
+            h=0.2,
+            r_max=3.0,
+            spacing=0.025,
+        )
+        with pytest.raises(ValueError, match=r"not finite at r = 1\.0125$"):
+            neg_sum_radial(prob)
 
 
 class TestNegSumRadial:
@@ -471,17 +488,25 @@ class TestRadialWorkers:
             for (set_threads, _), prior in zip(pins, priors):
                 set_threads(prior)
 
-    def test_worker_error_reaches_the_caller(self, blas_pins):
-        # NaN only at a point of the halved grid, so the coarse check passes
-        # and the solve in a worker thread raises
-        prob = RadialProblem.build(
-            lambda r: np.where(np.isclose(r, 1.0125), np.nan, 1 - r * r),
-            h=0.2,
-            r_max=3.0,
-            spacing=0.025,
-        )
-        with pytest.raises(ValueError, match="infs or NaNs"):
-            neg_sum_radial(prob)
+    def test_worker_error_reaches_the_caller(self, monkeypatch, blas_pins):
+        # the third channel solve raises, inside a worker thread
+        solve = spectra._negative_solve
+        lock = threading.Lock()
+        calls, raised_in = [], []
+
+        def failing_solve(*args, **kwargs):
+            with lock:
+                calls.append(None)
+                failing = len(calls) == 3
+            if failing:
+                raised_in.append(threading.current_thread())
+                raise ValueError("solve failed in a worker")
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(spectra, "_negative_solve", failing_solve)
+        with pytest.raises(ValueError, match="solve failed in a worker"):
+            neg_sum_radial(harmonic_problem())
+        assert raised_in and raised_in[0] is not threading.main_thread()
         assert [get() for get in blas_pins] == [2] * len(blas_pins)
 
 

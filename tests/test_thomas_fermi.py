@@ -36,12 +36,6 @@ class TestUniversal:
         # phi -> 144/x^3, approached slowly through the x^(-0.772) correction
         assert universal.phi(1e4) * 1e12 / 144.0 == pytest.approx(1.0, rel=0.05)
 
-    def test_dphi_consistent_with_phi(self, universal):
-        for x in (0.3, 1.7, 9.0):
-            e = 1e-6 * x
-            fd = (universal.phi(x + e) - universal.phi(x - e)) / (2 * e)
-            assert universal.dphi(x) == pytest.approx(fd, rel=1e-6)
-
     def test_rejects_nonpositive_argument(self, universal):
         with pytest.raises(ValueError):
             universal.phi(0.0)
