@@ -491,14 +491,20 @@ def _trial_nodes(
 ):
     """u-nodes, q-nodes and their common step for trial_density_matrix.
 
-    The q span is [q_min - 10/sqrt(a), q_max + 10/sqrt(a)] over the
-    classically negative set, scanned at 41 support points over |q| <= 20.
-    The scan is mirrored exactly, so an even symbol gets nodes symmetric
-    about q = 0; a symbol negative nowhere keeps the span about q = 0.
+    Both lattices are the integer multiples of step = 2 _phase_rule(p), so
+    they are anchored at 0 and the u-nodes are symmetric about it.  The
+    u-nodes are the multiples inside [-R, R] for R = support_radius; a node
+    within 1e-12 relative of |u| = R is kept (trial_density_matrix gives it
+    trapezoid weight 1/2).  The q-nodes run from floor(q_lo/step) to
+    ceil(q_hi/step) times step for the span [q_lo, q_hi] = [q_min - 10/sqrt(a),
+    q_max + 10/sqrt(a)] over the classically negative set, scanned at 41
+    support points over |q| <= 20.  The scan is mirrored exactly, so an even
+    symbol gets q-nodes with qs == -qs[::-1] bitwise; a symbol negative
+    nowhere keeps the span about q = 0.
     """
     step = 2.0 * _phase_rule(p)
-    us = np.arange(-support_radius, support_radius + step, step)
-    us = us[np.abs(us) <= support_radius]
+    k_max = math.floor(support_radius / step * (1.0 + 1e-12))
+    us = step * np.arange(-k_max, k_max + 1)
 
     q_mags = np.linspace(0.0, 20.0, 2001)
     q_scan = np.concatenate((-q_mags[::-1], q_mags))
@@ -516,7 +522,7 @@ def _trial_nodes(
         q_min = q_max = 0.0
     margin = 10.0 / math.sqrt(p.a)
     q_lo, q_hi = q_min - margin, q_max + margin
-    qs = np.arange(q_lo, q_hi + step, step)
+    qs = step * np.arange(math.floor(q_lo / step), math.ceil(q_hi / step) + 1)
 
     if math.pi * p.h / grid.spacing < max(abs(q_lo), abs(q_hi)):
         _warnmod.warn(
@@ -536,17 +542,28 @@ def trial_density_matrix(
     """gamma = int G chi(hhat) G du dq/(2 pi h) with hhat linearized.
 
     hhat at (u, q) is the first-order operator_symbol for |u| inside the
-    support ball and zero outside, so only interior nodes contribute.  Each
+    support ball and zero outside, so only nodes inside contribute.  Each
     chi is the exact spectral projection of the dense Hermitian hhat matrix
     onto its negative part; accumulating G P P^H G keeps gamma positive
     semidefinite by construction, and the resolution of the identity caps it
-    at one plus quadrature error.  Node spacing follows min(h, 1/sqrt(a))/3
-    and the q range extends past the classically negative set by 10/sqrt(a)
-    on each side, beyond which the momentum overlap with the projection is
-    negligible.  The set is scanned on the support over |q| <= 20; a symbol
-    still negative at either end of the scan raises ValueError.  Each node
-    operator is grad_q P plus a real diagonal, with the spectral momentum P
-    made Hermitian once.
+    at one plus quadrature error.  The nodes are the _trial_nodes lattices,
+    multiples of min(h, 1/sqrt(a))/3 anchored at 0, with the q range past
+    the classically negative set by 10/sqrt(a) on each side, beyond which
+    the momentum overlap with the projection is negligible.  The set is
+    scanned on the support over |q| <= 20; a symbol still negative at either
+    end of the scan raises ValueError.  The u sum is a trapezoid rule: a row
+    on the support edge |u| = R (to 1e-12 relative) has weight 1/2, since
+    hhat is cut to zero past it.  Each node operator is grad_q P plus a
+    real diagonal, with the spectral momentum P made Hermitian once.
+
+    Time reversal halves the work.  On an odd grid the lattice momenta pair
+    as +-q_m, so P is conjugate-odd; when the q-nodes are symmetric, F +
+    F''/(4b) is bitwise even on them and F' bitwise odd, node (u, -q) has
+    hhat = conj hhat(u, q) and contributes the complex conjugate of node
+    (u, q).  Each row then solves only the q >= 0 nodes, with multiplicity 2
+    for q > 0, and accumulates Re(g g^H) = [Re g, Im g] [Re g, Im g]^T in
+    real arithmetic, so gamma is float64.  Every other symbol or grid runs
+    the same loop over all q-nodes with multiplicity 1 and a complex gamma.
 
     The u-rows run through numerics._pinned_map: one worker thread per
     usable CPU with OpenBLAS held at one thread, or a single worker where no
@@ -555,7 +572,8 @@ def trial_density_matrix(
     the same for any worker count and each part is freed once added.  The
     symbol's callables therefore run in worker threads; an exception they
     raise in a row reaches the caller.  The scan, the node grids, the
-    warning and the argument checks run in the calling thread first.
+    pairing test, the warning and the argument checks run in the calling
+    thread first.
 
     Each projected state spreads about 1/sqrt(2a) in momentum around its
     node, so the grid should put pi h/dx several such widths above the q
@@ -568,6 +586,21 @@ def trial_density_matrix(
     x, n = grid.points, grid.size
     us, qs, step = _trial_nodes(sym, p, grid, support_radius)
 
+    f_half = _symbol_half(sym.F, sym.d2F, qs, p.b)
+    df = np.asarray(sym.dF(qs), dtype=float)
+    paired = (
+        n % 2 == 1
+        and np.array_equal(qs, -qs[::-1])
+        and np.array_equal(f_half, f_half[::-1])
+        and np.array_equal(df, -df[::-1])
+    )
+    if paired:
+        row_qs = qs[qs >= 0.0]
+        multiplicity = np.where(row_qs > 0.0, 2.0, 1.0)
+    else:
+        row_qs, multiplicity = qs, np.ones(qs.size)
+    dtype = float if paired else complex
+
     p_mat = fourier_multiplier_matrix(momentum_lattice(grid, p.h), n)
     p_mat = 0.5 * (p_mat + p_mat.conj().T)
     diag = np.diag_indices(n)
@@ -576,9 +609,11 @@ def trial_density_matrix(
 
     def row(u: float) -> np.ndarray:
         a_mat = factor(u)
-        part = np.zeros((n, n), dtype=complex)
-        for q in qs:
-            s = operator_symbol(sym, p, PhasePoint(u, float(q)))
+        edge = abs(abs(u) - support_radius) <= 1e-12 * support_radius
+        u_weight = 0.5 * weight if edge else weight
+        part = np.zeros((n, n), dtype=dtype)
+        for q, mult in zip(row_qs.tolist(), multiplicity.tolist()):
+            s = operator_symbol(sym, p, PhasePoint(u, q))
             hhat = s.grad_q * p_mat
             hhat[diag] += s.c0 - s.grad_q * q + s.grad_u * (x - u)
             w, vec = np.linalg.eigh(hhat)
@@ -589,10 +624,12 @@ def trial_density_matrix(
             g_neg = phases[:, None] * (
                 a_mat @ (phases.conj()[:, None] * vec[:, :k])
             )
-            part += weight * (g_neg @ g_neg.conj().T)
+            if paired:
+                g_neg = np.hstack((g_neg.real, g_neg.imag))
+            part += (u_weight * mult) * (g_neg @ g_neg.conj().T)
         return part
 
-    gamma = np.zeros((n, n), dtype=complex)
+    gamma = np.zeros((n, n), dtype=dtype)
     for part in _pinned_map(row, us.tolist()):
         gamma += part
 

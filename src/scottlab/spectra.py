@@ -255,11 +255,7 @@ class RadialProblem:
     def _sampled_potential(self, r) -> np.ndarray:
         """V at the radii r of either refinement level; ValueError naming the
         first radius where it is not finite."""
-        v = np.asarray(self.potential(r), dtype=float)
-        bad = np.flatnonzero(~np.isfinite(np.broadcast_to(v, r.shape)))
-        if bad.size:
-            raise ValueError(f"potential is not finite at r = {r[bad[0]]:g}")
-        return v
+        return _finite_samples(self.potential, r, "r")
 
     @property
     def r_max(self) -> float:
@@ -434,12 +430,30 @@ def _negative_solve(diag, conjugation, tail=0):
     return values[negative], None if masses is None else masses[order][negative]
 
 
-def _sum_1d(potential, h, points, step, bump):
+def _finite_samples(potential, points, coordinate: str) -> np.ndarray:
+    """potential at points; ValueError naming the first point where it is not
+    finite, as coordinate = value."""
     v = np.asarray(potential(points), dtype=float)
-    diag = 2.0 * h**2 / step**2 + v
-    off = np.full(points.size - 1, -(h**2) / step**2)
-    eigenvalues, _ = _negative_solve(diag, _conjugation(points, off, bump))
-    return float(np.sum(eigenvalues))
+    bad = np.flatnonzero(~np.isfinite(np.broadcast_to(v, points.shape)))
+    if bad.size:
+        raise ValueError(
+            f"potential is not finite at {coordinate} = {points[bad[0]]:g}"
+        )
+    return v
+
+
+def _sum_1d(potential, h, grid: Grid1D, bump) -> tuple[float, float]:
+    """Negative eigenvalue sums on the grid and on its halving.  The potential
+    is sampled and checked on both levels before either is solved."""
+    levels = [(g.points[1:-1], g.spacing) for g in (grid, grid.halved())]
+    samples = [_finite_samples(potential, points, "x") for points, _ in levels]
+    sums = []
+    for (points, step), v in zip(levels, samples):
+        diag = 2.0 * h**2 / step**2 + v
+        off = np.full(points.size - 1, -(h**2) / step**2)
+        eigenvalues, _ = _negative_solve(diag, _conjugation(points, off, bump))
+        sums.append(float(np.sum(eigenvalues)))
+    return sums[0], sums[1]
 
 
 def neg_sum_1d(
@@ -453,12 +467,12 @@ def neg_sum_1d(
     Dirichlet ends; phi is an optional multiplicative bump.  The returned
     value is Richardson-extrapolated over one halving of the grid spacing,
     and a warning is attached when the refinement pair still moves by more
-    than CONVERGENCE_RTOL relatively.
+    than CONVERGENCE_RTOL relatively.  A potential that is not finite at an
+    interior point of either level raises ValueError naming the first such
+    x, coarse level first, before any eigensolve.
     """
     require_positive(h, "h")
-    coarse = _sum_1d(potential, h, grid.points[1:-1], grid.spacing, bump)
-    fine_grid = grid.halved()
-    fine = _sum_1d(potential, h, fine_grid.points[1:-1], fine_grid.spacing, bump)
+    coarse, fine = _sum_1d(potential, h, grid, bump)
     return SpectralSum.richardson_pair(coarse, fine, "eigenvalue sum")
 
 

@@ -15,6 +15,7 @@ import pytest
 from scottlab.coherent import (
     CoherentParams,
     PhasePoint,
+    _trial_nodes,
     constant_symbol,
     gaussian_moment_cancellation,
     harmonic_symbol,
@@ -206,6 +207,7 @@ def test_criterion_8_trial_density_upper_bound():
     support = 1.5
     constants = []
     seconds = []
+    sizes = []
     for h in (0.2, 0.1):
         start = time.perf_counter()
         p = CoherentParams(h=h, a=h**-0.8)
@@ -231,12 +233,15 @@ def test_criterion_8_trial_density_upper_bound():
         assert c_h > 0.0
         constants.append(c_h)
         seconds.append(time.perf_counter() - start)
+        us, qs, _ = _trial_nodes(sym, p, grid, support)
+        sizes.append(f"{grid.size} points, {us.size} u-rows x {qs.size} q-nodes")
     stability = max(constants) / min(constants)
     assert stability < 2.0, f"C drifted by {stability:.3f} under halving"
     budget.check(
         f"criterion 8 PASS: gamma spectra in [0, 1], variational bound holds, "
         f"C(h) = {constants[0]:.4f} -> {constants[1]:.4f} under h halving; "
-        f"{seconds[0]:.1f}s at h = 0.2, {seconds[1]:.1f}s at h = 0.1 "
+        f"{seconds[0]:.1f}s at h = 0.2 ({sizes[0]}), "
+        f"{seconds[1]:.1f}s at h = 0.1 ({sizes[1]}) "
         f"on {_row_workers()} row workers"
     )
 

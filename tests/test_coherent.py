@@ -376,7 +376,13 @@ class TestTrialDensity:
     def test_even_symbol_keeps_symmetric_q_nodes(self):
         p, sym, grid = self.build_small()
         _, qs, step = _trial_nodes(sym, p, grid, 1.5)
-        # the symmetric span: largest scanned |q| with sigma < 0, plus margin
+        # consecutive integer multiples of the step, mirrored bitwise about 0
+        k = np.rint(qs / step)
+        assert np.array_equal(qs, step * k)
+        assert np.array_equal(k, np.arange(k[0], k[-1] + 1))
+        assert np.array_equal(qs, -qs[::-1])
+        # the lattice covers the largest scanned |q| with sigma < 0 plus the
+        # margin, by less than one step
         q_mags = np.linspace(0.0, 20.0, 2001)
         q_scan = np.concatenate((-q_mags[::-1], q_mags))
         shell = max(
@@ -384,7 +390,38 @@ class TestTrialDensity:
             for u in np.linspace(-1.5, 1.5, 41)
         )
         q_half = shell + 10.0 / math.sqrt(p.a)
-        assert np.array_equal(qs, np.arange(-q_half, q_half + step, step))
+        assert q_half <= qs[-1] < q_half + step
+
+    @pytest.mark.parametrize("h, rows", [(0.5, 19), (0.6, 15)])
+    def test_u_rows_on_the_support_edge(self, h, rows):
+        # R/step is 9 at h = 0.5, so rows land on u = +-1.5; at h = 0.6 it is
+        # 7.5 and no row does
+        p = CoherentParams(h=h, a=h**-0.8)
+        sym = harmonic_symbol(offset=-1.0)
+        grid = Grid1D.uniform(-3.0, 3.0, 31)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the grid Nyquist is below the q range
+            us, _, step = _trial_nodes(sym, p, grid, 1.5)
+        assert np.array_equal(us, step * np.arange(-(rows // 2), rows // 2 + 1))
+        assert np.array_equal(us, -us[::-1])
+        on_edge = np.isclose(np.abs(us), 1.5, rtol=1e-12, atol=0.0)
+        assert list(np.flatnonzero(on_edge)) == ([0, rows - 1] if h == 0.5 else [])
+
+    def test_support_edge_row_has_half_weight(self):
+        # at h = 0.5 the rows u = +-1.5 sit on the edge: a radius 1e-9 inside
+        # drops them and one 1e-9 outside keeps them at full weight
+        p = CoherentParams(h=0.5, a=0.5**-0.8)
+        sym = harmonic_symbol(offset=-1.0)
+        grid = Grid1D.uniform(-3.0, 3.0, 31)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            edge, inside, outside = (
+                trial_density_matrix(sym, p, grid, support_radius=r).matrix
+                for r in (1.5, 1.5 * (1.0 - 1e-9), 1.5 * (1.0 + 1e-9))
+            )
+        assert not np.allclose(inside, outside)
+        half_sum = 0.5 * (inside + outside)
+        assert np.max(np.abs(edge - half_sum)) <= 1e-13 * np.max(np.abs(edge))
 
     def test_q_nodes_follow_a_shifted_shell(self):
         p, _, grid = self.build_small()
@@ -545,9 +582,34 @@ def per_node_representation(sym, p, grid):
     return float(np.max(np.abs(np.linalg.eigvalsh(band))))
 
 
+def per_node_trial_density(sym, p, grid, support_radius):
+    """gamma summed over every (u, q) of _trial_nodes with complex outer
+    products, one dense pointwise kernel G_{u,q} per node; rows on the
+    support edge at weight 1/2."""
+    x, dx, n = grid.points, grid.spacing, grid.size
+    us, qs, step = _trial_nodes(sym, p, grid, support_radius)
+    p_mat = fourier_multiplier_matrix(momentum_lattice(grid, p.h), n)
+    p_mat = 0.5 * (p_mat + p_mat.conj().T)
+    gamma = np.zeros((n, n), dtype=complex)
+    for u in us.tolist():
+        edge = math.isclose(abs(u), support_radius, rel_tol=1e-12)
+        weight = (0.5 if edge else 1.0) * step * step / (2.0 * math.pi * p.h)
+        for q in qs.tolist():
+            s = operator_symbol(sym, p, PhasePoint(u, q))
+            hhat = s.grad_q * p_mat + np.diag(
+                s.c0 - s.grad_q * q + s.grad_u * (x - u)
+            )
+            w, vec = np.linalg.eigh(hhat)
+            g_mat = new_kernel_G(p, PhasePoint(u, q), x[:, None], x[None, :]) * dx
+            g_neg = g_mat @ vec[:, w < 0.0]
+            gamma += weight * (g_neg @ g_neg.conj().T)
+    return 0.5 * (gamma + gamma.conj().T)
+
+
 class TestAgainstPerNodeLoops:
     """The u-first sums and the closed-form u integral agree with one dense
-    product per node of a u trapezoid at _u_step.
+    product per node of a u trapezoid at _u_step, and the trial density
+    with its complex sum over every node of _trial_nodes.
 
     n = 121 is the odd grid the h = 0.4 rule gives on [-4, 4]; n = 122 is
     even, so the lattice has an unpaired Nyquist momentum.
@@ -591,6 +653,28 @@ class TestAgainstPerNodeLoops:
         fast = representation_error_norm(symbol(), self.p, grid)
         slow = per_node_representation(symbol(), self.p, grid)
         assert fast == pytest.approx(slow, rel=1e-11)
+
+    @pytest.mark.parametrize(
+        "sym, n, paired",
+        [
+            (harmonic_symbol(-1.0), 61, True),
+            (shifted_symbol(), 61, False),
+            (harmonic_symbol(-1.0), 62, False),
+        ],
+        ids=["harmonic-odd", "shifted-odd", "harmonic-even"],
+    )
+    def test_trial_density(self, sym, n, paired):
+        # support radius three node steps, so the two outer rows sit on the
+        # edge at weight 1/2; time-reversed nodes pair only for the even
+        # symbol on the odd grid
+        radius = 3.0 * 2.0 * _phase_rule(self.p)
+        grid = Grid1D.uniform(-4.0, 4.0, n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # Nyquist below the shifted q range
+            fast = trial_density_matrix(sym, self.p, grid, support_radius=radius)
+            slow = per_node_trial_density(sym, self.p, grid, radius)
+        assert fast.matrix.dtype == (np.float64 if paired else np.complex128)
+        assert np.max(np.abs(fast.matrix - slow)) <= 1e-13 * np.max(np.abs(slow))
 
 
 def old_u_step(p):

@@ -63,6 +63,21 @@ class TestNegSum1D:
         with pytest.raises(ValueError):
             neg_sum_1d(lambda x: -np.ones_like(x), 0.0, grid)
 
+    def test_non_finite_potential_named_before_any_solve(self, monkeypatch):
+        def no_solve(*args):
+            pytest.fail("eigensolve started")
+
+        monkeypatch.setattr(spectra, "_negative_solve", no_solve)
+        grid = Grid1D.uniform(-1.0, 1.0, 65)
+        # the first interior point past 0.5 is 17/32 on the grid
+        with pytest.raises(ValueError, match=r"not finite at x = 0\.53125$"):
+            neg_sum_1d(lambda x: np.where(x > 0.5, np.nan, -1.0), 0.1, grid)
+        # and 33/64 on its halving, where the grid itself is finite
+        with pytest.raises(ValueError, match=r"not finite at x = 0\.515625$"):
+            neg_sum_1d(
+                lambda x: np.where(np.isclose(x, 0.515625), np.inf, -1.0), 0.1, grid
+            )
+
 
 class TestRadialProblem:
     def test_grid_must_start_one_spacing_in(self):
