@@ -116,7 +116,9 @@ class PhasePoint:
 class ClassicalSymbol:
     """Separable symbol sigma(u, q) = F(q) + V(u) with derivative data.
 
-    First and second derivatives are callables.
+    First and second derivatives are callables.  Each callable takes a
+    scalar or an array of nodes: trial_density_matrix calls all six on its
+    node arrays.
     """
 
     F: Callable
@@ -322,6 +324,16 @@ def _symbol_half(f: Callable, d2f: Callable, t, b: float) -> np.ndarray:
     """Half of the first-order symbol with its curvature counterterm, f + f''/(4b):
     the momentum half for (F, F'') at q, the position half for (V, V'') at u."""
     return np.asarray(f(t), dtype=float) + np.asarray(d2f(t), dtype=float) / (4.0 * b)
+
+
+def _mirror_symmetric(f: Callable, df: Callable, d2f: Callable, t, b: float) -> bool:
+    """Whether the nodes t are bitwise t == -t[::-1] and, on them, the symbol
+    half f + f''/(4b) is bitwise even and f' bitwise odd."""
+    if not np.array_equal(t, -t[::-1]):
+        return False
+    half = _symbol_half(f, d2f, t, b)
+    slope = np.asarray(df(t), dtype=float)
+    return np.array_equal(half, half[::-1]) and np.array_equal(slope, -slope[::-1])
 
 
 def operator_symbol(
@@ -565,6 +577,16 @@ def trial_density_matrix(
     real arithmetic, so gamma is float64.  Every other symbol or grid runs
     the same loop over all q-nodes with multiplicity 1 and a complex gamma.
 
+    Parity halves the rows.  On an odd grid whose points are symmetric about
+    0 (x == -x[::-1] to 1e-12 dx: Grid1D.uniform(-L, L, n) is symmetric only
+    to roundoff), when the u-rows satisfy us == -us[::-1] bitwise, V +
+    V''/(4b) is bitwise even on them and V' bitwise odd, the reversal
+    J: x -> -x gives hhat(-u, q) = J K hhat(u, q) K J with K the complex
+    conjugation, whatever F is, and A_{-u} = J A_u J.  Row -u then
+    contributes conj(J part(u) J) = part[::-1, ::-1].conj(), which is just
+    J part(u) J on the time-reversed path, so only the rows u >= 0 are
+    solved and each row u > 0 adds its part and its mirror image.
+
     The u-rows run through numerics._pinned_map: one worker thread per
     usable CPU with OpenBLAS held at one thread, or a single worker where no
     bundled OpenBLAS is found to pin.  Each row sums its own part in q order
@@ -572,8 +594,9 @@ def trial_density_matrix(
     the same for any worker count and each part is freed once added.  The
     symbol's callables therefore run in worker threads; an exception they
     raise in a row reaches the caller.  The scan, the node grids, the
-    pairing test, the warning and the argument checks run in the calling
-    thread first.
+    pairing tests (which call F, V and their derivatives on the node
+    arrays), the warning and the argument checks run in the calling thread
+    first.
 
     Each projected state spreads about 1/sqrt(2a) in momentum around its
     node, so the grid should put pi h/dx several such widths above the q
@@ -586,14 +609,14 @@ def trial_density_matrix(
     x, n = grid.points, grid.size
     us, qs, step = _trial_nodes(sym, p, grid, support_radius)
 
-    f_half = _symbol_half(sym.F, sym.d2F, qs, p.b)
-    df = np.asarray(sym.dF(qs), dtype=float)
-    paired = (
-        n % 2 == 1
-        and np.array_equal(qs, -qs[::-1])
-        and np.array_equal(f_half, f_half[::-1])
-        and np.array_equal(df, -df[::-1])
+    odd = n % 2 == 1
+    paired = odd and _mirror_symmetric(sym.F, sym.dF, sym.d2F, qs, p.b)
+    mirrored = (
+        odd
+        and np.allclose(x, -x[::-1], rtol=0.0, atol=1e-12 * grid.spacing)
+        and _mirror_symmetric(sym.V, sym.dV, sym.d2V, us, p.b)
     )
+    row_us = us[us >= 0.0] if mirrored else us
     if paired:
         row_qs = qs[qs >= 0.0]
         multiplicity = np.where(row_qs > 0.0, 2.0, 1.0)
@@ -630,8 +653,10 @@ def trial_density_matrix(
         return part
 
     gamma = np.zeros((n, n), dtype=dtype)
-    for part in _pinned_map(row, us.tolist()):
+    for u, part in zip(row_us.tolist(), _pinned_map(row, row_us.tolist())):
         gamma += part
+        if mirrored and u > 0.0:
+            gamma += part[::-1, ::-1].conj()
 
     gamma = 0.5 * (gamma + gamma.conj().T)
     return GridOperator(matrix=gamma, grid=grid, h=p.h)

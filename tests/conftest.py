@@ -2,7 +2,7 @@
 
 import pytest
 
-from scottlab import numerics
+from scottlab import coherent, numerics
 from scottlab.scott import scott_experiment_tf
 from scottlab.thomas_fermi import atomic_tf, solve_universal_tf
 
@@ -47,3 +47,17 @@ def blas_pins(monkeypatch):
     yield [get_threads for _, get_threads in found]
     for (set_threads, _), prior in zip(found, priors):
         set_threads(prior)
+
+
+@pytest.fixture
+def mapped_rows(monkeypatch):
+    """The u-rows each trial_density_matrix call hands to the worker pool,
+    one list per call, in call order."""
+    calls = []
+
+    def recording(fn, items):
+        calls.append(list(items))
+        return numerics._pinned_map(fn, items)
+
+    monkeypatch.setattr(coherent, "_pinned_map", recording)
+    return calls

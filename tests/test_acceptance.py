@@ -201,7 +201,7 @@ def test_criterion_7_coherent_identities():
     )
 
 
-def test_criterion_8_trial_density_upper_bound():
+def test_criterion_8_trial_density_upper_bound(mapped_rows):
     budget = Budget(300.0)
     sym = harmonic_symbol(offset=-1.0)
     support = 1.5
@@ -234,7 +234,10 @@ def test_criterion_8_trial_density_upper_bound():
         constants.append(c_h)
         seconds.append(time.perf_counter() - start)
         us, qs, _ = _trial_nodes(sym, p, grid, support)
-        sizes.append(f"{grid.size} points, {us.size} u-rows x {qs.size} q-nodes")
+        sizes.append(
+            f"{grid.size} points, {us.size} u-rows ({len(mapped_rows[-1])} solved) "
+            f"x {qs.size} q-nodes"
+        )
     stability = max(constants) / min(constants)
     assert stability < 2.0, f"C drifted by {stability:.3f} under halving"
     budget.check(

@@ -1,5 +1,6 @@
 """Smeared coherent states: weights, kernels, representation, trial density."""
 
+import dataclasses
 import math
 import threading
 import warnings
@@ -58,6 +59,15 @@ def shifted_symbol():
         V=lambda u: np.asarray(u) ** 2 - 1.0,
         dV=lambda u: 2.0 * np.asarray(u),
         d2V=lambda u: 2.0 * np.ones_like(np.asarray(u, dtype=float)),
+    )
+
+
+def u_shifted_symbol():
+    """sigma = q^2 + (u - 0.3)^2 - 1: even in q, not in u."""
+    return dataclasses.replace(
+        harmonic_symbol(-1.0),
+        V=lambda u: (np.asarray(u) - 0.3) ** 2 - 1.0,
+        dV=lambda u: 2.0 * (np.asarray(u) - 0.3),
     )
 
 
@@ -433,19 +443,27 @@ class TestTrialDensity:
         assert qs.min() >= -9.0 - margin - step
         assert qs.max() <= -7.0 + margin + step
 
-    def test_gamma_same_for_any_worker_count(self, monkeypatch):
+    def assert_mirrored(self, mapped_rows, sym, p, grid, radius):
+        # both calls took the parity path: only the rows u >= 0 were solved
+        us, _, _ = _trial_nodes(sym, p, grid, radius)
+        assert us.size > 2
+        assert mapped_rows == 2 * [us[us >= 0.0].tolist()]
+
+    def test_gamma_same_for_any_worker_count(self, monkeypatch, mapped_rows):
         p, sym, grid = self.build_small()
         gammas = []
         for cpus in (1, 2):
             monkeypatch.setattr(numerics, "_usable_cpus", lambda: cpus)
             gammas.append(trial_density_matrix(sym, p, grid, support_radius=0.5))
+        self.assert_mirrored(mapped_rows, sym, p, grid, 0.5)
         assert np.array_equal(gammas[0].matrix, gammas[1].matrix)
 
-    def test_gamma_same_without_the_blas_pin(self, monkeypatch):
+    def test_gamma_same_without_the_blas_pin(self, monkeypatch, mapped_rows):
         p, sym, grid = self.build_small()
         pinned = trial_density_matrix(sym, p, grid, support_radius=0.5)
         monkeypatch.setattr(numerics, "_openblas_thread_calls", lambda: None)
         serial = trial_density_matrix(sym, p, grid, support_radius=0.5)
+        self.assert_mirrored(mapped_rows, sym, p, grid, 0.5)
         assert np.array_equal(pinned.matrix, serial.matrix)
 
     def test_blas_threads_restored_after_normal_and_raising_calls(self, monkeypatch):
@@ -464,7 +482,9 @@ class TestTrialDensity:
             raised_in = []
 
             def dV(u):
-                if u > 0.0:
+                # the parity test calls dV on the array of u-rows in the
+                # calling thread; only a row's scalar u > 0 fails
+                if np.ndim(u) == 0 and u > 0.0:
                     raised_in.append(threading.current_thread())
                     raise RuntimeError("symbol failed in a row")
                 return 2.0 * np.asarray(u)
@@ -655,24 +675,35 @@ class TestAgainstPerNodeLoops:
         assert fast == pytest.approx(slow, rel=1e-11)
 
     @pytest.mark.parametrize(
-        "sym, n, paired",
+        "sym, bounds, n, paired, mirrored",
         [
-            (harmonic_symbol(-1.0), 61, True),
-            (shifted_symbol(), 61, False),
-            (harmonic_symbol(-1.0), 62, False),
+            (harmonic_symbol(-1.0), (-4.0, 4.0), 61, True, True),
+            (shifted_symbol(), (-4.0, 4.0), 61, False, True),
+            (harmonic_symbol(-1.0), (-4.0, 4.0), 62, False, False),
+            (u_shifted_symbol(), (-4.0, 4.0), 61, True, False),
+            (harmonic_symbol(-1.0), (-4.0, 4.5), 61, True, False),
         ],
-        ids=["harmonic-odd", "shifted-odd", "harmonic-even"],
+        ids=[
+            "harmonic-odd",
+            "shifted-odd",
+            "harmonic-even",
+            "u-shifted-odd",
+            "harmonic-off-centre",
+        ],
     )
-    def test_trial_density(self, sym, n, paired):
+    def test_trial_density(self, mapped_rows, sym, bounds, n, paired, mirrored):
         # support radius three node steps, so the two outer rows sit on the
-        # edge at weight 1/2; time-reversed nodes pair only for the even
-        # symbol on the odd grid
+        # edge at weight 1/2; time-reversed nodes pair only for a symbol even
+        # in q on an odd grid, and rows mirror u -> -u only for a symbol even
+        # in u on an odd grid symmetric about 0
         radius = 3.0 * 2.0 * _phase_rule(self.p)
-        grid = Grid1D.uniform(-4.0, 4.0, n)
+        grid = Grid1D.uniform(*bounds, n)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # Nyquist below the shifted q range
             fast = trial_density_matrix(sym, self.p, grid, support_radius=radius)
             slow = per_node_trial_density(sym, self.p, grid, radius)
+            us, _, _ = _trial_nodes(sym, self.p, grid, radius)
+        assert mapped_rows == [(us[us >= 0.0] if mirrored else us).tolist()]
         assert fast.matrix.dtype == (np.float64 if paired else np.complex128)
         assert np.max(np.abs(fast.matrix - slow)) <= 1e-13 * np.max(np.abs(slow))
 
