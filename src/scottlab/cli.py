@@ -134,22 +134,23 @@ class RunConfig:
                     )
                 p = coherent.CoherentParams(h=h, a=a)
                 try:
-                    dx, n, _, r_n = _coherent_grids(p, half)
+                    dx, width, n, r_half, r_n = _coherent_grids(p, half)
                 except (OverflowError, ZeroDivisionError) as exc:
                     raise UsageError(
                         f"half-width {half:g} at h = {h:g} gives more grid "
                         "points than a float counts"
                     ) from exc
-                if min(n, r_n) < 8:
+                points, short = min((n, width), (r_n, r_half))
+                if points < 8:
                     raise UsageError(
-                        f"half-width {half:g} gives a {min(n, r_n)}-point grid "
+                        f"half-width {short:g} gives a {points}-point grid "
                         f"at h = {h:g}; a grid needs at least 8 points"
                     )
                 try:
                     coherent._core_window(p, n, dx)
                 except ValueError as exc:
                     raise UsageError(
-                        f"grid at h = {h:g}, a = {a:.6g}, half-width {half:g}: {exc}"
+                        f"grid at h = {h:g}, a = {a:.6g}, half-width {width:g}: {exc}"
                     ) from exc
 
     def to_header_line(self) -> str:
@@ -362,17 +363,21 @@ def _pipeline_local_trace(params: dict[str, Any]):
     return columns, rows, meta
 
 
-def _coherent_grids(p, half: float) -> tuple[float, int, float, int]:
-    """Spacing, representation grid points on [-half, half], and the half
-    width and points of the resolution grid at coherent parameters p.
+def _coherent_grids(p, half: float) -> tuple[float, float, int, float, int]:
+    """Spacing, and the half width and points of the representation grid and
+    of the resolution grid at coherent parameters p, given --half-width half.
 
-    The identity check wants its test vector to decay below the quadrature
-    floor before the grid ends, so its grid is at least [-7, 7].
+    The representation check drops an edge margin of at least
+    coherent._edge_reach(p) per side, so its half width is at least that
+    reach plus 0.5, which leaves a core window a unit wide.  The identity
+    check wants its test vector to decay below the quadrature floor before
+    the grid ends, so its grid is at least [-7, 7].
     """
     dx = min(p.h, 1.0 / math.sqrt(p.b)) / 6.0
+    width = max(half, coherent._edge_reach(p) + 0.5)
     r_half = max(half, 7.0)
-    n, r_n = (int(round(2.0 * w / dx)) + 1 for w in (half, r_half))
-    return dx, n, r_half, r_n
+    n, r_n = (int(round(2.0 * w / dx)) + 1 for w in (width, r_half))
+    return dx, width, n, r_half, r_n
 
 
 def _pipeline_coherent_check(params: dict[str, Any]):
@@ -396,8 +401,8 @@ def _pipeline_coherent_check(params: dict[str, Any]):
         step = t[1] - t[0]
         weight_dev = float(np.sum(w_vals) * step * step - 1.0)
 
-        _, n_pts, r_half, r_n = _coherent_grids(p, half)
-        grid = numerics.Grid1D.uniform(-half, half, n_pts)
+        _, width, n_pts, r_half, r_n = _coherent_grids(p, half)
+        grid = numerics.Grid1D.uniform(-width, width, n_pts)
         r_grid = numerics.Grid1D.uniform(-r_half, r_half, r_n)
         psi = np.exp(-r_grid.points**2 / 2.0)
         psi /= math.sqrt(float(np.sum(psi**2) * r_grid.spacing))

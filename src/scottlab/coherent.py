@@ -56,7 +56,6 @@ from .numerics import Grid1D, GridOperator, _pinned_map, require_positive
 __all__ = [
     "ClassicalSymbol",
     "CoherentParams",
-    "OperatorSymbol",
     "PhasePoint",
     "constant_symbol",
     "fourier_multiplier_matrix",
@@ -64,7 +63,6 @@ __all__ = [
     "harmonic_symbol",
     "momentum_lattice",
     "new_kernel_G",
-    "operator_symbol",
     "representation_error_norm",
     "resolution_of_identity_check",
     "schrodinger_operator",
@@ -117,8 +115,9 @@ class ClassicalSymbol:
     """Separable symbol sigma(u, q) = F(q) + V(u) with derivative data.
 
     First and second derivatives are callables.  Each callable takes a
-    scalar or an array of nodes: trial_density_matrix calls all six on its
-    node arrays.
+    scalar or an array of nodes and acts elementwise.  trial_density_matrix
+    and representation_error_norm call each on whole node arrays in the
+    calling thread, so a symbol's exception surfaces before any eigh.
     """
 
     F: Callable
@@ -156,16 +155,6 @@ def constant_symbol(value: float) -> ClassicalSymbol:
         dV=lambda u: np.zeros_like(np.asarray(u, dtype=float)),
         d2V=lambda u: np.zeros_like(np.asarray(u, dtype=float)),
     )
-
-
-@dataclass(frozen=True)
-class OperatorSymbol:
-    """First-order operator model c0 + grad_u (x - u) + grad_q (-ih d/dx - q)."""
-
-    c0: float
-    grad_u: float
-    grad_q: float
-    point: PhasePoint
 
 
 def momentum_lattice(grid: Grid1D, h: float) -> np.ndarray:
@@ -288,10 +277,12 @@ def resolution_of_identity_check(
     kernel S in the difference variable, which is identical to summing the
     nodes explicitly; the check is (M o S) psi.  Under-resolved quadrature
     (fewer than 8 q-nodes) raises a Python warning and still returns the
-    measured deviation.
+    measured deviation; fewer than 2 raise ValueError.
     """
     if p.n != 1:
         raise ValueError("grid realization is one-dimensional")
+    if q_count is not None and q_count < 2:
+        raise ValueError("the q sum needs at least 2 q-nodes")
     psi = np.asarray(psi)
     if psi.shape != (grid.size,):
         raise ValueError("test vector must live on the grid")
@@ -326,28 +317,13 @@ def _symbol_half(f: Callable, d2f: Callable, t, b: float) -> np.ndarray:
     return np.asarray(f(t), dtype=float) + np.asarray(d2f(t), dtype=float) / (4.0 * b)
 
 
-def _mirror_symmetric(f: Callable, df: Callable, d2f: Callable, t, b: float) -> bool:
+def _mirror_symmetric(t: np.ndarray, half: np.ndarray, slope: np.ndarray) -> bool:
     """Whether the nodes t are bitwise t == -t[::-1] and, on them, the symbol
-    half f + f''/(4b) is bitwise even and f' bitwise odd."""
-    if not np.array_equal(t, -t[::-1]):
-        return False
-    half = _symbol_half(f, d2f, t, b)
-    slope = np.asarray(df(t), dtype=float)
-    return np.array_equal(half, half[::-1]) and np.array_equal(slope, -slope[::-1])
-
-
-def operator_symbol(
-    sym: ClassicalSymbol, p: CoherentParams, pt: PhasePoint
-) -> OperatorSymbol:
-    """First-order symbol with the b-dependent curvature counterterm."""
-    c0 = float(_symbol_half(sym.F, sym.d2F, pt.q, p.b)) + float(
-        _symbol_half(sym.V, sym.d2V, pt.u, p.b)
-    )
-    return OperatorSymbol(
-        c0=c0,
-        grad_u=float(sym.dV(pt.u)),
-        grad_q=float(sym.dF(pt.q)),
-        point=pt,
+    half f + f''/(4b) is bitwise even and the slope f' bitwise odd."""
+    return (
+        np.array_equal(t, -t[::-1])
+        and np.array_equal(half, half[::-1])
+        and np.array_equal(slope, -slope[::-1])
     )
 
 
@@ -359,11 +335,17 @@ def _representation_u_nodes(p: CoherentParams, grid: Grid1D) -> np.ndarray:
     return np.arange(x[0] - 7.0 * sigma, x[-1] + 7.0 * sigma + du, du)
 
 
+def _edge_reach(p: CoherentParams) -> float:
+    """Six reach lengths h sqrt(a) of the smearing kernel: the least edge
+    margin of representation_error_norm's core window."""
+    return 6.0 * p.h * math.sqrt(p.a)
+
+
 def _core_window(p: CoherentParams, n: int, dx: float) -> tuple[int, float]:
     """Edge margin in points and momentum cut of the core on which
     representation_error_norm measures (rules on that function); ValueError
     when an n-point grid of spacing dx leaves no core."""
-    reach = 6.0 * p.h * math.sqrt(p.a)
+    reach = _edge_reach(p)
     margin = max(int(round(0.1 * n)), int(math.ceil(reach / dx)), 1)
     if 2 * margin >= n:
         raise ValueError(
@@ -436,14 +418,16 @@ def representation_error_norm(
     s_p = fourier_multiplier_matrix(qs, n).imag
     sign = (-1.0) ** np.arange(n)
 
+    v_half = _symbol_half(sym.V, sym.d2V, us, p.b)
+    v_slope = np.asarray(sym.dV(us), dtype=float)
+
     t, factor = _gaussian_factor(p, grid)
     t1_diag = np.zeros(n)
     a_sp_a = np.zeros((n, n))
     nyquist = np.zeros((n, n))
-    for u in us:
-        a_mat = factor(float(u))
-        v_half = float(_symbol_half(sym.V, sym.d2V, u, p.b))
-        c_diag = v_half + float(sym.dV(u)) * (x - u)
+    for u, v0, v1 in zip(us.tolist(), v_half.tolist(), v_slope.tolist()):
+        a_mat = factor(u)
+        c_diag = v0 + v1 * (x - u)
         # weight-1 q sum collapses to the exact diagonal projection
         t1_diag += du * np.einsum("xy,xy->x", a_mat * c_diag[None, :], a_mat)
         a_sp_a += du * (a_mat @ (s_p @ a_mat))
@@ -520,18 +504,17 @@ def _trial_nodes(
 
     q_mags = np.linspace(0.0, 20.0, 2001)
     q_scan = np.concatenate((-q_mags[::-1], q_mags))
-    q_min, q_max = math.inf, -math.inf
-    for u in np.linspace(-support_radius, support_radius, 41):
-        vals = np.asarray(sym.sigma(u, q_scan), dtype=float)
-        if vals[0] < 0.0 or vals[-1] < 0.0:
-            raise ValueError(
-                "symbol still negative at |q| = 20, the end of the momentum scan"
-            )
-        neg = q_scan[vals < 0.0]
-        if neg.size:
-            q_min, q_max = min(q_min, float(neg[0])), max(q_max, float(neg[-1]))
-    if q_min > q_max:
-        q_min = q_max = 0.0
+    u_scan = np.linspace(-support_radius, support_radius, 41)
+    # rounded addition is monotone, so V(u) + F(q) < 0 at some scanned u
+    # exactly where min_u V + F(q) < 0 (fmin skips NaN, as the test < 0 does)
+    v_min = np.fmin.reduce(np.asarray(sym.V(u_scan), dtype=float))
+    sigma_min = v_min + np.asarray(sym.F(q_scan), dtype=float)
+    if sigma_min[0] < 0.0 or sigma_min[-1] < 0.0:
+        raise ValueError(
+            "symbol still negative at |q| = 20, the end of the momentum scan"
+        )
+    neg = q_scan[sigma_min < 0.0]
+    q_min, q_max = (float(neg[0]), float(neg[-1])) if neg.size else (0.0, 0.0)
     margin = 10.0 / math.sqrt(p.a)
     q_lo, q_hi = q_min - margin, q_max + margin
     qs = step * np.arange(math.floor(q_lo / step), math.ceil(q_hi / step) + 1)
@@ -553,20 +536,22 @@ def trial_density_matrix(
 ) -> GridOperator:
     """gamma = int G chi(hhat) G du dq/(2 pi h) with hhat linearized.
 
-    hhat at (u, q) is the first-order operator_symbol for |u| inside the
-    support ball and zero outside, so only nodes inside contribute.  Each
-    chi is the exact spectral projection of the dense Hermitian hhat matrix
-    onto its negative part; accumulating G P P^H G keeps gamma positive
-    semidefinite by construction, and the resolution of the identity caps it
-    at one plus quadrature error.  The nodes are the _trial_nodes lattices,
-    multiples of min(h, 1/sqrt(a))/3 anchored at 0, with the q range past
-    the classically negative set by 10/sqrt(a) on each side, beyond which
-    the momentum overlap with the projection is negligible.  The set is
-    scanned on the support over |q| <= 20; a symbol still negative at either
-    end of the scan raises ValueError.  The u sum is a trapezoid rule: a row
-    on the support edge |u| = R (to 1e-12 relative) has weight 1/2, since
-    hhat is cut to zero past it.  Each node operator is grad_q P plus a
-    real diagonal, with the spectral momentum P made Hermitian once.
+    hhat at (u, q) is the first-order symbol c0 + grad_u (x - u) + grad_q
+    (-ih d/dx - q), with c0 = F + F''/(4b) at q plus V + V''/(4b) at u,
+    grad_q = F'(q) and grad_u = V'(u), for |u| inside the support ball and
+    zero outside, so only nodes inside contribute.  Each chi is the exact
+    spectral projection of the dense Hermitian hhat matrix onto its negative
+    part; accumulating G P P^H G keeps gamma positive semidefinite by
+    construction, and the resolution of the identity caps it at one plus
+    quadrature error.  The nodes are the _trial_nodes lattices, multiples of
+    min(h, 1/sqrt(a))/3 anchored at 0, with the q range past the classically
+    negative set by 10/sqrt(a) on each side, beyond which the momentum
+    overlap with the projection is negligible.  The set is scanned on the
+    support over |q| <= 20; a symbol still negative at either end of the
+    scan raises ValueError.  The u sum is a trapezoid rule: a row on the
+    support edge |u| = R (to 1e-12 relative) has weight 1/2, since hhat is
+    cut to zero past it.  Each node operator is grad_q P plus a real
+    diagonal, with the spectral momentum P made Hermitian once.
 
     Time reversal halves the work.  On an odd grid the lattice momenta pair
     as +-q_m, so P is conjugate-odd; when the q-nodes are symmetric, F +
@@ -587,16 +572,15 @@ def trial_density_matrix(
     J part(u) J on the time-reversed path, so only the rows u >= 0 are
     solved and each row u > 0 adds its part and its mirror image.
 
-    The u-rows run through numerics._pinned_map: one worker thread per
-    usable CPU with OpenBLAS held at one thread, or a single worker where no
-    bundled OpenBLAS is found to pin.  Each row sums its own part in q order
-    and the parts are added in u order as they arrive, so gamma is bitwise
-    the same for any worker count and each part is freed once added.  The
-    symbol's callables therefore run in worker threads; an exception they
-    raise in a row reaches the caller.  The scan, the node grids, the
-    pairing tests (which call F, V and their derivatives on the node
-    arrays), the warning and the argument checks run in the calling thread
-    first.
+    The symbol's callables run in the calling thread, on the scan points and
+    once on each node lattice, so an exception they raise surfaces before
+    any eigensolve and the pairing tests read the values the rows solve.
+    The u-rows, by index, run through numerics._pinned_map: one worker
+    thread per usable CPU with OpenBLAS held at one thread, or a single
+    worker where no bundled OpenBLAS is found to pin; workers run only
+    linear algebra.  Each row sums its own part in q order and the parts are
+    added in u order as they arrive, so gamma is bitwise the same for any
+    worker count and each part is freed once added.
 
     Each projected state spreads about 1/sqrt(2a) in momentum around its
     node, so the grid should put pi h/dx several such widths above the q
@@ -608,20 +592,25 @@ def trial_density_matrix(
     require_positive(support_radius, "support radius")
     x, n = grid.points, grid.size
     us, qs, step = _trial_nodes(sym, p, grid, support_radius)
+    f_half = _symbol_half(sym.F, sym.d2F, qs, p.b)
+    f_slope = np.asarray(sym.dF(qs), dtype=float)
+    v_half = _symbol_half(sym.V, sym.d2V, us, p.b)
+    v_slope = np.asarray(sym.dV(us), dtype=float)
 
     odd = n % 2 == 1
-    paired = odd and _mirror_symmetric(sym.F, sym.dF, sym.d2F, qs, p.b)
+    paired = odd and _mirror_symmetric(qs, f_half, f_slope)
     mirrored = (
         odd
         and np.allclose(x, -x[::-1], rtol=0.0, atol=1e-12 * grid.spacing)
-        and _mirror_symmetric(sym.V, sym.dV, sym.d2V, us, p.b)
+        and _mirror_symmetric(us, v_half, v_slope)
     )
-    row_us = us[us >= 0.0] if mirrored else us
-    if paired:
-        row_qs = qs[qs >= 0.0]
-        multiplicity = np.where(row_qs > 0.0, 2.0, 1.0)
-    else:
-        row_qs, multiplicity = qs, np.ones(qs.size)
+    rows = (np.flatnonzero(us >= 0.0) if mirrored else np.arange(us.size)).tolist()
+    keep = qs >= 0.0 if paired else slice(None)
+    mult = np.where(qs[keep] > 0.0, 2.0, 1.0) if paired else np.ones(qs.size)
+    q_nodes = list(
+        zip(qs[keep].tolist(), f_half[keep].tolist(), f_slope[keep].tolist(),
+            mult.tolist())
+    )
     dtype = float if paired else complex
 
     p_mat = fourier_multiplier_matrix(momentum_lattice(grid, p.h), n)
@@ -630,15 +619,15 @@ def trial_density_matrix(
     _, factor = _gaussian_factor(p, grid)
     weight = step * step / (2.0 * math.pi * p.h)
 
-    def row(u: float) -> np.ndarray:
+    def row(i: int) -> np.ndarray:
+        u, v0, v1 = us[i], v_half[i], v_slope[i]
         a_mat = factor(u)
         edge = abs(abs(u) - support_radius) <= 1e-12 * support_radius
         u_weight = 0.5 * weight if edge else weight
         part = np.zeros((n, n), dtype=dtype)
-        for q, mult in zip(row_qs.tolist(), multiplicity.tolist()):
-            s = operator_symbol(sym, p, PhasePoint(u, q))
-            hhat = s.grad_q * p_mat
-            hhat[diag] += s.c0 - s.grad_q * q + s.grad_u * (x - u)
+        for q, f0, f1, mult in q_nodes:
+            hhat = f1 * p_mat
+            hhat[diag] += f0 + v0 - f1 * q + v1 * (x - u)
             w, vec = np.linalg.eigh(hhat)
             k = int(np.searchsorted(w, 0.0))
             if k == 0:
@@ -653,9 +642,9 @@ def trial_density_matrix(
         return part
 
     gamma = np.zeros((n, n), dtype=dtype)
-    for u, part in zip(row_us.tolist(), _pinned_map(row, row_us.tolist())):
+    for i, part in zip(rows, _pinned_map(row, rows)):
         gamma += part
-        if mirrored and u > 0.0:
+        if mirrored and us[i] > 0.0:
             gamma += part[::-1, ::-1].conj()
 
     gamma = 0.5 * (gamma + gamma.conj().T)

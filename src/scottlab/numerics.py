@@ -181,20 +181,10 @@ def _bundled_openblas(package: str):
     return None
 
 
-def _openblas_thread_calls():
-    """(set, get) thread-count entry points of numpy's OpenBLAS, or None."""
-    return _bundled_openblas("numpy")
-
-
-def _scipy_openblas_thread_calls():
-    """(set, get) thread-count entry points of scipy's OpenBLAS, or None."""
-    return _bundled_openblas("scipy")
-
-
 def _row_workers() -> int:
     """Threads for independent pieces of small BLAS work: one per usable CPU
     when _one_blas_thread can pin numpy's OpenBLAS, else 1."""
-    return _usable_cpus() if _openblas_thread_calls() is not None else 1
+    return _usable_cpus() if _bundled_openblas("numpy") is not None else 1
 
 
 @contextmanager
@@ -204,7 +194,8 @@ def _one_blas_thread():
     not found is left alone.  The counts are process-wide, so blocks entered
     from several threads at once restore in the order they exit."""
     with ExitStack() as restore:
-        for calls in (_openblas_thread_calls(), _scipy_openblas_thread_calls()):
+        for package in ("numpy", "scipy"):
+            calls = _bundled_openblas(package)
             if calls is not None:
                 set_n, get_n = calls
                 restore.callback(set_n, get_n())

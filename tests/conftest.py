@@ -35,10 +35,7 @@ def blas_pins(monkeypatch):
     monkeypatch.setattr(numerics, "_usable_cpus", lambda: 2)
     found = [
         calls
-        for calls in (
-            numerics._openblas_thread_calls(),
-            numerics._scipy_openblas_thread_calls(),
-        )
+        for calls in map(numerics._bundled_openblas, ("numpy", "scipy"))
         if calls is not None
     ]
     priors = [get_threads() for _, get_threads in found]
@@ -51,8 +48,8 @@ def blas_pins(monkeypatch):
 
 @pytest.fixture
 def mapped_rows(monkeypatch):
-    """The u-rows each trial_density_matrix call hands to the worker pool,
-    one list per call, in call order."""
+    """The u-row indices each trial_density_matrix call hands to the worker
+    pool, one list per call, in call order."""
     calls = []
 
     def recording(fn, items):

@@ -254,6 +254,38 @@ class TestCoherentCheckCommand:
             "resolution_q_nodes": 671,
         }]
 
+    def test_grid_widens_past_the_edge_margin(self, tmp_path):
+        # half-width 4 leaves h = 0.99 no core window past the edge margin
+        # 6 h sqrt(a); every h above about 0.41 gets that reach plus 0.5
+        # instead, which keeps h = 0.7 and 0.5 close to a half-width-10 run
+        runs = []
+        for name, extra in (("w.csv", []), ("wide.csv", ["--half-width", "10"])):
+            path = tmp_path / name
+            argv = ["coherent-check", "--h", "0.99,0.7,0.5", *extra]
+            status, data = run_to_file(argv, path)
+            assert status == 0
+            lines = [l for l in data.decode().splitlines() if not l.startswith("#")]
+            meta = json.loads(path.with_name(name + ".meta.json").read_text())
+            runs.append((
+                [dict(zip(lines[0].split(","), map(float, l.split(","))))
+                 for l in lines[1:]],
+                meta["meta"]["problem_sizes"],
+            ))
+        (widened, sizes), (wide, _) = runs
+        for row, size in zip(widened, sizes):
+            h = row["h"]
+            width = 6.0 * h * math.sqrt(row["a"]) + 0.5
+            dx = min(h, 1.0 / math.sqrt(row["b"])) / 6.0
+            assert width > 4.0
+            points = int(round(2.0 * width / dx)) + 1
+            assert size["representation_grid_points"] == points
+        assert widened[1]["representation_err"] == pytest.approx(
+            wide[1]["representation_err"], rel=1e-8
+        )
+        assert widened[2]["representation_err"] == pytest.approx(
+            wide[2]["representation_err"], abs=1e-3
+        )
+
 
 # numbers for the input-boundary properties: an in-domain band kept small
 # enough that every command finishes quickly, and the values that are out of
@@ -322,10 +354,10 @@ class TestInputBoundary:
     @settings(max_examples=40, deadline=None)
     @given(h=st.one_of(st.floats(0.05, 0.95), st.floats(1.0, 10.0), OUT_OF_DOMAIN))
     def test_coherent_check_domain(self, h):
-        # the default rule a = h^-0.8 lies below 1/h exactly when h < 1; a
-        # half-width of 8 leaves every such h a core window past the edge
-        # margin 6 h sqrt(a), where the default 4 leaves none above h ~ 0.51
-        params = {**BASE["coherent-check"], "h_values": (h,), "half_width": 8.0}
+        # the default rule a = h^-0.8 lies below 1/h exactly when h < 1; the
+        # grid of each such h widens past the edge margin 6 h sqrt(a), so a
+        # core window is left whatever the half-width
+        params = {**BASE["coherent-check"], "h_values": (h,)}
         if positive(h) and h < 1.0:
             RunConfig(command="coherent-check", parameters=params)
         else:
@@ -376,11 +408,11 @@ class TestInputBoundary:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["--h", "0.4", "--half-width", "0.1"],
-             "half-width 0.1 gives a 4-point grid at h = 0.4; "
+            (["--h", "100", "--a-rule", "0.001"],
+             "half-width 7 gives a 5-point grid at h = 100; "
              "a grid needs at least 8 points"),
-            (["--h", "0.99"],
-             "grid at h = 0.99, a = 1.00807, half-width 4: grid too short "
+            (["--h", "10", "--a-rule", "0.01"],
+             "grid at h = 10, a = 0.01, half-width 6.5: grid too short "
              "for the edge margin"),
             (["--h", "0.5", "--a-rule", "0.01"],
              "grid at h = 0.5, a = 0.01, half-width 4: grid spacing too coarse"),

@@ -20,7 +20,6 @@ from scottlab.coherent import (
     harmonic_symbol,
     momentum_lattice,
     new_kernel_G,
-    operator_symbol,
     representation_error_norm,
     resolution_of_identity_check,
     schrodinger_operator,
@@ -32,6 +31,7 @@ from scottlab import coherent
 from scottlab.coherent import (
     _gaussian_factor,
     _phase_rule,
+    _symbol_half,
     _trial_nodes,
     _u_integrated_square,
     _u_step,
@@ -68,6 +68,36 @@ def u_shifted_symbol():
         harmonic_symbol(-1.0),
         V=lambda u: (np.asarray(u) - 0.3) ** 2 - 1.0,
         dV=lambda u: 2.0 * (np.asarray(u) - 0.3),
+    )
+
+
+def recording_symbol(sym):
+    """sym with each of its six callables wrapped to record (name, thread)
+    per call, and the list the records go to."""
+    calls = []
+
+    def recorder(name, fn):
+        def recorded(t):
+            calls.append((name, threading.current_thread()))
+            return fn(t)
+
+        return recorded
+
+    wrapped = {
+        field.name: recorder(field.name, getattr(sym, field.name))
+        for field in dataclasses.fields(sym)
+    }
+    return ClassicalSymbol(**wrapped), calls
+
+
+def assert_fixed_calls_in_calling_thread(calls_small, calls_large):
+    # every callable ran, only in this thread, as often for the larger node
+    # set as for the smaller
+    assert {name for name, _ in calls_small} == {"F", "dF", "d2F", "V", "dV", "d2V"}
+    threads = {thread for _, thread in calls_small + calls_large}
+    assert threads == {threading.current_thread()}
+    assert sorted(name for name, _ in calls_small) == sorted(
+        name for name, _ in calls_large
     )
 
 
@@ -131,13 +161,12 @@ class TestSymbols:
         assert sym.laplacian(1.0, -2.0) == 0.0
 
     def test_operator_symbol_counterterm(self):
+        # c0 = F + F''/(4b) at q plus V + V''/(4b) at u, on node arrays
         p = CoherentParams(h=0.1, a=5.0)  # b = 8
         sym = harmonic_symbol()
-        os = operator_symbol(sym, p, PhasePoint(u=0.5, q=-1.0))
-        assert os.c0 == pytest.approx(0.25 + 1.0 + 4.0 / 32.0)
-        assert os.grad_u == pytest.approx(1.0)
-        assert os.grad_q == pytest.approx(-2.0)
-        assert os.point == PhasePoint(u=0.5, q=-1.0)
+        q, u = np.array([-1.0, 3.0]), np.array([0.5, 0.0])
+        c0 = _symbol_half(sym.F, sym.d2F, q, p.b) + _symbol_half(sym.V, sym.d2V, u, p.b)
+        np.testing.assert_allclose(c0, [0.25 + 1.0 + 4.0 / 32.0, 9.0 + 4.0 / 32.0])
 
 
 class TestStatesAndWeights:
@@ -290,6 +319,13 @@ class TestResolutionOfIdentity:
         fine = resolution_of_identity_check(p, psi, grid, q_count=161)
         assert fine < coarse
 
+    @pytest.mark.parametrize("q_count", [0, 1])
+    def test_rejects_fewer_than_two_q_nodes(self, q_count):
+        p = CoherentParams(h=0.4, a=0.4**-0.8)
+        grid = working_grid(p, 7.0)
+        with pytest.raises(ValueError, match="at least 2 q-nodes"):
+            resolution_of_identity_check(p, np.zeros(grid.size), grid, q_count)
+
     def test_rejects_wrong_shapes(self):
         p = CoherentParams(h=0.4, a=0.4**-0.8)
         grid = working_grid(p, 7.0)
@@ -334,6 +370,15 @@ class TestRepresentationError:
             warnings.simplefilter("ignore")  # spacing warning precedes the raise
             with pytest.raises(ValueError, match="grid too short"):
                 representation_error_norm(harmonic_symbol(), p, grid)
+
+    def test_symbol_runs_in_the_calling_thread_a_fixed_number_of_times(self):
+        p = CoherentParams(h=0.2, a=0.2**-0.8)
+        records = []
+        for half_width in (4.0, 5.0):  # more u-nodes on the wider grid
+            sym, calls = recording_symbol(harmonic_symbol(-1.0))
+            representation_error_norm(sym, p, working_grid(p, half_width))
+            records.append(calls)
+        assert_fixed_calls_in_calling_thread(*records)
 
     def test_coarse_grid_rejected(self):
         p = CoherentParams(h=0.2, a=0.2**-0.8)
@@ -447,7 +492,7 @@ class TestTrialDensity:
         # both calls took the parity path: only the rows u >= 0 were solved
         us, _, _ = _trial_nodes(sym, p, grid, radius)
         assert us.size > 2
-        assert mapped_rows == 2 * [us[us >= 0.0].tolist()]
+        assert mapped_rows == 2 * [np.flatnonzero(us >= 0.0).tolist()]
 
     def test_gamma_same_for_any_worker_count(self, monkeypatch, mapped_rows):
         p, sym, grid = self.build_small()
@@ -461,13 +506,18 @@ class TestTrialDensity:
     def test_gamma_same_without_the_blas_pin(self, monkeypatch, mapped_rows):
         p, sym, grid = self.build_small()
         pinned = trial_density_matrix(sym, p, grid, support_radius=0.5)
-        monkeypatch.setattr(numerics, "_openblas_thread_calls", lambda: None)
+        bundled = numerics._bundled_openblas
+        monkeypatch.setattr(
+            numerics,
+            "_bundled_openblas",
+            lambda package: None if package == "numpy" else bundled(package),
+        )
         serial = trial_density_matrix(sym, p, grid, support_radius=0.5)
         self.assert_mirrored(mapped_rows, sym, p, grid, 0.5)
         assert np.array_equal(pinned.matrix, serial.matrix)
 
     def test_blas_threads_restored_after_normal_and_raising_calls(self, monkeypatch):
-        calls = numerics._openblas_thread_calls()
+        calls = numerics._bundled_openblas("numpy")
         if calls is None:
             pytest.skip("numpy has no bundled OpenBLAS to pin")
         set_threads, get_threads = calls
@@ -480,24 +530,39 @@ class TestTrialDensity:
             assert get_threads() == 2
 
             raised_in = []
+            gaussian_factor = coherent._gaussian_factor
 
-            def dV(u):
-                # the parity test calls dV on the array of u-rows in the
-                # calling thread; only a row's scalar u > 0 fails
-                if np.ndim(u) == 0 and u > 0.0:
-                    raised_in.append(threading.current_thread())
-                    raise RuntimeError("symbol failed in a row")
-                return 2.0 * np.asarray(u)
+            def failing_factor(p, grid):
+                # the rows build A_u in the workers; only a row u > 0 fails
+                t, factor = gaussian_factor(p, grid)
 
-            failing = ClassicalSymbol(
-                F=sym.F, dF=sym.dF, d2F=sym.d2F, V=sym.V, dV=dV, d2V=sym.d2V
-            )
+                def failing(u):
+                    if u > 0.0:
+                        raised_in.append(threading.current_thread())
+                        raise RuntimeError("factor failed in a row")
+                    return factor(u)
+
+                return t, failing
+
+            monkeypatch.setattr(coherent, "_gaussian_factor", failing_factor)
             with pytest.raises(RuntimeError, match="failed in a row"):
-                trial_density_matrix(failing, p, grid, support_radius=0.5)
+                trial_density_matrix(sym, p, grid, support_radius=0.5)
             assert get_threads() == 2
             assert threading.main_thread() not in raised_in
         finally:
             set_threads(prior)
+
+    def test_symbol_runs_in_the_calling_thread_a_fixed_number_of_times(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(numerics, "_usable_cpus", lambda: 2)
+        p, _, grid = self.build_small()
+        records = []
+        for radius in (0.5, 1.5):
+            sym, calls = recording_symbol(harmonic_symbol(-1.0))
+            trial_density_matrix(sym, p, grid, support_radius=radius)
+            records.append(calls)
+        assert_fixed_calls_in_calling_thread(*records)
 
     def test_shell_past_the_scan_rejected(self):
         p, _, grid = self.build_small()
@@ -615,10 +680,14 @@ def per_node_trial_density(sym, p, grid, support_radius):
         edge = math.isclose(abs(u), support_radius, rel_tol=1e-12)
         weight = (0.5 if edge else 1.0) * step * step / (2.0 * math.pi * p.h)
         for q in qs.tolist():
-            s = operator_symbol(sym, p, PhasePoint(u, q))
-            hhat = s.grad_q * p_mat + np.diag(
-                s.c0 - s.grad_q * q + s.grad_u * (x - u)
+            c0 = (
+                float(sym.F(q))
+                + float(sym.d2F(q)) / (4.0 * p.b)
+                + float(sym.V(u))
+                + float(sym.d2V(u)) / (4.0 * p.b)
             )
+            grad_q, grad_u = float(sym.dF(q)), float(sym.dV(u))
+            hhat = grad_q * p_mat + np.diag(c0 - grad_q * q + grad_u * (x - u))
             w, vec = np.linalg.eigh(hhat)
             g_mat = new_kernel_G(p, PhasePoint(u, q), x[:, None], x[None, :]) * dx
             g_neg = g_mat @ vec[:, w < 0.0]
@@ -703,7 +772,8 @@ class TestAgainstPerNodeLoops:
             fast = trial_density_matrix(sym, self.p, grid, support_radius=radius)
             slow = per_node_trial_density(sym, self.p, grid, radius)
             us, _, _ = _trial_nodes(sym, self.p, grid, radius)
-        assert mapped_rows == [(us[us >= 0.0] if mirrored else us).tolist()]
+        rows = np.flatnonzero(us >= 0.0) if mirrored else np.arange(us.size)
+        assert mapped_rows == [rows.tolist()]
         assert fast.matrix.dtype == (np.float64 if paired else np.complex128)
         assert np.max(np.abs(fast.matrix - slow)) <= 1e-13 * np.max(np.abs(slow))
 

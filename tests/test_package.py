@@ -1,5 +1,6 @@
 """The package namespace re-exports each module's public names."""
 
+import ast
 import importlib
 import importlib.util
 import re
@@ -51,3 +52,27 @@ def test_parallel_loops_go_through_numerics():
         for name in ("concurrent.futures", "_one_blas_thread"):
             found = re.search(rf"\b{re.escape(name)}\b", source) is not None
             assert found == (path.name == "numerics.py"), (path.name, name)
+
+
+def test_no_unused_imports():
+    # an import no code reads is dead, except a name the benchmark tracer
+    # wraps in that module, which must stay importable there
+    traced = set(_tracer_sites())
+    package = Path(scottlab.__file__).resolve().parent
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        module = "scottlab" if path.stem == "__init__" else f"scottlab.{path.stem}"
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {a.asname or a.name for a in node.names if a.name != "*"}
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [
+            (module, name)
+            for name in sorted(imported - read)
+            if (module, name) not in traced
+        ]
+    assert unused == []

@@ -463,18 +463,14 @@ class TestRadialWorkers:
     def test_same_bits_without_the_blas_pins(self, monkeypatch):
         monkeypatch.setattr(numerics, "_usable_cpus", lambda: 2)
         pinned = neg_sum_radial(harmonic_problem())
-        monkeypatch.setattr(numerics, "_openblas_thread_calls", lambda: None)
-        monkeypatch.setattr(numerics, "_scipy_openblas_thread_calls", lambda: None)
+        monkeypatch.setattr(numerics, "_bundled_openblas", lambda package: None)
         assert numerics._row_workers() == 1
         assert_same_radial_sum(pinned, neg_sum_radial(harmonic_problem()))
 
     def test_blas_threads_restored_after_normal_and_raising_calls(self, monkeypatch):
         pins = [
             calls
-            for calls in (
-                numerics._openblas_thread_calls(),
-                numerics._scipy_openblas_thread_calls(),
-            )
+            for calls in map(numerics._bundled_openblas, ("numpy", "scipy"))
             if calls is not None
         ]
         if not pins:
