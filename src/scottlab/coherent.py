@@ -18,13 +18,15 @@ extension of the grid; phase-space q sums in the representation check run
 over the grid's own conjugate lattice q_m = 2 pi h m/(N dx), which makes the
 momentum side of the assembly exact.  The remaining artifacts are position
 boundary wrap and symbol folding at the lattice momentum boundary; the error
-measurement masks both out (margins documented on the function).
+measurement masks both out (margins documented on the function).  The trial
+density has no momentum lattice: each node is taken on the line in closed
+form (_node_columns) and sampled on the grid, with no eigensolve.
 
 The real Gaussian factor A_u of G_{u,q} is a Toeplitz factor in x - y times a
 Hankel factor in x + y: A_u[i, j] = T[i-j] M_u[i+j], with
 T = (pi h)^{-1/2} dx exp(-(x_i - x_j)^2/(4 h^2 a)) built once per grid and
-M_u[s] = exp(-a(x_0 + s dx/2 - u)^2) for s = 0..2n-2.  Every kernel here
-takes A_u and T from that one template.
+M_u[s] = exp(-a(x_0 + s dx/2 - u)^2) for s = 0..2n-2.  Both identity
+checks take A_u and T from that one template.
 
 The u integrals of both identities integrate M_u[x+y] M_u[y'+z]
 = exp(-a(m1-m2)^2/2) exp(-2a(u-(m1+m2)/2)^2), an exact Gaussian in u of
@@ -117,7 +119,7 @@ class ClassicalSymbol:
     First and second derivatives are callables.  Each callable takes a
     scalar or an array of nodes and acts elementwise.  trial_density_matrix
     and representation_error_norm call each on whole node arrays in the
-    calling thread, so a symbol's exception surfaces before any eigh.
+    calling thread, so a symbol's exception surfaces before any node work.
     """
 
     F: Callable
@@ -126,9 +128,6 @@ class ClassicalSymbol:
     V: Callable
     dV: Callable
     d2V: Callable
-
-    def sigma(self, u, q):
-        return self.F(q) + self.V(u)
 
     def laplacian(self, u, q):
         return self.d2F(q) + self.d2V(u)
@@ -372,15 +371,13 @@ def representation_error_norm(
     needs only int A_u A_u du, which _u_integrated_square gives in closed
     form.  The weight-1 and F' terms carry the symbol's u-dependence, so
     their u integral is a plain trapezoid over the grid range plus seven
-    Gaussian widths 1/sqrt(2a), at step 0.365/sqrt(a).  Each of their
-    u-integrands is a Gaussian of variance 1/(4a) times the symbol's smooth
-    u-dependence, and the trapezoid aliasing bound 2 exp(-pi^2/(2a du^2))
-    of that Gaussian is 1.6e-16 at this step (Trefethen & Weideman, SIAM
-    Review 56, 2014).  The F' term needs sum_u du A_u P A_u for the spectral
-    momentum P = i S_P + (q_N/n) s s^T, where S_P is the real antisymmetric
-    sine kernel of the paired lattice momenta +-q_m and, on an even grid,
-    q_N is the unpaired Nyquist momentum with s_j = (-1)^j; each node then
-    costs the real product A_u (S_P A_u) plus the rank-one (A_u s)(A_u s)^T.
+    Gaussian widths 1/sqrt(2a), at the step of _u_step, whose aliasing
+    bound is at roundoff (module docstring).  The F' term needs sum_u du
+    A_u P A_u for the spectral momentum P = i S_P + (q_N/n) s s^T, where S_P
+    is the real antisymmetric sine kernel of the paired lattice momenta
+    +-q_m and, on an even grid, q_N is the unpaired Nyquist momentum with
+    s_j = (-1)^j; each node then costs the real product A_u (S_P A_u) plus
+    the rank-one (A_u s)(A_u s)^T.
 
     The difference is measured on a core window: at least 10% of the grid is
     dropped per side, widened to six reach lengths h sqrt(a) of the
@@ -528,6 +525,54 @@ def _trial_nodes(
     return us, qs, step
 
 
+# a trial-density node's t rule: Gauss-Legendre on +-_T_WIDTHS/sqrt(2b) at most;
+# 48 points integrate a whole window's Gaussian to roundoff for h >= 0.05
+_T_WIDTHS = 9.0
+_T_NODES, _T_WEIGHTS = np.polynomial.legendre.leggauss(48)
+
+
+def _node_columns(p: CoherentParams, grid: Grid1D, u, q, c0, v1, f1) -> np.ndarray:
+    """Columns g with g g^H = dx G chi(hhat < 0) G at node (u, q) on the grid,
+    for hhat = c0 + v1 (x - u) + f1 (-ih d/dx - q).
+
+    hhat = c0 + r L with r = hypot(v1, f1), L = c (x - u) + s (-ih d/dx - q)
+    and (c, s) = (v1, f1)/r, or (1, 0) at r = 0, so chi(hhat < 0) projects
+    onto the eigenfunctions e_t of L with t below the cut -c0/r (+inf for
+    c0 < 0 at r = 0, else -inf): a half-line projection in metaplectic image
+    (Folland, Harmonic Analysis in Phase Space, 1989, ch. 4).  With xi =
+    x - u, A0 = a/4 + 1/(4 h^2 a), k = 1/(2 h^2 a) - a/2 and alpha = A0 s +
+    i c/(2h), G e_t is, up to a phase constant in x, the Gaussian integral
+
+        (2 pi h^2 |alpha|)^(-1/2) exp(xi^2 (s k^2/(4 alpha) - A0)
+            + i k xi t/(2 h alpha) - A0 (t/(2 h |alpha|))^2 + i q xi/h),
+
+    smooth through s = 0 (e_t a position delta).  Its mass in t is a
+    Gaussian of variance 1/(2b); t runs over the Gauss-Legendre rule on
+    [-W, min(cut, W)], W = _T_WIDTHS/sqrt(2b), each column weighted by
+    sqrt(dx w).  The exponent is summed in xi before its one exp: its terms
+    stay O(xi^2), where uncentred ones of order x^2/(h^2 a) would cancel and
+    separate factors could overflow or underflow.
+    """
+    r = math.hypot(v1, f1)
+    c, s = (v1 / r, f1 / r) if r > 0.0 else (1.0, 0.0)
+    cut = -c0 / r if r > 0.0 else (math.inf if c0 < 0.0 else -math.inf)
+    width = _T_WIDTHS / math.sqrt(2.0 * p.b)
+    top = min(cut, width)
+    if top <= -width:
+        return np.zeros((grid.size, 0), dtype=complex)
+    half = 0.5 * (top + width)
+    t = half * _T_NODES + 0.5 * (top - width)
+    h, a = p.h, p.a
+    a0 = 0.25 * a + 0.25 / (h * h * a)
+    alpha = a0 * s + 0.5j * c / h
+    k = 0.5 / (h * h * a) - 0.5 * a
+    xi = grid.points - u
+    in_x = xi * xi * (s * k * k / (4.0 * alpha) - a0) + 1j * q * xi / h
+    scale = grid.spacing * half * _T_WEIGHTS / (2.0 * math.pi * h * h * abs(alpha))
+    in_t = 0.5 * np.log(scale) - a0 * (t / (2.0 * h * abs(alpha))) ** 2
+    return np.exp(in_x[:, None] + np.outer(xi, 0.5j * k / (h * alpha) * t) + in_t)
+
+
 def trial_density_matrix(
     sym: ClassicalSymbol,
     p: CoherentParams,
@@ -539,53 +584,43 @@ def trial_density_matrix(
     hhat at (u, q) is the first-order symbol c0 + grad_u (x - u) + grad_q
     (-ih d/dx - q), with c0 = F + F''/(4b) at q plus V + V''/(4b) at u,
     grad_q = F'(q) and grad_u = V'(u), for |u| inside the support ball and
-    zero outside, so only nodes inside contribute.  Each chi is the exact
-    spectral projection of the dense Hermitian hhat matrix onto its negative
-    part; accumulating G P P^H G keeps gamma positive semidefinite by
-    construction, and the resolution of the identity caps it at one plus
-    quadrature error.  The nodes are the _trial_nodes lattices, multiples of
-    min(h, 1/sqrt(a))/3 anchored at 0, with the q range past the classically
-    negative set by 10/sqrt(a) on each side, beyond which the momentum
-    overlap with the projection is negligible.  The set is scanned on the
-    support over |q| <= 20; a symbol still negative at either end of the
-    scan raises ValueError.  The u sum is a trapezoid rule: a row on the
-    support edge |u| = R (to 1e-12 relative) has weight 1/2, since hhat is
-    cut to zero past it.  Each node operator is grad_q P plus a real
-    diagonal, with the spectral momentum P made Hermitian once.
+    zero outside, so only nodes inside contribute.  Each G chi G is taken on
+    the line in closed form and sampled on the grid (_node_columns), with
+    no eigensolve and no dependence on the box.  Its columns accumulate as
+    g g^H, so gamma is positive semidefinite by construction, and the
+    resolution of the identity caps it at one plus quadrature error.  The
+    nodes are the _trial_nodes lattices (a symbol still negative at
+    |q| = 20 raises ValueError there).  The u sum is a trapezoid rule: a row
+    on the support edge |u| = R (to 1e-12 relative) has weight 1/2, since
+    hhat is cut to zero past it.
 
-    Time reversal halves the work.  On an odd grid the lattice momenta pair
-    as +-q_m, so P is conjugate-odd; when the q-nodes are symmetric, F +
-    F''/(4b) is bitwise even on them and F' bitwise odd, node (u, -q) has
-    hhat = conj hhat(u, q) and contributes the complex conjugate of node
-    (u, q).  Each row then solves only the q >= 0 nodes, with multiplicity 2
-    for q > 0, and accumulates Re(g g^H) = [Re g, Im g] [Re g, Im g]^T in
-    real arithmetic, so gamma is float64.  Every other symbol or grid runs
-    the same loop over all q-nodes with multiplicity 1 and a complex gamma.
+    Both symmetries below hold on the line, so neither needs an odd grid.
+    Time reversal halves the work: when the q-nodes are symmetric, F +
+    F''/(4b) bitwise even on them and F' bitwise odd, node (u, -q) is node
+    (u, q) conjugated by K, the complex conjugation.  Each row then takes
+    the q >= 0 nodes, q > 0 twice, and accumulates Re(g g^H) = [Re g, Im g]
+    [Re g, Im g]^T in real arithmetic, so gamma is float64; other symbols
+    run every q-node once and gamma is complex.
 
-    Parity halves the rows.  On an odd grid whose points are symmetric about
-    0 (x == -x[::-1] to 1e-12 dx: Grid1D.uniform(-L, L, n) is symmetric only
+    Parity halves the rows.  On a grid whose points are symmetric about 0
+    (x == -x[::-1] to 1e-12 dx: Grid1D.uniform(-L, L, n) is symmetric only
     to roundoff), when the u-rows satisfy us == -us[::-1] bitwise, V +
     V''/(4b) is bitwise even on them and V' bitwise odd, the reversal
-    J: x -> -x gives hhat(-u, q) = J K hhat(u, q) K J with K the complex
-    conjugation, whatever F is, and A_{-u} = J A_u J.  Row -u then
-    contributes conj(J part(u) J) = part[::-1, ::-1].conj(), which is just
-    J part(u) J on the time-reversed path, so only the rows u >= 0 are
-    solved and each row u > 0 adds its part and its mirror image.
+    J: x -> -x gives hhat(-u, q) = J K hhat(u, q) K J, whatever F is, and
+    the same for G.  Row -u then contributes conj(J part(u) J) =
+    part[::-1, ::-1].conj(), so only the rows u >= 0 are computed and each
+    row u > 0 adds its part and its mirror image.
 
     The symbol's callables run in the calling thread, on the scan points and
     once on each node lattice, so an exception they raise surfaces before
-    any eigensolve and the pairing tests read the values the rows solve.
-    The u-rows, by index, run through numerics._pinned_map: one worker
-    thread per usable CPU with OpenBLAS held at one thread, or a single
-    worker where no bundled OpenBLAS is found to pin; workers run only
-    linear algebra.  Each row sums its own part in q order and the parts are
-    added in u order as they arrive, so gamma is bitwise the same for any
-    worker count and each part is freed once added.
-
-    Each projected state spreads about 1/sqrt(2a) in momentum around its
-    node, so the grid should put pi h/dx several such widths above the q
-    range or the tails alias across the zone edge and inflate energy
-    expectations; the warning fires only at the bare q range.
+    any node work and the pairing tests read the values the rows use.
+    The u-rows, by index, run through numerics._pinned_map, and workers run
+    only array arithmetic.  Each row sums its own part in q order and the
+    parts are added in u order as they arrive, so gamma is bitwise the same
+    for any worker count and each part is freed once added.  Each projected
+    state spreads about 1/sqrt(2a) in momentum, so the grid should put
+    pi h/dx several such widths above the q range, or the sampled kernel
+    aliases; the warning fires only at the bare q range.
     """
     if p.n != 1:
         raise ValueError("grid realization is one-dimensional")
@@ -597,48 +632,25 @@ def trial_density_matrix(
     v_half = _symbol_half(sym.V, sym.d2V, us, p.b)
     v_slope = np.asarray(sym.dV(us), dtype=float)
 
-    odd = n % 2 == 1
-    paired = odd and _mirror_symmetric(qs, f_half, f_slope)
-    mirrored = (
-        odd
-        and np.allclose(x, -x[::-1], rtol=0.0, atol=1e-12 * grid.spacing)
-        and _mirror_symmetric(us, v_half, v_slope)
-    )
+    paired = _mirror_symmetric(qs, f_half, f_slope)
+    symmetric_x = np.allclose(x, -x[::-1], rtol=0.0, atol=1e-12 * grid.spacing)
+    mirrored = symmetric_x and _mirror_symmetric(us, v_half, v_slope)
     rows = (np.flatnonzero(us >= 0.0) if mirrored else np.arange(us.size)).tolist()
     keep = qs >= 0.0 if paired else slice(None)
     mult = np.where(qs[keep] > 0.0, 2.0, 1.0) if paired else np.ones(qs.size)
-    q_nodes = list(
-        zip(qs[keep].tolist(), f_half[keep].tolist(), f_slope[keep].tolist(),
-            mult.tolist())
-    )
+    q_nodes = np.stack((qs[keep], f_half[keep], f_slope[keep], mult), axis=1).tolist()
     dtype = float if paired else complex
-
-    p_mat = fourier_multiplier_matrix(momentum_lattice(grid, p.h), n)
-    p_mat = 0.5 * (p_mat + p_mat.conj().T)
-    diag = np.diag_indices(n)
-    _, factor = _gaussian_factor(p, grid)
-    weight = step * step / (2.0 * math.pi * p.h)
+    edge = np.abs(np.abs(us) - support_radius) <= 1e-12 * support_radius
+    u_weights = np.where(edge, 0.5, 1.0) * step * step / (2.0 * math.pi * p.h)
 
     def row(i: int) -> np.ndarray:
-        u, v0, v1 = us[i], v_half[i], v_slope[i]
-        a_mat = factor(u)
-        edge = abs(abs(u) - support_radius) <= 1e-12 * support_radius
-        u_weight = 0.5 * weight if edge else weight
+        u, v0, v1, u_weight = us[i], v_half[i], v_slope[i], u_weights[i]
         part = np.zeros((n, n), dtype=dtype)
         for q, f0, f1, mult in q_nodes:
-            hhat = f1 * p_mat
-            hhat[diag] += f0 + v0 - f1 * q + v1 * (x - u)
-            w, vec = np.linalg.eigh(hhat)
-            k = int(np.searchsorted(w, 0.0))
-            if k == 0:
-                continue
-            phases = np.exp(1j * q * x / p.h)
-            g_neg = phases[:, None] * (
-                a_mat @ (phases.conj()[:, None] * vec[:, :k])
-            )
+            g = _node_columns(p, grid, u, q, f0 + v0, v1, f1)
             if paired:
-                g_neg = np.hstack((g_neg.real, g_neg.imag))
-            part += (u_weight * mult) * (g_neg @ g_neg.conj().T)
+                g = np.hstack((g.real, g.imag))
+            part += (u_weight * mult) * (g @ g.conj().T)
         return part
 
     gamma = np.zeros((n, n), dtype=dtype)
@@ -646,6 +658,4 @@ def trial_density_matrix(
         gamma += part
         if mirrored and us[i] > 0.0:
             gamma += part[::-1, ::-1].conj()
-
-    gamma = 0.5 * (gamma + gamma.conj().T)
-    return GridOperator(matrix=gamma, grid=grid, h=p.h)
+    return GridOperator(matrix=0.5 * (gamma + gamma.conj().T), grid=grid, h=p.h)

@@ -30,12 +30,6 @@ __all__ = [
     "weyl_energy",
 ]
 
-# unit-ball volumes in the dimensions the experiments use; the general
-# Gamma-function route lives in unit_ball_volume and the two must agree
-OMEGA_1 = 2.0
-OMEGA_2 = math.pi
-OMEGA_3 = 4.0 * math.pi / 3.0
-
 
 def unit_ball_volume(n: int) -> float:
     """Volume of the unit ball in R^n, pi^(n/2) / Gamma(n/2 + 1)."""

@@ -125,10 +125,6 @@ class ChannelSpectrum:
     def degeneracy(self) -> int:
         return 2 * self.ell + 1
 
-    @property
-    def weighted_sum(self) -> float:
-        return self.degeneracy * float(np.sum(self.negative_eigenvalues))
-
 
 @dataclass(frozen=True)
 class RadialSum:

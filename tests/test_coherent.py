@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import wofz
 
 from scottlab.coherent import (
     ClassicalSymbol,
@@ -30,6 +31,7 @@ from scottlab import numerics
 from scottlab import coherent
 from scottlab.coherent import (
     _gaussian_factor,
+    _node_columns,
     _phase_rule,
     _symbol_half,
     _trial_nodes,
@@ -107,6 +109,19 @@ def working_grid(p, half_width):
     return Grid1D.uniform(-half_width, half_width, n)
 
 
+def acceptance_grid(p, widen=1, refine=1):
+    """Criterion 8's grid rule for support radius 1.5: half-width 1.5 plus
+    seven momentum spreads 1/sqrt(2a) plus 0.5, Nyquist momentum five spreads
+    above the q range 1 + 10/sqrt(a).  widen multiplies the half-width and
+    refine divides the spacing, both exactly."""
+    spread = 1.0 / math.sqrt(2.0 * p.a)
+    q_half = 1.0 + 10.0 / math.sqrt(p.a)
+    half = 1.5 + 7.0 * spread + 0.5
+    dx = math.pi * p.h / (q_half + 5.0 * spread)
+    n = 2 * int(math.ceil(half / dx)) + 1
+    return Grid1D.uniform(-widen * half, widen * half, widen * refine * (n - 1) + 1)
+
+
 class TestParams:
     def test_b_reference_value(self):
         # b = 2a/(1 + (ha)^2) is exactly 8 at h = 0.1, a = 5
@@ -152,12 +167,12 @@ class TestParams:
 class TestSymbols:
     def test_harmonic(self):
         sym = harmonic_symbol(offset=-1.0)
-        assert sym.sigma(0.5, 2.0) == pytest.approx(0.25 + 4.0 - 1.0)
+        assert sym.F(2.0) + sym.V(0.5) == pytest.approx(0.25 + 4.0 - 1.0)
         assert sym.laplacian(0.3, 0.7) == pytest.approx(4.0)
 
     def test_constant(self):
         sym = constant_symbol(0.7)
-        assert sym.sigma(1.0, -2.0) == pytest.approx(0.7)
+        assert sym.F(-2.0) + sym.V(1.0) == pytest.approx(0.7)
         assert sym.laplacian(1.0, -2.0) == 0.0
 
     def test_operator_symbol_counterterm(self):
@@ -392,14 +407,7 @@ class TestRepresentationError:
 class TestTrialDensity:
     def build_small(self):
         p = CoherentParams(h=0.4, a=0.4**-0.8)
-        sym = harmonic_symbol(offset=-1.0)
-        q_half = 1.0 + 10.0 / math.sqrt(p.a)
-        sigma_spread = 1.0 / math.sqrt(2.0 * p.a)
-        half = 1.5 + 7.0 * sigma_spread + 0.5
-        dx = math.pi * p.h / (q_half + 5.0 * sigma_spread)
-        n = 2 * int(math.ceil(half / dx)) + 1
-        grid = Grid1D.uniform(-half, half, n)
-        return p, sym, grid
+        return p, harmonic_symbol(offset=-1.0), acceptance_grid(p)
 
     def test_gamma_is_a_density_matrix(self):
         p, sym, grid = self.build_small()
@@ -428,6 +436,23 @@ class TestTrialDensity:
         gamma = trial_density_matrix(sym, p, grid, support_radius=1.5)
         assert gamma.trace == pytest.approx(1.0 / (2.0 * p.h), rel=0.1)
 
+    def test_upper_bound_does_not_depend_on_the_grid(self):
+        # each node's projection is taken on the line, so the box length and
+        # the spacing only sample gamma: C(h) = (Tr H gamma - Weyl) h^(-1/5)
+        # is the same on criterion 8's grid, at half its spacing, on a box
+        # twice as wide and on both
+        p = CoherentParams(h=0.5, a=0.5**-0.8)
+        sym = harmonic_symbol(offset=-1.0)
+        constants = []
+        for widen, refine in ((1, 1), (1, 2), (2, 1), (2, 2)):
+            grid = acceptance_grid(p, widen, refine)
+            gamma = trial_density_matrix(sym, p, grid, support_radius=1.5)
+            H = schrodinger_operator(sym, grid, p.h)
+            energy = float(np.real(np.sum(H.matrix * gamma.matrix.T)))
+            # the Weyl term of q^2 + u^2 - 1 is -(area pi)/(2 pi h)
+            constants.append((energy + 1.0 / (4.0 * p.h)) * p.h**-0.2)
+        np.testing.assert_allclose(constants, constants[0], rtol=1e-9, atol=0.0)
+
     def test_even_symbol_keeps_symmetric_q_nodes(self):
         p, sym, grid = self.build_small()
         _, qs, step = _trial_nodes(sym, p, grid, 1.5)
@@ -441,7 +466,7 @@ class TestTrialDensity:
         q_mags = np.linspace(0.0, 20.0, 2001)
         q_scan = np.concatenate((-q_mags[::-1], q_mags))
         shell = max(
-            np.abs(q_scan[sym.sigma(u, q_scan) < 0.0]).max(initial=0.0)
+            np.abs(q_scan[sym.F(q_scan) + sym.V(u) < 0.0]).max(initial=0.0)
             for u in np.linspace(-1.5, 1.5, 41)
         )
         q_half = shell + 10.0 / math.sqrt(p.a)
@@ -530,21 +555,17 @@ class TestTrialDensity:
             assert get_threads() == 2
 
             raised_in = []
-            gaussian_factor = coherent._gaussian_factor
+            node_columns = coherent._node_columns
 
-            def failing_factor(p, grid):
-                # the rows build A_u in the workers; only a row u > 0 fails
-                t, factor = gaussian_factor(p, grid)
+            def failing_node(p, grid, u, *node):
+                # the rows build their node columns in the workers; only the
+                # nodes of a row u > 0 fail
+                if u > 0.0:
+                    raised_in.append(threading.current_thread())
+                    raise RuntimeError("node failed in a row")
+                return node_columns(p, grid, u, *node)
 
-                def failing(u):
-                    if u > 0.0:
-                        raised_in.append(threading.current_thread())
-                        raise RuntimeError("factor failed in a row")
-                    return factor(u)
-
-                return t, failing
-
-            monkeypatch.setattr(coherent, "_gaussian_factor", failing_factor)
+            monkeypatch.setattr(coherent, "_node_columns", failing_node)
             with pytest.raises(RuntimeError, match="failed in a row"):
                 trial_density_matrix(sym, p, grid, support_radius=0.5)
             assert get_threads() == 2
@@ -668,17 +689,28 @@ def per_node_representation(sym, p, grid):
 
 
 def per_node_trial_density(sym, p, grid, support_radius):
-    """gamma summed over every (u, q) of _trial_nodes with complex outer
-    products, one dense pointwise kernel G_{u,q} per node; rows on the
-    support edge at weight 1/2."""
-    x, dx, n = grid.points, grid.spacing, grid.size
+    """gamma summed entry by entry over every (u, q) of _trial_nodes, with the
+    exact integral over the cut; rows on the support edge at weight 1/2.
+
+    With r = hypot(V', F') and (c, s) = (V', F')/r, chi(hhat < 0) projects
+    onto lambda < lam0 = (V' u + F' q - c0)/r of c x + s p.  By the Gaussian
+    integral over y of the kernel times that operator's eigenfunctions, the
+    column G e_lambda at x is exp(P(x) + L(x) lambda - A lambda^2) times
+    (2 pi h^2 |alpha|)^(-1/2), up to a phase constant in x, with alpha =
+    A0 s + i c/(2h), A0 = a/4 + 1/(4 h^2 a), A = A0/(4 h^2 |alpha|^2),
+    beta = x(1/(2 h^2 a) - a/2) + a u - i q/h, L = i beta/(2 h alpha) and
+    P = s beta^2/(4 alpha) - a(x - 2u)^2/4 - x^2/(4 h^2 a) + i q x/h.  The
+    entry (x, y) integrates exp(-2A lambda^2 + D lambda), D = L(x) +
+    conj L(y), up to lam0: the erfc of a complex argument, taken through the
+    Faddeeva function w so that no factor overflows.
+    """
+    x, dx, h, a = grid.points, grid.spacing, p.h, p.a
     us, qs, step = _trial_nodes(sym, p, grid, support_radius)
-    p_mat = fourier_multiplier_matrix(momentum_lattice(grid, p.h), n)
-    p_mat = 0.5 * (p_mat + p_mat.conj().T)
-    gamma = np.zeros((n, n), dtype=complex)
+    a0 = a / 4.0 + 1.0 / (4.0 * h * h * a)
+    gamma = np.zeros((x.size, x.size), dtype=complex)
     for u in us.tolist():
         edge = math.isclose(abs(u), support_radius, rel_tol=1e-12)
-        weight = (0.5 if edge else 1.0) * step * step / (2.0 * math.pi * p.h)
+        weight = (0.5 if edge else 1.0) * step * step / (2.0 * math.pi * h)
         for q in qs.tolist():
             c0 = (
                 float(sym.F(q))
@@ -687,18 +719,50 @@ def per_node_trial_density(sym, p, grid, support_radius):
                 + float(sym.d2V(u)) / (4.0 * p.b)
             )
             grad_q, grad_u = float(sym.dF(q)), float(sym.dV(u))
-            hhat = grad_q * p_mat + np.diag(c0 - grad_q * q + grad_u * (x - u))
-            w, vec = np.linalg.eigh(hhat)
-            g_mat = new_kernel_G(p, PhasePoint(u, q), x[:, None], x[None, :]) * dx
-            g_neg = g_mat @ vec[:, w < 0.0]
-            gamma += weight * (g_neg @ g_neg.conj().T)
+            r = math.hypot(grad_u, grad_q)
+            if r == 0.0:  # hhat = c0: all of the line or nothing
+                if c0 >= 0.0:
+                    continue
+                c, s, lam0 = 1.0, 0.0, math.inf
+            else:
+                c, s = grad_u / r, grad_q / r
+                lam0 = (grad_u * u + grad_q * q - c0) / r
+            alpha = a0 * s + 1j * c / (2.0 * h)
+            two_a = a0 / (2.0 * h * h * abs(alpha) ** 2)
+            beta = x * (1.0 / (2.0 * h * h * a) - a / 2.0) + a * u - 1j * q / h
+            p_x = (
+                s * beta * beta / (4.0 * alpha)
+                - a * (x - 2.0 * u) ** 2 / 4.0
+                - x * x / (4.0 * h * h * a)
+                + 1j * q * x / h
+            )
+            l_x = 1j * beta / (2.0 * h * alpha)
+            pp = p_x[:, None] + p_x.conj()[None, :]
+            d = l_x[:, None] + l_x.conj()[None, :]
+            # int_{-inf}^{lam0} exp(-two_a l^2 + d l) dl
+            #   = sqrt(pi/two_a)/2 exp(d^2/(4 two_a)) erfc(z),
+            # z = sqrt(two_a) (d/(2 two_a) - lam0)
+            whole = pp + d * d / (4.0 * two_a)
+            if lam0 == math.inf:
+                cut = 2.0 * np.exp(whole)
+            else:
+                z = math.sqrt(two_a) * (d / (2.0 * two_a) - lam0)
+                at_cut = pp + d * lam0 - two_a * lam0 * lam0
+                # erfc(z) = exp(-z^2) w(iz), and 2 - erfc(-z) where Re z < 0
+                cut = np.where(
+                    z.real >= 0.0,
+                    np.exp(at_cut) * wofz(1j * z),
+                    2.0 * np.exp(whole) - np.exp(at_cut) * wofz(-1j * z),
+                )
+            scale = dx / (2.0 * math.pi * h * h * abs(alpha))
+            gamma += weight * scale * 0.5 * math.sqrt(math.pi / two_a) * cut
     return 0.5 * (gamma + gamma.conj().T)
 
 
 class TestAgainstPerNodeLoops:
     """The u-first sums and the closed-form u integral agree with one dense
     product per node of a u trapezoid at _u_step, and the trial density
-    with its complex sum over every node of _trial_nodes.
+    with the exact cut integral of every node of _trial_nodes.
 
     n = 121 is the odd grid the h = 0.4 rule gives on [-4, 4]; n = 122 is
     even, so the lattice has an unpaired Nyquist momentum.
@@ -748,7 +812,7 @@ class TestAgainstPerNodeLoops:
         [
             (harmonic_symbol(-1.0), (-4.0, 4.0), 61, True, True),
             (shifted_symbol(), (-4.0, 4.0), 61, False, True),
-            (harmonic_symbol(-1.0), (-4.0, 4.0), 62, False, False),
+            (harmonic_symbol(-1.0), (-4.0, 4.0), 62, True, True),
             (u_shifted_symbol(), (-4.0, 4.0), 61, True, False),
             (harmonic_symbol(-1.0), (-4.0, 4.5), 61, True, False),
         ],
@@ -763,8 +827,8 @@ class TestAgainstPerNodeLoops:
     def test_trial_density(self, mapped_rows, sym, bounds, n, paired, mirrored):
         # support radius three node steps, so the two outer rows sit on the
         # edge at weight 1/2; time-reversed nodes pair only for a symbol even
-        # in q on an odd grid, and rows mirror u -> -u only for a symbol even
-        # in u on an odd grid symmetric about 0
+        # in q, and rows mirror u -> -u only for a symbol even in u on a grid
+        # symmetric about 0, odd or even
         radius = 3.0 * 2.0 * _phase_rule(self.p)
         grid = Grid1D.uniform(*bounds, n)
         with warnings.catch_warnings():
@@ -776,6 +840,97 @@ class TestAgainstPerNodeLoops:
         assert mapped_rows == [rows.tolist()]
         assert fast.matrix.dtype == (np.float64 if paired else np.complex128)
         assert np.max(np.abs(fast.matrix - slow)) <= 1e-13 * np.max(np.abs(slow))
+
+
+def node_by_quadrature(p, x, dx, u, q, c0, v1, f1):
+    """dx G chi(hhat < 0) G for hhat = c0 + v1 (x - u) + f1 (p - q), with G
+    the public kernel new_kernel_G and the y integrals done by quadrature.
+
+    F' = 0 cuts in position: the kernel is int G(x, y) G(y, z) dy over the
+    y with c0 + v1 (y - u) < 0.  Otherwise chi projects onto lambda < lam0 =
+    (v1 u + f1 q - c0)/r of c x + s p, (c, s) = (v1, f1)/r, with the chirped
+    eigenfunctions (2 pi h |s|)^(-1/2) exp(i(lambda y - c y^2/2)/(h s)); G
+    acts on each by a y trapezoid and lambda runs over Gauss-Legendre
+    points on twelve widths 1/sqrt(2b) either side of c u + s q.
+    """
+    h = p.h
+    kernel = lambda y: new_kernel_G(p, PhasePoint(u, q), x[:, None], y[None, :])
+    if f1 == 0.0:
+        lo, hi = u - 6.0, u + 6.0
+        if v1 > 0.0:
+            hi = min(hi, u - c0 / v1)
+        elif v1 < 0.0:
+            lo = max(lo, u - c0 / v1)
+        elif c0 >= 0.0:
+            hi = lo
+        if hi <= lo:
+            return np.zeros((x.size, x.size))
+        t, w = np.polynomial.legendre.leggauss(400)
+        y = 0.5 * (hi - lo) * t + 0.5 * (hi + lo)
+        g = kernel(y) * np.sqrt(0.5 * (hi - lo) * w)
+        return dx * (g @ g.conj().T)
+    r = math.hypot(v1, f1)
+    c, s = v1 / r, f1 / r
+    lam0, mu, width = (v1 * u + f1 * q - c0) / r, c * u + s * q, 12.0 / math.sqrt(2.0 * p.b)
+    lo, hi = mu - width, min(lam0, mu + width)
+    if hi <= lo:
+        return np.zeros((x.size, x.size))
+    t, w = np.polynomial.legendre.leggauss(96)
+    lams, w = 0.5 * (hi - lo) * t + 0.5 * (hi + lo), 0.5 * (hi - lo) * w
+    y = np.linspace(u - 8.0, u + 8.0, 2401)
+    k_mat = kernel(y) * (y[1] - y[0])
+    eig = (2.0 * math.pi * h * abs(s)) ** -0.5 * np.exp(
+        1j * (lams[None, :] * y[:, None] - 0.5 * c * y[:, None] ** 2) / (h * s)
+    )
+    g = (k_mat @ eig) * np.sqrt(w)
+    return dx * (g @ g.conj().T)
+
+
+class TestNodeColumns:
+    """One node's closed-form columns against the kernel applied to the
+    eigenfunctions of hhat by direct quadrature, for every kind of cut."""
+
+    p = CoherentParams(h=0.3, a=0.3**-0.8)
+    grid = Grid1D.uniform(-2.6, 3.4, 49)
+
+    @pytest.mark.parametrize(
+        "c0, v1, f1, columns",
+        [
+            (0.1, 0.8, 1.4, 48),
+            (0.1, 0.8, 0.0, 48),
+            (0.1, -0.8, 0.0, 48),
+            (-0.3, 0.0, 1.4, 48),
+            (-0.2, 0.0, 0.0, 48),
+            (0.2, 0.0, 0.0, 0),
+        ],
+        ids=[
+            "general",
+            "position-cut-V'>0",
+            "position-cut-V'<0",
+            "momentum-cut",
+            "everything-below-zero",
+            "nothing-below-zero",
+        ],
+    )
+    def test_against_quadrature(self, c0, v1, f1, columns):
+        u, q = 0.4, 0.7
+        g = _node_columns(self.p, self.grid, u, q, c0, v1, f1)
+        assert g.shape == (self.grid.size, columns)
+        ref = node_by_quadrature(
+            self.p, self.grid.points, self.grid.spacing, u, q, c0, v1, f1
+        )
+        scale = np.max(np.abs(ref)) if columns else 1.0
+        assert np.max(np.abs(g @ g.conj().T - ref)) <= 1e-6 * scale
+
+    def test_continuous_as_the_momentum_slope_vanishes(self):
+        # F' = 1e-9 reads the position cut of F' = 0; chirps at frequency
+        # 1/(h F') put no quadrature of e_lambda within reach
+        u, q, c0, v1 = 0.4, 0.7, 0.1, 0.8
+        g = _node_columns(self.p, self.grid, u, q, c0, v1, 1e-9)
+        ref = node_by_quadrature(
+            self.p, self.grid.points, self.grid.spacing, u, q, c0, v1, 0.0
+        )
+        assert np.max(np.abs(g @ g.conj().T - ref)) <= 1e-6 * np.max(np.abs(ref))
 
 
 def old_u_step(p):
@@ -815,14 +970,10 @@ class TestUStep:
 
     @pytest.mark.parametrize("h", [0.6, 0.5, 0.2, 0.1])
     def test_trial_density_keeps_its_node_step(self, h):
-        # criterion 8's grid rule; the trial density's integrand has rank
-        # jumps, not a Gaussian u-dependence, so its step stays
+        # criterion 8's grid rule; the trial density's integrand is cut off
+        # at |u| = R, not a Gaussian u-dependence, so its step stays
         p = CoherentParams(h=h, a=h**-0.8)
-        spread = 1.0 / math.sqrt(2.0 * p.a)
-        q_half = 1.0 + 10.0 / math.sqrt(p.a)
-        half = 1.5 + 7.0 * spread + 0.5
-        dx = math.pi * p.h / (q_half + 5.0 * spread)
-        grid = Grid1D.uniform(-half, half, 2 * int(math.ceil(half / dx)) + 1)
+        grid = acceptance_grid(p)
         us, qs, step = _trial_nodes(harmonic_symbol(offset=-1.0), p, grid, 1.5)
         assert step == min(h, 1.0 / math.sqrt(p.a)) / 3.0
         assert us[1] - us[0] == pytest.approx(step, rel=1e-12)

@@ -7,9 +7,6 @@ import pytest
 
 from scottlab.numerics import Bump
 from scottlab.semiclassics import (
-    OMEGA_1,
-    OMEGA_2,
-    OMEGA_3,
     WeylSpec,
     local_trace_experiment,
     unit_ball_volume,
@@ -19,10 +16,9 @@ from scottlab.semiclassics import (
 
 class TestBallVolume:
     def test_table(self):
-        assert unit_ball_volume(1) == pytest.approx(OMEGA_1)
-        assert unit_ball_volume(2) == pytest.approx(OMEGA_2)
-        assert unit_ball_volume(3) == pytest.approx(OMEGA_3)
-        assert OMEGA_3 == pytest.approx(4.0 * math.pi / 3.0)
+        assert unit_ball_volume(1) == pytest.approx(2.0)
+        assert unit_ball_volume(2) == pytest.approx(math.pi)
+        assert unit_ball_volume(3) == pytest.approx(4.0 * math.pi / 3.0)
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
@@ -63,7 +59,7 @@ class TestWeylEnergy:
         spec = WeylSpec(n=1, potential=lambda x: -np.ones_like(x), bump=bump, h=1.0)
         x = np.linspace(-2.0, 2.0, 200001)
         mass = float(np.trapezoid(bump(x) ** 2, x))
-        expect = -(2.0 * OMEGA_1 / 3.0) / (2.0 * math.pi) * mass
+        expect = -(2.0 * 2.0 / 3.0) / (2.0 * math.pi) * mass
         assert weyl_energy(spec) == pytest.approx(expect, rel=1e-8)
 
     def test_monte_carlo_cross_check(self):
@@ -74,7 +70,7 @@ class TestWeylEnergy:
         mc = 2.0 * float(np.mean(samples))
         sigma = 2.0 * float(np.std(samples)) / math.sqrt(x.size)
         spec = WeylSpec(n=1, potential=lambda t: t * t - 1.0, h=1.0)
-        integral = -weyl_energy(spec) * 2.0 * math.pi / (2.0 * OMEGA_1 / 3.0)
+        integral = -weyl_energy(spec) * 2.0 * math.pi / (2.0 * 2.0 / 3.0)
         assert abs(integral - mc) < 3.0 * sigma
 
     def test_non_integrable_tail_raises(self):
