@@ -20,7 +20,13 @@ momentum side of the assembly exact.  The remaining artifacts are position
 boundary wrap and symbol folding at the lattice momentum boundary; the error
 measurement masks both out (margins documented on the function).  The trial
 density has no momentum lattice: each node is taken on the line in closed
-form (_node_columns) and sampled on the grid, with no eigensolve.
+form and sampled on the grid, with no eigensolve.  _node_columns builds the
+columns of a row's nodes in blocks of whole nodes, so each block is a few
+large array operations and one matrix product: the modulus of every entry
+is one real exp of its summed exponent, which keeps Gaussian factors from
+overflowing, and the phase, of modulus one in every factor, is split
+safely into a per-node factor and coarse x fine tables, a few complex
+exponentials per column in place of one per grid point.
 
 The real Gaussian factor A_u of G_{u,q} is a Toeplitz factor in x - y times a
 Hankel factor in x + y: A_u[i, j] = T[i-j] M_u[i+j], with
@@ -529,11 +535,38 @@ def _trial_nodes(
 # 48 points integrate a whole window's Gaussian to roundoff for h >= 0.05
 _T_WIDTHS = 9.0
 _T_NODES, _T_WEIGHTS = np.polynomial.legendre.leggauss(48)
+# entries (grid points x columns) of one block of node columns, which bounds
+# a row worker's memory: a complex block of 256 KiB, four nodes of 48 columns
+# on the 85-point grid of h = 0.5
+_BLOCK_ENTRIES = 1 << 14
 
 
-def _node_columns(p: CoherentParams, grid: Grid1D, u, q, c0, v1, f1) -> np.ndarray:
-    """Columns g with g g^H = dx G chi(hhat < 0) G at node (u, q) on the grid,
-    for hhat = c0 + v1 (x - u) + f1 (-ih d/dx - q).
+def _phase_tables(
+    omega: np.ndarray, x0: float, dx: float, step: int, coarse_rows: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Coarse and fine tables of e^{i omega_k T_j xi} on xi = x0 + (step m + l) dx:
+    coarse[m] = e^{i omega T (x0 + step m dx)} for m < coarse_rows and
+    fine[l] = e^{i omega T l dx} for l < step, each (rows, omega.size, 48).
+
+    Only the t-nodes T_j < 0 take exponentials: T_{47-j} = -T_j bitwise, so
+    the other half is their conjugate mirror image.
+    """
+    lower = _T_NODES.size // 2
+    xi = np.concatenate((x0 + step * dx * np.arange(coarse_rows), dx * np.arange(step)))
+    table = np.empty((xi.size, omega.size, _T_NODES.size), dtype=complex)
+    below = table[..., :lower]
+    psi = np.multiply.outer(omega, _T_NODES[:lower])
+    np.exp(np.multiply.outer(1j * xi, psi), out=below)
+    table[..., lower:] = below[..., ::-1].conj()
+    return table[:coarse_rows], table[coarse_rows:]
+
+
+def _node_columns(p: CoherentParams, grid: Grid1D, u, q, c0, v1, f1, weight):
+    """Yield columns g, block by block, whose g g^H sum to
+    sum_k weight_k dx G chi(hhat_k < 0) G over the nodes (u, q_k), for
+    hhat_k = c0_k + v1 (x - u) + f1_k (-ih d/dx - q_k).  u is a scalar; q,
+    c0, f1 and weight are arrays over the nodes, v1 a scalar or such an
+    array.
 
     hhat = c0 + r L with r = hypot(v1, f1), L = c (x - u) + s (-ih d/dx - q)
     and (c, s) = (v1, f1)/r, or (1, 0) at r = 0, so chi(hhat < 0) projects
@@ -549,28 +582,83 @@ def _node_columns(p: CoherentParams, grid: Grid1D, u, q, c0, v1, f1) -> np.ndarr
     smooth through s = 0 (e_t a position delta).  Its mass in t is a
     Gaussian of variance 1/(2b); t runs over the Gauss-Legendre rule on
     [-W, min(cut, W)], W = _T_WIDTHS/sqrt(2b), each column weighted by
-    sqrt(dx w).  The exponent is summed in xi before its one exp: its terms
-    stay O(xi^2), where uncentred ones of order x^2/(h^2 a) would cancel and
-    separate factors could overflow or underflow.
+    sqrt(weight dx w).
+
+    A node whose cut lies at or below -W has no columns and is dropped
+    before any work; the others are taken in order, their coefficients
+    computed for all of them at once, and their columns yielded in blocks
+    of as many whole nodes as _BLOCK_ENTRIES entries hold (at least one),
+    node after node, 48 columns each.  Nodes that all drop yield nothing.
+
+    The modulus is one real exp of the real part of the exponent, summed in
+    xi first (one product of [1, xi, xi^2] with its coefficients): its terms
+    stay O(xi^2), where uncentred ones of order x^2/(h^2 a) would cancel,
+    and separate factors could overflow or underflow.  The phase has
+    modulus one in every factor, so it may be split without that risk:
+    e^{i xi^2 Im(s k^2/(4 alpha)) + i xi (q/h + mid Im(k/(2 h alpha)))} per
+    grid point and node, for t = half T_j + mid, times e^{i omega T_j xi}
+    with omega = half Im(k/(2 h alpha)).  With xi_i = xi_0 + i dx and
+    i = B m + l, B = ceil(sqrt(n)), the latter is the product of the coarse
+    and fine tables of _phase_tables, so a pair of mirror columns takes
+    about 2 sqrt(n) complex exponentials in place of 2n.
     """
-    r = math.hypot(v1, f1)
-    c, s = (v1 / r, f1 / r) if r > 0.0 else (1.0, 0.0)
-    cut = -c0 / r if r > 0.0 else (math.inf if c0 < 0.0 else -math.inf)
+    q, c0, f1, weight = (np.asarray(v, dtype=float) for v in (q, c0, f1, weight))
+    r = np.hypot(v1, f1)
+    moving = r > 0.0
+    c = np.divide(v1, r, out=np.ones_like(r), where=moving)
+    s = np.divide(f1, r, out=np.zeros_like(r), where=moving)
+    cut = np.divide(-c0, r, out=np.where(c0 < 0.0, math.inf, -math.inf), where=moving)
     width = _T_WIDTHS / math.sqrt(2.0 * p.b)
-    top = min(cut, width)
-    if top <= -width:
-        return np.zeros((grid.size, 0), dtype=complex)
+    top = np.minimum(cut, width)
+    live = top > -width
+    if not live.all():
+        q, c, s, top, weight = q[live], c[live], s[live], top[live], weight[live]
     half = 0.5 * (top + width)
-    t = half * _T_NODES + 0.5 * (top - width)
+    mid = 0.5 * (top - width)
+    t = half[:, None] * _T_NODES + mid[:, None]
     h, a = p.h, p.a
     a0 = 0.25 * a + 0.25 / (h * h * a)
     alpha = a0 * s + 0.5j * c / h
     k = 0.5 / (h * h * a) - 0.5 * a
-    xi = grid.points - u
-    in_x = xi * xi * (s * k * k / (4.0 * alpha) - a0) + 1j * q * xi / h
-    scale = grid.spacing * half * _T_WEIGHTS / (2.0 * math.pi * h * h * abs(alpha))
-    in_t = 0.5 * np.log(scale) - a0 * (t / (2.0 * h * abs(alpha))) ** 2
-    return np.exp(in_x[:, None] + np.outer(xi, 0.5j * k / (h * alpha) * t) + in_t)
+    quad = s * k * k / (4.0 * alpha) - a0
+    slope = 0.5j * k / (h * alpha)
+    reach = 2.0 * h * abs(alpha)
+    scale = grid.spacing * weight * half / (math.pi * h * reach)
+    # real exponent and node phase as coefficients of [1, xi, xi^2]
+    exponent = np.empty((3, q.size, _T_NODES.size))
+    exponent[0] = 0.5 * np.log(scale[:, None] * _T_WEIGHTS)
+    exponent[0] -= a0 * (t / reach[:, None]) ** 2
+    np.multiply(slope.real[:, None], t, out=exponent[1])
+    exponent[2] = quad.real[:, None]
+    node_phase = np.stack((q / h + slope.imag * mid, quad.imag))
+    omega = slope.imag * half
+    powers = np.vander(grid.points - u, 3, increasing=True)
+
+    n = grid.size
+    step = math.isqrt(n - 1) + 1
+    coarse_rows = -(-n // step)
+    per_block = max(1, _BLOCK_ENTRIES // (n * _T_NODES.size))
+    for lo in range(0, q.size, per_block):
+        nodes = slice(lo, lo + per_block)
+        m = omega[nodes].size
+        # the modulus fills the real slots of g and the imaginary ones are
+        # zeroed; the rows past n pad g to whole coarse rows
+        g = np.empty((coarse_rows, step, m, _T_NODES.size), dtype=complex)
+        rows = g.reshape(coarse_rows * step, m, _T_NODES.size)
+        slots = rows[:n].view(float).reshape(n, m * _T_NODES.size, 2)
+        np.matmul(powers, exponent[:, nodes].reshape(3, -1), out=slots[..., 0])
+        np.exp(slots[..., 0], out=slots[..., 0])
+        slots[..., 1] = 0.0
+        rows[n:] = 0.0
+        coarse, fine = _phase_tables(
+            omega[nodes], powers[0, 1], grid.spacing, step, coarse_rows
+        )
+        g *= coarse[:, None]
+        g *= fine
+        g = rows[:n]
+        g *= np.exp(1j * (powers[:, 1:] @ node_phase[:, nodes]))[:, :, None]
+        yield g.reshape(n, m * _T_NODES.size)
+        del g, rows, slots  # one block alive at a time, given the caller's del
 
 
 def trial_density_matrix(
@@ -586,8 +674,13 @@ def trial_density_matrix(
     grad_q = F'(q) and grad_u = V'(u), for |u| inside the support ball and
     zero outside, so only nodes inside contribute.  Each G chi G is taken on
     the line in closed form and sampled on the grid (_node_columns), with
-    no eigensolve and no dependence on the box.  Its columns accumulate as
-    g g^H, so gamma is positive semidefinite by construction, and the
+    no eigensolve and no dependence on the box.  A row hands its q-nodes to
+    _node_columns at once, with the weight u_weight * mult of each folded
+    into its columns, and takes their columns in blocks of at most
+    _BLOCK_ENTRIES entries, one product part += g g^H per block, so a
+    worker holds one block at a time; nodes that contribute nothing are
+    dropped before any work.  gamma is a sum of such g g^H, so it is
+    positive semidefinite by construction, and the
     resolution of the identity caps it at one plus quadrature error.  The
     nodes are the _trial_nodes lattices (a symbol still negative at
     |q| = 20 raises ValueError there).  The u sum is a trapezoid rule: a row
@@ -615,9 +708,10 @@ def trial_density_matrix(
     once on each node lattice, so an exception they raise surfaces before
     any node work and the pairing tests read the values the rows use.
     The u-rows, by index, run through numerics._pinned_map, and workers run
-    only array arithmetic.  Each row sums its own part in q order and the
-    parts are added in u order as they arrive, so gamma is bitwise the same
-    for any worker count and each part is freed once added.  Each projected
+    only array arithmetic.  Each row sums its own part block by block in q
+    order, its blocks cut the same way whoever runs it, and the parts are
+    added in u order as they arrive, so gamma is bitwise the same for any
+    worker count and each part is freed once added.  Each projected
     state spreads about 1/sqrt(2a) in momentum, so the grid should put
     pi h/dx several such widths above the q range, or the sampled kernel
     aliases; the warning fires only at the bare q range.
@@ -638,7 +732,7 @@ def trial_density_matrix(
     rows = (np.flatnonzero(us >= 0.0) if mirrored else np.arange(us.size)).tolist()
     keep = qs >= 0.0 if paired else slice(None)
     mult = np.where(qs[keep] > 0.0, 2.0, 1.0) if paired else np.ones(qs.size)
-    q_nodes = np.stack((qs[keep], f_half[keep], f_slope[keep], mult), axis=1).tolist()
+    q_row, f0_row, f1_row = qs[keep], f_half[keep], f_slope[keep]
     dtype = float if paired else complex
     edge = np.abs(np.abs(us) - support_radius) <= 1e-12 * support_radius
     u_weights = np.where(edge, 0.5, 1.0) * step * step / (2.0 * math.pi * p.h)
@@ -646,11 +740,14 @@ def trial_density_matrix(
     def row(i: int) -> np.ndarray:
         u, v0, v1, u_weight = us[i], v_half[i], v_slope[i], u_weights[i]
         part = np.zeros((n, n), dtype=dtype)
-        for q, f0, f1, mult in q_nodes:
-            g = _node_columns(p, grid, u, q, f0 + v0, v1, f1)
+        for g in _node_columns(
+            p, grid, u, q_row, f0_row + v0, v1, f1_row, u_weight * mult
+        ):
             if paired:
-                g = np.hstack((g.real, g.imag))
-            part += (u_weight * mult) * (g @ g.conj().T)
+                # Re(g g^H) = [Re g, Im g] [Re g, Im g]^T, the pairs interleaved
+                g = g.view(float)
+            part += g @ g.conj().T
+            del g  # freed before the next block is built
         return part
 
     gamma = np.zeros((n, n), dtype=dtype)

@@ -123,17 +123,18 @@ class GridOperator:
 # ---------------------------------------------------------------------------
 # worker threads for independent pieces of small linear algebra
 #
-# Small eigh, matmul and tridiagonal calls gain little from OpenBLAS's own
-# threads.  On two cores a complex Hermitian eigh of order 79 / 121 / 163
-# took 1.89 / 4.58 / 8.76 ms per call serially with the default two BLAS
-# threads, and 0.82 / 2.17 / 4.47 ms per call from two Python threads with
-# OpenBLAS held at one thread.  Unpinned, the same two Python threads
-# oversubscribe the cores: 3.32 / 6.92 / 14.5 ms per call, slower than
-# serial.  numpy and scipy wheels each bundle their own OpenBLAS, and both
-# are pinned: the radial channel solves (spectra) run LAPACK dstein from
-# scipy's, whose level-1 BLAS oversubscribes two cores the same way (the
-# radial sum of the Scott sweep at h = 0.05 took 3.2 s on two threads with
-# scipy's OpenBLAS unpinned, 2.0 s pinned).
+# Small matmul and tridiagonal calls gain little from OpenBLAS's own
+# threads.  On a shared two-core x86-64 machine the rows of the two trial
+# densities at h = 0.6 and 0.5 (79- and 85-point grids; blocks of node
+# columns, one matrix product each) took 0.096 s on one worker and 0.069 to
+# 0.076 s on two with OpenBLAS held at one thread.  The gain is small because
+# the workers share the interpreter lock between the blocks' numpy calls.
+# Unpinned, the same two workers oversubscribe the cores and took 0.10 to
+# 0.14 s, no faster than one.  numpy and scipy wheels each bundle their own
+# OpenBLAS, and both are pinned: the radial channel solves (spectra) run
+# LAPACK dstein from scipy's, whose level-1 BLAS oversubscribes two cores
+# the same way (the radial sum of the Scott sweep at h = 0.05 took 3.2 s on
+# two threads with scipy's OpenBLAS unpinned, 2.0 s pinned).
 #
 # _pinned_map is the one place that decides how such pieces run: the rows
 # of the trial density (coherent) and the channel solves of a radial sum

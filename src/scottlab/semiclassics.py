@@ -73,20 +73,19 @@ def _negative_segments(potential, probes) -> tuple[list[tuple[float, float]], bo
     neg = vals < 0.0
     if not neg.any():
         return [], False
-    edges = []
-    for i in range(len(probes) - 1):
-        if neg[i] != neg[i + 1]:
-            edges.append(
-                float(
-                    optimize.brentq(
-                        lambda s: _eval_scalar(potential, s),
-                        probes[i],
-                        probes[i + 1],
-                        xtol=1e-14,
-                        rtol=1e-14,
-                    )
-                )
+    # one brentq per sign change of the probe values, in probe order
+    edges = [
+        float(
+            optimize.brentq(
+                lambda s: _eval_scalar(potential, s),
+                probes[i],
+                probes[i + 1],
+                xtol=1e-14,
+                rtol=1e-14,
             )
+        )
+        for i in np.flatnonzero(neg[:-1] != neg[1:]).tolist()
+    ]
     bounds = [float(probes[0])] + edges + [float(probes[-1])]
     segments = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):

@@ -30,9 +30,11 @@ from scottlab.coherent import (
 from scottlab import numerics
 from scottlab import coherent
 from scottlab.coherent import (
+    _T_NODES,
     _gaussian_factor,
     _node_columns,
     _phase_rule,
+    _phase_tables,
     _symbol_half,
     _trial_nodes,
     _u_integrated_square,
@@ -585,6 +587,26 @@ class TestTrialDensity:
             records.append(calls)
         assert_fixed_calls_in_calling_thread(*records)
 
+    @pytest.mark.parametrize("h", [0.5, 0.2])  # the benchmark's grid; criterion 8's
+    def test_blocks_stay_within_the_entry_budget(self, monkeypatch, h):
+        # every block of node columns the rows take holds at most
+        # _BLOCK_ENTRIES entries, which bounds their working memory, and
+        # holds more than one node
+        p = CoherentParams(h=h, a=h**-0.8)
+        grid = acceptance_grid(p)
+        columns = []
+        node_columns = coherent._node_columns
+
+        def recording(*row):
+            for g in node_columns(*row):
+                columns.append(g.shape[1])
+                yield g
+
+        monkeypatch.setattr(coherent, "_node_columns", recording)
+        trial_density_matrix(harmonic_symbol(-1.0), p, grid, support_radius=1.5)
+        assert grid.size * max(columns) <= coherent._BLOCK_ENTRIES
+        assert max(columns) > _T_NODES.size
+
     def test_shell_past_the_scan_rejected(self):
         p, _, grid = self.build_small()
         with pytest.raises(ValueError, match=r"\|q\| = 20"):
@@ -886,35 +908,47 @@ def node_by_quadrature(p, x, dx, u, q, c0, v1, f1):
     return dx * (g @ g.conj().T)
 
 
+# the six kinds of node: (c0, V', F') and the columns each keeps
+NODE_KINDS = [
+    (0.1, 0.8, 1.4, 48),
+    (0.1, 0.8, 0.0, 48),
+    (0.1, -0.8, 0.0, 48),
+    (-0.3, 0.0, 1.4, 48),
+    (-0.2, 0.0, 0.0, 48),
+    (0.2, 0.0, 0.0, 0),
+]
+NODE_KIND_IDS = [
+    "general",
+    "position-cut-V'>0",
+    "position-cut-V'<0",
+    "momentum-cut",
+    "everything-below-zero",
+    "nothing-below-zero",
+]
+
+
+def node_columns(p, grid, u, q, c0, v1, f1, weight):
+    """The blocks _node_columns yields for the nodes (u, q), side by side."""
+    blocks = list(_node_columns(p, grid, u, q, c0, v1, f1, weight))
+    return np.concatenate([np.zeros((grid.size, 0), dtype=complex)] + blocks, axis=1)
+
+
+def one_node(p, grid, u, q, c0, v1, f1, weight=1.0):
+    return node_columns(p, grid, u, [q], [c0], v1, [f1], [weight])
+
+
 class TestNodeColumns:
-    """One node's closed-form columns against the kernel applied to the
-    eigenfunctions of hhat by direct quadrature, for every kind of cut."""
+    """The closed-form columns of the nodes of a row: one node against the
+    kernel applied to the eigenfunctions of hhat by direct quadrature, for
+    every kind of cut, and a row against its nodes one at a time."""
 
     p = CoherentParams(h=0.3, a=0.3**-0.8)
     grid = Grid1D.uniform(-2.6, 3.4, 49)
 
-    @pytest.mark.parametrize(
-        "c0, v1, f1, columns",
-        [
-            (0.1, 0.8, 1.4, 48),
-            (0.1, 0.8, 0.0, 48),
-            (0.1, -0.8, 0.0, 48),
-            (-0.3, 0.0, 1.4, 48),
-            (-0.2, 0.0, 0.0, 48),
-            (0.2, 0.0, 0.0, 0),
-        ],
-        ids=[
-            "general",
-            "position-cut-V'>0",
-            "position-cut-V'<0",
-            "momentum-cut",
-            "everything-below-zero",
-            "nothing-below-zero",
-        ],
-    )
+    @pytest.mark.parametrize("c0, v1, f1, columns", NODE_KINDS, ids=NODE_KIND_IDS)
     def test_against_quadrature(self, c0, v1, f1, columns):
         u, q = 0.4, 0.7
-        g = _node_columns(self.p, self.grid, u, q, c0, v1, f1)
+        g = one_node(self.p, self.grid, u, q, c0, v1, f1)
         assert g.shape == (self.grid.size, columns)
         ref = node_by_quadrature(
             self.p, self.grid.points, self.grid.spacing, u, q, c0, v1, f1
@@ -926,11 +960,66 @@ class TestNodeColumns:
         # F' = 1e-9 reads the position cut of F' = 0; chirps at frequency
         # 1/(h F') put no quadrature of e_lambda within reach
         u, q, c0, v1 = 0.4, 0.7, 0.1, 0.8
-        g = _node_columns(self.p, self.grid, u, q, c0, v1, 1e-9)
+        g = one_node(self.p, self.grid, u, q, c0, v1, 1e-9)
         ref = node_by_quadrature(
             self.p, self.grid.points, self.grid.spacing, u, q, c0, v1, 0.0
         )
         assert np.max(np.abs(g @ g.conj().T - ref)) <= 1e-6 * np.max(np.abs(ref))
+
+    def test_blocks_agree_with_their_nodes_one_at_a_time(self):
+        # the six kinds three times over, at different q and weights, so the
+        # live nodes span several blocks; V' varies per node here, where a
+        # row of the trial density shares one
+        c0, v1, f1, columns = (np.tile(col, 3) for col in zip(*NODE_KINDS))
+        q = np.linspace(-0.9, 1.3, c0.size)
+        weight = np.tile([1.0, 2.0, 0.5], 6)
+        u = 0.4
+        blocks = list(_node_columns(self.p, self.grid, u, q, c0, v1, f1, weight))
+        # whole nodes, as many per block as the entry budget holds
+        per_block = coherent._BLOCK_ENTRIES // (self.grid.size * _T_NODES.size)
+        live = np.count_nonzero(columns)
+        sizes = [min(per_block, live - lo) for lo in range(0, live, per_block)]
+        assert len(sizes) > 1
+        assert [b.shape[1] for b in blocks] == [48 * size for size in sizes]
+        together = np.concatenate(blocks, axis=1)
+        at = 0
+        for k in range(q.size):
+            single = one_node(
+                self.p, self.grid, u, q[k], c0[k], v1[k], f1[k], weight[k]
+            )
+            assert single.shape[1] == columns[k]
+            if not columns[k]:
+                continue  # dropped: it has no columns among the blocks'
+            ref = single @ single.conj().T
+            g = together[:, at : at + columns[k]]
+            at += columns[k]
+            assert np.max(np.abs(g @ g.conj().T - ref)) <= 1e-14 * np.max(np.abs(ref))
+        assert at == together.shape[1]
+
+    @pytest.mark.parametrize("h", [0.3, 0.2])
+    def test_nodes_all_above_their_cuts_yield_no_block(self, h):
+        p = CoherentParams(h=h, a=h**-0.8)
+        grid = acceptance_grid(p)
+        # cut -c0/r far below the t-window [-W, W], just below it, and
+        # F' = V' = 0 with c0 >= 0
+        width = coherent._T_WIDTHS / math.sqrt(2.0 * p.b)
+        q = np.array([0.7, -0.1, 0.3, 0.0, 0.2])
+        c0 = np.array([50.0, 80.0, 1.001 * width * math.hypot(0.6, 0.8), 0.2, 0.0])
+        v1 = np.array([0.8, 0.5, 0.6, 0.0, 0.0])
+        f1 = np.array([1.4, -0.3, 0.8, 0.0, 0.0])
+        assert list(_node_columns(p, grid, 0.4, q, c0, v1, f1, np.ones(5))) == []
+
+    @pytest.mark.parametrize("n", [2, 3, 16, 17, 85])
+    def test_phase_tables_against_one_exponential_per_entry(self, n):
+        x0, dx = -2.0, 4.0 / (n - 1)
+        omega = np.array([0.5, -2.0, 3.0])
+        step = math.isqrt(n - 1) + 1
+        coarse_rows = -(-n // step)
+        coarse, fine = _phase_tables(omega, x0, dx, step, coarse_rows)
+        table = (coarse[:, None] * fine).reshape(coarse_rows * step, omega.size, -1)[:n]
+        xi = x0 + dx * np.arange(n)
+        direct = np.exp(1j * xi[:, None, None] * np.multiply.outer(omega, _T_NODES))
+        assert np.max(np.abs(table - direct)) <= 1e-14
 
 
 def old_u_step(p):

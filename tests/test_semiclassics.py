@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from scottlab.numerics import Bump
 from scottlab.semiclassics import (
     WeylSpec,
+    _eval_scalar,
+    _negative_segments,
     local_trace_experiment,
     unit_ball_volume,
     weyl_energy,
@@ -23,6 +26,53 @@ class TestBallVolume:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             unit_ball_volume(0)
+
+
+def looped_negative_segments(potential, probes):
+    """_negative_segments with its sign changes found by walking the probe
+    pairs one by one, the way it first did."""
+    vals = np.asarray(potential(probes), dtype=float)
+    neg = vals < 0.0
+    if not neg.any():
+        return [], False
+    edges = []
+    for i in range(len(probes) - 1):
+        if neg[i] != neg[i + 1]:
+            edges.append(
+                float(
+                    optimize.brentq(
+                        lambda s: _eval_scalar(potential, s),
+                        probes[i],
+                        probes[i + 1],
+                        xtol=1e-14,
+                        rtol=1e-14,
+                    )
+                )
+            )
+    bounds = [float(probes[0])] + edges + [float(probes[-1])]
+    segments = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if _eval_scalar(potential, 0.5 * (lo + hi)) < 0.0:
+            segments.append((lo, hi))
+    return segments, bool(neg[-1])
+
+
+class TestNegativeSegments:
+    @pytest.mark.parametrize(
+        "potential, count, open_end",
+        [
+            (lambda x: (x * x - 1.0) * (x * x - 4.0), 2, False),
+            (lambda x: (x * x - 1.0) * (x * x - 4.0) * (2.5 - x), 3, True),
+            (lambda x: x * x + 1.0, 0, False),
+        ],
+        ids=["two-wells", "open-tail", "nowhere-negative"],
+    )
+    def test_same_segments_as_the_probe_loop(self, potential, count, open_end):
+        probes = np.linspace(-3.0, 3.0, 64)
+        segments, open_tail = _negative_segments(potential, probes)
+        assert (len(segments), open_tail) == (count, open_end)
+        # bitwise: the same brentq calls on the same brackets in the same order
+        assert (segments, open_tail) == looped_negative_segments(potential, probes)
 
 
 class TestWeylEnergy:
