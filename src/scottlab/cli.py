@@ -13,7 +13,9 @@ Exit status: 0 on success, 1 on solver failure (diagnostic on stderr) or,
 under --strict, when the run emitted accuracy warnings; 2 on usage or domain
 errors, non-numeric and non-finite values included.  Domain checks live in
 RunConfig, so a configuration replayed from a results file is checked the
-same way.
+same way; they include the charges whose results stay finite floats.  A
+result that still holds a NaN or infinity is a solver failure and writes no
+file: every JSON part is serialized with allow_nan=False.
 
 Pipelines call the library through its modules (``scott.scott_experiment_tf``),
 so a function replaced on its module, as a profiler does, is the one called.
@@ -49,6 +51,9 @@ _FLAGS = {"h_values": "--h"}
 
 # commands whose h sweep feeds a fit and so needs at least two values
 _SWEEP_COMMANDS = ("scott", "local-trace")
+
+# commands that solve the Thomas-Fermi atom of charge z
+_TF_COMMANDS = ("tf-atom", "scott")
 
 # every parameter the parser reads as a number, with its domain (for each
 # entry of a sweep) beyond being a finite number, or None for any number
@@ -120,6 +125,13 @@ class RunConfig:
             raise UsageError(
                 f"{self.command} config lacks {', '.join(sorted(missing))}"
             )
+        try:
+            if self.command in _TF_COMMANDS:
+                thomas_fermi._require_charge(self.parameters["z"])
+            if self.command == "hydrogen":
+                scott._require_levels(self.parameters["z"], self.parameters["h"])
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
         if self.command == "coherent-check":
             a_rule = _parse_a_rule(self.parameters["a_rule"])
             half = self.parameters["half_width"]
@@ -546,10 +558,12 @@ def config_from_args(argv: Sequence[str]) -> RunConfig:
 def _render_csv(config: RunConfig, columns, rows, meta, warn_messages) -> str:
     buf = io.StringIO()
     buf.write(config.to_header_line() + "\n")
-    buf.write("# meta: " + json.dumps(meta, sort_keys=True) + "\n")
+    buf.write("# meta: " + json.dumps(meta, sort_keys=True, allow_nan=False) + "\n")
     buf.write("# warnings: " + json.dumps(warn_messages) + "\n")
     buf.write(",".join(columns) + "\n")
     for row in rows:
+        if not all(math.isfinite(v) for v in row if isinstance(v, float)):
+            raise ValueError(f"non-finite value in the row {row!r}")
         buf.write(",".join(_fmt(v) for v in row) + "\n")
     return buf.getvalue()
 
@@ -562,7 +576,7 @@ def _render_json(config: RunConfig, columns, rows, meta, warn_messages) -> str:
         "meta": meta,
         "warnings": warn_messages,
     }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def run(config: RunConfig) -> int:
@@ -581,21 +595,26 @@ def run(config: RunConfig) -> int:
     warn_messages = sorted({str(w.message) for w in caught} | set(recorded))
 
     render = _render_csv if config.format == "csv" else _render_json
-    text = render(config, columns, rows, meta, warn_messages)
+    sidecar = {
+        "config_header": config.to_header_line(),
+        "meta": meta,
+        "warnings": warn_messages,
+    }
+    try:
+        text = render(config, columns, rows, meta, warn_messages)
+        sidecar_text = json.dumps(sidecar, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:  # a NaN or infinity in the results: no file
+        print(f"scottlab: {config.command} failed: {exc}", file=sys.stderr)
+        return 1
     if config.output_path is None:
         sys.stdout.write(text)
     else:
         with open(config.output_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-        sidecar = {
-            "config_header": config.to_header_line(),
-            "meta": meta,
-            "warnings": warn_messages,
-        }
         with open(
             config.output_path + ".meta.json", "w", encoding="utf-8", newline="\n"
         ) as fh:
-            fh.write(json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
+            fh.write(sidecar_text + "\n")
 
     if warn_messages:
         for message in warn_messages:

@@ -20,12 +20,14 @@ momentum side of the assembly exact.  The remaining artifacts are position
 boundary wrap and symbol folding at the lattice momentum boundary; the error
 measurement masks both out (margins documented on the function).  The trial
 density has no momentum lattice: each node is taken on the line in closed
-form and sampled on the grid, with no eigensolve.  _node_columns builds the
-columns of a row's nodes in blocks of whole nodes, so each block is a few
-large array operations and one matrix product: the modulus of every entry
-is one real exp of its summed exponent, which keeps Gaussian factors from
-overflowing, and the phase, of modulus one in every factor, is split
-safely into a per-node factor and coarse x fine tables, a few complex
+form and sampled on the grid, with no eigensolve, its projection integrated
+by a Gauss-Legendre rule sized to the node's own window below its cut.
+_node_columns lays the columns of a row's nodes on one ragged axis and cuts
+it into blocks by columns, so each block is a few large array operations
+and one matrix product: the modulus of every entry is one real exp of its
+summed exponent, which keeps Gaussian factors from overflowing, and the
+phase, of modulus one in every factor, is split safely into a per-node
+factor, taken once per node, and coarse x fine tables, a few complex
 exponentials per column in place of one per grid point.
 
 The real Gaussian factor A_u of G_{u,q} is a Toeplitz factor in x - y times a
@@ -54,6 +56,7 @@ from __future__ import annotations
 import math
 import warnings as _warnmod
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -531,33 +534,34 @@ def _trial_nodes(
     return us, qs, step
 
 
-# a trial-density node's t rule: Gauss-Legendre on +-_T_WIDTHS/sqrt(2b) at most;
-# 48 points integrate a whole window's Gaussian to roundoff for h >= 0.05
+# a trial-density node's t rule: Gauss-Legendre on [-W, min(cut, W)] with
+# W = _T_WIDTHS/sqrt(2b), at the density of _T_NODES.size points per whole
+# window, which integrates a whole window's Gaussian to roundoff for h >= 0.05
 _T_WIDTHS = 9.0
-_T_NODES, _T_WEIGHTS = np.polynomial.legendre.leggauss(48)
+_T_NODES = np.polynomial.legendre.leggauss(48)[0]
 # entries (grid points x columns) of one block of node columns, which bounds
-# a row worker's memory: a complex block of 256 KiB, four nodes of 48 columns
-# on the 85-point grid of h = 0.5
+# a row worker's memory: a complex block of 256 KiB, 192 columns on the
+# 85-point grid of h = 0.5
 _BLOCK_ENTRIES = 1 << 14
 
 
-def _phase_tables(
-    omega: np.ndarray, x0: float, dx: float, step: int, coarse_rows: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Coarse and fine tables of e^{i omega_k T_j xi} on xi = x0 + (step m + l) dx:
-    coarse[m] = e^{i omega T (x0 + step m dx)} for m < coarse_rows and
-    fine[l] = e^{i omega T l dx} for l < step, each (rows, omega.size, 48).
+@cache
+def _t_rules() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the Gauss-Legendre rules of 2, 4, ...,
+    _T_NODES.size points on [-1, 1], end to end: the m-point rule starts at
+    m (m - 2)/4.  Built on first use, so importing the module costs none."""
+    rules = [np.polynomial.legendre.leggauss(m) for m in range(2, _T_NODES.size + 1, 2)]
+    return tuple(np.concatenate(part) for part in zip(*rules))
 
-    Only the t-nodes T_j < 0 take exponentials: T_{47-j} = -T_j bitwise, so
-    the other half is their conjugate mirror image.
-    """
-    lower = _T_NODES.size // 2
+
+def _phase_tables(
+    theta: np.ndarray, x0: float, dx: float, step: int, coarse_rows: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Coarse and fine tables of e^{i theta_c xi} on xi = x0 + (step m + l) dx:
+    coarse[m] = e^{i theta (x0 + step m dx)} for m < coarse_rows and
+    fine[l] = e^{i theta l dx} for l < step, each (rows, theta.size)."""
     xi = np.concatenate((x0 + step * dx * np.arange(coarse_rows), dx * np.arange(step)))
-    table = np.empty((xi.size, omega.size, _T_NODES.size), dtype=complex)
-    below = table[..., :lower]
-    psi = np.multiply.outer(omega, _T_NODES[:lower])
-    np.exp(np.multiply.outer(1j * xi, psi), out=below)
-    table[..., lower:] = below[..., ::-1].conj()
+    table = np.exp(np.multiply.outer(1j * xi, theta))
     return table[:coarse_rows], table[coarse_rows:]
 
 
@@ -580,15 +584,19 @@ def _node_columns(p: CoherentParams, grid: Grid1D, u, q, c0, v1, f1, weight):
             + i k xi t/(2 h alpha) - A0 (t/(2 h |alpha|))^2 + i q xi/h),
 
     smooth through s = 0 (e_t a position delta).  Its mass in t is a
-    Gaussian of variance 1/(2b); t runs over the Gauss-Legendre rule on
-    [-W, min(cut, W)], W = _T_WIDTHS/sqrt(2b), each column weighted by
+    Gaussian of variance 1/(2b) on the window [-W, W], W =
+    _T_WIDTHS/sqrt(2b).  Node k takes t over the Gauss-Legendre rule of
+    m_k = 2 ceil((_T_NODES.size/2) (top_k + W)/(2W)) points on [-W, top_k],
+    top_k = min(cut_k, W): the density of _T_NODES.size points on the whole
+    window, rounded up to an even count, each column weighted by
     sqrt(weight dx w).
 
     A node whose cut lies at or below -W has no columns and is dropped
-    before any work; the others are taken in order, their coefficients
-    computed for all of them at once, and their columns yielded in blocks
-    of as many whole nodes as _BLOCK_ENTRIES entries hold (at least one),
-    node after node, 48 columns each.  Nodes that all drop yield nothing.
+    before any work; the others are taken in order, node after node, m_k
+    columns each, their coefficients computed for all columns at once.  The
+    columns are yielded in blocks of at most _BLOCK_ENTRIES entries (at
+    least one column), cut by columns, so a node may straddle two blocks:
+    g g^H is a sum over columns.  Nodes that all drop yield nothing.
 
     The modulus is one real exp of the real part of the exponent, summed in
     xi first (one product of [1, xi, xi^2] with its coefficients): its terms
@@ -596,11 +604,12 @@ def _node_columns(p: CoherentParams, grid: Grid1D, u, q, c0, v1, f1, weight):
     and separate factors could overflow or underflow.  The phase has
     modulus one in every factor, so it may be split without that risk:
     e^{i xi^2 Im(s k^2/(4 alpha)) + i xi (q/h + mid Im(k/(2 h alpha)))} per
-    grid point and node, for t = half T_j + mid, times e^{i omega T_j xi}
-    with omega = half Im(k/(2 h alpha)).  With xi_i = xi_0 + i dx and
-    i = B m + l, B = ceil(sqrt(n)), the latter is the product of the coarse
-    and fine tables of _phase_tables, so a pair of mirror columns takes
-    about 2 sqrt(n) complex exponentials in place of 2n.
+    grid point and node, for t = half T + mid, taken once per node of a
+    block and gathered per column, times e^{i omega T xi} with omega = half
+    Im(k/(2 h alpha)).  With xi_i = xi_0 + i dx and i = B m + l, B =
+    ceil(sqrt(n)), the latter is the product of the coarse and fine tables
+    of _phase_tables, so a column takes about 2 sqrt(n) complex exponentials
+    in place of n.
     """
     q, c0, f1, weight = (np.asarray(v, dtype=float) for v in (q, c0, f1, weight))
     r = np.hypot(v1, f1)
@@ -613,9 +622,16 @@ def _node_columns(p: CoherentParams, grid: Grid1D, u, q, c0, v1, f1, weight):
     live = top > -width
     if not live.all():
         q, c, s, top, weight = q[live], c[live], s[live], top[live], weight[live]
+    sizes = 2 * np.ceil(_T_NODES.size // 2 * (top + width) / (2.0 * width)).astype(int)
+    # column -> node, and the column's place in the end-to-end rules
+    node = np.repeat(np.arange(q.size), sizes)
+    first = np.cumsum(sizes) - sizes
+    at = np.arange(node.size) + np.repeat(sizes * (sizes - 2) // 4 - first, sizes)
+    rule_nodes, rule_weights = _t_rules()
+    unit_t = rule_nodes[at]
     half = 0.5 * (top + width)
     mid = 0.5 * (top - width)
-    t = half[:, None] * _T_NODES + mid[:, None]
+    t = half[node] * unit_t + mid[node]
     h, a = p.h, p.a
     a0 = 0.25 * a + 0.25 / (h * h * a)
     alpha = a0 * s + 0.5j * c / h
@@ -624,40 +640,43 @@ def _node_columns(p: CoherentParams, grid: Grid1D, u, q, c0, v1, f1, weight):
     slope = 0.5j * k / (h * alpha)
     reach = 2.0 * h * abs(alpha)
     scale = grid.spacing * weight * half / (math.pi * h * reach)
-    # real exponent and node phase as coefficients of [1, xi, xi^2]
-    exponent = np.empty((3, q.size, _T_NODES.size))
-    exponent[0] = 0.5 * np.log(scale[:, None] * _T_WEIGHTS)
-    exponent[0] -= a0 * (t / reach[:, None]) ** 2
-    np.multiply(slope.real[:, None], t, out=exponent[1])
-    exponent[2] = quad.real[:, None]
+    # real exponent of each column as coefficients of [1, xi, xi^2]
+    exponent = np.empty((3, node.size))
+    exponent[0] = 0.5 * np.log(scale[node] * rule_weights[at])
+    exponent[0] -= a0 * (t / reach[node]) ** 2
+    np.multiply(slope.real[node], t, out=exponent[1])
+    exponent[2] = quad.real[node]
     node_phase = np.stack((q / h + slope.imag * mid, quad.imag))
-    omega = slope.imag * half
+    theta = (slope.imag * half)[node] * unit_t
     powers = np.vander(grid.points - u, 3, increasing=True)
 
     n = grid.size
     step = math.isqrt(n - 1) + 1
     coarse_rows = -(-n // step)
-    per_block = max(1, _BLOCK_ENTRIES // (n * _T_NODES.size))
-    for lo in range(0, q.size, per_block):
-        nodes = slice(lo, lo + per_block)
-        m = omega[nodes].size
+    per_block = max(1, _BLOCK_ENTRIES // n)
+    for lo in range(0, node.size, per_block):
+        cols = slice(lo, lo + per_block)
+        owner = node[cols]
+        m = owner.size
         # the modulus fills the real slots of g and the imaginary ones are
         # zeroed; the rows past n pad g to whole coarse rows
-        g = np.empty((coarse_rows, step, m, _T_NODES.size), dtype=complex)
-        rows = g.reshape(coarse_rows * step, m, _T_NODES.size)
-        slots = rows[:n].view(float).reshape(n, m * _T_NODES.size, 2)
-        np.matmul(powers, exponent[:, nodes].reshape(3, -1), out=slots[..., 0])
+        g = np.empty((coarse_rows, step, m), dtype=complex)
+        rows = g.reshape(coarse_rows * step, m)
+        slots = rows[:n].view(float).reshape(n, m, 2)
+        np.matmul(powers, exponent[:, cols], out=slots[..., 0])
         np.exp(slots[..., 0], out=slots[..., 0])
         slots[..., 1] = 0.0
         rows[n:] = 0.0
         coarse, fine = _phase_tables(
-            omega[nodes], powers[0, 1], grid.spacing, step, coarse_rows
+            theta[cols], powers[0, 1], grid.spacing, step, coarse_rows
         )
         g *= coarse[:, None]
         g *= fine
         g = rows[:n]
-        g *= np.exp(1j * (powers[:, 1:] @ node_phase[:, nodes]))[:, :, None]
-        yield g.reshape(n, m * _T_NODES.size)
+        # each node's phase once, for the nodes the block holds columns of
+        nodes = slice(owner[0], owner[-1] + 1)
+        g *= np.exp(1j * (powers[:, 1:] @ node_phase[:, nodes]))[:, owner - owner[0]]
+        yield g
         del g, rows, slots  # one block alive at a time, given the caller's del
 
 
@@ -674,7 +693,8 @@ def trial_density_matrix(
     grad_q = F'(q) and grad_u = V'(u), for |u| inside the support ball and
     zero outside, so only nodes inside contribute.  Each G chi G is taken on
     the line in closed form and sampled on the grid (_node_columns), with
-    no eigensolve and no dependence on the box.  A row hands its q-nodes to
+    no eigensolve and no dependence on the box, over the eigenvalues below
+    its cut by a t rule sized to that window.  A row hands its q-nodes to
     _node_columns at once, with the weight u_weight * mult of each folded
     into its columns, and takes their columns in blocks of at most
     _BLOCK_ENTRIES entries, one product part += g g^H per block, so a

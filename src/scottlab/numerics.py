@@ -126,15 +126,17 @@ class GridOperator:
 # Small matmul and tridiagonal calls gain little from OpenBLAS's own
 # threads.  On a shared two-core x86-64 machine the rows of the two trial
 # densities at h = 0.6 and 0.5 (79- and 85-point grids; blocks of node
-# columns, one matrix product each) took 0.096 s on one worker and 0.069 to
-# 0.076 s on two with OpenBLAS held at one thread.  The gain is small because
+# columns, one matrix product each) took 0.033 to 0.048 s on one worker and
+# 0.035 to 0.042 s on two with OpenBLAS held at one thread: no gain, because
 # the workers share the interpreter lock between the blocks' numpy calls.
-# Unpinned, the same two workers oversubscribe the cores and took 0.10 to
-# 0.14 s, no faster than one.  numpy and scipy wheels each bundle their own
-# OpenBLAS, and both are pinned: the radial channel solves (spectra) run
-# LAPACK dstein from scipy's, whose level-1 BLAS oversubscribes two cores
-# the same way (the radial sum of the Scott sweep at h = 0.05 took 3.2 s on
-# two threads with scipy's OpenBLAS unpinned, 2.0 s pinned).
+# The rows of criterion 8's h = 0.1 (163-point grid) took 0.45 to 0.48 s on
+# one worker and 0.33 to 0.35 s on two.  Unpinned, the same two workers
+# oversubscribe the cores and took 0.66 to 0.77 s there, slower than one.
+# numpy and scipy wheels each bundle their own OpenBLAS, and both are
+# pinned: the radial channel solves (spectra) run LAPACK dstein from
+# scipy's, whose level-1 BLAS oversubscribes two cores the same way (the
+# radial sum of the Scott sweep at h = 0.05 took 3.2 s on two threads with
+# scipy's OpenBLAS unpinned, 2.0 s pinned).
 #
 # _pinned_map is the one place that decides how such pieces run: the rows
 # of the trial density (coherent) and the channel solves of a radial sum

@@ -11,6 +11,7 @@ z/(2h) landing on an integer cannot be lost to floating point.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -21,6 +22,7 @@ from .spectra import RadialProblem, TraceResult, neg_sum_radial, sentinel_channe
 from .thomas_fermi import TFSolution, atomic_tf, tf_length_scale
 
 __all__ = [
+    "HYDROGEN_LEVEL_LIMIT",
     "HydrogenExpansion",
     "ScottExperiment",
     "hydrogen_exact_sum",
@@ -40,16 +42,34 @@ def _to_fraction(x) -> Fraction:
     return Fraction(str(x))
 
 
+# the largest z/(2h) whose hydrogen sum is a finite float: with K =
+# floor(z/(2h)), both terms of the sum lie in [0, K (z/(2h))^2], so its
+# magnitude stays below (z/(2h))^3
+HYDROGEN_LEVEL_LIMIT = sys.float_info.max ** (1.0 / 3.0)
+
+
+def _require_levels(z, h) -> None:
+    """ValueError unless z/(2h) <= HYDROGEN_LEVEL_LIMIT, compared exactly."""
+    limit = HYDROGEN_LEVEL_LIMIT
+    if _to_fraction(z) > 2 * _to_fraction(h) * Fraction(limit):
+        raise ValueError(
+            f"z = {z!r} at h = {h!r} lies outside 0 < z <= 2h x {limit:.6g}, "
+            "the charges whose hydrogen sum is a finite float"
+        )
+
+
 def hydrogen_exact_sum(z, h) -> float:
     """Tr[-h^2 Laplacian - z/|x| + 1]_- as the finite Bohr-level sum.
 
     Levels -z^2/(4 h^2 n^2) shifted by +1 are negative for n <= z/(2h), each
     with multiplicity n^2, giving sum over 1 <= n <= z/(2h) of
-    (-z^2/(4h^2) + n^2).  Empty sum is 0.
+    (-z^2/(4h^2) + n^2).  Empty sum is 0.  z/(2h) above
+    HYDROGEN_LEVEL_LIMIT raises ValueError, since the sum could overflow.
     """
     zq, hq = _to_fraction(z), _to_fraction(h)
     if zq <= 0 or hq <= 0:
         raise ValueError("z and h must be positive")
+    _require_levels(z, h)
     top = zq / (2 * hq)
     K = math.floor(top)
     if K < 1:

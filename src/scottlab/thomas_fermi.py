@@ -31,6 +31,7 @@ __all__ = [
     "DENSITY_CONST",
     "TFSolution",
     "UniversalTF",
+    "Z_RANGE",
     "atomic_tf",
     "coulomb_energy_D",
     "solve_universal_tf",
@@ -49,6 +50,27 @@ SOMMERFELD_LAMBDA = (7.0 - np.sqrt(73.0)) / 2.0
 
 _BVP_X0 = 1e-6
 _BVP_XEND = 2500.0  # phi < 1e-8 out here
+
+# charges z whose atomic_tf tables and scalars are all finite, normal floats.
+# Each is z^e times its value at z = 1 (e = -1/3 for radii, 4/3 for V, 2 for
+# rho, 7/3 for the energies, as in tf_scaling_transform), so each is monotone
+# in z and the range is an interval.  D(rho) leaves it first, at both ends:
+# its integrand r rho Q grows as z^(8/3), so D(rho) is 0 at z = 1e-121 and
+# infinite at 10^116.75.  The bounds are those ends, rounded inward to whole
+# decades.  Near the lower end D(rho) loses digits to subnormal integrand
+# values before it underflows: it is 19% low at z = 1e-120 and 1.2e-5 low at
+# z = 1e-118, against the z^(7/3) scaling of its z = 1 value.
+Z_RANGE = (1e-120, 1e116)
+
+
+def _require_charge(z: float) -> None:
+    """ValueError unless z lies in Z_RANGE."""
+    lo, hi = Z_RANGE
+    if not lo <= z <= hi:
+        raise ValueError(
+            f"z = {z!r} lies outside [{lo:g}, {hi:g}], the charges whose "
+            "Thomas-Fermi tables and energies are finite, normal floats"
+        )
 
 
 def tf_length_scale(z: float) -> float:
@@ -309,10 +331,12 @@ def atomic_tf(z: float, universal: UniversalTF | None = None) -> TFSolution:
     """Solve the neutral TF atom of charge z in the fixed unit convention.
 
     The tables live on a log grid of 4000 radii from 1e-6 l to the decay
-    tail.  universal: pass a solved UniversalTF to reuse it; by default each
-    call solves afresh, which keeps cross-z comparisons honest.
+    tail, and z outside Z_RANGE raises ValueError.  universal: pass a solved
+    UniversalTF to reuse it; by default each call solves afresh, which keeps
+    cross-z comparisons honest.
     """
     require_positive(z, "z")
+    _require_charge(z)
     uni = universal if universal is not None else solve_universal_tf()
     ell = tf_length_scale(z)
     r = np.geomspace(1e-6 * ell, _BVP_XEND * ell, 4000)

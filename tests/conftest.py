@@ -58,3 +58,21 @@ def mapped_rows(monkeypatch):
 
     monkeypatch.setattr(coherent, "_pinned_map", recording)
     return calls
+
+
+@pytest.fixture
+def column_blocks(monkeypatch):
+    """The columns of each block coherent._node_columns yields, one list per
+    call (one per u-row of a trial density), in call order."""
+    calls = []
+    node_columns = coherent._node_columns
+
+    def recording(*row):
+        blocks = []
+        calls.append(blocks)
+        for g in node_columns(*row):
+            blocks.append(g.shape[1])
+            yield g
+
+    monkeypatch.setattr(coherent, "_node_columns", recording)
+    return calls

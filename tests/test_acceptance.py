@@ -201,7 +201,7 @@ def test_criterion_7_coherent_identities():
     )
 
 
-def test_criterion_8_trial_density_upper_bound(mapped_rows):
+def test_criterion_8_trial_density_upper_bound(mapped_rows, column_blocks):
     budget = Budget(300.0)
     sym = harmonic_symbol(offset=-1.0)
     support = 1.5
@@ -210,6 +210,7 @@ def test_criterion_8_trial_density_upper_bound(mapped_rows):
     sizes = []
     for h in (0.2, 0.1):
         start = time.perf_counter()
+        column_blocks.clear()
         p = CoherentParams(h=h, a=h**-0.8)
         sigma_spread = 1.0 / math.sqrt(2.0 * p.a)
         q_half = 1.0 + 10.0 / math.sqrt(p.a)
@@ -236,7 +237,7 @@ def test_criterion_8_trial_density_upper_bound(mapped_rows):
         us, qs, _ = _trial_nodes(sym, p, grid, support)
         sizes.append(
             f"{grid.size} points, {us.size} u-rows ({len(mapped_rows[-1])} solved) "
-            f"x {qs.size} q-nodes"
+            f"x {qs.size} q-nodes, {sum(map(sum, column_blocks))} node columns"
         )
     stability = max(constants) / min(constants)
     assert stability < 2.0, f"C drifted by {stability:.3f} under halving"

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scottlab import scott
+from scottlab import cli, scott
 from scottlab.cli import (
     _NUMBERS,
     CONFIG_PREFIX,
@@ -492,6 +492,66 @@ class TestInputBoundary:
         path.write_text(CONFIG_PREFIX + json.dumps(doc) + "\n")
         with pytest.raises(UsageError, match="lacks n"):
             read_config(str(path))
+
+    @pytest.mark.parametrize(
+        "argv, admissible",
+        [
+            (["tf-atom", "--z", "1e120"], "outside [1e-120, 1e+116]"),
+            (["tf-atom", "--z", "1e123"], "outside [1e-120, 1e+116]"),
+            (["tf-atom", "--z", "1e300"], "outside [1e-120, 1e+116]"),
+            (["tf-atom", "--z", "1e-300"], "outside [1e-120, 1e+116]"),
+            (["scott", "--z", "1e300", "--h", "0.2,0.1"], "outside [1e-120, 1e+116]"),
+            (["scott", "--z", "1e-300", "--h", "0.2,0.1"], "outside [1e-120, 1e+116]"),
+            (["hydrogen", "--z", "1e300", "--h", "0.1", "--k", "2"],
+             "at h = 0.1 lies outside 0 < z <= 2h x 5.6438e+102"),
+        ],
+    )
+    def test_charge_out_of_range_exits_two_without_a_file(
+        self, tmp_path, argv, admissible
+    ):
+        # these used to exit 0 with an infinite or NaN energy in the file,
+        # or 1 with an overflow or an empty-density message
+        status, out, err = run_captured(argv + ["--out", str(tmp_path / "o.csv")])
+        assert status == 2
+        assert out == ""
+        assert f"scottlab: usage error: z = {float(argv[2])!r} " in err
+        assert admissible in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("z", ["1e100", "1e-120"])
+    def test_charges_inside_the_range_run(self, tmp_path, z):
+        path = tmp_path / "tf.csv"
+        status, data = run_to_file(["tf-atom", "--z", z], path)
+        assert status == 0
+        for text in (data.decode(), (tmp_path / "tf.csv.meta.json").read_text()):
+            assert "NaN" not in text and "Infinity" not in text
+        rows = [line for line in data.decode().splitlines() if not line.startswith("#")]
+        assert all(math.isfinite(float(v)) for row in rows[1:] for v in row.split(","))
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["meta", "row"])
+    @pytest.mark.parametrize("to_file", [True, False])
+    def test_non_finite_result_is_a_solver_failure_without_output(
+        self, monkeypatch, tmp_path, fmt, bad, where, to_file
+    ):
+        def pipeline(params):
+            row, meta = [params["z"], 2.0], {"value": 1.0}
+            if where == "meta":
+                meta["value"] = bad
+            else:
+                row[1] = bad
+            return ["z", "value"], [row], meta
+
+        monkeypatch.setitem(cli._PIPELINES, "hydrogen", pipeline)
+        argv = ["hydrogen", "--z", "1", "--h", "0.1", "--format", fmt]
+        if to_file:
+            argv += ["--out", str(tmp_path / "o.csv")]
+        status, out, err = run_captured(argv)
+        assert status == 1
+        assert out == ""
+        assert "scottlab: hydrogen failed:" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_header_is_strict_json(self):
         cfg = RunConfig(command="hydrogen", parameters={"z": 1.0, "h": 0.1})

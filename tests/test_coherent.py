@@ -588,24 +588,19 @@ class TestTrialDensity:
         assert_fixed_calls_in_calling_thread(*records)
 
     @pytest.mark.parametrize("h", [0.5, 0.2])  # the benchmark's grid; criterion 8's
-    def test_blocks_stay_within_the_entry_budget(self, monkeypatch, h):
+    def test_blocks_stay_within_the_entry_budget(self, column_blocks, h):
         # every block of node columns the rows take holds at most
         # _BLOCK_ENTRIES entries, which bounds their working memory, and
-        # holds more than one node
+        # every block but a row's last holds that many, since a row's
+        # columns are cut into blocks by columns, not by whole nodes
         p = CoherentParams(h=h, a=h**-0.8)
         grid = acceptance_grid(p)
-        columns = []
-        node_columns = coherent._node_columns
-
-        def recording(*row):
-            for g in node_columns(*row):
-                columns.append(g.shape[1])
-                yield g
-
-        monkeypatch.setattr(coherent, "_node_columns", recording)
         trial_density_matrix(harmonic_symbol(-1.0), p, grid, support_radius=1.5)
-        assert grid.size * max(columns) <= coherent._BLOCK_ENTRIES
-        assert max(columns) > _T_NODES.size
+        per_block = coherent._BLOCK_ENTRIES // grid.size
+        assert any(len(row) > 1 for row in column_blocks)
+        for row in filter(None, column_blocks):  # a row may drop every node
+            assert row[:-1] == [per_block] * (len(row) - 1)
+            assert 0 < row[-1] <= per_block
 
     def test_shell_past_the_scan_rejected(self):
         p, _, grid = self.build_small()
@@ -908,12 +903,13 @@ def node_by_quadrature(p, x, dx, u, q, c0, v1, f1):
     return dx * (g @ g.conj().T)
 
 
-# the six kinds of node: (c0, V', F') and the columns each keeps
+# the six kinds of node: (c0, V', F') and the columns each keeps at
+# TestNodeColumns.p, the rule of m_k points on [-W, min(cut, W)]
 NODE_KINDS = [
-    (0.1, 0.8, 1.4, 48),
-    (0.1, 0.8, 0.0, 48),
-    (0.1, -0.8, 0.0, 48),
-    (-0.3, 0.0, 1.4, 48),
+    (0.1, 0.8, 1.4, 24),
+    (0.1, 0.8, 0.0, 24),
+    (0.1, -0.8, 0.0, 24),
+    (-0.3, 0.0, 1.4, 26),
     (-0.2, 0.0, 0.0, 48),
     (0.2, 0.0, 0.0, 0),
 ]
@@ -975,12 +971,14 @@ class TestNodeColumns:
         weight = np.tile([1.0, 2.0, 0.5], 6)
         u = 0.4
         blocks = list(_node_columns(self.p, self.grid, u, q, c0, v1, f1, weight))
-        # whole nodes, as many per block as the entry budget holds
-        per_block = coherent._BLOCK_ENTRIES // (self.grid.size * _T_NODES.size)
-        live = np.count_nonzero(columns)
-        sizes = [min(per_block, live - lo) for lo in range(0, live, per_block)]
+        # cut by columns, as many per block as the entry budget holds
+        per_block = coherent._BLOCK_ENTRIES // self.grid.size
+        total = int(np.sum(columns))
+        sizes = [min(per_block, total - lo) for lo in range(0, total, per_block)]
         assert len(sizes) > 1
-        assert [b.shape[1] for b in blocks] == [48 * size for size in sizes]
+        assert [b.shape[1] for b in blocks] == sizes
+        # a block cut falls inside a node, whose columns then straddle it
+        assert not set(np.cumsum(sizes[:-1])) <= set(np.cumsum(columns))
         together = np.concatenate(blocks, axis=1)
         at = 0
         for k in range(q.size):
@@ -1012,14 +1010,83 @@ class TestNodeColumns:
     @pytest.mark.parametrize("n", [2, 3, 16, 17, 85])
     def test_phase_tables_against_one_exponential_per_entry(self, n):
         x0, dx = -2.0, 4.0 / (n - 1)
-        omega = np.array([0.5, -2.0, 3.0])
+        theta = np.array([0.5, -2.0, 3.0, 0.0, -0.7])
         step = math.isqrt(n - 1) + 1
         coarse_rows = -(-n // step)
-        coarse, fine = _phase_tables(omega, x0, dx, step, coarse_rows)
-        table = (coarse[:, None] * fine).reshape(coarse_rows * step, omega.size, -1)[:n]
+        coarse, fine = _phase_tables(theta, x0, dx, step, coarse_rows)
+        table = (coarse[:, None] * fine).reshape(coarse_rows * step, theta.size)[:n]
         xi = x0 + dx * np.arange(n)
-        direct = np.exp(1j * xi[:, None, None] * np.multiply.outer(omega, _T_NODES))
+        direct = np.exp(1j * np.multiply.outer(xi, theta))
         assert np.max(np.abs(table - direct)) <= 1e-14
+
+
+def rule_size(p, cut):
+    """m = 2 ceil(24 (top + W)/(2W)) columns for top = min(cut, W), W =
+    _T_WIDTHS/sqrt(2b), with 24 half the whole window's points; 0 when the
+    cut lies at or below -W."""
+    width = coherent._T_WIDTHS / math.sqrt(2.0 * p.b)
+    top = min(cut, width)
+    if top <= -width:
+        return 0
+    return 2 * math.ceil(_T_NODES.size // 2 * (top + width) / (2.0 * width))
+
+
+@pytest.fixture
+def doubled_t_density(monkeypatch):
+    """The node rules at twice the density: a whole window of 96 points."""
+    monkeypatch.setattr(coherent, "_T_NODES", np.polynomial.legendre.leggauss(96)[0])
+    coherent._t_rules.cache_clear()
+    yield
+    monkeypatch.undo()
+    coherent._t_rules.cache_clear()
+
+
+class TestNodeRule:
+    """Each node's t rule is sized to its own window [-W, min(cut, W)]: the
+    density of the whole window's rule, rounded up to an even count."""
+
+    p = CoherentParams(h=0.3, a=0.3**-0.8)
+    grid = Grid1D.uniform(-2.6, 3.4, 49)
+    width = coherent._T_WIDTHS / math.sqrt(2.0 * p.b)
+    # cut just above -W, at -W/2, 0, W/2, at W and above it, with the
+    # columns each keeps
+    CUTS = [
+        (-(1.0 - 1e-9) * width, 2),
+        (-0.5 * width, 12),
+        (0.0, 24),
+        (0.5 * width, 36),
+        (width, 48),
+        (1.7 * width, 48),
+    ]
+    CUT_IDS = ["above-minus-W", "minus-half-W", "zero", "half-W", "W", "above-W"]
+    # (V', F'), each with r = hypot(V', F') = 1 to roundoff; c0 = -cut r
+    SLOPES = [(0.0, 1.0), (1.0, 0.0), (0.6, 0.8)]
+    SLOPE_IDS = ["momentum-cut", "position-cut", "general"]
+
+    @pytest.mark.parametrize("v1, f1", SLOPES, ids=SLOPE_IDS)
+    @pytest.mark.parametrize("cut, columns", CUTS, ids=CUT_IDS)
+    def test_columns_follow_the_cut(self, v1, f1, cut, columns):
+        r = math.hypot(v1, f1)
+        c0 = -cut * r
+        g = one_node(self.p, self.grid, 0.4, 0.7, c0, v1, f1)
+        assert g.shape[1] == rule_size(self.p, -c0 / r)
+        assert g.shape[1] == columns
+
+    @pytest.mark.parametrize("v1, f1", SLOPES, ids=SLOPE_IDS)
+    @pytest.mark.parametrize("cut, columns", CUTS, ids=CUT_IDS)
+    def test_matches_twice_the_density(self, request, v1, f1, cut, columns):
+        # to 1e-14 of the node's scale uncut, the mass the rule is sized
+        # to: a cut at -W/2 keeps about 3e-6 of that scale, on which the two
+        # rules agree only to about 5e-11 of its own size
+        r = math.hypot(v1, f1)
+        g = one_node(self.p, self.grid, 0.4, 0.7, -cut * r, v1, f1)
+        whole = one_node(self.p, self.grid, 0.4, 0.7, -2.0 * self.width * r, v1, f1)
+        request.getfixturevalue("doubled_t_density")
+        fine = one_node(self.p, self.grid, 0.4, 0.7, -cut * r, v1, f1)
+        assert fine.shape[1] in (2 * columns - 2, 2 * columns)
+        scale = np.max(np.abs(whole @ whole.conj().T))
+        error = np.max(np.abs(g @ g.conj().T - fine @ fine.conj().T))
+        assert error <= 1e-14 * scale
 
 
 def old_u_step(p):

@@ -1,5 +1,6 @@
 """Scott-correction bookkeeping: exact hydrogen sums and the TF sweep."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from scottlab.numerics import fit_power_series
 from scottlab.scott import (
+    HYDROGEN_LEVEL_LIMIT,
     ScottExperiment,
     hydrogen_exact_sum,
     hydrogen_expansion_check,
@@ -42,6 +44,14 @@ class TestHydrogenSum:
             hydrogen_exact_sum(0, 0.1)
         with pytest.raises(ValueError):
             hydrogen_exact_sum(1, 0)
+
+    def test_finite_up_to_the_level_limit(self):
+        # z/(2h) at the limit keeps the sum a finite float; past it the sum
+        # is refused instead of overflowing
+        assert math.isfinite(hydrogen_exact_sum(2.0 * HYDROGEN_LEVEL_LIMIT, 1.0))
+        assert math.isfinite(hydrogen_exact_sum(0.2 * HYDROGEN_LEVEL_LIMIT, 0.1))
+        with pytest.raises(ValueError, match="lies outside 0 < z <= 2h x 5.6438e"):
+            hydrogen_exact_sum(1e300, 0.1)
 
     def test_decimal_h_is_read_exactly(self):
         # 0.1 must behave as 1/10, putting K at exactly 5

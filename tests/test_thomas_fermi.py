@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scottlab import thomas_fermi
 from scottlab.semiclassics import WeylSpec, weyl_energy
 from scottlab.thomas_fermi import (
+    Z_RANGE,
     atomic_tf,
     coulomb_energy_D,
     tf_length_scale,
@@ -94,6 +96,35 @@ class TestAtom:
             atomic_tf(0.0)
         with pytest.raises(ValueError):
             tf_length_scale(-2.0)
+
+
+def outputs_normal(sol):
+    """Whether every table entry and scalar of a TF atom is a finite, normal
+    float."""
+    values = np.concatenate(
+        [sol.r, sol.v_tf_table, sol.rho_tf_table, [sol.E_TF, sol.D_rho, sol.ell]]
+    )
+    magnitude = np.abs(values)
+    limits = np.finfo(float)
+    return bool(np.all(magnitude >= limits.tiny) and np.all(magnitude <= limits.max))
+
+
+class TestChargeRange:
+    @pytest.mark.parametrize("z", Z_RANGE)
+    def test_ends_keep_every_output_normal(self, universal, z):
+        # each output is monotone in z, so the whole range keeps them normal
+        assert outputs_normal(atomic_tf(z, universal=universal))
+
+    @pytest.mark.parametrize("z", [Z_RANGE[0] / 10.0, 10.0 * Z_RANGE[1]])
+    def test_one_decade_out_an_output_leaves_the_normal_floats(
+        self, monkeypatch, universal, z
+    ):
+        # the range is tight to a decade
+        with pytest.raises(ValueError, match="lies outside"):
+            atomic_tf(z, universal=universal)
+        monkeypatch.setattr(thomas_fermi, "Z_RANGE", (0.0, math.inf))
+        with np.errstate(all="ignore"):
+            assert not outputs_normal(atomic_tf(z, universal=universal))
 
 
 class TestScalingTransform:
