@@ -431,6 +431,7 @@ def _pipeline_coherent_check(params: dict[str, Any]):
             "h": h,
             "representation_grid_points": grid.size,
             "representation_u_nodes": coherent._representation_u_nodes(p, grid).size,
+            "representation_factor_rank": coherent._factor_rank(p),
             "resolution_grid_points": r_grid.size,
             "resolution_q_nodes": coherent._resolution_nodes(p, r_grid).size,
         })

@@ -30,11 +30,23 @@ phase, of modulus one in every factor, is split safely into a per-node
 factor, taken once per node, and coarse x fine tables, a few complex
 exponentials per column in place of one per grid point.
 
-The real Gaussian factor A_u of G_{u,q} is a Toeplitz factor in x - y times a
-Hankel factor in x + y: A_u[i, j] = T[i-j] M_u[i+j], with
-T = (pi h)^{-1/2} dx exp(-(x_i - x_j)^2/(4 h^2 a)) built once per grid and
-M_u[s] = exp(-a(x_0 + s dx/2 - u)^2) for s = 0..2n-2.  Both identity
-checks take A_u and T from that one template.
+The real Gaussian factor A_u of G_{u,q}, with the weight dx, is a Toeplitz
+factor in x - y times a Hankel factor in x + y: A_u[i, j] = T[i-j] M_u[i+j],
+with T = (pi h)^{-1/2} dx exp(-(x_i - x_j)^2/(4 h^2 a)) and
+M_u[s] = exp(-a(x_0 + s dx/2 - u)^2).  T remains for the u-integrated terms
+of both identity checks (below).  The representation check's per-node terms
+take A_u in its Mehler form: in xi = (x - u)/sqrt(h) the kernel is
+exp(-ha ((xi + eta)/2)^2 - (xi - eta)^2/(4 ha)), by Mehler's formula
+(Folland, Harmonic Analysis in Phase Space, 1989, ch. 1) a thermal state
+rho^N of the harmonic oscillator centred at u, rho = (1 - ha)/(1 + ha), so
+
+    A_u = g_u g_u^T,  g_u[i, k] = (2 dx sqrt(a)/(1 + ha))^{1/2} rho^{k/2} phi_k(xi_i),
+
+with phi_k the normalized Hermite functions.  The sum is cut at
+K = ceil(60 ln 2/ln(1/rho)) terms, so rho^K <= 2^-60 leaves the truncation at
+roundoff of A_u's O(1) scale (K = 1 where rho rounds to 0, the rank-one
+limit ha -> 1): K = 18, 21 and 28 at h = 0.4, 0.25 and 0.1 with
+a = h^(-4/5).
 
 The u integrals of both identities integrate M_u[x+y] M_u[y'+z]
 = exp(-a(m1-m2)^2/2) exp(-2a(u-(m1+m2)/2)^2), an exact Gaussian in u of
@@ -212,28 +224,65 @@ def new_kernel_G(p: CoherentParams, pt: PhasePoint, x, y):
     return val if (np.ndim(x) or np.ndim(y)) else complex(val)
 
 
-def _gaussian_factor(p: CoherentParams, grid: Grid1D):
-    """T and u -> A_u = T[i-j] M_u[i+j], the real part of G_{u,q} = E_q A_u E_q^*
-    with the quadrature weight dx included (the template of the module
-    docstring); each node costs the 2n-1 exponentials of M_u."""
-    x, dx, n = grid.points, grid.spacing, grid.size
-    t = (math.pi * p.h) ** (-0.5) * dx * toeplitz(
+def _gaussian_factor(p: CoherentParams, grid: Grid1D) -> np.ndarray:
+    """T = (pi h)^{-1/2} dx exp(-(x_i - x_j)^2/(4 h^2 a)), the Toeplitz factor
+    of A_u = T[i-j] M_u[i+j] (module docstring)."""
+    dx, n = grid.spacing, grid.size
+    return (math.pi * p.h) ** (-0.5) * dx * toeplitz(
         np.exp(-((dx * np.arange(n)) ** 2) / (4.0 * p.h**2 * p.a))
     )
-    mids = x[0] + 0.5 * dx * np.arange(2 * n - 1)
 
-    def factor(u: float) -> np.ndarray:
-        # hankel[i, j] = M_u[i + j]
-        m_u = np.exp(-p.a * (mids - u) ** 2)
-        return t * np.lib.stride_tricks.sliding_window_view(m_u, n)
 
-    return t, factor
+def _factor_rank(p: CoherentParams) -> int:
+    """Rank K of the Hermite factor of A_u: the least K with rho^K <= 2^-60
+    for rho = (1 - ha)/(1 + ha), and 1 where rho rounds to 0."""
+    rho = (1.0 - p.h * p.a) / (1.0 + p.h * p.a)
+    if rho <= 0.0:
+        return 1
+    return math.ceil(60.0 * math.log(2.0) / math.log(1.0 / rho))
+
+
+def _hermite_factor(p: CoherentParams, grid: Grid1D, us: np.ndarray) -> np.ndarray:
+    """g of shape (n, us.size, K), K = _factor_rank(p), with g[:, j] g[:, j]^T
+    = A_u for u = us[j] (module docstring):
+
+        g_u[i, k] = (2 dx sqrt(a)/(1 + ha))^{1/2} rho^{k/2} phi_k((x_i - u)/sqrt(h)),
+
+    the Hermite functions phi_k by their three-term recurrence, with the
+    weight rho^{k/2} folded into it.  Where phi_0 = pi^{-1/4} exp(-xi^2/2)
+    nears the bottom of the normal floats, the start is lifted by a factor e^lift
+    and the values brought down by it at the end, with the lift lowered in
+    steps wherever a value grows past 1e250, so no entry that carries
+    weight is lost to underflow."""
+    ha = p.h * p.a
+    rho = (1.0 - ha) / (1.0 + ha)
+    rank = _factor_rank(p)
+    xi = (grid.points[:, None] - us[None, :]) / math.sqrt(p.h)
+    lift = np.maximum(0.5 * xi * xi - 600.0, 0.0)
+    lifted = bool(lift.any())
+    norm = math.sqrt(2.0 * grid.spacing * math.sqrt(p.a) / (1.0 + ha)) * math.pi**-0.25
+    g = np.empty(xi.shape + (rank,))
+    g[..., 0] = norm * np.exp(lift - 0.5 * xi * xi)
+    if rank > 1:
+        np.multiply(math.sqrt(2.0 * rho) * xi, g[..., 0], out=g[..., 1])
+    for k in range(1, rank - 1):
+        nxt = g[..., k + 1]
+        np.multiply(math.sqrt(2.0 * rho / (k + 1)) * xi, g[..., k], out=nxt)
+        nxt -= rho * math.sqrt(k / (k + 1)) * g[..., k - 1]
+        if lifted:
+            big = np.abs(nxt) > 1e250
+            if big.any():
+                g[big] *= 1e-250
+                lift[big] -= 250.0 * math.log(10.0)
+    if lifted:
+        g *= np.exp(-lift)[..., None]
+    return g
 
 
 def _u_integrated_square(p: CoherentParams, t: np.ndarray, grid: Grid1D) -> np.ndarray:
     """int A_u A_u du over the whole u line, in closed form.
 
-    A_u[i, j] = T[i-j] M_u[i+j] is the template of _gaussian_factor.  With
+    A_u[i, j] = T[i-j] M_u[i+j], T from _gaussian_factor.  With
     m1 = (x+y)/2 and m2 = (y+z)/2 the exponents of the M_u factors combine as
     -a(m1-u)^2 - a(m2-u)^2 = -2a(u - (m1+m2)/2)^2 - a(x-z)^2/8, and the
     Gaussian integrates to sqrt(pi/(2a)) whatever its centre, so
@@ -251,6 +300,11 @@ def _u_step(p: CoherentParams) -> float:
     aliasing bound 2 exp(-pi^2/(2a du^2)) of its Gaussian u-integrand is
     1.6e-16."""
     return 0.365 / math.sqrt(p.a)
+
+
+# entries (grid points x u-nodes x rank) of one block of Hermite factors in
+# representation_error_norm: 1 MiB, 32 u-nodes at n = 193, K = 21
+_FACTOR_ENTRIES = 1 << 17
 
 
 def _phase_rule(p: CoherentParams) -> float:
@@ -314,8 +368,7 @@ def resolution_of_identity_check(
     )
     s_mat = toeplitz(s_vec[grid.size - 1 :], s_vec[grid.size - 1 :: -1])
 
-    t, _ = _gaussian_factor(p, grid)
-    out = (_u_integrated_square(p, t, grid) * s_mat) @ psi
+    out = (_u_integrated_square(p, _gaussian_factor(p, grid), grid) * s_mat) @ psi
     return float(np.linalg.norm(out - psi) / norm)
 
 
@@ -385,8 +438,14 @@ def representation_error_norm(
     A_u P A_u for the spectral momentum P = i S_P + (q_N/n) s s^T, where S_P
     is the real antisymmetric sine kernel of the paired lattice momenta
     +-q_m and, on an even grid, q_N is the unpaired Nyquist momentum with
-    s_j = (-1)^j; each node then costs the real product A_u (S_P A_u) plus
-    the rank-one (A_u s)(A_u s)^T.
+    s_j = (-1)^j.  With A_u = g_u g_u^T, the Mehler factor of the module
+    docstring, a node's terms shrink to K x K inner matrices, g_u^T (c o g_u)
+    for the weight-1 diagonal and g_u^T S_P g_u for the F' term, and to
+    g_u (g_u^T s) for the Nyquist term.  The nodes' factors are stacked in
+    blocks of at most _FACTOR_ENTRIES entries, so the F' sum comes out of a
+    few large products: about 2 n^2 K multiply-adds per node in place of the
+    2 n^3 of dense products.  K grows like 21/(ha) as ha falls, and the
+    factor saves work only while K < n.
 
     The difference is measured on a core window: at least 10% of the grid is
     dropped per side, widened to six reach lengths h sqrt(a) of the
@@ -427,26 +486,32 @@ def representation_error_norm(
     v_half = _symbol_half(sym.V, sym.d2V, us, p.b)
     v_slope = np.asarray(sym.dV(us), dtype=float)
 
-    t, factor = _gaussian_factor(p, grid)
+    rank = _factor_rank(p)
     t1_diag = np.zeros(n)
     a_sp_a = np.zeros((n, n))
-    nyquist = np.zeros((n, n))
-    for u, v0, v1 in zip(us.tolist(), v_half.tolist(), v_slope.tolist()):
-        a_mat = factor(u)
-        c_diag = v0 + v1 * (x - u)
+    a_s = np.empty((us.size, n))
+    per_block = max(1, _FACTOR_ENTRIES // (n * rank))
+    for lo in range(0, us.size, per_block):
+        nodes = slice(lo, lo + per_block)
+        g = _hermite_factor(p, grid, us[nodes])
+        m = g.shape[1]
+        flat = g.reshape(n, m * rank)
+        g_u, g_u_t = g.transpose(1, 0, 2), g.transpose(1, 2, 0)
         # weight-1 q sum collapses to the exact diagonal projection
-        t1_diag += du * np.einsum("xy,xy->x", a_mat * c_diag[None, :], a_mat)
-        a_sp_a += du * (a_mat @ (s_p @ a_mat))
+        c_diag = v_half[nodes] + v_slope[nodes] * (x[:, None] - us[nodes])
+        inner = g_u_t @ (c_diag[..., None] * g).transpose(1, 0, 2)
+        t1_diag += np.einsum("unk,unk->n", g_u @ inner, g_u)
+        inner = g_u_t @ (s_p @ flat).reshape(n, m, rank).transpose(1, 0, 2)
+        a_sp_a += (g_u @ inner).transpose(1, 0, 2).reshape(n, m * rank) @ flat.T
         if n % 2 == 0:
-            a_s = a_mat @ sign
-            nyquist += du * np.outer(a_s, a_s)
+            a_s[nodes] = (g_u @ (sign @ flat).reshape(m, rank, 1))[..., 0]
     apa = 1j * a_sp_a
     if n % 2 == 0:
-        apa += qs[n // 2] / n * nyquist
+        apa += qs[n // 2] / n * (a_s.T @ a_s)
     assembled = (
-        np.diag(t1_diag / dx)
-        + _u_integrated_square(p, t, grid) * s_f
-        + apa * s_df
+        np.diag(du / dx * t1_diag)
+        + _u_integrated_square(p, _gaussian_factor(p, grid), grid) * s_f
+        + du * apa * s_df
     )
 
     window = slice(margin, n - margin)

@@ -51,15 +51,13 @@ SOMMERFELD_LAMBDA = (7.0 - np.sqrt(73.0)) / 2.0
 _BVP_X0 = 1e-6
 _BVP_XEND = 2500.0  # phi < 1e-8 out here
 
-# charges z whose atomic_tf tables and scalars are all finite, normal floats.
-# Each is z^e times its value at z = 1 (e = -1/3 for radii, 4/3 for V, 2 for
-# rho, 7/3 for the energies, as in tf_scaling_transform), so each is monotone
-# in z and the range is an interval.  D(rho) leaves it first, at both ends:
-# its integrand r rho Q grows as z^(8/3), so D(rho) is 0 at z = 1e-121 and
-# infinite at 10^116.75.  The bounds are those ends, rounded inward to whole
-# decades.  Near the lower end D(rho) loses digits to subnormal integrand
-# values before it underflows: it is 19% low at z = 1e-120 and 1.2e-5 low at
-# z = 1e-118, against the z^(7/3) scaling of its z = 1 value.
+# charges z that atomic_tf and the commands built on it accept.  Every table
+# and scalar is z^e times its value at z = 1 (e = -1/3 for radii, 4/3 for V,
+# 2 for rho, 7/3 for the energies, as in tf_scaling_transform), and the
+# energies are computed that way, so all stay finite, normal floats from
+# z = 1e-131 to 1e132, where the energies leave them.  The bounds are the
+# ends at which D(rho), once integrated in r, left them; they are kept as
+# the interface's range, with a decade or more to spare at each end.
 Z_RANGE = (1e-120, 1e116)
 
 
@@ -354,21 +352,24 @@ def atomic_tf(z: float, universal: UniversalTF | None = None) -> TFSolution:
     j52 = float(np.trapezoid(uni.phi_table**2.5 / np.sqrt(x), x))
     j52 += 2.0 * np.sqrt(x0) + (5.0 / 3.0) * s * x0**1.5
 
-    scale = 4.0 * np.pi * z**2.5 * np.sqrt(ell)
+    # each energy is its z = 1 value times z^(7/3): with r = l x and
+    # z l^3 = l_1^3, D(rho) = z^(7/3) l_1^2 D(DENSITY_CONST (phi/x)^(3/2))
+    # in x, so no z^3 or subnormal integrand is ever formed
+    ell_1 = tf_length_scale(1.0)
+    scale = 4.0 * np.pi * np.sqrt(ell_1)
     kinetic = TF_KINETIC_CONST * DENSITY_CONST ** (5.0 / 3.0) * scale * j52
     attraction = DENSITY_CONST * scale * j32
-
-    r_d = np.geomspace(1e-8 * ell, _BVP_XEND * ell, 6000)
-    rho_d = DENSITY_CONST * ((z / r_d) * uni.phi(r_d / ell)) ** 1.5
-    d_rho = coulomb_energy_D(r_d, rho_d)
+    x_d = np.geomspace(1e-8, _BVP_XEND, 6000)
+    d_1 = ell_1**2 * coulomb_energy_D(x_d, DENSITY_CONST * (uni.phi(x_d) / x_d) ** 1.5)
+    energy_scale = z ** (7.0 / 3.0)
 
     sol = TFSolution(
         z=float(z),
         r=r,
         v_tf_table=v,
         rho_tf_table=rho,
-        E_TF=kinetic - attraction + d_rho,
-        D_rho=d_rho,
+        E_TF=energy_scale * (kinetic - attraction + d_1),
+        D_rho=energy_scale * d_1,
         ell=ell,
         universal=uni,
     )

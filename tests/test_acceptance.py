@@ -15,6 +15,7 @@ import pytest
 from scottlab.coherent import (
     CoherentParams,
     PhasePoint,
+    _factor_rank,
     _trial_nodes,
     constant_symbol,
     gaussian_moment_cancellation,
@@ -162,10 +163,11 @@ def test_criterion_7_coherent_identities():
     h_values = (0.4, 0.2, 0.1)
     half_widths = {0.4: 5.0, 0.2: 4.0, 0.1: 4.0}
     weight_devs, resolution_devs, cancels, ratios = [], [], [], []
-    seconds = []
+    seconds, ranks = [], []
     for h in h_values:
         start = time.perf_counter()
         p = CoherentParams(h=h, a=h**-0.8)
+        ranks.append(_factor_rank(p))
         weight_devs.append(_weight_deviation(p))
 
         res_grid = _representation_grid(p, 7.0)
@@ -197,7 +199,10 @@ def test_criterion_7_coherent_identities():
         f"criterion 7 PASS: weight {max(weight_devs):.1e}, resolution "
         f"{max(resolution_devs):.1e}, cancellation {max(cancels):.1e}, "
         f"err/(h^2 b) stability {stability:.3f} over h = 0.4, 0.2, 0.1; "
-        + ", ".join(f"{s:.1f}s at h = {h}" for s, h in zip(seconds, h_values))
+        + ", ".join(
+            f"{s:.2f}s and factor rank {k} at h = {h}"
+            for s, k, h in zip(seconds, ranks, h_values)
+        )
     )
 
 

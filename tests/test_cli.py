@@ -250,6 +250,7 @@ class TestCoherentCheckCommand:
             "h": 0.4,
             "representation_grid_points": 121,
             "representation_u_nodes": 60,
+            "representation_factor_rank": 18,
             "resolution_grid_points": 211,
             "resolution_q_nodes": 671,
         }]

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import threading
+import types
 import warnings
 
 import numpy as np
@@ -31,7 +32,9 @@ from scottlab import numerics
 from scottlab import coherent
 from scottlab.coherent import (
     _T_NODES,
+    _factor_rank,
     _gaussian_factor,
+    _hermite_factor,
     _node_columns,
     _phase_rule,
     _phase_tables,
@@ -787,19 +790,62 @@ class TestAgainstPerNodeLoops:
 
     p = CoherentParams(h=0.4, a=0.4**-0.8)
 
+    @staticmethod
+    def assert_hermite_factor_matches_kernel(p, grid, us):
+        # truncation is relative to the O(1) scale of A_u, so the tolerance is
+        # an on-grid node's largest entry, not a far node's own maximum
+        x, dx = grid.points, grid.spacing
+        scale = np.max(np.abs(kernel_factor(p, x, dx, float(x[grid.size // 2]))))
+        g = _hermite_factor(p, grid, np.asarray(us, dtype=float))
+        assert g.shape == (grid.size, len(us), _factor_rank(p))
+        for j, u in enumerate(us):
+            a_ref = kernel_factor(p, x, dx, float(u))
+            assert np.max(np.abs(g[:, j] @ g[:, j].T - a_ref)) <= 1e-13 * scale
+
     @pytest.mark.parametrize("n", [121, 122])
-    @pytest.mark.parametrize("u", [0.37, -5.3])  # off the half-lattice; off the grid
-    def test_gaussian_factor_template(self, n, u):
+    @pytest.mark.parametrize(
+        "ha, rank",
+        [
+            (0.1, 208),
+            (0.55, 34),
+            (0.83, 18),
+            (0.998, 7),
+            (0.4 * np.nextafter(2.5, 0.0), 2),  # the largest a below 1/h
+        ],
+        ids=["ha=0.1", "ha=0.55", "ha=0.83", "ha=0.998", "a-below-1/h"],
+    )
+    def test_hermite_factor(self, n, ha, rank):
+        # u on a grid point, between points, and past the grid's end
+        p = CoherentParams(h=0.4, a=ha / 0.4)
+        assert _factor_rank(p) == rank
         grid = Grid1D.uniform(-4.0, 4.0, n)
-        _, factor = _gaussian_factor(self.p, grid)
-        a_ref = kernel_factor(self.p, grid.points, grid.spacing, u)
-        assert np.max(np.abs(factor(u) - a_ref)) <= 1e-14 * np.max(np.abs(a_ref))
+        us = [grid.points[37], 0.37, -5.3]
+        self.assert_hermite_factor_matches_kernel(p, grid, us)
+
+    def test_hermite_factor_at_the_rank_one_limit(self):
+        # no admissible a makes h a round to 1.0 (a < 1/h keeps h a below it),
+        # so the limit rho = 0 is taken with h a = 1 exactly: the kernel is
+        # then rank one, and the rank rule takes no log(0)
+        p = types.SimpleNamespace(h=0.4, a=2.5, n=1)
+        assert _factor_rank(p) == 1
+        grid = Grid1D.uniform(-4.0, 4.0, 121)
+        self.assert_hermite_factor_matches_kernel(p, grid, [0.37, -5.3])
+
+    def test_hermite_factor_where_the_ground_state_underflows(self):
+        # at h a = 0.01 (K = 2080), u = -12 puts (x - u)/sqrt(h) up to 50.6 on
+        # the grid, where exp(-xi^2/2) underflows but A_u keeps entries of
+        # 1e-7 relative: the lifted start keeps them.  At u = -16, xi reaches
+        # 63, and the lifted values would overflow if the lift stayed put.
+        p = CoherentParams(h=0.1, a=0.1)
+        grid = Grid1D.uniform(-4.0, 4.0, 41)
+        assert _factor_rank(p) == 2080
+        self.assert_hermite_factor_matches_kernel(p, grid, [-16.0, -12.0, -9.0, 0.1])
 
     @pytest.mark.parametrize("n", [121, 122])
     def test_u_integrated_square(self, n):
         # off-centre grid, so the u-integrand centres are not symmetric about 0
         grid = Grid1D.uniform(-3.0, 5.0, n)
-        t, _ = _gaussian_factor(self.p, grid)
+        t = _gaussian_factor(self.p, grid)
         us, du = trapezoid_u_nodes(self.p, grid)
         ref = np.zeros((n, n))
         for u in us:
@@ -820,9 +866,11 @@ class TestAgainstPerNodeLoops:
     @pytest.mark.parametrize("symbol", [harmonic_symbol, sin_symbol])
     def test_representation_error(self, n, symbol):
         grid = Grid1D.uniform(-4.0, 4.0, n)
-        fast = representation_error_norm(symbol(), self.p, grid)
-        slow = per_node_representation(symbol(), self.p, grid)
-        assert fast == pytest.approx(slow, rel=1e-11)
+        for kappa in (0.8, 0.5):  # a = h^-kappa: factor rank K = 18, 28
+            p = CoherentParams(h=0.4, a=0.4**-kappa)
+            fast = representation_error_norm(symbol(), p, grid)
+            slow = per_node_representation(symbol(), p, grid)
+            assert fast == pytest.approx(slow, rel=1e-11)
 
     @pytest.mark.parametrize(
         "sym, bounds, n, paired, mirrored",

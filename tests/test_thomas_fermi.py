@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scottlab import thomas_fermi
 from scottlab.semiclassics import WeylSpec, weyl_energy
 from scottlab.thomas_fermi import (
     Z_RANGE,
@@ -116,15 +115,18 @@ class TestChargeRange:
         assert outputs_normal(atomic_tf(z, universal=universal))
 
     @pytest.mark.parametrize("z", [Z_RANGE[0] / 10.0, 10.0 * Z_RANGE[1]])
-    def test_one_decade_out_an_output_leaves_the_normal_floats(
-        self, monkeypatch, universal, z
-    ):
-        # the range is tight to a decade
+    def test_one_decade_out_is_rejected(self, universal, z):
         with pytest.raises(ValueError, match="lies outside"):
             atomic_tf(z, universal=universal)
-        monkeypatch.setattr(thomas_fermi, "Z_RANGE", (0.0, math.inf))
-        with np.errstate(all="ignore"):
-            assert not outputs_normal(atomic_tf(z, universal=universal))
+
+    @pytest.mark.parametrize("z", [1e-120, 1e-118, 1e-60, 8.0, 1e60, 1e116])
+    def test_energies_scale_as_z_to_the_seven_thirds(self, universal, atom_z1, z):
+        # D(rho) is integrated in universal units, so no subnormal integrand
+        # costs it digits at the low end of the range (it was 19% low at
+        # z = 1e-120 when integrated in r)
+        sol = atomic_tf(z, universal=universal)
+        assert sol.D_rho * z ** (-7.0 / 3.0) == pytest.approx(atom_z1.D_rho, rel=1e-12)
+        assert sol.E_TF * z ** (-7.0 / 3.0) == pytest.approx(atom_z1.E_TF, rel=1e-12)
 
 
 class TestScalingTransform:
