@@ -404,14 +404,18 @@ def _pipeline_coherent_check(params: dict[str, Any]):
     rows, sizes = [], []
     for h in params["h_values"]:
         p = coherent.CoherentParams(h=h, a=a_rule(h))
-        # weight normalization over +-9 Gaussian widths
+        # weight normalization over +-9 Gaussian widths: w(u, q) =
+        # w(u, 0) w(0, q)/w(0, 0), so the 801 x 801 node sum is two 1D sums
         alpha = p.a / (1.0 - p.h * p.a)
         span = 9.0 / math.sqrt(2.0 * alpha)
         t = np.linspace(-span, span, 801)
-        uu, qq = np.meshgrid(t, t, indexing="ij")
-        w_vals = coherent.weight_w(p, uu, qq)
         step = t[1] - t[0]
-        weight_dev = float(np.sum(w_vals) * step * step - 1.0)
+        weight_dev = float(
+            np.sum(coherent.weight_w(p, t, 0.0))
+            * np.sum(coherent.weight_w(p, 0.0, t))
+            * step * step / coherent.weight_w(p, 0.0, 0.0)
+            - 1.0
+        )
 
         _, width, n_pts, r_half, r_n = _coherent_grids(p, half)
         grid = numerics.Grid1D.uniform(-width, width, n_pts)

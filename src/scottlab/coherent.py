@@ -60,7 +60,10 @@ relative (Trefethen & Weideman, The exponentially convergent trapezoidal
 rule, SIAM Review 56, 2014), so the u step du = 0.365/sqrt(a) of _u_step
 puts the bound at 2 exp(-37) = 1.6e-16, the roundoff floor.  The q sum of
 the resolution check is a Dirichlet kernel, not a Gaussian, and keeps the
-step min(h, 1/sqrt(a))/6 of _phase_rule.
+step min(h, 1/sqrt(a))/6 of _phase_rule; over the nodes q_m = -Q + m delta,
+m < N, it has the closed form sum_m cos(q_m d/h) = sin(N phi)/sin(phi),
+phi = delta d/(2h), with delta the step linspace itself uses and phi
+reduced by the nearest multiple of pi (_dirichlet_kernel).
 """
 
 from __future__ import annotations
@@ -323,6 +326,26 @@ def _resolution_nodes(
     return np.linspace(-q_half, q_half, q_count)
 
 
+def _dirichlet_kernel(qs: np.ndarray, d: np.ndarray, h: float) -> np.ndarray:
+    """sum_m cos(q_m d/h) over the nodes qs = linspace(-Q, Q, N), in closed form.
+
+    With the step delta = (qs[-1] - qs[0])/(N - 1) that linspace itself uses
+    (qs[1] - qs[0] is off by a rounding that the sum multiplies by up to
+    N d/h), the sum is sin(N phi)/sin(phi), phi = delta d/(2h).  phi is
+    reduced to psi = phi - k pi, k = round(phi/pi), so the aliasing peaks at
+    phi = k pi are taken where they lie: the sum is
+    (-1)^(k(N-1)) sin(N psi)/sin(psi), and N (-1)^(k(N-1)) where psi = 0."""
+    count = qs.size
+    phi = (qs[-1] - qs[0]) / (count - 1) * d / (2.0 * h)
+    k = np.round(phi / math.pi)
+    psi = phi - k * math.pi
+    ratio = np.divide(
+        np.sin(count * psi), np.sin(psi),
+        out=np.full_like(psi, float(count)), where=psi != 0.0,
+    )
+    return np.where(k * (count - 1) % 2 == 0.0, ratio, -ratio)
+
+
 def resolution_of_identity_check(
     p: CoherentParams,
     psi: np.ndarray,
@@ -336,10 +359,15 @@ def resolution_of_identity_check(
     M = int A_u A_u du in closed form.  The q sum runs over uniform nodes
     spanning the lattice momenta plus seven widths 1/sqrt(2a) per side at
     step at most min(h, 1/sqrt(a))/6, and enters through its Dirichlet
-    kernel S in the difference variable, which is identical to summing the
-    nodes explicitly; the check is (M o S) psi.  Under-resolved quadrature
-    (fewer than 8 q-nodes) raises a Python warning and still returns the
-    measured deviation; fewer than 2 raise ValueError.
+    kernel S in the difference variable d, taken in closed form by
+    _dirichlet_kernel: sin(N phi)/sin(phi) for N nodes, phi = delta d/(2h),
+    delta = (q_{N-1} - q_0)/(N - 1) the exact step of the nodes, and phi
+    reduced to psi = phi - k pi with k = round(phi/pi), so the aliasing
+    peaks give (-1)^(k(N-1)) sin(N psi)/sin(psi), and N (-1)^(k(N-1)) at
+    psi = 0.  That is O(n) work in place of N (2n - 1) cosines; the check
+    is (M o S) psi.  Under-resolved quadrature (fewer than 8 q-nodes) raises
+    a Python warning and still returns the measured deviation; fewer than 2
+    raise ValueError.
     """
     if p.n != 1:
         raise ValueError("grid realization is one-dimensional")
@@ -363,9 +391,7 @@ def resolution_of_identity_check(
 
     # Dirichlet kernel of the q sum on the difference lattice
     diffs = dx * np.arange(-(grid.size - 1), grid.size)
-    s_vec = np.sum(np.cos(np.outer(qs, diffs) / p.h), axis=0) * dq / (
-        2.0 * math.pi * p.h
-    )
+    s_vec = _dirichlet_kernel(qs, diffs, p.h) * dq / (2.0 * math.pi * p.h)
     s_mat = toeplitz(s_vec[grid.size - 1 :], s_vec[grid.size - 1 :: -1])
 
     out = (_u_integrated_square(p, _gaussian_factor(p, grid), grid) * s_mat) @ psi

@@ -5,11 +5,12 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scottlab import cli, scott
+from scottlab import cli, coherent, scott
 from scottlab.cli import (
     _NUMBERS,
     CONFIG_PREFIX,
@@ -254,6 +255,27 @@ class TestCoherentCheckCommand:
             "resolution_grid_points": 211,
             "resolution_q_nodes": 671,
         }]
+
+    def test_weight_dev_matches_the_two_dimensional_sum(self, tmp_path):
+        # the pipeline sums w(u, q) as two 1D sums; the oracle sums all
+        # 801 x 801 nodes of the same span
+        path = tmp_path / "cc.csv"
+        status, data = run_to_file(
+            ["coherent-check", "--h", "0.6,0.4,0.25,0.1"], path
+        )
+        assert status == 0
+        lines = [l for l in data.decode().splitlines() if not l.startswith("#")]
+        rows = [dict(zip(lines[0].split(","), map(float, l.split(","))))
+                for l in lines[1:]]
+        assert [row["h"] for row in rows] == [0.6, 0.4, 0.25, 0.1]
+        for row in rows:
+            p = coherent.CoherentParams(h=row["h"], a=row["h"] ** -0.8)
+            span = 9.0 / math.sqrt(2.0 * p.a / (1.0 - p.h * p.a))
+            t = np.linspace(-span, span, 801)
+            uu, qq = np.meshgrid(t, t, indexing="ij")
+            step = t[1] - t[0]
+            oracle = float(np.sum(coherent.weight_w(p, uu, qq)) * step * step - 1.0)
+            assert abs(row["weight_dev"] - oracle) <= 1e-13
 
     def test_grid_widens_past_the_edge_margin(self, tmp_path):
         # half-width 4 leaves h = 0.99 no core window past the edge margin

@@ -32,12 +32,14 @@ from scottlab import numerics
 from scottlab import coherent
 from scottlab.coherent import (
     _T_NODES,
+    _dirichlet_kernel,
     _factor_rank,
     _gaussian_factor,
     _hermite_factor,
     _node_columns,
     _phase_rule,
     _phase_tables,
+    _resolution_nodes,
     _symbol_half,
     _trial_nodes,
     _u_integrated_square,
@@ -338,6 +340,21 @@ class TestResolutionOfIdentity:
         coarse = resolution_of_identity_check(p, psi, grid, q_count=81)
         fine = resolution_of_identity_check(p, psi, grid, q_count=161)
         assert fine < coarse
+
+    @pytest.mark.parametrize("q_count", [2, 3, 9, 64, None])
+    @pytest.mark.parametrize("half_width", [7.0, 30.0])
+    @pytest.mark.parametrize("h", [0.6, 0.4, 0.25, 0.1])
+    def test_dirichlet_kernel_matches_the_cosine_sum(self, h, half_width, q_count):
+        # small counts and wide grids reach the aliasing peaks phi = k pi
+        p = CoherentParams(h=h, a=h**-0.8)
+        grid = working_grid(p, half_width)
+        qs = _resolution_nodes(p, grid, q_count)
+        diffs = grid.spacing * np.arange(-(grid.size - 1), grid.size)
+        explicit = np.zeros(diffs.size)
+        for q in qs:
+            explicit += np.cos(q * diffs / h)
+        closed = _dirichlet_kernel(qs, diffs, h)
+        assert np.max(np.abs(closed - explicit)) <= 1e-11 * np.max(np.abs(explicit))
 
     @pytest.mark.parametrize("q_count", [0, 1])
     def test_rejects_fewer_than_two_q_nodes(self, q_count):
