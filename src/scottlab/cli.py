@@ -44,7 +44,6 @@ __all__ = [
 ]
 
 CONFIG_PREFIX = "# scottlab-config: "
-COMMANDS = ("tf-atom", "coherent-check", "local-trace", "scott", "hydrogen", "weyl")
 
 # parameters whose option is not "--" + the key with "_" -> "-"
 _FLAGS = {"h_values": "--h"}
@@ -451,6 +450,7 @@ _PIPELINES = {
     "local-trace": _pipeline_local_trace,
     "coherent-check": _pipeline_coherent_check,
 }
+COMMANDS = tuple(_PIPELINES)
 
 
 # ---------------------------------------------------------------------------

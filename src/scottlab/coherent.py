@@ -101,14 +101,13 @@ __all__ = [
 class CoherentParams:
     """Semiclassical parameter h and localization parameter a, with b derived.
 
-    The weight w needs a < 1/h strictly.  b = 2a/(1 + h^2 a^2) satisfies
-    b <= 1/h with equality exactly at a = 1/h.  a = None picks the
-    error-optimal rule a = h^(-4/5).
+    Phase space is R x R, the paper's dimension n = 1.  The weight w needs
+    a < 1/h strictly.  b = 2a/(1 + h^2 a^2) satisfies b <= 1/h with equality
+    exactly at a = 1/h.  a = None picks the error-optimal rule a = h^(-4/5).
     """
 
     h: float
     a: float | None = None
-    n: int = 1
 
     def __post_init__(self):
         require_positive(self.h, "h")
@@ -116,8 +115,6 @@ class CoherentParams:
             object.__setattr__(self, "a", self.h ** (-0.8))
         if not 0 < self.a < 1.0 / self.h:
             raise ValueError("need 0 < a < 1/h for the weight to exist")
-        if self.n < 1 or int(self.n) != self.n:
-            raise ValueError("dimension n must be a positive integer")
 
     @property
     def b(self) -> float:
@@ -205,10 +202,10 @@ def schrodinger_operator(
 
 
 def weight_w(p: CoherentParams, u, q):
-    """Normalized Gaussian weight (a/(pi(1-ha)))^n exp(-a(u^2+q^2)/(1-ha))."""
+    """Normalized Gaussian weight (a/(pi(1-ha))) exp(-a(u^2+q^2)/(1-ha))."""
     alpha = p.a / (1.0 - p.h * p.a)
     us, qs = np.asarray(u, dtype=float), np.asarray(q, dtype=float)
-    val = (p.a / (math.pi * (1.0 - p.h * p.a))) ** p.n * np.exp(
+    val = (p.a / (math.pi * (1.0 - p.h * p.a))) * np.exp(
         -alpha * (us**2 + qs**2)
     )
     return val if (np.ndim(u) or np.ndim(q)) else float(val)
@@ -219,7 +216,7 @@ def new_kernel_G(p: CoherentParams, pt: PhasePoint, x, y):
     xs, ys = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     mid = 0.5 * (xs + ys) - pt.u
     diff = xs - ys
-    val = (math.pi * p.h) ** (-p.n / 2.0) * np.exp(
+    val = (math.pi * p.h) ** (-0.5) * np.exp(
         -p.a * mid**2
         + 1j * pt.q * diff / p.h
         - diff**2 / (4.0 * p.h**2 * p.a)
@@ -326,17 +323,13 @@ def _resolution_nodes(
     return np.linspace(-q_half, q_half, q_count)
 
 
-def _dirichlet_kernel(qs: np.ndarray, d: np.ndarray, h: float) -> np.ndarray:
-    """sum_m cos(q_m d/h) over the nodes qs = linspace(-Q, Q, N), in closed form.
-
-    With the step delta = (qs[-1] - qs[0])/(N - 1) that linspace itself uses
-    (qs[1] - qs[0] is off by a rounding that the sum multiplies by up to
-    N d/h), the sum is sin(N phi)/sin(phi), phi = delta d/(2h).  phi is
+def _dirichlet_kernel(count: int, step: float, d: np.ndarray, h: float) -> np.ndarray:
+    """sum_m cos(q_m d/h) over q_m = (m - (N - 1)/2) step, m < N = count, in
+    closed form: sin(N phi)/sin(phi), phi = step d/(2h).  phi is
     reduced to psi = phi - k pi, k = round(phi/pi), so the aliasing peaks at
     phi = k pi are taken where they lie: the sum is
     (-1)^(k(N-1)) sin(N psi)/sin(psi), and N (-1)^(k(N-1)) where psi = 0."""
-    count = qs.size
-    phi = (qs[-1] - qs[0]) / (count - 1) * d / (2.0 * h)
+    phi = step * d / (2.0 * h)
     k = np.round(phi / math.pi)
     psi = phi - k * math.pi
     ratio = np.divide(
@@ -364,13 +357,11 @@ def resolution_of_identity_check(
     delta = (q_{N-1} - q_0)/(N - 1) the exact step of the nodes, and phi
     reduced to psi = phi - k pi with k = round(phi/pi), so the aliasing
     peaks give (-1)^(k(N-1)) sin(N psi)/sin(psi), and N (-1)^(k(N-1)) at
-    psi = 0.  That is O(n) work in place of N (2n - 1) cosines; the check
-    is (M o S) psi.  Under-resolved quadrature (fewer than 8 q-nodes) raises
-    a Python warning and still returns the measured deviation; fewer than 2
-    raise ValueError.
+    psi = 0.  The same delta weights the sum.  That is O(n) work in place
+    of N (2n - 1) cosines; the check is (M o S) psi.  Under-resolved
+    quadrature (fewer than 8 q-nodes) raises a Python warning and still
+    returns the measured deviation; fewer than 2 raise ValueError.
     """
-    if p.n != 1:
-        raise ValueError("grid realization is one-dimensional")
     if q_count is not None and q_count < 2:
         raise ValueError("the q sum needs at least 2 q-nodes")
     psi = np.asarray(psi)
@@ -386,12 +377,12 @@ def resolution_of_identity_check(
             f"phase-space quadrature under-resolved ({qs.size} q-nodes)",
             stacklevel=2,
         )
-    dq = qs[1] - qs[0]
+    dq = (qs[-1] - qs[0]) / (qs.size - 1)  # linspace's step, not qs[1] - qs[0]
     dx = grid.spacing
 
     # Dirichlet kernel of the q sum on the difference lattice
     diffs = dx * np.arange(-(grid.size - 1), grid.size)
-    s_vec = _dirichlet_kernel(qs, diffs, p.h) * dq / (2.0 * math.pi * p.h)
+    s_vec = _dirichlet_kernel(qs.size, dq, diffs, p.h) * dq / (2.0 * math.pi * p.h)
     s_mat = toeplitz(s_vec[grid.size - 1 :], s_vec[grid.size - 1 :: -1])
 
     out = (_u_integrated_square(p, _gaussian_factor(p, grid), grid) * s_mat) @ psi
@@ -484,8 +475,6 @@ def representation_error_norm(
     swamp the h^2-scale residual.  Modes within eight smearing widths of the
     boundary are excluded from the reported norm.
     """
-    if p.n != 1:
-        raise ValueError("grid realization is one-dimensional")
     x, dx, n = grid.points, grid.spacing, grid.size
     if dx > min(p.h, 1.0 / math.sqrt(p.b)) / 3.0:
         _warnmod.warn(
@@ -827,8 +816,6 @@ def trial_density_matrix(
     pi h/dx several such widths above the q range, or the sampled kernel
     aliases; the warning fires only at the bare q range.
     """
-    if p.n != 1:
-        raise ValueError("grid realization is one-dimensional")
     require_positive(support_radius, "support radius")
     x, n = grid.points, grid.size
     us, qs, step = _trial_nodes(sym, p, grid, support_radius)

@@ -263,6 +263,8 @@ class Bump:
     plateau: float = 0.5  # fraction of the radius where the bump is exactly 1
 
     def __post_init__(self):
+        if not math.isfinite(self.center):
+            raise ValueError(f"bump center must be finite, got {self.center!r}")
         require_positive(self.radius, "bump radius")
         if not 0 < self.plateau < 1:
             raise ValueError("plateau fraction must lie in (0, 1)")

@@ -19,7 +19,7 @@ from typing import Sequence
 from .numerics import FitResult, fit_power_series, require_positive
 from .semiclassics import WeylSpec, weyl_energy
 from .spectra import RadialProblem, TraceResult, neg_sum_radial, sentinel_channel
-from .thomas_fermi import TFSolution, atomic_tf, tf_length_scale
+from .thomas_fermi import atomic_tf, tf_length_scale
 
 __all__ = [
     "HYDROGEN_LEVEL_LIMIT",
@@ -120,9 +120,12 @@ def hydrogen_expansion_check(z, K: int) -> HydrogenExpansion:
 
 
 def scott_term(charges: Sequence[float], h: float) -> float:
-    """(1/(8 h^2)) sum of z_k^2; additive over nuclei."""
+    """(1/(8 h^2)) sum of z_k^2, each z_k finite; additive over nuclei."""
     require_positive(h, "h")
-    return sum(float(z) ** 2 for z in charges) / (8.0 * h * h)
+    zs = [float(z) for z in charges]
+    if not all(map(math.isfinite, zs)):
+        raise ValueError(f"charges must be finite, got {zs!r}")
+    return sum(z**2 for z in zs) / (8.0 * h * h)
 
 
 _FIT_SPREAD_KEYS = (
@@ -200,7 +203,6 @@ class ScottExperiment:
 def scott_experiment_tf(
     z: float,
     h_values: Sequence[float],
-    solution: TFSolution | None = None,
     x_max: float = 15.0,
     spacing_scale: float = 1.0,
     extra_channels: int = 0,
@@ -213,7 +215,8 @@ def scott_experiment_tf(
     quantum - weyl against {h^-2, h^-1}; the h^-1 column absorbs the slow
     next-order drift so the h^-2 coefficient settles.
 
-    The TF potential and the Weyl position integral are computed once: they
+    The TF potential (atomic_tf, whose universal phi is solved once per
+    process) and the Weyl position integral are computed once per sweep: they
     do not depend on h, and the Weyl term is h^-3 times that integral.  The
     box ends at x_max TF lengths; the phase-space volume beyond it falls
     off like x_max^-7, but at the default 15 the truncation still moves the
@@ -231,9 +234,7 @@ def scott_experiment_tf(
     if extra_channels < 0:
         raise ValueError("extra_channels must be nonnegative")
 
-    sol = solution if solution is not None else atomic_tf(z)
-    if abs(sol.z - z) > 1e-12 * max(z, 1.0):
-        raise ValueError("supplied TF solution is for a different charge")
+    sol = atomic_tf(z)
     r_max = x_max * tf_length_scale(z)
     weyl_h3 = weyl_energy(WeylSpec(n=3, potential=lambda r: -sol.v_tf(r), h=1.0))
 

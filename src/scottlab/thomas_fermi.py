@@ -19,6 +19,7 @@ integral equals z^2 |phi'(0)| / l and the neutral-atom energy comes out as
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 # solve_ivp is unused but kept: bench/tracer.py wraps it by this name
@@ -141,7 +142,7 @@ def _rhs_sqrt(t, y):
 
 @dataclass(frozen=True)
 class UniversalTF:
-    """Table of the universal screening function phi on a log grid."""
+    """Read-only table of the universal screening function phi on a log grid."""
 
     x: np.ndarray
     phi_table: np.ndarray
@@ -151,6 +152,8 @@ class UniversalTF:
     _spline: CubicSpline = field(repr=False, compare=False, default=None)
 
     def __post_init__(self):
+        self.x.flags.writeable = False
+        self.phi_table.flags.writeable = False
         spline = CubicSpline(np.log(self.x), np.log(self.phi_table))
         object.__setattr__(self, "_spline", spline)
 
@@ -199,8 +202,10 @@ class UniversalTF:
         )
 
 
+@cache
 def solve_universal_tf() -> UniversalTF:
-    """Universal TF function from one collocation solve in t = sqrt(x).
+    """Universal TF function from one collocation solve in t = sqrt(x), run
+    once per process: phi serves every charge, so later calls share it.
 
     The interval is [1e-6, 2500] in x.  The initial slope s and the tail
     amplitude c are the two free parameters: the small-x series fixes psi
@@ -325,17 +330,17 @@ def coulomb_energy_D(r: np.ndarray, f: np.ndarray) -> float:
     return float((4.0 * np.pi) ** 2 * np.trapezoid(r * f * q, r))
 
 
-def atomic_tf(z: float, universal: UniversalTF | None = None) -> TFSolution:
+def atomic_tf(z: float) -> TFSolution:
     """Solve the neutral TF atom of charge z in the fixed unit convention.
 
     The tables live on a log grid of 4000 radii from 1e-6 l to the decay
-    tail, and z outside Z_RANGE raises ValueError.  universal: pass a solved
-    UniversalTF to reuse it; by default each call solves afresh, which keeps
-    cross-z comparisons honest.
+    tail, and z outside Z_RANGE raises ValueError.  Only the length l
+    depends on z: every charge scales the one universal phi of
+    solve_universal_tf, solved on the first call in the process.
     """
     require_positive(z, "z")
     _require_charge(z)
-    uni = universal if universal is not None else solve_universal_tf()
+    uni = solve_universal_tf()
     ell = tf_length_scale(z)
     r = np.geomspace(1e-6 * ell, _BVP_XEND * ell, 4000)
 

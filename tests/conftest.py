@@ -13,19 +13,19 @@ def universal():
 
 
 @pytest.fixture(scope="session")
-def atom_z1(universal):
-    return atomic_tf(1.0, universal=universal)
+def atom_z1():
+    return atomic_tf(1.0)
 
 
 @pytest.fixture(scope="session")
-def atom_z8(universal):
-    return atomic_tf(8.0, universal=universal)
+def atom_z8():
+    return atomic_tf(8.0)
 
 
 @pytest.fixture(scope="session")
-def scott_z1(atom_z1):
+def scott_z1():
     """The headline experiment: z = 1 over the acceptance h sweep."""
-    return scott_experiment_tf(1.0, (0.12, 0.09, 0.07, 0.05), solution=atom_z1)
+    return scott_experiment_tf(1.0, (0.12, 0.09, 0.07, 0.05))
 
 
 @pytest.fixture

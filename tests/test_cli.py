@@ -138,6 +138,10 @@ class TestConfigRoundTrip:
 
 
 class TestValidation:
+    def test_parser_offers_exactly_the_commands(self):
+        sub = _build_parser()._subparsers._group_actions[0]
+        assert tuple(sub.choices) == cli.COMMANDS
+
     def test_unknown_command_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

@@ -161,8 +161,6 @@ class TestParams:
             CoherentParams(h=0.5, a=2.0)
         with pytest.raises(ValueError, match="a < 1/h"):
             CoherentParams(h=0.5, a=-1.0)
-        with pytest.raises(ValueError, match="dimension"):
-            CoherentParams(h=0.1, a=1.0, n=0)
 
     def test_phase_point_must_be_finite(self):
         with pytest.raises(ValueError):
@@ -353,7 +351,8 @@ class TestResolutionOfIdentity:
         explicit = np.zeros(diffs.size)
         for q in qs:
             explicit += np.cos(q * diffs / h)
-        closed = _dirichlet_kernel(qs, diffs, h)
+        step = (qs[-1] - qs[0]) / (qs.size - 1)
+        closed = _dirichlet_kernel(qs.size, step, diffs, h)
         assert np.max(np.abs(closed - explicit)) <= 1e-11 * np.max(np.abs(explicit))
 
     @pytest.mark.parametrize("q_count", [0, 1])
@@ -368,10 +367,6 @@ class TestResolutionOfIdentity:
         grid = working_grid(p, 7.0)
         with pytest.raises(ValueError, match="on the grid"):
             resolution_of_identity_check(p, np.zeros(grid.size + 3), grid)
-        with pytest.raises(ValueError, match="one-dimensional"):
-            resolution_of_identity_check(
-                CoherentParams(h=0.4, a=1.0, n=3), np.zeros(grid.size), grid
-            )
 
 
 class TestRepresentationError:
@@ -638,10 +633,6 @@ class TestTrialDensity:
         p, sym, grid = self.build_small()
         with pytest.raises(ValueError, match="support radius"):
             trial_density_matrix(sym, p, grid, support_radius=0.0)
-        with pytest.raises(ValueError, match="one-dimensional"):
-            trial_density_matrix(
-                sym, CoherentParams(h=0.4, a=1.0, n=2), grid, support_radius=1.5
-            )
 
 
 # Per-node oracles: the identities assembled one phase-space u-node at a
@@ -843,7 +834,7 @@ class TestAgainstPerNodeLoops:
         # no admissible a makes h a round to 1.0 (a < 1/h keeps h a below it),
         # so the limit rho = 0 is taken with h a = 1 exactly: the kernel is
         # then rank one, and the rank rule takes no log(0)
-        p = types.SimpleNamespace(h=0.4, a=2.5, n=1)
+        p = types.SimpleNamespace(h=0.4, a=2.5)
         assert _factor_rank(p) == 1
         grid = Grid1D.uniform(-4.0, 4.0, 121)
         self.assert_hermite_factor_matches_kernel(p, grid, [0.37, -5.3])

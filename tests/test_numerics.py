@@ -87,6 +87,11 @@ class TestBump:
         b = Bump(center=0.0, radius=3.0, order=4)
         assert 0.0 <= b(x) <= 1.0
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_a_non_finite_center(self, bad):
+        with pytest.raises(ValueError, match="bump center must be finite"):
+            Bump(center=bad, radius=2.0, order=4)
+
 
 class TestPartition:
     @given(st.floats(0.0, 50.0))

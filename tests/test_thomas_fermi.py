@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scottlab import cli, thomas_fermi
 from scottlab.semiclassics import WeylSpec, weyl_energy
 from scottlab.thomas_fermi import (
     Z_RANGE,
     atomic_tf,
     coulomb_energy_D,
+    solve_universal_tf,
     tf_length_scale,
     tf_scaling_transform,
 )
@@ -40,6 +42,34 @@ class TestUniversal:
     def test_rejects_nonpositive_argument(self, universal):
         with pytest.raises(ValueError):
             universal.phi(0.0)
+
+
+class TestSolveOnce:
+    def test_one_collocation_solve_per_process(self, monkeypatch, tmp_path):
+        calls = []
+        original = thomas_fermi.solve_bvp
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(thomas_fermi, "solve_bvp", counted)
+        solve_universal_tf.cache_clear()
+        atomic_tf(1.0)
+        atomic_tf(8.0)
+        argv = ["scott", "--z", "1", "--h", "0.3,0.2", "--out", str(tmp_path / "s.csv")]
+        assert cli.main(argv) == 0
+        assert len(calls) == 1
+
+    def test_every_call_returns_the_same_solution(self):
+        assert solve_universal_tf() is solve_universal_tf()
+        assert atomic_tf(2.0).universal is solve_universal_tf()
+
+    def test_tables_are_read_only(self, universal):
+        with pytest.raises(ValueError, match="read-only"):
+            universal.phi_table[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            universal.x[0] = 0.0
 
 
 class TestAtom:
@@ -110,21 +140,21 @@ def outputs_normal(sol):
 
 class TestChargeRange:
     @pytest.mark.parametrize("z", Z_RANGE)
-    def test_ends_keep_every_output_normal(self, universal, z):
+    def test_ends_keep_every_output_normal(self, z):
         # each output is monotone in z, so the whole range keeps them normal
-        assert outputs_normal(atomic_tf(z, universal=universal))
+        assert outputs_normal(atomic_tf(z))
 
     @pytest.mark.parametrize("z", [Z_RANGE[0] / 10.0, 10.0 * Z_RANGE[1]])
-    def test_one_decade_out_is_rejected(self, universal, z):
+    def test_one_decade_out_is_rejected(self, z):
         with pytest.raises(ValueError, match="lies outside"):
-            atomic_tf(z, universal=universal)
+            atomic_tf(z)
 
     @pytest.mark.parametrize("z", [1e-120, 1e-118, 1e-60, 8.0, 1e60, 1e116])
-    def test_energies_scale_as_z_to_the_seven_thirds(self, universal, atom_z1, z):
+    def test_energies_scale_as_z_to_the_seven_thirds(self, atom_z1, z):
         # D(rho) is integrated in universal units, so no subnormal integrand
         # costs it digits at the low end of the range (it was 19% low at
         # z = 1e-120 when integrated in r)
-        sol = atomic_tf(z, universal=universal)
+        sol = atomic_tf(z)
         assert sol.D_rho * z ** (-7.0 / 3.0) == pytest.approx(atom_z1.D_rho, rel=1e-12)
         assert sol.E_TF * z ** (-7.0 / 3.0) == pytest.approx(atom_z1.E_TF, rel=1e-12)
 
