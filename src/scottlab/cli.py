@@ -13,7 +13,8 @@ Exit status: 0 on success, 1 on solver failure (diagnostic on stderr) or,
 under --strict, when the run emitted accuracy warnings; 2 on usage or domain
 errors, non-numeric and non-finite values included.  Domain checks live in
 RunConfig, so a configuration replayed from a results file is checked the
-same way; they include the charges whose results stay finite floats.  A
+same way; they include the charges whose results stay finite floats, and a
+replayed parameter map must hold exactly what the command's parser sets.  A
 result that still holds a NaN or infinity is a solver failure and writes no
 file: every JSON part is serialized with allow_nan=False.
 
@@ -30,6 +31,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
+from functools import cache
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -64,10 +66,8 @@ _NUMBERS = {
     "half_width": (lambda v: v > 0, "must be positive"),
     "bump_radius": (lambda v: v > 0, "must be positive"),
     "spacing_scale": (lambda v: 0 < v <= 1, "must lie in (0, 1]"),
-    "extra_channels": (lambda v: v >= 0, "must be nonnegative"),
     "spacing_divisor": (lambda v: v >= 8, "must be at least 8"),
     "k": (lambda v: v >= 1, "must be at least 1"),
-    "bump_order": (lambda v: v >= 1, "must be at least 1"),
     "n": (lambda v: v in (1, 3), "must be 1 or 3"),
     "shift": None,
     "bump_center": None,
@@ -119,7 +119,13 @@ class RunConfig:
             raise UsageError("h values must be strictly decreasing")
         if self.command in _SWEEP_COMMANDS and len(hs) < 2:
             raise UsageError("the h sweep needs at least two values")
-        missing = _filled_parameters(self.command) - set(self.parameters)
+        filled, known = _parameter_names(self.command)
+        unknown = set(self.parameters) - known
+        if unknown:
+            raise UsageError(
+                f"{self.command} takes no parameter {', '.join(sorted(unknown))}"
+            )
+        missing = filled - set(self.parameters)
         if missing:
             raise UsageError(
                 f"{self.command} config lacks {', '.join(sorted(missing))}"
@@ -129,6 +135,11 @@ class RunConfig:
                 thomas_fermi._require_charge(self.parameters["z"])
             if self.command == "hydrogen":
                 scott._require_levels(self.parameters["z"], self.parameters["h"])
+            if self.command == "local-trace" and self.parameters["n"] == 3:
+                bump = numerics.Bump(
+                    self.parameters["bump_center"], self.parameters["bump_radius"]
+                )
+                semiclassics._require_radial_bump(bump)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
         if self.command == "coherent-check":
@@ -329,7 +340,6 @@ def _pipeline_scott(params: dict[str, Any]):
         params["h_values"],
         x_max=params["x_max"],
         spacing_scale=params["spacing_scale"],
-        extra_channels=int(params["extra_channels"]),
     )
     columns = ["h", "quantum", "weyl", "scott", "residual"]
     rows = [
@@ -348,11 +358,7 @@ def _pipeline_scott(params: dict[str, Any]):
 
 def _pipeline_local_trace(params: dict[str, Any]):
     n = int(params["n"])
-    bump = numerics.Bump(
-        center=params["bump_center"],
-        radius=params["bump_radius"],
-        order=int(params["bump_order"]),
-    )
+    bump = numerics.Bump(center=params["bump_center"], radius=params["bump_radius"])
     potential = _named_potential(params)
     results, fit = semiclassics.local_trace_experiment(
         potential,
@@ -498,7 +504,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="comma-separated strictly decreasing h sweep")
     sp.add_argument("--x-max", type=float, default=15.0)
     sp.add_argument("--spacing-scale", type=float, default=1.0)
-    sp.add_argument("--extra-channels", type=int, default=0)
     common(sp)
 
     sp = sub.add_parser("local-trace", help="localized trace vs Weyl sweep")
@@ -509,7 +514,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--shift", type=float, default=1.0)
     sp.add_argument("--bump-center", type=float, default=0.0)
     sp.add_argument("--bump-radius", type=float, default=2.0)
-    sp.add_argument("--bump-order", type=int, default=4)
     sp.add_argument("--spacing-divisor", type=float, default=8.0)
     common(sp)
 
@@ -523,19 +527,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _filled_parameters(command: str) -> set[str]:
-    """The parameters the parser fills on every command line of a command.
+@cache
+def _parameter_names(command: str) -> tuple[frozenset[str], frozenset[str]]:
+    """(filled, known): the parameters the parser fills on every command line
+    of a command, and all it can set.
 
-    These are the required options and those with a default, so a config
-    that lacks one was not written by the parser and is a usage error.
+    Known are the command's options apart from --out and --format, --strict
+    included.  Filled are the required options and those with a default,
+    --strict apart.  A config that lacks a filled one or holds one that is
+    not known was not written by the parser and is a usage error.
     """
     sub = _build_parser()._subparsers._group_actions[0].choices[command]
-    return {
-        action.dest
-        for action in sub._actions
-        if action.dest not in ("help", *_OUTPUT_OPTIONS)
-        and (action.required or action.default is not None)
-    }
+    actions = [a for a in sub._actions if a.dest not in ("help", "out", "format")]
+    filled = frozenset(
+        a.dest
+        for a in actions
+        if a.dest != "strict" and (a.required or a.default is not None)
+    )
+    return filled, frozenset(a.dest for a in actions)
 
 
 def config_from_args(argv: Sequence[str]) -> RunConfig:

@@ -182,11 +182,12 @@ def momentum_lattice(grid: Grid1D, h: float) -> np.ndarray:
     return 2.0 * math.pi * h * np.fft.fftfreq(grid.size, d=grid.spacing)
 
 
-def fourier_multiplier_matrix(values: np.ndarray, n: int) -> np.ndarray:
-    """Dense Fourier multiplier on n lattice values: ifft(values)[(i - j) mod n]."""
+def fourier_multiplier_matrix(values: np.ndarray) -> np.ndarray:
+    """Dense Fourier multiplier with one value per lattice momentum, in FFT
+    order, on as many grid values: ifft(values)[(i - j) mod n], n = values.size."""
     values = np.asarray(values)
-    if values.shape != (n,):
-        raise ValueError("need one multiplier value per lattice momentum")
+    if values.ndim != 1:
+        raise ValueError("multiplier values must be one-dimensional")
     return circulant(np.fft.ifft(values))
 
 
@@ -195,7 +196,7 @@ def schrodinger_operator(
 ) -> GridOperator:
     """F(-ih d/dx) as a periodic Fourier multiplier plus the diagonal V."""
     q = momentum_lattice(grid, h)
-    mat = fourier_multiplier_matrix(np.asarray(sym.F(q), dtype=float), grid.size)
+    mat = fourier_multiplier_matrix(np.asarray(sym.F(q), dtype=float))
     mat = mat + np.diag(np.asarray(sym.V(grid.points), dtype=float))
     mat = 0.5 * (mat + mat.conj().T)
     return GridOperator(matrix=mat, grid=grid, h=h)
@@ -222,15 +223,6 @@ def new_kernel_G(p: CoherentParams, pt: PhasePoint, x, y):
         - diff**2 / (4.0 * p.h**2 * p.a)
     )
     return val if (np.ndim(x) or np.ndim(y)) else complex(val)
-
-
-def _gaussian_factor(p: CoherentParams, grid: Grid1D) -> np.ndarray:
-    """T = (pi h)^{-1/2} dx exp(-(x_i - x_j)^2/(4 h^2 a)), the Toeplitz factor
-    of A_u = T[i-j] M_u[i+j] (module docstring)."""
-    dx, n = grid.spacing, grid.size
-    return (math.pi * p.h) ** (-0.5) * dx * toeplitz(
-        np.exp(-((dx * np.arange(n)) ** 2) / (4.0 * p.h**2 * p.a))
-    )
 
 
 def _factor_rank(p: CoherentParams) -> int:
@@ -279,17 +271,21 @@ def _hermite_factor(p: CoherentParams, grid: Grid1D, us: np.ndarray) -> np.ndarr
     return g
 
 
-def _u_integrated_square(p: CoherentParams, t: np.ndarray, grid: Grid1D) -> np.ndarray:
+def _u_integrated_square(p: CoherentParams, grid: Grid1D) -> np.ndarray:
     """int A_u A_u du over the whole u line, in closed form.
 
-    A_u[i, j] = T[i-j] M_u[i+j], T from _gaussian_factor.  With
-    m1 = (x+y)/2 and m2 = (y+z)/2 the exponents of the M_u factors combine as
-    -a(m1-u)^2 - a(m2-u)^2 = -2a(u - (m1+m2)/2)^2 - a(x-z)^2/8, and the
-    Gaussian integrates to sqrt(pi/(2a)) whatever its centre, so
+    A_u[i, j] = T[i-j] M_u[i+j] with the Toeplitz factor
+    T = (pi h)^{-1/2} dx exp(-(x_i - x_j)^2/(4 h^2 a)) (module docstring).
+    With m1 = (x+y)/2 and m2 = (y+z)/2 the exponents of the M_u factors
+    combine as -a(m1-u)^2 - a(m2-u)^2 = -2a(u - (m1+m2)/2)^2 - a(x-z)^2/8,
+    and the Gaussian integrates to sqrt(pi/(2a)) whatever its centre, so
 
         int A_u A_u du = sqrt(pi/(2a)) exp(-a(x-z)^2/8) (T T)[x, z].
     """
     dx, n = grid.spacing, grid.size
+    t = (math.pi * p.h) ** (-0.5) * dx * toeplitz(
+        np.exp(-((dx * np.arange(n)) ** 2) / (4.0 * p.h**2 * p.a))
+    )
     return math.sqrt(math.pi / (2.0 * p.a)) * toeplitz(
         np.exp(-p.a * (dx * np.arange(n)) ** 2 / 8.0)
     ) * (t @ t)
@@ -385,7 +381,7 @@ def resolution_of_identity_check(
     s_vec = _dirichlet_kernel(qs.size, dq, diffs, p.h) * dq / (2.0 * math.pi * p.h)
     s_mat = toeplitz(s_vec[grid.size - 1 :], s_vec[grid.size - 1 :: -1])
 
-    out = (_u_integrated_square(p, _gaussian_factor(p, grid), grid) * s_mat) @ psi
+    out = (_u_integrated_square(p, grid) * s_mat) @ psi
     return float(np.linalg.norm(out - psi) / norm)
 
 
@@ -488,14 +484,14 @@ def representation_error_norm(
 
     qs = momentum_lattice(grid, p.h)
     # circulant kernels of the conjugate-lattice q sums
-    s_f = fourier_multiplier_matrix(_symbol_half(sym.F, sym.d2F, qs, p.b), n) / dx
-    s_df = fourier_multiplier_matrix(np.asarray(sym.dF(qs), dtype=float), n) / dx
+    s_f = fourier_multiplier_matrix(_symbol_half(sym.F, sym.d2F, qs, p.b)) / dx
+    s_df = fourier_multiplier_matrix(np.asarray(sym.dF(qs), dtype=float)) / dx
 
     du = _u_step(p)
     us = _representation_u_nodes(p, grid)
 
     # P = i S_P + (q_N/n) s s^T, the Nyquist term on even grids only
-    s_p = fourier_multiplier_matrix(qs, n).imag
+    s_p = fourier_multiplier_matrix(qs).imag
     sign = (-1.0) ** np.arange(n)
 
     v_half = _symbol_half(sym.V, sym.d2V, us, p.b)
@@ -525,7 +521,7 @@ def representation_error_norm(
         apa += qs[n // 2] / n * (a_s.T @ a_s)
     assembled = (
         np.diag(du / dx * t1_diag)
-        + _u_integrated_square(p, _gaussian_factor(p, grid), grid) * s_f
+        + _u_integrated_square(p, grid) * s_f
         + du * apa * s_df
     )
 

@@ -18,6 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from functools import cache
+from typing import ClassVar
 
 import numpy as np
 
@@ -113,10 +114,10 @@ class GridOperator:
     def trace(self) -> float:
         return float(np.real(np.trace(self.matrix)))
 
-    def validate_density(self, tol: float = 1e-6) -> None:
-        """Raise ValueError unless the spectrum lies in [0, 1] up to tol."""
+    def validate_density(self) -> None:
+        """Raise ValueError unless the spectrum lies in [0, 1] up to 1e-6."""
         w = self.eigenvalues()
-        if w[0] < -tol or w[-1] > 1.0 + tol:
+        if w[0] < -1e-6 or w[-1] > 1.0 + 1e-6:
             raise ValueError(f"spectrum [{w[0]:.3g}, {w[-1]:.3g}] escapes [0, 1]")
 
 
@@ -251,25 +252,21 @@ def _step(s: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Bump:
-    """C-infinity cutoff: identically 1 on an inner plateau, 0 outside its ball.
+    """C-infinity cutoff of t = |x - center| / radius: identically 1 for
+    t <= plateau = 1/2, 0 for t >= 1.
 
-    The profile depends only on t = |x - center| / radius, so all derivative
+    The center and the radius are its only parameters, so all derivative
     sup norms obey the dilation rule sup |radius^k d^k phi| = const(k).
     """
 
     center: float
     radius: float
-    order: int
-    plateau: float = 0.5  # fraction of the radius where the bump is exactly 1
+    plateau: ClassVar[float] = 0.5
 
     def __post_init__(self):
         if not math.isfinite(self.center):
             raise ValueError(f"bump center must be finite, got {self.center!r}")
         require_positive(self.radius, "bump radius")
-        if not 0 < self.plateau < 1:
-            raise ValueError("plateau fraction must lie in (0, 1)")
-        if self.order < 1:
-            raise ValueError("order must be >= 1")
 
     def __call__(self, x):
         t = np.abs(np.asarray(x, dtype=float) - self.center) / self.radius
@@ -372,7 +369,6 @@ def fit_power_series(h_values, y_values, exponents) -> FitResult:
     )
 
 
-def richardson(coarse: float, fine: float, order: int = 2) -> float:
-    """Eliminate the leading O(delta^order) error from a halved-step pair."""
-    w = 2.0**order
-    return (w * fine - coarse) / (w - 1.0)
+def richardson(coarse: float, fine: float) -> float:
+    """Eliminate the leading O(delta^2) error from a halved-step pair."""
+    return (4.0 * fine - coarse) / 3.0

@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .numerics import FitResult, fit_power_series, require_positive
 from .semiclassics import WeylSpec, weyl_energy
-from .spectra import RadialProblem, TraceResult, neg_sum_radial, sentinel_channel
+from .spectra import RadialProblem, TraceResult, neg_sum_radial
 from .thomas_fermi import atomic_tf, tf_length_scale
 
 __all__ = [
@@ -205,7 +205,6 @@ def scott_experiment_tf(
     h_values: Sequence[float],
     x_max: float = 15.0,
     spacing_scale: float = 1.0,
-    extra_channels: int = 0,
 ) -> ScottExperiment:
     """Extract the Scott coefficient from the atomic TF potential.
 
@@ -222,17 +221,15 @@ def scott_experiment_tf(
     off like x_max^-7, but at the default 15 the truncation still moves the
     coefficient by a few 1e-5, more than halving the step does.  The radial
     grid is mapped, r = t + z t^2/(4h^2), with the t-step min(h/8,
-    h^2/(5z)).  spacing_scale and extra_channels exist for
-    discretization-independence checks; defaults leave that step and the
-    automatic channel list alone.
+    h^2/(5z)), scaled by spacing_scale for discretization-independence
+    checks.  The channels run up to the solved empty sentinel; every channel
+    past it is empty too.
     """
     hs = [float(h) for h in h_values]
     if len(hs) < 2 or any(b >= a for a, b in zip(hs, hs[1:])):
         raise ValueError("h_values must be strictly decreasing, length >= 2")
     if not 0 < spacing_scale <= 1.0:
         raise ValueError("spacing_scale must lie in (0, 1]")
-    if extra_channels < 0:
-        raise ValueError("extra_channels must be nonnegative")
 
     sol = atomic_tf(z)
     r_max = x_max * tf_length_scale(z)
@@ -247,11 +244,6 @@ def scott_experiment_tf(
         step = spacing_scale * min(h / 8.0, 2.0 * h * h / (10.0 * z))
         stretch = z / (4.0 * h * h)
         problem = RadialProblem.build(sol.v_tf, h, r_max, step, stretch=stretch)
-        if extra_channels:
-            ells = tuple(range(sentinel_channel(problem) + 1 + extra_channels))
-            problem = RadialProblem.build(
-                sol.v_tf, h, r_max, step, channels=ells, stretch=stretch
-            )
         quantum = neg_sum_radial(problem)
         results.append(
             TraceResult(

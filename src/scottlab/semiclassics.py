@@ -182,6 +182,15 @@ def weyl_energy(spec: WeylSpec) -> float:
     return val if val != 0.0 else 0.0
 
 
+def _require_radial_bump(bump: Bump) -> None:
+    """ValueError unless the bump is nonzero at some radius r > 0."""
+    if bump.center + bump.radius <= 0:
+        raise ValueError(
+            f"bump center {bump.center!r} + radius {bump.radius!r} <= 0: "
+            "an n = 3 bump must reach some radius r > 0"
+        )
+
+
 def local_trace_experiment(
     potential: Callable,
     bump: Bump,
@@ -195,7 +204,9 @@ def local_trace_experiment(
     Coulomb singularity here), so TraceResult.residual is the pure
     quantum-minus-Weyl defect.  The fit estimates the prefactor of the
     expected h^{-n+6/5} error; stability of residual * h^{n-6/5} across the
-    sweep is the meaningful check, constants being unknown.
+    sweep is the meaningful check, constants being unknown.  For n = 3 the
+    bump lives on radii, and one with center + radius <= 0 vanishes on all
+    of them: ValueError rather than a trace of zeros.
     """
     hs = [float(h) for h in h_values]
     if len(hs) < 2 or any(b >= a for a, b in zip(hs, hs[1:])):
@@ -204,6 +215,8 @@ def local_trace_experiment(
         raise ValueError("spacing_divisor below 8 would violate the h/8 rule")
     if n not in (1, 3):
         raise ValueError("only n = 1 and n = 3 are supported")
+    if n == 3:
+        _require_radial_bump(bump)
 
     span = 1.25 * bump.radius
     results = []

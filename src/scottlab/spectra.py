@@ -97,7 +97,7 @@ class SpectralSum:
         """Richardson value of a refinement pair one halving apart, with a
         warning "<label> moved ..." when the pair differs by more than
         CONVERGENCE_RTOL relatively."""
-        value = richardson(coarse, fine, order=2)
+        value = richardson(coarse, fine)
         warnings = []
         if abs(fine - coarse) > CONVERGENCE_RTOL * max(abs(value), 1e-12):
             warnings.append(
@@ -169,8 +169,7 @@ class RadialProblem:
     The grid is uniform in t on (0, t_max]: its first point sits one step
     from the origin and its last point is the outer Dirichlet boundary.  The
     radius is r(t) = t + stretch t^2, so stretch = 0 makes the grid uniform
-    in r.  channels may list the angular momenta explicitly (the largest
-    acting as the empty sentinel); by default the list is derived from the
+    in r.  The channels solved are 0 .. sentinel_channel, derived from the
     sign of the effective potential.
 
     The step may not exceed h/8.  With stretch > 0 the local step s r'(t)
@@ -184,7 +183,6 @@ class RadialProblem:
     potential: Callable[[np.ndarray], np.ndarray]
     h: float
     grid: Grid1D
-    channels: tuple | None = None
     stretch: float = 0.0
 
     def __post_init__(self):
@@ -213,13 +211,6 @@ class RadialProblem:
                     "exceeds 1/8 of the local wavelength 2 pi h / sqrt(V); "
                     "refine the step or lower the stretch"
                 )
-        if self.channels is not None:
-            ch = tuple(self.channels)
-            if not ch or any(int(l) != l or l < 0 for l in ch):
-                raise ValueError("channels must be nonnegative integers")
-            if sorted(set(ch)) != list(range(max(ch) + 1)):
-                raise ValueError("channels must be 0..ell_max without gaps")
-            object.__setattr__(self, "channels", tuple(sorted(set(ch))))
 
     @classmethod
     def build(
@@ -228,7 +219,6 @@ class RadialProblem:
         h: float,
         r_max: float,
         spacing: float,
-        channels: tuple | None = None,
         stretch: float = 0.0,
     ) -> "RadialProblem":
         """Grid on (0, r_max] in r, with the t-step rounded to divide t_max."""
@@ -236,9 +226,7 @@ class RadialProblem:
         n = max(int(round(t_max / spacing)), 16)
         step = t_max / n
         grid = Grid1D.uniform(step, t_max, n)
-        return cls(
-            potential=potential, h=h, grid=grid, channels=channels, stretch=stretch
-        )
+        return cls(potential=potential, h=h, grid=grid, stretch=stretch)
 
     def radius(self, t):
         """r(t) = t + stretch t^2."""
@@ -523,25 +511,16 @@ def neg_sum_radial(
 ) -> RadialSum:
     """Sum over channels of (2 ell + 1) * (negative half-line eigenvalues).
 
-    The sentinel channel (one past the last binding ell) is solved and must
-    be empty, otherwise ChannelCutoffError; bound states must be negligible
-    at r_max (|E|-weighted mass in the outer 5% of the box below 1e-6),
-    otherwise BoxSizeError.  The result carries that mass fraction and the
+    The channels are 0 .. sentinel_channel(problem, shift); the sentinel
+    (one past the last binding ell) is solved and must be empty, otherwise
+    ChannelCutoffError; bound states must be negligible at r_max
+    (|E|-weighted mass in the outer 5% of the box below 1e-6), otherwise
+    BoxSizeError.  The result carries that mass fraction and the
     sentinel ell, and grid convergence warnings propagate into it as for
     neg_sum_1d.  The (ell, refinement level) solves run on one worker
     thread per usable CPU; the result is bitwise the same for any count.
     """
-    auto = sentinel_channel(problem, shift)
-    if problem.channels is None:
-        ells = list(range(auto + 1))
-    else:
-        ells = list(problem.channels)
-        if max(ells) < auto:
-            raise ChannelCutoffError(
-                f"explicit channel list ends at ell = {max(ells)} but the "
-                f"effective potential still dips below zero before ell = {auto}"
-            )
-    sentinel = ells[-1]
+    sentinel = sentinel_channel(problem, shift)
     h2 = problem.h**2
 
     levels = [_radial_level(problem, level, bump) for level in (0, 1)]
@@ -553,7 +532,7 @@ def neg_sum_radial(
         guarded = level == 1 and ell < sentinel
         return _negative_solve(diag, conjugation, tail if guarded else 0)
 
-    keys = [(ell, level) for ell in ells for level in (0, 1)]
+    keys = [(ell, level) for ell in range(sentinel + 1) for level in (0, 1)]
     solved = dict(zip(keys, _pinned_map(solve, keys), strict=True))
 
     found = max(solved[sentinel, level][0].size for level in (1, 0))
@@ -566,7 +545,7 @@ def neg_sum_radial(
     totals = {0: 0.0, 1: 0.0}
     mass_num = 0.0
     mass_den = 0.0
-    for ell in ells[:-1]:
+    for ell in range(sentinel):
         for level in (0, 1):
             eigs, _ = solved[ell, level]
             totals[level] += (2 * ell + 1) * float(np.sum(eigs))

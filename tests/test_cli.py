@@ -397,7 +397,6 @@ class TestInputBoundary:
             ("scott", {**BASE["scott"], "h_values": (0.1,)}),
             ("scott", {**BASE["scott"], "spacing_scale": 1.5}),
             ("scott", {**BASE["scott"], "spacing_scale": 0.0}),
-            ("scott", {**BASE["scott"], "extra_channels": -1}),
             ("scott", {**BASE["scott"], "x_max": 0.0}),
             ("local-trace", {**BASE["local-trace"], "h_values": (0.4,)}),
             ("local-trace", {**BASE["local-trace"], "spacing_divisor": 4.0}),
@@ -465,12 +464,10 @@ class TestInputBoundary:
             ("scott", BASE["scott"], "h_values", 0.2),
             ("scott", BASE["scott"], "x_max", "15"),
             ("scott", BASE["scott"], "spacing_scale", None),
-            ("scott", BASE["scott"], "extra_channels", "0"),
             ("weyl", BASE["weyl"], "n", "3"),
             ("weyl", BASE["weyl"], "shift", True),
             ("local-trace", BASE["local-trace"], "bump_center", "0"),
             ("local-trace", BASE["local-trace"], "bump_radius", [2.0]),
-            ("local-trace", BASE["local-trace"], "bump_order", "4"),
             ("local-trace", BASE["local-trace"], "spacing_divisor", "8"),
             ("coherent-check", BASE["coherent-check"], "half_width", "4"),
         ],
@@ -519,6 +516,41 @@ class TestInputBoundary:
         path.write_text(CONFIG_PREFIX + json.dumps(doc) + "\n")
         with pytest.raises(UsageError, match="lacks n"):
             read_config(str(path))
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["hydrogen", "--z", "1", "--h", "0.1"], "bogus"),
+            (["scott", "--z", "1", "--h", "0.2,0.1"], "x_mx"),
+            (["scott", "--z", "1", "--h", "0.2,0.1"], "extra_channels"),
+            (["local-trace", "--h", "0.4,0.3"], "bump_order"),
+        ],
+    )
+    def test_replayed_header_with_an_unknown_parameter(self, tmp_path, argv, key):
+        # a typo, or a parameter the command no longer takes, used to be
+        # accepted and silently ignored by the pipeline
+        path = tmp_path / "o.csv"
+        doc = json.loads(config_from_args(argv).to_header_line()[len(CONFIG_PREFIX):])
+        doc["parameters"][key] = 3
+        path.write_text(CONFIG_PREFIX + json.dumps(doc) + "\n")
+        with pytest.raises(UsageError, match=f"^{argv[0]} takes no parameter {key}$"):
+            read_config(str(path))
+        assert [p.name for p in tmp_path.iterdir()] == ["o.csv"]
+
+    @pytest.mark.parametrize(
+        "options",
+        [["--bump-center", "-5"], ["--bump-center", "-2.4", "--potential", "coulomb"]],
+    )
+    def test_radial_bump_off_the_half_line_exits_two_without_a_file(
+        self, tmp_path, options
+    ):
+        # these used to exit 1 with "need hi > lo", or 0 with rows of zeros
+        argv = ["local-trace", "--n", "3", "--h", "0.4,0.3", *options]
+        status, out, err = run_captured(argv + ["--out", str(tmp_path / "o.csv")])
+        assert status == 2
+        assert out == ""
+        assert "must reach some radius r > 0" in err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "argv, admissible",
@@ -596,11 +628,11 @@ ROUND_TRIPS = [
      {"n", "potential", "z", "shift", "h"}),
     (["tf-atom", "--z", "8", "--format", "json"], {"z"}),
     (["scott", "--z", "1", "--h", "0.12,0.09", "--spacing-scale", "0.5",
-      "--extra-channels", "1", "--strict"],
-     {"z", "h_values", "x_max", "spacing_scale", "extra_channels"}),
-    (["local-trace", "--h", "0.4,0.3", "--bump-order", "6", "--out", "lt.csv"],
+      "--strict"],
+     {"z", "h_values", "x_max", "spacing_scale"}),
+    (["local-trace", "--h", "0.4,0.3", "--bump-radius", "1.5", "--out", "lt.csv"],
      {"h_values", "n", "potential", "z", "shift", "bump_center", "bump_radius",
-      "bump_order", "spacing_divisor"}),
+      "spacing_divisor"}),
     (["coherent-check", "--h", "0.4,0.25", "--a-rule", "h^-0.7"],
      {"h_values", "a_rule", "half_width"}),
 ]

@@ -34,7 +34,6 @@ from scottlab.coherent import (
     _T_NODES,
     _dirichlet_kernel,
     _factor_rank,
-    _gaussian_factor,
     _hermite_factor,
     _node_columns,
     _phase_rule,
@@ -270,7 +269,7 @@ class TestGridOperators:
             grid = Grid1D.uniform(-3.0, 3.0, n)
             q = momentum_lattice(grid, h)
             for values in (q.astype(complex), q**2):
-                mat = fourier_multiplier_matrix(values, grid.size)
+                mat = fourier_multiplier_matrix(values)
                 wave = np.exp(1j * (q[5] / h) * grid.points)
                 np.testing.assert_allclose(mat @ wave, values[5] * wave, atol=1e-10)
                 # the same multiplier as the FFT of the identity
@@ -853,13 +852,12 @@ class TestAgainstPerNodeLoops:
     def test_u_integrated_square(self, n):
         # off-centre grid, so the u-integrand centres are not symmetric about 0
         grid = Grid1D.uniform(-3.0, 5.0, n)
-        t = _gaussian_factor(self.p, grid)
         us, du = trapezoid_u_nodes(self.p, grid)
         ref = np.zeros((n, n))
         for u in us:
             a_mat = kernel_factor(self.p, grid.points, grid.spacing, float(u))
             ref += du * (a_mat @ a_mat)
-        exact = _u_integrated_square(self.p, t, grid)
+        exact = _u_integrated_square(self.p, grid)
         assert np.max(np.abs(exact - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("n", [121, 122])

@@ -46,7 +46,7 @@ class TestGrid:
 
 class TestBump:
     def test_plateau_and_support(self):
-        b = Bump(center=0.0, radius=2.0, order=4)
+        b = Bump(center=0.0, radius=2.0)
         assert b(0.0) == 1.0
         assert b(0.9) == 1.0  # inside the half-radius plateau
         assert b(2.0) == 0.0
@@ -57,7 +57,7 @@ class TestBump:
     def test_derivative_matches_finite_difference(self):
         # closed-form slope of step(s) = f(s)/(f(s)+f(1-s)), f(s) = e^{-1/s},
         # composed with s = (1 - |x-c|/R)/(1 - plateau)
-        b = Bump(center=0.3, radius=1.7, order=4)
+        b = Bump(center=0.3, radius=1.7)
         xs = np.linspace(-1.2, 1.9, 401)
         s = (1.0 - np.abs(xs - b.center) / b.radius) / (1.0 - b.plateau)
         inside = (s > 0.0) & (s < 1.0)
@@ -76,7 +76,7 @@ class TestBump:
     def test_smooth_at_plateau_edge(self):
         # exponential profile: flat to all orders at both seams, so the
         # one-sided slopes agree across the plateau edge
-        b = Bump(center=0.0, radius=2.0, order=4)
+        b = Bump(center=0.0, radius=2.0)
         seam, eps = 1.0, 1e-3
         left = (b(seam) - b(seam - eps)) / eps
         right = (b(seam + eps) - b(seam)) / eps
@@ -84,13 +84,13 @@ class TestBump:
 
     @given(st.floats(-10, 10))
     def test_range_bounded(self, x):
-        b = Bump(center=0.0, radius=3.0, order=4)
+        b = Bump(center=0.0, radius=3.0)
         assert 0.0 <= b(x) <= 1.0
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_a_non_finite_center(self, bad):
         with pytest.raises(ValueError, match="bump center must be finite"):
-            Bump(center=bad, radius=2.0, order=4)
+            Bump(center=bad, radius=2.0)
 
 
 class TestPartition:
@@ -154,7 +154,7 @@ class TestRichardson:
         exact = 2.0
         coarse = exact + 0.04
         fine = exact + 0.01  # error ratio 4 at order 2
-        assert richardson(coarse, fine, order=2) == pytest.approx(exact)
+        assert richardson(coarse, fine) == pytest.approx(exact)
 
 
 class TestPinnedMap:
@@ -216,7 +216,7 @@ class TestPositivity:
         "scott_term": lambda v: scott_term([1.0], v),
         "tf_length_scale": tf_length_scale,
         "atomic_tf": atomic_tf,
-        "make_bump": lambda v: Bump(center=0.0, radius=v, order=4),
+        "make_bump": lambda v: Bump(center=0.0, radius=v),
         "PartitionPair": lambda v: PartitionPair(R=v),
         "tf_scaling_transform": lambda v: tf_scaling_transform(atomic_tf(1.0), v),
         "trial_density_matrix": lambda v: trial_density_matrix(

@@ -187,6 +187,4 @@ class TestScottExperiment:
             scott_experiment_tf(1.0, (0.05, 0.12))
         with pytest.raises(ValueError, match="spacing_scale"):
             scott_experiment_tf(1.0, (0.12, 0.09), spacing_scale=1.5)
-        with pytest.raises(ValueError, match="extra_channels"):
-            scott_experiment_tf(1.0, (0.12, 0.09), extra_channels=-1)
 

@@ -105,7 +105,7 @@ class TestWeylEnergy:
 
     def test_bump_weight_matches_quadrature(self):
         # constant well: the integral reduces to the bump's squared mass
-        bump = Bump(center=0.0, radius=2.0, order=4)
+        bump = Bump(center=0.0, radius=2.0)
         spec = WeylSpec(n=1, potential=lambda x: -np.ones_like(x), bump=bump, h=1.0)
         x = np.linspace(-2.0, 2.0, 200001)
         mass = float(np.trapezoid(bump(x) ** 2, x))
@@ -141,7 +141,7 @@ class TestLocalTrace:
         # the level sum oscillates around it as h moves (and matches it
         # exactly whenever 1/(2h) is an integer), so only convergence and
         # bookkeeping are asserted, not a residual rate
-        bump = Bump(center=0.0, radius=3.0, order=4)
+        bump = Bump(center=0.0, radius=3.0)
         rows, fit = local_trace_experiment(
             lambda x: x * x - 1.0, bump, (0.4, 0.2, 0.1), n=1
         )
@@ -154,7 +154,7 @@ class TestLocalTrace:
         assert math.isfinite(fit.coefficient(6.0 / 5.0 - 1.0))
 
     def test_rejects_bad_arguments(self):
-        bump = Bump(center=0.0, radius=3.0, order=4)
+        bump = Bump(center=0.0, radius=3.0)
         v = lambda x: x * x - 1.0
         with pytest.raises(ValueError, match="strictly decreasing"):
             local_trace_experiment(v, bump, (0.1, 0.2), n=1)
@@ -162,3 +162,11 @@ class TestLocalTrace:
             local_trace_experiment(v, bump, (0.2, 0.1), n=1, spacing_divisor=4.0)
         with pytest.raises(ValueError, match="n = 1 and n = 3"):
             local_trace_experiment(v, bump, (0.2, 0.1), n=2)
+
+    @pytest.mark.parametrize("center", [-5.0, -2.4, -2.0])
+    def test_radial_bump_must_reach_a_positive_radius(self, center):
+        # with center + radius <= 0 the bump vanishes at every r > 0, so the
+        # n = 3 trace would be a sum of zeros
+        bump = Bump(center=center, radius=2.0)
+        with pytest.raises(ValueError, match="must reach some radius r > 0"):
+            local_trace_experiment(lambda r: -1.0 / r, bump, (0.4, 0.3), n=3)

@@ -89,12 +89,6 @@ class TestRadialProblem:
         with pytest.raises(ValueError, match="h/8"):
             RadialProblem.build(square_well(1.0), h=0.1, r_max=4.0, spacing=0.05)
 
-    def test_channel_list_must_be_contiguous(self):
-        with pytest.raises(ValueError, match="without gaps"):
-            RadialProblem.build(
-                square_well(1.0), h=0.2, r_max=4.0, spacing=0.025, channels=(0, 2)
-            )
-
     def test_non_finite_potential_named_where_first_sampled(self):
         def potential(r):
             return np.where(r > 1, np.nan, 1 - r * r)
@@ -161,13 +155,6 @@ class TestNegSumRadial:
         )
         res = neg_sum_radial(prob, shift=1.0)
         assert res.total.value == pytest.approx(-7.5, rel=0.01)
-
-    def test_short_channel_list_is_rejected(self):
-        prob = RadialProblem.build(
-            lambda r: 1.0 / r, h=0.2, r_max=25.0, spacing=0.025, channels=(0, 1)
-        )
-        with pytest.raises(ChannelCutoffError, match="explicit channel list"):
-            neg_sum_radial(prob, shift=1.0)
 
     def test_small_box_trips_boundary_guard(self):
         # shallow square well: the bound state leaks far past r = 4
@@ -320,7 +307,7 @@ class TestRadialAgainstScipy:
                 lambda r: np.where(r < 1.0, (1.0 - r * r) ** 2, 0.0),
                 h=0.2, r_max=2.5, spacing=0.025,
             )
-            shift, bump = 0.0, Bump(center=0.0, radius=2.0, order=4)
+            shift, bump = 0.0, Bump(center=0.0, radius=2.0)
         coarse, fine, eigs, mass = scipy_radial_reference(prob, shift, bump)
         res = neg_sum_radial(prob, shift=shift, bump=bump)
         assert (res.total.coarse, res.total.fine) == (coarse, fine)
@@ -360,7 +347,7 @@ class TestTridiagonalBinding:
         r = step * np.arange(1, 400)
         v = np.where(r < 1.0, (1.0 - r * r) ** 2, 0.0)
         off = np.full(r.size - 1, -h * h / step**2)
-        conjugation = spectra._conjugation(r, off, Bump(0.0, 2.0, 4))
+        conjugation = spectra._conjugation(r, off, Bump(0.0, 2.0))
         return 2.0 * h * h / step**2 - v, conjugation
 
     @pytest.mark.parametrize(
@@ -528,13 +515,6 @@ class TestRadialDiagnostics:
         prob = harmonic_problem()
         res = neg_sum_radial(prob)
         assert res.sentinel == sentinel_channel(prob) == len(res.channels)
-        explicit = RadialProblem.build(
-            lambda r: 1.0 - r * r, h=0.1, r_max=8.0, spacing=0.0125,
-            channels=tuple(range(8)),
-        )
-        res = neg_sum_radial(explicit)
-        assert res.sentinel == 7
-        assert len(res.channels) == 7
 
     def test_boundary_mass_below_the_guard_and_growing_as_the_box_shrinks(self):
         masses = []
