@@ -17,7 +17,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .numerics import FitResult, fit_power_series, require_positive
-from .semiclassics import WeylSpec, weyl_energy
+# weyl_energy is unused but kept: bench/tracer.py wraps it by this name
+from .semiclassics import weyl_energy, weyl_prefactor  # noqa: F401
 from .spectra import RadialProblem, TraceResult, neg_sum_radial
 from .thomas_fermi import atomic_tf, tf_length_scale
 
@@ -215,14 +216,16 @@ def scott_experiment_tf(
     next-order drift so the h^-2 coefficient settles.
 
     The TF potential (atomic_tf, whose universal phi is solved once per
-    process) and the Weyl position integral are computed once per sweep: they
-    do not depend on h, and the Weyl term is h^-3 times that integral.  The
-    box ends at x_max TF lengths; the phase-space volume beyond it falls
-    off like x_max^-7, but at the default 15 the truncation still moves the
-    coefficient by a few 1e-5, more than halving the step does.  The radial
-    grid is mapped, r = t + z t^2/(4h^2), with the t-step min(h/8,
-    h^2/(5z)), scaled by spacing_scale for discretization-independence
-    checks.  The channels run up to the solved empty sentinel; every channel
+    process) is built once per sweep, and the Weyl term needs no quadrature:
+    it is h^-3 times -(15 pi^2)^-1 int V^(5/2) d^3x, and by the TF virial
+    identity (TFSolution.v52_integral) that integral is
+    4 pi l_1^(1/2) (-5s/7) z^(7/3), with s = phi'(0) and l_1 the TF length
+    at z = 1.  The box ends at x_max TF lengths; the phase-space volume
+    beyond it falls off like x_max^-7, but at the default 15 the truncation
+    still moves the coefficient by a few 1e-5, more than halving the step
+    does.  The radial grid is mapped, r = t + z t^2/(4h^2), with the t-step
+    min(h/8, h^2/(5z)), scaled by spacing_scale for
+    discretization-independence checks.  The channels run up to the solved empty sentinel; every channel
     past it is empty too.
     """
     hs = [float(h) for h in h_values]
@@ -233,7 +236,7 @@ def scott_experiment_tf(
 
     sol = atomic_tf(z)
     r_max = x_max * tf_length_scale(z)
-    weyl_h3 = weyl_energy(WeylSpec(n=3, potential=lambda r: -sol.v_tf(r), h=1.0))
+    weyl_h3 = weyl_prefactor(3) * sol.v52_integral()
 
     results, per_h = [], []
     for h in hs:

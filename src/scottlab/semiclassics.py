@@ -28,6 +28,7 @@ __all__ = [
     "local_trace_experiment",
     "unit_ball_volume",
     "weyl_energy",
+    "weyl_prefactor",
 ]
 
 
@@ -169,16 +170,22 @@ def _position_integral(spec: WeylSpec) -> float:
     return total
 
 
+def weyl_prefactor(n: int, h: float = 1.0) -> float:
+    """-(2 omega_n / (n + 2)) (2 pi h)^{-n}: the momentum integral's constant.
+
+    (2 pi h)^{-n} int (q^2 + V)_- dq is this times |V_-|^{n/2+1}; for
+    n = 3 it is -(15 pi^2 h^3)^{-1}.
+    """
+    require_positive(h, "h")
+    return -(2.0 * unit_ball_volume(n) / (n + 2.0)) * (2.0 * math.pi * h) ** (-n)
+
+
 def weyl_energy(spec: WeylSpec) -> float:
     """(2 pi h)^{-n} int bump^2 (q^2 + V)_- du dq, momentum part closed form.
 
     For n = 3 this is -(15 pi^2 h^3)^{-1} int bump^2 |V_-|^{5/2} du.
     """
-    omega = unit_ball_volume(spec.n)
-    prefactor = -(2.0 * omega / (spec.n + 2.0)) * (2.0 * math.pi * spec.h) ** (
-        -spec.n
-    )
-    val = prefactor * _position_integral(spec)
+    val = weyl_prefactor(spec.n, spec.h) * _position_integral(spec)
     return val if val != 0.0 else 0.0
 
 

@@ -13,7 +13,15 @@ Physical scale: V(r) = (z/r) phi(r/l) satisfies both the TF equation and
 the radial Poisson relation exactly when z l^3 = 9 pi^2 / 128, giving
 l = (9 pi^2/128)^(1/3) z^(-1/3).  With that calibration the attraction
 integral equals z^2 |phi'(0)| / l and the neutral-atom energy comes out as
--(3/7) z^2 |phi'(0)| / l, both used as cross-checks on the quadratures.
+-(3/7) z^2 |phi'(0)| / l, a cross-check on the D(rho) quadrature.
+
+Virial identities: both energy integrals of phi are closed forms in s,
+int phi^(3/2) x^(-1/2) dx = -s (the equation integrated once) and
+int phi^(5/2) x^(-1/2) dx = -5s/7 (derived in TFSolution.v52_integral).
+They are the kinetic : attraction : repulsion = 3 : 7 : 1 virial relation
+of Lieb and Simon, Adv. Math. 23 (1977).  atomic_tf takes its kinetic and
+attraction energies from them, and TFSolution.v52_integral gives the Weyl
+position integral int V^(5/2) d^3x with no quadrature.
 """
 
 from __future__ import annotations
@@ -76,6 +84,10 @@ def tf_length_scale(z: float) -> float:
     """l with z l^3 = 9 pi^2/128, the radius unit of the atomic TF problem."""
     require_positive(z, "z")
     return (9.0 * np.pi**2 / 128.0) ** (1.0 / 3.0) * z ** (-1.0 / 3.0)
+
+
+# l at z = 1; every other charge's l is l_1 z^(-1/3)
+_ELL_1 = tf_length_scale(1.0)
 
 
 def _sommerfeld_coeffs(kmax: int) -> np.ndarray:
@@ -299,6 +311,23 @@ class TFSolution:
         total += 576.0 * f_end**1.5 * xe**-3  # algebraic tail
         return self.z * total
 
+    def v52_integral(self) -> float:
+        """int V^(5/2) d^3x in closed form, with no quadrature.
+
+        With r = l x, int V^(5/2) d^3x = 4 pi z^(5/2) l^(1/2) J, where
+        J = int phi^(5/2) x^(-1/2) dx.  Multiply phi'' = phi^(3/2) x^(-1/2)
+        by x phi' and integrate by parts on both sides:
+        -(1/2) int phi'^2 = -(1/5) J.  Multiply it by phi instead:
+        J = int phi phi'' = -phi(0) phi'(0) - int phi'^2 = -s - (2/5) J.
+        So J = -5s/7; every boundary term vanishes, as phi(0) = 1 and
+        phi ~ 144 x^-3 at infinity.  Since z l^3 = l_1^3, the value is
+        z^(7/3) times its z = 1 value 4 pi l_1^(1/2) J, formed in that order
+        as atomic_tf's energies are, so no intermediate leaves the normal
+        floats anywhere in Z_RANGE.
+        """
+        j52 = -5.0 * self.universal.initial_slope / 7.0
+        return self.z ** (7.0 / 3.0) * (4.0 * np.pi * np.sqrt(_ELL_1) * j52)
+
     def tf_equation_residual(self) -> float:
         """max |V - TF_EQ_CONST rho^(2/3)| / V over the table."""
         recon = TF_EQ_CONST * self.rho_tf_table ** (2.0 / 3.0)
@@ -347,25 +376,21 @@ def atomic_tf(z: float) -> TFSolution:
     v = (z / r) * uni.phi(r / ell)
     rho = DENSITY_CONST * v**1.5
 
-    # energy integrals in universal coordinates; the x^(-1/2) heads carry
-    # the only quadrature mass a log grid misses
-    x = uni.x
-    x0 = x[0]
+    # energy integrals in universal coordinates, exact by the virial
+    # identities of the module docstring; D(rho) stays a quadrature, so
+    # E_TF = (3/7) s z^2 / l and D = -E_TF / 3 remain checks on it
     s = uni.initial_slope
-    j32 = float(np.trapezoid(uni.phi_table**1.5 / np.sqrt(x), x))
-    j32 += 2.0 * np.sqrt(x0) + s * x0**1.5
-    j52 = float(np.trapezoid(uni.phi_table**2.5 / np.sqrt(x), x))
-    j52 += 2.0 * np.sqrt(x0) + (5.0 / 3.0) * s * x0**1.5
+    j32 = -s
+    j52 = -5.0 * s / 7.0
 
     # each energy is its z = 1 value times z^(7/3): with r = l x and
     # z l^3 = l_1^3, D(rho) = z^(7/3) l_1^2 D(DENSITY_CONST (phi/x)^(3/2))
     # in x, so no z^3 or subnormal integrand is ever formed
-    ell_1 = tf_length_scale(1.0)
-    scale = 4.0 * np.pi * np.sqrt(ell_1)
+    scale = 4.0 * np.pi * np.sqrt(_ELL_1)
     kinetic = TF_KINETIC_CONST * DENSITY_CONST ** (5.0 / 3.0) * scale * j52
     attraction = DENSITY_CONST * scale * j32
     x_d = np.geomspace(1e-8, _BVP_XEND, 6000)
-    d_1 = ell_1**2 * coulomb_energy_D(x_d, DENSITY_CONST * (uni.phi(x_d) / x_d) ** 1.5)
+    d_1 = _ELL_1**2 * coulomb_energy_D(x_d, DENSITY_CONST * (uni.phi(x_d) / x_d) ** 1.5)
     energy_scale = z ** (7.0 / 3.0)
 
     sol = TFSolution(

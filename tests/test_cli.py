@@ -341,6 +341,46 @@ BASE = {
 }
 
 
+def case_id(command, key, value):
+    """A parametrized case's own id, so removing one case renames no other."""
+    return f"{command}-{key}={value!r}"
+
+
+# (command, key, value): BASE[command] with key set to a value out of range
+RANGE_CASES = [
+    ("scott", "h_values", (0.1,)),
+    ("scott", "spacing_scale", 1.5),
+    ("scott", "spacing_scale", 0.0),
+    ("scott", "x_max", 0.0),
+    ("local-trace", "h_values", (0.4,)),
+    ("local-trace", "spacing_divisor", 4.0),
+    ("local-trace", "bump_radius", -2.0),
+    ("hydrogen", "k", 0),
+    ("coherent-check", "a_rule", "3"),
+    ("coherent-check", "half_width", 0.0),
+    ("weyl", "shift", math.inf),
+    ("weyl", "n", 2),
+    ("coherent-check", "a_rule", 0.5),
+]
+
+# (command, valid parameters, key, value of the wrong type for key)
+NON_NUMBER_CASES = [
+    ("tf-atom", BASE["tf-atom"], "z", "8"),
+    ("hydrogen", BASE["hydrogen"], "h", "0.1"),
+    ("hydrogen", {**BASE["hydrogen"], "k": 5}, "k", "5"),
+    ("scott", BASE["scott"], "h_values", ("0.2", "0.1")),
+    ("scott", BASE["scott"], "h_values", 0.2),
+    ("scott", BASE["scott"], "x_max", "15"),
+    ("scott", BASE["scott"], "spacing_scale", None),
+    ("weyl", BASE["weyl"], "n", "3"),
+    ("weyl", BASE["weyl"], "shift", True),
+    ("local-trace", BASE["local-trace"], "bump_center", "0"),
+    ("local-trace", BASE["local-trace"], "bump_radius", [2.0]),
+    ("local-trace", BASE["local-trace"], "spacing_divisor", "8"),
+    ("coherent-check", BASE["coherent-check"], "half_width", "4"),
+]
+
+
 def run_captured(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -392,26 +432,11 @@ class TestInputBoundary:
                 RunConfig(command="coherent-check", parameters=params)
 
     @pytest.mark.parametrize(
-        "command, parameters",
-        [
-            ("scott", {**BASE["scott"], "h_values": (0.1,)}),
-            ("scott", {**BASE["scott"], "spacing_scale": 1.5}),
-            ("scott", {**BASE["scott"], "spacing_scale": 0.0}),
-            ("scott", {**BASE["scott"], "x_max": 0.0}),
-            ("local-trace", {**BASE["local-trace"], "h_values": (0.4,)}),
-            ("local-trace", {**BASE["local-trace"], "spacing_divisor": 4.0}),
-            ("local-trace", {**BASE["local-trace"], "bump_radius": -2.0}),
-            ("hydrogen", {**BASE["hydrogen"], "k": 0}),
-            ("coherent-check", {**BASE["coherent-check"], "a_rule": "3"}),
-            ("coherent-check", {**BASE["coherent-check"], "half_width": 0.0}),
-            ("weyl", {**BASE["weyl"], "shift": math.inf}),
-            ("weyl", {**BASE["weyl"], "n": 2}),
-            ("coherent-check", {**BASE["coherent-check"], "a_rule": 0.5}),
-        ],
+        "command, key, value", RANGE_CASES, ids=[case_id(*c) for c in RANGE_CASES]
     )
-    def test_range_rules(self, command, parameters):
+    def test_range_rules(self, command, key, value):
         with pytest.raises(UsageError):
-            RunConfig(command=command, parameters=parameters)
+            RunConfig(command=command, parameters={**BASE[command], key: value})
 
     @pytest.mark.parametrize(
         "argv",
@@ -456,21 +481,8 @@ class TestInputBoundary:
 
     @pytest.mark.parametrize(
         "command, parameters, key, bad",
-        [
-            ("tf-atom", BASE["tf-atom"], "z", "8"),
-            ("hydrogen", BASE["hydrogen"], "h", "0.1"),
-            ("hydrogen", {**BASE["hydrogen"], "k": 5}, "k", "5"),
-            ("scott", BASE["scott"], "h_values", ("0.2", "0.1")),
-            ("scott", BASE["scott"], "h_values", 0.2),
-            ("scott", BASE["scott"], "x_max", "15"),
-            ("scott", BASE["scott"], "spacing_scale", None),
-            ("weyl", BASE["weyl"], "n", "3"),
-            ("weyl", BASE["weyl"], "shift", True),
-            ("local-trace", BASE["local-trace"], "bump_center", "0"),
-            ("local-trace", BASE["local-trace"], "bump_radius", [2.0]),
-            ("local-trace", BASE["local-trace"], "spacing_divisor", "8"),
-            ("coherent-check", BASE["coherent-check"], "half_width", "4"),
-        ],
+        NON_NUMBER_CASES,
+        ids=[case_id(command, key, bad) for command, _, key, bad in NON_NUMBER_CASES],
     )
     def test_non_numbers_rejected(self, command, parameters, key, bad):
         RunConfig(command=command, parameters=parameters)

@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
+from scottlab import scott, semiclassics
 from scottlab.numerics import fit_power_series
 from scottlab.scott import (
     HYDROGEN_LEVEL_LIMIT,
@@ -146,6 +148,27 @@ class TestScottExperiment:
     def test_weyl_term_is_one_integral_over_h_cubed(self, scott_z1):
         scaled = [row.weyl_sum * row.h**3 for row in scott_z1.results]
         assert scaled == pytest.approx([scaled[0]] * len(scaled), rel=1e-15)
+
+    def test_weyl_term_needs_no_quadrature(self, monkeypatch, atom_z1):
+        calls = {"weyl_energy": 0, "quad": 0}
+
+        def counted(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        weyl = counted("weyl_energy", semiclassics.weyl_energy)
+        monkeypatch.setattr(scott, "weyl_energy", weyl)
+        monkeypatch.setattr(semiclassics, "weyl_energy", weyl)
+        monkeypatch.setattr(integrate, "quad", counted("quad", integrate.quad))
+        scott_experiment_tf(1.0, (0.3, 0.2))
+        assert calls == {"weyl_energy": 0, "quad": 0}
+        # the counters see the quadrature path the sweep no longer takes
+        spec = semiclassics.WeylSpec(n=3, potential=lambda r: -atom_z1.v_tf(r))
+        semiclassics.weyl_energy(spec)
+        assert calls["weyl_energy"] == 1 and calls["quad"] > 0
 
     def test_per_h_diagnostics_of_the_acceptance_sweep(self, scott_z1):
         rows = scott_z1.per_h

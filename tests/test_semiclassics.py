@@ -14,6 +14,7 @@ from scottlab.semiclassics import (
     local_trace_experiment,
     unit_ball_volume,
     weyl_energy,
+    weyl_prefactor,
 )
 
 
@@ -26,6 +27,10 @@ class TestBallVolume:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             unit_ball_volume(0)
+
+    def test_weyl_prefactor(self):
+        assert weyl_prefactor(3) == pytest.approx(-1.0 / (15.0 * math.pi**2), rel=1e-15)
+        assert weyl_prefactor(1, h=0.5) == pytest.approx(-4.0 / (3.0 * math.pi), rel=1e-15)
 
 
 def looped_negative_segments(potential, probes):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scottlab import cli, thomas_fermi
-from scottlab.semiclassics import WeylSpec, weyl_energy
+from scottlab.semiclassics import WeylSpec, weyl_energy, weyl_prefactor
 from scottlab.thomas_fermi import (
     Z_RANGE,
     atomic_tf,
@@ -120,6 +120,21 @@ class TestAtom:
         )
         assert 2.0 * w == pytest.approx(atom_z1.E_TF + atom_z1.D_rho, rel=1e-3)
 
+    @pytest.mark.parametrize("z", [1.0, 8.0, 1e-3])
+    def test_v52_integral_matches_the_weyl_quadrature(self, z):
+        # the closed form against weyl_energy's adaptive quadrature of the
+        # same potential, which knows nothing of the virial identity
+        sol = atomic_tf(z)
+        oracle = weyl_energy(WeylSpec(n=3, potential=lambda r: -sol.v_tf(r), h=1.0))
+        assert weyl_prefactor(3) * sol.v52_integral() == pytest.approx(oracle, rel=1e-12)
+
+    def test_kinetic_and_attraction_are_exact(self, atom_z1):
+        # kinetic : attraction = 3 : 7 with the attraction z^2 |s| / l, both
+        # from the virial identities; only D(rho) is a quadrature
+        kinetic_minus_attraction = atom_z1.E_TF - atom_z1.D_rho
+        expect = (4.0 / 7.0) * atom_z1.universal.initial_slope / atom_z1.ell
+        assert kinetic_minus_attraction == pytest.approx(expect, rel=1e-13)
+
     def test_rejects_nonpositive_charge(self):
         with pytest.raises(ValueError):
             atomic_tf(0.0)
@@ -157,6 +172,9 @@ class TestChargeRange:
         sol = atomic_tf(z)
         assert sol.D_rho * z ** (-7.0 / 3.0) == pytest.approx(atom_z1.D_rho, rel=1e-12)
         assert sol.E_TF * z ** (-7.0 / 3.0) == pytest.approx(atom_z1.E_TF, rel=1e-12)
+        assert sol.v52_integral() * z ** (-7.0 / 3.0) == pytest.approx(
+            atom_z1.v52_integral(), rel=1e-12
+        )
 
 
 class TestScalingTransform:
