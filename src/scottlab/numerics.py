@@ -1,7 +1,8 @@
 """Shared numerical utilities: grids, grid operators, cutoffs, fits.
 
 Everything here is deterministic and stateless, except the pinned worker
-pool, which holds numpy's and scipy's OpenBLAS at one thread while it runs.
+pool and pinned calls, which hold numpy's and scipy's OpenBLAS at one thread
+while they run.
 The smooth cutoff functions are built from the classic exponential
 transition exp(-1/s), which gives genuinely C-infinity profiles with
 compact support.
@@ -17,7 +18,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, wraps
 from typing import ClassVar
 
 import numpy as np
@@ -143,6 +144,9 @@ class GridOperator:
 # of the trial density (coherent) and the channel solves of a radial sum
 # (spectra) both go through it.  Each caller folds the results in item
 # order, so its numbers are bitwise the same for any worker count.
+# _pinned runs one call under the same pin, for the dense Newton solve of
+# the universal Thomas-Fermi function (thomas_fermi), so its digits do not
+# depend on the thread count either.
 
 
 def _usable_cpus() -> int:
@@ -205,6 +209,22 @@ def _one_blas_thread():
                 restore.callback(set_n, get_n())
                 set_n(1)
         yield
+
+
+def _pinned(fn):
+    """fn, run with numpy's and scipy's OpenBLAS held at one thread.
+
+    For a dense solve whose result must not depend on the thread count:
+    OpenBLAS splits a factorization differently on more threads, which can
+    move the last bits of its result.
+    """
+
+    @wraps(fn)
+    def pinned(*args, **kwargs):
+        with _one_blas_thread():
+            return fn(*args, **kwargs)
+
+    return pinned
 
 
 def _pinned_map(fn, items):

@@ -2,12 +2,13 @@
 
 Everything reduces to the dimensionless equation phi'' = phi^(3/2)/sqrt(x)
 with phi(0) = 1 and phi decaying at infinity.  Outward integration loses the
-neutral branch past x of order 30, so phi comes from one collocation
-boundary value solve in t = sqrt(x).  Its inner conditions are the small-x
-series phi = 1 + s x + (4/3) x^(3/2) + ..., its outer conditions the
-algebraic decay phi ~ 144 x^-3 (1 + c x^lambda + ...) with the correction
-exponent lambda = (7 - sqrt(73))/2; the initial slope s and the amplitude c
-are the two unknown parameters of the solve.
+neutral branch past x of order 30, so phi comes from one boundary value
+solve on [1e-6, 2500]: Newton's method on a Chebyshev collocation in
+log-log variables (solve_universal_tf).  Its inner conditions are the
+small-x series phi = 1 + s x + (4/3) x^(3/2) + ..., its outer conditions
+the algebraic decay phi ~ 144 x^-3 (1 + c x^lambda + ...) with the
+correction exponent lambda = (7 - sqrt(73))/2; the initial slope s and the
+amplitude c are the two unknown parameters of the solve.
 
 Physical scale: V(r) = (z/r) phi(r/l) satisfies both the TF equation and
 the radial Poisson relation exactly when z l^3 = 9 pi^2 / 128, giving
@@ -30,11 +31,12 @@ from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
-# solve_ivp is unused but kept: bench/tracer.py wraps it by this name
+# solve_bvp and solve_ivp are unused but kept: bench/tracer.py wraps them by
+# these names
 from scipy.integrate import cumulative_trapezoid, solve_bvp, solve_ivp  # noqa: F401
 from scipy.interpolate import CubicSpline
 
-from .numerics import require_positive
+from .numerics import _pinned, require_positive
 
 __all__ = [
     "DENSITY_CONST",
@@ -59,6 +61,9 @@ SOMMERFELD_LAMBDA = (7.0 - np.sqrt(73.0)) / 2.0
 
 _BVP_X0 = 1e-6
 _BVP_XEND = 2500.0  # phi < 1e-8 out here
+# degree N of the Chebyshev collocation in log x (N + 1 = 101 nodes); see
+# solve_universal_tf for why 100
+_CHEB_N = 100
 
 # charges z that atomic_tf and the commands built on it accept.  Every table
 # and scalar is z^e times its value at z = 1 (e = -1/3 for radii, 4/3 for V,
@@ -145,11 +150,95 @@ def _series_phi_dphi(x, s):
     return phi, dphi
 
 
-def _rhs_sqrt(t, y):
-    # t = sqrt(x) regularizes the origin: psi(t) = phi(t^2) is analytic,
-    # and the equation becomes psi'' = psi'/t + 4 t psi^(3/2)
-    psi = np.maximum(y[0], 0.0)
-    return np.vstack((y[1], y[1] / t + 4.0 * t * psi**1.5))
+def _end_conditions(s, c):
+    """(w, v) = (log phi, phi'/phi) at x = _BVP_X0 from the series with slope
+    s, then at x = _BVP_XEND from the Sommerfeld tail with amplitude c."""
+    phi_0, dphi_0 = _series_phi_dphi(_BVP_X0, s)
+    phi_e, dphi_e = _tail_phi_dphi(_BVP_XEND, c)
+    return np.array([np.log(phi_0), dphi_0 / phi_0, np.log(phi_e), dphi_e / phi_e])
+
+
+def _chebyshev_lobatto(a: float, b: float, n: int):
+    """The n + 1 ascending Chebyshev-Lobatto nodes on [a, b], their
+    barycentric weights and the differentiation matrix on them."""
+    j = np.arange(n + 1)
+    nodes = a + 0.5 * (b - a) * (1.0 - np.cos(np.pi * j / n))
+    weights = (-1.0) ** j
+    weights[[0, -1]] *= 0.5
+    gaps = nodes[:, None] - nodes[None, :]
+    np.fill_diagonal(gaps, 1.0)
+    diff = (weights[None, :] / weights[:, None]) / gaps
+    np.fill_diagonal(diff, 0.0)
+    np.fill_diagonal(diff, -diff.sum(axis=1))
+    return nodes, weights, diff
+
+
+# collocation nodes in u = log x, their barycentric weights and d/du on them
+_U_NODES, _U_WEIGHTS, _U_DIFF = _chebyshev_lobatto(
+    np.log(_BVP_X0), np.log(_BVP_XEND), _CHEB_N
+)
+
+
+def _barycentric_matrix(nodes, weights, points) -> np.ndarray:
+    """Matrix taking values at nodes to the interpolant's values at points."""
+    gaps = points[:, None] - nodes[None, :]
+    hit = gaps == 0.0
+    gaps[hit] = 1.0
+    terms = weights / gaps
+    terms /= terms.sum(axis=1, keepdims=True)
+    on_node = hit.any(axis=1)
+    terms[on_node] = hit[on_node]
+    return terms
+
+
+def _chebyshev_newton():
+    """Node values of the log-log TF system by Newton's method.
+
+    Returns (w, v, s, c): w = log phi and v = phi'/phi at the nodes
+    _U_NODES, the initial slope s and the tail amplitude c.  These are the
+    unknowns; the two equations are collocated at every node except the
+    inner end, whose rows hold the series conditions, and two more rows hold
+    the tail conditions.  The Jacobian is analytic except for the boundary
+    rows' columns in s and c, which are central differences.
+    """
+    u, diff = _U_NODES, _U_DIFF
+    x = np.exp(u)
+
+    # Sommerfeld's approximant (1 + y)^(3/lambda), y = (x^3/144)^(-lambda/3),
+    # and its own large-x amplitude seed w, v and c; s starts at -1.5
+    lam = SOMMERFELD_LAMBDA
+    y = (x**3 / 144.0) ** (-lam / 3.0)
+    w, v = (3.0 / lam) * np.log1p(y), -3.0 * y / (x * (1.0 + y))
+    s, c = -1.5, (3.0 / lam) * 144.0 ** (-lam / 3.0)
+    n = u.size
+    diag = np.arange(n)
+    # the boundary rows replace the inner end's two collocation rows and add
+    # two more; each pins one node value: w and v at the inner end, then at
+    # the outer end
+    rows = [0, n, 2 * n, 2 * n + 1]
+    cols = [0, n, n - 1, 2 * n - 1]
+    step = 1e-6
+    for _ in range(20):
+        g = np.exp(0.5 * (w - u))
+        resid = np.concatenate([diff @ w - x * v, diff @ v - x * (g - v * v), [0, 0]])
+        resid[rows] = [w[0], v[0], w[-1], v[-1]] - _end_conditions(s, c)
+        jac = np.zeros((2 * n + 2, 2 * n + 2))
+        jac[:n, :n] = diff
+        jac[diag, n + diag] = -x
+        jac[n + diag, diag] = -0.5 * x * g
+        jac[n : 2 * n, n : 2 * n] = diff
+        jac[n + diag, n + diag] += 2.0 * x * v
+        jac[rows] = 0.0
+        jac[rows, cols] = 1.0
+        jac[rows, -2] = _end_conditions(s - step, c) - _end_conditions(s + step, c)
+        jac[rows, -1] = _end_conditions(s, c - step) - _end_conditions(s, c + step)
+        jac[rows, -2:] /= 2.0 * step
+        delta = np.linalg.solve(jac, resid)
+        w, v = w - delta[:n], v - delta[n : 2 * n]
+        s, c = s - delta[2 * n], c - delta[2 * n + 1]
+        if np.max(np.abs(delta)) < 1e-9:
+            return w, v, float(s), float(c)
+    raise RuntimeError("universal TF Newton iteration did not converge in 20 steps")
 
 
 @dataclass(frozen=True)
@@ -215,58 +304,59 @@ class UniversalTF:
 
 
 @cache
+@_pinned
 def solve_universal_tf() -> UniversalTF:
-    """Universal TF function from one collocation solve in t = sqrt(x), run
-    once per process: phi serves every charge, so later calls share it.
+    """Universal TF function from one Chebyshev-Newton solve in log-log
+    variables, run once per process: phi serves every charge, so later calls
+    share it.
 
-    The interval is [1e-6, 2500] in x.  The initial slope s and the tail
-    amplitude c are the two free parameters: the small-x series fixes psi
-    and psi' at the inner end, the Sommerfeld decay fixes them at the outer
-    end.  Sommerfeld's closed-form approximant seeds the mesh, and its own
-    tail amplitude seeds c; s enters the inner conditions linearly, so a
-    rough value suffices.
+    The formulation.  With u = log x, w = log phi and v = phi'/phi, the
+    equation phi'' = phi^(3/2) x^(-1/2) becomes the first-order system
+        dw/du = e^u v,    dv/du = e^u (e^((w - u)/2) - v^2),
+    since phi''/phi = dv/dx + v^2.  Both unknowns are O(1) over the whole
+    interval [1e-6, 2500] (w falls from 0 to -19, v rises from s to about
+    -3/x), and the x^(3/2) term of the small-x series becomes the smooth
+    e^(3u/2), so one polynomial in u resolves phi spectrally.
+    v, not w' = x v, is the second unknown because s = v(0) enters the inner
+    conditions at order one that way; with w' it shows only at the scale
+    x = 1e-6, and a (w, w') collocation on the same nodes got s wrong by
+    1e-11 at N = 100 and 2e-10 at N = 140.
+
+    The solve.  The initial slope s and the tail amplitude c are the two
+    free parameters: the small-x series fixes w and v at the inner end, the
+    Sommerfeld decay fixes them at the outer end (_chebyshev_newton).
+    Newton's method starts from Sommerfeld's closed-form approximant and
+    stops at a step below 1e-9, after four dense 204 x 204 solves; the
+    table is the barycentric interpolant of w at 6000 log-spaced points.
+    numpy's and scipy's OpenBLAS are held at one thread meanwhile, so the
+    digits do not depend on the thread count.
+
+    The degree.  At N = 80 to 140, s agrees with Boyd's rational Chebyshev
+    value -1.5880710226113753 (J. Comput. Appl. Math. 244, 2013) to better
+    than 1e-14 and the last five Chebyshev coefficients of w are below
+    3e-14; at N = 70, s is 6e-13 off, at N = 60 5e-11.  N = 100 keeps a
+    margin on both sides.
+
+    max_rms_residual is the largest residual of both equations, in the u
+    variable, of the interpolant at the table points, which lie off the
+    collocation nodes.
     """
-    t_mesh = np.geomspace(np.sqrt(_BVP_X0), np.sqrt(_BVP_XEND), 2500)
-    x_mesh = t_mesh**2
-    lam = SOMMERFELD_LAMBDA
-    psi_guess = (1.0 + (x_mesh**3 / 144.0) ** (-lam / 3.0)) ** (3.0 / lam)
-    dpsi_guess = np.gradient(psi_guess, t_mesh)
-    c_guess = (3.0 / lam) * 144.0 ** (-lam / 3.0)
-    t0, te = t_mesh[0], t_mesh[-1]
-
-    def bc(ya, yb, p):
-        s, c = p
-        phi_0, dphi_0 = _series_phi_dphi(t0**2, s)
-        phi_e, dphi_e = _tail_phi_dphi(te**2, c)
-        return np.array(
-            [
-                ya[0] - phi_0,
-                ya[1] - 2.0 * t0 * dphi_0,
-                yb[0] - phi_e,
-                yb[1] - 2.0 * te * dphi_e,
-            ]
-        )
-
-    bvp = solve_bvp(
-        lambda t, y, p: _rhs_sqrt(t, y),
-        bc,
-        t_mesh,
-        np.vstack((psi_guess, dpsi_guess)),
-        p=np.array([-1.5, c_guess]),
-        tol=1e-10,
-        max_nodes=200000,
-    )
-    if bvp.status != 0:
-        raise RuntimeError(f"universal TF boundary value solve failed: {bvp.message}")
-
+    w, v, s, c = _chebyshev_newton()
     x = np.geomspace(_BVP_X0, _BVP_XEND, 6000)
-    phi_table = bvp.sol(np.sqrt(x))[0]
+    u = np.log(x)
+    # the interpolants of w and v and their derivatives, at the table points
+    on_nodes = np.column_stack([w, v, _U_DIFF @ w, _U_DIFF @ v])
+    interpolate = _barycentric_matrix(_U_NODES, _U_WEIGHTS, u)
+    w_t, v_t, dw_t, dv_t = (interpolate @ on_nodes).T
+    residual = np.maximum(
+        np.abs(dw_t - x * v_t), np.abs(dv_t - x * (np.exp(0.5 * (w_t - u)) - v_t**2))
+    )
     return UniversalTF(
         x=x,
-        phi_table=phi_table,
-        initial_slope=float(bvp.p[0]),
-        tail_coefficient=float(bvp.p[1]),
-        max_rms_residual=float(np.max(bvp.rms_residuals)),
+        phi_table=np.exp(w_t),
+        initial_slope=s,
+        tail_coefficient=c,
+        max_rms_residual=float(np.max(residual)),
     )
 
 

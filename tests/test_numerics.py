@@ -15,6 +15,7 @@ from scottlab.numerics import (
     Grid1D,
     GridOperator,
     PartitionPair,
+    _pinned,
     _pinned_map,
     fit_power_series,
     richardson,
@@ -194,6 +195,24 @@ class TestPinnedMap:
         assert next(results) == [1] * len(blas_pins)
         assert [get() for get in blas_pins] == [1] * len(blas_pins)
         results.close()
+        assert [get() for get in blas_pins] == [2] * len(blas_pins)
+
+
+class TestPinned:
+    def test_one_thread_inside_and_restored_after_return_and_raise(self, blas_pins):
+        if not blas_pins:
+            pytest.skip("no bundled OpenBLAS to pin")
+
+        @_pinned
+        def counts(fail):
+            if fail:
+                raise RuntimeError("pinned call failed")
+            return [get() for get in blas_pins]
+
+        assert counts(False) == [1] * len(blas_pins)
+        assert [get() for get in blas_pins] == [2] * len(blas_pins)
+        with pytest.raises(RuntimeError, match="pinned call failed"):
+            counts(True)
         assert [get() for get in blas_pins] == [2] * len(blas_pins)
 
 

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_bvp
 
-from scottlab import cli, thomas_fermi
+from scottlab import cli, numerics, thomas_fermi
 from scottlab.semiclassics import WeylSpec, weyl_energy, weyl_prefactor
 from scottlab.thomas_fermi import (
     Z_RANGE,
@@ -22,7 +23,7 @@ from scottlab.thomas_fermi import (
 class TestUniversal:
     def test_initial_slope(self, universal):
         # Boyd, J. Comput. Appl. Math. 244 (2013), rational Chebyshev series
-        assert universal.initial_slope == pytest.approx(-1.5880710226113753, abs=1e-10)
+        assert universal.initial_slope == pytest.approx(-1.5880710226113753, abs=1e-13)
 
     def test_ode_residual(self, universal):
         assert universal.max_rms_residual < 1e-9
@@ -47,13 +48,13 @@ class TestUniversal:
 class TestSolveOnce:
     def test_one_collocation_solve_per_process(self, monkeypatch, tmp_path):
         calls = []
-        original = thomas_fermi.solve_bvp
+        original = thomas_fermi._chebyshev_newton
 
         def counted(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(thomas_fermi, "solve_bvp", counted)
+        monkeypatch.setattr(thomas_fermi, "_chebyshev_newton", counted)
         solve_universal_tf.cache_clear()
         atomic_tf(1.0)
         atomic_tf(8.0)
@@ -70,6 +71,87 @@ class TestSolveOnce:
             universal.phi_table[0] = 0.0
         with pytest.raises(ValueError, match="read-only"):
             universal.x[0] = 0.0
+
+
+def bvp_reference(x):
+    """phi at x from an independent discretization of the same problem:
+    scipy's collocation solve_bvp in t = sqrt(x), where psi(t) = phi(t^2) obeys
+    psi'' = psi'/t + 4 t psi^(3/2), with the same series and Sommerfeld
+    end conditions and tolerance 1e-10."""
+    t_mesh = np.geomspace(1e-3, 50.0, 2500)
+    x_mesh = t_mesh**2
+    lam = thomas_fermi.SOMMERFELD_LAMBDA
+    psi = (1.0 + (x_mesh**3 / 144.0) ** (-lam / 3.0)) ** (3.0 / lam)
+    t0, te = t_mesh[0], t_mesh[-1]
+
+    def rhs(t, y, p):
+        return np.vstack((y[1], y[1] / t + 4.0 * t * np.maximum(y[0], 0.0) ** 1.5))
+
+    def bc(ya, yb, p):
+        phi_0, dphi_0 = thomas_fermi._series_phi_dphi(t0**2, p[0])
+        phi_e, dphi_e = thomas_fermi._tail_phi_dphi(te**2, p[1])
+        return np.array(
+            [
+                ya[0] - phi_0,
+                ya[1] - 2.0 * t0 * dphi_0,
+                yb[0] - phi_e,
+                yb[1] - 2.0 * te * dphi_e,
+            ]
+        )
+
+    bvp = solve_bvp(
+        rhs, bc, t_mesh, np.vstack((psi, np.gradient(psi, t_mesh))),
+        p=np.array([-1.5, (3.0 / lam) * 144.0 ** (-lam / 3.0)]),
+        tol=1e-10, max_nodes=200000,
+    )
+    assert bvp.status == 0
+    return bvp.sol(np.sqrt(x))[0]
+
+
+class TestAgainstIndependentOracles:
+    def test_table_matches_the_sqrt_collocation(self, universal):
+        # the two differ by 9e-13 for x <= 15 and by 7e-9 beyond, where
+        # phi < 1e-3; that is the reference's error, since the Chebyshev
+        # table moves by 7e-14 at most from N = 100 to 140
+        rel = np.abs(universal.phi_table / bvp_reference(universal.x) - 1.0)
+        inner = universal.x <= 15.0
+        assert np.max(rel[inner]) < 1e-11
+        assert np.max(rel[~inner]) < 1e-8
+
+    @pytest.mark.parametrize(
+        "power, head, expect",
+        [(1.5, 1.0, lambda s: -s), (2.5, 5.0 / 3.0, lambda s: -5.0 * s / 7.0)],
+        ids=["phi32", "phi52"],
+    )
+    def test_virial_identity_by_spectral_quadrature(self, power, head, expect):
+        # int phi^p x^(-1/2) dx, in u = log x the integral of
+        # exp(p w + u/2) du, by integrating the Chebyshev interpolant through
+        # the solve's own nodes; the series head 2 sqrt(x0) + head s x0^(3/2)
+        # covers (0, x0) and the algebraic tail 144^p x^(-3p - 1/2) the rest
+        u = thomas_fermi._U_NODES
+        w, _, s, _ = thomas_fermi._chebyshev_newton()
+        poly = np.polynomial.Chebyshev.fit(u, np.exp(power * w + 0.5 * u), u.size - 1)
+        antiderivative = poly.integ()
+        x0, xe = np.exp(u[0]), np.exp(u[-1])
+        total = antiderivative(u[-1]) - antiderivative(u[0])
+        total += 2.0 * np.sqrt(x0) + head * s * x0**1.5
+        total += 144.0**power * xe ** (0.5 - 3.0 * power) / (3.0 * power - 0.5)
+        assert total == pytest.approx(expect(s), abs=1e-10)
+
+    def test_same_bits_at_one_and_two_blas_threads(self, blas_pins):
+        # the Newton solves run with OpenBLAS held at one thread; unpinned,
+        # a second thread moved the table by 5e-14
+        calls = numerics._bundled_openblas("numpy")
+        if calls is None:
+            pytest.skip("numpy's bundled OpenBLAS not found")
+        set_threads, _ = calls
+        set_threads(1)
+        one = solve_universal_tf.__wrapped__()
+        set_threads(2)
+        two = solve_universal_tf.__wrapped__()
+        assert [get() for get in blas_pins] == [2] * len(blas_pins)
+        assert two.initial_slope == one.initial_slope
+        np.testing.assert_array_equal(two.phi_table, one.phi_table)
 
 
 class TestAtom:
