@@ -463,7 +463,9 @@ COMMANDS = tuple(_PIPELINES)
 # argument parsing
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process, with the module."""
     parser = argparse.ArgumentParser(
         prog="scottlab",
         description="Semiclassical spectral-sum experiments "
@@ -525,6 +527,11 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp)
 
     return parser
+
+
+# argparse imports locale for its message lookup when it builds the first
+# parser, so building it here keeps that import out of the first command
+_build_parser()
 
 
 @cache

@@ -75,7 +75,7 @@ from functools import cache
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import circulant, toeplitz
+from numpy import fft  # numpy loads it on first use otherwise
 
 from .numerics import Grid1D, GridOperator, _pinned_map, require_positive
 
@@ -179,7 +179,7 @@ def constant_symbol(value: float) -> ClassicalSymbol:
 
 def momentum_lattice(grid: Grid1D, h: float) -> np.ndarray:
     """Conjugate momenta 2 pi h m/(N dx) in FFT order."""
-    return 2.0 * math.pi * h * np.fft.fftfreq(grid.size, d=grid.spacing)
+    return 2.0 * math.pi * h * fft.fftfreq(grid.size, d=grid.spacing)
 
 
 def fourier_multiplier_matrix(values: np.ndarray) -> np.ndarray:
@@ -188,7 +188,9 @@ def fourier_multiplier_matrix(values: np.ndarray) -> np.ndarray:
     values = np.asarray(values)
     if values.ndim != 1:
         raise ValueError("multiplier values must be one-dimensional")
-    return circulant(np.fft.ifft(values))
+    kernel = fft.ifft(values)
+    n = kernel.size
+    return kernel[(np.arange(n)[:, None] - np.arange(n)) % n]
 
 
 def schrodinger_operator(
@@ -271,6 +273,13 @@ def _hermite_factor(p: CoherentParams, grid: Grid1D, us: np.ndarray) -> np.ndarr
     return g
 
 
+def _toeplitz(values: np.ndarray) -> np.ndarray:
+    """Matrix M[i, j] = values[n - 1 + i - j] from the 2n - 1 values of a
+    function on the differences -(n - 1) .. n - 1."""
+    n = (values.size + 1) // 2
+    return values[n - 1 + np.arange(n)[:, None] - np.arange(n)]
+
+
 def _u_integrated_square(p: CoherentParams, grid: Grid1D) -> np.ndarray:
     """int A_u A_u du over the whole u line, in closed form.
 
@@ -283,11 +292,12 @@ def _u_integrated_square(p: CoherentParams, grid: Grid1D) -> np.ndarray:
         int A_u A_u du = sqrt(pi/(2a)) exp(-a(x-z)^2/8) (T T)[x, z].
     """
     dx, n = grid.spacing, grid.size
-    t = (math.pi * p.h) ** (-0.5) * dx * toeplitz(
-        np.exp(-((dx * np.arange(n)) ** 2) / (4.0 * p.h**2 * p.a))
+    squares = (dx * np.arange(1 - n, n)) ** 2
+    t = (math.pi * p.h) ** (-0.5) * dx * _toeplitz(
+        np.exp(-squares / (4.0 * p.h**2 * p.a))
     )
-    return math.sqrt(math.pi / (2.0 * p.a)) * toeplitz(
-        np.exp(-p.a * (dx * np.arange(n)) ** 2 / 8.0)
+    return math.sqrt(math.pi / (2.0 * p.a)) * _toeplitz(
+        np.exp(-p.a * squares / 8.0)
     ) * (t @ t)
 
 
@@ -379,7 +389,7 @@ def resolution_of_identity_check(
     # Dirichlet kernel of the q sum on the difference lattice
     diffs = dx * np.arange(-(grid.size - 1), grid.size)
     s_vec = _dirichlet_kernel(qs.size, dq, diffs, p.h) * dq / (2.0 * math.pi * p.h)
-    s_mat = toeplitz(s_vec[grid.size - 1 :], s_vec[grid.size - 1 :: -1])
+    s_mat = _toeplitz(s_vec)
 
     out = (_u_integrated_square(p, grid) * s_mat) @ psi
     return float(np.linalg.norm(out - psi) / norm)
@@ -531,10 +541,10 @@ def representation_error_norm(
     core = diff[window, window]
 
     m = core.shape[0]
-    q_core = 2.0 * math.pi * p.h * np.fft.fftfreq(m, d=dx)
+    q_core = 2.0 * math.pi * p.h * fft.fftfreq(m, d=dx)
     keep = np.abs(q_core) <= q_cut
     # unitary conjugation by the window DFT, then drop zone-edge modes
-    rotated = np.fft.fft(np.fft.ifft(core, axis=1), axis=0)
+    rotated = fft.fft(fft.ifft(core, axis=1), axis=0)
     band = rotated[np.ix_(keep, keep)]
     band = 0.5 * (band + band.conj().T)
     return float(np.max(np.abs(np.linalg.eigvalsh(band))))

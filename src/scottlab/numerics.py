@@ -1,8 +1,8 @@
 """Shared numerical utilities: grids, grid operators, cutoffs, fits.
 
 Everything here is deterministic and stateless, except the pinned worker
-pool and pinned calls, which hold numpy's and scipy's OpenBLAS at one thread
-while they run.
+pool and pinned calls, which hold numpy's OpenBLAS at one thread while they
+run.
 The smooth cutoff functions are built from the classic exponential
 transition exp(-1/s), which gives genuinely C-infinity profiles with
 compact support.
@@ -16,7 +16,7 @@ import importlib.util
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cache, wraps
 from typing import ClassVar
@@ -134,11 +134,12 @@ class GridOperator:
 # The rows of criterion 8's h = 0.1 (163-point grid) took 0.45 to 0.48 s on
 # one worker and 0.33 to 0.35 s on two.  Unpinned, the same two workers
 # oversubscribe the cores and took 0.66 to 0.77 s there, slower than one.
-# numpy and scipy wheels each bundle their own OpenBLAS, and both are
-# pinned: the radial channel solves (spectra) run LAPACK dstein from
-# scipy's, whose level-1 BLAS oversubscribes two cores the same way (the
-# radial sum of the Scott sweep at h = 0.05 took 3.2 s on two threads with
-# scipy's OpenBLAS unpinned, 2.0 s pinned).
+# numpy's wheel bundles OpenBLAS, and the package uses no other copy: the
+# radial channel solves (spectra) call LAPACK dstebz / dstein from it too,
+# whose level-1 BLAS oversubscribes two cores the same way (the radial sum
+# of the Scott sweep at h = 0.05 took 3.2 s on two threads unpinned, 2.0 s
+# pinned).  So pinning numpy's OpenBLAS pins every BLAS call the package
+# makes.
 #
 # _pinned_map is the one place that decides how such pieces run: the rows
 # of the trial density (coherent) and the channel solves of a radial sum
@@ -158,13 +159,14 @@ def _usable_cpus() -> int:
 
 
 @cache
-def _bundled_openblas(package: str):
-    """(set, get) thread-count entry points of the OpenBLAS bundled in the
-    wheel of package (numpy or scipy), or None.
+def _openblas_library(package: str):
+    """(library, prefix, suffix) of the OpenBLAS bundled in the wheel of
+    package, or None.
 
     Wheels ship the library in <package>.libs beside the package, its symbols
-    renamed by a prefix and an ILP64 suffix, e.g.
-    scipy_openblas_set_num_threads64_.
+    renamed by a prefix and an ILP64 suffix: numpy 2's exports
+    scipy_openblas_set_num_threads64_ and the Fortran routines as
+    scipy_dstebz_64_.  A suffix marks 64-bit integer arguments.
     """
     spec = importlib.util.find_spec(package)
     if spec is None or not spec.submodule_search_locations:
@@ -178,15 +180,24 @@ def _bundled_openblas(package: str):
             continue
         for prefix in ("", "scipy_"):
             for suffix in ("", "64_", "_64"):
-                try:
-                    set_n = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}")
-                    get_n = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}")
-                except AttributeError:
-                    continue
-                set_n.argtypes, set_n.restype = [ctypes.c_int], None
-                get_n.argtypes, get_n.restype = [], ctypes.c_int
-                return set_n, get_n
+                if hasattr(lib, f"{prefix}openblas_set_num_threads{suffix}"):
+                    return lib, prefix, suffix
     return None
+
+
+@cache
+def _bundled_openblas(package: str):
+    """(set, get) thread-count entry points of the OpenBLAS bundled in the
+    wheel of package, or None."""
+    found = _openblas_library(package)
+    if found is None:
+        return None
+    lib, prefix, suffix = found
+    set_n = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}")
+    get_n = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}")
+    set_n.argtypes, set_n.restype = [ctypes.c_int], None
+    get_n.argtypes, get_n.restype = [], ctypes.c_int
+    return set_n, get_n
 
 
 def _row_workers() -> int:
@@ -197,22 +208,25 @@ def _row_workers() -> int:
 
 @contextmanager
 def _one_blas_thread():
-    """Hold numpy's and scipy's OpenBLAS at one thread inside the block, then
-    restore each prior count, also when the block raises.  A library that is
-    not found is left alone.  The counts are process-wide, so blocks entered
-    from several threads at once restore in the order they exit."""
-    with ExitStack() as restore:
-        for package in ("numpy", "scipy"):
-            calls = _bundled_openblas(package)
-            if calls is not None:
-                set_n, get_n = calls
-                restore.callback(set_n, get_n())
-                set_n(1)
+    """Hold numpy's OpenBLAS at one thread inside the block, then restore the
+    prior count, also when the block raises.  Without a bundled OpenBLAS the
+    block runs unpinned.  The count is process-wide, so blocks entered from
+    several threads at once restore in the order they exit."""
+    calls = _bundled_openblas("numpy")
+    if calls is None:
         yield
+        return
+    set_n, get_n = calls
+    prior = get_n()
+    set_n(1)
+    try:
+        yield
+    finally:
+        set_n(prior)
 
 
 def _pinned(fn):
-    """fn, run with numpy's and scipy's OpenBLAS held at one thread.
+    """fn, run with numpy's OpenBLAS held at one thread.
 
     For a dense solve whose result must not depend on the thread count:
     OpenBLAS splits a factorization differently on more threads, which can
@@ -229,8 +243,8 @@ def _pinned(fn):
 
 def _pinned_map(fn, items):
     """Yield fn(item) for each of items, in item order, computed on
-    _row_workers() threads (at most one per item) with numpy's and scipy's
-    OpenBLAS held at one thread meanwhile.
+    _row_workers() threads (at most one per item) with numpy's OpenBLAS held
+    at one thread meanwhile.
 
     Results stream: each is yielded once it and those before it are done,
     so a caller that folds them as they come need not hold them all.  An
@@ -365,7 +379,7 @@ def fit_power_series(h_values, y_values, exponents) -> FitResult:
         raise ValueError("exponents must be distinct")
     if h.size < len(exps):
         raise ValueError("need at least as many samples as exponents")
-    if np.unique(h).size != h.size:
+    if len(set(h.tolist())) != h.size:
         raise ValueError("h values must be distinct")
 
     X = np.column_stack([h**e for e in exps])

@@ -5,20 +5,19 @@ The momentum integral is always done in closed form,
     int_{R^n} (q^2 + V)_- dq = -(2 omega_n / (n + 2)) |V_-|^{n/2+1},
 
 so every Weyl quantity reduces to a position quadrature against a power of
-the negative part of the potential.  Position integrals run through adaptive
-quadrature; when no cutoff is supplied the negative region of the potential
-is located first so segment edges land on quadrature breakpoints.
+the negative part of the potential.  Position integrals run through a
+globally adaptive Gauss-Kronrod rule; when no cutoff is supplied the
+negative region of the potential is located first, by Brent's method, so
+segment edges land on quadrature breakpoints.
 """
 
 from __future__ import annotations
 
 import math
-import warnings as _warnmod
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate, optimize
 
 from .numerics import Bump, FitResult, Grid1D, fit_power_series, require_positive
 from .spectra import RadialProblem, TraceResult, neg_sum_1d, neg_sum_radial
@@ -64,6 +63,66 @@ def _eval_scalar(potential: Callable, x: float) -> float:
     return float(val.reshape(-1)[0])
 
 
+def _brentq(f: Callable[[float], float], xa: float, xb: float,
+            xtol: float, rtol: float, maxiter: int = 100) -> float:
+    """Root of f between xa and xb, where f changes sign, by Brent's method.
+
+    A line-for-line port of brentq.c in scipy.optimize (Brent, Algorithms
+    for Minimization Without Derivatives, 1973, ch. 4), so its steps and its
+    roots are bitwise scipy's.  The bracket end kept is the one where |f| is
+    smaller; each step interpolates (secant or inverse quadratic) when that
+    shrinks the bracket fast enough, and bisects otherwise.  It stops when
+    half the bracket is below (xtol + rtol |x|)/2.  ValueError when f has
+    one sign at both ends or returns NaN, RuntimeError after maxiter steps.
+    """
+
+    def value(x: float) -> float:
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"f is NaN at x = {x!r}; Brent's method cannot continue")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (
+                    -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                )
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"Brent's method failed to converge in {maxiter} steps")
+
+
 def _negative_segments(potential, probes) -> tuple[list[tuple[float, float]], bool]:
     """Segments of {V < 0} bracketed by probe points, edges refined by brentq.
 
@@ -76,14 +135,12 @@ def _negative_segments(potential, probes) -> tuple[list[tuple[float, float]], bo
         return [], False
     # one brentq per sign change of the probe values, in probe order
     edges = [
-        float(
-            optimize.brentq(
-                lambda s: _eval_scalar(potential, s),
-                probes[i],
-                probes[i + 1],
-                xtol=1e-14,
-                rtol=1e-14,
-            )
+        _brentq(
+            lambda s: _eval_scalar(potential, s),
+            probes[i],
+            probes[i + 1],
+            xtol=1e-14,
+            rtol=1e-14,
         )
         for i in np.flatnonzero(neg[:-1] != neg[1:]).tolist()
     ]
@@ -96,34 +153,117 @@ def _negative_segments(potential, probes) -> tuple[list[tuple[float, float]], bo
     return segments, bool(neg[-1])
 
 
-def _quad(f, lo, hi) -> float:
-    with _warnmod.catch_warnings():
-        _warnmod.simplefilter("error", integrate.IntegrationWarning)
-        try:
-            val, _ = integrate.quad(
-                f, lo, hi, epsabs=1e-13, epsrel=1e-11, limit=400
-            )
-        except integrate.IntegrationWarning as exc:
+# 21-point Gauss-Kronrod rule on [-1, 1] (QUADPACK's qk21, Piessens et al.
+# 1983): the Kronrod nodes in ascending order and their weights, and the
+# weights of the 10-point Gauss rule on every second node
+_KRONROD_HALF = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+])
+_KRONROD_NODES = np.concatenate([-_KRONROD_HALF, [0.0], _KRONROD_HALF[::-1]])
+_KRONROD_WEIGHTS_HALF = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077600525452204, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+])
+_KRONROD_WEIGHTS = np.concatenate(
+    [_KRONROD_WEIGHTS_HALF, [0.149445554002916905664936468389821],
+     _KRONROD_WEIGHTS_HALF[::-1]]
+)
+_GAUSS_WEIGHTS_HALF = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+])
+_GAUSS_WEIGHTS = np.concatenate([_GAUSS_WEIGHTS_HALF, _GAUSS_WEIGHTS_HALF[::-1]])
+
+# panels beyond which a position integral counts as not converging
+MAX_PANELS = 2000
+
+
+def _gauss_kronrod(f, a, b) -> tuple[np.ndarray, np.ndarray]:
+    """(Kronrod value, |Kronrod - Gauss|) of f on each panel [a_i, b_i]."""
+    half = 0.5 * (b - a)
+    x = 0.5 * (a + b)[:, None] + half[:, None] * _KRONROD_NODES
+    y = f(x.ravel()).reshape(x.shape)
+    kronrod = half * (y @ _KRONROD_WEIGHTS)
+    gauss = half * (y[:, 1::2] @ _GAUSS_WEIGHTS)
+    return kronrod, np.abs(kronrod - gauss)
+
+
+def _integrate(f, panels: Sequence[tuple[float, float]]) -> float:
+    """int f over the union of panels, which may not overlap.
+
+    f maps an array of points to its values there.  The finite panels are
+    refined together (_refine).  A panel [a, inf] or [-inf, b] is refined
+    on its own, in t on [0, 1] through x = a + t/(1 - t) or b - t/(1 - t).
+    """
+    bounded = [p for p in panels if math.isfinite(p[0]) and math.isfinite(p[1])]
+    total = 0.0
+    if bounded:
+        lo, hi = np.array(bounded).T
+        total += _refine(f, lo, hi, (lo.min(), hi.max()))
+    for a, b in panels:
+        if math.isfinite(a) and math.isfinite(b):
+            continue
+        edge, sign = (a, 1.0) if math.isfinite(a) else (b, -1.0)
+
+        def mapped(t, edge=edge, sign=sign):
+            # nodes that round to t = 1 map to infinity, and _refine reports
+            # the sum that is not finite
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                return f(edge + sign * t / (1.0 - t)) / (1.0 - t) ** 2
+
+        total += _refine(mapped, np.zeros(1), np.ones(1), (a, b))
+    return total
+
+
+def _refine(f, a, b, span) -> float:
+    """int f over the panels [a_i, b_i] by a globally adaptive Gauss-Kronrod
+    rule; span is the range an error names.
+
+    Every round bisects at once each panel whose error estimate
+    |Kronrod - Gauss| exceeds its share, tolerance / panels, of the
+    tolerance max(1e-13, 1e-14 |integral|), until the summed estimate is
+    within it.  ValueError when that takes more than MAX_PANELS panels or
+    the sum or its estimate is not finite.
+    """
+    values, errors = _gauss_kronrod(f, a, b)
+    while True:
+        total, error = float(np.sum(values)), float(np.sum(errors))
+        tolerance = max(1e-13, 1e-14 * abs(total))
+        if math.isfinite(total) and error <= tolerance:
+            return total
+        if not math.isfinite(total + error) or a.size >= MAX_PANELS:
             raise ValueError(
-                f"position integral did not converge on [{lo:g}, {hi:g}]; "
+                f"position integral did not converge on [{span[0]:g}, {span[1]:g}]; "
                 "|V_-|^(n/2+1) must be integrable there"
-            ) from exc
-    if not math.isfinite(val):
-        raise ValueError("position integral is not finite")
-    return val
+            )
+        split = errors > tolerance / a.size
+        mid = 0.5 * (a[split] + b[split])
+        new_a = np.concatenate([a[split], mid])
+        new_b = np.concatenate([mid, b[split]])
+        new_values, new_errors = _gauss_kronrod(f, new_a, new_b)
+        keep = ~split
+        a, b = np.concatenate([a[keep], new_a]), np.concatenate([b[keep], new_b])
+        values = np.concatenate([values[keep], new_values])
+        errors = np.concatenate([errors[keep], new_errors])
 
 
 def _position_integral(spec: WeylSpec) -> float:
     """int w(x) |V_-(x)|^(n/2+1) dx with w = bump^2, radial measure for n=3."""
     power = spec.n / 2.0 + 1.0
 
-    def integrand(x: float) -> float:
-        v = _eval_scalar(spec.potential, x)
-        if v >= 0.0:
-            return 0.0
-        w = (-v) ** power
+    def integrand(x: np.ndarray) -> np.ndarray:
+        v = np.broadcast_to(np.asarray(spec.potential(x), dtype=float), x.shape)
+        w = np.where(v < 0.0, -v, 0.0) ** power
         if spec.bump is not None:
-            w *= float(spec.bump(x)) ** 2
+            w *= spec.bump(x) ** 2
         if spec.n == 3:
             w *= 4.0 * math.pi * x * x
         return w
@@ -145,7 +285,7 @@ def _position_integral(spec: WeylSpec) -> float:
                 if lo < c < hi
             }
         )
-        return sum(_quad(integrand, a, b) for a, b in zip(cuts[:-1], cuts[1:]))
+        return _integrate(integrand, list(zip(cuts[:-1], cuts[1:])))
 
     if spec.n == 3:
         probes = np.geomspace(1e-9, 1e7, 800)
@@ -157,17 +297,17 @@ def _position_integral(spec: WeylSpec) -> float:
     ladder = np.geomspace(1e-9, 1e7, 17 * 2 + 1)
     if spec.n == 1:
         ladder = np.concatenate([-ladder[::-1], [0.0], ladder])
-    total = 0.0
+    panels = []
     for lo, hi in segments:
         if spec.n == 3 and lo == probes[0]:
             lo = 0.0
         cuts = [lo] + [c for c in ladder if lo < c < hi] + [hi]
-        total += sum(_quad(integrand, a, b) for a, b in zip(cuts[:-1], cuts[1:]))
+        panels += zip(cuts[:-1], cuts[1:])
     if open_tail:
-        total += _quad(integrand, float(probes[-1]), np.inf)
+        panels.append((float(probes[-1]), math.inf))
     if spec.n == 1 and segments and segments[0][0] == probes[0]:
-        total += _quad(integrand, -np.inf, float(probes[0]))
-    return total
+        panels.append((-math.inf, float(probes[0])))
+    return _integrate(integrand, panels)
 
 
 def weyl_prefactor(n: int, h: float = 1.0) -> float:

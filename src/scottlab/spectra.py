@@ -26,11 +26,13 @@ uniform grid that is the last max(2, int(0.05 n)) of its n interior points.
 The channel solves of a radial sum are independent, so they run through
 numerics._pinned_map, one worker thread per usable CPU.  Each solve is one
 function: it assembles its channel matrix and calls LAPACK dstebz / dstein
-through scipy's cython_lapack function pointers with the interpreter lock
-released.  The calling thread adds the results in ell order, so every
-eigenvalue and every sum is bitwise the same for any worker count and equal
-to what scipy's eigvalsh_tridiagonal / eigh_tridiagonal return for the same
-matrix.
+from the OpenBLAS bundled in numpy's wheel, through ctypes, with the
+interpreter lock released; no other LAPACK is used, and a numpy without
+those routines fails the first solve with a RuntimeError naming the
+missing symbol.  The calling thread adds the results in ell order, so every
+eigenvalue and every sum is bitwise the same for any worker count, and
+equal to what scipy's eigvalsh_tridiagonal / eigh_tridiagonal return for
+the same matrix (the tests check it).
 """
 
 from __future__ import annotations
@@ -43,10 +45,7 @@ from typing import Callable
 
 import numpy as np
 
-# The benchmark tracer wraps these two names, so they stay importable from
-# this module; the eigensolves below call LAPACK directly instead.
-from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal  # noqa: F401
-
+from . import numerics
 from .numerics import Bump, Grid1D, _pinned_map, require_positive, richardson
 
 __all__ = [
@@ -62,6 +61,18 @@ __all__ = [
     "neg_sum_radial",
     "sentinel_channel",
 ]
+
+
+def __getattr__(name: str):
+    # the benchmark tracer wraps these two names in this module; scipy is
+    # imported only when they are looked up, as the eigensolves below call
+    # LAPACK directly
+    if name in ("eigh_tridiagonal", "eigvalsh_tridiagonal"):
+        import scipy.linalg
+
+        return getattr(scipy.linalg, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 # relative change between the two refinements above which the accuracy
 # warning fires
@@ -259,63 +270,53 @@ class RadialProblem:
 # scipy's eigvalsh_tridiagonal and eigh_tridiagonal hold the interpreter lock
 # through their Fortran calls, so channel solves from two threads ran one at
 # a time (8 channels at h = 0.05: 1.63 s serially, 1.61 s from two threads).
-# The same routines are reached here through the function pointers that
-# scipy.linalg.cython_lapack exports, and called via ctypes, which releases
-# the lock for the length of the call.
+# The same routines are exported by the OpenBLAS that numpy's wheel bundles
+# (numerics._openblas_library) and called here via ctypes, which releases
+# the lock for the length of the call.  Fortran takes every argument by
+# reference, integers at the library's width, and each character argument's
+# length as a trailing hidden argument by value.
 
-# parameter kinds: c = char *, i = int * (LP64), d = double *
+# parameter kinds: c = char *, i = integer *, d = double *
 _PARAMETERS = {"dstebz": "cciddiidddiidiidii", "dstein": "iddidiididiii"}
-_POINTERS = {
-    "c": ctypes.c_char_p,
-    "i": ctypes.POINTER(ctypes.c_int),
-    "d": ctypes.POINTER(ctypes.c_double),
-}
 
 
-def _parameter_kinds(signature: str) -> str:
-    """Kind letters of the arguments of a capsule signature such as
-    'void (char *, int *, __pyx_t_..._cython_lapack_d *)'; '?' for others."""
-    kinds = []
-    for arg in signature[signature.index("(") + 1 : signature.rindex(")")].split(","):
-        arg = arg.strip()
-        if arg in ("char *", "int *"):
-            kinds.append(arg[0])
-        elif arg == "double *" or arg.endswith("cython_lapack_d *"):
-            kinds.append("d")
-        else:
-            kinds.append("?")
-    return "".join(kinds)
+@cache
+def _fortran_int():
+    """ctypes type of a LAPACK integer in numpy's bundled OpenBLAS: 64 bits
+    where its symbols carry the ILP64 suffix."""
+    found = numerics._openblas_library("numpy")
+    return ctypes.c_int64 if found is not None and found[2] else ctypes.c_int
 
 
 @cache
 def _lapack(name: str):
-    """scipy's LAPACK routine name as a ctypes function that releases the
-    interpreter lock; RuntimeError unless its signature is the LP64 one the
-    callers here pass arguments for."""
-    from scipy.linalg import cython_lapack
-
-    capsule = cython_lapack.__pyx_capi__[name]
-    api = ctypes.pythonapi
-    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-        ("PyCapsule_GetName", api)
-    )
-    get_pointer = ctypes.PYFUNCTYPE(
-        ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p
-    )(("PyCapsule_GetPointer", api))
-    signature = get_name(capsule)
-    kinds = _parameter_kinds(signature.decode())
-    if kinds != _PARAMETERS[name]:
+    """LAPACK routine name from numpy's bundled OpenBLAS as a ctypes call that
+    releases the interpreter lock and appends the hidden length (1) of each
+    character argument; RuntimeError naming the symbol when the library does
+    not export it."""
+    lib, prefix, suffix = numerics._openblas_library("numpy") or (None, "", "")
+    symbol = f"{prefix}{name}_{suffix}"
+    if not hasattr(lib, symbol):
         raise RuntimeError(
-            f"scipy's {name} has the signature {signature.decode()!r}, not "
-            "the LP64 int * / double * one this module calls it with"
+            f"numpy's bundled OpenBLAS does not export the LAPACK routine "
+            f"{symbol}; the radial eigensolves need a numpy wheel that bundles it"
         )
-    prototype = ctypes.CFUNCTYPE(None, *(_POINTERS[k] for k in kinds))
-    return prototype(get_pointer(capsule, signature))
+    kinds = _PARAMETERS[name]
+    pointers = {
+        "c": ctypes.c_char_p,
+        "i": ctypes.POINTER(_fortran_int()),
+        "d": ctypes.POINTER(ctypes.c_double),
+    }
+    function = getattr(lib, symbol)
+    lengths = (1,) * kinds.count("c")
+    function.argtypes = [pointers[k] for k in kinds] + [ctypes.c_size_t] * len(lengths)
+    function.restype = None
+    return lambda *args: function(*args, *lengths)
 
 
 def _ptr(array: np.ndarray):
-    kind = "i" if array.dtype == np.intc else "d"
-    return array.ctypes.data_as(_POINTERS[kind])
+    kind = ctypes.c_double if array.dtype == np.float64 else _fortran_int()
+    return array.ctypes.data_as(ctypes.POINTER(kind))
 
 
 def _conjugation(points, off, bump):
@@ -355,23 +356,25 @@ def _negative_solve(diag, conjugation, tail=0):
     lower = float(min(np.min(diag) - spread, -1.0))
     d = np.ascontiguousarray(diag, dtype=float)
     e = np.ascontiguousarray(off, dtype=float)
-    size, m, info = ctypes.c_int(n), ctypes.c_int(), ctypes.c_int()
+    integer = _fortran_int()
+    ints = np.dtype(integer)
+    size, m, info = integer(n), integer(), integer()
     w = np.empty(n)
-    iblock, isplit = np.empty(n, dtype=np.intc), np.empty(n, dtype=np.intc)
-    work, iwork = np.empty(4 * n), np.empty(3 * n, dtype=np.intc)
+    iblock, isplit = np.empty(n, dtype=ints), np.empty(n, dtype=ints)
+    work, iwork = np.empty(4 * n), np.empty(3 * n, dtype=ints)
     _lapack("dstebz")(
         b"V",
         b"B" if tail else b"E",  # block order is what dstein takes
         ctypes.byref(size),
         ctypes.byref(ctypes.c_double(lower)),
         ctypes.byref(ctypes.c_double(0.0)),
-        ctypes.byref(ctypes.c_int(0)),
-        ctypes.byref(ctypes.c_int(0)),
+        ctypes.byref(integer(0)),
+        ctypes.byref(integer(0)),
         ctypes.byref(ctypes.c_double(0.0)),
         _ptr(d),
         _ptr(e),
         ctypes.byref(m),
-        ctypes.byref(ctypes.c_int()),
+        ctypes.byref(integer()),
         _ptr(w),
         _ptr(iblock),
         _ptr(isplit),
@@ -385,7 +388,7 @@ def _negative_solve(diag, conjugation, tail=0):
     masses = np.zeros(found) if tail else None
     if tail and found:
         vectors = np.empty((found, n))  # column-major n x found
-        work, iwork = np.empty(5 * n), np.empty(n, dtype=np.intc)
+        work, iwork = np.empty(5 * n), np.empty(n, dtype=ints)
         _lapack("dstein")(
             ctypes.byref(size),
             _ptr(d),
@@ -398,7 +401,7 @@ def _negative_solve(diag, conjugation, tail=0):
             ctypes.byref(size),
             _ptr(work),
             _ptr(iwork),
-            _ptr(np.empty(found, dtype=np.intc)),
+            _ptr(np.empty(found, dtype=ints)),
             ctypes.byref(info),
         )
         if info.value < 0:

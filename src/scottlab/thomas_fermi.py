@@ -31,10 +31,6 @@ from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
-# solve_bvp and solve_ivp are unused but kept: bench/tracer.py wraps them by
-# these names
-from scipy.integrate import cumulative_trapezoid, solve_bvp, solve_ivp  # noqa: F401
-from scipy.interpolate import CubicSpline
 
 from .numerics import _pinned, require_positive
 
@@ -69,10 +65,19 @@ _CHEB_N = 100
 # and scalar is z^e times its value at z = 1 (e = -1/3 for radii, 4/3 for V,
 # 2 for rho, 7/3 for the energies, as in tf_scaling_transform), and the
 # energies are computed that way, so all stay finite, normal floats from
-# z = 1e-131 to 1e132, where the energies leave them.  The bounds are the
-# ends at which D(rho), once integrated in r, left them; they are kept as
-# the interface's range, with a decade or more to spare at each end.
-Z_RANGE = (1e-120, 1e116)
+# z = 1e-131 to 1e132, where the energies leave them.  The range keeps a
+# decade to spare at each end.
+Z_RANGE = (1e-130, 1e131)
+
+
+def __getattr__(name: str):
+    # the benchmark tracer wraps these two names in this module; scipy is
+    # imported only when they are looked up, as nothing here calls them
+    if name in ("solve_bvp", "solve_ivp"):
+        import scipy.integrate
+
+        return getattr(scipy.integrate, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _require_charge(z: float) -> None:
@@ -241,25 +246,63 @@ def _chebyshev_newton():
     raise RuntimeError("universal TF Newton iteration did not converge in 20 steps")
 
 
+def _hermite_coefficients(u, w, slope) -> np.ndarray:
+    """One row (u_k, u_k+1 - u_k, c_0, c_1, c_2, c_3) per interval of the
+    cubic Hermite interpolant of w(u) with slopes dw/du: on [u_k, u_k+1] it
+    is c_0 + t (c_1 + t (c_2 + t c_3)) with t = (u - u_k)/(u_k+1 - u_k)."""
+    step = np.diff(u)
+    m0, m1 = step * slope[:-1], step * slope[1:]
+    rise = np.diff(w)
+    return np.column_stack(
+        [u[:-1], step, w[:-1], m0, 3.0 * rise - 2.0 * m0 - m1, m0 + m1 - 2.0 * rise]
+    )
+
+
+def _five_point_derivatives(y, step) -> tuple[np.ndarray, np.ndarray]:
+    """First and second derivatives of y on a uniform grid by fourth-order
+    central differences, at every point but the two at each end."""
+    first = (y[:-4] - 8.0 * y[1:-3] + 8.0 * y[3:-1] - y[4:]) / (12.0 * step)
+    second = (
+        -y[:-4] + 16.0 * y[1:-3] - 30.0 * y[2:-2] + 16.0 * y[3:-1] - y[4:]
+    ) / (12.0 * step**2)
+    return first, second
+
+
 @dataclass(frozen=True)
 class UniversalTF:
-    """Read-only table of the universal screening function phi on a log grid."""
+    """Read-only table of the universal screening function phi on a log grid,
+    with the log-log slope x phi'/phi at the same points."""
 
     x: np.ndarray
     phi_table: np.ndarray
+    slope_table: np.ndarray
     initial_slope: float
     tail_coefficient: float
     max_rms_residual: float
-    _spline: CubicSpline = field(repr=False, compare=False, default=None)
+    _hermite: np.ndarray = field(repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        self.x.flags.writeable = False
-        self.phi_table.flags.writeable = False
-        spline = CubicSpline(np.log(self.x), np.log(self.phi_table))
-        object.__setattr__(self, "_spline", spline)
+        for table in (self.x, self.phi_table, self.slope_table):
+            table.flags.writeable = False
+        coefficients = _hermite_coefficients(
+            np.log(self.x), np.log(self.phi_table), self.slope_table
+        )
+        object.__setattr__(self, "_hermite", coefficients)
+
+    def _log_phi(self, u: np.ndarray) -> np.ndarray:
+        """log phi at u = log x inside the table, from the cubic Hermite
+        interpolant of log phi in log x; the table is uniform in log x, so
+        each point's interval comes from arithmetic, not a search."""
+        rows = self._hermite
+        u0, u_end = np.log(self.x[[0, -1]])
+        step = (u_end - u0) / rows.shape[0]
+        index = np.minimum(((u - u0) / step).astype(np.intp), rows.shape[0] - 1)
+        left, width, c0, c1, c2, c3 = rows[index].T
+        t = (u - left) / width
+        return c0 + t * (c1 + t * (c2 + t * c3))
 
     def phi(self, x) -> np.ndarray:
-        """phi(x) for any x > 0: series head, spline body, Sommerfeld tail."""
+        """phi(x) for any x > 0: series head, Hermite body, Sommerfeld tail."""
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
         x = np.atleast_1d(x)
@@ -272,21 +315,22 @@ class UniversalTF:
         if np.any(lo):
             out[lo] = _series_phi_dphi(x[lo], self.initial_slope)[0]
         if np.any(mid):
-            out[mid] = np.exp(self._spline(np.log(x[mid])))
+            out[mid] = np.exp(self._log_phi(np.log(x[mid])))
         if np.any(hi):
             out[hi] = _tail_phi_dphi(x[hi], self.tail_coefficient)[0]
         return out[0] if scalar else out
 
     def curvature_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """phi'' on the trimmed table, by differencing the tabulated values
-        in log-log coordinates (independent of how the table was produced)."""
+        """phi'' on the trimmed table, by five-point differences of the
+        tabulated values in log-log coordinates (independent of how the
+        table was produced)."""
         lx = np.log(self.x)
-        u = np.log(self.phi_table)
-        d1 = np.gradient(u, lx)
-        d2 = np.gradient(d1, lx)
-        phipp = self.phi_table * (d2 + d1 * (d1 - 1.0)) / self.x**2
-        sl = slice(8, -8)
-        return self.x[sl], phipp[sl]
+        step = (lx[-1] - lx[0]) / (lx.size - 1)
+        d1, d2 = _five_point_derivatives(np.log(self.phi_table), step)
+        x, phi = self.x[2:-2], self.phi_table[2:-2]
+        phipp = phi * (d2 + d1 * (d1 - 1.0)) / x**2
+        sl = slice(6, -6)
+        return x[sl], phipp[sl]
 
     def ode_residual_norm(self) -> float:
         """Integral norm of phi'' - phi^(3/2)/sqrt(x) over the table.
@@ -327,9 +371,11 @@ def solve_universal_tf() -> UniversalTF:
     Sommerfeld decay fixes them at the outer end (_chebyshev_newton).
     Newton's method starts from Sommerfeld's closed-form approximant and
     stops at a step below 1e-9, after four dense 204 x 204 solves; the
-    table is the barycentric interpolant of w at 6000 log-spaced points.
-    numpy's and scipy's OpenBLAS are held at one thread meanwhile, so the
-    digits do not depend on the thread count.
+    table is the barycentric interpolant of w at 6000 log-spaced points,
+    with the exact log-log slope dw/du = x v from the interpolant of v, so
+    phi between the points is a cubic Hermite interpolant (UniversalTF.phi).
+    numpy's OpenBLAS is held at one thread meanwhile, so the digits do not
+    depend on the thread count.
 
     The degree.  At N = 80 to 140, s agrees with Boyd's rational Chebyshev
     value -1.5880710226113753 (J. Comput. Appl. Math. 244, 2013) to better
@@ -354,6 +400,7 @@ def solve_universal_tf() -> UniversalTF:
     return UniversalTF(
         x=x,
         phi_table=np.exp(w_t),
+        slope_table=x * v_t,
         initial_slope=s,
         tail_coefficient=c,
         max_rms_residual=float(np.max(residual)),
@@ -445,7 +492,8 @@ def coulomb_energy_D(r: np.ndarray, f: np.ndarray) -> float:
     f = np.asarray(f, dtype=float)
     if r.shape != f.shape or r.ndim != 1:
         raise ValueError("r and f must be matching 1D tables")
-    q = cumulative_trapezoid(r**2 * f, r, initial=0.0)
+    g = r**2 * f
+    q = np.concatenate([[0.0], np.cumsum(np.diff(r) * (g[1:] + g[:-1]) / 2.0)])
     return float((4.0 * np.pi) ** 2 * np.trapezoid(r * f * q, r))
 
 

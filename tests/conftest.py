@@ -30,12 +30,12 @@ def scott_z1():
 
 @pytest.fixture
 def blas_pins(monkeypatch):
-    """Thread-count getters of the bundled OpenBLAS copies found, each set to
-    2 for the test and restored after it; two usable CPUs meanwhile."""
+    """Thread-count getter of numpy's bundled OpenBLAS, if found, set to 2
+    for the test and restored after it; two usable CPUs meanwhile."""
     monkeypatch.setattr(numerics, "_usable_cpus", lambda: 2)
     found = [
         calls
-        for calls in map(numerics._bundled_openblas, ("numpy", "scipy"))
+        for calls in map(numerics._bundled_openblas, ("numpy",))
         if calls is not None
     ]
     priors = [get_threads() for _, get_threads in found]

@@ -567,12 +567,12 @@ class TestInputBoundary:
     @pytest.mark.parametrize(
         "argv, admissible",
         [
-            (["tf-atom", "--z", "1e120"], "outside [1e-120, 1e+116]"),
-            (["tf-atom", "--z", "1e123"], "outside [1e-120, 1e+116]"),
-            (["tf-atom", "--z", "1e300"], "outside [1e-120, 1e+116]"),
-            (["tf-atom", "--z", "1e-300"], "outside [1e-120, 1e+116]"),
-            (["scott", "--z", "1e300", "--h", "0.2,0.1"], "outside [1e-120, 1e+116]"),
-            (["scott", "--z", "1e-300", "--h", "0.2,0.1"], "outside [1e-120, 1e+116]"),
+            (["tf-atom", "--z", "1e132"], "outside [1e-130, 1e+131]"),
+            (["tf-atom", "--z", "1e-131"], "outside [1e-130, 1e+131]"),
+            (["tf-atom", "--z", "1e300"], "outside [1e-130, 1e+131]"),
+            (["tf-atom", "--z", "1e-300"], "outside [1e-130, 1e+131]"),
+            (["scott", "--z", "1e300", "--h", "0.2,0.1"], "outside [1e-130, 1e+131]"),
+            (["scott", "--z", "1e-300", "--h", "0.2,0.1"], "outside [1e-130, 1e+131]"),
             (["hydrogen", "--z", "1e300", "--h", "0.1", "--k", "2"],
              "at h = 0.1 lies outside 0 < z <= 2h x 5.6438e+102"),
         ],
@@ -589,7 +589,7 @@ class TestInputBoundary:
         assert admissible in err
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("z", ["1e100", "1e-120"])
+    @pytest.mark.parametrize("z", ["1e131", "1e-130"])
     def test_charges_inside_the_range_run(self, tmp_path, z):
         path = tmp_path / "tf.csv"
         status, data = run_to_file(["tf-atom", "--z", z], path)

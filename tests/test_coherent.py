@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import circulant, toeplitz
 from scipy.special import wofz
 
 from scottlab.coherent import (
@@ -40,6 +41,7 @@ from scottlab.coherent import (
     _phase_tables,
     _resolution_nodes,
     _symbol_half,
+    _toeplitz,
     _trial_nodes,
     _u_integrated_square,
     _u_step,
@@ -277,6 +279,19 @@ class TestGridOperators:
                     values[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0
                 )
                 assert np.max(np.abs(mat - by_fft)) <= 1e-14 * np.max(np.abs(by_fft))
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 64])
+    def test_index_gathers_are_scipys_matrices(self, n):
+        rng = np.random.default_rng(n)
+        values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        assert np.array_equal(
+            fourier_multiplier_matrix(values), circulant(np.fft.ifft(values))
+        )
+        column = rng.standard_normal(n)
+        symmetric = np.concatenate((column[:0:-1], column))
+        assert np.array_equal(_toeplitz(symmetric), toeplitz(column))
+        diffs = rng.standard_normal(2 * n - 1)
+        assert np.array_equal(_toeplitz(diffs), toeplitz(diffs[n - 1 :], diffs[n - 1 :: -1]))
 
     def test_schrodinger_harmonic_levels(self):
         grid = Grid1D.uniform(-6.0, 6.0, 256)

@@ -3,7 +3,11 @@
 import ast
 import importlib
 import importlib.util
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -76,3 +80,52 @@ def test_no_unused_imports():
             if (module, name) not in traced
         ]
     assert unused == []
+
+
+GUARD = """
+import json, math, os, sys, tempfile
+
+import scottlab.cli
+from scottlab import coherent, semiclassics
+from scottlab.numerics import Grid1D
+
+imported = set(sys.modules)
+out = tempfile.mkdtemp()
+statuses = [
+    scottlab.cli.main(argv + ["--out", os.path.join(out, f"{i}.csv")])
+    for i, argv in enumerate([
+        ["coherent-check", "--h", "0.4,0.25"],
+        ["scott", "--z", "1", "--h", "0.12,0.09"],
+        ["weyl"],
+        ["tf-atom", "--z", "8"],
+    ])
+]
+p = coherent.CoherentParams(h=0.6, a=0.6 ** -0.8)
+dx = math.pi * p.h / (1.0 + 15.0 / math.sqrt(p.a))
+half = 1.5 + 7.0 / math.sqrt(2.0 * p.a) + 0.5
+grid = Grid1D.uniform(-half, half, 2 * math.ceil(half / dx) + 1)
+coherent.trial_density_matrix(
+    coherent.harmonic_symbol(offset=-1.0), p, grid, support_radius=1.5
+)
+semiclassics.weyl_energy(
+    semiclassics.WeylSpec(n=1, potential=lambda u: u * u - 1.0, h=p.h)
+)
+print(json.dumps({
+    "statuses": statuses,
+    "scipy": sorted(m for m in sys.modules if m.startswith("scipy")),
+    "new": sorted(set(sys.modules) - imported),
+}))
+"""
+
+
+def test_commands_run_on_numpy_and_the_standard_library_alone():
+    # a fresh process: importing the CLI loads no scipy module, and the
+    # commands and the trial density load no module the import did not
+    src = str(Path(scottlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, *sys.path]))
+    done = subprocess.run(
+        [sys.executable, "-c", GUARD], capture_output=True, text=True, env=env,
+        timeout=120, check=True,
+    )
+    report = json.loads(done.stdout.splitlines()[-1])
+    assert report == {"statuses": [0, 0, 0, 0], "scipy": [], "new": []}

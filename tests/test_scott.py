@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
 
 from scottlab import scott, semiclassics
 from scottlab.numerics import fit_power_series
@@ -150,7 +149,7 @@ class TestScottExperiment:
         assert scaled == pytest.approx([scaled[0]] * len(scaled), rel=1e-15)
 
     def test_weyl_term_needs_no_quadrature(self, monkeypatch, atom_z1):
-        calls = {"weyl_energy": 0, "quad": 0}
+        calls = {"weyl_energy": 0, "quadrature": 0}
 
         def counted(name, original):
             def wrapper(*args, **kwargs):
@@ -162,13 +161,14 @@ class TestScottExperiment:
         weyl = counted("weyl_energy", semiclassics.weyl_energy)
         monkeypatch.setattr(scott, "weyl_energy", weyl)
         monkeypatch.setattr(semiclassics, "weyl_energy", weyl)
-        monkeypatch.setattr(integrate, "quad", counted("quad", integrate.quad))
+        rule = counted("quadrature", semiclassics._gauss_kronrod)
+        monkeypatch.setattr(semiclassics, "_gauss_kronrod", rule)
         scott_experiment_tf(1.0, (0.3, 0.2))
-        assert calls == {"weyl_energy": 0, "quad": 0}
+        assert calls == {"weyl_energy": 0, "quadrature": 0}
         # the counters see the quadrature path the sweep no longer takes
         spec = semiclassics.WeylSpec(n=3, potential=lambda r: -atom_z1.v_tf(r))
         semiclassics.weyl_energy(spec)
-        assert calls["weyl_energy"] == 1 and calls["quad"] > 0
+        assert calls["weyl_energy"] == 1 and calls["quadrature"] > 0
 
     def test_per_h_diagnostics_of_the_acceptance_sweep(self, scott_z1):
         rows = scott_z1.per_h

@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from scipy import optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import integrate, optimize
 
 from scottlab.numerics import Bump
 from scottlab.semiclassics import (
     WeylSpec,
+    _brentq,
     _eval_scalar,
     _negative_segments,
     local_trace_experiment,
@@ -78,6 +81,82 @@ class TestNegativeSegments:
         assert (len(segments), open_tail) == (count, open_end)
         # bitwise: the same brentq calls on the same brackets in the same order
         assert (segments, open_tail) == looped_negative_segments(potential, probes)
+
+
+class TestBrentPort:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        a=st.floats(-4.0, 0.99),
+        b=st.floats(1.01, 6.0),
+        shift=st.floats(-0.5, 0.5),
+        tol=st.sampled_from([1e-14, 1e-12, 1e-8]),
+    )
+    def test_same_root_as_scipy(self, a, b, shift, tol):
+        # a cubic with one root in (a, b), near 1 + shift/3, and an
+        # oscillating one; both walk interpolation and bisection steps
+        for f in (
+            lambda x: (x - 1.0 - shift / 3.0) * (x * x + 1.0),
+            lambda x: math.tanh(3.0 * (x - 1.0)) + 0.1 * math.sin(5.0 * x) * shift,
+        ):
+            if (f(a) < 0) == (f(b) < 0):
+                continue
+            expect = optimize.brentq(f, a, b, xtol=tol, rtol=1e-14)
+            assert _brentq(f, a, b, xtol=tol, rtol=1e-14) == expect
+
+    def test_errors(self):
+        with pytest.raises(ValueError, match="different signs"):
+            _brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-14, rtol=1e-14)
+        with pytest.raises(ValueError, match="NaN"):
+            _brentq(lambda x: math.nan, -1.0, 1.0, xtol=1e-14, rtol=1e-14)
+        with pytest.raises(RuntimeError, match="failed to converge in 3 steps"):
+            _brentq(math.atan, -1.0, 2.0, xtol=1e-14, rtol=1e-14, maxiter=3)
+
+
+def quad_position_integral(spec, cuts, tail=False):
+    """int bump^2 |V_-|^(n/2+1) (4 pi r^2 for n = 3) by scipy's quad, panel by
+    panel over the consecutive cuts, plus [cuts[-1], inf) with tail."""
+    power = spec.n / 2.0 + 1.0
+
+    def integrand(x):
+        w = max(-_eval_scalar(spec.potential, x), 0.0) ** power
+        if spec.bump is not None:
+            w *= float(spec.bump(x)) ** 2
+        return w * (4.0 * math.pi * x * x if spec.n == 3 else 1.0)
+
+    bounds = list(zip(cuts[:-1], cuts[1:])) + ([(cuts[-1], np.inf)] if tail else [])
+    return sum(
+        integrate.quad(integrand, a, b, epsabs=1e-15, epsrel=1e-13, limit=400)[0]
+        for a, b in bounds
+    )
+
+
+class TestQuadratureAgainstScipy:
+    @pytest.mark.parametrize("case", ["harmonic", "coulomb", "tf", "bump1", "bump3"])
+    def test_within_1e_12_of_quad(self, atom_z1, case):
+        ladder = list(np.geomspace(1e-9, 1e7, 35))
+        if case == "harmonic":
+            spec = WeylSpec(n=1, potential=lambda x: x * x - 1.0)
+            cuts, tail = [-1.0, 1.0], False
+        elif case == "coulomb":
+            spec = WeylSpec(n=3, potential=lambda r: -1.0 / r + 1.0)
+            cuts, tail = [0.0, 1.0], False
+        elif case == "tf":
+            spec = WeylSpec(n=3, potential=lambda r: -atom_z1.v_tf(r), h=2**-0.5)
+            cuts, tail = [0.0] + ladder, True
+        elif case == "bump1":
+            bump = Bump(center=0.3, radius=1.2)
+            spec = WeylSpec(n=1, potential=lambda x: x * x - 1.0, bump=bump)
+            cuts, tail = [-0.9, -0.3, 0.9, 1.5], False
+        else:  # local-trace --n 3: a well whose edge lies in the bump's plateau
+            spec = WeylSpec(
+                n=3,
+                potential=lambda r: np.where(r < 1.0, -((1.0 - r * r) ** 2), 0.0),
+                bump=Bump(center=0.0, radius=2.0),
+            )
+            cuts, tail = [0.0, 1.0, 2.0], False
+        expect = quad_position_integral(spec, cuts, tail)
+        expect *= weyl_prefactor(spec.n, spec.h)
+        assert weyl_energy(spec) == pytest.approx(expect, rel=1e-12, abs=0.0)
 
 
 class TestWeylEnergy:

@@ -379,15 +379,6 @@ class TestTridiagonalBinding:
             atol=1e-12,
         )
 
-    def test_capsule_signatures_are_checked(self, monkeypatch):
-        ilp64 = "void (char *, char *, int64_t *, double *)"
-        assert spectra._parameter_kinds(ilp64) == "cc?d"
-        for name in ("dstebz", "dstein"):
-            spectra._lapack(name)  # the installed scipy passes the check
-        monkeypatch.setitem(spectra._PARAMETERS, "dstein", "iddidiididii?")
-        with pytest.raises(RuntimeError, match="LP64"):
-            spectra._lapack.__wrapped__("dstein")
-
     def test_non_finite_entries_rejected(self):
         diag, conjugation = self.coulomb_channel()
         diag[7] = np.nan
@@ -427,6 +418,25 @@ class TestLapackFailures:
         with pytest.raises(RuntimeError, match=message):
             neg_sum_radial(harmonic_problem())
 
+    def test_missing_routine_is_named(self, monkeypatch, tmp_path, capsys):
+        # a bundled OpenBLAS without LAPACK: the first radial solve says
+        # which symbol it looked for, and the command exits 1 with no file
+        class Library:
+            pass
+
+        monkeypatch.setattr(spectra, "_lapack", spectra._lapack.__wrapped__)
+        monkeypatch.setattr(
+            numerics, "_openblas_library", lambda package: (Library(), "scipy_", "64_")
+        )
+        with pytest.raises(RuntimeError, match="scipy_dstebz_64_"):
+            neg_sum_radial(harmonic_problem())
+        argv = ["local-trace", "--n", "3", "--h", "0.4,0.3"]
+        assert main(argv + ["--out", str(tmp_path / "lt.csv")]) == 1
+        assert "does not export the LAPACK routine scipy_dstebz_64_" in (
+            capsys.readouterr().err
+        )
+        assert not (tmp_path / "lt.csv").exists()
+
     def test_unconverged_vectors_fail_the_cli(self, monkeypatch, tmp_path, capsys):
         monkeypatch.setattr(spectra, "_lapack", lapack_reporting("dstein", 1))
         argv = ["local-trace", "--n", "3", "--h", "0.4,0.3"]
@@ -459,7 +469,7 @@ class TestRadialWorkers:
     def test_blas_threads_restored_after_normal_and_raising_calls(self, monkeypatch):
         pins = [
             calls
-            for calls in map(numerics._bundled_openblas, ("numpy", "scipy"))
+            for calls in map(numerics._bundled_openblas, ("numpy",))
             if calls is not None
         ]
         if not pins:
