@@ -1,8 +1,8 @@
 """Shared numerical utilities: grids, grid operators, cutoffs, fits.
 
 Everything here is deterministic and stateless, except the pinned worker
-pool and pinned calls, which hold numpy's OpenBLAS at one thread while they
-run.
+pool and pinned calls, which hold the bundled OpenBLAS at one thread while
+they run.
 The smooth cutoff functions are built from the classic exponential
 transition exp(-1/s), which gives genuinely C-infinity profiles with
 compact support.
@@ -15,8 +15,9 @@ import glob
 import importlib.util
 import math
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from functools import cache, wraps
 from typing import ClassVar
@@ -134,12 +135,13 @@ class GridOperator:
 # The rows of criterion 8's h = 0.1 (163-point grid) took 0.45 to 0.48 s on
 # one worker and 0.33 to 0.35 s on two.  Unpinned, the same two workers
 # oversubscribe the cores and took 0.66 to 0.77 s there, slower than one.
-# numpy's wheel bundles OpenBLAS, and the package uses no other copy: the
-# radial channel solves (spectra) call LAPACK dstebz / dstein from it too,
-# whose level-1 BLAS oversubscribes two cores the same way (the radial sum
-# of the Scott sweep at h = 0.05 took 3.2 s on two threads unpinned, 2.0 s
-# pinned).  So pinning numpy's OpenBLAS pins every BLAS call the package
-# makes.
+# numpy's Linux wheels bundle OpenBLAS, and the radial channel solves
+# (spectra) call LAPACK dstebz / dstein from it too, whose level-1 BLAS
+# oversubscribes two cores the same way (the radial sum of the Scott sweep
+# at h = 0.05 took 3.2 s on two threads unpinned, 2.0 s pinned).  Where
+# numpy's OpenBLAS lacks those routines the solves run on scipy's LAPACK,
+# so once scipy is imported its bundled OpenBLAS is pinned as well
+# (_blas_pins).  A library that is not found is left alone.
 #
 # _pinned_map is the one place that decides how such pieces run: the rows
 # of the trial density (coherent) and the channel solves of a radial sum
@@ -200,6 +202,13 @@ def _bundled_openblas(package: str):
     return set_n, get_n
 
 
+def _blas_pins() -> list:
+    """(set, get) of each bundled OpenBLAS found that the package may call:
+    numpy's, and scipy's once scipy is imported."""
+    packages = ("numpy", "scipy") if "scipy" in sys.modules else ("numpy",)
+    return [calls for calls in map(_bundled_openblas, packages) if calls is not None]
+
+
 def _row_workers() -> int:
     """Threads for independent pieces of small BLAS work: one per usable CPU
     when _one_blas_thread can pin numpy's OpenBLAS, else 1."""
@@ -208,25 +217,19 @@ def _row_workers() -> int:
 
 @contextmanager
 def _one_blas_thread():
-    """Hold numpy's OpenBLAS at one thread inside the block, then restore the
-    prior count, also when the block raises.  Without a bundled OpenBLAS the
-    block runs unpinned.  The count is process-wide, so blocks entered from
-    several threads at once restore in the order they exit."""
-    calls = _bundled_openblas("numpy")
-    if calls is None:
+    """Hold each library of _blas_pins() at one thread inside the block, then
+    restore each prior count, also when the block raises.  The counts are
+    process-wide, so blocks entered from several threads at once restore in
+    the order they exit."""
+    with ExitStack() as restore:
+        for set_n, get_n in _blas_pins():
+            restore.callback(set_n, get_n())
+            set_n(1)
         yield
-        return
-    set_n, get_n = calls
-    prior = get_n()
-    set_n(1)
-    try:
-        yield
-    finally:
-        set_n(prior)
 
 
 def _pinned(fn):
-    """fn, run with numpy's OpenBLAS held at one thread.
+    """fn, run with the bundled OpenBLAS held at one thread.
 
     For a dense solve whose result must not depend on the thread count:
     OpenBLAS splits a factorization differently on more threads, which can
@@ -243,8 +246,8 @@ def _pinned(fn):
 
 def _pinned_map(fn, items):
     """Yield fn(item) for each of items, in item order, computed on
-    _row_workers() threads (at most one per item) with numpy's OpenBLAS held
-    at one thread meanwhile.
+    _row_workers() threads (at most one per item) with the bundled OpenBLAS
+    held at one thread meanwhile.
 
     Results stream: each is yielded once it and those before it are done,
     so a caller that folds them as they come need not hold them all.  An

@@ -7,7 +7,7 @@ The momentum integral is always done in closed form,
 so every Weyl quantity reduces to a position quadrature against a power of
 the negative part of the potential.  Position integrals run through a
 globally adaptive Gauss-Kronrod rule; when no cutoff is supplied the
-negative region of the potential is located first, by Brent's method, so
+negative region of the potential is located first, by bisection, so
 segment edges land on quadrature breakpoints.
 """
 
@@ -58,98 +58,58 @@ class WeylSpec:
         require_positive(self.h, "h")
 
 
-def _eval_scalar(potential: Callable, x: float) -> float:
-    val = np.asarray(potential(np.asarray([x], dtype=float)), dtype=float)
-    return float(val.reshape(-1)[0])
+def _values(potential: Callable, x: np.ndarray) -> np.ndarray:
+    """potential at the points x, as floats of x's shape."""
+    return np.broadcast_to(np.asarray(potential(x), dtype=float), x.shape)
 
 
-def _brentq(f: Callable[[float], float], xa: float, xb: float,
-            xtol: float, rtol: float, maxiter: int = 100) -> float:
-    """Root of f between xa and xb, where f changes sign, by Brent's method.
+def _bisect(potential, lo, hi, neg_lo, xtol: float, rtol: float) -> np.ndarray:
+    """Points where potential turns negative or back, one per bracket
+    [lo_i, hi_i] whose lower end has potential < 0 as neg_lo_i says and
+    whose upper end does not, by bisection.
 
-    A line-for-line port of brentq.c in scipy.optimize (Brent, Algorithms
-    for Minimization Without Derivatives, 1973, ch. 4), so its steps and its
-    roots are bitwise scipy's.  The bracket end kept is the one where |f| is
-    smaller; each step interpolates (secant or inverse quadratic) when that
-    shrinks the bracket fast enough, and bisects otherwise.  It stops when
-    half the bracket is below (xtol + rtol |x|)/2.  ValueError when f has
-    one sign at both ends or returns NaN, RuntimeError after maxiter steps.
+    All brackets halve together, one potential call per step, and each
+    stops once its width is below xtol + rtol |x|; its midpoint is
+    returned.  ValueError when potential is NaN at a midpoint.
     """
-
-    def value(x: float) -> float:
-        fx = f(x)
-        if math.isnan(fx):
-            raise ValueError(f"f is NaN at x = {x!r}; Brent's method cannot continue")
-        return fx
-
-    xpre, xcur = float(xa), float(xb)
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = (
-                    -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-                )
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry  # good short step
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = value(xcur)
-    raise RuntimeError(f"Brent's method failed to converge in {maxiter} steps")
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    active = np.arange(lo.size)
+    while active.size:
+        a, b = lo[active], hi[active]
+        mid = 0.5 * (a + b)
+        done = b - a < xtol + rtol * np.abs(mid)
+        active, mid = active[~done], mid[~done]
+        v = _values(potential, mid)
+        if np.isnan(v).any():
+            x = float(mid[np.isnan(v)][0])
+            raise ValueError(f"potential is NaN at x = {x!r}; bisection cannot continue")
+        same = (v < 0.0) == neg_lo[active]
+        lo[active[same]] = mid[same]
+        hi[active[~same]] = mid[~same]
+    return 0.5 * (lo + hi)
 
 
 def _negative_segments(potential, probes) -> tuple[list[tuple[float, float]], bool]:
-    """Segments of {V < 0} bracketed by probe points, edges refined by brentq.
+    """Segments of {V < 0} bracketed by probe points, edges refined by
+    bisection to 1e-14 (1 + |x|).
 
     Returns the segment list and whether the region is open at the far end
     (still negative at the last probe).
     """
-    vals = np.asarray(potential(probes), dtype=float)
-    neg = vals < 0.0
+    neg = _values(potential, probes) < 0.0
     if not neg.any():
         return [], False
-    # one brentq per sign change of the probe values, in probe order
-    edges = [
-        _brentq(
-            lambda s: _eval_scalar(potential, s),
-            probes[i],
-            probes[i + 1],
-            xtol=1e-14,
-            rtol=1e-14,
-        )
-        for i in np.flatnonzero(neg[:-1] != neg[1:]).tolist()
+    change = np.flatnonzero(neg[:-1] != neg[1:])
+    edges = _bisect(
+        potential, probes[change], probes[change + 1], neg[change], 1e-14, 1e-14
+    )
+    bounds = np.concatenate([probes[:1], edges, probes[-1:]]).astype(float)
+    inside = _values(potential, 0.5 * (bounds[:-1] + bounds[1:])) < 0.0
+    segments = [
+        (float(lo), float(hi))
+        for lo, hi, keep in zip(bounds[:-1], bounds[1:], inside)
+        if keep
     ]
-    bounds = [float(probes[0])] + edges + [float(probes[-1])]
-    segments = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        mid = 0.5 * (lo + hi)
-        if _eval_scalar(potential, mid) < 0.0:
-            segments.append((lo, hi))
     return segments, bool(neg[-1])
 
 
@@ -260,8 +220,9 @@ def _position_integral(spec: WeylSpec) -> float:
     power = spec.n / 2.0 + 1.0
 
     def integrand(x: np.ndarray) -> np.ndarray:
-        v = np.broadcast_to(np.asarray(spec.potential(x), dtype=float), x.shape)
-        w = np.where(v < 0.0, -v, 0.0) ** power
+        v = _values(spec.potential, x)
+        # NaN stays NaN here, so _refine rejects the integral
+        w = np.where(v >= 0.0, 0.0, -v) ** power
         if spec.bump is not None:
             w *= spec.bump(x) ** 2
         if spec.n == 3:

@@ -26,13 +26,13 @@ uniform grid that is the last max(2, int(0.05 n)) of its n interior points.
 The channel solves of a radial sum are independent, so they run through
 numerics._pinned_map, one worker thread per usable CPU.  Each solve is one
 function: it assembles its channel matrix and calls LAPACK dstebz / dstein
-from the OpenBLAS bundled in numpy's wheel, through ctypes, with the
-interpreter lock released; no other LAPACK is used, and a numpy without
-those routines fails the first solve with a RuntimeError naming the
-missing symbol.  The calling thread adds the results in ell order, so every
-eigenvalue and every sum is bitwise the same for any worker count, and
-equal to what scipy's eigvalsh_tridiagonal / eigh_tridiagonal return for
-the same matrix (the tests check it).
+through ctypes, with the interpreter lock released: from the OpenBLAS
+bundled in numpy's wheel where it exports them, else from scipy's
+cython_lapack.  With neither, the first solve fails with a RuntimeError
+naming what is missing.  The calling thread adds the results in ell
+order, so every eigenvalue and every sum is bitwise the same for any worker
+count, and equal to what scipy's eigvalsh_tridiagonal / eigh_tridiagonal
+return for the same matrix (the tests check it).
 """
 
 from __future__ import annotations
@@ -270,52 +270,121 @@ class RadialProblem:
 # scipy's eigvalsh_tridiagonal and eigh_tridiagonal hold the interpreter lock
 # through their Fortran calls, so channel solves from two threads ran one at
 # a time (8 channels at h = 0.05: 1.63 s serially, 1.61 s from two threads).
-# The same routines are exported by the OpenBLAS that numpy's wheel bundles
-# (numerics._openblas_library) and called here via ctypes, which releases
-# the lock for the length of the call.  Fortran takes every argument by
-# reference, integers at the library's width, and each character argument's
-# length as a trailing hidden argument by value.
+# The same routines are called here via ctypes, which releases the lock for
+# the length of the call.  They come from the OpenBLAS bundled in numpy's
+# wheel (numerics._openblas_library) where it exports them, as numpy's
+# Linux wheels do; Fortran takes every argument by reference, integers at
+# the library's width, and each character argument's length as a trailing
+# hidden argument by value.  Elsewhere (macOS wheels, conda or distribution
+# builds of numpy) they come from the function pointers that
+# scipy.linalg.cython_lapack exports, imported only then.
 
 # parameter kinds: c = char *, i = integer *, d = double *
 _PARAMETERS = {"dstebz": "cciddiidddiidiidii", "dstein": "iddidiididiii"}
 
 
-@cache
-def _fortran_int():
-    """ctypes type of a LAPACK integer in numpy's bundled OpenBLAS: 64 bits
-    where its symbols carry the ILP64 suffix."""
-    found = numerics._openblas_library("numpy")
-    return ctypes.c_int64 if found is not None and found[2] else ctypes.c_int
+def _parameter_kinds(signature: str) -> str:
+    """Kind letters of the arguments of a capsule signature such as
+    'void (char *, int *, __pyx_t_..._cython_lapack_d *)'; '?' for others."""
+    kinds = []
+    for arg in signature[signature.index("(") + 1 : signature.rindex(")")].split(","):
+        arg = arg.strip()
+        if arg in ("char *", "int *"):
+            kinds.append(arg[0])
+        elif arg == "double *" or arg.endswith("cython_lapack_d *"):
+            kinds.append("d")
+        else:
+            kinds.append("?")
+    return "".join(kinds)
 
 
-@cache
-def _lapack(name: str):
-    """LAPACK routine name from numpy's bundled OpenBLAS as a ctypes call that
-    releases the interpreter lock and appends the hidden length (1) of each
-    character argument; RuntimeError naming the symbol when the library does
-    not export it."""
-    lib, prefix, suffix = numerics._openblas_library("numpy") or (None, "", "")
-    symbol = f"{prefix}{name}_{suffix}"
-    if not hasattr(lib, symbol):
-        raise RuntimeError(
-            f"numpy's bundled OpenBLAS does not export the LAPACK routine "
-            f"{symbol}; the radial eigensolves need a numpy wheel that bundles it"
-        )
-    kinds = _PARAMETERS[name]
+def _prototype(name: str, integer) -> list:
+    """ctypes argument types of the routine name, integers of type integer."""
     pointers = {
         "c": ctypes.c_char_p,
-        "i": ctypes.POINTER(_fortran_int()),
+        "i": ctypes.POINTER(integer),
         "d": ctypes.POINTER(ctypes.c_double),
     }
-    function = getattr(lib, symbol)
-    lengths = (1,) * kinds.count("c")
-    function.argtypes = [pointers[k] for k in kinds] + [ctypes.c_size_t] * len(lengths)
-    function.restype = None
-    return lambda *args: function(*args, *lengths)
+    return [pointers[k] for k in _PARAMETERS[name]]
+
+
+def _openblas_routines(found) -> tuple:
+    """(integer type, {name: call}) of dstebz and dstein in the OpenBLAS
+    found = (library, prefix, suffix); each call appends the hidden length (1)
+    of each character argument.  An ILP64 suffix means 64-bit integers."""
+    lib, prefix, suffix = found
+    integer = ctypes.c_int64 if suffix else ctypes.c_int
+    calls = {}
+    for name in _PARAMETERS:
+        function = getattr(lib, f"{prefix}{name}_{suffix}")
+        lengths = (1,) * _PARAMETERS[name].count("c")
+        function.argtypes = _prototype(name, integer) + [ctypes.c_size_t] * len(lengths)
+        function.restype = None
+        calls[name] = lambda *args, function=function, lengths=lengths: function(
+            *args, *lengths
+        )
+    return integer, calls
+
+
+def _scipy_routines(missing: str) -> tuple:
+    """(int, {name: call}) of dstebz and dstein from scipy's cython_lapack
+    capsules; RuntimeError when scipy is not installed, naming missing, what
+    numpy's OpenBLAS lacked, or unless each signature is the LP64 one the
+    callers here pass arguments for."""
+    try:
+        import scipy.linalg.cython_lapack as cython_lapack
+    except ImportError:
+        raise RuntimeError(
+            f"{missing}, and scipy, whose LAPACK the radial eigensolves use "
+            "instead, is not installed (pip install 'artifact[lapack]')"
+        ) from None
+    api = ctypes.pythonapi
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", api)
+    )
+    get_pointer = ctypes.PYFUNCTYPE(
+        ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p
+    )(("PyCapsule_GetPointer", api))
+    calls = {}
+    for name in _PARAMETERS:
+        capsule = cython_lapack.__pyx_capi__[name]
+        signature = get_name(capsule)
+        if _parameter_kinds(signature.decode()) != _PARAMETERS[name]:
+            raise RuntimeError(
+                f"scipy's {name} has the signature {signature.decode()!r}, not "
+                "the LP64 int * / double * one this module calls it with"
+            )
+        prototype = ctypes.CFUNCTYPE(None, *_prototype(name, ctypes.c_int))
+        calls[name] = prototype(get_pointer(capsule, signature))
+    return ctypes.c_int, calls
+
+
+@cache
+def _binding() -> tuple:
+    """(integer type, {name: call}) of LAPACK dstebz and dstein: from numpy's
+    bundled OpenBLAS where it exports both, else from scipy; RuntimeError
+    naming what is missing when neither has them."""
+    found = numerics._openblas_library("numpy")
+    if found is None:
+        return _scipy_routines("numpy bundles no OpenBLAS under numpy.libs")
+    lib, prefix, suffix = found
+    for name in _PARAMETERS:
+        symbol = f"{prefix}{name}_{suffix}"
+        if not hasattr(lib, symbol):
+            return _scipy_routines(
+                f"numpy's bundled OpenBLAS does not export the LAPACK routine {symbol}"
+            )
+    return _openblas_routines(found)
+
+
+def _lapack(name: str):
+    """LAPACK routine name as a ctypes call that releases the interpreter
+    lock, integers of type _binding()[0]."""
+    return _binding()[1][name]
 
 
 def _ptr(array: np.ndarray):
-    kind = ctypes.c_double if array.dtype == np.float64 else _fortran_int()
+    kind = ctypes.c_double if array.dtype == np.float64 else _binding()[0]
     return array.ctypes.data_as(ctypes.POINTER(kind))
 
 
@@ -356,7 +425,7 @@ def _negative_solve(diag, conjugation, tail=0):
     lower = float(min(np.min(diag) - spread, -1.0))
     d = np.ascontiguousarray(diag, dtype=float)
     e = np.ascontiguousarray(off, dtype=float)
-    integer = _fortran_int()
+    integer = _binding()[0]
     ints = np.dtype(integer)
     size, m, info = integer(n), integer(), integer()
     w = np.empty(n)

@@ -30,14 +30,11 @@ def scott_z1():
 
 @pytest.fixture
 def blas_pins(monkeypatch):
-    """Thread-count getter of numpy's bundled OpenBLAS, if found, set to 2
-    for the test and restored after it; two usable CPUs meanwhile."""
+    """Thread-count getters of the bundled OpenBLAS copies the package pins,
+    each set to 2 for the test and restored after it; two usable CPUs
+    meanwhile."""
     monkeypatch.setattr(numerics, "_usable_cpus", lambda: 2)
-    found = [
-        calls
-        for calls in map(numerics._bundled_openblas, ("numpy",))
-        if calls is not None
-    ]
+    found = numerics._blas_pins()
     priors = [get_threads() for _, get_threads in found]
     for set_threads, _ in found:
         set_threads(2)

@@ -11,8 +11,7 @@ from scipy import integrate, optimize
 from scottlab.numerics import Bump
 from scottlab.semiclassics import (
     WeylSpec,
-    _brentq,
-    _eval_scalar,
+    _bisect,
     _negative_segments,
     local_trace_experiment,
     unit_ball_volume,
@@ -36,31 +35,40 @@ class TestBallVolume:
         assert weyl_prefactor(1, h=0.5) == pytest.approx(-4.0 / (3.0 * math.pi), rel=1e-15)
 
 
+def scalar(potential, x):
+    """potential at the single point x, as a float."""
+    return float(np.asarray(potential(np.asarray([x], dtype=float))).reshape(-1)[0])
+
+
+def looped_bisection(potential, lo, hi):
+    """One bracket's edge, bisected on its own, in scalar arithmetic."""
+    neg_lo = scalar(potential, lo) < 0.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if hi - lo < 1e-14 + 1e-14 * abs(mid):
+            return mid
+        if (scalar(potential, mid) < 0.0) == neg_lo:
+            lo = mid
+        else:
+            hi = mid
+
+
 def looped_negative_segments(potential, probes):
     """_negative_segments with its sign changes found by walking the probe
-    pairs one by one, the way it first did."""
+    pairs one by one, each bisected on its own."""
     vals = np.asarray(potential(probes), dtype=float)
     neg = vals < 0.0
     if not neg.any():
         return [], False
-    edges = []
-    for i in range(len(probes) - 1):
-        if neg[i] != neg[i + 1]:
-            edges.append(
-                float(
-                    optimize.brentq(
-                        lambda s: _eval_scalar(potential, s),
-                        probes[i],
-                        probes[i + 1],
-                        xtol=1e-14,
-                        rtol=1e-14,
-                    )
-                )
-            )
+    edges = [
+        looped_bisection(potential, float(probes[i]), float(probes[i + 1]))
+        for i in range(len(probes) - 1)
+        if neg[i] != neg[i + 1]
+    ]
     bounds = [float(probes[0])] + edges + [float(probes[-1])]
     segments = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        if _eval_scalar(potential, 0.5 * (lo + hi)) < 0.0:
+        if scalar(potential, 0.5 * (lo + hi)) < 0.0:
             segments.append((lo, hi))
     return segments, bool(neg[-1])
 
@@ -79,37 +87,49 @@ class TestNegativeSegments:
         probes = np.linspace(-3.0, 3.0, 64)
         segments, open_tail = _negative_segments(potential, probes)
         assert (len(segments), open_tail) == (count, open_end)
-        # bitwise: the same brentq calls on the same brackets in the same order
+        # bitwise: the same bisection steps on the same brackets, in order
         assert (segments, open_tail) == looped_negative_segments(potential, probes)
+        # each edge within 2e-14 (1 + |x|) of scipy's brentq root: both are
+        # within their tolerance of the true one
+        for lo, hi in segments:
+            for edge in (lo, hi):
+                if edge in (probes[0], probes[-1]):
+                    continue
+                i = np.searchsorted(probes, edge)
+                root = optimize.brentq(
+                    lambda s: scalar(potential, s), probes[i - 1], probes[i],
+                    xtol=1e-14, rtol=1e-14,
+                )
+                assert abs(edge - root) <= 2e-14 * (1.0 + abs(root))
 
 
-class TestBrentPort:
+class TestBisection:
     @settings(max_examples=200, deadline=None)
     @given(
         a=st.floats(-4.0, 0.99),
         b=st.floats(1.01, 6.0),
         shift=st.floats(-0.5, 0.5),
-        tol=st.sampled_from([1e-14, 1e-12, 1e-8]),
     )
-    def test_same_root_as_scipy(self, a, b, shift, tol):
+    def test_within_tolerance_of_scipys_brentq(self, a, b, shift):
         # a cubic with one root in (a, b), near 1 + shift/3, and an
-        # oscillating one; both walk interpolation and bisection steps
+        # oscillating one; both roots within 1e-14 (1 + |x|) of the true one
         for f in (
             lambda x: (x - 1.0 - shift / 3.0) * (x * x + 1.0),
-            lambda x: math.tanh(3.0 * (x - 1.0)) + 0.1 * math.sin(5.0 * x) * shift,
+            lambda x: np.tanh(3.0 * (x - 1.0)) + 0.1 * np.sin(5.0 * x) * shift,
         ):
-            if (f(a) < 0) == (f(b) < 0):
+            if (scalar(f, a) < 0) == (scalar(f, b) < 0):
                 continue
-            expect = optimize.brentq(f, a, b, xtol=tol, rtol=1e-14)
-            assert _brentq(f, a, b, xtol=tol, rtol=1e-14) == expect
+            root = optimize.brentq(f, a, b, xtol=1e-14, rtol=1e-14)
+            neg_lo = np.array([scalar(f, a) < 0])
+            edge = _bisect(f, np.array([a]), np.array([b]), neg_lo, 1e-14, 1e-14)
+            assert abs(edge[0] - root) <= 2e-14 * (1.0 + abs(root))
 
-    def test_errors(self):
-        with pytest.raises(ValueError, match="different signs"):
-            _brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-14, rtol=1e-14)
-        with pytest.raises(ValueError, match="NaN"):
-            _brentq(lambda x: math.nan, -1.0, 1.0, xtol=1e-14, rtol=1e-14)
-        with pytest.raises(RuntimeError, match="failed to converge in 3 steps"):
-            _brentq(math.atan, -1.0, 2.0, xtol=1e-14, rtol=1e-14, maxiter=3)
+    def test_nan_is_rejected(self):
+        with pytest.raises(ValueError, match="NaN at x = 0.5"):
+            _bisect(
+                lambda x: np.where(x > 0.0, np.nan, -1.0),
+                np.array([-1.0]), np.array([2.0]), np.array([True]), 1e-14, 1e-14,
+            )
 
 
 def quad_position_integral(spec, cuts, tail=False):
@@ -118,7 +138,7 @@ def quad_position_integral(spec, cuts, tail=False):
     power = spec.n / 2.0 + 1.0
 
     def integrand(x):
-        w = max(-_eval_scalar(spec.potential, x), 0.0) ** power
+        w = max(-scalar(spec.potential, x), 0.0) ** power
         if spec.bump is not None:
             w *= float(spec.bump(x)) ** 2
         return w * (4.0 * math.pi * x * x if spec.n == 3 else 1.0)
@@ -211,6 +231,19 @@ class TestWeylEnergy:
         spec = WeylSpec(n=1, potential=lambda x: -(x * x), h=1.0)
         with pytest.raises(ValueError, match="position integral"):
             weyl_energy(spec)
+
+    @pytest.mark.parametrize("n, bump", [(1, None), (3, None), (1, Bump(0.0, 2.0))])
+    def test_nan_inside_a_negative_segment_raises(self, n, bump):
+        # V = x^2 - 1 but NaN on (0.2, 0.4), inside the well: no finite Weyl
+        # energy comes out, whether the quadrature meets the NaN (n = 1, no
+        # probe there) or the bisection does (n = 3, probes there)
+        def potential(x):
+            x = np.asarray(x, dtype=float)
+            return np.where((x > 0.2) & (x < 0.4), np.nan, x * x - 1.0)
+
+        message = "position integral" if n == 1 else "NaN at x"
+        with pytest.raises(ValueError, match=message):
+            weyl_energy(WeylSpec(n=n, potential=potential, bump=bump))
 
     def test_rejects_bad_spec(self):
         with pytest.raises(ValueError, match="n = 1 and n = 3"):

@@ -1,8 +1,10 @@
 """Eigenvalue-sum machinery checked against closed-form spectra."""
 
+import ctypes
 import math
 import sys
 import threading
+from functools import cache
 
 import numpy as np
 import pytest
@@ -379,6 +381,27 @@ class TestTridiagonalBinding:
             atol=1e-12,
         )
 
+    def test_capsule_signatures_are_checked(self, monkeypatch):
+        ilp64 = "void (char *, char *, int64_t *, double *)"
+        assert spectra._parameter_kinds(ilp64) == "cc?d"
+        spectra._scipy_routines("unused")  # the installed scipy passes the check
+        monkeypatch.setitem(spectra._PARAMETERS, "dstein", "iddidiididii?")
+        with pytest.raises(RuntimeError, match="LP64"):
+            spectra._scipy_routines("unused")
+
+    def test_scipy_lapack_where_numpy_bundles_none(self, monkeypatch):
+        # a numpy with no OpenBLAS found (macOS and conda builds): the solves
+        # run on scipy's cython_lapack, still bitwise scipy's
+        monkeypatch.setattr(numerics, "_openblas_library", lambda package: None)
+        monkeypatch.setattr(spectra, "_binding", cache(spectra._binding.__wrapped__))
+        assert spectra._binding()[0] is ctypes.c_int
+        self.test_matches_scipy("split_channels")
+        coarse, fine, eigs, _ = scipy_radial_reference(harmonic_problem())
+        res = neg_sum_radial(harmonic_problem())
+        assert (res.total.coarse, res.total.fine) == (coarse, fine)
+        for channel, w in zip(res.channels, eigs):
+            assert np.array_equal(channel.negative_eigenvalues, w[::-1])
+
     def test_non_finite_entries_rejected(self):
         diag, conjugation = self.coulomb_channel()
         diag[7] = np.nan
@@ -419,16 +442,18 @@ class TestLapackFailures:
             neg_sum_radial(harmonic_problem())
 
     def test_missing_routine_is_named(self, monkeypatch, tmp_path, capsys):
-        # a bundled OpenBLAS without LAPACK: the first radial solve says
-        # which symbol it looked for, and the command exits 1 with no file
+        # a bundled OpenBLAS without LAPACK and no scipy to fall back on: the
+        # first radial solve says which symbol it looked for, and the
+        # command exits 1 with no file
         class Library:
             pass
 
-        monkeypatch.setattr(spectra, "_lapack", spectra._lapack.__wrapped__)
+        monkeypatch.setattr(spectra, "_binding", spectra._binding.__wrapped__)
         monkeypatch.setattr(
             numerics, "_openblas_library", lambda package: (Library(), "scipy_", "64_")
         )
-        with pytest.raises(RuntimeError, match="scipy_dstebz_64_"):
+        monkeypatch.setitem(sys.modules, "scipy.linalg.cython_lapack", None)
+        with pytest.raises(RuntimeError, match="scipy_dstebz_64_.*scipy"):
             neg_sum_radial(harmonic_problem())
         argv = ["local-trace", "--n", "3", "--h", "0.4,0.3"]
         assert main(argv + ["--out", str(tmp_path / "lt.csv")]) == 1
@@ -436,6 +461,9 @@ class TestLapackFailures:
             capsys.readouterr().err
         )
         assert not (tmp_path / "lt.csv").exists()
+        monkeypatch.setattr(numerics, "_openblas_library", lambda package: None)
+        with pytest.raises(RuntimeError, match="no OpenBLAS.*not installed"):
+            neg_sum_radial(harmonic_problem())
 
     def test_unconverged_vectors_fail_the_cli(self, monkeypatch, tmp_path, capsys):
         monkeypatch.setattr(spectra, "_lapack", lapack_reporting("dstein", 1))
@@ -467,11 +495,7 @@ class TestRadialWorkers:
         assert_same_radial_sum(pinned, neg_sum_radial(harmonic_problem()))
 
     def test_blas_threads_restored_after_normal_and_raising_calls(self, monkeypatch):
-        pins = [
-            calls
-            for calls in map(numerics._bundled_openblas, ("numpy",))
-            if calls is not None
-        ]
+        pins = numerics._blas_pins()
         if not pins:
             pytest.skip("no bundled OpenBLAS to pin")
         monkeypatch.setattr(numerics, "_usable_cpus", lambda: 2)
