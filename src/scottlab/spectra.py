@@ -328,9 +328,9 @@ def _openblas_routines(found) -> tuple:
 
 def _scipy_routines(missing: str) -> tuple:
     """(int, {name: call}) of dstebz and dstein from scipy's cython_lapack
-    capsules; RuntimeError when scipy is not installed, naming missing, what
-    numpy's OpenBLAS lacked, or unless each signature is the LP64 one the
-    callers here pass arguments for."""
+    capsules.  RuntimeError when scipy is not installed, its message led by
+    missing (what numpy's OpenBLAS lacked), or when a signature is not the
+    LP64 one the callers here pass arguments for."""
     try:
         import scipy.linalg.cython_lapack as cython_lapack
     except ImportError:
