@@ -47,9 +47,6 @@ __all__ = [
 
 CONFIG_PREFIX = "# scottlab-config: "
 
-# parameters whose option is not "--" + the key with "_" -> "-"
-_FLAGS = {"h_values": "--h"}
-
 # commands whose h sweep feeds a fit and so needs at least two values
 _SWEEP_COMMANDS = ("scott", "local-trace")
 
@@ -199,24 +196,6 @@ class RunConfig:
             output_path=doc["output_path"],
             format=doc["format"],
         )
-
-    def to_argv(self) -> list[str]:
-        """Command line that reproduces this run."""
-        argv = [self.command]
-        for key in sorted(self.parameters):
-            value = self.parameters[key]
-            flag = _FLAGS.get(key, "--" + key.replace("_", "-"))
-            if isinstance(value, bool):
-                if value:
-                    argv.append(flag)
-            elif isinstance(value, (list, tuple)):
-                argv.extend([flag, ",".join(_fmt(v) for v in value)])
-            else:
-                argv.extend([flag, _fmt(value)])
-        if self.output_path is not None:
-            argv.extend(["--out", self.output_path])
-        argv.extend(["--format", self.format])
-        return argv
 
 
 def read_config(path: str) -> RunConfig:

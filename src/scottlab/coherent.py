@@ -103,16 +103,15 @@ class CoherentParams:
 
     Phase space is R x R, the paper's dimension n = 1.  The weight w needs
     a < 1/h strictly.  b = 2a/(1 + h^2 a^2) satisfies b <= 1/h with equality
-    exactly at a = 1/h.  a = None picks the error-optimal rule a = h^(-4/5).
+    exactly at a = 1/h.  The error-optimal rule a = h^(-4/5) is the CLI's
+    default --a-rule.
     """
 
     h: float
-    a: float | None = None
+    a: float
 
     def __post_init__(self):
         require_positive(self.h, "h")
-        if self.a is None:
-            object.__setattr__(self, "a", self.h ** (-0.8))
         if not 0 < self.a < 1.0 / self.h:
             raise ValueError("need 0 < a < 1/h for the weight to exist")
 
@@ -318,15 +317,12 @@ def _phase_rule(p: CoherentParams) -> float:
     return min(p.h, 1.0 / math.sqrt(p.a)) / 6.0
 
 
-def _resolution_nodes(
-    p: CoherentParams, grid: Grid1D, q_count: int | None = None
-) -> np.ndarray:
-    """q-nodes of resolution_of_identity_check; a count left None follows
-    _phase_rule."""
+def _resolution_nodes(p: CoherentParams, grid: Grid1D) -> np.ndarray:
+    """q-nodes of resolution_of_identity_check, at step at most _phase_rule(p):
+    2 ceil(q_half/step) + 1 >= 61 of them, as q_half/step >= 42/sqrt(2)."""
     q_half = math.pi * p.h / grid.spacing + 7.0 / math.sqrt(2.0 * p.a)
-    if q_count is None:
-        q_count = 2 * int(math.ceil(q_half / _phase_rule(p))) + 1
-    return np.linspace(-q_half, q_half, q_count)
+    count = 2 * int(math.ceil(q_half / _phase_rule(p))) + 1
+    return np.linspace(-q_half, q_half, count)
 
 
 def _dirichlet_kernel(count: int, step: float, d: np.ndarray, h: float) -> np.ndarray:
@@ -346,10 +342,7 @@ def _dirichlet_kernel(count: int, step: float, d: np.ndarray, h: float) -> np.nd
 
 
 def resolution_of_identity_check(
-    p: CoherentParams,
-    psi: np.ndarray,
-    grid: Grid1D,
-    q_count: int | None = None,
+    p: CoherentParams, psi: np.ndarray, grid: Grid1D
 ) -> float:
     """Relative L2 deviation of the quadratured resolution of the identity.
 
@@ -364,12 +357,9 @@ def resolution_of_identity_check(
     reduced to psi = phi - k pi with k = round(phi/pi), so the aliasing
     peaks give (-1)^(k(N-1)) sin(N psi)/sin(psi), and N (-1)^(k(N-1)) at
     psi = 0.  The same delta weights the sum.  That is O(n) work in place
-    of N (2n - 1) cosines; the check is (M o S) psi.  Under-resolved
-    quadrature (fewer than 8 q-nodes) raises a Python warning and still
-    returns the measured deviation; fewer than 2 raise ValueError.
+    of N (2n - 1) cosines; the check is (M o S) psi.  The nodes are those
+    of _resolution_nodes, at least 61.
     """
-    if q_count is not None and q_count < 2:
-        raise ValueError("the q sum needs at least 2 q-nodes")
     psi = np.asarray(psi)
     if psi.shape != (grid.size,):
         raise ValueError("test vector must live on the grid")
@@ -377,12 +367,7 @@ def resolution_of_identity_check(
     if norm == 0.0:
         return 0.0
 
-    qs = _resolution_nodes(p, grid, q_count)
-    if qs.size < 8:
-        _warnmod.warn(
-            f"phase-space quadrature under-resolved ({qs.size} q-nodes)",
-            stacklevel=2,
-        )
+    qs = _resolution_nodes(p, grid)
     dq = (qs[-1] - qs[0]) / (qs.size - 1)  # linspace's step, not qs[1] - qs[0]
     dx = grid.spacing
 

@@ -15,7 +15,6 @@ import glob
 import importlib.util
 import math
 import os
-import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
@@ -112,10 +111,6 @@ class GridOperator:
         w = self.eigenvalues()
         return float(np.sum(w[w < 0.0]))
 
-    @property
-    def trace(self) -> float:
-        return float(np.real(np.trace(self.matrix)))
-
     def validate_density(self) -> None:
         """Raise ValueError unless the spectrum lies in [0, 1] up to 1e-6."""
         w = self.eigenvalues()
@@ -138,10 +133,9 @@ class GridOperator:
 # numpy's Linux wheels bundle OpenBLAS, and the radial channel solves
 # (spectra) call LAPACK dstebz / dstein from it too, whose level-1 BLAS
 # oversubscribes two cores the same way (the radial sum of the Scott sweep
-# at h = 0.05 took 3.2 s on two threads unpinned, 2.0 s pinned).  Where
-# numpy's OpenBLAS lacks those routines the solves run on scipy's LAPACK,
-# so once scipy is imported its bundled OpenBLAS is pinned as well
-# (_blas_pins).  A library that is not found is left alone.
+# at h = 0.05 took 3.2 s on two threads unpinned, 2.0 s pinned).  Only
+# numpy's OpenBLAS is pinned: where numpy bundles none, the solves run on
+# scipy's LAPACK and _row_workers() is 1, so nothing runs beside them.
 #
 # _pinned_map is the one place that decides how such pieces run: the rows
 # of the trial density (coherent) and the channel solves of a radial sum
@@ -161,20 +155,20 @@ def _usable_cpus() -> int:
 
 
 @cache
-def _openblas_library(package: str):
-    """(library, prefix, suffix) of the OpenBLAS bundled in the wheel of
-    package, or None.
+def _openblas_library():
+    """(library, prefix, suffix) of the OpenBLAS bundled in numpy's wheel, or
+    None.
 
-    Wheels ship the library in <package>.libs beside the package, its symbols
+    Wheels ship the library in numpy.libs beside the package, its symbols
     renamed by a prefix and an ILP64 suffix: numpy 2's exports
     scipy_openblas_set_num_threads64_ and the Fortran routines as
     scipy_dstebz_64_.  A suffix marks 64-bit integer arguments.
     """
-    spec = importlib.util.find_spec(package)
+    spec = importlib.util.find_spec("numpy")
     if spec is None or not spec.submodule_search_locations:
         return None
     site = os.path.dirname(list(spec.submodule_search_locations)[0])
-    libs = os.path.join(site, f"{package}.libs")
+    libs = os.path.join(site, "numpy.libs")
     for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
         try:
             lib = ctypes.CDLL(path)
@@ -188,10 +182,10 @@ def _openblas_library(package: str):
 
 
 @cache
-def _bundled_openblas(package: str):
-    """(set, get) thread-count entry points of the OpenBLAS bundled in the
-    wheel of package, or None."""
-    found = _openblas_library(package)
+def _bundled_openblas():
+    """(set, get) thread-count entry points of the OpenBLAS bundled in numpy's
+    wheel, or None."""
+    found = _openblas_library()
     if found is None:
         return None
     lib, prefix, suffix = found
@@ -202,27 +196,21 @@ def _bundled_openblas(package: str):
     return set_n, get_n
 
 
-def _blas_pins() -> list:
-    """(set, get) of each bundled OpenBLAS found that the package may call:
-    numpy's, and scipy's once scipy is imported."""
-    packages = ("numpy", "scipy") if "scipy" in sys.modules else ("numpy",)
-    return [calls for calls in map(_bundled_openblas, packages) if calls is not None]
-
-
 def _row_workers() -> int:
     """Threads for independent pieces of small BLAS work: one per usable CPU
     when _one_blas_thread can pin numpy's OpenBLAS, else 1."""
-    return _usable_cpus() if _bundled_openblas("numpy") is not None else 1
+    return _usable_cpus() if _bundled_openblas() is not None else 1
 
 
 @contextmanager
 def _one_blas_thread():
-    """Hold each library of _blas_pins() at one thread inside the block, then
-    restore each prior count, also when the block raises.  The counts are
-    process-wide, so blocks entered from several threads at once restore in
-    the order they exit."""
+    """Hold numpy's bundled OpenBLAS, where found, at one thread inside the
+    block, then restore its prior count, also when the block raises.  The
+    count is process-wide, so blocks entered from several threads at once
+    restore in the order they exit."""
     with ExitStack() as restore:
-        for set_n, get_n in _blas_pins():
+        if _bundled_openblas() is not None:
+            set_n, get_n = _bundled_openblas()
             restore.callback(set_n, get_n())
             set_n(1)
         yield

@@ -116,9 +116,6 @@ class SpectralSum:
             )
         return cls(value=value, coarse=coarse, fine=fine, warnings=tuple(warnings))
 
-    def __float__(self) -> float:
-        return self.value
-
     @property
     def refinement_change(self) -> float:
         scale = max(abs(self.value), 1e-300)
@@ -127,14 +124,11 @@ class SpectralSum:
 
 @dataclass(frozen=True)
 class ChannelSpectrum:
-    """Negative eigenvalues of one angular momentum channel."""
+    """Negative eigenvalues of one angular momentum channel, of degeneracy
+    2 ell + 1."""
 
     ell: int
     negative_eigenvalues: np.ndarray  # sorted descending (closest to 0 first)
-
-    @property
-    def degeneracy(self) -> int:
-        return 2 * self.ell + 1
 
 
 @dataclass(frozen=True)
@@ -211,7 +205,7 @@ class RadialProblem:
         if self.stretch:
             t, _ = self.interior(level=0)
             r = self.radius(t)
-            v = np.maximum(self._sampled_potential(r), 0.0)
+            v = np.maximum(_finite_samples(self.potential, r, "r"), 0.0)
             local = step * self.jacobian(t)
             # local step over 1/8 of the local wavelength 2 pi h / sqrt(V_+)
             excess = 8.0 * local * np.sqrt(v) / (2.0 * math.pi * self.h)
@@ -246,11 +240,6 @@ class RadialProblem:
     def jacobian(self, t):
         """r'(t) = 1 + 2 stretch t."""
         return 1.0 + 2.0 * self.stretch * t
-
-    def _sampled_potential(self, r) -> np.ndarray:
-        """V at the radii r of either refinement level; ValueError naming the
-        first radius where it is not finite."""
-        return _finite_samples(self.potential, r, "r")
 
     @property
     def r_max(self) -> float:
@@ -364,7 +353,7 @@ def _binding() -> tuple:
     """(integer type, {name: call}) of LAPACK dstebz and dstein: from numpy's
     bundled OpenBLAS where it exports both, else from scipy; RuntimeError
     naming what is missing when neither has them."""
-    found = numerics._openblas_library("numpy")
+    found = numerics._openblas_library()
     if found is None:
         return _scipy_routines("numpy bundles no OpenBLAS under numpy.libs")
     lib, prefix, suffix = found
@@ -540,7 +529,7 @@ def sentinel_channel(problem: RadialProblem, shift: float = 0.0) -> int:
     """
     t, _ = problem.interior(level=0)
     r = problem.radius(t)
-    v = problem._sampled_potential(r)
+    v = _finite_samples(problem.potential, r, "r")
     h2 = problem.h**2
     for ell in range(SENTINEL_MAX_ELL + 1):
         if np.min(ell * (ell + 1) * h2 / r**2 - v + shift) >= 0.0:
@@ -564,7 +553,7 @@ def _radial_level(problem: RadialProblem, level: int, bump):
     h2 = problem.h**2
     t, step = problem.interior(level=level)
     r = problem.radius(t)
-    v = problem._sampled_potential(r)
+    v = _finite_samples(problem.potential, r, "r")
     node = problem.jacobian(t)
     half = problem.jacobian(step * (np.arange(t.size + 1) + 0.5))
     kinetic = h2 / (step**2 * node) * (1.0 / half[:-1] + 1.0 / half[1:])
@@ -646,21 +635,6 @@ def neg_sum_radial(
 # IMS localization identity
 
 
-def _two_norm_by_power_iteration(matvec, n, iterations=80, seed=7):
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    estimate = 0.0
-    for _ in range(iterations):
-        w = matvec(v)
-        nrm = float(np.linalg.norm(w))
-        if nrm < 1e-300:
-            return 0.0
-        estimate = nrm
-        v = w / nrm
-    return estimate
-
-
 def ims_identity_check(H, partition) -> float:
     """Spectral norm of Phi- H Phi- + Phi+ H Phi+ - H + h^2 I_grad.
 
@@ -670,8 +644,9 @@ def ims_identity_check(H, partition) -> float:
     realization the whole combination collapses to
         (1/2) (P H + H P) - H,     P = Phi-^2 + Phi+^2,
     which vanishes identically when the partition satisfies P = 1.  The
-    returned norm (power iteration, matvec only) is therefore the floating
-    point residual of the quadratic partition identity weighted by H.
+    returned norm (exact, of the dense combination) is therefore the
+    floating point residual of the quadratic partition identity weighted by
+    H.
     """
     x = np.asarray(H.grid.points, dtype=float)
     d = np.abs(x)
@@ -679,8 +654,4 @@ def ims_identity_check(H, partition) -> float:
     pp = np.asarray(partition.outer(d), dtype=float)
     s = pm * pm + pp * pp - 1.0
     m = H.matrix
-
-    def matvec(v):
-        return 0.5 * (s * (m @ v) + m @ (s * v))
-
-    return _two_norm_by_power_iteration(matvec, x.size)
+    return float(np.linalg.norm(0.5 * (s[:, None] * m + m * s), 2))

@@ -433,9 +433,6 @@ class TFSolution:
         r = np.asarray(r, dtype=float)
         return (self.z / r) * self.universal.phi(r / self.ell)
 
-    def rho_tf(self, r) -> np.ndarray:
-        return DENSITY_CONST * self.v_tf(r) ** 1.5
-
     def electron_count(self) -> float:
         """Quadrature of rho over space; neutrality makes it z."""
         x = self.universal.x

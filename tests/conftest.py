@@ -30,11 +30,12 @@ def scott_z1():
 
 @pytest.fixture
 def blas_pins(monkeypatch):
-    """Thread-count getters of the bundled OpenBLAS copies the package pins,
-    each set to 2 for the test and restored after it; two usable CPUs
-    meanwhile."""
+    """Thread-count getters of the bundled OpenBLAS the package pins (none
+    where numpy bundles none), each set to 2 for the test and restored after
+    it; two usable CPUs meanwhile."""
     monkeypatch.setattr(numerics, "_usable_cpus", lambda: 2)
-    found = numerics._blas_pins()
+    calls = numerics._bundled_openblas()
+    found = [] if calls is None else [calls]
     priors = [get_threads() for _, get_threads in found]
     for set_threads, _ in found:
         set_threads(2)

@@ -135,10 +135,6 @@ class TestParams:
         # b = 2a/(1 + (ha)^2) is exactly 8 at h = 0.1, a = 5
         assert CoherentParams(h=0.1, a=5.0).b == 8.0
 
-    def test_default_a_rule(self):
-        p = CoherentParams(h=0.1)
-        assert p.a == pytest.approx(0.1 ** (-0.8))
-
     def test_b_approaches_one_over_h(self):
         h = 0.3
         p = CoherentParams(h=h, a=(1.0 - 1e-12) / h)
@@ -157,7 +153,7 @@ class TestParams:
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
-            CoherentParams(h=0.0)
+            CoherentParams(h=0.0, a=1.0)
         with pytest.raises(ValueError, match="a < 1/h"):
             CoherentParams(h=0.5, a=2.0)
         with pytest.raises(ValueError, match="a < 1/h"):
@@ -300,7 +296,7 @@ class TestGridOperators:
         expect = 2.0 * 0.1 * (np.arange(8) + 0.5)
         np.testing.assert_allclose(levels, expect, atol=1e-8)
 
-    def test_negative_sum_and_trace(self):
+    def test_negative_sum(self):
         grid = Grid1D.uniform(0.0, 1.0, 8)
         op = GridOperator(
             matrix=np.diag([-1.0, 2.0, -0.25, 0.0, 1.0, 1.0, 1.0, 1.0]),
@@ -308,7 +304,6 @@ class TestGridOperators:
             h=1.0,
         )
         assert op.negative_sum() == pytest.approx(-1.25)
-        assert op.trace == pytest.approx(4.75)
 
     def test_rejects_non_hermitian(self):
         grid = Grid1D.uniform(0.0, 1.0, 8)
@@ -337,30 +332,17 @@ class TestResolutionOfIdentity:
         grid = working_grid(p, 7.0)
         assert resolution_of_identity_check(p, np.zeros(grid.size), grid) == 0.0
 
-    def test_under_resolved_quadrature_warns(self):
-        p = CoherentParams(h=0.4, a=0.4**-0.8)
-        grid = working_grid(p, 7.0)
-        psi = np.exp(-grid.points**2)
-        with pytest.warns(UserWarning, match="under-resolved"):
-            dev = resolution_of_identity_check(p, psi, grid, q_count=7)
-        assert dev > 1e-3
-
-    def test_coarse_quadrature_recovers_under_refinement(self):
-        p = CoherentParams(h=0.4, a=0.4**-0.8)
-        grid = working_grid(p, 7.0)
-        psi = np.exp(-grid.points**2)
-        coarse = resolution_of_identity_check(p, psi, grid, q_count=81)
-        fine = resolution_of_identity_check(p, psi, grid, q_count=161)
-        assert fine < coarse
-
     @pytest.mark.parametrize("q_count", [2, 3, 9, 64, None])
     @pytest.mark.parametrize("half_width", [7.0, 30.0])
     @pytest.mark.parametrize("h", [0.6, 0.4, 0.25, 0.1])
     def test_dirichlet_kernel_matches_the_cosine_sum(self, h, half_width, q_count):
-        # small counts and wide grids reach the aliasing peaks phi = k pi
+        # small counts and wide grids reach the aliasing peaks phi = k pi;
+        # None is the check's own count
         p = CoherentParams(h=h, a=h**-0.8)
         grid = working_grid(p, half_width)
-        qs = _resolution_nodes(p, grid, q_count)
+        qs = _resolution_nodes(p, grid)
+        if q_count is not None:
+            qs = np.linspace(qs[0], qs[-1], q_count)
         diffs = grid.spacing * np.arange(-(grid.size - 1), grid.size)
         explicit = np.zeros(diffs.size)
         for q in qs:
@@ -368,13 +350,6 @@ class TestResolutionOfIdentity:
         step = (qs[-1] - qs[0]) / (qs.size - 1)
         closed = _dirichlet_kernel(qs.size, step, diffs, h)
         assert np.max(np.abs(closed - explicit)) <= 1e-11 * np.max(np.abs(explicit))
-
-    @pytest.mark.parametrize("q_count", [0, 1])
-    def test_rejects_fewer_than_two_q_nodes(self, q_count):
-        p = CoherentParams(h=0.4, a=0.4**-0.8)
-        grid = working_grid(p, 7.0)
-        with pytest.raises(ValueError, match="at least 2 q-nodes"):
-            resolution_of_identity_check(p, np.zeros(grid.size), grid, q_count)
 
     def test_rejects_wrong_shapes(self):
         p = CoherentParams(h=0.4, a=0.4**-0.8)
@@ -447,7 +422,8 @@ class TestTrialDensity:
         assert w[0] > -1e-6
         assert w[-1] < 1.0 + 1e-6
         # trace counts the negative phase-space disc, area pi over 2 pi h
-        assert gamma.trace == pytest.approx(math.pi / (2.0 * math.pi * p.h), rel=0.1)
+        trace = np.trace(gamma.matrix).real
+        assert trace == pytest.approx(math.pi / (2.0 * math.pi * p.h), rel=0.1)
 
     def test_energy_dominates_negative_sum(self):
         p, sym, grid = self.build_small()
@@ -465,7 +441,7 @@ class TestTrialDensity:
         grid = Grid1D.uniform(-half, half, 161)
         assert math.pi * p.h / grid.spacing > 9.0 + 10.0 / math.sqrt(p.a)
         gamma = trial_density_matrix(sym, p, grid, support_radius=1.5)
-        assert gamma.trace == pytest.approx(1.0 / (2.0 * p.h), rel=0.1)
+        assert np.trace(gamma.matrix).real == pytest.approx(1.0 / (2.0 * p.h), rel=0.1)
 
     def test_upper_bound_does_not_depend_on_the_grid(self):
         # each node's projection is taken on the line, so the box length and
@@ -562,18 +538,13 @@ class TestTrialDensity:
     def test_gamma_same_without_the_blas_pin(self, monkeypatch, mapped_rows):
         p, sym, grid = self.build_small()
         pinned = trial_density_matrix(sym, p, grid, support_radius=0.5)
-        bundled = numerics._bundled_openblas
-        monkeypatch.setattr(
-            numerics,
-            "_bundled_openblas",
-            lambda package: None if package == "numpy" else bundled(package),
-        )
+        monkeypatch.setattr(numerics, "_bundled_openblas", lambda: None)
         serial = trial_density_matrix(sym, p, grid, support_radius=0.5)
         self.assert_mirrored(mapped_rows, sym, p, grid, 0.5)
         assert np.array_equal(pinned.matrix, serial.matrix)
 
     def test_blas_threads_restored_after_normal_and_raising_calls(self, monkeypatch):
-        calls = numerics._bundled_openblas("numpy")
+        calls = numerics._bundled_openblas()
         if calls is None:
             pytest.skip("numpy has no bundled OpenBLAS to pin")
         set_threads, get_threads = calls

@@ -221,7 +221,7 @@ class TestPositivity:
     positivity check."""
 
     CONSTRUCTORS = {
-        "CoherentParams": lambda v: CoherentParams(h=v),
+        "CoherentParams": lambda v: CoherentParams(h=v, a=1.0),
         "GridOperator": lambda v: GridOperator(
             matrix=np.eye(8), grid=Grid1D.uniform(0.0, 1.0, 8), h=v
         ),
@@ -239,7 +239,10 @@ class TestPositivity:
         "PartitionPair": lambda v: PartitionPair(R=v),
         "tf_scaling_transform": lambda v: tf_scaling_transform(atomic_tf(1.0), v),
         "trial_density_matrix": lambda v: trial_density_matrix(
-            harmonic_symbol(-1.0), CoherentParams(h=0.4), Grid1D.uniform(-4, 4, 33), v
+            harmonic_symbol(-1.0),
+            CoherentParams(h=0.4, a=0.4**-0.8),
+            Grid1D.uniform(-4, 4, 33),
+            v,
         ),
         "fit_power_series": lambda v: fit_power_series(
             [v, 0.2, 0.1], [1.0, 2.0, 4.0], (-1.0,)
