@@ -72,6 +72,13 @@ class Grid1D:
         return Grid1D.uniform(self.points[0], self.points[-1], 2 * self.size - 1)
 
 
+def step_count(length: float, step: float) -> int:
+    """Fewest uniform steps no longer than step that span length.  A quotient
+    within 1e-12 relative above an integer is taken as that integer, so an
+    exact ratio such as 1.625/0.025 is not raised by its rounding error."""
+    return math.ceil(length / step * (1.0 - 1e-12))
+
+
 def require_positive(value: float, name: str) -> None:
     """Raise ValueError unless value is a finite number above zero.
 

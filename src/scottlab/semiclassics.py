@@ -19,7 +19,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .numerics import Bump, FitResult, Grid1D, fit_power_series, require_positive
+from .numerics import (
+    Bump,
+    FitResult,
+    Grid1D,
+    fit_power_series,
+    require_positive,
+    step_count,
+)
 from .spectra import RadialProblem, TraceResult, neg_sum_1d, neg_sum_radial
 
 __all__ = [
@@ -343,7 +350,7 @@ def local_trace_experiment(
         else:
             lo = bump.center - span
             hi = bump.center + span
-            m = max(int(round((hi - lo) / step)), 16)
+            m = max(step_count(hi - lo, step), 16)
             grid = Grid1D.uniform(lo, hi, m + 1)
             quantum = neg_sum_1d(potential, h, grid, bump=bump)
             value, warnings = quantum.value, quantum.warnings

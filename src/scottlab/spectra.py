@@ -46,7 +46,14 @@ from typing import Callable
 import numpy as np
 
 from . import numerics
-from .numerics import Bump, Grid1D, _pinned_map, require_positive, richardson
+from .numerics import (
+    Bump,
+    Grid1D,
+    _pinned_map,
+    require_positive,
+    richardson,
+    step_count,
+)
 
 __all__ = [
     "BoxSizeError",
@@ -226,9 +233,10 @@ class RadialProblem:
         spacing: float,
         stretch: float = 0.0,
     ) -> "RadialProblem":
-        """Grid on (0, r_max] in r, with the t-step rounded to divide t_max."""
+        """Grid on (0, r_max] in r, with the t-step rounded down to divide
+        t_max, so that it never exceeds spacing."""
         t_max = 2.0 * r_max / (1.0 + math.sqrt(1.0 + 4.0 * stretch * r_max))
-        n = max(int(round(t_max / spacing)), 16)
+        n = max(step_count(t_max, spacing), 16)
         step = t_max / n
         grid = Grid1D.uniform(step, t_max, n)
         return cls(potential=potential, h=h, grid=grid, stretch=stretch)

@@ -230,6 +230,17 @@ class TestTfAtomCommand:
         assert meta["E_TF"] == pytest.approx(-0.7687, rel=1e-3)
 
 
+class TestLocalTraceCommand:
+    def test_radial_grid_off_a_whole_step_count(self, tmp_path):
+        # r_max = 1.625 is 32.5 steps of h/8 = 0.05: the grid takes 33 steps
+        # of at most h/8, where 32 exceeded it and the run exited 1
+        argv = ["local-trace", "--n", "3", "--potential", "coulomb",
+                "--bump-center", "1", "--bump-radius", "0.5", "--h", "0.4,0.2"]
+        status, data = run_to_file(argv, tmp_path / "lt.csv")
+        assert status == 0
+        assert len(data.decode().splitlines()) == 4 + 2
+
+
 class TestCoherentCheckCommand:
     def test_single_h_row(self, tmp_path):
         path = tmp_path / "cc.csv"

@@ -174,7 +174,7 @@ class TestScottExperiment:
         rows = scott_z1.per_h
         assert [row["h"] for row in rows] == list(scott_z1.h_values)
         # the mapped grid: n grows like 1/h, not like 1/h^2
-        assert [row["grid_points"] for row in rows] == [294, 395, 511, 719]
+        assert [row["grid_points"] for row in rows] == [294, 396, 511, 719]
         assert [row["negative_eigenvalues"] for row in rows] == [26, 44, 75, 145]
         assert [row["sentinel"] for row in rows] == [5, 7, 9, 13]
         for row in rows:

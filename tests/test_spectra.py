@@ -90,6 +90,20 @@ class TestRadialProblem:
         with pytest.raises(ValueError, match="h/8"):
             RadialProblem.build(square_well(1.0), h=0.1, r_max=4.0, spacing=0.05)
 
+    @pytest.mark.parametrize(
+        "r_max, h, points",
+        [
+            (1.625, 0.4, 33),  # 32.5 steps: rounding down gave a step over h/8
+            (1.625, 0.2, 65),
+            (0.9, 0.12, 60),  # 0.9/0.015 rounds to 60.00000000000001
+        ],
+    )
+    def test_step_never_exceeds_the_spacing_asked_for(self, r_max, h, points):
+        prob = RadialProblem.build(square_well(1.0), h=h, r_max=r_max, spacing=h / 8)
+        assert prob.grid.size == points
+        assert prob.grid.spacing <= h / 8 * (1.0 + 1e-15)
+        assert prob.r_max == pytest.approx(r_max, rel=1e-15)
+
     def test_non_finite_potential_named_where_first_sampled(self):
         def potential(r):
             return np.where(r > 1, np.nan, 1 - r * r)
