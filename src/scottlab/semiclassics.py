@@ -245,14 +245,25 @@ def _position_integral(spec: WeylSpec) -> float:
             return 0.0
         # split at the plateau edges where the cutoff's derivatives spike
         pr = spec.bump.plateau * spec.bump.radius
-        cuts = sorted(
+        cuts = np.array(sorted(
             {lo, hi}
             | {
                 c
                 for c in (spec.bump.center - pr, spec.bump.center + pr)
                 if lo < c < hi
             }
+        ))
+        # and where V changes sign between two cuts, since a panel whose
+        # turning point lies just past its end holds a sliver of {V < 0}
+        # that its Kronrod nodes may all miss; V may be infinite at a cut
+        # (a Coulomb V at r = 0), where only its sign is read
+        with np.errstate(divide="ignore", invalid="ignore"):
+            neg = _values(spec.potential, cuts) < 0.0
+        change = np.flatnonzero(neg[:-1] != neg[1:])
+        turns = _bisect(
+            spec.potential, cuts[change], cuts[change + 1], neg[change], 1e-14, 1e-14
         )
+        cuts = np.union1d(cuts, turns).tolist()
         return _integrate(integrand, list(zip(cuts[:-1], cuts[1:])))
 
     if spec.n == 3:

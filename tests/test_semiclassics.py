@@ -179,6 +179,19 @@ class TestQuadratureAgainstScipy:
         assert weyl_energy(spec) == pytest.approx(expect, rel=1e-12, abs=0.0)
 
 
+    @pytest.mark.parametrize("offset", [1e-2, 1e-3, 5e-4, 1e-5])
+    def test_turning_point_just_past_a_plateau_edge(self, offset):
+        # the plateau's right edge lies offset below the turning point x = 1;
+        # cut only there, the sliver [1 - offset, 1] missed every Kronrod
+        # node and read as zero (4.5e-8 relative at offset 1e-3)
+        bump = Bump(center=0.5 - offset, radius=1.0)
+        spec = WeylSpec(n=1, potential=lambda x: x * x - 1.0, bump=bump)
+        c = bump.center
+        cuts = [c - 1.0, c - 0.5, c + 0.5, 1.0, c + 1.0]
+        expect = weyl_prefactor(1) * quad_position_integral(spec, cuts)
+        assert weyl_energy(spec) == pytest.approx(expect, rel=1e-12, abs=0.0)
+
+
 class TestWeylEnergy:
     def test_ball_indicator(self):
         # |V_-|^(5/2) integrates to the ball volume
