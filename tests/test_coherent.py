@@ -715,12 +715,16 @@ def per_node_trial_density(sym, p, grid, support_radius):
     P = s beta^2/(4 alpha) - a(x - 2u)^2/4 - x^2/(4 h^2 a) + i q x/h.  The
     entry (x, y) integrates exp(-2A lambda^2 + D lambda), D = L(x) +
     conj L(y), up to lam0: the erfc of a complex argument, taken through the
-    Faddeeva function w so that no factor overflows.
+    Faddeeva function w so that no factor overflows.  Swapping x and y
+    conjugates P(x) + conj P(y) and D, and w(-conj z) = conj w(z), so each
+    node's term is Hermitian entry by entry: only the entries on and above
+    the diagonal are integrated, and the rest mirrored.
     """
     x, dx, h, a = grid.points, grid.spacing, p.h, p.a
     us, qs, step = _trial_nodes(sym, p, grid, support_radius)
     a0 = a / 4.0 + 1.0 / (4.0 * h * h * a)
-    gamma = np.zeros((x.size, x.size), dtype=complex)
+    row, col = np.triu_indices(x.size)
+    upper = np.zeros(row.size, dtype=complex)
     for u in us.tolist():
         edge = math.isclose(abs(u), support_radius, rel_tol=1e-12)
         weight = (0.5 if edge else 1.0) * step * step / (2.0 * math.pi * h)
@@ -750,8 +754,8 @@ def per_node_trial_density(sym, p, grid, support_radius):
                 + 1j * q * x / h
             )
             l_x = 1j * beta / (2.0 * h * alpha)
-            pp = p_x[:, None] + p_x.conj()[None, :]
-            d = l_x[:, None] + l_x.conj()[None, :]
+            pp = p_x[row] + p_x.conj()[col]
+            d = l_x[row] + l_x.conj()[col]
             # int_{-inf}^{lam0} exp(-two_a l^2 + d l) dl
             #   = sqrt(pi/two_a)/2 exp(d^2/(4 two_a)) erfc(z),
             # z = sqrt(two_a) (d/(2 two_a) - lam0)
@@ -768,8 +772,12 @@ def per_node_trial_density(sym, p, grid, support_radius):
                     2.0 * np.exp(whole) - np.exp(at_cut) * wofz(-1j * z),
                 )
             scale = dx / (2.0 * math.pi * h * h * abs(alpha))
-            gamma += weight * scale * 0.5 * math.sqrt(math.pi / two_a) * cut
-    return 0.5 * (gamma + gamma.conj().T)
+            upper += weight * scale * 0.5 * math.sqrt(math.pi / two_a) * cut
+    gamma = np.zeros((x.size, x.size), dtype=complex)
+    gamma[col, row] = upper.conj()
+    gamma[row, col] = upper
+    np.fill_diagonal(gamma, gamma.diagonal().real)
+    return gamma
 
 
 class TestAgainstPerNodeLoops:
