@@ -82,6 +82,24 @@ def test_no_unused_imports():
     assert unused == []
 
 
+def test_every_private_definition_is_used_in_the_package():
+    # a private function, method or class that only tests call is dead
+    # code: the package keeps only what a command or a workload reaches
+    package = Path(scottlab.__file__).resolve().parent
+    defined, read = [], set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    defined.append((path.stem, node.name))
+            elif isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert defined  # the scan sees the package's definitions
+    assert [(module, name) for module, name in defined if name not in read] == []
+
+
 GUARD = """
 import json, math, os, sys, tempfile
 
