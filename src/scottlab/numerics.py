@@ -90,11 +90,8 @@ def require_positive(value: float, name: str) -> None:
 
 @dataclass(frozen=True)
 class GridOperator:
-    """Dense Hermitian matrix acting on function values over a Grid1D.
-
-    Hamiltonians and density matrices alike; validate_density adds the
-    0 <= gamma <= 1 check that a density matrix must pass.
-    """
+    """Dense Hermitian matrix acting on function values over a Grid1D:
+    Hamiltonians and density matrices alike."""
 
     matrix: np.ndarray
     grid: Grid1D
@@ -117,12 +114,6 @@ class GridOperator:
     def negative_sum(self) -> float:
         w = self.eigenvalues()
         return float(np.sum(w[w < 0.0]))
-
-    def validate_density(self) -> None:
-        """Raise ValueError unless the spectrum lies in [0, 1] up to 1e-6."""
-        w = self.eigenvalues()
-        if w[0] < -1e-6 or w[-1] > 1.0 + 1e-6:
-            raise ValueError(f"spectrum [{w[0]:.3g}, {w[-1]:.3g}] escapes [0, 1]")
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,9 @@ The momentum integral is always done in closed form,
 
 so every Weyl quantity reduces to a position quadrature against a power of
 the negative part of the potential.  Position integrals run through a
-globally adaptive Gauss-Kronrod rule; when no cutoff is supplied the
-negative region of the potential is located first, by bisection, so
-segment edges land on quadrature breakpoints.
+globally adaptive Gauss-Kronrod rule.  The turning points of the potential
+are located first, by bisection (with a cutoff, those between its support
+ends and plateau edges), so segment edges land on quadrature breakpoints.
 """
 
 from __future__ import annotations
@@ -19,14 +19,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .numerics import (
-    Bump,
-    FitResult,
-    Grid1D,
-    fit_power_series,
-    require_positive,
-    step_count,
-)
+from .numerics import Bump, FitResult, Grid1D, fit_power_series, require_positive
+from .numerics import step_count
 from .spectra import RadialProblem, TraceResult, neg_sum_1d, neg_sum_radial
 
 __all__ = [
@@ -244,19 +238,12 @@ def _position_integral(spec: WeylSpec) -> float:
         if hi <= lo:
             return 0.0
         # split at the plateau edges where the cutoff's derivatives spike
-        pr = spec.bump.plateau * spec.bump.radius
-        cuts = np.array(sorted(
-            {lo, hi}
-            | {
-                c
-                for c in (spec.bump.center - pr, spec.bump.center + pr)
-                if lo < c < hi
-            }
-        ))
-        # and where V changes sign between two cuts, since a panel whose
-        # turning point lies just past its end holds a sliver of {V < 0}
-        # that its Kronrod nodes may all miss; V may be infinite at a cut
-        # (a Coulomb V at r = 0), where only its sign is read
+        center, pr = spec.bump.center, spec.bump.plateau * spec.bump.radius
+        edges = [c for c in (center - pr, center + pr) if lo < c < hi]
+        cuts = np.array([lo, *edges, hi])
+        # and where V changes sign between them: a turning point just past a
+        # cut leaves a sliver of {V < 0} that the panel's nodes may all miss.
+        # At a cut only V's sign is read; it may be infinite there (r = 0)
         with np.errstate(divide="ignore", invalid="ignore"):
             neg = _values(spec.potential, cuts) < 0.0
         change = np.flatnonzero(neg[:-1] != neg[1:])

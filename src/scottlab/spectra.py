@@ -46,14 +46,7 @@ from typing import Callable
 import numpy as np
 
 from . import numerics
-from .numerics import (
-    Bump,
-    Grid1D,
-    _pinned_map,
-    require_positive,
-    richardson,
-    step_count,
-)
+from .numerics import Bump, Grid1D, _pinned_map, require_positive, richardson
 
 __all__ = [
     "BoxSizeError",
@@ -236,7 +229,7 @@ class RadialProblem:
         """Grid on (0, r_max] in r, with the t-step rounded down to divide
         t_max, so that it never exceeds spacing."""
         t_max = 2.0 * r_max / (1.0 + math.sqrt(1.0 + 4.0 * stretch * r_max))
-        n = max(step_count(t_max, spacing), 16)
+        n = max(numerics.step_count(t_max, spacing), 16)
         step = t_max / n
         grid = Grid1D.uniform(step, t_max, n)
         return cls(potential=potential, h=h, grid=grid, stretch=stretch)

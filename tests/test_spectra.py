@@ -616,17 +616,6 @@ class TestDensityMatrix:
         v /= np.linalg.norm(v)
         return GridOperator(matrix=np.outer(v, v), grid=grid, h=0.1), v
 
-    def test_rank_one_projector_validates(self):
-        gamma, _ = self.make_rank_one()
-        gamma.validate_density()
-        assert np.trace(gamma.matrix) == pytest.approx(1.0, abs=1e-12)
-
-    def test_eigenvalue_above_one_rejected(self):
-        gamma, v = self.make_rank_one()
-        bad = GridOperator(matrix=1.5 * gamma.matrix, grid=gamma.grid, h=gamma.h)
-        with pytest.raises(ValueError, match="escapes"):
-            bad.validate_density()
-
     def test_non_hermitian_rejected(self):
         gamma, _ = self.make_rank_one()
         m = gamma.matrix.copy()
