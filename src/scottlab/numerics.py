@@ -74,8 +74,9 @@ class Grid1D:
 
 def step_count(length: float, step: float) -> int:
     """Fewest uniform steps no longer than step that span length.  A quotient
-    within 1e-12 relative above an integer is taken as that integer, so an
-    exact ratio such as 1.625/0.025 is not raised by its rounding error."""
+    within 1e-12 relative above an integer is taken as that integer, so a
+    whole ratio such as 0.9/0.015, which rounds to 60.00000000000001, is not
+    raised by its rounding error."""
     return math.ceil(length / step * (1.0 - 1e-12))
 
 
