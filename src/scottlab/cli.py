@@ -1,6 +1,12 @@
 """Command-line front end: experiment runner with reproducible tables.
 
 Each command runs one pipeline and writes a results table plus metadata.
+``_COMMAND_TABLE`` states each command once: its pipeline, its help line and,
+per parameter, the type, the default or ``REQUIRED``, the domain or choices
+and the help text.  The parser is built from it, and RunConfig checks every
+configuration against it, so one replayed from a results file meets the same
+types, domains and choices as a command line.
+
 CSV output starts with '#'-prefixed header lines; the first carries the full
 resolved run configuration as JSON and round-trips through
 ``RunConfig.from_header_line``, so any output file reproduces its run.  When
@@ -11,12 +17,11 @@ wall-clock time or iteration order, so repeated runs are byte-identical.
 
 Exit status: 0 on success, 1 on solver failure (diagnostic on stderr) or,
 under --strict, when the run emitted accuracy warnings; 2 on usage or domain
-errors, non-numeric and non-finite values included.  Domain checks live in
-RunConfig, so a configuration replayed from a results file is checked the
-same way; they include the charges whose results stay finite floats, and a
-replayed parameter map must hold exactly what the command's parser sets.  A
-result that still holds a NaN or infinity is a solver failure and writes no
-file: every JSON part is serialized with allow_nan=False.
+errors, non-numeric and non-finite values included.  The domain checks include
+the charges whose results stay finite floats, and a replayed parameter map
+must hold exactly what the command's parser sets.  A result that still holds
+a NaN or infinity is a solver failure and writes no file: every JSON part is
+serialized with allow_nan=False.
 
 Pipelines call the library through its modules (``scott.scott_experiment_tf``),
 so a function replaced on its module, as a profiler does, is the one called.
@@ -31,8 +36,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
-from functools import cache
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -49,30 +53,6 @@ CONFIG_PREFIX = "# scottlab-config: "
 
 # commands whose h sweep feeds a fit and so needs at least two values
 _SWEEP_COMMANDS = ("scott", "local-trace")
-
-# commands that solve the Thomas-Fermi atom of charge z
-_TF_COMMANDS = ("tf-atom", "scott")
-
-# every parameter the parser reads as a number, with its domain (for each
-# entry of a sweep) beyond being a finite number, or None for any number
-_NUMBERS = {
-    "z": (lambda v: v > 0, "must be positive"),
-    "h": (lambda v: v > 0, "must be positive"),
-    "h_values": (lambda v: v > 0, "must be positive"),
-    "x_max": (lambda v: v > 0, "must be positive"),
-    "half_width": (lambda v: v > 0, "must be positive"),
-    "bump_radius": (lambda v: v > 0, "must be positive"),
-    "spacing_scale": (lambda v: 0 < v <= 1, "must lie in (0, 1]"),
-    "spacing_divisor": (lambda v: v >= 8, "must be at least 8"),
-    "k": (lambda v: v >= 1, "must be at least 1"),
-    "n": (lambda v: v in (1, 3), "must be 1 or 3"),
-    "shift": None,
-    "bump_center": None,
-}
-# numeric parameters that hold a sweep of values
-_SWEEPS = ("h_values",)
-# options that shape the output rather than feed a pipeline
-_OUTPUT_OPTIONS = ("out", "format", "strict")
 
 
 class UsageError(ValueError):
@@ -93,84 +73,50 @@ class RunConfig:
             raise UsageError(f"unknown command {self.command!r}")
         if self.format not in ("csv", "json"):
             raise UsageError(f"unknown format {self.format!r}")
+        spec = _COMMAND_TABLE[self.command]
+        options = {**spec.options, "strict": _STRICT}
         for key, value in self.parameters.items():
-            if key not in _NUMBERS:
+            option = options.get(key)
+            if option is None:
                 continue
-            sweep = key in _SWEEPS
-            values = value if sweep else (value,)
-            if not isinstance(values, (list, tuple)) or not all(
-                isinstance(v, (int, float)) and not isinstance(v, bool)
-                for v in values
-            ):
-                kind = "a list of numbers" if sweep else "a number"
-                raise UsageError(f"{key} must be {kind}, got {value!r}")
-            # ints are always finite, and huge ones overflow math.isfinite
-            if not all(math.isfinite(v) for v in values if isinstance(v, float)):
-                raise UsageError(f"{key} must be a finite number")
-            if _NUMBERS[key] is not None:
-                test, rule = _NUMBERS[key]
-                if not all(test(v) for v in values):
-                    raise UsageError(f"{key} {rule}")
-        hs = list(self.parameters.get("h_values", ()))
+            if option.type in _KINDS:
+                types, kind = _KINDS[option.type]
+                values = value if option.type is _floats else (value,)
+                if not isinstance(values, (list, tuple)) or not all(
+                    isinstance(v, types) and isinstance(v, bool) == (option.type is bool)
+                    for v in values
+                ):
+                    raise UsageError(f"{key} must be {kind}, got {value!r}")
+                # ints are always finite, and huge ones overflow math.isfinite
+                if not all(math.isfinite(v) for v in values if isinstance(v, float)):
+                    raise UsageError(f"{key} must be a finite number")
+                if option.domain is not None:
+                    test, rule = option.domain
+                    if not all(test(v) for v in values):
+                        raise UsageError(f"{key} {rule}")
+            if option.choices is not None and value not in option.choices:
+                raise UsageError(f"{key} must be {' or '.join(map(str, option.choices))}")
+        hs = list(self.parameters.get("h_values", ())) if "h_values" in options else []
         if any(b >= a for a, b in zip(hs, hs[1:])):
             raise UsageError("h values must be strictly decreasing")
         if self.command in _SWEEP_COMMANDS and len(hs) < 2:
             raise UsageError("the h sweep needs at least two values")
-        filled, known = _parameter_names(self.command)
-        unknown = set(self.parameters) - known
+        unknown = set(self.parameters) - set(options)
         if unknown:
             raise UsageError(
                 f"{self.command} takes no parameter {', '.join(sorted(unknown))}"
             )
-        missing = filled - set(self.parameters)
+        # the parser always fills the required options and those with a default
+        missing = {k for k, o in options.items() if o.default is not None}
+        missing -= set(self.parameters)
         if missing:
             raise UsageError(
                 f"{self.command} config lacks {', '.join(sorted(missing))}"
             )
         try:
-            if self.command in _TF_COMMANDS:
-                thomas_fermi._require_charge(self.parameters["z"])
-            if self.command == "hydrogen":
-                scott._require_levels(self.parameters["z"], self.parameters["h"])
-            if self.command == "local-trace" and self.parameters["n"] == 3:
-                bump = numerics.Bump(
-                    self.parameters["bump_center"], self.parameters["bump_radius"]
-                )
-                semiclassics._require_radial_bump(bump)
+            spec.check(self.parameters)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
-        if self.command == "coherent-check":
-            a_rule = _parse_a_rule(self.parameters["a_rule"])
-            half = self.parameters["half_width"]
-            for h in hs:
-                try:
-                    a = a_rule(h)
-                except OverflowError:
-                    a = math.inf
-                if not 0 < a < 1.0 / h:
-                    raise UsageError(
-                        f"a-rule gives a outside (0, 1/h) at h = {h:g}"
-                    )
-                p = coherent.CoherentParams(h=h, a=a)
-                try:
-                    dx, width, n, r_half, r_n = _coherent_grids(p, half)
-                except (OverflowError, ZeroDivisionError) as exc:
-                    raise UsageError(
-                        f"half-width {half:g} at h = {h:g} gives more grid "
-                        "points than a float counts"
-                    ) from exc
-                points, short = min((n, width), (r_n, r_half))
-                if points < 8:
-                    raise UsageError(
-                        f"half-width {short:g} gives a {points}-point grid "
-                        f"at h = {h:g}; a grid needs at least 8 points"
-                    )
-                try:
-                    coherent._core_window(p, n, dx)
-                except ValueError as exc:
-                    raise UsageError(
-                        f"grid at h = {h:g}, a = {a:.6g}, half-width {width:g}: {exc}"
-                    ) from exc
 
     def to_header_line(self) -> str:
         doc = {
@@ -266,13 +212,12 @@ def _named_potential(params: dict[str, Any]):
     name, z, shift = params["potential"], params["z"], params["shift"]
     if name == "coulomb":
         return lambda r: -z / np.abs(np.asarray(r, dtype=float)) + shift
-    if name == "well":
-        def well(r):
-            r = np.asarray(r, dtype=float)
-            return np.where(np.abs(r) < 1.0, -((1.0 - r * r) ** 2), 0.0)
 
-        return well
-    raise UsageError(f"unknown potential {name!r}")
+    def well(r):
+        r = np.asarray(r, dtype=float)
+        return np.where(np.abs(r) < 1.0, -((1.0 - r * r) ** 2), 0.0)
+
+    return well
 
 
 def _pipeline_weyl(params: dict[str, Any]):
@@ -340,11 +285,7 @@ def _pipeline_local_trace(params: dict[str, Any]):
     bump = numerics.Bump(center=params["bump_center"], radius=params["bump_radius"])
     potential = _named_potential(params)
     results, fit = semiclassics.local_trace_experiment(
-        potential,
-        bump,
-        params["h_values"],
-        n=n,
-        spacing_divisor=params["spacing_divisor"],
+        potential, bump, params["h_values"], n=n
     )
     columns = ["h", "quantum", "weyl", "residual", "scaled_residual"]
     rows = [
@@ -359,9 +300,13 @@ def _pipeline_local_trace(params: dict[str, Any]):
     return columns, rows, meta
 
 
-def _coherent_grids(p, half: float) -> tuple[float, float, int, float, int]:
-    """Spacing, and the half width and points of the representation grid and
-    of the resolution grid at coherent parameters p, given --half-width half.
+def _coherent_cases(
+    params: dict[str, Any],
+) -> list[tuple[coherent.CoherentParams, float, int, float, int]]:
+    """Per h of a coherent-check sweep: the coherent parameters p, and the
+    half width and points of the representation grid and of the resolution
+    grid; UsageError where the a-rule or a grid fails at some h.  Only point
+    counts are computed, so a wide half-width allocates nothing here.
 
     The representation check drops an edge margin of at least
     coherent._edge_reach(p) per side, so its half width is at least that
@@ -369,15 +314,44 @@ def _coherent_grids(p, half: float) -> tuple[float, float, int, float, int]:
     check wants its test vector to decay below the quadrature floor before
     the grid ends, so its grid is at least [-7, 7].
     """
-    dx = min(p.h, 1.0 / math.sqrt(p.b)) / 6.0
-    width = max(half, coherent._edge_reach(p) + 0.5)
-    r_half = max(half, 7.0)
-    n, r_n = (int(round(2.0 * w / dx)) + 1 for w in (width, r_half))
-    return dx, width, n, r_half, r_n
+    a_rule = _parse_a_rule(params["a_rule"])
+    half = params["half_width"]
+    cases = []
+    for h in params["h_values"]:
+        try:
+            a = a_rule(h)
+        except OverflowError:
+            a = math.inf
+        if not 0 < a < 1.0 / h:
+            raise UsageError(f"a-rule gives a outside (0, 1/h) at h = {h:g}")
+        p = coherent.CoherentParams(h=h, a=a)
+        try:
+            dx = min(p.h, 1.0 / math.sqrt(p.b)) / 6.0
+            width = max(half, coherent._edge_reach(p) + 0.5)
+            r_half = max(half, 7.0)
+            n, r_n = (int(round(2.0 * w / dx)) + 1 for w in (width, r_half))
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise UsageError(
+                f"half-width {half:g} at h = {h:g} gives more grid "
+                "points than a float counts"
+            ) from exc
+        points, short = min((n, width), (r_n, r_half))
+        if points < 8:
+            raise UsageError(
+                f"half-width {short:g} gives a {points}-point grid "
+                f"at h = {h:g}; a grid needs at least 8 points"
+            )
+        try:
+            coherent._core_window(p, n, dx)
+        except ValueError as exc:
+            raise UsageError(
+                f"grid at h = {h:g}, a = {a:.6g}, half-width {width:g}: {exc}"
+            ) from exc
+        cases.append((p, width, n, r_half, r_n))
+    return cases
 
 
 def _pipeline_coherent_check(params: dict[str, Any]):
-    a_rule = _parse_a_rule(params["a_rule"])
     half = params["half_width"]
     sym = coherent.harmonic_symbol()
     columns = [
@@ -386,8 +360,7 @@ def _pipeline_coherent_check(params: dict[str, Any]):
         "err_over_h2b",
     ]
     rows, sizes = [], []
-    for h in params["h_values"]:
-        p = coherent.CoherentParams(h=h, a=a_rule(h))
+    for p, width, n_pts, r_half, r_n in _coherent_cases(params):
         # weight normalization over +-9 Gaussian widths: w(u, q) =
         # w(u, 0) w(0, q)/w(0, 0), so the 801 x 801 node sum is two 1D sums
         alpha = p.a / (1.0 - p.h * p.a)
@@ -401,7 +374,6 @@ def _pipeline_coherent_check(params: dict[str, Any]):
             - 1.0
         )
 
-        _, width, n_pts, r_half, r_n = _coherent_grids(p, half)
         grid = numerics.Grid1D.uniform(-width, width, n_pts)
         r_grid = numerics.Grid1D.uniform(-r_half, r_half, r_n)
         psi = np.exp(-r_grid.points**2 / 2.0)
@@ -412,11 +384,11 @@ def _pipeline_coherent_check(params: dict[str, Any]):
         )
         rep = coherent.representation_error_norm(sym, p, grid)
         rows.append([
-            h, p.a, p.b, weight_dev, resolution, cancel, rep,
-            rep / (h * h * p.b),
+            p.h, p.a, p.b, weight_dev, resolution, cancel, rep,
+            rep / (p.h * p.h * p.b),
         ])
         sizes.append({
-            "h": h,
+            "h": p.h,
             "representation_grid_points": grid.size,
             "representation_u_nodes": coherent._representation_u_nodes(p, grid).size,
             "representation_factor_rank": coherent._factor_rank(p),
@@ -427,128 +399,129 @@ def _pipeline_coherent_check(params: dict[str, Any]):
     return columns, rows, meta
 
 
-_PIPELINES = {
-    "hydrogen": _pipeline_hydrogen,
-    "weyl": _pipeline_weyl,
-    "tf-atom": _pipeline_tf_atom,
-    "scott": _pipeline_scott,
-    "local-trace": _pipeline_local_trace,
-    "coherent-check": _pipeline_coherent_check,
+# ---------------------------------------------------------------------------
+# the command table: each command's pipeline, help line and parameters
+
+REQUIRED = object()  # the default of a parameter every command line gives
+
+
+class _Option(NamedTuple):
+    """A command's parameter: type, default (REQUIRED, or None where the parser
+    leaves it out), domain (a test of each value, the rule it states) or
+    choices, and help text."""
+
+    type: Callable[[str], Any]
+    default: Any = REQUIRED
+    domain: tuple[Callable[[Any], bool], str] | None = None
+    choices: tuple | None = None
+    help: str | None = None
+
+
+class _Command(NamedTuple):
+    """A command: its pipeline, help line, parameters, and a domain check of
+    the complete parameter map beyond each value's own."""
+
+    pipeline: Callable[[dict[str, Any]], tuple]
+    help: str
+    options: dict[str, _Option]
+    check: Callable[[dict[str, Any]], Any] = lambda params: None
+
+
+# the Python types a config may give for an option of each type, a bool only
+# for a bool; a string option is checked by its choices or its parser (a-rule)
+_KINDS = {
+    float: ((int, float), "a number"),
+    _floats: ((int, float), "a list of numbers"),
+    int: (int, "an integer"),
+    bool: (bool, "true or false"),
 }
-COMMANDS = tuple(_PIPELINES)
+_POSITIVE = (lambda v: v > 0, "must be positive")
+_POTENTIALS = ("coulomb", "well")
+# --strict shapes the exit status, so it is a parameter a replay keeps
+_STRICT = _Option(bool, None, help="exit nonzero when accuracy warnings occur")
+
+_COMMAND_TABLE = {
+    "hydrogen": _Command(_pipeline_hydrogen, "exact hydrogen eigenvalue sum", {
+        "z": _Option(float, domain=_POSITIVE),
+        "h": _Option(float, domain=_POSITIVE),
+        "k": _Option(int, None, (lambda v: v >= 1, "must be at least 1"),
+                     help="also report the closed three-term split at K"),
+    }, lambda p: scott._require_levels(p["z"], p["h"])),
+    "weyl": _Command(_pipeline_weyl, "Weyl phase-space energy integral", {
+        "n": _Option(int, 3, choices=(1, 3)),
+        "potential": _Option(str, "coulomb", choices=_POTENTIALS),
+        "z": _Option(float, 1.0, _POSITIVE),
+        "shift": _Option(float, 1.0),
+        "h": _Option(float, 1.0, _POSITIVE),
+    }),
+    "tf-atom": _Command(_pipeline_tf_atom, "Thomas-Fermi atom tables", {
+        "z": _Option(float, domain=_POSITIVE),
+    }, lambda p: thomas_fermi._require_charge(p["z"])),
+    "scott": _Command(_pipeline_scott, "Scott coefficient experiment", {
+        "z": _Option(float, domain=_POSITIVE),
+        "h_values": _Option(_floats, domain=_POSITIVE,
+                            help="comma-separated strictly decreasing h sweep"),
+        "x_max": _Option(float, 15.0, _POSITIVE),
+        "spacing_scale": _Option(float, 1.0, (lambda v: 0 < v <= 1, "must lie in (0, 1]")),
+    }, lambda p: thomas_fermi._require_charge(p["z"])),
+    "local-trace": _Command(_pipeline_local_trace, "localized trace vs Weyl sweep", {
+        "h_values": _Option(_floats, domain=_POSITIVE),
+        "n": _Option(int, 3, choices=(1, 3)),
+        "potential": _Option(str, "well", choices=_POTENTIALS),
+        "z": _Option(float, 1.0, _POSITIVE),
+        "shift": _Option(float, 1.0),
+        "bump_center": _Option(float, 0.0),
+        "bump_radius": _Option(float, 2.0, _POSITIVE),
+    }, lambda p: p["n"] == 1 or semiclassics._require_radial_bump(
+        numerics.Bump(p["bump_center"], p["bump_radius"]))),
+    "coherent-check": _Command(_pipeline_coherent_check, "coherent-state identity suite", {
+        "h_values": _Option(_floats, domain=_POSITIVE),
+        "a_rule": _Option(str, "h^-0.8",
+                          help="localization rule, e.g. h^-0.8 or a constant"),
+        "half_width": _Option(float, 4.0, _POSITIVE),
+    }, _coherent_cases),
+}
+COMMANDS = tuple(_COMMAND_TABLE)
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
 
 
-@cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process, with the module."""
     parser = argparse.ArgumentParser(
         prog="scottlab",
         description="Semiclassical spectral-sum experiments "
         "(Scott correction, Weyl terms, coherent states, Thomas-Fermi atoms).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp):
+    for command, spec in _COMMAND_TABLE.items():
+        sp = sub.add_parser(command, help=spec.help)
+        for key, option in spec.options.items():
+            # the h sweep is given as --h
+            flag = "--h" if key == "h_values" else "--" + key.replace("_", "-")
+            required = option.default is REQUIRED
+            sp.add_argument(flag, dest=key, type=option.type, choices=option.choices,
+                            required=required, help=option.help,
+                            default=None if required else option.default)
         sp.add_argument("--out", dest="out", default=None,
                         help="output file path; stdout when omitted")
-        sp.add_argument("--format", dest="format", choices=("csv", "json"),
-                        default="csv")
-        sp.add_argument("--strict", action="store_true",
-                        help="exit nonzero when accuracy warnings occur")
-
-    sp = sub.add_parser("hydrogen", help="exact hydrogen eigenvalue sum")
-    sp.add_argument("--z", type=float, required=True)
-    sp.add_argument("--h", type=float, required=True)
-    sp.add_argument("--k", type=int, default=None,
-                    help="also report the closed three-term split at K")
-    common(sp)
-
-    sp = sub.add_parser("weyl", help="Weyl phase-space energy integral")
-    sp.add_argument("--n", type=int, choices=(1, 3), default=3)
-    sp.add_argument("--potential", choices=("coulomb", "well"), default="coulomb")
-    sp.add_argument("--z", type=float, default=1.0)
-    sp.add_argument("--shift", type=float, default=1.0)
-    sp.add_argument("--h", type=float, default=1.0)
-    common(sp)
-
-    sp = sub.add_parser("tf-atom", help="Thomas-Fermi atom tables")
-    sp.add_argument("--z", type=float, required=True)
-    common(sp)
-
-    sp = sub.add_parser("scott", help="Scott coefficient experiment")
-    sp.add_argument("--z", type=float, required=True)
-    sp.add_argument("--h", dest="h_values", type=_floats, required=True,
-                    help="comma-separated strictly decreasing h sweep")
-    sp.add_argument("--x-max", type=float, default=15.0)
-    sp.add_argument("--spacing-scale", type=float, default=1.0)
-    common(sp)
-
-    sp = sub.add_parser("local-trace", help="localized trace vs Weyl sweep")
-    sp.add_argument("--h", dest="h_values", type=_floats, required=True)
-    sp.add_argument("--n", type=int, choices=(1, 3), default=3)
-    sp.add_argument("--potential", choices=("coulomb", "well"), default="well")
-    sp.add_argument("--z", type=float, default=1.0)
-    sp.add_argument("--shift", type=float, default=1.0)
-    sp.add_argument("--bump-center", type=float, default=0.0)
-    sp.add_argument("--bump-radius", type=float, default=2.0)
-    sp.add_argument("--spacing-divisor", type=float, default=8.0)
-    common(sp)
-
-    sp = sub.add_parser("coherent-check", help="coherent-state identity suite")
-    sp.add_argument("--h", dest="h_values", type=_floats, required=True)
-    sp.add_argument("--a-rule", dest="a_rule", default="h^-0.8",
-                    help="localization rule, e.g. h^-0.8 or a constant")
-    sp.add_argument("--half-width", type=float, default=4.0)
-    common(sp)
-
+        sp.add_argument("--format", dest="format", choices=("csv", "json"), default="csv")
+        sp.add_argument("--strict", action="store_true", help=_STRICT.help)
     return parser
 
 
-# argparse imports locale for its message lookup when it builds the first
-# parser, so building it here keeps that import out of the first command
-_build_parser()
-
-
-@cache
-def _parameter_names(command: str) -> tuple[frozenset[str], frozenset[str]]:
-    """(filled, known): the parameters the parser fills on every command line
-    of a command, and all it can set.
-
-    Known are the command's options apart from --out and --format, --strict
-    included.  Filled are the required options and those with a default,
-    --strict apart.  A config that lacks a filled one or holds one that is
-    not known was not written by the parser and is a usage error.
-    """
-    sub = _build_parser()._subparsers._group_actions[0].choices[command]
-    actions = [a for a in sub._actions if a.dest not in ("help", "out", "format")]
-    filled = frozenset(
-        a.dest
-        for a in actions
-        if a.dest != "strict" and (a.required or a.default is not None)
-    )
-    return filled, frozenset(a.dest for a in actions)
+# built once, with the module: argparse imports locale for its message lookup
+# when it builds the first parser, which keeps that import out of a command
+_PARSER = _build_parser()
 
 
 def config_from_args(argv: Sequence[str]) -> RunConfig:
-    parser = _build_parser()
-    ns = parser.parse_args(list(argv))
-    # every subcommand argument except the output options is a parameter
-    params = {
-        key: value
-        for key, value in vars(ns).items()
-        if key not in ("command", *_OUTPUT_OPTIONS) and value is not None
-    }
-    params["strict"] = bool(ns.strict)
-    return RunConfig(
-        command=ns.command,
-        parameters=params,
-        output_path=ns.out,
-        format=ns.format,
-    )
+    args = vars(_PARSER.parse_args(list(argv)))
+    command, out, fmt = args.pop("command"), args.pop("out"), args.pop("format")
+    # every other argument the command line gives is a parameter
+    params = {key: value for key, value in args.items() if value is not None}
+    return RunConfig(command, params, output_path=out, format=fmt)
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +554,7 @@ def _render_json(config: RunConfig, columns, rows, meta, warn_messages) -> str:
 
 def run(config: RunConfig) -> int:
     """Execute one pipeline and write its artifacts; returns the exit status."""
-    pipeline = _PIPELINES[config.command]
+    pipeline = _COMMAND_TABLE[config.command].pipeline
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:

@@ -309,7 +309,6 @@ def local_trace_experiment(
     bump: Bump,
     h_values: Sequence[float],
     n: int = 3,
-    spacing_divisor: float = 8.0,
 ) -> tuple[tuple[TraceResult, ...], FitResult]:
     """Localized trace Tr[phi H phi]_- against its Weyl integral over an h sweep.
 
@@ -324,8 +323,6 @@ def local_trace_experiment(
     hs = [float(h) for h in h_values]
     if len(hs) < 2 or any(b >= a for a, b in zip(hs, hs[1:])):
         raise ValueError("h_values must be strictly decreasing, length >= 2")
-    if spacing_divisor < 8.0:
-        raise ValueError("spacing_divisor below 8 would violate the h/8 rule")
     if n not in (1, 3):
         raise ValueError("only n = 1 and n = 3 are supported")
     if n == 3:
@@ -339,7 +336,7 @@ def local_trace_experiment(
         return -np.asarray(potential(r), dtype=float)
 
     for h in hs:
-        step = h / spacing_divisor
+        step = h / 8.0
         if n == 3:
             r_max = bump.center + span
             problem = RadialProblem.build(attractive, h, r_max, step)

@@ -288,8 +288,6 @@ class TestLocalTrace:
         v = lambda x: x * x - 1.0
         with pytest.raises(ValueError, match="strictly decreasing"):
             local_trace_experiment(v, bump, (0.1, 0.2), n=1)
-        with pytest.raises(ValueError, match="h/8"):
-            local_trace_experiment(v, bump, (0.2, 0.1), n=1, spacing_divisor=4.0)
         with pytest.raises(ValueError, match="n = 1 and n = 3"):
             local_trace_experiment(v, bump, (0.2, 0.1), n=2)
 
