@@ -73,6 +73,10 @@ class RunConfig:
             raise UsageError(f"unknown command {self.command!r}")
         if self.format not in ("csv", "json"):
             raise UsageError(f"unknown format {self.format!r}")
+        if not isinstance(self.output_path, (str, type(None))):
+            raise UsageError(
+                f"output path must be a string or null, got {self.output_path!r}"
+            )
         spec = _COMMAND_TABLE[self.command]
         options = {**spec.options, "strict": _STRICT}
         for key, value in self.parameters.items():

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -525,6 +526,31 @@ class TestInputBoundary:
         del doc["parameters"]["n"]
         path.write_text(CONFIG_PREFIX + json.dumps(doc) + "\n")
         with pytest.raises(UsageError, match="lacks n"):
+            read_config(str(path))
+
+    @pytest.mark.parametrize(
+        "argv, key, value, message",
+        [
+            (["hydrogen", "--z", "1", "--h", "0.1", "--k", "5"], "k", 2.5,
+             "k must be an integer, got 2.5"),
+            (["local-trace", "--n", "1", "--h", "0.4,0.3"], "strict", "no",
+             "strict must be true or false, got 'no'"),
+            (["weyl"], "potential", "foo", "potential must be coulomb or well"),
+            (["weyl"], "output_path", 1, "output path must be a string or null, got 1"),
+        ],
+        ids=["int-k", "bool-strict", "potential-choice", "output-path"],
+    )
+    def test_replayed_config_gets_the_command_line_checks(
+        self, tmp_path, argv, key, value, message
+    ):
+        # each passed read_config: k = 2.5 ran as K = 2, "strict": "no" turned
+        # strict mode on, "foo" failed only in the pipeline, and output path 1
+        # wrote to file descriptor 1 and ended in a TypeError traceback
+        doc = json.loads(config_from_args(argv).to_header_line()[len(CONFIG_PREFIX):])
+        (doc if key == "output_path" else doc["parameters"])[key] = value
+        path = tmp_path / "o.csv"
+        path.write_text(CONFIG_PREFIX + json.dumps(doc) + "\n")
+        with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
             read_config(str(path))
 
     @pytest.mark.parametrize(
