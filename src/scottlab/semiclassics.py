@@ -318,7 +318,9 @@ def local_trace_experiment(
     expected h^{-n+6/5} error; stability of residual * h^{n-6/5} across the
     sweep is the meaningful check, constants being unknown.  For n = 3 the
     bump lives on radii, and one with center + radius <= 0 vanishes on all
-    of them: ValueError rather than a trace of zeros.
+    of them: ValueError rather than a trace of zeros.  A row whose quantum
+    sum is exactly 0 while its Weyl term is not carries a warning, as its
+    defect is then the Weyl term alone.
     """
     hs = [float(h) for h in h_values]
     if len(hs) < 2 or any(b >= a for a, b in zip(hs, hs[1:])):
@@ -350,6 +352,12 @@ def local_trace_experiment(
             quantum = neg_sum_1d(potential, h, grid, bump=bump)
             value, warnings = quantum.value, quantum.warnings
         weyl = weyl_energy(WeylSpec(n=n, potential=potential, bump=bump, h=h))
+        if value == 0.0 and weyl != 0.0:
+            warnings = (
+                *warnings,
+                f"quantum sum is 0 at h = {h:g} against a Weyl term of {weyl:.3g}: "
+                "no negative eigenvalue under the bump",
+            )
         results.append(
             TraceResult(
                 h=h,

@@ -240,6 +240,22 @@ class TestLocalTraceCommand:
         assert status == 0
         assert len(data.decode().splitlines()) == 4 + 2
 
+    def test_empty_quantum_side_warns(self, tmp_path, capsys):
+        # -1/r + 1 has no negative eigenvalue under this bump at either h, so
+        # the residual is the Weyl term alone: a warning per h, not a silent 0
+        argv = ["local-trace", "--n", "3", "--potential", "coulomb",
+                "--bump-center", "1", "--bump-radius", "0.5", "--h", "0.4,0.2",
+                "--strict"]
+        status, data = run_to_file(argv, tmp_path / "lt.csv")
+        assert status == 1
+        rows = [l for l in data.decode().splitlines() if not l.startswith("#")]
+        assert [float(row.split(",")[1]) for row in rows[1:]] == [0.0, 0.0]
+        warnings = json.loads((tmp_path / "lt.csv.meta.json").read_text())["warnings"]
+        err = capsys.readouterr().err
+        for h in ("0.4", "0.2"):
+            [message] = [w for w in warnings if f"quantum sum is 0 at h = {h} " in w]
+            assert f"scottlab: warning: {message}\n" in err
+
 
 class TestCoherentCheckCommand:
     def test_single_h_row(self, tmp_path):
