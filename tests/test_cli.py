@@ -5,6 +5,8 @@ import io
 import json
 import math
 import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -672,6 +674,15 @@ class TestInputBoundary:
         cfg.parameters["z"] = math.nan
         with pytest.raises(ValueError):
             cfg.to_header_line()
+
+
+def test_readme_examples_parse():
+    # every example command line in README.md parses and passes RunConfig's
+    # checks, and each command has one; the shell loop line starts with "for"
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = [l for l in readme.read_text().splitlines() if l.startswith("scottlab ")]
+    configs = [config_from_args(shlex.split(line)[1:]) for line in lines]
+    assert {cfg.command for cfg in configs} == set(cli.COMMANDS)
 
 
 # one command line per subcommand, each with the parameter keys it must give
