@@ -200,7 +200,7 @@ def _pipeline_hydrogen(params: dict[str, Any]):
     rows = [[z, h, scott.hydrogen_exact_sum(z, h)]]
     meta: dict[str, Any] = {}
     if params.get("k") is not None:
-        exp = scott.hydrogen_expansion_check(z, int(params["k"]))
+        exp = scott.hydrogen_expansion_check(z, params["k"])
         meta["expansion"] = {
             "K": int(exp.K),
             "h": str(exp.h),
@@ -225,7 +225,7 @@ def _named_potential(params: dict[str, Any]):
 
 
 def _pipeline_weyl(params: dict[str, Any]):
-    n, h = int(params["n"]), params["h"]
+    n, h = params["n"], params["h"]
     potential = _named_potential(params)
     spec = semiclassics.WeylSpec(n=n, potential=potential, bump=None, h=h)
     value = semiclassics.weyl_energy(spec)
@@ -285,7 +285,7 @@ def _pipeline_scott(params: dict[str, Any]):
 
 
 def _pipeline_local_trace(params: dict[str, Any]):
-    n = int(params["n"])
+    n = params["n"]
     bump = numerics.Bump(center=params["bump_center"], radius=params["bump_radius"])
     potential = _named_potential(params)
     results, fit = semiclassics.local_trace_experiment(
