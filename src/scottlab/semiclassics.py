@@ -6,9 +6,9 @@ The momentum integral is always done in closed form,
 
 so every Weyl quantity reduces to a position quadrature against a power of
 the negative part of the potential.  Position integrals run through a
-globally adaptive Gauss-Kronrod rule.  The turning points of the potential
-are located first, by bisection (with a cutoff, those between its support
-ends and plateau edges), so segment edges land on quadrature breakpoints.
+globally adaptive Gauss-Kronrod rule.  V's sign is read at sample points
+(a cutoff's support ends and plateau edges, or else fixed probes), each sign
+change between neighbours is bisected, and the panels run between the cuts.
 """
 
 from __future__ import annotations
@@ -90,30 +90,6 @@ def _bisect(potential, lo, hi, neg_lo, xtol: float, rtol: float) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
-def _negative_segments(potential, probes) -> tuple[list[tuple[float, float]], bool]:
-    """Segments of {V < 0} bracketed by probe points, edges refined by
-    bisection to 1e-14 (1 + |x|).
-
-    Returns the segment list and whether the region is open at the far end
-    (still negative at the last probe).
-    """
-    neg = _values(potential, probes) < 0.0
-    if not neg.any():
-        return [], False
-    change = np.flatnonzero(neg[:-1] != neg[1:])
-    edges = _bisect(
-        potential, probes[change], probes[change + 1], neg[change], 1e-14, 1e-14
-    )
-    bounds = np.concatenate([probes[:1], edges, probes[-1:]]).astype(float)
-    inside = _values(potential, 0.5 * (bounds[:-1] + bounds[1:])) < 0.0
-    segments = [
-        (float(lo), float(hi))
-        for lo, hi, keep in zip(bounds[:-1], bounds[1:], inside)
-        if keep
-    ]
-    return segments, bool(neg[-1])
-
-
 # 21-point Gauss-Kronrod rule on [-1, 1] (QUADPACK's qk21, Piessens et al.
 # 1983): the Kronrod nodes in ascending order and their weights, and the
 # weights of the 10-point Gauss rule on every second node
@@ -157,21 +133,16 @@ def _gauss_kronrod(f, a, b) -> tuple[np.ndarray, np.ndarray]:
     return kronrod, np.abs(kronrod - gauss)
 
 
-def _integrate(f, panels: Sequence[tuple[float, float]]) -> float:
-    """int f over the union of panels, which may not overlap.
+def _integrate(f, lo: np.ndarray, hi: np.ndarray, tails=()) -> float:
+    """int f over the panels [lo_i, hi_i], which may not overlap, and over
+    the half-lines [a, inf] or [-inf, b] in tails.
 
-    f maps an array of points to its values there.  The finite panels are
-    refined together (_refine).  A panel [a, inf] or [-inf, b] is refined
-    on its own, in t on [0, 1] through x = a + t/(1 - t) or b - t/(1 - t).
+    f maps an array of points to its values there.  The panels are refined
+    together (_refine).  A half-line is refined on its own, in t on [0, 1]
+    through x = a + t/(1 - t) or b - t/(1 - t).
     """
-    bounded = [p for p in panels if math.isfinite(p[0]) and math.isfinite(p[1])]
-    total = 0.0
-    if bounded:
-        lo, hi = np.array(bounded).T
-        total += _refine(f, lo, hi, (lo.min(), hi.max()))
-    for a, b in panels:
-        if math.isfinite(a) and math.isfinite(b):
-            continue
+    total = _refine(f, lo, hi, (lo.min(), hi.max())) if lo.size else 0.0
+    for a, b in tails:
         edge, sign = (a, 1.0) if math.isfinite(a) else (b, -1.0)
 
         def mapped(t, edge=edge, sign=sign):
@@ -216,8 +187,26 @@ def _refine(f, a, b, span) -> float:
         errors = np.concatenate([errors[keep], new_errors])
 
 
+def _cuts(potential, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The points and the turning points bisected between them, sorted, and
+    whether potential < 0 at each point, where only its sign is read."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # V(r = 0) may be inf
+        neg = _values(potential, points) < 0.0
+    change = np.flatnonzero(neg[:-1] != neg[1:])
+    turns = _bisect(
+        potential, points[change], points[change + 1], neg[change], 1e-14, 1e-14
+    )
+    return np.sort(np.concatenate([points, turns])), neg
+
+
 def _position_integral(spec: WeylSpec) -> float:
-    """int w(x) |V_-(x)|^(n/2+1) dx with w = bump^2, radial measure for n=3."""
+    """int w(x) |V_-(x)|^(n/2+1) dx with w = bump^2, radial measure for n=3.
+
+    With a bump every panel between the cuts is integrated: a well strictly
+    between two cuts shows only at the Kronrod nodes.  Without one, the
+    panels where V < 0 at the midpoint are, and the half-lines past the
+    first and last probe (for n = 3, 0 to the first) where V < 0 there.
+    """
     power = spec.n / 2.0 + 1.0
 
     def integrand(x: np.ndarray) -> np.ndarray:
@@ -230,50 +219,31 @@ def _position_integral(spec: WeylSpec) -> float:
             w *= 4.0 * math.pi * x * x
         return w
 
-    if spec.bump is not None:
-        lo = spec.bump.center - spec.bump.radius
-        hi = spec.bump.center + spec.bump.radius
-        if spec.n == 3:
-            lo = max(lo, 0.0)
+    bump = spec.bump
+    if bump is not None:
+        lo, hi = bump.center - bump.radius, bump.center + bump.radius
+        lo = max(lo, 0.0) if spec.n == 3 else lo
         if hi <= lo:
             return 0.0
-        # split at the plateau edges where the cutoff's derivatives spike
-        center, pr = spec.bump.center, spec.bump.plateau * spec.bump.radius
-        edges = [c for c in (center - pr, center + pr) if lo < c < hi]
-        cuts = np.array([lo, *edges, hi])
-        # and where V changes sign between them: a turning point just past a
-        # cut leaves a sliver of {V < 0} that the panel's nodes may all miss.
-        # At a cut only V's sign is read; it may be infinite there (r = 0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            neg = _values(spec.potential, cuts) < 0.0
-        change = np.flatnonzero(neg[:-1] != neg[1:])
-        turns = _bisect(
-            spec.potential, cuts[change], cuts[change + 1], neg[change], 1e-14, 1e-14
-        )
-        cuts = np.union1d(cuts, turns).tolist()
-        return _integrate(integrand, list(zip(cuts[:-1], cuts[1:])))
-
-    if spec.n == 3:
-        probes = np.geomspace(1e-9, 1e7, 800)
+        pr = bump.plateau * bump.radius
+        edges = [c for c in (bump.center - pr, bump.center + pr) if lo < c < hi]
+        points = np.array([lo, *edges, hi])
+    elif spec.n == 3:
+        points = np.geomspace(1e-9, 1e7, 800)
     else:
-        probes = np.linspace(-1e4, 1e4, 8001)
-    segments, open_tail = _negative_segments(spec.potential, probes)
-    # adaptive quadrature on an interval spanning many decades can miss a
-    # hump near one end, so each segment is cut at a geometric ladder first
-    ladder = np.geomspace(1e-9, 1e7, 17 * 2 + 1)
-    if spec.n == 1:
-        ladder = np.concatenate([-ladder[::-1], [0.0], ladder])
-    panels = []
-    for lo, hi in segments:
-        if spec.n == 3 and lo == probes[0]:
-            lo = 0.0
-        cuts = [lo] + [c for c in ladder if lo < c < hi] + [hi]
-        panels += zip(cuts[:-1], cuts[1:])
-    if open_tail:
-        panels.append((float(probes[-1]), math.inf))
-    if spec.n == 1 and segments and segments[0][0] == probes[0]:
-        panels.append((-math.inf, float(probes[0])))
-    return _integrate(integrand, panels)
+        points = np.linspace(-1e4, 1e4, 8001)
+    cuts, neg = _cuts(spec.potential, points)
+    lo, hi, tails = cuts[:-1], cuts[1:], []
+    if bump is None:
+        inside = _values(spec.potential, 0.5 * (lo + hi)) < 0.0
+        lo, hi = lo[inside], hi[inside]
+        if neg[-1]:
+            tails.append((points[-1], math.inf))
+        if neg[0] and spec.n == 3:
+            lo, hi = np.concatenate([[0.0], lo]), np.concatenate([points[:1], hi])
+        elif neg[0]:
+            tails.append((-math.inf, points[0]))
+    return _integrate(integrand, lo, hi, tails)
 
 
 def weyl_prefactor(n: int, h: float = 1.0) -> float:

@@ -12,7 +12,7 @@ from scottlab.numerics import Bump
 from scottlab.semiclassics import (
     WeylSpec,
     _bisect,
-    _negative_segments,
+    _cuts,
     local_trace_experiment,
     unit_ball_volume,
     weyl_energy,
@@ -53,27 +53,19 @@ def looped_bisection(potential, lo, hi):
             hi = mid
 
 
-def looped_negative_segments(potential, probes):
-    """_negative_segments with its sign changes found by walking the probe
-    pairs one by one, each bisected on its own."""
-    vals = np.asarray(potential(probes), dtype=float)
-    neg = vals < 0.0
-    if not neg.any():
-        return [], False
+def looped_cuts(potential, points):
+    """_cuts with its sign changes found by walking the point pairs one by
+    one, each bisected on its own."""
+    neg = np.asarray(potential(points), dtype=float) < 0.0
     edges = [
-        looped_bisection(potential, float(probes[i]), float(probes[i + 1]))
-        for i in range(len(probes) - 1)
+        looped_bisection(potential, float(points[i]), float(points[i + 1]))
+        for i in range(len(points) - 1)
         if neg[i] != neg[i + 1]
     ]
-    bounds = [float(probes[0])] + edges + [float(probes[-1])]
-    segments = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        if scalar(potential, 0.5 * (lo + hi)) < 0.0:
-            segments.append((lo, hi))
-    return segments, bool(neg[-1])
+    return sorted([float(x) for x in points] + edges), neg.tolist()
 
 
-class TestNegativeSegments:
+class TestCuts:
     @pytest.mark.parametrize(
         "potential, count, open_end",
         [
@@ -83,24 +75,27 @@ class TestNegativeSegments:
         ],
         ids=["two-wells", "open-tail", "nowhere-negative"],
     )
-    def test_same_segments_as_the_probe_loop(self, potential, count, open_end):
+    def test_same_cuts_as_the_probe_loop(self, potential, count, open_end):
         probes = np.linspace(-3.0, 3.0, 64)
-        segments, open_tail = _negative_segments(potential, probes)
-        assert (len(segments), open_tail) == (count, open_end)
+        cuts, neg = _cuts(potential, probes)
+        # the segments of {V < 0}: runs of panels with V < 0 at the midpoint,
+        # as the position integral takes them without a bump
+        inside = np.asarray(potential(0.5 * (cuts[:-1] + cuts[1:]))) < 0.0
+        starts = inside & ~np.concatenate([[False], inside[:-1]])
+        assert (int(starts.sum()), bool(neg[-1])) == (count, open_end)
         # bitwise: the same bisection steps on the same brackets, in order
-        assert (segments, open_tail) == looped_negative_segments(potential, probes)
+        assert (cuts.tolist(), neg.tolist()) == looped_cuts(potential, probes)
         # each edge within 2e-14 (1 + |x|) of scipy's brentq root: both are
         # within their tolerance of the true one
-        for lo, hi in segments:
-            for edge in (lo, hi):
-                if edge in (probes[0], probes[-1]):
-                    continue
-                i = np.searchsorted(probes, edge)
-                root = optimize.brentq(
-                    lambda s: scalar(potential, s), probes[i - 1], probes[i],
-                    xtol=1e-14, rtol=1e-14,
-                )
-                assert abs(edge - root) <= 2e-14 * (1.0 + abs(root))
+        edges = sorted(set(cuts.tolist()) - set(probes.tolist()))
+        assert len(edges) == 2 * count - open_end
+        for edge in edges:
+            i = np.searchsorted(probes, edge)
+            root = optimize.brentq(
+                lambda s: scalar(potential, s), probes[i - 1], probes[i],
+                xtol=1e-14, rtol=1e-14,
+            )
+            assert abs(edge - root) <= 2e-14 * (1.0 + abs(root))
 
 
 class TestBisection:
@@ -215,6 +210,15 @@ class TestWeylEnergy:
         w1 = weyl_energy(WeylSpec(n=3, potential=v, h=1.0))
         w2 = weyl_energy(WeylSpec(n=3, potential=v, h=0.5))
         assert w2 == pytest.approx(8.0 * w1, rel=1e-12)
+
+    def test_well_strictly_inside_one_bump_panel(self):
+        # V < 0 on (0.5, 1.5), within the plateau panel [-1.5, 1.5]: no cut
+        # sees a sign change, so only that panel's Kronrod nodes find the
+        # well, and every bump panel must be integrated.  The closed form
+        # is -(2 / (3 pi)) (3 pi / 8) (1/2)^4 = -1/64
+        bump = Bump(center=0.0, radius=3.0)
+        spec = WeylSpec(n=1, potential=lambda x: (x - 1.0) ** 2 - 0.25, bump=bump)
+        assert weyl_energy(spec) == pytest.approx(-1.0 / 64.0, rel=1e-12, abs=0.0)
 
     def test_positive_potential_gives_zero(self):
         spec = WeylSpec(n=1, potential=lambda x: x * x + 0.5, h=1.0)
