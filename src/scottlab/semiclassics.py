@@ -14,6 +14,7 @@ change between neighbours is bisected, and the panels run between the cuts.
 from __future__ import annotations
 
 import math
+import warnings as _warnmod
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -45,7 +46,8 @@ class WeylSpec:
 
     The optional bump enters squared, matching the localized trace
     Tr[phi H phi]_- it is compared against.  n = 1 integrates over the line,
-    n = 3 over radii with the 4 pi r^2 volume factor.
+    n = 3 over radii with the 4 pi r^2 volume factor, so an n = 3 bump must
+    reach some radius r > 0.
     """
 
     n: int
@@ -57,6 +59,8 @@ class WeylSpec:
         if self.n not in (1, 3):
             raise ValueError("only n = 1 and n = 3 are supported")
         require_positive(self.h, "h")
+        if self.n == 3 and self.bump is not None:
+            _require_radial_bump(self.bump)
 
 
 def _values(potential: Callable, x: np.ndarray) -> np.ndarray:
@@ -223,8 +227,6 @@ def _position_integral(spec: WeylSpec) -> float:
     if bump is not None:
         lo, hi = bump.center - bump.radius, bump.center + bump.radius
         lo = max(lo, 0.0) if spec.n == 3 else lo
-        if hi <= lo:
-            return 0.0
         pr = bump.plateau * bump.radius
         edges = [c for c in (bump.center - pr, bump.center + pr) if lo < c < hi]
         points = np.array([lo, *edges, hi])
@@ -243,7 +245,23 @@ def _position_integral(spec: WeylSpec) -> float:
             lo, hi = np.concatenate([[0.0], lo]), np.concatenate([points[:1], hi])
         elif neg[0]:
             tails.append((-math.inf, points[0]))
-    return _integrate(integrand, lo, hi, tails)
+    total = _integrate(integrand, lo, hi, tails)
+    if total == 0.0:
+        if bump is not None:
+            where = "the bump's cuts " + ", ".join(f"{c:g}" for c in points)
+            where += " and the Kronrod nodes between them"
+        elif spec.n == 3:
+            where = (f"{points.size} probes on [{points[0]:g}, {points[-1]:g}], "
+                     f"each {points[1] / points[0]:.4g} times the last")
+        else:
+            where = (f"{points.size} probes {points[1] - points[0]:g} apart "
+                     f"on [{points[0]:g}, {points[-1]:g}]")
+        _warnmod.warn(
+            f"Weyl position integral is exactly 0: V is read at {where}, "
+            "and a well narrower than their spacing reads as empty",
+            stacklevel=3,
+        )
+    return total
 
 
 def weyl_prefactor(n: int, h: float = 1.0) -> float:
@@ -259,7 +277,14 @@ def weyl_prefactor(n: int, h: float = 1.0) -> float:
 def weyl_energy(spec: WeylSpec) -> float:
     """(2 pi h)^{-n} int bump^2 (q^2 + V)_- du dq, momentum part closed form.
 
-    For n = 3 this is -(15 pi^2 h^3)^{-1} int bump^2 |V_-|^{5/2} du.
+    For n = 3 this is -(15 pi^2 h^3)^{-1} int bump^2 |V_-|^{5/2} du.  The
+    position integral sees V only at its sample points (a bump's support
+    ends and plateau edges, or else 8001 probes 2.5 apart on [-1e4, 1e4]
+    for n = 1 and 800 log-spaced ones on [1e-9, 1e7], 4.7% apart, for
+    n = 3), at the turning points bisected between them and at the
+    Kronrod nodes of its panels, so a well that falls between them all
+    reads as empty.  A position integral of exactly 0 therefore warns,
+    naming that sampling.
     """
     val = weyl_prefactor(spec.n, spec.h) * _position_integral(spec)
     return val if val != 0.0 else 0.0

@@ -258,6 +258,21 @@ class TestLocalTraceCommand:
             [message] = [w for w in warnings if f"quantum sum is 0 at h = {h} " in w]
             assert f"scottlab: warning: {message}\n" in err
 
+    def test_empty_weyl_side_warns(self, tmp_path, capsys):
+        # the well is 0 on the bump's support [4, 6], so both sides are 0;
+        # the Weyl integral says which sampling it read as empty
+        argv = ["local-trace", "--n", "1", "--potential", "well",
+                "--bump-center", "5", "--bump-radius", "1", "--h", "0.4,0.2",
+                "--strict"]
+        status, data = run_to_file(argv, tmp_path / "lt.csv")
+        assert status == 1
+        rows = [l for l in data.decode().splitlines() if not l.startswith("#")]
+        assert [float(row.split(",")[2]) for row in rows[1:]] == [0.0, 0.0]
+        warnings = json.loads((tmp_path / "lt.csv.meta.json").read_text())["warnings"]
+        [message] = [w for w in warnings if "Weyl position integral" in w]
+        assert "the bump's cuts 4, 4.5, 5.5, 6" in message
+        assert f"scottlab: warning: {message}\n" in capsys.readouterr().err
+
 
 class TestCoherentCheckCommand:
     def test_single_h_row(self, tmp_path):

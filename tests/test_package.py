@@ -116,6 +116,11 @@ statuses = [
         ["scott", "--z", "1", "--h", "0.12,0.09"],
         ["weyl"],
         ["tf-atom", "--z", "8"],
+        ["hydrogen", "--z", "1", "--h", "0.1", "--k", "5"],
+        ["local-trace", "--n", "1", "--h", "0.4,0.3", "--potential", "well"],
+        ["local-trace", "--h", "0.4,0.3,0.2"],
+        ["local-trace", "--n", "3", "--potential", "coulomb", "--bump-center", "1",
+         "--bump-radius", "0.5", "--h", "0.4,0.2"],
     ])
 ]
 p = coherent.CoherentParams(h=0.6, a=0.6 ** -0.8)
@@ -146,4 +151,4 @@ def test_commands_run_on_numpy_and_the_standard_library_alone():
         timeout=120, check=True,
     )
     report = json.loads(done.stdout.splitlines()[-1])
-    assert report == {"statuses": [0, 0, 0, 0], "scipy": [], "new": []}
+    assert report == {"statuses": [0] * 8, "scipy": [], "new": []}

@@ -222,7 +222,28 @@ class TestWeylEnergy:
 
     def test_positive_potential_gives_zero(self):
         spec = WeylSpec(n=1, potential=lambda x: x * x + 0.5, h=1.0)
-        assert weyl_energy(spec) == 0.0
+        with pytest.warns(UserWarning, match="exactly 0"):
+            assert weyl_energy(spec) == 0.0
+
+    @pytest.mark.parametrize(
+        "depth, bump, sampling",
+        [
+            (1e-2, None, "8001 probes 2.5 apart on [-10000, 10000]"),
+            (1e-4, Bump(0.0, 2.0), "the bump's cuts -2, -1, 1, 2 and the Kronrod"),
+        ],
+        ids=["between-probes", "between-kronrod-nodes"],
+    )
+    def test_well_narrower_than_the_sampling_warns(self, depth, bump, sampling):
+        # (x - 0.7)^2 - depth is a well of width 2 sqrt(depth) and energy
+        # -(2 / (3 pi)) (3 pi / 8) depth^2 = -depth^2 / 4, but it falls
+        # between the sample points and the Kronrod nodes: 0, with a warning
+        # naming the sampling instead of a silent 0
+        spec = WeylSpec(n=1, potential=lambda x: (x - 0.7) ** 2 - depth, bump=bump)
+        with pytest.warns(UserWarning) as caught:
+            assert weyl_energy(spec) == 0.0
+        [message] = [str(w.message) for w in caught]
+        assert message.startswith("Weyl position integral is exactly 0")
+        assert sampling in message
 
     def test_bump_weight_matches_quadrature(self):
         # constant well: the integral reduces to the bump's squared mass
@@ -267,6 +288,9 @@ class TestWeylEnergy:
             WeylSpec(n=2, potential=lambda x: -x)
         with pytest.raises(ValueError, match="h must be positive"):
             WeylSpec(n=1, potential=lambda x: -x, h=0.0)
+        # vanishing at every r > 0, this bump would give a Weyl term of 0
+        with pytest.raises(ValueError, match="must reach some radius r > 0"):
+            WeylSpec(n=3, potential=lambda r: -1.0 / r, bump=Bump(-3.0, 2.0))
 
 
 class TestLocalTrace:
