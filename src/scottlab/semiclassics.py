@@ -5,10 +5,13 @@ The momentum integral is always done in closed form,
     int_{R^n} (q^2 + V)_- dq = -(2 omega_n / (n + 2)) |V_-|^{n/2+1},
 
 so every Weyl quantity reduces to a position quadrature against a power of
-the negative part of the potential.  Position integrals run through a
-globally adaptive Gauss-Kronrod rule.  V's sign is read at sample points
-(a cutoff's support ends and plateau edges, or else fixed probes), each sign
-change between neighbours is bisected, and the panels run between the cuts.
+the negative part of the potential.  Position integrals take one path:
+V's sign is read at sample points (a cutoff's support ends and plateau
+edges, or else fixed probes: 2.5 apart on [-1e4, 1e4] for n = 1, 4.7%
+apart on [1e-9, 1e7] for n = 3), each sign change between neighbours is
+bisected, and a globally adaptive Gauss-Kronrod rule integrates the panels
+between the cuts.  A well that falls between the sample points and the
+Kronrod nodes reads as empty, so an integral of exactly 0 warns.
 """
 
 from __future__ import annotations
@@ -137,7 +140,7 @@ def _gauss_kronrod(f, a, b) -> tuple[np.ndarray, np.ndarray]:
     return kronrod, np.abs(kronrod - gauss)
 
 
-def _integrate(f, lo: np.ndarray, hi: np.ndarray, tails=()) -> float:
+def _integrate(f, lo: np.ndarray, hi: np.ndarray, tails) -> float:
     """int f over the panels [lo_i, hi_i], which may not overlap, and over
     the half-lines [a, inf] or [-inf, b] in tails.
 
@@ -206,10 +209,14 @@ def _cuts(potential, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _position_integral(spec: WeylSpec) -> float:
     """int w(x) |V_-(x)|^(n/2+1) dx with w = bump^2, radial measure for n=3.
 
+    Every turning point between two sample points is a cut, so a sliver of
+    {V < 0} just past a sample point is a panel that no node can miss.
     With a bump every panel between the cuts is integrated: a well strictly
     between two cuts shows only at the Kronrod nodes.  Without one, the
     panels where V < 0 at the midpoint are, and the half-lines past the
     first and last probe (for n = 3, 0 to the first) where V < 0 there.
+    Cut at every probe, no panel spans the decades that can hide a hump
+    from the adaptive rule.
     """
     power = spec.n / 2.0 + 1.0
 
@@ -278,13 +285,10 @@ def weyl_energy(spec: WeylSpec) -> float:
     """(2 pi h)^{-n} int bump^2 (q^2 + V)_- du dq, momentum part closed form.
 
     For n = 3 this is -(15 pi^2 h^3)^{-1} int bump^2 |V_-|^{5/2} du.  The
-    position integral sees V only at its sample points (a bump's support
-    ends and plateau edges, or else 8001 probes 2.5 apart on [-1e4, 1e4]
-    for n = 1 and 800 log-spaced ones on [1e-9, 1e7], 4.7% apart, for
-    n = 3), at the turning points bisected between them and at the
-    Kronrod nodes of its panels, so a well that falls between them all
-    reads as empty.  A position integral of exactly 0 therefore warns,
-    naming that sampling.
+    position integral reads V at its sample points (a bump's cuts, or else
+    probes 2.5 apart for n = 1 and 4.7% apart for n = 3) and at the Kronrod
+    nodes between them, so a well that falls between all of these reads as
+    empty; an integral of exactly 0 warns and names that sampling.
     """
     val = weyl_prefactor(spec.n, spec.h) * _position_integral(spec)
     return val if val != 0.0 else 0.0
