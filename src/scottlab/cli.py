@@ -51,9 +51,6 @@ __all__ = [
 
 CONFIG_PREFIX = "# scottlab-config: "
 
-# commands whose h sweep feeds a fit and so needs at least two values
-_SWEEP_COMMANDS = ("scott", "local-trace")
-
 
 class UsageError(ValueError):
     """Invalid configuration; maps to exit status 2."""
@@ -100,11 +97,11 @@ class RunConfig:
                         raise UsageError(f"{key} {rule}")
             if option.choices is not None and value not in option.choices:
                 raise UsageError(f"{key} must be {' or '.join(map(str, option.choices))}")
-        hs = list(self.parameters.get("h_values", ())) if "h_values" in options else []
-        if any(b >= a for a, b in zip(hs, hs[1:])):
-            raise UsageError("h values must be strictly decreasing")
-        if self.command in _SWEEP_COMMANDS and len(hs) < 2:
-            raise UsageError("the h sweep needs at least two values")
+            if key == "h_values":
+                try:
+                    numerics.require_decreasing(value)
+                except ValueError as exc:
+                    raise UsageError(str(exc)) from exc
         unknown = set(self.parameters) - set(options)
         if unknown:
             raise UsageError(
@@ -252,34 +249,24 @@ def _pipeline_tf_atom(params: dict[str, Any]):
     return columns, rows, meta
 
 
-def _fit_summary(fit) -> dict[str, Any]:
-    return {
-        "exponents": [float(e) for e in fit.exponents],
-        "coefficients": [float(c) for c in fit.coefficients],
-        "residual_norm": float(fit.residual_norm),
-        "condition": float(fit.condition),
-        "warnings": list(fit.warnings),
-    }
-
-
 def _pipeline_scott(params: dict[str, Any]):
-    experiment = scott.scott_experiment_tf(
-        params["z"],
-        params["h_values"],
-        x_max=params["x_max"],
-        spacing_scale=params["spacing_scale"],
-    )
+    sweep = scott.scott_experiment_tf(params["z"], params["h_values"],
+                                      params["x_max"], params["spacing_scale"])
     columns = ["h", "quantum", "weyl", "scott", "residual"]
     rows = [
         [row.h, row.quantum_sum, row.weyl_sum, row.scott_term, row.residual]
-        for row in experiment.results
+        for row in sweep.results
     ]
+    # the fit is against {h^-2, h^-1}
+    (scott_range, h_inverse_range), shift = sweep.spread()
     meta = {
-        "scott_coefficient": experiment.scott_coefficient,
-        **experiment.fit_spread(),
-        "per_h": list(experiment.per_h),
-        "fit": _fit_summary(experiment.fit),
-        "recorded_warnings": list(experiment.warnings),
+        "scott_coefficient": sweep.fit.coefficient(-2.0),
+        "scott_leave_one_out": scott_range,
+        "scott_constant_shift": shift,
+        "h_inverse_leave_one_out": h_inverse_range,
+        "per_h": list(sweep.per_h),
+        "fit": sweep.summary(),
+        "recorded_warnings": list(sweep.warnings),
     }
     return columns, rows, meta
 
@@ -288,19 +275,18 @@ def _pipeline_local_trace(params: dict[str, Any]):
     n = params["n"]
     bump = numerics.Bump(center=params["bump_center"], radius=params["bump_radius"])
     potential = _named_potential(params)
-    results, fit = semiclassics.local_trace_experiment(
-        potential, bump, params["h_values"], n=n
-    )
+    sweep = semiclassics.local_trace_experiment(potential, bump, params["h_values"], n=n)
     columns = ["h", "quantum", "weyl", "residual", "scaled_residual"]
     rows = [
         [row.h, row.quantum_sum, row.weyl_sum, row.residual,
          row.residual * row.h ** (n - 1.2)]
-        for row in results
+        for row in sweep.results
     ]
-    recorded = list(fit.warnings)
-    for row in results:
-        recorded.extend(row.warnings)
-    meta = {"fit": _fit_summary(fit), "recorded_warnings": recorded}
+    meta = {
+        "fit": sweep.summary(),
+        "left_out_of_fit": list(sweep.left_out),
+        "recorded_warnings": list(sweep.warnings),
+    }
     return columns, rows, meta
 
 
@@ -444,6 +430,12 @@ _POTENTIALS = ("coulomb", "well")
 # --strict shapes the exit status, so it is a parameter a replay keeps
 _STRICT = _Option(bool, None, help="exit nonzero when accuracy warnings occur")
 
+
+def _check_sweep(p: dict[str, Any]) -> None:
+    # the h sweep of scott and local-trace feeds a fit (numerics.HSweep)
+    numerics.require_decreasing(p["h_values"], least=2)
+
+
 _COMMAND_TABLE = {
     "hydrogen": _Command(_pipeline_hydrogen, "exact hydrogen eigenvalue sum", {
         "z": _Option(float, domain=_POSITIVE),
@@ -467,7 +459,7 @@ _COMMAND_TABLE = {
                             help="comma-separated strictly decreasing h sweep"),
         "x_max": _Option(float, 15.0, _POSITIVE),
         "spacing_scale": _Option(float, 1.0, (lambda v: 0 < v <= 1, "must lie in (0, 1]")),
-    }, lambda p: thomas_fermi._require_charge(p["z"])),
+    }, lambda p: _check_sweep(p) or thomas_fermi._require_charge(p["z"])),
     "local-trace": _Command(_pipeline_local_trace, "localized trace vs Weyl sweep", {
         "h_values": _Option(_floats, domain=_POSITIVE),
         "n": _Option(int, 3, choices=(1, 3)),
@@ -476,7 +468,7 @@ _COMMAND_TABLE = {
         "shift": _Option(float, 1.0),
         "bump_center": _Option(float, 0.0),
         "bump_radius": _Option(float, 2.0, _POSITIVE),
-    }, lambda p: p["n"] == 1 or semiclassics._require_radial_bump(
+    }, lambda p: _check_sweep(p) or p["n"] == 1 or semiclassics._require_radial_bump(
         numerics.Bump(p["bump_center"], p["bump_radius"]))),
     "coherent-check": _Command(_pipeline_coherent_check, "coherent-state identity suite", {
         "h_values": _Option(_floats, domain=_POSITIVE),

@@ -17,7 +17,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cache, wraps
 from typing import ClassVar
 
@@ -29,6 +29,7 @@ __all__ = [
     "Bump",
     "PartitionPair",
     "FitResult",
+    "HSweep",
     "fit_power_series",
     "richardson",
 ]
@@ -391,6 +392,92 @@ def fit_power_series(h_values, y_values, exponents) -> FitResult:
         condition=cond,
         warnings=tuple(warnings),
     )
+
+
+def require_decreasing(h_values, least: int = 1) -> tuple[float, ...]:
+    """h_values as floats; ValueError unless there are at least `least` of
+    them, each below the one before (a fitted sweep, HSweep, needs two)."""
+    hs = tuple(float(h) for h in h_values)
+    if len(hs) < least or any(b >= a for a, b in zip(hs, hs[1:])):
+        raise ValueError("h values must be strictly decreasing, two or more for a fit")
+    return hs
+
+
+@dataclass(frozen=True)
+class HSweep:
+    """One h sweep and its fit y(h) = sum_k c_k h^(e_k) (fit_power_series).
+
+    results holds one row per h, each with its warnings; values the y of
+    each h; per_h optional per-h diagnostics; left_out the rows the fit
+    leaves out, each {"h": h, "reason": ...}.  fit is None, with a warning,
+    when fewer rows remain than there are exponents.
+    """
+
+    h_values: tuple
+    results: tuple
+    values: tuple
+    exponents: tuple
+    per_h: tuple = ()
+    left_out: tuple = ()
+    fit: FitResult | None = field(init=False)
+
+    def __post_init__(self):
+        hs = require_decreasing(self.h_values, least=2)
+        if not len(self.results) == len(self.values) == len(hs):
+            raise ValueError("an h sweep needs one row and one value per h")
+        if not {row["h"] for row in self.left_out} <= set(hs):
+            raise ValueError("a row left out of the fit must be one of the h values")
+        for name in ("results", "values", "exponents", "per_h", "left_out"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        object.__setattr__(self, "h_values", hs)
+        hs, ys = self._fitted()
+        enough = len(hs) >= len(self.exponents)
+        object.__setattr__(
+            self, "fit", fit_power_series(hs, ys, self.exponents) if enough else None
+        )
+
+    def _fitted(self) -> tuple[tuple, tuple]:
+        """The h values and the values of the rows the fit takes."""
+        out = {row["h"] for row in self.left_out}
+        kept = [(h, y) for h, y in zip(self.h_values, self.values) if h not in out]
+        return tuple(h for h, _ in kept), tuple(y for _, y in kept)
+
+    def spread(self) -> tuple[tuple, float | None]:
+        """How far the choice of rows and of model moves the fit.
+
+        Per exponent, the [min, max] of its coefficient over the fits that
+        each leave one fitted row out, and the change of the first
+        coefficient when an h^0 column joins the fit: each None unless more
+        rows are fitted than there are exponents.  The sub-fits' warnings
+        are dropped: leaving out an end of the sweep may narrow its range
+        below the factor 2 that the full fit is judged by.
+        """
+        hs, ys = self._fitted()
+        exponents = self.exponents
+        if len(hs) <= len(exponents):
+            return (None,) * len(exponents), None
+        loo = [
+            fit_power_series(hs[:k] + hs[k + 1 :], ys[:k] + ys[k + 1 :], exponents)
+            for k in range(len(hs))
+        ]
+        with_constant = fit_power_series(hs, ys, (*exponents, 0.0))
+        columns = zip(*(fit.coefficients for fit in loo))
+        ranges = tuple([min(column), max(column)] for column in columns)
+        return ranges, with_constant.coefficients[0] - self.fit.coefficients[0]
+
+    @property
+    def warnings(self) -> tuple:
+        """The rows' warnings, then the fit's, or why there is no fit."""
+        fit = self.fit.warnings if self.fit else (
+            f"no fit: {len(self.left_out)} of {len(self.h_values)} rows are left "
+            f"out of it, too few remain for the exponents {list(self.exponents)}",
+        )
+        return (*(w for row in self.results for w in row.warnings), *fit)
+
+    def summary(self) -> dict | None:
+        """The fit's fields for output (JSON writes tuples as lists); None
+        without a fit."""
+        return None if self.fit is None else asdict(self.fit)
 
 
 def richardson(coarse: float, fine: float) -> float:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .numerics import FitResult, fit_power_series, require_positive
+from .numerics import HSweep, require_decreasing, require_positive
 # weyl_energy is unused but kept: bench/tracer.py wraps it by this name
 from .semiclassics import weyl_energy, weyl_prefactor  # noqa: F401
 from .spectra import RadialProblem, TraceResult, neg_sum_radial
@@ -25,7 +25,6 @@ from .thomas_fermi import atomic_tf, tf_length_scale
 __all__ = [
     "HYDROGEN_LEVEL_LIMIT",
     "HydrogenExpansion",
-    "ScottExperiment",
     "hydrogen_exact_sum",
     "hydrogen_expansion_check",
     "scott_experiment_tf",
@@ -129,84 +128,12 @@ def scott_term(charges: Sequence[float], h: float) -> float:
     return sum(z**2 for z in zs) / (8.0 * h * h)
 
 
-_FIT_SPREAD_KEYS = (
-    "scott_leave_one_out",
-    "scott_constant_shift",
-    "h_inverse_leave_one_out",
-)
-
-
-@dataclass(frozen=True)
-class ScottExperiment:
-    """One h sweep of quantum-minus-Weyl on the TF potential, with its fit.
-
-    per_h holds, for each h, the radial sum's diagnostics: grid_points,
-    negative_eigenvalues, sentinel, boundary_mass and refinement_change.
-    """
-
-    z: float
-    h_values: tuple
-    results: tuple
-    fit: FitResult
-    per_h: tuple = ()
-
-    def __post_init__(self):
-        hs = tuple(float(h) for h in self.h_values)
-        if any(b >= a for a, b in zip(hs, hs[1:])):
-            raise ValueError("h_values must be strictly decreasing")
-        object.__setattr__(self, "h_values", hs)
-        object.__setattr__(self, "results", tuple(self.results))
-        object.__setattr__(self, "per_h", tuple(self.per_h))
-
-    @property
-    def scott_coefficient(self) -> float:
-        """Fitted h^-2 coefficient; z^2/8 is the target."""
-        return self.fit.coefficient(-2.0)
-
-    def fit_spread(self) -> dict:
-        """How far the choice of samples and of model moves the fit.
-
-        scott_leave_one_out and h_inverse_leave_one_out are the [min, max] of
-        the h^-2 and h^-1 coefficients over the fits that each drop one h;
-        scott_constant_shift is the change of the h^-2 coefficient when an
-        h^0 column joins the fit.  Each is None with fewer than three h
-        values.  The sub-fits' own warnings are dropped: leaving out an end
-        of the sweep may narrow its range below the factor 2 that the full
-        fit is judged by.
-        """
-        hs = self.h_values
-        if len(hs) < 3:
-            return dict.fromkeys(_FIT_SPREAD_KEYS)
-        ys = tuple(row.quantum_sum - row.weyl_sum for row in self.results)
-        exponents = self.fit.exponents
-        loo = [
-            fit_power_series(hs[:k] + hs[k + 1 :], ys[:k] + ys[k + 1 :], exponents)
-            for k in range(len(hs))
-        ]
-        with_constant = fit_power_series(hs, ys, (*exponents, 0.0))
-
-        def span(exponent):
-            values = [fit.coefficient(exponent) for fit in loo]
-            return [min(values), max(values)]
-
-        shift = with_constant.coefficient(-2.0) - self.scott_coefficient
-        return dict(zip(_FIT_SPREAD_KEYS, (span(-2.0), shift, span(-1.0))))
-
-    @property
-    def warnings(self) -> tuple:
-        out = []
-        for row in self.results:
-            out.extend(row.warnings)
-        out.extend(self.fit.warnings)
-        return tuple(out)
-
-
 def scott_experiment_tf(
     z: float,
     h_values: Sequence[float],
     x_max: float = 15.0,
     spacing_scale: float = 1.0,
-) -> ScottExperiment:
+) -> HSweep:
     """Extract the Scott coefficient from the atomic TF potential.
 
     Per h: quantum = radial negative-eigenvalue sum of -h^2 Laplacian - V^TF,
@@ -224,13 +151,13 @@ def scott_experiment_tf(
     beyond it falls off like x_max^-7, but at the default 15 the truncation
     still moves the coefficient by a few 1e-5, more than halving the step
     does.  The radial grid is mapped, r = t + z t^2/(4h^2), with the t-step
-    min(h/8, h^2/(5z)), scaled by spacing_scale for
-    discretization-independence checks.  The channels run up to the solved empty sentinel; every channel
-    past it is empty too.
+    min(h/8, h^2/(5z)), scaled by spacing_scale for discretization-independence
+    checks.  The channels run up to the solved empty sentinel; every channel
+    past it is empty too.  The sweep's per_h holds, for each h, the radial
+    sum's grid_points, negative_eigenvalues, sentinel, boundary_mass and
+    refinement_change.
     """
-    hs = [float(h) for h in h_values]
-    if len(hs) < 2 or any(b >= a for a, b in zip(hs, hs[1:])):
-        raise ValueError("h_values must be strictly decreasing, length >= 2")
+    hs = require_decreasing(h_values, least=2)
     if not 0 < spacing_scale <= 1.0:
         raise ValueError("spacing_scale must lie in (0, 1]")
 
@@ -248,15 +175,9 @@ def scott_experiment_tf(
         stretch = z / (4.0 * h * h)
         problem = RadialProblem.build(sol.v_tf, h, r_max, step, stretch=stretch)
         quantum = neg_sum_radial(problem)
-        results.append(
-            TraceResult(
-                h=h,
-                quantum_sum=quantum.total.value,
-                weyl_sum=weyl_h3 / h**3,
-                scott_term=scott_term([z], h),
-                warnings=quantum.warnings,
-            )
-        )
+        row = TraceResult(h=h, quantum_sum=quantum.total.value, weyl_sum=weyl_h3 / h**3,
+                          scott_term=scott_term([z], h), warnings=quantum.warnings)
+        results.append(row)
         per_h.append(
             {
                 "h": h,
@@ -270,11 +191,5 @@ def scott_experiment_tf(
             }
         )
 
-    fit = fit_power_series(
-        hs,
-        [row.quantum_sum - row.weyl_sum for row in results],
-        exponents=(-2.0, -1.0),
-    )
-    return ScottExperiment(
-        z=z, h_values=tuple(hs), results=tuple(results), fit=fit, per_h=per_h
-    )
+    values = [row.quantum_sum - row.weyl_sum for row in results]
+    return HSweep(hs, results, values, exponents=(-2.0, -1.0), per_h=per_h)

@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import math
 import warnings as _warnmod
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .numerics import Bump, FitResult, Grid1D, fit_power_series, require_positive
+from .numerics import Bump, Grid1D, HSweep, require_decreasing, require_positive
 from .numerics import step_count
 from .spectra import RadialProblem, TraceResult, neg_sum_1d, neg_sum_radial
 
@@ -308,7 +308,7 @@ def local_trace_experiment(
     bump: Bump,
     h_values: Sequence[float],
     n: int = 3,
-) -> tuple[tuple[TraceResult, ...], FitResult]:
+) -> HSweep:
     """Localized trace Tr[phi H phi]_- against its Weyl integral over an h sweep.
 
     Each row records quantum sum, Weyl term, and a zero Scott entry (no
@@ -318,19 +318,15 @@ def local_trace_experiment(
     sweep is the meaningful check, constants being unknown.  For n = 3 the
     bump lives on radii, and one with center + radius <= 0 vanishes on all
     of them: ValueError rather than a trace of zeros.  A row whose quantum
-    sum is exactly 0 while its Weyl term is not carries a warning, as its
-    defect is then the Weyl term alone.
+    sum is exactly 0 while its Weyl term is not has no negative eigenvalue
+    under the bump, so its defect would be the Weyl term alone: it carries a
+    warning and is left out of the fit.
     """
-    hs = [float(h) for h in h_values]
-    if len(hs) < 2 or any(b >= a for a, b in zip(hs, hs[1:])):
-        raise ValueError("h_values must be strictly decreasing, length >= 2")
-    if n not in (1, 3):
-        raise ValueError("only n = 1 and n = 3 are supported")
-    if n == 3:
-        _require_radial_bump(bump)
+    hs = require_decreasing(h_values, least=2)
+    spec = WeylSpec(n=n, potential=potential, bump=bump)  # checks n and the bump
 
     span = 1.25 * bump.radius
-    results = []
+    results, left_out = [], []
 
     def attractive(r):
         # RadialProblem wants the profile that is positive where V binds
@@ -339,37 +335,25 @@ def local_trace_experiment(
     for h in hs:
         step = h / 8.0
         if n == 3:
-            r_max = bump.center + span
-            problem = RadialProblem.build(attractive, h, r_max, step)
+            problem = RadialProblem.build(attractive, h, bump.center + span, step)
             quantum = neg_sum_radial(problem, bump=bump)
             value, warnings = quantum.total.value, quantum.warnings
         else:
-            lo = bump.center - span
-            hi = bump.center + span
-            m = max(step_count(hi - lo, step), 16)
-            grid = Grid1D.uniform(lo, hi, m + 1)
+            lo, hi = bump.center - span, bump.center + span
+            grid = Grid1D.uniform(lo, hi, max(step_count(hi - lo, step), 16) + 1)
             quantum = neg_sum_1d(potential, h, grid, bump=bump)
             value, warnings = quantum.value, quantum.warnings
-        weyl = weyl_energy(WeylSpec(n=n, potential=potential, bump=bump, h=h))
+        weyl = weyl_energy(replace(spec, h=h))
         if value == 0.0 and weyl != 0.0:
+            reason = f"quantum sum is 0 against a Weyl term of {weyl:.3g}"
+            left_out.append({"h": h, "reason": reason})
             warnings = (
                 *warnings,
                 f"quantum sum is 0 at h = {h:g} against a Weyl term of {weyl:.3g}: "
-                "no negative eigenvalue under the bump",
+                "no negative eigenvalue under the bump; the row is left out of the fit",
             )
-        results.append(
-            TraceResult(
-                h=h,
-                quantum_sum=value,
-                weyl_sum=weyl,
-                scott_term=0.0,
-                warnings=warnings,
-            )
-        )
+        results.append(TraceResult(h=h, quantum_sum=value, weyl_sum=weyl,
+                                   scott_term=0.0, warnings=warnings))
 
-    fit = fit_power_series(
-        hs,
-        [abs(row.residual) for row in results],
-        exponents=(6.0 / 5.0 - n,),
-    )
-    return tuple(results), fit
+    values = [abs(row.residual) for row in results]
+    return HSweep(hs, results, values, exponents=(6.0 / 5.0 - n,), left_out=left_out)

@@ -130,10 +130,10 @@ def test_criterion_5_tf_scaling_between_charges():
 
 def test_criterion_6_scott_coefficient(scott_z1):
     budget = Budget(1200.0)
-    coeff = scott_z1.scott_coefficient
+    coeff = scott_z1.fit.coefficient(-2.0)
     assert 0.115 <= coeff <= 0.135, f"coefficient {coeff} escapes [0.115, 0.135]"
     halved = scott_experiment_tf(1.0, scott_z1.h_values, spacing_scale=0.5)
-    drift = abs(halved.scott_coefficient - coeff)
+    drift = abs(halved.fit.coefficient(-2.0) - coeff)
     assert drift <= 0.005, f"grid-halving drift {drift}"
     budget.check(
         f"criterion 6 PASS: Scott coefficient {coeff:.6f} (target 1/8), "

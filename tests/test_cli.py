@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scottlab import cli, coherent, scott
+from scottlab.numerics import fit_power_series
 from scottlab.cli import (
     CONFIG_PREFIX,
     RunConfig,
@@ -213,7 +214,12 @@ class TestScottCommand:
         assert status == 0
         sidecar = json.loads((tmp_path / "s.csv.meta.json").read_text())
         assert sidecar["warnings"] == []
-        spread = scott_z1.fit_spread()
+        (scott_range, h_inverse_range), shift = scott_z1.spread()
+        spread = {
+            "scott_leave_one_out": scott_range,
+            "scott_constant_shift": shift,
+            "h_inverse_leave_one_out": h_inverse_range,
+        }
         assert {key: sidecar["meta"][key] for key in spread} == spread
         assert sidecar["meta"]["per_h"] == list(scott_z1.per_h)
 
@@ -241,6 +247,30 @@ class TestLocalTraceCommand:
         status, data = run_to_file(argv, tmp_path / "lt.csv")
         assert status == 0
         assert len(data.decode().splitlines()) == 4 + 2
+        # both quantum sums are 0 (the shift empties the bump), so both rows
+        # leave the fit and none is written; --strict would exit 1
+        sidecar = json.loads((tmp_path / "lt.csv.meta.json").read_text())
+        assert sidecar["meta"]["fit"] is None
+        assert [row["h"] for row in sidecar["meta"]["left_out_of_fit"]] == [0.4, 0.2]
+        assert any(w.startswith("no fit: 2 of 2 rows") for w in sidecar["warnings"])
+
+    def test_zero_quantum_row_is_left_out_of_the_fit(self, tmp_path):
+        # the default well has no negative eigenvalue under the bump at
+        # h = 0.4; the fit takes h = 0.3 and 0.2 only
+        status, data = run_to_file(["local-trace", "--h", "0.4,0.3,0.2"],
+                                   tmp_path / "lt.csv")
+        assert status == 0
+        meta = json.loads((tmp_path / "lt.csv.meta.json").read_text())["meta"]
+        [row] = meta["left_out_of_fit"]
+        assert row["h"] == 0.4 and row["reason"].startswith("quantum sum is 0")
+        lines = [l for l in data.decode().splitlines() if not l.startswith("#")]
+        rows = [dict(zip(lines[0].split(","), map(float, l.split(","))))
+                for l in lines[1:]]
+        assert [r["h"] for r in rows] == [0.4, 0.3, 0.2] and rows[0]["quantum"] == 0.0
+        fit = fit_power_series(
+            [0.3, 0.2], [abs(r["residual"]) for r in rows[1:]], (6.0 / 5.0 - 3,)
+        )
+        assert meta["fit"]["coefficients"] == list(fit.coefficients)
 
     def test_empty_quantum_side_warns(self, tmp_path, capsys):
         # -1/r + 1 has no negative eigenvalue under this bump at either h, so

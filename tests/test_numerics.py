@@ -1,6 +1,7 @@
-"""Grids, bumps, partitions, fits, and the shared positivity check."""
+"""Grids, bumps, partitions, fits, h sweeps, and the shared positivity check."""
 
 import math
+import re
 import threading
 import time
 
@@ -9,20 +10,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scottlab.cli import RunConfig, config_from_args
 from scottlab.coherent import CoherentParams, harmonic_symbol, trial_density_matrix
 from scottlab.numerics import (
     Bump,
     Grid1D,
     GridOperator,
+    HSweep,
     PartitionPair,
     _pinned,
     _pinned_map,
     fit_power_series,
     richardson,
 )
-from scottlab.scott import scott_term
-from scottlab.semiclassics import WeylSpec
-from scottlab.spectra import RadialProblem, neg_sum_1d
+from scottlab.scott import scott_experiment_tf, scott_term
+from scottlab.semiclassics import WeylSpec, local_trace_experiment
+from scottlab.spectra import RadialProblem, TraceResult, neg_sum_1d
 from scottlab.thomas_fermi import atomic_tf, tf_length_scale, tf_scaling_transform
 
 
@@ -148,6 +151,96 @@ class TestFit:
         )
         with pytest.raises(KeyError):
             fit.coefficient(-2.0)
+
+
+def exact_sweep(hs, exponents, coefficients, values=None, left_out=()):
+    """An HSweep whose values follow sum_k c_k h^(e_k), unless given."""
+    if values is None:
+        values = [sum(c * h**e for e, c in zip(exponents, coefficients)) for h in hs]
+    rows = [TraceResult(h=h, quantum_sum=y, weyl_sum=0.0, scott_term=0.0)
+            for h, y in zip(hs, values)]
+    return HSweep(h_values=hs, results=rows, values=values, exponents=exponents,
+                  left_out=left_out)
+
+
+def reject_h(caller, hs):
+    """Hand the h values hs to one of the callers that validate a sweep."""
+    if caller in ("scott", "local-trace"):
+        argv = ["scott", "--z", "1"] if caller == "scott" else ["local-trace"]
+        params = config_from_args(argv + ["--h", "0.4,0.3"]).parameters
+        RunConfig(command=caller, parameters={**params, "h_values": hs})
+    elif caller == "scott_experiment_tf":
+        scott_experiment_tf(1.0, hs)
+    elif caller == "local_trace_experiment":
+        local_trace_experiment(lambda x: x * x - 1.0, Bump(0.0, 3.0), hs, n=1)
+    else:
+        exact_sweep(hs, (-1.0,), (1.0,))
+
+
+class TestHSweep:
+    MESSAGE = "h values must be strictly decreasing, two or more for a fit"
+
+    @pytest.mark.parametrize("hs", [(0.1, 0.2), (0.1,)], ids=["increasing", "single"])
+    @pytest.mark.parametrize(
+        "caller",
+        ["scott", "local-trace", "scott_experiment_tf", "local_trace_experiment", "HSweep"],
+    )
+    def test_one_message_for_h_values_no_sweep_can_fit(self, caller, hs):
+        # the command line (exit 2), both experiments and the type all ask
+        # the one validator, before any solve
+        with pytest.raises(ValueError, match=f"^{re.escape(self.MESSAGE)}$"):
+            reject_h(caller, hs)
+
+    def test_coherent_check_takes_one_h_but_not_an_increasing_pair(self):
+        params = config_from_args(["coherent-check", "--h", "0.4"]).parameters
+        RunConfig(command="coherent-check", parameters=params)
+        with pytest.raises(ValueError, match=f"^{re.escape(self.MESSAGE)}$"):
+            RunConfig(command="coherent-check",
+                      parameters={**params, "h_values": (0.25, 0.4)})
+
+    def test_fit_spread_vanishes_on_an_exact_model(self):
+        hs = (0.12, 0.09, 0.07, 0.05)
+        sweep = exact_sweep(hs, (-2.0, -1.0), (0.125, -0.02))
+        (scott, h_inverse), shift = sweep.spread()
+        assert scott == pytest.approx([0.125] * 2, rel=1e-10)
+        assert h_inverse == pytest.approx([-0.02] * 2, rel=1e-8)
+        assert abs(shift) < 1e-10
+        assert sweep.summary()["coefficients"] == sweep.fit.coefficients
+        # two h values leave no fit to drop one from
+        assert exact_sweep(hs[:2], (-2.0, -1.0), (0.125, -0.02)).spread() == ((None, None), None)
+
+    def test_one_exponent_spread(self):
+        # local-trace's shape: one fixed exponent, so two h values spread
+        hs = (0.4, 0.2)
+        sweep = exact_sweep(hs, (-1.8,), (0.01,))
+        ((lo, hi),), shift = sweep.spread()
+        assert [lo, hi] == pytest.approx([0.01, 0.01], rel=1e-12)
+        assert abs(shift) < 1e-12
+        assert sweep.warnings == ()
+
+    def test_a_left_out_row_leaves_the_fit_and_its_spread(self):
+        hs = (0.4, 0.3, 0.2, 0.1)
+        values = [99.0] + [0.5 / h**2 for h in hs[1:]]
+        left_out = [{"h": 0.4, "reason": "no negative eigenvalue"}]
+        sweep = exact_sweep(hs, (-2.0,), None, values, left_out)
+        assert sweep.fit.coefficient(-2.0) == pytest.approx(0.5, rel=1e-12)
+        assert sweep.fit.residual_norm < 1e-12
+        ((lo, hi),), shift = sweep.spread()
+        assert [lo, hi] == pytest.approx([0.5, 0.5], rel=1e-12)
+        assert sweep.results[0].quantum_sum == 99.0  # the row itself stays
+
+    def test_no_fit_when_fewer_rows_than_exponents_remain(self):
+        hs = (0.4, 0.2)
+        left_out = [{"h": h, "reason": "empty"} for h in hs[1:]]
+        sweep = exact_sweep(hs, (-2.0, -1.0), (1.0, 1.0), left_out=left_out)
+        assert sweep.fit is None and sweep.summary() is None
+        assert sweep.spread() == ((None, None), None)
+        assert sweep.warnings == (
+            "no fit: 1 of 2 rows are left out of it, too few remain for the "
+            "exponents [-2.0, -1.0]",
+        )
+        with pytest.raises(ValueError, match="one of the h values"):
+            exact_sweep(hs, (-1.0,), (1.0,), left_out=[{"h": 0.3, "reason": ""}])
 
 
 class TestRichardson:

@@ -8,16 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scottlab import scott, semiclassics
-from scottlab.numerics import fit_power_series
 from scottlab.scott import (
     HYDROGEN_LEVEL_LIMIT,
-    ScottExperiment,
     hydrogen_exact_sum,
     hydrogen_expansion_check,
     scott_experiment_tf,
     scott_term,
 )
-from scottlab.spectra import TraceResult
 
 
 class TestHydrogenSum:
@@ -112,7 +109,7 @@ class TestScottTerm:
 
 class TestScottExperiment:
     def test_coefficient_lands_near_eighth(self, scott_z1):
-        assert scott_z1.scott_coefficient == pytest.approx(0.125, rel=0.08)
+        assert scott_z1.fit.coefficient(-2.0) == pytest.approx(0.125, rel=0.08)
         assert not scott_z1.warnings
 
     def test_rows_record_the_ingredients(self, scott_z1):
@@ -135,13 +132,13 @@ class TestScottExperiment:
             )
 
     def test_fit_spread_of_the_acceptance_sweep(self, scott_z1):
-        spread = scott_z1.fit_spread()
-        lo, hi = spread["scott_leave_one_out"]
-        assert lo < scott_z1.scott_coefficient < hi
+        (scott_range, h_inverse_range), shift = scott_z1.spread()
+        coefficient = scott_z1.fit.coefficient(-2.0)
+        lo, hi = scott_range
+        assert lo < coefficient < hi
         assert [lo, hi] == pytest.approx([0.1249782, 0.1251460], abs=1e-6)
-        with_constant = scott_z1.scott_coefficient + spread["scott_constant_shift"]
-        assert with_constant == pytest.approx(0.124785, abs=1e-6)
-        lo, hi = spread["h_inverse_leave_one_out"]
+        assert coefficient + shift == pytest.approx(0.124785, abs=1e-6)
+        lo, hi = h_inverse_range
         assert lo <= scott_z1.fit.coefficient(-1.0) <= hi
 
     def test_weyl_term_is_one_integral_over_h_cubed(self, scott_z1):
@@ -180,30 +177,6 @@ class TestScottExperiment:
         for row in rows:
             assert 0.0 < row["boundary_mass"] <= 2e-7
             assert 0.0 < row["refinement_change"] < 1e-3
-
-    def test_fit_spread_vanishes_on_an_exact_model(self):
-        hs = (0.12, 0.09, 0.07, 0.05)
-        rows = [
-            TraceResult(h=h, quantum_sum=0.125 / h**2 - 0.02 / h, weyl_sum=0.0,
-                        scott_term=0.0)
-            for h in hs
-        ]
-
-        def experiment(k):
-            ys = [row.quantum_sum for row in rows[:k]]
-            fit = fit_power_series(hs[:k], ys, (-2.0, -1.0))
-            return ScottExperiment(z=1.0, h_values=hs[:k], results=rows[:k], fit=fit)
-
-        spread = experiment(4).fit_spread()
-        assert spread["scott_leave_one_out"] == pytest.approx([0.125] * 2, rel=1e-10)
-        assert spread["h_inverse_leave_one_out"] == pytest.approx([-0.02] * 2, rel=1e-8)
-        assert abs(spread["scott_constant_shift"]) < 1e-10
-        # two h values leave no fit to drop one from
-        assert experiment(2).fit_spread() == {
-            "scott_leave_one_out": None,
-            "scott_constant_shift": None,
-            "h_inverse_leave_one_out": None,
-        }
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError, match="strictly decreasing"):

@@ -300,16 +300,16 @@ class TestLocalTrace:
         # exactly whenever 1/(2h) is an integer), so only convergence and
         # bookkeeping are asserted, not a residual rate
         bump = Bump(center=0.0, radius=3.0)
-        rows, fit = local_trace_experiment(
+        sweep = local_trace_experiment(
             lambda x: x * x - 1.0, bump, (0.4, 0.2, 0.1), n=1
         )
-        assert [row.h for row in rows] == [0.4, 0.2, 0.1]
-        for row in rows:
+        assert sweep.h_values == (0.4, 0.2, 0.1) and sweep.left_out == ()
+        for row in sweep.results:
             assert row.scott_term == 0.0
             assert row.weyl_sum == pytest.approx(-1.0 / (4.0 * row.h), rel=1e-9)
             assert row.quantum_sum == pytest.approx(row.weyl_sum, rel=0.08)
             assert row.residual == row.quantum_sum - row.weyl_sum
-        assert math.isfinite(fit.coefficient(6.0 / 5.0 - 1.0))
+        assert math.isfinite(sweep.fit.coefficient(6.0 / 5.0 - 1.0))
 
     def test_rejects_bad_arguments(self):
         bump = Bump(center=0.0, radius=3.0)
