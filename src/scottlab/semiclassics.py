@@ -206,6 +206,20 @@ def _cuts(potential, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.sort(np.concatenate([points, turns])), neg
 
 
+def _join_decades(lo, hi, probes) -> tuple[np.ndarray, np.ndarray]:
+    """The panels [lo_i, hi_i] of r > 0, in order, with each panel joined to
+    the one before while they share an end that is one of probes and the
+    joined panel stays within a decade, hi <= 10 lo."""
+    starts, ends = [], []
+    for a, b in zip(lo.tolist(), hi.tolist()):
+        if ends and ends[-1] == a and a in probes and b <= 10.0 * starts[-1]:
+            ends[-1] = b
+        else:
+            starts.append(a)
+            ends.append(b)
+    return np.array(starts), np.array(ends)
+
+
 def _position_integral(spec: WeylSpec) -> float:
     """int w(x) |V_-(x)|^(n/2+1) dx with w = bump^2, radial measure for n=3.
 
@@ -215,8 +229,10 @@ def _position_integral(spec: WeylSpec) -> float:
     between two cuts shows only at the Kronrod nodes.  Without one, the
     panels where V < 0 at the midpoint are, and the half-lines past the
     first and last probe (for n = 3, 0 to the first) where V < 0 there.
-    Cut at every probe, no panel spans the decades that can hide a hump
-    from the adaptive rule.
+    For n = 3 each run of adjacent such panels is joined into panels no
+    wider than one decade in r, every turning point still an end
+    (_join_decades): no panel spans the decades that can hide a hump from
+    the adaptive rule, and -V_TF starts from 18 panels, not 800.
     """
     power = spec.n / 2.0 + 1.0
 
@@ -246,6 +262,8 @@ def _position_integral(spec: WeylSpec) -> float:
     if bump is None:
         inside = _values(spec.potential, 0.5 * (lo + hi)) < 0.0
         lo, hi = lo[inside], hi[inside]
+        if spec.n == 3:
+            lo, hi = _join_decades(lo, hi, set(points.tolist()))
         if neg[-1]:
             tails.append((points[-1], math.inf))
         if neg[0] and spec.n == 3:

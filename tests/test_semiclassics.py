@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, optimize
 
+from scottlab import semiclassics
 from scottlab.numerics import Bump
 from scottlab.semiclassics import (
     WeylSpec,
@@ -188,6 +189,23 @@ class TestQuadratureAgainstScipy:
 
 
 class TestWeylEnergy:
+    def test_tf_integrand_starts_from_decade_panels(self, monkeypatch, atom_z1):
+        # -V_TF < 0 on every probe interval of [1e-9, 1e7]: joined into
+        # panels no wider than a decade, plus (0, 1e-9), the refinement
+        # starts from 18 panels, where one per probe interval was 800
+        starts = []
+        refine = semiclassics._refine
+
+        def counted(f, a, b, span):
+            starts.append(a.size)
+            return refine(f, a, b, span)
+
+        monkeypatch.setattr(semiclassics, "_refine", counted)
+        spec = WeylSpec(n=3, potential=lambda r: -atom_z1.v_tf(r), h=2**-0.5)
+        value = weyl_energy(spec)
+        assert starts[0] <= 20 and starts[1:] == [1]  # then the tail past 1e7
+        assert value == pytest.approx(-0.25624837473788964, rel=1e-14, abs=0.0)
+
     def test_ball_indicator(self):
         # |V_-|^(5/2) integrates to the ball volume
         spec = WeylSpec(n=3, potential=lambda r: -1.0 * (r < 1.0), h=1.0)
