@@ -1,4 +1,4 @@
-"""Shared numerical utilities: grids, grid operators, cutoffs, fits.
+"""Shared numerical utilities: grids, grid operators, cutoffs, fits, h sweeps.
 
 Everything here is deterministic and stateless, except the pinned worker
 pool and pinned calls, which hold the bundled OpenBLAS at one thread while
@@ -468,11 +468,11 @@ class HSweep:
     @property
     def warnings(self) -> tuple:
         """The rows' warnings, then the fit's, or why there is no fit."""
-        fit = self.fit.warnings if self.fit else (
+        fit_warnings = self.fit.warnings if self.fit else (
             f"no fit: {len(self.left_out)} of {len(self.h_values)} rows are left "
             f"out of it, too few remain for the exponents {list(self.exponents)}",
         )
-        return (*(w for row in self.results for w in row.warnings), *fit)
+        return (*(w for row in self.results for w in row.warnings), *fit_warnings)
 
     def summary(self) -> dict | None:
         """The fit's fields for output (JSON writes tuples as lists); None

@@ -207,7 +207,8 @@ class TestHSweep:
         assert abs(shift) < 1e-10
         assert sweep.summary()["coefficients"] == sweep.fit.coefficients
         # two h values leave no fit to drop one from
-        assert exact_sweep(hs[:2], (-2.0, -1.0), (0.125, -0.02)).spread() == ((None, None), None)
+        pair = exact_sweep(hs[:2], (-2.0, -1.0), (0.125, -0.02))
+        assert pair.spread() == ((None, None), None)
 
     def test_one_exponent_spread(self):
         # local-trace's shape: one fixed exponent, so two h values spread
