@@ -176,7 +176,7 @@ def scott_experiment_tf(
         problem = RadialProblem.build(sol.v_tf, h, r_max, step, stretch=stretch)
         quantum = neg_sum_radial(problem)
         row = TraceResult(h=h, quantum_sum=quantum.total.value, weyl_sum=weyl_h3 / h**3,
-                          scott_term=scott_term([z], h), warnings=quantum.warnings)
+                          scott_term=scott_term([z], h), warnings=quantum.total.warnings)
         results.append(row)
         per_h.append(
             {

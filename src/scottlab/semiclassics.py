@@ -354,13 +354,12 @@ def local_trace_experiment(
         step = h / 8.0
         if n == 3:
             problem = RadialProblem.build(attractive, h, bump.center + span, step)
-            quantum = neg_sum_radial(problem, bump=bump)
-            value, warnings = quantum.total.value, quantum.warnings
+            quantum = neg_sum_radial(problem, bump=bump).total
         else:
             lo, hi = bump.center - span, bump.center + span
             grid = Grid1D.uniform(lo, hi, max(step_count(hi - lo, step), 16) + 1)
             quantum = neg_sum_1d(potential, h, grid, bump=bump)
-            value, warnings = quantum.value, quantum.warnings
+        value, warnings = quantum.value, quantum.warnings
         weyl = weyl_energy(replace(spec, h=h))
         if value == 0.0 and weyl != 0.0:
             reason = f"quantum sum is 0 against a Weyl term of {weyl:.3g}"

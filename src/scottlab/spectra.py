@@ -20,8 +20,8 @@ way, the lumped-mass 3-point scheme in t: mass s r'(t_i) at node i, coupling
 -h^2 / (s r'(t_{i+1/2})) between nodes i and i+1, both scaled by the square
 root of the mass so that the matrix stays symmetric tridiagonal.  With
 stretch = 0 that is the uniform 3-point matrix entry for entry.  The
-boundary-mass guard measures the mass in the outer 5% of the box in r; on a
-uniform grid that is the last max(2, int(0.05 n)) of its n interior points.
+boundary-mass guard measures the mass on the interior points in the outer 5%
+of the box in r, r >= 0.95 r_max, and on at least two of them.
 
 The channel solves of a radial sum are independent, so they run through
 numerics._pinned_map, one worker thread per usable CPU.  Each solve is one
@@ -144,10 +144,6 @@ class RadialSum:
     total: SpectralSum
     boundary_mass: float
     sentinel: int
-
-    @property
-    def warnings(self) -> tuple:
-        return self.total.warnings
 
 
 @dataclass(frozen=True)
@@ -396,10 +392,10 @@ def _negative_solve(diag, conjugation, tail=0):
     """(eigenvalues, tail masses) of phi T phi below 0, diag the whole
     diagonal of T (kinetic part plus the potential).
 
-    LAPACK dstebz (range V, abstol 0) finds the eigenvalues in (lower, 0),
-    returned ascending, and with tail > 0 dstein adds their eigenvectors, of
-    which only the mass on the last tail points is kept, one per eigenvalue
-    (None without tail).  These are scipy's eigh_tridiagonal(select="v")
+    LAPACK dstebz (range V, abstol 0) finds the eigenvalues in (lower, 0) in
+    block order, the order dstein takes, and with tail > 0 dstein adds their
+    eigenvectors, of which only the mass on the last tail points is kept, one
+    per eigenvalue (None without tail); both come back ascending.  These are scipy's eigh_tridiagonal(select="v")
     calls with its arguments, so eigenvalues and vectors are bitwise scipy's.
     Each Fortran call runs without the interpreter lock, so solves in
     several threads overlap.
@@ -423,7 +419,7 @@ def _negative_solve(diag, conjugation, tail=0):
     work, iwork = np.empty(4 * n), np.empty(3 * n, dtype=ints)
     _lapack("dstebz")(
         b"V",
-        b"B" if tail else b"E",  # block order is what dstein takes
+        b"B",
         ctypes.byref(size),
         ctypes.byref(ctypes.c_double(lower)),
         ctypes.byref(ctypes.c_double(0.0)),
@@ -488,20 +484,6 @@ def _finite_samples(potential, points, coordinate: str) -> np.ndarray:
     return v
 
 
-def _sum_1d(potential, h, grid: Grid1D, bump) -> tuple[float, float]:
-    """Negative eigenvalue sums on the grid and on its halving.  The potential
-    is sampled and checked on both levels before either is solved."""
-    levels = [(g.points[1:-1], g.spacing) for g in (grid, grid.halved())]
-    samples = [_finite_samples(potential, points, "x") for points, _ in levels]
-    sums = []
-    for (points, step), v in zip(levels, samples):
-        diag = 2.0 * h**2 / step**2 + v
-        off = np.full(points.size - 1, -(h**2) / step**2)
-        eigenvalues, _ = _negative_solve(diag, _conjugation(points, off, bump))
-        sums.append(float(np.sum(eigenvalues)))
-    return sums[0], sums[1]
-
-
 def neg_sum_1d(
     potential: Callable,
     h: float,
@@ -518,8 +500,15 @@ def neg_sum_1d(
     x, coarse level first, before any eigensolve.
     """
     require_positive(h, "h")
-    coarse, fine = _sum_1d(potential, h, grid, bump)
-    return SpectralSum.richardson_pair(coarse, fine, "eigenvalue sum")
+    levels = [(g.points[1:-1], g.spacing) for g in (grid, grid.halved())]
+    samples = [_finite_samples(potential, points, "x") for points, _ in levels]
+    sums = []
+    for (points, step), v in zip(levels, samples):
+        diag = 2.0 * h**2 / step**2 + v
+        off = np.full(points.size - 1, -(h**2) / step**2)
+        eigenvalues, _ = _negative_solve(diag, _conjugation(points, off, bump))
+        sums.append(float(np.sum(eigenvalues)))
+    return SpectralSum.richardson_pair(*sums, "eigenvalue sum")
 
 
 def sentinel_channel(problem: RadialProblem, shift: float = 0.0) -> int:
@@ -528,12 +517,10 @@ def sentinel_channel(problem: RadialProblem, shift: float = 0.0) -> int:
     Channels 0 .. sentinel-1 can bind; the sentinel itself is solved as the
     emptiness witness.
     """
-    t, _ = problem.interior(level=0)
-    r = problem.radius(t)
-    v = _finite_samples(problem.potential, r, "r")
+    r2, _, v, _, _ = _radial_level(problem, 0, None)
     h2 = problem.h**2
     for ell in range(SENTINEL_MAX_ELL + 1):
-        if np.min(ell * (ell + 1) * h2 / r**2 - v + shift) >= 0.0:
+        if np.min(ell * (ell + 1) * h2 / r2 - v + shift) >= 0.0:
             return ell
     raise ChannelCutoffError(
         f"no empty channel found below ell = {SENTINEL_MAX_ELL}"
@@ -548,8 +535,7 @@ def _radial_level(problem: RadialProblem, level: int, bump):
     s r'(t_i): the kinetic diagonal is h^2/(s^2 r'_i) (1/r'_{i-1/2} +
     1/r'_{i+1/2}) and the off-diagonal -h^2/(s^2 r'_{i+1/2} sqrt(r'_i
     r'_{i+1})); the matrix norm stays below 4 h^2/s^2.  The tail is the
-    interior points in the outer 5% of the box in r, and on a uniform grid
-    the last max(2, int(0.05 n)) of its n interior points.
+    interior points in the outer 5% of the box in r, and at least two.
     """
     h2 = problem.h**2
     t, step = problem.interior(level=level)
@@ -559,11 +545,8 @@ def _radial_level(problem: RadialProblem, level: int, bump):
     half = problem.jacobian(step * (np.arange(t.size + 1) + 0.5))
     kinetic = h2 / (step**2 * node) * (1.0 / half[:-1] + 1.0 / half[1:])
     off = -h2 / (step**2 * half[1:-1] * np.sqrt(node[:-1] * node[1:]))
-    if problem.stretch:
-        tail = int(np.count_nonzero(r >= 0.95 * problem.r_max))
-    else:
-        tail = int(0.05 * r.size)
-    return r**2, kinetic, v, _conjugation(r, off, bump), max(2, tail)
+    tail = max(2, int(np.count_nonzero(r >= 0.95 * problem.r_max)))
+    return r**2, kinetic, v, _conjugation(r, off, bump), tail
 
 
 def neg_sum_radial(

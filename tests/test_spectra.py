@@ -224,6 +224,14 @@ class TestMappedRadialGrid:
         # half as many points as the last 5% of them
         assert tail == np.count_nonzero(r >= 0.95 * prob.r_max) < int(0.05 * r.size)
 
+    def test_uniform_grid_tail_is_measured_in_r_too(self):
+        # criterion 2's h = 0.2 grid: 75 of its 1499 level-1 radii lie in the
+        # outer 5% in r, one more than the last int(0.05 * 1499) = 74 points
+        prob = RadialProblem.build(lambda r: 1.0 / r, h=0.2, r_max=6.0, spacing=0.008)
+        r, _ = prob.interior(level=1)
+        tail = spectra._radial_level(prob, 1, None)[-1]
+        assert tail == np.count_nonzero(r >= 0.95 * prob.r_max) == 75
+
     def test_small_box_trips_boundary_guard(self):
         prob = RadialProblem.build(
             square_well(0.2), h=0.2, r_max=4.0, spacing=0.025, stretch=6.25
