@@ -76,6 +76,8 @@ class RunConfig:
             )
         spec = _COMMAND_TABLE[self.command]
         options = {**spec.options, "strict": _STRICT}
+        # a copy, which the whole-map check may complete
+        object.__setattr__(self, "parameters", dict(self.parameters))
         for key, value in self.parameters.items():
             option = options.get(key)
             if option is None:
@@ -210,8 +212,8 @@ def _pipeline_hydrogen(params: dict[str, Any]):
 
 
 def _named_potential(params: dict[str, Any]):
-    name, z, shift = params["potential"], params["z"], params["shift"]
-    if name == "coulomb":
+    if params["potential"] == "coulomb":
+        z, shift = params["z"], params["shift"]
         return lambda r: -z / np.abs(np.asarray(r, dtype=float)) + shift
 
     def well(r):
@@ -226,8 +228,9 @@ def _pipeline_weyl(params: dict[str, Any]):
     potential = _named_potential(params)
     spec = semiclassics.WeylSpec(n=n, potential=potential, bump=None, h=h)
     value = semiclassics.weyl_energy(spec)
-    columns = ["n", "z", "shift", "h", "weyl"]
-    rows = [[n, params["z"], params["shift"], h, value]]
+    coulomb = params["potential"] == "coulomb"  # the well takes no z or shift
+    columns = ["n", "z", "shift", "h", "weyl"] if coulomb else ["n", "h", "weyl"]
+    rows = [[*(params[key] for key in columns[:-1]), value]]
     return columns, rows, {"potential": params["potential"]}
 
 
@@ -409,7 +412,8 @@ class _Option(NamedTuple):
 
 class _Command(NamedTuple):
     """A command: its pipeline, help line, parameters, and a domain check of
-    the complete parameter map beyond each value's own."""
+    the complete parameter map beyond each value's own, which also fills in
+    the defaults that depend on another parameter."""
 
     pipeline: Callable[[dict[str, Any]], tuple]
     help: str
@@ -427,6 +431,7 @@ _KINDS = {
 }
 _POSITIVE = (lambda v: v > 0, "must be positive")
 _POTENTIALS = ("coulomb", "well")
+_COULOMB_ONLY = "coulomb only, 1 unless given"
 # --strict shapes the exit status, so it is a parameter a replay keeps
 _STRICT = _Option(bool, None, help="exit nonzero when accuracy warnings occur")
 
@@ -434,6 +439,16 @@ _STRICT = _Option(bool, None, help="exit nonzero when accuracy warnings occur")
 def _check_sweep(p: dict[str, Any]) -> None:
     # the h sweep of scott and local-trace feeds a fit (numerics.HSweep)
     numerics.require_decreasing(p["h_values"], least=2)
+
+
+def _check_potential(p: dict[str, Any]) -> None:
+    # z and shift shape the Coulomb potential alone, and are 1.0 unless given
+    given = sorted({"z", "shift"} & set(p))
+    if p["potential"] == "coulomb":
+        p.setdefault("z", 1.0)
+        p.setdefault("shift", 1.0)
+    elif given:
+        raise ValueError(f"the well takes no {' or '.join(given)}")
 
 
 _COMMAND_TABLE = {
@@ -446,10 +461,10 @@ _COMMAND_TABLE = {
     "weyl": _Command(_pipeline_weyl, "Weyl phase-space energy integral", {
         "n": _Option(int, 3, choices=(1, 3)),
         "potential": _Option(str, "coulomb", choices=_POTENTIALS),
-        "z": _Option(float, 1.0, _POSITIVE),
-        "shift": _Option(float, 1.0),
+        "z": _Option(float, None, _POSITIVE, help=_COULOMB_ONLY),
+        "shift": _Option(float, None, help=_COULOMB_ONLY),
         "h": _Option(float, 1.0, _POSITIVE),
-    }),
+    }, _check_potential),
     "tf-atom": _Command(_pipeline_tf_atom, "Thomas-Fermi atom tables", {
         "z": _Option(float, domain=_POSITIVE),
     }, lambda p: thomas_fermi._require_charge(p["z"])),
@@ -464,12 +479,13 @@ _COMMAND_TABLE = {
         "h_values": _Option(_floats, domain=_POSITIVE),
         "n": _Option(int, 3, choices=(1, 3)),
         "potential": _Option(str, "well", choices=_POTENTIALS),
-        "z": _Option(float, 1.0, _POSITIVE),
-        "shift": _Option(float, 1.0),
+        "z": _Option(float, None, _POSITIVE, help=_COULOMB_ONLY),
+        "shift": _Option(float, None, help=_COULOMB_ONLY),
         "bump_center": _Option(float, 0.0),
         "bump_radius": _Option(float, 2.0, _POSITIVE),
-    }, lambda p: _check_sweep(p) or p["n"] == 1 or semiclassics._require_radial_bump(
-        numerics.Bump(p["bump_center"], p["bump_radius"]))),
+    }, lambda p: _check_sweep(p) or _check_potential(p) or p["n"] == 1
+        or semiclassics._require_radial_bump(
+            numerics.Bump(p["bump_center"], p["bump_radius"]))),
     "coherent-check": _Command(_pipeline_coherent_check, "coherent-state identity suite", {
         "h_values": _Option(_floats, domain=_POSITIVE),
         "a_rule": _Option(str, "h^-0.8",

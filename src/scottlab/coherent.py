@@ -76,6 +76,7 @@ from typing import Callable
 
 import numpy as np
 from numpy import fft  # numpy loads it on first use otherwise
+from numpy.polynomial import legendre  # with the module, not in a command
 
 from .numerics import Grid1D, GridOperator, _pinned_map, require_positive
 
@@ -606,10 +607,10 @@ def _trial_nodes(
 
 
 # a trial-density node's t rule: Gauss-Legendre on [-W, min(cut, W)] with
-# W = _T_WIDTHS/sqrt(2b), at the density of _T_NODES.size points per whole
+# W = _T_WIDTHS/sqrt(2b), at the density of _T_POINTS points per whole
 # window, which integrates a whole window's Gaussian to roundoff for h >= 0.05
 _T_WIDTHS = 9.0
-_T_NODES = np.polynomial.legendre.leggauss(48)[0]
+_T_POINTS = 48
 # entries (grid points x columns) of one block of node columns, which bounds
 # a row worker's memory: a complex block of 256 KiB, 192 columns on the
 # 85-point grid of h = 0.5
@@ -619,9 +620,9 @@ _BLOCK_ENTRIES = 1 << 14
 @cache
 def _t_rules() -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the Gauss-Legendre rules of 2, 4, ...,
-    _T_NODES.size points on [-1, 1], end to end: the m-point rule starts at
+    _T_POINTS points on [-1, 1], end to end: the m-point rule starts at
     m (m - 2)/4.  Built on first use, so importing the module costs none."""
-    rules = [np.polynomial.legendre.leggauss(m) for m in range(2, _T_NODES.size + 1, 2)]
+    rules = [legendre.leggauss(m) for m in range(2, _T_POINTS + 1, 2)]
     return tuple(np.concatenate(part) for part in zip(*rules))
 
 
@@ -657,8 +658,8 @@ def _node_columns(p: CoherentParams, grid: Grid1D, u, q, c0, v1, f1, weight):
     smooth through s = 0 (e_t a position delta).  Its mass in t is a
     Gaussian of variance 1/(2b) on the window [-W, W], W =
     _T_WIDTHS/sqrt(2b).  Node k takes t over the Gauss-Legendre rule of
-    m_k = 2 ceil((_T_NODES.size/2) (top_k + W)/(2W)) points on [-W, top_k],
-    top_k = min(cut_k, W): the density of _T_NODES.size points on the whole
+    m_k = 2 ceil((_T_POINTS/2) (top_k + W)/(2W)) points on [-W, top_k],
+    top_k = min(cut_k, W): the density of _T_POINTS points on the whole
     window, rounded up to an even count, each column weighted by
     sqrt(weight dx w).
 
@@ -693,7 +694,7 @@ def _node_columns(p: CoherentParams, grid: Grid1D, u, q, c0, v1, f1, weight):
     live = top > -width
     if not live.all():
         q, c, s, top, weight = q[live], c[live], s[live], top[live], weight[live]
-    sizes = 2 * np.ceil(_T_NODES.size // 2 * (top + width) / (2.0 * width)).astype(int)
+    sizes = 2 * np.ceil(_T_POINTS // 2 * (top + width) / (2.0 * width)).astype(int)
     # column -> node, and the column's place in the end-to-end rules
     node = np.repeat(np.arange(q.size), sizes)
     first = np.cumsum(sizes) - sizes

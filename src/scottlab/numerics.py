@@ -410,7 +410,8 @@ class HSweep:
     results holds one row per h, each with its warnings; values the y of
     each h; per_h optional per-h diagnostics; left_out the rows the fit
     leaves out, each {"h": h, "reason": ...}.  fit is None, with a warning,
-    when fewer rows remain than there are exponents.
+    when fewer rows remain than there are exponents, and exact, with a
+    warning, when as many remain.
     """
 
     h_values: tuple
@@ -467,11 +468,18 @@ class HSweep:
 
     @property
     def warnings(self) -> tuple:
-        """The rows' warnings, then the fit's, or why there is no fit."""
+        """The rows' warnings, then the fit's, or why there is no fit, or
+        that it is exact."""
+        fitted = len(self._fitted()[0])
         fit_warnings = self.fit.warnings if self.fit else (
             f"no fit: {len(self.left_out)} of {len(self.h_values)} rows are left "
             f"out of it, too few remain for the exponents {list(self.exponents)}",
         )
+        if fitted == len(self.exponents):
+            fit_warnings += (
+                f"exact fit: as many rows as exponents ({fitted}), so no residual "
+                "and no leave-one-out range",
+            )
         return (*(w for row in self.results for w in row.warnings), *fit_warnings)
 
     def summary(self) -> dict | None:

@@ -74,6 +74,27 @@ class TestWeyl:
         # 17 significant digits wrote the double exactly
         assert format(value, ".17g") in data.decode()
 
+    def test_the_well_takes_no_z_or_shift(self):
+        # the well used to ignore both and echo them into its row and header
+        argv = ["weyl", "--n", "1", "--potential", "well", "--h", "0.3"]
+        for extra, name in ((["--shift", "5"], "shift"), (["--z", "7"], "z")):
+            status, out, err = run_captured(argv + extra)
+            assert (status, out) == (2, "")
+            assert err == f"scottlab: usage error: the well takes no {name}\n"
+        status, out, _ = run_captured(argv)
+        assert status == 0
+        assert '"z"' not in out.splitlines()[0] and '"shift"' not in out.splitlines()[0]
+        assert out.splitlines()[3:] == ["n,h,weyl", "1,0.29999999999999999,-0.64672484811944764"]
+
+    def test_coulomb_fills_z_and_shift(self):
+        # 1.0 unless given, on the command line and in a replayed config,
+        # without touching the caller's map
+        assert config_from_args(["weyl"]).parameters["z"] == 1.0
+        given = {"n": 3, "potential": "coulomb", "h": 1.0, "shift": 0.5}
+        config = RunConfig("weyl", given)
+        assert (config.parameters["z"], config.parameters["shift"]) == (1.0, 0.5)
+        assert "z" not in given
+
     def test_divergent_integral_is_a_solver_failure(self, tmp_path, capsys):
         # 1D Coulomb: |V_-|^(3/2) is not integrable at the origin
         status = main(
@@ -195,6 +216,17 @@ class TestStrictMode:
         assert "warning: h range spans less than a factor 2" in capsys.readouterr().err
         # the table is still written for inspection
         assert strict_path.exists()
+
+    def test_exact_fit_warns_and_strict_fails(self, tmp_path, capsys):
+        # two h values a factor 2.4 apart for two exponents: a fit with no
+        # residual and no leave-one-out range, which used to pass --strict
+        argv = ["scott", "--z", "1", "--h", "0.12,0.05", "--strict"]
+        assert main(argv + ["--out", str(tmp_path / "s.csv")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "scottlab: warning: exact fit: as many rows as exponents (2), so no "
+            "residual and no leave-one-out range"
+        ]
+        assert main(argv[:-1] + ["--out", str(tmp_path / "s2.csv")]) == 0
 
     def test_clean_run_passes_strict(self, tmp_path):
         argv = ["hydrogen", "--z", "1", "--h", "0.1", "--strict"]
@@ -617,6 +649,20 @@ class TestInputBoundary:
             read_config(str(path))
 
     @pytest.mark.parametrize(
+        "argv",
+        [["weyl", "--potential", "well"], ["local-trace", "--h", "0.4,0.3"]],
+        ids=["weyl", "local-trace"],
+    )
+    def test_replayed_well_header_with_z_and_shift(self, tmp_path, argv):
+        # as files written before the well lost the two parameters hold them
+        doc = json.loads(config_from_args(argv).to_header_line()[len(CONFIG_PREFIX):])
+        doc["parameters"].update(z=1.0, shift=1.0)
+        path = tmp_path / "o.csv"
+        path.write_text(CONFIG_PREFIX + json.dumps(doc) + "\n")
+        with pytest.raises(UsageError, match="^the well takes no shift or z$"):
+            read_config(str(path))
+
+    @pytest.mark.parametrize(
         "argv, key",
         [
             (["hydrogen", "--z", "1", "--h", "0.1"], "bogus"),
@@ -734,13 +780,13 @@ def test_readme_examples_parse():
 ROUND_TRIPS = [
     (["hydrogen", "--z", "1", "--h", "0.1", "--k", "5"], {"z", "h", "k"}),
     (["weyl", "--n", "1", "--potential", "well", "--h", "0.5"],
-     {"n", "potential", "z", "shift", "h"}),
+     {"n", "potential", "h"}),
     (["tf-atom", "--z", "8", "--format", "json"], {"z"}),
     (["scott", "--z", "1", "--h", "0.12,0.09", "--spacing-scale", "0.5",
       "--strict"],
      {"z", "h_values", "x_max", "spacing_scale"}),
     (["local-trace", "--h", "0.4,0.3", "--bump-radius", "1.5", "--out", "lt.csv"],
-     {"h_values", "n", "potential", "z", "shift", "bump_center", "bump_radius"}),
+     {"h_values", "n", "potential", "bump_center", "bump_radius"}),
     (["coherent-check", "--h", "0.4,0.25", "--a-rule", "h^-0.7"],
      {"h_values", "a_rule", "half_width"}),
 ]
@@ -751,3 +797,143 @@ def test_argv_round_trip(argv, keys):
     cfg = config_from_args(argv)
     assert set(cfg.parameters) == keys | {"strict"}
     assert RunConfig.from_header_line(cfg.to_header_line()) == cfg
+
+
+# ---------------------------------------------------------------------------
+# every option matters or is rejected, generated from cli._COMMAND_TABLE
+
+# per command, base command lines on the coarse end of the README examples'
+# h sets; weyl and local-trace run on both potentials, since z and shift
+# must be rejected with the well and matter with the Coulomb potential
+ORACLE_BASES = {
+    "hydrogen": [["--z", "1", "--h", "0.1"]],
+    "weyl": [[], ["--n", "1", "--potential", "well", "--h", "0.3"]],
+    "tf-atom": [["--z", "8"]],
+    "scott": [["--z", "1", "--h", "0.12,0.09"]],
+    "local-trace": [
+        ["--n", "1", "--h", "0.4,0.3", "--potential", "well"],
+        ["--n", "3", "--potential", "coulomb", "--bump-center", "1",
+         "--bump-radius", "0.5", "--h", "0.4,0.2"],
+    ],
+    "coherent-check": [["--h", "0.4"]],
+}
+# two in-domain values per option key, or per (command, key)
+ORACLE_PAIRS = {
+    "z": (1.0, 2.0),
+    "h": (0.1, 0.2),
+    "k": (2, 3),
+    "n": (1, 3),
+    "potential": ("coulomb", "well"),
+    "shift": (0.5, 1.0),
+    "x_max": (10.0, 15.0),
+    "spacing_scale": (0.8, 1.0),
+    "bump_center": (0.5, 1.0),
+    "bump_radius": (0.5, 0.75),
+    "a_rule": ("h^-0.8", "h^-0.7"),
+    "half_width": (4.0, 5.0),
+    "strict": (False, True),
+    ("scott", "h_values"): ((0.12, 0.09), (0.12, 0.1)),
+    ("local-trace", "h_values"): ((0.4, 0.3), (0.4, 0.2)),
+    ("coherent-check", "h_values"): ((0.4,), (0.5,)),
+}
+# options whose two values may give the same output, with the reason
+KNOWN_NO_OPS = {"strict": "it shapes only the exit status"}
+ORACLE_POOL = (0, -1, math.nan, math.inf)
+
+
+def given_parameters(argv):
+    """The parameter map a command line gives, defaults included, before the
+    whole-map check completes it."""
+    args = vars(cli._PARSER.parse_args(argv))
+    return {k: v for k, v in args.items()
+            if v is not None and k not in ("command", "out", "format")}
+
+
+def in_domain(option, value):
+    """Whether value passes the option's own type, domain and choices."""
+    if option.choices is not None:
+        return value in option.choices
+    number = isinstance(value, int) and option.type in (int, float, cli._floats)
+    return number and (option.domain is None or option.domain[0](value))
+
+
+def singular_at_the_origin(command, params):
+    # the 1D Coulomb potential is not integrable at x = 0: weyl's integral
+    # diverges (exit 1), and local-trace samples it there when the bump
+    # covers 0 (exit 1)
+    return params.get("n") == 1 and params.get("potential") == "coulomb" and (
+        command == "weyl" or abs(params["bump_center"]) < params["bump_radius"])
+
+
+def reject_constant(token):
+    raise AssertionError(f"output holds {token}")
+
+
+_ORACLE_RUNS = {}
+
+
+def oracle_run(command, params):
+    """(exit status, computed output or None) of one run: the JSON output's
+    rows and meta, less the columns and entries that echo a parameter."""
+    key = (command, json.dumps(params, sort_keys=True))
+    if key not in _ORACLE_RUNS:
+        out, doc = io.StringIO(), None
+        try:
+            config = RunConfig(command, params, format="json")
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                status = cli.run(config)
+        except UsageError:
+            status = 2
+        if out.getvalue():
+            doc = json.loads(out.getvalue(), parse_constant=reject_constant)
+            echoed = oracle_options(command)
+            kept = [i for i, c in enumerate(doc["columns"]) if c not in echoed]
+            doc = ([[row[i] for i in kept] for row in doc["rows"]],
+                   {k: v for k, v in doc["meta"].items() if k not in echoed})
+        _ORACLE_RUNS[key] = status, doc
+    return _ORACLE_RUNS[key]
+
+
+def oracle_options(command):
+    return {**cli._COMMAND_TABLE[command].options, "strict": cli._STRICT}
+
+
+class TestEveryOptionMattersOrIsRejected:
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    def test_bad_values_exit_two(self, command):
+        # each pool value, and one of the wrong type (a string for a number,
+        # a number for a string), that the option's own checks refuse; an h
+        # list gets it as its last value
+        for argv in ORACLE_BASES[command]:
+            base = given_parameters([command, *argv])
+            for key, option in oracle_options(command).items():
+                wrong = 1.5 if option.type is str else "1"
+                for bad in (*ORACLE_POOL, wrong):
+                    if in_domain(option, bad):
+                        continue
+                    value = (*base[key][:-1], bad) if option.type is cli._floats else bad
+                    status, _ = oracle_run(command, {**base, key: value})
+                    assert status == 2, (argv, key, value)
+
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    def test_two_values_change_the_output(self, command):
+        # on each base, each option's two values both run and write different
+        # outputs with no NaN or infinity, or are both rejected; every option
+        # changes the output on some base
+        mattered = set()
+        for argv in ORACLE_BASES[command]:
+            base = given_parameters([command, *argv])
+            for key in oracle_options(command):
+                pair = ORACLE_PAIRS.get((command, key), ORACLE_PAIRS.get(key))
+                runs = [{**base, key: value} for value in pair]
+                if any(singular_at_the_origin(command, p) for p in runs):
+                    continue
+                (s1, out1), (s2, out2) = (oracle_run(command, p) for p in runs)
+                if s1 == s2 == 2:
+                    continue
+                assert out1 is not None and out2 is not None, (argv, key, s1, s2)
+                if out1 != out2:
+                    mattered.add(key)
+                else:
+                    assert key in KNOWN_NO_OPS, (argv, key, pair)
+        assert mattered == set(oracle_options(command)) - set(KNOWN_NO_OPS)

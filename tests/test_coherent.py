@@ -32,7 +32,7 @@ from scottlab.coherent import (
 from scottlab import numerics
 from scottlab import coherent
 from scottlab.coherent import (
-    _T_NODES,
+    _T_POINTS,
     _dirichlet_kernel,
     _factor_rank,
     _hermite_factor,
@@ -1076,13 +1076,13 @@ def rule_size(p, cut):
     top = min(cut, width)
     if top <= -width:
         return 0
-    return 2 * math.ceil(_T_NODES.size // 2 * (top + width) / (2.0 * width))
+    return 2 * math.ceil(_T_POINTS // 2 * (top + width) / (2.0 * width))
 
 
 @pytest.fixture
 def doubled_t_density(monkeypatch):
     """The node rules at twice the density: a whole window of 96 points."""
-    monkeypatch.setattr(coherent, "_T_NODES", np.polynomial.legendre.leggauss(96)[0])
+    monkeypatch.setattr(coherent, "_T_POINTS", 96)
     coherent._t_rules.cache_clear()
     yield
     monkeypatch.undo()

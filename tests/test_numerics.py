@@ -230,6 +230,19 @@ class TestHSweep:
         assert [lo, hi] == pytest.approx([0.5, 0.5], rel=1e-12)
         assert sweep.results[0].quantum_sum == 99.0  # the row itself stays
 
+    def test_exact_fit_warns(self):
+        # as many fitted rows as exponents: the fit passes through every
+        # row, so its residual is 0 and no row can be left out of it
+        exact = ("exact fit: as many rows as exponents ({}), so no residual and "
+                 "no leave-one-out range")
+        pair = exact_sweep((0.12, 0.05), (-2.0, -1.0), (0.125, -0.02))
+        assert pair.fit.residual_norm < 1e-12
+        assert pair.warnings == (exact.format(2),)
+        left_out = [{"h": 0.4, "reason": "empty"}]
+        one = exact_sweep((0.4, 0.2), (-1.8,), (0.01,), left_out=left_out)
+        assert one.warnings[-1] == exact.format(1)
+        assert exact_sweep((0.4, 0.2), (-1.8,), (0.01,)).warnings == ()
+
     def test_no_fit_when_fewer_rows_than_exponents_remain(self):
         hs = (0.4, 0.2)
         left_out = [{"h": h, "reason": "empty"} for h in hs[1:]]
