@@ -443,11 +443,10 @@ def _check_sweep(p: dict[str, Any]) -> None:
 
 def _check_potential(p: dict[str, Any]) -> None:
     # z and shift shape the Coulomb potential alone, and are 1.0 unless given
-    given = sorted({"z", "shift"} & set(p))
     if p["potential"] == "coulomb":
         p.setdefault("z", 1.0)
         p.setdefault("shift", 1.0)
-    elif given:
+    elif given := sorted({"z", "shift"} & set(p)):
         raise ValueError(f"the well takes no {' or '.join(given)}")
 
 

@@ -395,8 +395,9 @@ def _negative_solve(diag, conjugation, tail=0):
     LAPACK dstebz (range V, abstol 0) finds the eigenvalues in (lower, 0) in
     block order, the order dstein takes, and with tail > 0 dstein adds their
     eigenvectors, of which only the mass on the last tail points is kept, one
-    per eigenvalue (None without tail); both come back ascending.  These are scipy's eigh_tridiagonal(select="v")
-    calls with its arguments, so eigenvalues and vectors are bitwise scipy's.
+    per eigenvalue (None without tail); both come back ascending.  These
+    are scipy's eigh_tridiagonal(select="v") calls with its arguments, so
+    eigenvalues and vectors are bitwise scipy's.
     Each Fortran call runs without the interpreter lock, so solves in
     several threads overlap.
     """

@@ -869,14 +869,12 @@ def reject_constant(token):
     raise AssertionError(f"output holds {token}")
 
 
-_ORACLE_RUNS = {}
-
-
-def oracle_run(command, params):
+def oracle_run(command, params, seen):
     """(exit status, computed output or None) of one run: the JSON output's
-    rows and meta, less the columns and entries that echo a parameter."""
+    rows and meta, less the columns and entries that echo a parameter.  The
+    dict seen keeps the runs made, so each base runs once."""
     key = (command, json.dumps(params, sort_keys=True))
-    if key not in _ORACLE_RUNS:
+    if key not in seen:
         out, doc = io.StringIO(), None
         try:
             config = RunConfig(command, params, format="json")
@@ -890,8 +888,8 @@ def oracle_run(command, params):
             kept = [i for i, c in enumerate(doc["columns"]) if c not in echoed]
             doc = ([[row[i] for i in kept] for row in doc["rows"]],
                    {k: v for k, v in doc["meta"].items() if k not in echoed})
-        _ORACLE_RUNS[key] = status, doc
-    return _ORACLE_RUNS[key]
+        seen[key] = status, doc
+    return seen[key]
 
 
 def oracle_options(command):
@@ -912,7 +910,7 @@ class TestEveryOptionMattersOrIsRejected:
                     if in_domain(option, bad):
                         continue
                     value = (*base[key][:-1], bad) if option.type is cli._floats else bad
-                    status, _ = oracle_run(command, {**base, key: value})
+                    status, _ = oracle_run(command, {**base, key: value}, {})
                     assert status == 2, (argv, key, value)
 
     @pytest.mark.parametrize("command", cli.COMMANDS)
@@ -920,7 +918,7 @@ class TestEveryOptionMattersOrIsRejected:
         # on each base, each option's two values both run and write different
         # outputs with no NaN or infinity, or are both rejected; every option
         # changes the output on some base
-        mattered = set()
+        mattered, seen = set(), {}
         for argv in ORACLE_BASES[command]:
             base = given_parameters([command, *argv])
             for key in oracle_options(command):
@@ -928,7 +926,7 @@ class TestEveryOptionMattersOrIsRejected:
                 runs = [{**base, key: value} for value in pair]
                 if any(singular_at_the_origin(command, p) for p in runs):
                     continue
-                (s1, out1), (s2, out2) = (oracle_run(command, p) for p in runs)
+                (s1, out1), (s2, out2) = (oracle_run(command, p, seen) for p in runs)
                 if s1 == s2 == 2:
                     continue
                 assert out1 is not None and out2 is not None, (argv, key, s1, s2)
