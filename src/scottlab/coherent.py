@@ -76,6 +76,7 @@ from typing import Callable
 
 import numpy as np
 from numpy import fft  # numpy loads it on first use otherwise
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial import legendre  # with the module, not in a command
 
 from .numerics import Grid1D, GridOperator, _pinned_map, require_positive
@@ -189,8 +190,7 @@ def fourier_multiplier_matrix(values: np.ndarray) -> np.ndarray:
     if values.ndim != 1:
         raise ValueError("multiplier values must be one-dimensional")
     kernel = fft.ifft(values)
-    n = kernel.size
-    return kernel[(np.arange(n)[:, None] - np.arange(n)) % n]
+    return _toeplitz(np.concatenate((kernel[1:], kernel)))
 
 
 def schrodinger_operator(
@@ -275,9 +275,11 @@ def _hermite_factor(p: CoherentParams, grid: Grid1D, us: np.ndarray) -> np.ndarr
 
 def _toeplitz(values: np.ndarray) -> np.ndarray:
     """Matrix M[i, j] = values[n - 1 + i - j] from the 2n - 1 values of a
-    function on the differences -(n - 1) .. n - 1."""
+    function on the differences -(n - 1) .. n - 1: a copy of the strided
+    view whose row i is values[n - 1 + i], values[n - 2 + i], ..., so no
+    n x n index array is built."""
     n = (values.size + 1) // 2
-    return values[n - 1 + np.arange(n)[:, None] - np.arange(n)]
+    return sliding_window_view(values[::-1], n)[::-1].copy()
 
 
 def _u_integrated_square(p: CoherentParams, grid: Grid1D) -> np.ndarray:
@@ -432,62 +434,20 @@ def _core_window(p: CoherentParams, n: int, dx: float) -> tuple[int, float]:
     return margin, q_cut
 
 
-def representation_error_norm(
-    sym: ClassicalSymbol, p: CoherentParams, grid: Grid1D
-) -> float:
-    """Spectral norm of int G Hhat G du dq/(2 pi h) minus F(-ih d/dx) + V.
-
-    q runs over the grid's conjugate lattice, so for each u the three q sums
-    (weights 1, F + F''/4b, F') are exact circulant kernels.  The F term
-    needs only int A_u A_u du, which _u_integrated_square gives in closed
-    form.  The weight-1 and F' terms carry the symbol's u-dependence, so
-    their u integral is a plain trapezoid over the grid range plus seven
-    Gaussian widths 1/sqrt(2a), at the step of _u_step, whose aliasing
-    bound is at roundoff (module docstring).  The F' term needs sum_u du
-    A_u P A_u for the spectral momentum P = i S_P + (q_N/n) s s^T, where S_P
-    is the real antisymmetric sine kernel of the paired lattice momenta
-    +-q_m and, on an even grid, q_N is the unpaired Nyquist momentum with
-    s_j = (-1)^j.  With A_u = g_u g_u^T, the Mehler factor of the module
-    docstring, a node's terms shrink to K x K inner matrices, g_u^T (c o g_u)
-    for the weight-1 diagonal and g_u^T S_P g_u for the F' term, and to
-    g_u (g_u^T s) for the Nyquist term.  The nodes' factors are stacked in
-    blocks of at most _FACTOR_ENTRIES entries, so the F' sum comes out of a
-    few large products: about 2 n^2 K multiply-adds per node in place of the
-    2 n^3 of dense products.  K grows like 21/(ha) as ha falls, and the
-    factor saves work only while K < n.
-
-    The difference is measured on a core window: at least 10% of the grid is
-    dropped per side, widened to six reach lengths h sqrt(a) of the
-    smearing kernel, because rows closer to the edge than the kernel reach
-    lose Gaussian mass and that breakage couples to the symbol at the
-    lattice Nyquist momentum.  Momentum gets the matching treatment: the
-    sandwich smears the symbol over a width sqrt(h^2 a + 1/a)/2 in q, and
-    near the lattice momentum boundary the smeared symbol folds back into
-    the zone, an artifact of order q_max times the smearing width that would
-    swamp the h^2-scale residual.  Modes within eight smearing widths of the
-    boundary are excluded from the reported norm.
-    """
-    x, dx, n = grid.points, grid.spacing, grid.size
-    if dx > min(p.h, 1.0 / math.sqrt(p.b)) / 3.0:
-        _warnmod.warn(
-            "grid spacing does not resolve min(h, 1/sqrt(b))/3; "
-            "representation measurement may be polluted",
-            stacklevel=2,
-        )
-    margin, q_cut = _core_window(p, n, dx)
-
-    target = schrodinger_operator(sym, grid, p.h).matrix
-
-    qs = momentum_lattice(grid, p.h)
-    # circulant kernels of the conjugate-lattice q sums
-    s_f = fourier_multiplier_matrix(_symbol_half(sym.F, sym.d2F, qs, p.b)) / dx
-    s_df = fourier_multiplier_matrix(np.asarray(sym.dF(qs), dtype=float)) / dx
-
-    du = _u_step(p)
-    us = _representation_u_nodes(p, grid)
-
-    # P = i S_P + (q_N/n) s s^T, the Nyquist term on even grids only
-    s_p = fourier_multiplier_matrix(qs).imag
+def _factor_sums(
+    sym: ClassicalSymbol, p: CoherentParams, grid: Grid1D, us: np.ndarray,
+    qs: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The two u-node sums of representation_error_norm from the Hermite
+    factors g_u of A_u (rules there), per unit du: the diagonal of
+    sum_u A_u c_u A_u for the weight-1 symbol c_u = V + V''/4b + V' (x - u),
+    and sum_u A_u P A_u for the spectral momentum P on the lattice qs.
+    The factors come in blocks of at most _FACTOR_ENTRIES entries, whose
+    arrays are freed on return."""
+    x, n = grid.points, grid.size
+    # P = i S_P + (q_N/n) s s^T, the Nyquist term on even grids only; S_P
+    # is copied out of the complex kernel, which a view would keep alive
+    s_p = np.ascontiguousarray(fourier_multiplier_matrix(qs).imag)
     sign = (-1.0) ** np.arange(n)
 
     v_half = _symbol_half(sym.V, sym.d2V, us, p.b)
@@ -515,15 +475,81 @@ def representation_error_norm(
     apa = 1j * a_sp_a
     if n % 2 == 0:
         apa += qs[n // 2] / n * (a_s.T @ a_s)
-    assembled = (
-        np.diag(du / dx * t1_diag)
-        + _u_integrated_square(p, grid) * s_f
-        + du * apa * s_df
-    )
+    return t1_diag, apa
 
+
+def representation_error_norm(
+    sym: ClassicalSymbol, p: CoherentParams, grid: Grid1D
+) -> float:
+    """Spectral norm of int G Hhat G du dq/(2 pi h) minus F(-ih d/dx) + V.
+
+    q runs over the grid's conjugate lattice, so for each u the three q sums
+    (weights 1, F + F''/4b, F') are exact circulant kernels.  The F term
+    needs only int A_u A_u du, which _u_integrated_square gives in closed
+    form.  The weight-1 and F' terms carry the symbol's u-dependence, so
+    their u integral is a plain trapezoid over the grid range plus seven
+    Gaussian widths 1/sqrt(2a), at the step of _u_step, whose aliasing
+    bound is at roundoff (module docstring).  The F' term needs sum_u du
+    A_u P A_u for the spectral momentum P = i S_P + (q_N/n) s s^T, where S_P
+    is the real antisymmetric sine kernel of the paired lattice momenta
+    +-q_m and, on an even grid, q_N is the unpaired Nyquist momentum with
+    s_j = (-1)^j.  With A_u = g_u g_u^T, the Mehler factor of the module
+    docstring, a node's terms shrink to K x K inner matrices, g_u^T (c o g_u)
+    for the weight-1 diagonal and g_u^T S_P g_u for the F' term, and to
+    g_u (g_u^T s) for the Nyquist term.  The nodes' factors are stacked in
+    blocks of at most _FACTOR_ENTRIES entries, so the F' sum comes out of a
+    few large products: about 2 n^2 K multiply-adds per node in place of the
+    2 n^3 of dense products.  K grows like 21/(ha) as ha falls, and the
+    factor saves work only while K < n.  The block sums run in
+    _factor_sums, which holds the check's peak: one block of factors and
+    its products, a few times _FACTOR_ENTRIES floats, next to the real
+    n x n sum and S_P.  The complex n x n target and q-sum kernels are built
+    only after it returns, and the sum is assembled in place: 3.8 MiB of
+    numpy buffers in all at n = 193, coherent-check's h = 0.25 grid.
+
+    The difference is measured on a core window: at least 10% of the grid is
+    dropped per side, widened to six reach lengths h sqrt(a) of the
+    smearing kernel, because rows closer to the edge than the kernel reach
+    lose Gaussian mass and that breakage couples to the symbol at the
+    lattice Nyquist momentum.  Momentum gets the matching treatment: the
+    sandwich smears the symbol over a width sqrt(h^2 a + 1/a)/2 in q, and
+    near the lattice momentum boundary the smeared symbol folds back into
+    the zone, an artifact of order q_max times the smearing width that would
+    swamp the h^2-scale residual.  Modes within eight smearing widths of the
+    boundary are excluded from the reported norm.
+    """
+    dx, n = grid.spacing, grid.size
+    if dx > min(p.h, 1.0 / math.sqrt(p.b)) / 3.0:
+        _warnmod.warn(
+            "grid spacing does not resolve min(h, 1/sqrt(b))/3; "
+            "representation measurement may be polluted",
+            stacklevel=2,
+        )
+    margin, q_cut = _core_window(p, n, dx)
+
+    qs = momentum_lattice(grid, p.h)
+    du = _u_step(p)
+    us = _representation_u_nodes(p, grid)
+    t1_diag, apa = _factor_sums(sym, p, grid, us, qs)
+    target = schrodinger_operator(sym, grid, p.h).matrix
+
+    # circulant kernels of the conjugate-lattice q sums; assembled =
+    # diag + (int A_u A_u du) o s_f + (du apa) o s_df goes into s_f's
+    # array, operation by operation in that order, so its bits are those
+    # of the expression written out
+    s_f = fourier_multiplier_matrix(_symbol_half(sym.F, sym.d2F, qs, p.b))
+    s_f /= dx
+    assembled = np.multiply(_u_integrated_square(p, grid), s_f, out=s_f)
+    np.add(np.diag(du / dx * t1_diag), assembled, out=assembled)
+    s_df = fourier_multiplier_matrix(np.asarray(sym.dF(qs), dtype=float))
+    s_df /= dx
+    np.multiply(du, apa, out=apa)
+    apa *= s_df
+    assembled += apa
+
+    assembled -= target
     window = slice(margin, n - margin)
-    diff = assembled - target
-    diff = 0.5 * (diff + diff.conj().T)
+    diff = 0.5 * (assembled + assembled.conj().T)
     core = diff[window, window]
 
     m = core.shape[0]

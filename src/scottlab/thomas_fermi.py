@@ -185,14 +185,20 @@ _U_NODES, _U_WEIGHTS, _U_DIFF = _chebyshev_lobatto(
 
 
 def _barycentric_matrix(nodes, weights, points) -> np.ndarray:
-    """Matrix taking values at nodes to the interpolant's values at points."""
+    """Matrix taking values at ascending nodes to the interpolant's values at
+    points.
+
+    The weights are divided into the gaps in place, so the matrix is the
+    one points x nodes array built; a point equal to a node, which is rare,
+    gets that node's unit row, found by a search, not a points x nodes mask."""
     gaps = points[:, None] - nodes[None, :]
-    hit = gaps == 0.0
-    gaps[hit] = 1.0
-    terms = weights / gaps
+    above = np.minimum(np.searchsorted(nodes, points), nodes.size - 1)
+    on_node = np.flatnonzero(nodes[above] == points)
+    hit = gaps[on_node] == 0.0
+    gaps[on_node] = np.where(hit, 1.0, gaps[on_node])
+    terms = np.divide(weights, gaps, out=gaps)
     terms /= terms.sum(axis=1, keepdims=True)
-    on_node = hit.any(axis=1)
-    terms[on_node] = hit[on_node]
+    terms[on_node] = hit
     return terms
 
 
@@ -271,7 +277,9 @@ def _five_point_derivatives(y, step) -> tuple[np.ndarray, np.ndarray]:
 @dataclass(frozen=True)
 class UniversalTF:
     """Read-only table of the universal screening function phi on a log grid,
-    with the log-log slope x phi'/phi at the same points."""
+    with the log-log slope x phi'/phi at the same points; the cubic Hermite
+    coefficients built from them are read-only too, as one solve is shared
+    by every atom in the process."""
 
     x: np.ndarray
     phi_table: np.ndarray
@@ -287,6 +295,7 @@ class UniversalTF:
         coefficients = _hermite_coefficients(
             np.log(self.x), np.log(self.phi_table), self.slope_table
         )
+        coefficients.flags.writeable = False
         object.__setattr__(self, "_hermite", coefficients)
 
     def _log_phi(self, u: np.ndarray) -> np.ndarray:
@@ -375,7 +384,10 @@ def solve_universal_tf() -> UniversalTF:
     with the exact log-log slope dw/du = x v from the interpolant of v, so
     phi between the points is a cubic Hermite interpolant (UniversalTF.phi).
     numpy's OpenBLAS is held at one thread meanwhile, so the digits do not
-    depend on the thread count.
+    depend on the thread count.  At its peak the solve holds the 6000 x 101
+    interpolation matrix, 4.6 MiB, and little else, about 4.9 MiB of numpy
+    buffers in all: _barycentric_matrix builds it as its one array, and it
+    is freed after its one product.
 
     The degree.  At N = 80 to 140, s agrees with Boyd's rational Chebyshev
     value -1.5880710226113753 (J. Comput. Appl. Math. 244, 2013) to better
@@ -392,8 +404,7 @@ def solve_universal_tf() -> UniversalTF:
     u = np.log(x)
     # the interpolants of w and v and their derivatives, at the table points
     on_nodes = np.column_stack([w, v, _U_DIFF @ w, _U_DIFF @ v])
-    interpolate = _barycentric_matrix(_U_NODES, _U_WEIGHTS, u)
-    w_t, v_t, dw_t, dv_t = (interpolate @ on_nodes).T
+    w_t, v_t, dw_t, dv_t = (_barycentric_matrix(_U_NODES, _U_WEIGHTS, u) @ on_nodes).T
     residual = np.maximum(
         np.abs(dw_t - x * v_t), np.abs(dv_t - x * (np.exp(0.5 * (w_t - u)) - v_t**2))
     )

@@ -1,5 +1,7 @@
 """Shared fixtures: the expensive solves run once per session."""
 
+import tracemalloc
+
 import pytest
 
 from scottlab import coherent, numerics
@@ -26,6 +28,29 @@ def atom_z8():
 def scott_z1():
     """The headline experiment: z = 1 over the acceptance h sweep."""
     return scott_experiment_tf(1.0, (0.12, 0.09, 0.07, 0.05))
+
+
+@pytest.fixture
+def traced_peak_mib():
+    """measure(fn, *args): the MiB that tracemalloc, which sees numpy's
+    buffers, records above the start at the peak of one call fn(*args),
+    after an untraced warm-up call."""
+
+    def measure(fn, *args):
+        fn(*args)
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        try:
+            fn(*args)
+            return (tracemalloc.get_traced_memory()[1] - base) / 2**20
+        finally:
+            if started:
+                tracemalloc.stop()
+
+    return measure
 
 
 @pytest.fixture

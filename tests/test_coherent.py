@@ -276,8 +276,24 @@ class TestGridOperators:
                 )
                 assert np.max(np.abs(mat - by_fft)) <= 1e-14 * np.max(np.abs(by_fft))
 
+    @pytest.mark.parametrize("n", [1, 2, 9, 64, 193, 194])
+    def test_strided_views_give_the_index_gathers_bits(self, n):
+        # both builders once gathered through n x n index arrays; the copied
+        # views hold the same bits, C-ordered as the gathers were
+        rng = np.random.default_rng(n)
+        values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        kernel = np.fft.ifft(values)
+        lags = np.arange(n)[:, None] - np.arange(n)
+        diffs = rng.standard_normal(2 * n - 1)
+        for built, gathered in (
+            (fourier_multiplier_matrix(values), kernel[lags % n]),
+            (_toeplitz(diffs), diffs[n - 1 + lags]),
+        ):
+            assert built.flags.c_contiguous and built.shape == (n, n)
+            assert built.tobytes() == gathered.tobytes()
+
     @pytest.mark.parametrize("n", [1, 2, 9, 64])
-    def test_index_gathers_are_scipys_matrices(self, n):
+    def test_circulant_and_toeplitz_are_scipys_matrices(self, n):
         rng = np.random.default_rng(n)
         values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         assert np.array_equal(
@@ -400,6 +416,18 @@ class TestRepresentationError:
             representation_error_norm(sym, p, working_grid(p, half_width))
             records.append(calls)
         assert_fixed_calls_in_calling_thread(*records)
+
+    def test_dense_kernels_wait_for_the_factor_blocks(self, traced_peak_mib):
+        # coherent-check's h = 0.25 grid: with the target and q-sum kernels
+        # built after the block sums and the sum assembled in place, the
+        # check peaks at 3.8 MiB; built before the blocks and summed into
+        # fresh arrays, at 5.8.  The 5 MiB budget leaves 1.2 MiB of margin
+        # above the first and lies 0.8 MiB below the second.
+        p = CoherentParams(h=0.25, a=0.25**-0.8)
+        grid = working_grid(p, 4.0)
+        assert grid.size == 193
+        peak = traced_peak_mib(representation_error_norm, harmonic_symbol(), p, grid)
+        assert peak < 5.0
 
     def test_coarse_grid_rejected(self):
         p = CoherentParams(h=0.2, a=0.2**-0.8)

@@ -72,6 +72,19 @@ class TestSolveOnce:
         with pytest.raises(ValueError, match="read-only"):
             universal.x[0] = 0.0
 
+    def test_hermite_coefficients_are_read_only(self, universal):
+        # every atom's V_TF reads them from the one shared solve
+        with pytest.raises(ValueError, match="read-only"):
+            universal._hermite[0, 2] = 0.0
+
+    def test_solve_holds_one_interpolation_matrix(self, traced_peak_mib):
+        # the 6000 x 101 interpolation matrix is 4.6 MiB; built in place and
+        # freed after its product, the solve peaks at 4.9 MiB, and at 10.0
+        # with a quotient copy and a boolean mask of the matrix's shape.  The
+        # 7 MiB budget leaves 2.1 MiB of margin above the first and lies
+        # 3.0 MiB below the second.
+        assert traced_peak_mib(solve_universal_tf.__wrapped__) < 7.0
+
 
 def bvp_reference(x):
     """phi at x from an independent discretization of the same problem:
