@@ -6,6 +6,7 @@ time budget.
 """
 
 import math
+import resource
 import time
 from fractions import Fraction
 
@@ -47,6 +48,11 @@ class Budget:
         elapsed = time.perf_counter() - self.start
         print(f"{label} [{elapsed:.1f}s of {self.limit:.0f}s allowed]")
         assert elapsed < self.limit, f"budget exceeded: {elapsed:.1f}s"
+
+
+def minor_faults() -> int:
+    """Minor page faults of this process so far: pages it touched fresh."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
 def test_criterion_1_hydrogen_exact_sum():
@@ -161,9 +167,9 @@ def test_criterion_7_coherent_identities():
     h_values = (0.4, 0.2, 0.1)
     half_widths = {0.4: 5.0, 0.2: 4.0, 0.1: 4.0}
     weight_devs, resolution_devs, cancels, ratios = [], [], [], []
-    seconds, ranks = [], []
+    seconds, faults, ranks = [], [], []
     for h in h_values:
-        start = time.perf_counter()
+        start, faults_before = time.perf_counter(), minor_faults()
         p = CoherentParams(h=h, a=h**-0.8)
         ranks.append(_factor_rank(p))
         weight_devs.append(_weight_deviation(p))
@@ -187,6 +193,7 @@ def test_criterion_7_coherent_identities():
         )
         ratios.append(err / (p.h**2 * p.b))
         seconds.append(time.perf_counter() - start)
+        faults.append(minor_faults() - faults_before)
 
     assert max(weight_devs) < 1e-8, f"weight normalization {max(weight_devs):.2e}"
     assert max(resolution_devs) < 1e-6, f"resolution {max(resolution_devs):.2e}"
@@ -198,8 +205,8 @@ def test_criterion_7_coherent_identities():
         f"{max(resolution_devs):.1e}, cancellation {max(cancels):.1e}, "
         f"err/(h^2 b) stability {stability:.3f} over h = 0.4, 0.2, 0.1; "
         + ", ".join(
-            f"{s:.2f}s and factor rank {k} at h = {h}"
-            for s, k, h in zip(seconds, ranks, h_values)
+            f"{s:.2f}s, {f} minor faults and factor rank {k} at h = {h}"
+            for s, f, k, h in zip(seconds, faults, ranks, h_values)
         )
     )
 
@@ -210,9 +217,10 @@ def test_criterion_8_trial_density_upper_bound(mapped_rows, column_blocks):
     support = 1.5
     constants = []
     seconds = []
+    faults = []
     sizes = []
     for h in (0.2, 0.1):
-        start = time.perf_counter()
+        start, faults_before = time.perf_counter(), minor_faults()
         column_blocks.clear()
         p = CoherentParams(h=h, a=h**-0.8)
         sigma_spread = 1.0 / math.sqrt(2.0 * p.a)
@@ -237,6 +245,7 @@ def test_criterion_8_trial_density_upper_bound(mapped_rows, column_blocks):
         assert c_h > 0.0
         constants.append(c_h)
         seconds.append(time.perf_counter() - start)
+        faults.append(minor_faults() - faults_before)
         us, qs, _ = _trial_nodes(sym, p, grid, support)
         sizes.append(
             f"{grid.size} points, {us.size} u-rows ({len(mapped_rows[-1])} solved) "
@@ -247,8 +256,8 @@ def test_criterion_8_trial_density_upper_bound(mapped_rows, column_blocks):
     budget.check(
         f"criterion 8 PASS: gamma spectra in [0, 1], variational bound holds, "
         f"C(h) = {constants[0]:.4f} -> {constants[1]:.4f} under h halving; "
-        f"{seconds[0]:.1f}s at h = 0.2 ({sizes[0]}), "
-        f"{seconds[1]:.1f}s at h = 0.1 ({sizes[1]}) "
+        f"{seconds[0]:.1f}s and {faults[0]} minor faults at h = 0.2 ({sizes[0]}), "
+        f"{seconds[1]:.1f}s and {faults[1]} minor faults at h = 0.1 ({sizes[1]}) "
         f"on {_row_workers()} row workers"
     )
 

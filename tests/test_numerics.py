@@ -1,15 +1,22 @@
 """Grids, bumps, partitions, fits, h sweeps, and the shared positivity check."""
 
+import json
 import math
+import os
 import re
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scottlab import numerics
 from scottlab.cli import RunConfig, config_from_args
 from scottlab.coherent import CoherentParams, harmonic_symbol, trial_density_matrix
 from scottlab.numerics import (
@@ -18,6 +25,7 @@ from scottlab.numerics import (
     GridOperator,
     HSweep,
     PartitionPair,
+    _keep_freed_buffers,
     _pinned,
     _pinned_map,
     fit_power_series,
@@ -321,6 +329,78 @@ class TestPinned:
         with pytest.raises(RuntimeError, match="pinned call failed"):
             counts(True)
         assert [get() for get in blas_pins] == [2] * len(blas_pins)
+
+
+WARM_FAULTS = """
+import json, math, resource, sys
+
+import scottlab.cli
+from scottlab import coherent, numerics
+from scottlab.numerics import Grid1D
+
+
+def faults(run):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run()
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+
+if sys.argv[1] == "coherent-check":
+    argv = ["coherent-check", "--h", "0.4,0.25", "--out", sys.argv[2]]
+
+    def run():
+        assert scottlab.cli.main(argv) == 0
+else:
+    # the trial-density benchmark's h = 0.6 case, on acceptance criterion
+    # 8's grid rule
+    p = coherent.CoherentParams(h=0.6, a=0.6 ** -0.8)
+    spread = 1.0 / math.sqrt(2.0 * p.a)
+    half = 1.5 + 7.0 * spread + 0.5
+    dx = math.pi * p.h / (1.0 + 10.0 / math.sqrt(p.a) + 5.0 * spread)
+    grid = Grid1D.uniform(-half, half, 2 * math.ceil(half / dx) + 1)
+    sym = coherent.harmonic_symbol(offset=-1.0)
+
+    def run():
+        coherent.trial_density_matrix(sym, p, grid, support_radius=1.5)
+
+# two warm-up runs, then the fewest faults of the next three: a pool thread
+# that starts before the last pool's threads have handed back their malloc
+# arenas gets a new arena, whose first use faults a few hundred pages
+run()
+run()
+print(json.dumps({
+    "active": numerics._KEEPS_FREED_BUFFERS,
+    "faults": min(faults(run) for _ in range(3)),
+}))
+"""
+
+
+class TestAllocatorPolicy:
+    @pytest.mark.parametrize("workload", ["coherent-check", "trial-density"])
+    def test_warm_runs_fault_in_no_fresh_pages(self, workload, tmp_path):
+        # each in a fresh process, whose heap only the package's import has
+        # set up: one workload's large frees would raise glibc's dynamic
+        # thresholds for the other.  Under glibc's defaults a warm run
+        # faulted in 3,600 to 3,900 pages (coherent-check) and 1,300 to 1,400
+        # (one trial density) that the run before gave back
+        src = str(Path(numerics.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, *sys.path]))
+        done = subprocess.run(
+            [sys.executable, "-c", WARM_FAULTS, workload, str(tmp_path / "out.csv")],
+            capture_output=True, text=True, env=env, timeout=120, check=True,
+        )
+        report = json.loads(done.stdout.splitlines()[-1])
+        if not report["active"]:
+            pytest.skip("this libc has no working mallopt")
+        assert report["faults"] < 200, report
+
+    @pytest.mark.parametrize(
+        "libc",
+        [SimpleNamespace(), SimpleNamespace(mallopt=lambda param, value: 0)],
+        ids=["no-mallopt", "mallopt-refuses"],
+    )
+    def test_no_working_mallopt_is_a_no_op(self, libc):
+        assert _keep_freed_buffers(libc) is False
 
 
 class TestPositivity:

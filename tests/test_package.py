@@ -48,12 +48,13 @@ def test_benchmark_tracer_site_resolves(module_name, attr):
 
 
 def test_parallel_loops_go_through_numerics():
-    # how independent pieces of linear algebra run in parallel is decided in
-    # one module; every other module maps through numerics._pinned_map
+    # how independent pieces of linear algebra run in parallel, and how the
+    # process's allocator keeps freed memory, are decided in one module;
+    # every other module maps through numerics._pinned_map
     package = Path(scottlab.__file__).resolve().parent
     for path in sorted(package.glob("*.py")):
         source = path.read_text()
-        for name in ("concurrent.futures", "_one_blas_thread"):
+        for name in ("concurrent.futures", "_one_blas_thread", "mallopt"):
             found = re.search(rf"\b{re.escape(name)}\b", source) is not None
             assert found == (path.name == "numerics.py"), (path.name, name)
 
