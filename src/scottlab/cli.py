@@ -33,6 +33,7 @@ import argparse
 import io
 import json
 import math
+import os
 import sys
 import warnings
 from dataclasses import dataclass
@@ -565,6 +566,10 @@ def _render_json(config: RunConfig, columns, rows, meta, warn_messages) -> str:
 
 def run(config: RunConfig) -> int:
     """Execute one pipeline and write its artifacts; returns the exit status."""
+    if config.output_path is not None:
+        folder = os.path.dirname(config.output_path) or os.curdir
+        if not os.path.isdir(folder):
+            raise UsageError(f"output directory {folder!r} does not exist")
     pipeline = _COMMAND_TABLE[config.command].pipeline
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

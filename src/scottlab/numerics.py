@@ -1,13 +1,14 @@
 """Shared numerical utilities: grids, grid operators, cutoffs, fits, h sweeps.
 
-Everything here is deterministic and stateless, except the pinned worker
-pool and pinned calls, which hold the bundled OpenBLAS at one thread while
-they run, and the allocator policy that importing this module sets for the
-process: on glibc, buffers under 4 MiB (numpy's huge-page cutoff) stay
-mapped when freed and the heap is trimmed only beyond 64 MiB free (the
-ceiling of glibc's own trim threshold), so a warm pass reuses the pages of
-the one before instead of faulting in fresh ones, for about 1 MiB more peak
-resident memory.
+Everything here is deterministic and stateless, except what is process
+wide.  The worker pool, whose threads the first parallel loop starts and
+the process keeps, and pinned calls hold the bundled OpenBLAS at one
+thread while they run.  Importing this module sets the allocator policy
+for the process: on glibc, buffers under 4 MiB (numpy's huge-page cutoff)
+stay mapped when freed and the heap is trimmed only beyond 64 MiB free
+(the ceiling of glibc's own trim threshold), so a warm pass reuses the
+pages of the one before instead of faulting in fresh ones, for about
+1 MiB more peak resident memory.
 The smooth cutoff functions are built from the classic exponential
 transition exp(-1/s), which gives genuinely C-infinity profiles with
 compact support.
@@ -20,7 +21,8 @@ import glob
 import importlib.util
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import ExitStack, contextmanager
 from dataclasses import asdict, dataclass, field
 from functools import cache, wraps
@@ -145,7 +147,14 @@ class GridOperator:
 # _pinned_map is the one place that decides how such pieces run: the rows
 # of the trial density (coherent) and the channel solves of a radial sum
 # (spectra) both go through it.  Each caller folds the results in item
-# order, so its numbers are bitwise the same for any worker count.
+# order, so its numbers are bitwise the same for any worker count.  It
+# submits to one executor per worker count, built on first use and kept
+# for the process (_pool), so a call starts no threads once the first has:
+# a pool started and joined per call cost every trial density its threads,
+# and each fresh thread a fresh glibc malloc arena, which holds none of the
+# buffers the allocator policy below keeps (calls 2 to 12 of a trial
+# density faulted 75 to 337 pages now and then, against 10 to 34).  A
+# forked child drops the pools, whose threads it does not have.
 # _pinned runs one call under the same pin, for the dense Newton solve of
 # the universal Thomas-Fermi function (thomas_fermi), so its digits do not
 # depend on the thread count either.
@@ -237,21 +246,51 @@ def _pinned(fn):
     return pinned
 
 
+_pool_thread = threading.local()
+
+
+def _mark_pool_thread():
+    _pool_thread.marked = True
+
+
+@cache
+def _pool(workers: int) -> ThreadPoolExecutor:
+    """The process's executor of up to this many worker threads.  A thread
+    starts when an item arrives and none is idle, and then stays."""
+    return ThreadPoolExecutor(workers, initializer=_mark_pool_thread)
+
+
+if hasattr(os, "register_at_fork"):  # not on Windows
+    os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
 def _pinned_map(fn, items):
-    """Yield fn(item) for each of items, in item order, computed on
-    _row_workers() threads (at most one per item) with the bundled OpenBLAS
-    held at one thread meanwhile.
+    """Yield fn(item) for each of items, in item order, computed on the
+    shared pool of _row_workers() threads with the bundled OpenBLAS held at
+    one thread meanwhile.
 
     Results stream: each is yielded once it and those before it are done,
     so a caller that folds them as they come need not hold them all.  An
     exception that fn raises reaches the caller at its item.  Once the
     generator is exhausted, raises or is closed, the items not yet started
     are cancelled, the running ones are waited for and the thread counts are
-    restored.
+    restored.  Called from one of the pool's own threads it raises
+    RuntimeError, since its items could wait forever on the threads that
+    wait for them.
     """
-    workers = min(_row_workers(), len(items))
-    with _one_blas_thread(), ThreadPoolExecutor(workers) as pool:
-        yield from pool.map(fn, items)
+    if getattr(_pool_thread, "marked", False):
+        raise RuntimeError("_pinned_map called from inside a pool worker")
+    pool = _pool(_row_workers())
+    with _one_blas_thread():
+        futures = [pool.submit(fn, item) for item in items]
+        futures.reverse()  # popped from the end, in item order
+        try:
+            while futures:
+                yield futures.pop().result()
+        finally:
+            for future in futures:
+                future.cancel()
+            wait(futures)
 
 
 # ---------------------------------------------------------------------------

@@ -758,6 +758,29 @@ class TestInputBoundary:
         assert "scottlab: hydrogen failed:" in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["scott", "--z", "1", "--h", "0.12,0.09"], ["coherent-check", "--h", "0.4"]],
+        ids=["scott", "coherent-check"],
+    )
+    def test_missing_output_directory_is_a_usage_error_before_any_work(
+        self, monkeypatch, tmp_path, argv
+    ):
+        def pipeline(params):
+            raise AssertionError("the pipeline ran")
+
+        entry = cli._COMMAND_TABLE[argv[0]]._replace(pipeline=pipeline)
+        monkeypatch.setitem(cli._COMMAND_TABLE, argv[0], entry)
+        out_path = tmp_path / "missing" / "o.csv"
+        status, out, err = run_captured(argv + ["--out", str(out_path)])
+        assert status == 2
+        assert out == ""
+        assert err == (
+            f"scottlab: usage error: output directory "
+            f"{str(out_path.parent)!r} does not exist\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
     def test_header_is_strict_json(self):
         cfg = RunConfig(command="hydrogen", parameters={"z": 1.0, "h": 0.1})
         # a NaN slipped into the mutable parameter map after validation

@@ -548,27 +548,28 @@ class TestTrialDensity:
         assert qs.min() >= -9.0 - margin - step
         assert qs.max() <= -7.0 + margin + step
 
-    def assert_mirrored(self, mapped_rows, sym, p, grid, radius):
-        # both calls took the parity path: only the rows u >= 0 were solved
+    def assert_mirrored(self, mapped_rows, calls, sym, p, grid, radius):
+        # every call took the parity path: only the rows u >= 0 were solved
         us, _, _ = _trial_nodes(sym, p, grid, radius)
         assert us.size > 2
-        assert mapped_rows == 2 * [np.flatnonzero(us >= 0.0).tolist()]
+        assert mapped_rows == calls * [np.flatnonzero(us >= 0.0).tolist()]
 
     def test_gamma_same_for_any_worker_count(self, monkeypatch, mapped_rows):
         p, sym, grid = self.build_small()
         gammas = []
-        for cpus in (1, 2):
+        for cpus in (1, 2, 8):
             monkeypatch.setattr(numerics, "_usable_cpus", lambda: cpus)
             gammas.append(trial_density_matrix(sym, p, grid, support_radius=0.5))
-        self.assert_mirrored(mapped_rows, sym, p, grid, 0.5)
-        assert np.array_equal(gammas[0].matrix, gammas[1].matrix)
+        self.assert_mirrored(mapped_rows, 3, sym, p, grid, 0.5)
+        for other in gammas[1:]:
+            assert np.array_equal(gammas[0].matrix, other.matrix)
 
     def test_gamma_same_without_the_blas_pin(self, monkeypatch, mapped_rows):
         p, sym, grid = self.build_small()
         pinned = trial_density_matrix(sym, p, grid, support_radius=0.5)
         monkeypatch.setattr(numerics, "_bundled_openblas", lambda: None)
         serial = trial_density_matrix(sym, p, grid, support_radius=0.5)
-        self.assert_mirrored(mapped_rows, sym, p, grid, 0.5)
+        self.assert_mirrored(mapped_rows, 2, sym, p, grid, 0.5)
         assert np.array_equal(pinned.matrix, serial.matrix)
 
     def test_blas_threads_restored_after_normal_and_raising_calls(self, monkeypatch):
