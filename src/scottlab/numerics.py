@@ -34,7 +34,6 @@ __all__ = [
     "Grid1D",
     "GridOperator",
     "Bump",
-    "PartitionPair",
     "FitResult",
     "HSweep",
     "fit_power_series",
@@ -391,37 +390,6 @@ class Bump:
         s = (1.0 - t) / (1.0 - self.plateau)
         val = _step(np.clip(s, 0.0, 1.0))
         return val if np.ndim(x) else float(val)
-
-
-# ---------------------------------------------------------------------------
-# quadratic partition of unity
-
-
-@dataclass(frozen=True)
-class PartitionPair:
-    """Pair (inner, outer) with inner^2 + outer^2 = 1 exactly.
-
-    Both are functions of a distance-like coordinate d >= 0; inner = 1 for
-    d <= R, 0 for d >= 2R, and the pair is built as cos/sin of one smooth
-    monotone angle so the quadratic identity holds pointwise by construction.
-    """
-
-    R: float
-
-    def __post_init__(self):
-        require_positive(self.R, "localization radius R")
-
-    def _theta(self, d):
-        s = (np.asarray(d, dtype=float) - self.R) / self.R
-        return 0.5 * np.pi * _step(np.clip(s, 0.0, 1.0))
-
-    def inner(self, d):
-        val = np.cos(self._theta(d))
-        return val if np.ndim(d) else float(val)
-
-    def outer(self, d):
-        val = np.sin(self._theta(d))
-        return val if np.ndim(d) else float(val)
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,6 @@ __all__ = [
     "RadialSum",
     "SpectralSum",
     "TraceResult",
-    "ims_identity_check",
     "neg_sum_1d",
     "neg_sum_radial",
     "sentinel_channel",
@@ -614,29 +613,3 @@ def neg_sum_radial(
         boundary_mass=frac,
         sentinel=sentinel,
     )
-
-
-# ---------------------------------------------------------------------------
-# IMS localization identity
-
-
-def ims_identity_check(H, partition) -> float:
-    """Spectral norm of Phi- H Phi- + Phi+ H Phi+ - H + h^2 I_grad.
-
-    The profiles are sampled at d(x) = |x| on H's grid.  The gradient-square
-    term is realized as the matrix it equals in the localization identity,
-    the half double commutator (1/2) sum_i [Phi_i, [Phi_i, H]]; with that
-    realization the whole combination collapses to
-        (1/2) (P H + H P) - H,     P = Phi-^2 + Phi+^2,
-    which vanishes identically when the partition satisfies P = 1.  The
-    returned norm (exact, of the dense combination) is therefore the
-    floating point residual of the quadratic partition identity weighted by
-    H.
-    """
-    x = np.asarray(H.grid.points, dtype=float)
-    d = np.abs(x)
-    pm = np.asarray(partition.inner(d), dtype=float)
-    pp = np.asarray(partition.outer(d), dtype=float)
-    s = pm * pm + pp * pp - 1.0
-    m = H.matrix
-    return float(np.linalg.norm(0.5 * (s[:, None] * m + m * s), 2))

@@ -43,7 +43,6 @@ __all__ = [
     "coulomb_energy_D",
     "solve_universal_tf",
     "tf_length_scale",
-    "tf_scaling_transform",
 ]
 
 # TF functional kinetic constant (3/10)(3 pi^2)^(2/3)
@@ -63,10 +62,9 @@ _CHEB_N = 100
 
 # charges z that atomic_tf and the commands built on it accept.  Every table
 # and scalar is z^e times its value at z = 1 (e = -1/3 for radii, 4/3 for V,
-# 2 for rho, 7/3 for the energies, as in tf_scaling_transform), and the
-# energies are computed that way, so all stay finite, normal floats from
-# z = 1e-131 to 1e132, where the energies leave them.  The range keeps a
-# decade to spare at each end.
+# 2 for rho, 7/3 for the energies), and the energies are computed that way,
+# so all stay finite, normal floats from z = 1e-131 to 1e132, where the
+# energies leave them.  The range keeps a decade to spare at each end.
 Z_RANGE = (1e-130, 1e131)
 
 
@@ -264,16 +262,6 @@ def _hermite_coefficients(u, w, slope) -> np.ndarray:
     )
 
 
-def _five_point_derivatives(y, step) -> tuple[np.ndarray, np.ndarray]:
-    """First and second derivatives of y on a uniform grid by fourth-order
-    central differences, at every point but the two at each end."""
-    first = (y[:-4] - 8.0 * y[1:-3] + 8.0 * y[3:-1] - y[4:]) / (12.0 * step)
-    second = (
-        -y[:-4] + 16.0 * y[1:-3] - 30.0 * y[2:-2] + 16.0 * y[3:-1] - y[4:]
-    ) / (12.0 * step**2)
-    return first, second
-
-
 @dataclass(frozen=True)
 class UniversalTF:
     """Read-only table of the universal screening function phi on a log grid,
@@ -328,32 +316,6 @@ class UniversalTF:
         if np.any(hi):
             out[hi] = _tail_phi_dphi(x[hi], self.tail_coefficient)[0]
         return out[0] if scalar else out
-
-    def curvature_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """phi'' on the trimmed table, by five-point differences of the
-        tabulated values in log-log coordinates (independent of how the
-        table was produced)."""
-        lx = np.log(self.x)
-        step = (lx[-1] - lx[0]) / (lx.size - 1)
-        d1, d2 = _five_point_derivatives(np.log(self.phi_table), step)
-        x, phi = self.x[2:-2], self.phi_table[2:-2]
-        phipp = phi * (d2 + d1 * (d1 - 1.0)) / x**2
-        sl = slice(6, -6)
-        return x[sl], phipp[sl]
-
-    def ode_residual_norm(self) -> float:
-        """Integral norm of phi'' - phi^(3/2)/sqrt(x) over the table.
-
-        Weighted by x (the measure under which int x phi'' dx = 1 expresses
-        neutrality); an unweighted norm would be dominated by the smallest
-        radii where differencing tabulated values is noise-limited.
-        """
-        x, phipp = self.curvature_table()
-        phi = self.phi(x)
-        resid = phipp - phi**1.5 / np.sqrt(x)
-        return float(
-            np.trapezoid(np.abs(resid) * x, x) / np.trapezoid(phipp * x, x)
-        )
 
 
 @cache
@@ -551,20 +513,3 @@ def atomic_tf(z: float) -> TFSolution:
     )
     sol.validate()
     return sol
-
-
-def tf_scaling_transform(sol: TFSolution, gamma: float) -> TFSolution:
-    """Rescale a solved atom: charge z/gamma^3, radii gamma r, V by gamma^-4,
-    rho by gamma^-6, energies by gamma^-7.  gamma = 1 is the identity."""
-    require_positive(gamma, "gamma")
-    return TFSolution(
-        z=sol.z / gamma**3,
-        r=gamma * sol.r,
-        v_tf_table=sol.v_tf_table / gamma**4,
-        rho_tf_table=sol.rho_tf_table / gamma**6,
-        E_TF=sol.E_TF / gamma**7,
-        D_rho=sol.D_rho / gamma**7,
-        ell=gamma * sol.ell,
-        universal=sol.universal,
-    )
-

@@ -1,6 +1,7 @@
 """Smeared coherent states: weights, kernels, representation, trial density."""
 
 import dataclasses
+import functools
 import math
 import threading
 import types
@@ -11,18 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import circulant, toeplitz
-from scipy.special import wofz
+from scipy.special import roots_legendre, wofz
 
 from scottlab.coherent import (
     ClassicalSymbol,
     CoherentParams,
     PhasePoint,
-    constant_symbol,
     fourier_multiplier_matrix,
     gaussian_moment_cancellation,
     harmonic_symbol,
     momentum_lattice,
-    new_kernel_G,
     representation_error_norm,
     resolution_of_identity_check,
     schrodinger_operator,
@@ -47,6 +46,8 @@ from scottlab.coherent import (
     _u_step,
 )
 from scottlab.numerics import Grid1D, GridOperator
+
+from reference import constant_symbol, new_kernel_G
 
 
 def sin_symbol():
@@ -938,7 +939,7 @@ class TestAgainstPerNodeLoops:
 
 def node_by_quadrature(p, x, dx, u, q, c0, v1, f1):
     """dx G chi(hhat < 0) G for hhat = c0 + v1 (x - u) + f1 (p - q), with G
-    the public kernel new_kernel_G and the y integrals done by quadrature.
+    the kernel new_kernel_G and the y integrals done by quadrature.
 
     F' = 0 cuts in position: the kernel is int G(x, y) G(y, z) dy over the
     y with c0 + v1 (y - u) < 0.  Otherwise chi projects onto lambda < lam0 =
@@ -1164,6 +1165,72 @@ class TestNodeRule:
         scale = np.max(np.abs(whole @ whole.conj().T))
         error = np.max(np.abs(g @ g.conj().T - fine @ fine.conj().T))
         assert error <= 1e-14 * scale
+
+
+@functools.cache
+def leggauss_rules():
+    """The t rules as numpy.polynomial.legendre.leggauss gives them: its
+    rules of 2, 4, ..., 48 points, end to end."""
+    rules = [np.polynomial.legendre.leggauss(m) for m in range(2, 49, 2)]
+    return tuple(np.concatenate(part) for part in zip(*rules))
+
+
+class TestTRules:
+    """The Gauss-Legendre t rules of _t_rules, from one Newton solve, at
+    _T_POINTS = 48 and at twice the density (doubled_t_density)."""
+
+    @pytest.fixture(params=[48, 96], ids=["48-points", "96-points"])
+    def rules(self, request):
+        """(m, nodes, weights) of every rule, 2, 4, ..., points."""
+        if request.param == 96:
+            request.getfixturevalue("doubled_t_density")
+        assert coherent._T_POINTS == request.param
+        nodes, weights = coherent._t_rules()
+        assert nodes.size == weights.size == request.param * (request.param + 2) // 4
+        return [
+            (m, nodes[m * (m - 2) // 4 : m * (m + 2) // 4],
+             weights[m * (m - 2) // 4 : m * (m + 2) // 4])
+            for m in range(2, request.param + 1, 2)
+        ]
+
+    def test_each_rule_is_ascending_and_mirrored(self, rules):
+        for m, x, w in rules:
+            assert np.all(np.diff(x) > 0.0) and -1.0 < x[0] and x[-1] < 1.0
+            assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+            assert np.all(w > 0.0)
+
+    def test_even_moments_to_roundoff(self, rules):
+        # exact for x^k, k <= 2m - 1; odd k vanish by the mirroring.  The
+        # rules numpy's leggauss gives miss this by 7.2e-15 at 48 points and
+        # 1.8e-14 at 96 (the Newton rules: 8.9e-16 and 1.1e-15)
+        for m, x, w in rules:
+            for k in range(0, 2 * m - 1, 2):
+                assert abs(np.sum(w * x**k) - 2.0 / (k + 1)) <= 2e-15, (m, k)
+
+    def test_nodes_match_scipy(self, rules):
+        for m, x, _ in rules:
+            assert np.max(np.abs(x - roots_legendre(m)[0])) <= 4.5e-16, m
+
+    @pytest.mark.parametrize("h", [0.6, 0.5])
+    def test_trial_density_against_leggauss_rules(self, monkeypatch, h):
+        # the benchmark's two cases: gamma and C(h) = (Tr(H gamma) - W)
+        # h^(-1/5), W = -1/(4h) for q^2 + u^2 - 1, move at roundoff (2e-15
+        # measured) when the rules change
+        p = CoherentParams(h=h, a=h**-0.8)
+        grid = acceptance_grid(p)
+        sym = harmonic_symbol(offset=-1.0)
+        H = schrodinger_operator(sym, grid, h)
+
+        def bound():
+            gamma = trial_density_matrix(sym, p, grid, support_radius=1.5).matrix
+            energy = float(np.real(np.sum(H.matrix * gamma.T)))
+            return gamma, (energy + 0.25 / h) * h**-0.2
+
+        gamma, constant = bound()
+        monkeypatch.setattr(coherent, "_t_rules", leggauss_rules)
+        old_gamma, old_constant = bound()
+        assert np.max(np.abs(gamma - old_gamma)) <= 1e-12 * np.max(np.abs(old_gamma))
+        assert constant == pytest.approx(old_constant, rel=1e-12)
 
 
 def old_u_step(p):

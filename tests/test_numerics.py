@@ -24,7 +24,6 @@ from scottlab.numerics import (
     Grid1D,
     GridOperator,
     HSweep,
-    PartitionPair,
     _keep_freed_buffers,
     _pinned,
     _pinned_map,
@@ -34,7 +33,9 @@ from scottlab.numerics import (
 from scottlab.scott import scott_experiment_tf, scott_term
 from scottlab.semiclassics import WeylSpec, local_trace_experiment
 from scottlab.spectra import RadialProblem, TraceResult, neg_sum_1d
-from scottlab.thomas_fermi import atomic_tf, tf_length_scale, tf_scaling_transform
+from scottlab.thomas_fermi import atomic_tf, tf_length_scale
+
+from reference import PartitionPair, tf_scaling_transform
 
 
 class TestGrid:

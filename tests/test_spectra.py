@@ -13,17 +13,18 @@ from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 from scottlab import numerics, spectra
 from scottlab.cli import main
 from scottlab.coherent import harmonic_symbol, schrodinger_operator
-from scottlab.numerics import Bump, Grid1D, GridOperator, PartitionPair
+from scottlab.numerics import Bump, Grid1D, GridOperator
 from scottlab.spectra import (
     BOUNDARY_MASS_TOL,
     BoxSizeError,
     ChannelCutoffError,
     RadialProblem,
-    ims_identity_check,
     neg_sum_1d,
     neg_sum_radial,
     sentinel_channel,
 )
+
+from reference import PartitionPair, ims_identity_check
 
 
 def square_well(depth, width=1.0):
