@@ -570,6 +570,9 @@ def run(config: RunConfig) -> int:
         folder = os.path.dirname(config.output_path) or os.curdir
         if not os.path.isdir(folder):
             raise UsageError(f"output directory {folder!r} does not exist")
+        for path in (config.output_path, config.output_path + ".meta.json"):
+            if os.path.isdir(path):
+                raise UsageError(f"output path {path!r} is a directory")
     pipeline = _COMMAND_TABLE[config.command].pipeline
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

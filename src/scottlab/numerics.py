@@ -456,11 +456,15 @@ def fit_power_series(h_values, y_values, exponents) -> FitResult:
 
 
 def require_decreasing(h_values, least: int = 1) -> tuple[float, ...]:
-    """h_values as floats; ValueError unless there are at least `least` of
-    them, each below the one before (a fitted sweep, HSweep, needs two)."""
+    """h_values as floats; ValueError unless each is below the one before and
+    there are at least `least` of them (a fitted sweep, HSweep, needs two)."""
     hs = tuple(float(h) for h in h_values)
-    if len(hs) < least or any(b >= a for a, b in zip(hs, hs[1:])):
-        raise ValueError("h values must be strictly decreasing, two or more for a fit")
+    if any(b >= a for a, b in zip(hs, hs[1:])):
+        raise ValueError("h values are not strictly decreasing")
+    if len(hs) < least:
+        raise ValueError(
+            f"a fitted sweep needs at least {least} h values" if hs else "no h values given"
+        )
     return hs
 
 

@@ -58,6 +58,11 @@ def _require_levels(z, h) -> None:
         )
 
 
+def _bohr_sum(zq: Fraction, hq: Fraction, K: int) -> Fraction:
+    """Sum over 1 <= n <= K of (-z^2/(4h^2) + n^2), exactly."""
+    return -K * zq**2 / (4 * hq**2) + Fraction(K * (K + 1) * (2 * K + 1), 6)
+
+
 def hydrogen_exact_sum(z, h) -> float:
     """Tr[-h^2 Laplacian - z/|x| + 1]_- as the finite Bohr-level sum.
 
@@ -70,12 +75,7 @@ def hydrogen_exact_sum(z, h) -> float:
     if zq <= 0 or hq <= 0:
         raise ValueError("z and h must be positive")
     _require_levels(z, h)
-    top = zq / (2 * hq)
-    K = math.floor(top)
-    if K < 1:
-        return 0.0
-    total = -K * zq**2 / (4 * hq**2) + Fraction(K * (K + 1) * (2 * K + 1), 6)
-    return float(total)
+    return float(_bohr_sum(zq, hq, math.floor(zq / (2 * hq))))
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,7 @@ def hydrogen_expansion_check(z, K: int) -> HydrogenExpansion:
     if zq <= 0:
         raise ValueError("z must be positive")
     hq = zq / (2 * K)
-    total = -K * zq**2 / (4 * hq**2) + Fraction(K * (K + 1) * (2 * K + 1), 6)
+    total = _bohr_sum(zq, hq, K)
     leading = -(zq**3) / (12 * hq**3)
     scott = zq**2 / (8 * hq**2)
     return HydrogenExpansion(

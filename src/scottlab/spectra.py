@@ -26,10 +26,11 @@ of the box in r, r >= 0.95 r_max, and on at least two of them.
 The channel solves of a radial sum are independent, so they run through
 numerics._pinned_map, one worker thread per usable CPU.  Each solve is one
 function: it assembles its channel matrix and calls LAPACK dstebz / dstein
-through ctypes, with the interpreter lock released: from the OpenBLAS
-bundled in numpy's wheel where it exports them, else from scipy's
-cython_lapack.  With neither, the first solve fails with a RuntimeError
-naming what is missing.  The calling thread adds the results in ell
+in the call shape of scipy.linalg.lapack's wrappers: through ctypes, with
+the interpreter lock released, from the OpenBLAS bundled in numpy's wheel
+where it exports them, else through those wrappers themselves, which hold
+the lock.  With neither, the first solve fails with a RuntimeError naming
+what is missing.  The calling thread adds the results in ell
 order, so every eigenvalue and every sum is bitwise the same for any worker
 count, and equal to what scipy's eigvalsh_tridiagonal / eigh_tridiagonal
 return for the same matrix (the tests check it).
@@ -250,127 +251,97 @@ class RadialProblem:
 
 
 # ---------------------------------------------------------------------------
-# LAPACK dstebz / dstein without the interpreter lock
+# LAPACK dstebz / dstein, called the way scipy.linalg.lapack's wrappers are:
+#
+#   m, w, iblock, isplit, info = dstebz(d, e, range, vl, vu, il, iu, tol, order)
+#   z, info = dstein(d, e, w, iblock, isplit)
 #
 # scipy's eigvalsh_tridiagonal and eigh_tridiagonal hold the interpreter lock
 # through their Fortran calls, so channel solves from two threads ran one at
 # a time (8 channels at h = 0.05: 1.63 s serially, 1.61 s from two threads).
-# The same routines are called here via ctypes, which releases the lock for
-# the length of the call.  They come from the OpenBLAS bundled in numpy's
-# wheel (numerics._openblas_library) where it exports them, as numpy's
-# Linux wheels do; Fortran takes every argument by reference, integers at
-# the library's width, and each character argument's length as a trailing
-# hidden argument by value.  Elsewhere (macOS wheels, conda or distribution
-# builds of numpy) they come from the function pointers that
-# scipy.linalg.cython_lapack exports, imported only then.
+# Where the OpenBLAS bundled in numpy's wheel (numerics._openblas_library)
+# exports both routines, as numpy's Linux wheels do, a thin ctypes adapter
+# calls them instead, which releases the lock for the length of the call.
+# Fortran takes every argument by reference, integers at the library's
+# width, and each character argument's length as a trailing hidden argument
+# by value.  Elsewhere the pair is scipy's own wrappers, imported only then.
+# Those hold the lock: where numpy bundles no OpenBLAS that costs nothing,
+# as the solves then run on one worker (numerics._row_workers), but with a
+# bundled OpenBLAS that lacks the LAPACK symbols the workers run one solve
+# at a time.
 
-# parameter kinds: c = char *, i = integer *, d = double *
-_PARAMETERS = {"dstebz": "cciddiidddiidiidii", "dstein": "iddidiididiii"}
-
-
-def _parameter_kinds(signature: str) -> str:
-    """Kind letters of the arguments of a capsule signature such as
-    'void (char *, int *, __pyx_t_..._cython_lapack_d *)'; '?' for others."""
-    kinds = []
-    for arg in signature[signature.index("(") + 1 : signature.rindex(")")].split(","):
-        arg = arg.strip()
-        if arg in ("char *", "int *"):
-            kinds.append(arg[0])
-        elif arg == "double *" or arg.endswith("cython_lapack_d *"):
-            kinds.append("d")
-        else:
-            kinds.append("?")
-    return "".join(kinds)
+_ROUTINES = ("dstebz", "dstein")
 
 
-def _prototype(name: str, integer) -> list:
-    """ctypes argument types of the routine name, integers of type integer."""
-    pointers = {
-        "c": ctypes.c_char_p,
-        "i": ctypes.POINTER(integer),
-        "d": ctypes.POINTER(ctypes.c_double),
-    }
-    return [pointers[k] for k in _PARAMETERS[name]]
-
-
-def _openblas_routines(found) -> tuple:
-    """(integer type, {name: call}) of dstebz and dstein in the OpenBLAS
-    found = (library, prefix, suffix); each call appends the hidden length (1)
-    of each character argument.  An ILP64 suffix means 64-bit integers."""
+def _openblas_pair(found) -> tuple:
+    """scipy's (dstebz, dstein) call shape over the routines of the OpenBLAS
+    found = (library, prefix, suffix); an ILP64 suffix means 64-bit
+    integers.  d and e must be contiguous float64 arrays."""
     lib, prefix, suffix = found
     integer = ctypes.c_int64 if suffix else ctypes.c_int
-    calls = {}
-    for name in _PARAMETERS:
-        function = getattr(lib, f"{prefix}{name}_{suffix}")
-        lengths = (1,) * _PARAMETERS[name].count("c")
-        function.argtypes = _prototype(name, integer) + [ctypes.c_size_t] * len(lengths)
-        function.restype = None
-        calls[name] = lambda *args, function=function, lengths=lengths: function(
-            *args, *lengths
+    ints = np.dtype(integer)
+    stebz, stein = (getattr(lib, f"{prefix}{name}_{suffix}") for name in _ROUTINES)
+    # dstebz: two characters, 16 pointers, then the characters' lengths
+    pointers = [ctypes.c_void_p] * 16
+    stebz.argtypes = [ctypes.c_char_p] * 2 + pointers + [ctypes.c_size_t] * 2
+    stein.argtypes = [ctypes.c_void_p] * 13
+    stebz.restype = stein.restype = None
+    ref, real = ctypes.byref, ctypes.c_double
+
+    def dstebz(d, e, range, vl, vu, il, iu, tol, order):
+        n = d.size
+        m, nsplit, info = integer(), integer(), integer()
+        # zeroed past what LAPACK fills, as scipy's wrapper returns them
+        w, iblock, isplit = np.zeros(n), np.zeros(n, ints), np.zeros(n, ints)
+        work, iwork = np.empty(4 * n), np.empty(3 * n, ints)
+        stebz(
+            b"AVI"[range : range + 1], order, ref(integer(n)), ref(real(vl)),
+            ref(real(vu)), ref(integer(il)), ref(integer(iu)), ref(real(tol)),
+            d.ctypes.data, e.ctypes.data, ref(m), ref(nsplit), w.ctypes.data,
+            iblock.ctypes.data, isplit.ctypes.data, work.ctypes.data,
+            iwork.ctypes.data, ref(info), 1, 1,
         )
-    return integer, calls
+        return m.value, w, iblock, isplit, info.value
+
+    def dstein(d, e, w, iblock, isplit):
+        n, m = d.size, w.size
+        z = np.empty((m, n)).T  # column-major n x m, as scipy returns it
+        work, iwork, ifail = np.empty(5 * n), np.empty(n, ints), np.empty(m, ints)
+        info = integer()
+        stein(
+            ref(integer(n)), d.ctypes.data, e.ctypes.data, ref(integer(m)),
+            w.ctypes.data, iblock.ctypes.data, isplit.ctypes.data, z.ctypes.data,
+            ref(integer(n)), work.ctypes.data, iwork.ctypes.data, ifail.ctypes.data,
+            ref(info),
+        )
+        return z, info.value
+
+    return dstebz, dstein
 
 
-def _scipy_routines(missing: str) -> tuple:
-    """(int, {name: call}) of dstebz and dstein from scipy's cython_lapack
-    capsules.  RuntimeError when scipy is not installed, its message led by
-    missing (what numpy's OpenBLAS lacked), or when a signature is not the
-    LP64 one the callers here pass arguments for."""
+@cache
+def _binding() -> tuple:
+    """(dstebz, dstein) in scipy.linalg.lapack's call shape: over numpy's
+    bundled OpenBLAS where it exports both, else scipy's own; RuntimeError
+    naming what is missing when neither has them."""
+    found = numerics._openblas_library()
+    if found is None:
+        missing = "numpy bundles no OpenBLAS under numpy.libs"
+    else:
+        lib, prefix, suffix = found
+        symbols = (f"{prefix}{name}_{suffix}" for name in _ROUTINES)
+        absent = next((s for s in symbols if not hasattr(lib, s)), None)
+        if absent is None:
+            return _openblas_pair(found)
+        missing = f"numpy's bundled OpenBLAS does not export the LAPACK routine {absent}"
     try:
-        import scipy.linalg.cython_lapack as cython_lapack
+        from scipy.linalg.lapack import dstebz, dstein
     except ImportError:
         raise RuntimeError(
             f"{missing}, and scipy, whose LAPACK the radial eigensolves use "
             "instead, is not installed (pip install 'artifact[lapack]')"
         ) from None
-    api = ctypes.pythonapi
-    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-        ("PyCapsule_GetName", api)
-    )
-    get_pointer = ctypes.PYFUNCTYPE(
-        ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p
-    )(("PyCapsule_GetPointer", api))
-    calls = {}
-    for name in _PARAMETERS:
-        capsule = cython_lapack.__pyx_capi__[name]
-        signature = get_name(capsule)
-        if _parameter_kinds(signature.decode()) != _PARAMETERS[name]:
-            raise RuntimeError(
-                f"scipy's {name} has the signature {signature.decode()!r}, not "
-                "the LP64 int * / double * one this module calls it with"
-            )
-        prototype = ctypes.CFUNCTYPE(None, *_prototype(name, ctypes.c_int))
-        calls[name] = prototype(get_pointer(capsule, signature))
-    return ctypes.c_int, calls
-
-
-@cache
-def _binding() -> tuple:
-    """(integer type, {name: call}) of LAPACK dstebz and dstein: from numpy's
-    bundled OpenBLAS where it exports both, else from scipy; RuntimeError
-    naming what is missing when neither has them."""
-    found = numerics._openblas_library()
-    if found is None:
-        return _scipy_routines("numpy bundles no OpenBLAS under numpy.libs")
-    lib, prefix, suffix = found
-    for name in _PARAMETERS:
-        symbol = f"{prefix}{name}_{suffix}"
-        if not hasattr(lib, symbol):
-            return _scipy_routines(
-                f"numpy's bundled OpenBLAS does not export the LAPACK routine {symbol}"
-            )
-    return _openblas_routines(found)
-
-
-def _lapack(name: str):
-    """LAPACK routine name as a ctypes call that releases the interpreter
-    lock, integers of type _binding()[0]."""
-    return _binding()[1][name]
-
-
-def _ptr(array: np.ndarray):
-    kind = ctypes.c_double if array.dtype == np.float64 else _binding()[0]
-    return array.ctypes.data_as(ctypes.POINTER(kind))
+    return dstebz, dstein
 
 
 def _conjugation(points, off, bump):
@@ -396,8 +367,8 @@ def _negative_solve(diag, conjugation, tail=0):
     eigenvectors, of which only the mass on the last tail points is kept, one
     per eigenvalue (None without tail); both come back ascending.  These
     are scipy's eigh_tridiagonal(select="v") calls with its arguments, so
-    eigenvalues and vectors are bitwise scipy's.
-    Each Fortran call runs without the interpreter lock, so solves in
+    eigenvalues and vectors are bitwise scipy's.  Over numpy's OpenBLAS
+    each Fortran call runs without the interpreter lock, so solves in
     several threads overlap.
     """
     phi2, off, spread = conjugation
@@ -411,63 +382,21 @@ def _negative_solve(diag, conjugation, tail=0):
     lower = float(min(np.min(diag) - spread, -1.0))
     d = np.ascontiguousarray(diag, dtype=float)
     e = np.ascontiguousarray(off, dtype=float)
-    integer = _binding()[0]
-    ints = np.dtype(integer)
-    size, m, info = integer(n), integer(), integer()
-    w = np.empty(n)
-    iblock, isplit = np.empty(n, dtype=ints), np.empty(n, dtype=ints)
-    work, iwork = np.empty(4 * n), np.empty(3 * n, dtype=ints)
-    _lapack("dstebz")(
-        b"V",
-        b"B",
-        ctypes.byref(size),
-        ctypes.byref(ctypes.c_double(lower)),
-        ctypes.byref(ctypes.c_double(0.0)),
-        ctypes.byref(integer(0)),
-        ctypes.byref(integer(0)),
-        ctypes.byref(ctypes.c_double(0.0)),
-        _ptr(d),
-        _ptr(e),
-        ctypes.byref(m),
-        ctypes.byref(integer()),
-        _ptr(w),
-        _ptr(iblock),
-        _ptr(isplit),
-        _ptr(work),
-        _ptr(iwork),
-        ctypes.byref(info),
-    )
-    if info.value != 0:
-        raise RuntimeError(f"LAPACK dstebz failed with info = {info.value}")
-    found = m.value
+    dstebz, dstein = _binding()
+    found, w, iblock, isplit, info = dstebz(d, e, 1, lower, 0.0, 0, 0, 0.0, b"B")
+    if info != 0:
+        raise RuntimeError(f"LAPACK dstebz failed with info = {info}")
+    w = w[:found]
     masses = np.zeros(found) if tail else None
     if tail and found:
-        vectors = np.empty((found, n))  # column-major n x found
-        work, iwork = np.empty(5 * n), np.empty(n, dtype=ints)
-        _lapack("dstein")(
-            ctypes.byref(size),
-            _ptr(d),
-            _ptr(e),
-            ctypes.byref(m),
-            _ptr(w),
-            _ptr(iblock),
-            _ptr(isplit),
-            _ptr(vectors),
-            ctypes.byref(size),
-            _ptr(work),
-            _ptr(iwork),
-            _ptr(np.empty(found, dtype=ints)),
-            ctypes.byref(info),
-        )
-        if info.value < 0:
-            raise RuntimeError(f"LAPACK dstein failed with info = {info.value}")
-        if info.value > 0:
-            raise RuntimeError(
-                f"LAPACK dstein: {info.value} eigenvectors failed to converge"
-            )
-        masses = np.sum(vectors[:, n - tail :] ** 2, axis=1)
-    order = np.argsort(w[:found])  # block order to ascending
-    values = w[:found][order]
+        vectors, info = dstein(d, e, w, iblock, isplit)
+        if info < 0:
+            raise RuntimeError(f"LAPACK dstein failed with info = {info}")
+        if info > 0:
+            raise RuntimeError(f"LAPACK dstein: {info} eigenvectors failed to converge")
+        masses = np.sum(vectors.T[:, n - tail :] ** 2, axis=1)
+    order = np.argsort(w)  # block order to ascending
+    values = w[order]
     negative = values < 0.0
     return values[negative], None if masses is None else masses[order][negative]
 

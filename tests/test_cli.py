@@ -781,6 +781,44 @@ class TestInputBoundary:
         )
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("directory", ["o.csv", "o.csv.meta.json"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["weyl"], ["scott", "--z", "1", "--h", "0.12,0.09"]],
+        ids=["weyl", "scott"],
+    )
+    def test_directory_as_output_path_is_a_usage_error_before_any_work(
+        self, monkeypatch, tmp_path, argv, directory
+    ):
+        # the table or its sidecar would land on a directory
+        def pipeline(params):
+            raise AssertionError("the pipeline ran")
+
+        entry = cli._COMMAND_TABLE[argv[0]]._replace(pipeline=pipeline)
+        monkeypatch.setitem(cli._COMMAND_TABLE, argv[0], entry)
+        (tmp_path / directory).mkdir()
+        status, out, err = run_captured(argv + ["--out", str(tmp_path / "o.csv")])
+        assert status == 2
+        assert out == ""
+        assert err == (
+            f"scottlab: usage error: output path "
+            f"{str(tmp_path / directory)!r} is a directory\n"
+        )
+        assert list(tmp_path.iterdir()) == [tmp_path / directory]
+        assert list((tmp_path / directory).iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["coherent-check", "--h", "0.2,0.3"], "h values are not strictly decreasing"),
+            (["scott", "--z", "1", "--h", "0.1"], "a fitted sweep needs at least 2 h values"),
+        ],
+        ids=["coherent-check-increasing", "scott-single"],
+    )
+    def test_h_list_error_names_the_fault(self, argv, message):
+        # coherent-check fits nothing, and a single h is decreasing
+        assert run_captured(argv) == (2, "", f"scottlab: usage error: {message}\n")
+
     def test_header_is_strict_json(self):
         cfg = RunConfig(command="hydrogen", parameters={"z": 1.0, "h": 0.1})
         # a NaN slipped into the mutable parameter map after validation

@@ -187,25 +187,31 @@ def reject_h(caller, hs):
 
 
 class TestHSweep:
-    MESSAGE = "h values must be strictly decreasing, two or more for a fit"
+    INCREASING = "h values are not strictly decreasing"
+    SINGLE = "a fitted sweep needs at least 2 h values"
 
-    @pytest.mark.parametrize("hs", [(0.1, 0.2), (0.1,)], ids=["increasing", "single"])
+    @pytest.mark.parametrize(
+        "hs, message", [((0.1, 0.2), INCREASING), ((0.1,), SINGLE)],
+        ids=["increasing", "single"],
+    )
     @pytest.mark.parametrize(
         "caller",
         ["scott", "local-trace", "scott_experiment_tf", "local_trace_experiment", "HSweep"],
     )
-    def test_one_message_for_h_values_no_sweep_can_fit(self, caller, hs):
+    def test_one_message_for_h_values_no_sweep_can_fit(self, caller, hs, message):
         # the command line (exit 2), both experiments and the type all ask
         # the one validator, before any solve
-        with pytest.raises(ValueError, match=f"^{re.escape(self.MESSAGE)}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             reject_h(caller, hs)
 
     def test_coherent_check_takes_one_h_but_not_an_increasing_pair(self):
         params = config_from_args(["coherent-check", "--h", "0.4"]).parameters
         RunConfig(command="coherent-check", parameters=params)
-        with pytest.raises(ValueError, match=f"^{re.escape(self.MESSAGE)}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(self.INCREASING)}$"):
             RunConfig(command="coherent-check",
                       parameters={**params, "h_values": (0.25, 0.4)})
+        with pytest.raises(ValueError, match="^no h values given$"):
+            RunConfig(command="coherent-check", parameters={**params, "h_values": ()})
 
     def test_fit_spread_vanishes_on_an_exact_model(self):
         hs = (0.12, 0.09, 0.07, 0.05)

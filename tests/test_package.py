@@ -57,6 +57,10 @@ def test_parallel_loops_go_through_numerics():
         for name in ("concurrent.futures", "_one_blas_thread", "mallopt"):
             found = re.search(rf"\b{re.escape(name)}\b", source) is not None
             assert found == (path.name == "numerics.py"), (path.name, name)
+        # LAPACK comes from numpy's OpenBLAS or scipy.linalg.lapack's public
+        # wrappers, never from function pointers pulled out of a capsule
+        for name in ("pythonapi", "PyCapsule", "cython_lapack"):
+            assert re.search(rf"\b{name}", source) is None, (path.name, name)
 
 
 def test_no_unused_imports():

@@ -1,6 +1,5 @@
 """Eigenvalue-sum machinery checked against closed-form spectra."""
 
-import ctypes
 import math
 import sys
 import threading
@@ -8,7 +7,7 @@ from functools import cache
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal, lapack
 
 from scottlab import numerics, spectra
 from scottlab.cli import main
@@ -406,26 +405,53 @@ class TestTridiagonalBinding:
             atol=1e-12,
         )
 
-    def test_capsule_signatures_are_checked(self, monkeypatch):
-        ilp64 = "void (char *, char *, int64_t *, double *)"
-        assert spectra._parameter_kinds(ilp64) == "cc?d"
-        spectra._scipy_routines("unused")  # the installed scipy passes the check
-        monkeypatch.setitem(spectra._PARAMETERS, "dstein", "iddidiididii?")
-        with pytest.raises(RuntimeError, match="LP64"):
-            spectra._scipy_routines("unused")
+    @pytest.mark.parametrize(
+        "matrix", ["coulomb_channel", "split_channels", "bump_channel"]
+    )
+    def test_openblas_adapter_returns_scipys_bits(self, matrix):
+        # the two providers of _binding() take the same positional arguments
+        # and return the same values, so either may serve every solve
+        found = numerics._openblas_library()
+        if found is None or not hasattr(found[0], f"{found[1]}dstebz_{found[2]}"):
+            pytest.skip("numpy bundles no OpenBLAS that exports LAPACK")
+        raw, (phi2, off, spread) = getattr(self, matrix)()
+        d = raw if phi2 is None else phi2 * raw
+        e = np.ascontiguousarray(off)
+        args = (d, e, 1, float(min(np.min(d) - spread, -1.0)), 0.0, 0, 0, 0.0, b"B")
+        adapter = spectra._openblas_pair(found)
+        m, w, iblock, isplit, info = adapter[0](*args)
+        expected = lapack.dstebz(*args)
+        assert (m, info) == (expected[0], expected[4]) and m > 3
+        assert np.array_equal(w, expected[1])
+        assert np.array_equal(iblock, expected[2])
+        assert np.array_equal(isplit, expected[3])
+        z, info = adapter[1](d, e, w[:m], iblock, isplit)
+        expected = lapack.dstein(d, e, w[:m], iblock, isplit)
+        assert info == expected[1] == 0
+        assert z.shape == expected[0].shape and np.array_equal(z, expected[0])
 
-    def test_scipy_lapack_where_numpy_bundles_none(self, monkeypatch):
+    def test_scipy_lapack_where_numpy_bundles_none(self, monkeypatch, tmp_path):
         # a numpy with no OpenBLAS found (macOS and conda builds): the solves
-        # run on scipy's cython_lapack, still bitwise scipy's
+        # run on scipy.linalg.lapack's own wrappers, still bitwise scipy's,
+        # and a Scott sweep writes the same bytes
+        path = tmp_path / "scott.csv"
+        argv = ["scott", "--z", "1", "--h", "0.12,0.09", "--out", str(path)]
+        assert main(argv) == 0
+        native = path.read_bytes()
         monkeypatch.setattr(numerics, "_openblas_library", lambda: None)
         monkeypatch.setattr(spectra, "_binding", cache(spectra._binding.__wrapped__))
-        assert spectra._binding()[0] is ctypes.c_int
+        assert spectra._binding() == (lapack.dstebz, lapack.dstein)
         self.test_matches_scipy("split_channels")
         coarse, fine, eigs, _ = scipy_radial_reference(harmonic_problem())
         res = neg_sum_radial(harmonic_problem())
         assert (res.total.coarse, res.total.fine) == (coarse, fine)
         for channel, w in zip(res.channels, eigs):
             assert np.array_equal(channel.negative_eigenvalues, w[::-1])
+        # the universal TF table is solved once per process, so only the
+        # LAPACK provider differs between the two runs
+        path.unlink()
+        assert main(argv) == 0
+        assert path.read_bytes() == native
 
     def test_non_finite_entries_rejected(self):
         diag, conjugation = self.coulomb_channel()
@@ -435,21 +461,11 @@ class TestTridiagonalBinding:
 
 
 def lapack_reporting(name, info):
-    """A _lapack whose routine name runs and then reports info."""
-    real = spectra._lapack
-
-    def lookup(routine):
-        call = real(routine)
-        if routine != name:
-            return call
-
-        def reporting(*args):
-            call(*args)
-            args[-1]._obj.value = info
-
-        return reporting
-
-    return lookup
+    """A _binding whose routine name runs and then reports info."""
+    pair = dict(zip(spectra._ROUTINES, spectra._binding()))
+    call = pair[name]
+    pair[name] = lambda *args: (*call(*args)[:-1], info)
+    return lambda: tuple(pair.values())
 
 
 class TestLapackFailures:
@@ -462,7 +478,7 @@ class TestLapackFailures:
         ],
     )
     def test_info_raises(self, monkeypatch, name, info, message):
-        monkeypatch.setattr(spectra, "_lapack", lapack_reporting(name, info))
+        monkeypatch.setattr(spectra, "_binding", lapack_reporting(name, info))
         with pytest.raises(RuntimeError, match=message):
             neg_sum_radial(harmonic_problem())
 
@@ -477,7 +493,7 @@ class TestLapackFailures:
         monkeypatch.setattr(
             numerics, "_openblas_library", lambda: (Library(), "scipy_", "64_")
         )
-        monkeypatch.setitem(sys.modules, "scipy.linalg.cython_lapack", None)
+        monkeypatch.setitem(sys.modules, "scipy.linalg.lapack", None)
         with pytest.raises(RuntimeError, match="scipy_dstebz_64_.*scipy"):
             neg_sum_radial(harmonic_problem())
         argv = ["local-trace", "--n", "3", "--h", "0.4,0.3"]
@@ -491,7 +507,7 @@ class TestLapackFailures:
             neg_sum_radial(harmonic_problem())
 
     def test_unconverged_vectors_fail_the_cli(self, monkeypatch, tmp_path, capsys):
-        monkeypatch.setattr(spectra, "_lapack", lapack_reporting("dstein", 1))
+        monkeypatch.setattr(spectra, "_binding", lapack_reporting("dstein", 1))
         argv = ["local-trace", "--n", "3", "--h", "0.4,0.3"]
         assert main(argv + ["--out", str(tmp_path / "lt.csv")]) == 1
         assert "1 eigenvectors failed to converge" in capsys.readouterr().err
@@ -539,7 +555,7 @@ class TestRadialWorkers:
             with pytest.raises(BoxSizeError):
                 neg_sum_radial(small_box)
             assert [get_threads() for _, get_threads in pins] == [2] * len(pins)
-            monkeypatch.setattr(spectra, "_lapack", lapack_reporting("dstein", 1))
+            monkeypatch.setattr(spectra, "_binding", lapack_reporting("dstein", 1))
             with pytest.raises(RuntimeError, match="failed to converge"):
                 neg_sum_radial(harmonic_problem())
             assert [get_threads() for _, get_threads in pins] == [2] * len(pins)
