@@ -22,13 +22,15 @@ measurement masks both out (margins documented on the function).  The trial
 density has no momentum lattice: each node is taken on the line in closed
 form and sampled on the grid, with no eigensolve, its projection integrated
 by a Gauss-Legendre rule sized to the node's own window below its cut.
-_node_columns lays the columns of a row's nodes on one ragged axis and cuts
-it into blocks by columns, so each block is a few large array operations
-and one matrix product: the modulus of every entry is one real exp of its
-summed exponent, which keeps Gaussian factors from overflowing, and the
-phase, of modulus one in every factor, is split safely into a per-node
-factor, taken once per node, and coarse x fine tables, a few complex
-exponentials per column in place of one per grid point.
+_column_rules lays the columns of the nodes of every row on one ragged
+axis, and _node_columns cuts a row's into blocks by columns, so each block
+is a few contiguous passes over its n x m entries and one matrix product:
+the modulus of every entry is one real exp of its summed exponent, which
+keeps Gaussian factors from overflowing, and the phase, of modulus one in
+every factor, is split safely into a linear part, start x base^l x jump^r
+from three complex exponentials per column (running products in place of
+one exponential per grid point), and each node's quadratic chirp, taken
+once per node of a block.
 
 The real Gaussian factor A_u of G_{u,q}, with the weight dx, is a Toeplitz
 factor in x - y times a Hankel factor in x + y: A_u[i, j] = T[i-j] M_u[i+j],
@@ -678,23 +680,32 @@ def _t_rules() -> tuple[np.ndarray, np.ndarray]:
     return np.where(at < size // 2, -x[root], x[root]), weight[root]
 
 
-def _phase_tables(
-    theta: np.ndarray, x0: float, dx: float, step: int, coarse_rows: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Coarse and fine tables of e^{i theta_c xi} on xi = x0 + (step m + l) dx:
-    coarse[m] = e^{i theta (x0 + step m dx)} for m < coarse_rows and
-    fine[l] = e^{i theta l dx} for l < step, each (rows, theta.size)."""
-    xi = np.concatenate((x0 + step * dx * np.arange(coarse_rows), dx * np.arange(step)))
-    table = np.exp(np.multiply.outer(1j * xi, theta))
-    return table[:coarse_rows], table[coarse_rows:]
+def _linear_phase(start, base, jump, step: int, n: int) -> np.ndarray:
+    """The n x m block e^{i w xi_i} over xi_i = xi_0 + i dx, i < n, for the
+    columns' frequencies w, from start = e^{i w xi_0}, base = e^{i w dx} and
+    jump = e^{i w step dx}: row i = step r + l is start base^l jump^r, each
+    power a running product, so it is off by about (step + r) roundings."""
+    m = start.size
+    coarse_rows = -(-n // step)
+    fine = np.empty((step, m), dtype=complex)
+    fine[0], fine[1:] = start, base
+    np.multiply.accumulate(fine, out=fine)
+    coarse = np.empty((coarse_rows, 1, m), dtype=complex)
+    coarse[0], coarse[1:] = 1.0, jump
+    np.multiply.accumulate(coarse, out=coarse)
+    # the rows past n pad the block to whole coarse rows
+    return np.multiply(coarse, fine).reshape(coarse_rows * step, m)[:n]
 
 
-def _node_columns(p: CoherentParams, grid: Grid1D, u, q, c0, v1, f1, weight):
-    """Yield columns g, block by block, whose g g^H sum to
-    sum_k weight_k dx G chi(hhat_k < 0) G over the nodes (u, q_k), for
-    hhat_k = c0_k + v1 (x - u) + f1_k (-ih d/dx - q_k).  u is a scalar; q,
-    c0, f1 and weight are arrays over the nodes, v1 a scalar or such an
-    array.
+def _column_rules(p: CoherentParams, grid: Grid1D, q, c0, v1, f1, weight):
+    """The columns of the nodes (u, q_k) whose g g^H sum to
+    sum_k weight_k dx G chi(hhat_k < 0) G, for hhat_k = c0_k + v1 (x - u) +
+    f1_k (-ih d/dx - q_k), as data in xi = x - u, so for any u: the node of
+    each column, the real exponent's coefficients of [1, xi, xi^2] (3 x
+    columns), the frequency w of the linear phase, and each node's chirp
+    rate (0 where it has no columns).  q, c0, f1 and weight are arrays over
+    the nodes, v1 a scalar or such an array; _node_columns builds the
+    columns on the grid.
 
     hhat = c0 + r L with r = hypot(v1, f1), L = c (x - u) + s (-ih d/dx - q)
     and (c, s) = (v1, f1)/r, or (1, 0) at r = 0, so chi(hhat < 0) projects
@@ -713,27 +724,17 @@ def _node_columns(p: CoherentParams, grid: Grid1D, u, q, c0, v1, f1, weight):
     m_k = 2 ceil((_T_POINTS/2) (top_k + W)/(2W)) points on [-W, top_k],
     top_k = min(cut_k, W): the density of _T_POINTS points on the whole
     window, rounded up to an even count, each column weighted by
-    sqrt(weight dx w).
+    sqrt(weight dx w).  A node whose cut lies at or below -W has no
+    columns; the others are taken in order, node after node, m_k columns
+    each, their coefficients computed for all columns at once.
 
-    A node whose cut lies at or below -W has no columns and is dropped
-    before any work; the others are taken in order, node after node, m_k
-    columns each, their coefficients computed for all columns at once.  The
-    columns are yielded in blocks of at most _BLOCK_ENTRIES entries (at
-    least one column), cut by columns, so a node may straddle two blocks:
-    g g^H is a sum over columns.  Nodes that all drop yield nothing.
-
-    The modulus is one real exp of the real part of the exponent, summed in
-    xi first (one product of [1, xi, xi^2] with its coefficients): its terms
-    stay O(xi^2), where uncentred ones of order x^2/(h^2 a) would cancel,
-    and separate factors could overflow or underflow.  The phase has
-    modulus one in every factor, so it may be split without that risk:
-    e^{i xi^2 Im(s k^2/(4 alpha)) + i xi (q/h + mid Im(k/(2 h alpha)))} per
-    grid point and node, for t = half T + mid, taken once per node of a
-    block and gathered per column, times e^{i omega T xi} with omega = half
-    Im(k/(2 h alpha)).  With xi_i = xi_0 + i dx and i = B m + l, B =
-    ceil(sqrt(n)), the latter is the product of the coarse and fine tables
-    of _phase_tables, so a column takes about 2 sqrt(n) complex exponentials
-    in place of n.
+    The real exponent is kept as coefficients in xi, to be summed there
+    before its one exp: its terms stay O(xi^2), where uncentred ones of
+    order x^2/(h^2 a) would cancel, and separate factors could overflow or
+    underflow.  The phase has modulus one in every factor, so it is split:
+    for t = half T + mid, column j's linear term is w_j xi, w_j = half
+    Im(k/(2 h alpha)) T_j + q/h + mid Im(k/(2 h alpha)), its node's share
+    folded in, and the node's chirp is e^{i xi^2 Im(s k^2/(4 alpha))}.
     """
     q, c0, f1, weight = (np.asarray(v, dtype=float) for v in (q, c0, f1, weight))
     r = np.hypot(v1, f1)
@@ -743,11 +744,10 @@ def _node_columns(p: CoherentParams, grid: Grid1D, u, q, c0, v1, f1, weight):
     cut = np.divide(-c0, r, out=np.where(c0 < 0.0, math.inf, -math.inf), where=moving)
     width = _T_WIDTHS / math.sqrt(2.0 * p.b)
     top = np.minimum(cut, width)
-    live = top > -width
-    if not live.all():
-        q, c, s, top, weight = q[live], c[live], s[live], top[live], weight[live]
+    live = np.flatnonzero(top > -width)
+    q, c, s, top, weight = q[live], c[live], s[live], top[live], weight[live]
     sizes = 2 * np.ceil(_T_POINTS // 2 * (top + width) / (2.0 * width)).astype(int)
-    # column -> node, and the column's place in the end-to-end rules
+    # column -> live node, and the column's place in the end-to-end rules
     node = np.repeat(np.arange(q.size), sizes)
     first = np.cumsum(sizes) - sizes
     at = np.arange(node.size) + np.repeat(sizes * (sizes - 2) // 4 - first, sizes)
@@ -770,38 +770,48 @@ def _node_columns(p: CoherentParams, grid: Grid1D, u, q, c0, v1, f1, weight):
     exponent[0] -= a0 * (t / reach[node]) ** 2
     np.multiply(slope.real[node], t, out=exponent[1])
     exponent[2] = quad.real[node]
-    node_phase = np.stack((q / h + slope.imag * mid, quad.imag))
-    theta = (slope.imag * half)[node] * unit_t
-    powers = np.vander(grid.points - u, 3, increasing=True)
+    omega = (slope.imag * half)[node] * unit_t + (q / h + slope.imag * mid)[node]
+    chirp = np.zeros(cut.size)
+    chirp[live] = quad.imag
+    return live[node], exponent, omega, chirp
 
+
+def _node_columns(grid: Grid1D, u: float, node, exponent, omega, chirp):
+    """Yield, block by block, the columns _column_rules lays out, on the
+    grid for nodes at u: node, exponent and omega are per column, chirp is
+    per node and indexed by node.  The blocks hold at most _BLOCK_ENTRIES
+    entries (at least one column), cut by columns, so a node may straddle
+    two blocks: g g^H is a sum over columns.  No columns yield nothing.
+
+    Each block is a few contiguous passes over its n x m entries.  The
+    modulus is one real exp of each entry's exponent, summed in xi first
+    (one product of [1, xi, xi^2] with its coefficients).  With xi_i =
+    xi_0 + i dx and i = B r + l, B = ceil(sqrt(n)), the linear phase
+    e^{i w xi_i} = start base^l jump^r comes from three complex
+    exponentials per column, taken once for all the columns, and running
+    products per block (_linear_phase).  The chirp takes one exponential
+    per grid point per node of a block, gathered per column.
+    """
+    powers = np.vander(grid.points - u, 3, increasing=True)
     n = grid.size
     step = math.isqrt(n - 1) + 1
-    coarse_rows = -(-n // step)
+    start, base, jump = np.exp(
+        1j * np.multiply.outer((powers[0, 1], grid.spacing, step * grid.spacing), omega)
+    )
     per_block = max(1, _BLOCK_ENTRIES // n)
     for lo in range(0, node.size, per_block):
         cols = slice(lo, lo + per_block)
         owner = node[cols]
-        m = owner.size
-        # the modulus fills the real slots of g and the imaginary ones are
-        # zeroed; the rows past n pad g to whole coarse rows
-        g = np.empty((coarse_rows, step, m), dtype=complex)
-        rows = g.reshape(coarse_rows * step, m)
-        slots = rows[:n].view(float).reshape(n, m, 2)
-        np.matmul(powers, exponent[:, cols], out=slots[..., 0])
-        np.exp(slots[..., 0], out=slots[..., 0])
-        slots[..., 1] = 0.0
-        rows[n:] = 0.0
-        coarse, fine = _phase_tables(
-            theta[cols], powers[0, 1], grid.spacing, step, coarse_rows
-        )
-        g *= coarse[:, None]
-        g *= fine
-        g = rows[:n]
-        # each node's phase once, for the nodes the block holds columns of
+        g = _linear_phase(start[cols], base[cols], jump[cols], step, n)
+        # each node's chirp once, for the nodes the block holds columns of
         nodes = slice(owner[0], owner[-1] + 1)
-        g *= np.exp(1j * (powers[:, 1:] @ node_phase[:, nodes]))[:, owner - owner[0]]
+        phase = np.exp(1j * np.multiply.outer(powers[:, 2], chirp[nodes]))
+        g *= phase[:, owner - owner[0]]
+        modulus = powers @ exponent[:, cols]
+        np.exp(modulus, out=modulus)
+        g *= modulus
         yield g
-        del g, rows, slots  # one block alive at a time, given the caller's del
+        del g, phase, modulus  # one block alive at a time, given the caller's del
 
 
 def trial_density_matrix(
@@ -816,14 +826,16 @@ def trial_density_matrix(
     (-ih d/dx - q), with c0 = F + F''/(4b) at q plus V + V''/(4b) at u,
     grad_q = F'(q) and grad_u = V'(u), for |u| inside the support ball and
     zero outside, so only nodes inside contribute.  Each G chi G is taken on
-    the line in closed form and sampled on the grid (_node_columns), with
-    no eigensolve and no dependence on the box, over the eigenvalues below
-    its cut by a t rule sized to that window.  A row hands its q-nodes to
-    _node_columns at once, with the weight u_weight * mult of each folded
-    into its columns, and takes their columns in blocks of at most
-    _BLOCK_ENTRIES entries, one product part += g g^H per block, so a
-    worker holds one block at a time; nodes that contribute nothing are
-    dropped before any work.  gamma is a sum of such g g^H, so it is
+    the line in closed form and sampled on the grid (_column_rules,
+    _node_columns), with no eigensolve and no dependence on the box, over
+    the eigenvalues below its cut by a t rule sized to that window.  One
+    _column_rules call in the calling thread lays out the columns of every
+    row, its q-nodes row after row, with the weight u_weight * mult of each
+    folded into its columns: 40 bytes a column, 0.3 MiB at h = 0.5 and
+    3.4 MiB at h = 0.1 on criterion 8's grid rule.  A row takes its columns in
+    blocks of at most _BLOCK_ENTRIES entries, one product part += g g^H per
+    block, so a worker holds one block at a time; nodes that contribute
+    nothing have no columns.  gamma is a sum of such g g^H, so it is
     positive semidefinite by construction, and the
     resolution of the identity caps it at one plus quadrature error.  The
     nodes are the _trial_nodes lattices (a symbol still negative at
@@ -879,12 +891,20 @@ def trial_density_matrix(
     edge = np.abs(np.abs(us) - support_radius) <= 1e-12 * support_radius
     u_weights = np.where(edge, 0.5, 1.0) * step * step / (2.0 * math.pi * p.h)
 
+    # the columns of every row, whose nodes are taken row after row
+    node, exponent, omega, chirp = _column_rules(
+        p, grid, np.tile(q_row, len(rows)), (f0_row + v_half[rows, None]).ravel(),
+        np.repeat(v_slope[rows], q_row.size), np.tile(f1_row, len(rows)),
+        (u_weights[rows, None] * mult).ravel(),
+    )
+    ends = np.searchsorted(node, q_row.size * np.arange(len(rows) + 1)).tolist()
+    cols = {i: slice(lo, hi) for i, lo, hi in zip(rows, ends, ends[1:])}
+
     def row(i: int) -> np.ndarray:
-        u, v0, v1, u_weight = us[i], v_half[i], v_slope[i], u_weights[i]
         part = np.zeros((n, n), dtype=dtype)
-        for g in _node_columns(
-            p, grid, u, q_row, f0_row + v0, v1, f1_row, u_weight * mult
-        ):
+        own = cols[i]
+        blocks = _node_columns(grid, us[i], node[own], exponent[:, own], omega[own], chirp)
+        for g in blocks:
             if paired:
                 # Re(g g^H) = [Re g, Im g] [Re g, Im g]^T, the pairs interleaved
                 g = g.view(float)

@@ -128,14 +128,17 @@ class GridOperator:
 # worker threads for independent pieces of small linear algebra
 #
 # Small matmul and tridiagonal calls gain little from OpenBLAS's own
-# threads.  On a shared two-core x86-64 machine the rows of the two trial
-# densities at h = 0.6 and 0.5 (79- and 85-point grids; blocks of node
-# columns, one matrix product each) took 0.033 to 0.048 s on one worker and
-# 0.035 to 0.042 s on two with OpenBLAS held at one thread: no gain, because
-# the workers share the interpreter lock between the blocks' numpy calls.
-# The rows of criterion 8's h = 0.1 (163-point grid) took 0.45 to 0.48 s on
-# one worker and 0.33 to 0.35 s on two.  Unpinned, the same two workers
-# oversubscribe the cores and took 0.66 to 0.77 s there, slower than one.
+# threads.  On a shared two-core x86-64 machine (the medians of two runs,
+# each given as a -> b: a with a complex exponential table per block of
+# node columns, b with the contiguous real kernels that build the blocks
+# now), the two trial densities at h = 0.6 and 0.5 (79- and 85-point
+# grids; one matrix product per block) took 0.034-0.036 -> 0.025 s on one
+# worker and 0.037 -> 0.025 s on two with OpenBLAS held at one thread: no
+# gain, because the workers share the interpreter lock between the blocks'
+# numpy calls.  Criterion 8's h = 0.1 (163-point grid) took 0.46-0.49 ->
+# 0.34 s on one worker and 0.34-0.38 -> 0.27 s on two.  Unpinned, the same
+# two workers oversubscribe the cores and took 0.76-0.81 -> 0.49-0.53 s
+# there, slower than one.
 # numpy's Linux wheels bundle OpenBLAS, and the radial channel solves
 # (spectra) call LAPACK dstebz / dstein from it too, whose level-1 BLAS
 # oversubscribes two cores the same way (the radial sum of the Scott sweep

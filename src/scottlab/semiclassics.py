@@ -71,29 +71,60 @@ def _values(potential: Callable, x: np.ndarray) -> np.ndarray:
     return np.broadcast_to(np.asarray(potential(x), dtype=float), x.shape)
 
 
+# bisection steps one potential call serves: 2^6 - 1 samples per bracket
+_LOOKAHEAD = 6
+
+
 def _bisect(potential, lo, hi, neg_lo, xtol: float, rtol: float) -> np.ndarray:
     """Points where potential turns negative or back, one per bracket
     [lo_i, hi_i] whose lower end has potential < 0 as neg_lo_i says and
     whose upper end does not, by bisection.
 
-    All brackets halve together, one potential call per step, and each
-    stops once its width is below xtol + rtol |x|; its midpoint is
-    returned.  ValueError when potential is NaN at a midpoint.
+    Each bracket halves until its width is below xtol + rtol |x|, tested
+    before each step; its midpoint is returned.  One potential call serves
+    the next _LOOKAHEAD steps of every bracket: it samples each midpoint
+    they could visit, the interior of the bracket's split into
+    2^_LOOKAHEAD equal parts, computed as the steps compute them, and the
+    steps then read their values.  The samples off a bracket's path lie
+    inside the same bracket.  ValueError when potential is NaN at a
+    midpoint on a path, naming the one the steps, all brackets in turn,
+    would visit first.
     """
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    active = np.arange(lo.size)
-    while active.size:
-        a, b = lo[active], hi[active]
-        mid = 0.5 * (a + b)
-        done = b - a < xtol + rtol * np.abs(mid)
-        active, mid = active[~done], mid[~done]
-        v = _values(potential, mid)
-        if np.isnan(v).any():
-            x = float(mid[np.isnan(v)][0])
+    neg_lo, parts = np.asarray(neg_lo, dtype=bool).tolist(), 1 << _LOOKAHEAD
+    active = list(range(lo.size))
+    while active:
+        # the split of each bracket, coarse to fine, one level per step
+        split = np.empty((len(active), parts + 1))
+        split[:, 0], split[:, -1] = lo[active], hi[active]
+        for level in range(_LOOKAHEAD):
+            w = parts >> level
+            split[:, w // 2 :: w] = 0.5 * (split[:, :-w:w] + split[:, w::w])
+        values = _values(potential, split[:, 1:-1].ravel()).reshape(len(active), -1)
+        values = values.tolist()
+        walking, nans = [], []
+        for row, i in enumerate(active):
+            a, b, at = float(lo[i]), float(hi[i]), 0
+            for step in range(_LOOKAHEAD):
+                mid = 0.5 * (a + b)
+                if b - a < xtol + rtol * abs(mid):
+                    break
+                half = parts >> (step + 1)
+                v = values[row][at + half - 1]
+                if math.isnan(v):
+                    nans.append((step, row, mid))
+                    break
+                if (v < 0.0) == neg_lo[i]:
+                    a, at = mid, at + half
+                else:
+                    b = mid
+            else:
+                walking.append(i)
+            lo[i], hi[i] = a, b
+        if nans:
+            x = min(nans)[2]
             raise ValueError(f"potential is NaN at x = {x!r}; bisection cannot continue")
-        same = (v < 0.0) == neg_lo[active]
-        lo[active[same]] = mid[same]
-        hi[active[~same]] = mid[~same]
+        active = walking
     return 0.5 * (lo + hi)
 
 

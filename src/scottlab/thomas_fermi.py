@@ -345,11 +345,14 @@ def solve_universal_tf() -> UniversalTF:
     table is the barycentric interpolant of w at 6000 log-spaced points,
     with the exact log-log slope dw/du = x v from the interpolant of v, so
     phi between the points is a cubic Hermite interpolant (UniversalTF.phi).
-    numpy's OpenBLAS is held at one thread meanwhile, so the digits do not
-    depend on the thread count.  At its peak the solve holds the 6000 x 101
-    interpolation matrix, 4.6 MiB, and little else, about 4.9 MiB of numpy
-    buffers in all: _barycentric_matrix builds it as its one array, and it
-    is freed after its one product.
+    Where numpy bundles OpenBLAS (its Linux wheels), that library is held
+    at one thread meanwhile, so the digits do not depend on the thread
+    count.  Elsewhere (macOS wheels, conda and distribution builds) nothing
+    is pinned, and the last digits may move with the BLAS's thread count.
+    At its peak the solve holds the 6000 x 101 interpolation matrix,
+    4.6 MiB, and little else, about 4.9 MiB of numpy buffers in all:
+    _barycentric_matrix builds it as its one array, and it is freed after
+    its one product.
 
     The degree.  At N = 80 to 140, s agrees with Boyd's rational Chebyshev
     value -1.5880710226113753 (J. Comput. Appl. Math. 244, 2013) to better

@@ -32,12 +32,13 @@ from scottlab import numerics
 from scottlab import coherent
 from scottlab.coherent import (
     _T_POINTS,
+    _column_rules,
     _dirichlet_kernel,
     _factor_rank,
     _hermite_factor,
+    _linear_phase,
     _node_columns,
     _phase_rule,
-    _phase_tables,
     _resolution_nodes,
     _symbol_half,
     _toeplitz,
@@ -589,13 +590,13 @@ class TestTrialDensity:
             raised_in = []
             node_columns = coherent._node_columns
 
-            def failing_node(p, grid, u, *node):
+            def failing_node(grid, u, *columns):
                 # the rows build their node columns in the workers; only the
                 # nodes of a row u > 0 fail
                 if u > 0.0:
                     raised_in.append(threading.current_thread())
                     raise RuntimeError("node failed in a row")
-                return node_columns(p, grid, u, *node)
+                return node_columns(grid, u, *columns)
 
             monkeypatch.setattr(coherent, "_node_columns", failing_node)
             with pytest.raises(RuntimeError, match="failed in a row"):
@@ -1001,9 +1002,14 @@ NODE_KIND_IDS = [
 ]
 
 
+def node_blocks(p, grid, u, q, c0, v1, f1, weight):
+    """The blocks _node_columns yields for the nodes (u, q) of _column_rules."""
+    return list(_node_columns(grid, u, *_column_rules(p, grid, q, c0, v1, f1, weight)))
+
+
 def node_columns(p, grid, u, q, c0, v1, f1, weight):
     """The blocks _node_columns yields for the nodes (u, q), side by side."""
-    blocks = list(_node_columns(p, grid, u, q, c0, v1, f1, weight))
+    blocks = node_blocks(p, grid, u, q, c0, v1, f1, weight)
     return np.concatenate([np.zeros((grid.size, 0), dtype=complex)] + blocks, axis=1)
 
 
@@ -1048,7 +1054,7 @@ class TestNodeColumns:
         q = np.linspace(-0.9, 1.3, c0.size)
         weight = np.tile([1.0, 2.0, 0.5], 6)
         u = 0.4
-        blocks = list(_node_columns(self.p, self.grid, u, q, c0, v1, f1, weight))
+        blocks = node_blocks(self.p, self.grid, u, q, c0, v1, f1, weight)
         # cut by columns, as many per block as the entry budget holds
         per_block = coherent._BLOCK_ENTRIES // self.grid.size
         total = int(np.sum(columns))
@@ -1083,19 +1089,48 @@ class TestNodeColumns:
         c0 = np.array([50.0, 80.0, 1.001 * width * math.hypot(0.6, 0.8), 0.2, 0.0])
         v1 = np.array([0.8, 0.5, 0.6, 0.0, 0.0])
         f1 = np.array([1.4, -0.3, 0.8, 0.0, 0.0])
-        assert list(_node_columns(p, grid, 0.4, q, c0, v1, f1, np.ones(5))) == []
+        assert node_blocks(p, grid, 0.4, q, c0, v1, f1, np.ones(5)) == []
 
     @pytest.mark.parametrize("n", [2, 3, 16, 17, 85])
-    def test_phase_tables_against_one_exponential_per_entry(self, n):
-        x0, dx = -2.0, 4.0 / (n - 1)
-        theta = np.array([0.5, -2.0, 3.0, 0.0, -0.7])
+    def test_linear_phase_against_one_exponential_per_entry(self, n):
+        # frequencies up to 16 on xi in [-7.3, 0.3], so |w xi| reaches
+        # 117 rad, as on the trial-density workload's h = 0.5 rows
+        x0, dx = -7.3, 7.6 / (n - 1)
+        w = np.array([16.0, -15.3, 3.0, 0.0, -0.7, 9.9])
         step = math.isqrt(n - 1) + 1
-        coarse_rows = -(-n // step)
-        coarse, fine = _phase_tables(theta, x0, dx, step, coarse_rows)
-        table = (coarse[:, None] * fine).reshape(coarse_rows * step, theta.size)[:n]
-        xi = x0 + dx * np.arange(n)
-        direct = np.exp(1j * np.multiply.outer(xi, theta))
-        assert np.max(np.abs(table - direct)) <= 1e-14
+        start, base, jump = np.exp(1j * np.multiply.outer((x0, dx, step * dx), w))
+        table = _linear_phase(start, base, jump, step, n)
+        assert table.shape == (n, w.size) and table.flags.c_contiguous
+        arg = np.multiply.outer(x0 + dx * np.arange(n), w)
+        # the rounding of each argument moves the phase by eps |w xi| or
+        # so, and the start, its powers and the reference share that scale
+        tolerance = 4.0 * np.finfo(float).eps * np.max(np.abs(arg))
+        assert np.max(np.abs(table - np.exp(1j * arg))) <= tolerance
+
+    def test_three_complex_exponentials_per_column(self, monkeypatch):
+        # a row of the trial-density workload at h = 0.5: three complex
+        # exponentials per column and one per grid point per node of each
+        # block; the count repeats exactly, as a timing would not
+        p = CoherentParams(h=0.5, a=0.5**-0.8)
+        grid = acceptance_grid(p)
+        sym = harmonic_symbol(-1.0)
+        us, q, _ = _trial_nodes(sym, p, grid, 1.5)
+        u = us[us.size // 2 + 1]
+        c0 = _symbol_half(sym.F, sym.d2F, q, p.b) + _symbol_half(sym.V, sym.d2V, u, p.b)
+        counted = []
+        exp = np.exp
+
+        def counting(x, *args, **kwargs):
+            if np.iscomplexobj(x):
+                counted.append(np.size(x))
+            return exp(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", counting)
+        blocks = node_blocks(p, grid, u, q, c0, sym.dV(u), sym.dF(q), np.ones(q.size))
+        monkeypatch.undo()
+        columns = sum(g.shape[1] for g in blocks)
+        assert len(blocks) > 1
+        assert 0 < sum(counted) <= 3 * columns + grid.size * (q.size + len(blocks))
 
 
 def rule_size(p, cut):

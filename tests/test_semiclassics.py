@@ -98,6 +98,19 @@ class TestCuts:
             )
             assert abs(edge - root) <= 2e-14 * (1.0 + abs(root))
 
+    def test_few_potential_calls(self):
+        # u^2 - 1 on the n = 1 probes: two brackets 2.5 wide take 48 steps
+        # each to 1e-14, one call per _LOOKAHEAD of them after the sign read
+        calls = []
+
+        def potential(x):
+            calls.append(x.size)
+            return x * x - 1.0
+
+        cuts, _ = _cuts(potential, np.linspace(-1e4, 1e4, 8001))
+        assert cuts.size == 8003
+        assert len(calls) <= 10
+
 
 class TestBisection:
     @settings(max_examples=200, deadline=None)
@@ -126,6 +139,21 @@ class TestBisection:
                 lambda x: np.where(x > 0.0, np.nan, -1.0),
                 np.array([-1.0]), np.array([2.0]), np.array([True]), 1e-14, 1e-14,
             )
+
+    def test_nan_off_the_path_is_not_read(self):
+        # the first step goes to [-1, 0.5], so the samples past 1 that the
+        # potential was asked for lie off the path
+        seen = []
+
+        def potential(x):
+            seen.append(x.copy())
+            return np.where(x > 1.0, np.nan, x - 0.3)
+
+        edge = _bisect(
+            potential, np.array([-1.0]), np.array([2.0]), np.array([True]), 1e-14, 1e-14
+        )
+        assert np.any(np.concatenate(seen) > 1.0)
+        assert abs(edge[0] - 0.3) <= 2e-14
 
 
 def quad_position_integral(spec, cuts, tail=False):
