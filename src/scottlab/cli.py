@@ -384,6 +384,8 @@ def _pipeline_coherent_check(params: dict[str, Any]):
         sizes.append({
             "h": p.h,
             "representation_grid_points": grid.size,
+            "representation_core_points": grid.size
+            - 2 * coherent._core_window(p, grid.size, grid.spacing)[0],
             "representation_u_nodes": coherent._representation_u_nodes(p, grid).size,
             "representation_factor_rank": coherent._factor_rank(p),
             "resolution_grid_points": r_grid.size,

@@ -23,22 +23,16 @@ density has no momentum lattice: each node is taken on the line in closed
 form and sampled on the grid, with no eigensolve, its projection integrated
 by a Gauss-Legendre rule sized to the node's own window below its cut.
 _column_rules lays the columns of the nodes of every row on one ragged
-axis, and _node_columns cuts a row's into blocks by columns, so each block
-is a few contiguous passes over its n x m entries and one matrix product:
-the modulus of every entry is one real exp of its summed exponent, which
-keeps Gaussian factors from overflowing, and the phase, of modulus one in
-every factor, is split safely into a linear part, start x base^l x jump^r
-from three complex exponentials per column (running products in place of
-one exponential per grid point), and each node's quadratic chirp, taken
-once per node of a block.
+axis, and _node_columns cuts a row's into blocks by columns, each a few
+contiguous passes over its n x m entries and one matrix product.
 
 The real Gaussian factor A_u of G_{u,q}, with the weight dx, is a Toeplitz
 factor in x - y times a Hankel factor in x + y: A_u[i, j] = T[i-j] M_u[i+j],
 with T = (pi h)^{-1/2} dx exp(-(x_i - x_j)^2/(4 h^2 a)) and
-M_u[s] = exp(-a(x_0 + s dx/2 - u)^2).  T remains for the u-integrated terms
-of both identity checks (below).  The representation check's per-node terms
-take A_u in its Mehler form: in xi = (x - u)/sqrt(h) the kernel is
-exp(-ha ((xi + eta)/2)^2 - (xi - eta)^2/(4 ha)), by Mehler's formula
+M_u[s] = exp(-a(x_0 + s dx/2 - u)^2).  T and M_u give the u-integrated terms
+of both identity checks (below) and the representation check's weight-1
+diagonal; its F' term takes A_u in its Mehler form: in xi = (x - u)/sqrt(h)
+the kernel is exp(-ha ((xi + eta)/2)^2 - (xi - eta)^2/(4 ha)), by Mehler's formula
 (Folland, Harmonic Analysis in Phase Space, 1989, ch. 1) a thermal state
 rho^N of the harmonic oscillator centred at u, rho = (1 - ha)/(1 + ha), so
 
@@ -177,8 +171,13 @@ def fourier_multiplier_matrix(values: np.ndarray) -> np.ndarray:
     values = np.asarray(values)
     if values.ndim != 1:
         raise ValueError("multiplier values must be one-dimensional")
-    kernel = fft.ifft(values)
-    return _toeplitz(np.concatenate((kernel[1:], kernel)))
+    return _circulant_block(fft.ifft(values), values.size)
+
+
+def _circulant_block(kernel: np.ndarray, m: int) -> np.ndarray:
+    """Leading m x m block of the circulant kernel[(i - j) mod n], from the
+    kernel at offsets below m."""
+    return _toeplitz(np.concatenate((kernel[kernel.size - m + 1 :], kernel[:m])))
 
 
 def schrodinger_operator(
@@ -248,34 +247,34 @@ def _hermite_factor(p: CoherentParams, grid: Grid1D, us: np.ndarray) -> np.ndarr
     return g
 
 
-def _toeplitz(values: np.ndarray) -> np.ndarray:
+def _toeplitz(values: np.ndarray, rows=slice(None), cols=slice(None)) -> np.ndarray:
     """Matrix M[i, j] = values[n - 1 + i - j] from the 2n - 1 values of a
-    function on the differences -(n - 1) .. n - 1: a copy of the strided
-    view whose row i is values[n - 1 + i], values[n - 2 + i], ..., so no
-    n x n index array is built."""
+    function on the differences -(n - 1) .. n - 1, or its block [rows, cols]:
+    a copy of a strided view, so no n x n index array is built."""
     n = (values.size + 1) // 2
-    return sliding_window_view(values[::-1], n)[::-1].copy()
+    return sliding_window_view(values[::-1], n)[::-1][rows, cols].copy()
 
 
-def _u_integrated_square(p: CoherentParams, grid: Grid1D) -> np.ndarray:
-    """int A_u A_u du over the whole u line, in closed form.
-
-    A_u[i, j] = T[i-j] M_u[i+j] with the Toeplitz factor
-    T = (pi h)^{-1/2} dx exp(-(x_i - x_j)^2/(4 h^2 a)) (module docstring).
-    With m1 = (x+y)/2 and m2 = (y+z)/2 the exponents of the M_u factors
+def _u_integrated_square(
+    p: CoherentParams, grid: Grid1D, margin: int = 0
+) -> np.ndarray:
+    """int A_u A_u du over the u line in closed form, less margin
+    points per side.  With A_u[i, j] = T[i-j] M_u[i+j] (module docstring),
+    m1 = (x+y)/2 and m2 = (y+z)/2 the exponents of the M_u factors
     combine as -a(m1-u)^2 - a(m2-u)^2 = -2a(u - (m1+m2)/2)^2 - a(x-z)^2/8,
     and the Gaussian integrates to sqrt(pi/(2a)) whatever its centre, so
 
         int A_u A_u du = sqrt(pi/(2a)) exp(-a(x-z)^2/8) (T T)[x, z].
     """
     dx, n = grid.spacing, grid.size
+    core = slice(margin, n - margin)
     squares = (dx * np.arange(1 - n, n)) ** 2
-    t = (math.pi * p.h) ** (-0.5) * dx * _toeplitz(
-        np.exp(-squares / (4.0 * p.h**2 * p.a))
+    t = (math.pi * p.h) ** (-0.5) * dx * np.exp(-squares / (4.0 * p.h**2 * p.a))
+    square = _toeplitz(t, core) @ _toeplitz(t, cols=core)
+    square *= math.sqrt(math.pi / (2.0 * p.a)) * _toeplitz(
+        np.exp(-p.a * squares[2 * margin : 2 * (n - margin) - 1] / 8.0)
     )
-    return math.sqrt(math.pi / (2.0 * p.a)) * _toeplitz(
-        np.exp(-p.a * squares / 8.0)
-    ) * (t @ t)
+    return square
 
 
 def _u_step(p: CoherentParams) -> float:
@@ -409,48 +408,53 @@ def _core_window(p: CoherentParams, n: int, dx: float) -> tuple[int, float]:
     return margin, q_cut
 
 
-def _factor_sums(
-    sym: ClassicalSymbol, p: CoherentParams, grid: Grid1D, us: np.ndarray,
-    qs: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The two u-node sums of representation_error_norm from the Hermite
-    factors g_u of A_u (rules there), per unit du: the diagonal of
-    sum_u A_u c_u A_u for the weight-1 symbol c_u = V + V''/4b + V' (x - u),
-    and sum_u A_u P A_u for the spectral momentum P on the lattice qs.
-    The factors come in blocks of at most _FACTOR_ENTRIES entries, whose
-    arrays are freed on return."""
-    x, n = grid.points, grid.size
-    # P = i S_P + (q_N/n) s s^T, the Nyquist term on even grids only; S_P
-    # is copied out of the complex kernel, which a view would keep alive
-    s_p = np.ascontiguousarray(fourier_multiplier_matrix(qs).imag)
-    sign = (-1.0) ** np.arange(n)
-
+def _weight_one_diagonal(
+    sym: ClassicalSymbol, p: CoherentParams, grid: Grid1D, us: np.ndarray, margin: int
+) -> np.ndarray:
+    """Core rows of the diagonal of sum_u A_u c_u A_u per unit du, c_u(x) =
+    c0_u + V' x with c0_u = V + V''/4b - V' u: with A_u[i, j] = T[i-j] M_u[i+j]
+    row i is sum_j T[i-j]^2 (W_a + x_j W_b)[i+j] for the Hankel sums
+    W_a = sum_u M_u^2 c0_u and W_b = sum_u M_u^2 V' over us."""
+    x, dx, n = grid.points, grid.spacing, grid.size
+    core = slice(margin, n - margin)
     v_half = _symbol_half(sym.V, sym.d2V, us, p.b)
     v_slope = np.asarray(sym.dV(us), dtype=float)
+    centres = x[0] + 0.5 * dx * np.arange(2 * n - 1)
+    m_sq = np.exp(-2.0 * p.a * (centres[:, None] - us) ** 2)
+    w = sliding_window_view(m_sq @ np.stack((v_half - v_slope * us, v_slope), 1), n, 0)
+    t_sq = _toeplitz(np.exp(-((dx * np.arange(1 - n, n)) ** 2) / (2 * p.h**2 * p.a)), core)
+    w = w[core]
+    return dx * dx / (math.pi * p.h) * np.einsum("ij,ij->i", t_sq, w[:, 0] + x * w[:, 1])
 
+
+def _momentum_sandwich(
+    p: CoherentParams, grid: Grid1D, us: np.ndarray, qs: np.ndarray, margin: int
+) -> np.ndarray:
+    """Core block of sum_u A_u P A_u per unit du for the spectral momentum P
+    on the lattice qs; the blocks of Hermite factors are freed on return."""
+    n, m, core = grid.size, grid.size - 2 * margin, slice(margin, grid.size - margin)
+    s_p = _circulant_block(fft.ifft(qs).imag, n)  # real, with no complex n x n
+    sign = (-1.0) ** np.arange(n)
     rank = _factor_rank(p)
-    t1_diag = np.zeros(n)
-    a_sp_a = np.zeros((n, n))
-    a_s = np.empty((us.size, n))
+    a_sp_a = np.zeros((m, m))
+    a_s = np.empty((us.size, m))
     per_block = max(1, _FACTOR_ENTRIES // (n * rank))
     for lo in range(0, us.size, per_block):
         nodes = slice(lo, lo + per_block)
         g = _hermite_factor(p, grid, us[nodes])
-        m = g.shape[1]
-        flat = g.reshape(n, m * rank)
-        g_u, g_u_t = g.transpose(1, 0, 2), g.transpose(1, 2, 0)
-        # weight-1 q sum collapses to the exact diagonal projection
-        c_diag = v_half[nodes] + v_slope[nodes] * (x[:, None] - us[nodes])
-        inner = g_u_t @ (c_diag[..., None] * g).transpose(1, 0, 2)
-        t1_diag += np.einsum("unk,unk->n", g_u @ inner, g_u)
-        inner = g_u_t @ (s_p @ flat).reshape(n, m, rank).transpose(1, 0, 2)
-        a_sp_a += (g_u @ inner).transpose(1, 0, 2).reshape(n, m * rank) @ flat.T
+        count = g.shape[1]
+        flat = g.reshape(n, count * rank)
+        # g_u^T S_P g_u takes every row, the outer factors only the core's
+        inner = (s_p @ flat).reshape(n, count, rank).transpose(1, 0, 2)
+        inner = g.transpose(1, 2, 0) @ inner
+        near = g[core].transpose(1, 0, 2)
+        a_sp_a += (near @ inner).transpose(1, 0, 2).reshape(m, count * rank) @ flat[core].T
         if n % 2 == 0:
-            a_s[nodes] = (g_u @ (sign @ flat).reshape(m, rank, 1))[..., 0]
+            a_s[nodes] = (near @ (sign @ flat).reshape(count, rank, 1))[..., 0]
     apa = 1j * a_sp_a
     if n % 2 == 0:
         apa += qs[n // 2] / n * (a_s.T @ a_s)
-    return t1_diag, apa
+    return apa
 
 
 def representation_error_norm(
@@ -460,27 +464,19 @@ def representation_error_norm(
 
     q runs over the grid's conjugate lattice, so for each u the three q sums
     (weights 1, F + F''/4b, F') are exact circulant kernels.  The F term
-    needs only int A_u A_u du, which _u_integrated_square gives in closed
-    form.  The weight-1 and F' terms carry the symbol's u-dependence, so
-    their u integral is a plain trapezoid over the grid range plus seven
-    Gaussian widths 1/sqrt(2a), at the step of _u_step, whose aliasing
-    bound is at roundoff (module docstring).  The F' term needs sum_u du
-    A_u P A_u for the spectral momentum P = i S_P + (q_N/n) s s^T, where S_P
-    is the real antisymmetric sine kernel of the paired lattice momenta
-    +-q_m and, on an even grid, q_N is the unpaired Nyquist momentum with
-    s_j = (-1)^j.  With A_u = g_u g_u^T, the Mehler factor of the module
-    docstring, a node's terms shrink to K x K inner matrices, g_u^T (c o g_u)
-    for the weight-1 diagonal and g_u^T S_P g_u for the F' term, and to
-    g_u (g_u^T s) for the Nyquist term.  The nodes' factors are stacked in
-    blocks of at most _FACTOR_ENTRIES entries, so the F' sum comes out of a
-    few large products: about 2 n^2 K multiply-adds per node in place of the
-    2 n^3 of dense products.  K grows like 21/(ha) as ha falls, and the
-    factor saves work only while K < n.  The block sums run in
-    _factor_sums, which holds the check's peak: one block of factors and
-    its products, a few times _FACTOR_ENTRIES floats, next to the real
-    n x n sum and S_P.  The complex n x n target and q-sum kernels are built
-    only after it returns, and the sum is assembled in place: 3.8 MiB of
-    numpy buffers in all at n = 193, coherent-check's h = 0.25 grid.
+    needs only int A_u A_u du, in closed form (_u_integrated_square).  The
+    weight-1 and F' terms carry the symbol's u-dependence: a trapezoid over
+    _representation_u_nodes, at roundoff (module docstring).  The weight-1
+    term is a diagonal, Hankel sums of T and M_u (_weight_one_diagonal).
+    The F' term is sum_u du A_u P A_u for the spectral momentum P = i S_P +
+    (q_N/n) s s^T: S_P is the real antisymmetric sine kernel of the paired
+    lattice momenta +-q_m and, on an even grid, q_N is the unpaired Nyquist
+    momentum with s_j = (-1)^j.  With the Mehler factor A_u = g_u g_u^T, a
+    node's term shrinks to the K x K g_u^T S_P g_u and to g_u (g_u^T s);
+    _momentum_sandwich stacks the factors in blocks of at most
+    _FACTOR_ENTRIES entries.  Its S_P g_u, about n^2 K multiply-adds
+    per node, grows with K like 21/(ha) and beats dense n^3 products only
+    while K < n.
 
     The difference is measured on a core window: at least 10% of the grid is
     dropped per side, widened to six reach lengths h sqrt(a) of the
@@ -491,7 +487,11 @@ def representation_error_norm(
     near the lattice momentum boundary the smeared symbol folds back into
     the zone, an artifact of order q_max times the smearing width that would
     swamp the h^2-scale residual.  Modes within eight smearing widths of the
-    boundary are excluded from the reported norm.
+    boundary are excluded from the reported norm.  Every step after the u
+    sums is elementwise up to that window, so only its m x m block is
+    assembled (_circulant_block for the kernels).  The block loop holds the
+    check's peak and frees it before the kernels are built: 3.4 MiB of numpy
+    buffers at n = 193, m = 67 (coherent-check, h = 0.25).
     """
     dx, n = grid.spacing, grid.size
     if dx > min(p.h, 1.0 / math.sqrt(p.b)) / 3.0:
@@ -501,37 +501,34 @@ def representation_error_norm(
             stacklevel=2,
         )
     margin, q_cut = _core_window(p, n, dx)
+    m = n - 2 * margin
 
     qs = momentum_lattice(grid, p.h)
     du = _u_step(p)
     us = _representation_u_nodes(p, grid)
-    t1_diag, apa = _factor_sums(sym, p, grid, us, qs)
-    target = schrodinger_operator(sym, grid, p.h).matrix
+    t1_diag = _weight_one_diagonal(sym, p, grid, us, margin)
+    apa = _momentum_sandwich(p, grid, us, qs, margin)
 
-    # circulant kernels of the conjugate-lattice q sums; assembled =
-    # diag + (int A_u A_u du) o s_f + (du apa) o s_df goes into s_f's
-    # array, operation by operation in that order, so its bits are those
-    # of the expression written out
-    s_f = fourier_multiplier_matrix(_symbol_half(sym.F, sym.d2F, qs, p.b))
+    # diag + (int A_u A_u du) o s_f + (du apa) o s_df - target in s_f's
+    # array, s_f and s_df the kernels of the lattice q sums
+    s_f = _circulant_block(fft.ifft(_symbol_half(sym.F, sym.d2F, qs, p.b)), m)
     s_f /= dx
-    assembled = np.multiply(_u_integrated_square(p, grid), s_f, out=s_f)
+    assembled = np.multiply(_u_integrated_square(p, grid, margin), s_f, out=s_f)
     np.add(np.diag(du / dx * t1_diag), assembled, out=assembled)
-    s_df = fourier_multiplier_matrix(np.asarray(sym.dF(qs), dtype=float))
+    s_df = _circulant_block(fft.ifft(np.asarray(sym.dF(qs), dtype=float)), m)
     s_df /= dx
     np.multiply(du, apa, out=apa)
     apa *= s_df
     assembled += apa
-
-    assembled -= target
-    window = slice(margin, n - margin)
+    target = _circulant_block(fft.ifft(np.asarray(sym.F(qs), dtype=float)), m)
+    target += np.diag(np.asarray(sym.V(grid.points[margin : n - margin]), dtype=float))
+    assembled -= 0.5 * (target + target.conj().T)
     diff = 0.5 * (assembled + assembled.conj().T)
-    core = diff[window, window]
 
-    m = core.shape[0]
     q_core = 2.0 * math.pi * p.h * fft.fftfreq(m, d=dx)
     keep = np.abs(q_core) <= q_cut
     # unitary conjugation by the window DFT, then drop zone-edge modes
-    rotated = fft.fft(fft.ifft(core, axis=1), axis=0)
+    rotated = fft.fft(fft.ifft(diff, axis=1), axis=0)
     band = rotated[np.ix_(keep, keep)]
     band = 0.5 * (band + band.conj().T)
     return float(np.max(np.abs(np.linalg.eigvalsh(band))))

@@ -16,6 +16,7 @@ import pytest
 from scottlab.coherent import (
     CoherentParams,
     PhasePoint,
+    _core_window,
     _factor_rank,
     _trial_nodes,
     gaussian_moment_cancellation,
@@ -171,7 +172,7 @@ def test_criterion_7_coherent_identities():
     h_values = (0.4, 0.2, 0.1)
     half_widths = {0.4: 5.0, 0.2: 4.0, 0.1: 4.0}
     weight_devs, resolution_devs, cancels, ratios = [], [], [], []
-    seconds, faults, ranks = [], [], []
+    seconds, faults, ranks, cores = [], [], [], []
     for h in h_values:
         start, faults_before = time.perf_counter(), minor_faults()
         p = CoherentParams(h=h, a=h**-0.8)
@@ -192,9 +193,9 @@ def test_criterion_7_coherent_identities():
             abs(gaussian_moment_cancellation(harmonic_symbol(), p, PhasePoint(0.3, -0.7)))
         )
 
-        err = representation_error_norm(
-            harmonic_symbol(), p, _representation_grid(p, half_widths[h])
-        )
+        grid = _representation_grid(p, half_widths[h])
+        cores.append(grid.size - 2 * _core_window(p, grid.size, grid.spacing)[0])
+        err = representation_error_norm(harmonic_symbol(), p, grid)
         ratios.append(err / (p.h**2 * p.b))
         seconds.append(time.perf_counter() - start)
         faults.append(minor_faults() - faults_before)
@@ -209,8 +210,8 @@ def test_criterion_7_coherent_identities():
         f"{max(resolution_devs):.1e}, cancellation {max(cancels):.1e}, "
         f"err/(h^2 b) stability {stability:.3f} over h = 0.4, 0.2, 0.1; "
         + ", ".join(
-            f"{s:.2f}s, {f} minor faults and factor rank {k} at h = {h}"
-            for s, f, k, h in zip(seconds, faults, ranks, h_values)
+            f"{s:.2f}s, {f} minor faults, factor rank {k} and {m} core points at h = {h}"
+            for s, f, k, m, h in zip(seconds, faults, ranks, cores, h_values)
         )
     )
 

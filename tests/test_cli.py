@@ -360,6 +360,7 @@ class TestCoherentCheckCommand:
         assert meta["problem_sizes"] == [{
             "h": 0.4,
             "representation_grid_points": 121,
+            "representation_core_points": 17,
             "representation_u_nodes": 60,
             "representation_factor_rank": 18,
             "resolution_grid_points": 211,

@@ -33,6 +33,7 @@ from scottlab import coherent
 from scottlab.coherent import (
     _T_POINTS,
     _column_rules,
+    _core_window,
     _dirichlet_kernel,
     _factor_rank,
     _hermite_factor,
@@ -45,6 +46,7 @@ from scottlab.coherent import (
     _trial_nodes,
     _u_integrated_square,
     _u_step,
+    _weight_one_diagonal,
 )
 from scottlab.numerics import Grid1D, GridOperator
 
@@ -420,11 +422,12 @@ class TestRepresentationError:
         assert_fixed_calls_in_calling_thread(*records)
 
     def test_dense_kernels_wait_for_the_factor_blocks(self, traced_peak_mib):
-        # coherent-check's h = 0.25 grid: with the target and q-sum kernels
-        # built after the block sums and the sum assembled in place, the
-        # check peaks at 3.8 MiB; built before the blocks and summed into
-        # fresh arrays, at 5.8.  The 5 MiB budget leaves 1.2 MiB of margin
-        # above the first and lies 0.8 MiB below the second.
+        # coherent-check's h = 0.25 grid (n = 193, core m = 67): one block of
+        # Hermite factors and its products, next to S_P, set the peak, and
+        # are freed before the m x m core kernels are built: 3.4 MiB.  With
+        # n x n kernels built after the blocks it was 3.8 MiB, and 5.8 with
+        # them built before and summed into fresh arrays.  The 5 MiB budget
+        # leaves 1.6 MiB of margin above today's peak.
         p = CoherentParams(h=0.25, a=0.25**-0.8)
         grid = working_grid(p, 4.0)
         assert grid.size == 193
@@ -895,10 +898,35 @@ class TestAgainstPerNodeLoops:
 
     @pytest.mark.parametrize("n", [121, 122])
     @pytest.mark.parametrize("symbol", [harmonic_symbol, sin_symbol])
+    @pytest.mark.parametrize("kappa", [0.8, 0.5])
+    def test_weight_one_diagonal(self, n, symbol, kappa):
+        # the Hankel sums against sum_u du diag(A_u c_u A_u), one dense A_u
+        # per node, on the core rows.  Both add the same n x u-node products
+        # in another order, so they differ by roundoff of the largest terms:
+        # 1e-14 of the largest entry is about 45 units in its last place,
+        # where a wrong node, weight or row offset moves entries by O(1).
+        p = CoherentParams(h=0.4, a=0.4**-kappa)
+        grid = Grid1D.uniform(-4.0, 4.0, n)
+        x, dx, sym = grid.points, grid.spacing, symbol()
+        us, du = trapezoid_u_nodes(p, grid)
+        v_half = _symbol_half(sym.V, sym.d2V, us, p.b)
+        v_slope = np.asarray(sym.dV(us), dtype=float)
+        ref = np.zeros(n)
+        for u, half, slope in zip(us, v_half, v_slope):
+            a_mat = kernel_factor(p, x, dx, float(u))
+            ref += du * np.einsum("xy,y,yx->x", a_mat, half + slope * (x - u), a_mat)
+        margin = _core_window(p, n, dx)[0]
+        core = ref[margin : n - margin]
+        fast = du * _weight_one_diagonal(sym, p, grid, us, margin)
+        assert np.max(np.abs(fast - core)) <= 1e-14 * np.max(np.abs(core))
+
+    @pytest.mark.parametrize("n", [121, 122])
+    @pytest.mark.parametrize("symbol", [harmonic_symbol, sin_symbol])
     def test_representation_error(self, n, symbol):
         grid = Grid1D.uniform(-4.0, 4.0, n)
-        for kappa in (0.8, 0.5):  # a = h^-kappa: factor rank K = 18, 28
-            p = CoherentParams(h=0.4, a=0.4**-kappa)
+        # factor rank K = 18, 28 and, past the point count n, 173
+        for a in (0.4**-0.8, 0.4**-0.5, 0.3):
+            p = CoherentParams(h=0.4, a=a)
             fast = representation_error_norm(symbol(), p, grid)
             slow = per_node_representation(symbol(), p, grid)
             assert fast == pytest.approx(slow, rel=1e-11)

@@ -92,6 +92,8 @@ def test_no_unused_imports():
 KEPT_FOR_OUTSIDE_CALLERS = {
     ("cli", "read_config"): "README's replay API: a file's config header, "
     "read back to repeat the run",
+    ("coherent", "schrodinger_operator"): "the trial-density workload builds "
+    "H with it; the representation check assembles only its core block",
     ("coherent", "trial_density_matrix"): "the benchmark's trial-density "
     "workload calls it; no command does",
     ("numerics", "negative_sum"): "GridOperator.negative_sum: the "
