@@ -52,6 +52,10 @@ __all__ = [
 
 CONFIG_PREFIX = "# scottlab-config: "
 
+# coherent-check's checks hold dense n x n arrays, up to 89 n^2 bytes
+# (traced at n = 1921), so its grids stop at 5000 points, 2.2 GB
+MAX_GRID_POINTS = 5000
+
 
 class UsageError(ValueError):
     """Invalid configuration; maps to exit status 2."""
@@ -306,7 +310,8 @@ def _coherent_cases(
     coherent._edge_reach(p) per side, so its half width is at least that
     reach plus 0.5, which leaves a core window a unit wide.  The identity
     check wants its test vector to decay below the quadrature floor before
-    the grid ends, so its grid is at least [-7, 7].
+    the grid ends, so its grid is at least [-7, 7], and spaced by at most
+    coherent._resolution_spacing(p) too.
     """
     a_rule = _parse_a_rule(params["a_rule"])
     half = params["half_width"]
@@ -324,6 +329,8 @@ def _coherent_cases(
             width = max(half, coherent._edge_reach(p) + 0.5)
             r_half = max(half, 7.0)
             n, r_n = (int(round(2.0 * w / dx)) + 1 for w in (width, r_half))
+            # a step more than needed, so rounding cannot break the bound
+            r_n = max(r_n, int(2.0 * r_half / coherent._resolution_spacing(p)) + 2)
         except (OverflowError, ZeroDivisionError) as exc:
             raise UsageError(
                 f"half-width {half:g} at h = {h:g} gives more grid "
@@ -334,6 +341,12 @@ def _coherent_cases(
             raise UsageError(
                 f"half-width {short:g} gives a {points}-point grid "
                 f"at h = {h:g}; a grid needs at least 8 points"
+            )
+        points, wide = max((n, width), (r_n, r_half))
+        if points > MAX_GRID_POINTS:
+            raise UsageError(
+                f"half-width {wide:g} gives more than {MAX_GRID_POINTS} "
+                f"grid points at h = {h:g}"
             )
         try:
             coherent._core_window(p, n, dx)

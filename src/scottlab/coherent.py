@@ -294,6 +294,13 @@ def _phase_rule(p: CoherentParams) -> float:
     return min(p.h, 1.0 / math.sqrt(p.a)) / 6.0
 
 
+def _resolution_spacing(p: CoherentParams) -> float:
+    """Widest grid spacing of the resolution check: its deviation depends on
+    the grid only through dx/(h sqrt(2a)), and is 0.04 at 0.37, 3e-9 at 0.28
+    and at roundoff at 0.25 (four (h, a) pairs)."""
+    return 0.25 * p.h * math.sqrt(2.0 * p.a)
+
+
 def _resolution_nodes(p: CoherentParams, grid: Grid1D) -> np.ndarray:
     """q-nodes of resolution_of_identity_check, at step at most _phase_rule(p):
     2 ceil(q_half/step) + 1 >= 61 of them, as q_half/step >= 42/sqrt(2)."""
@@ -335,11 +342,18 @@ def resolution_of_identity_check(
     peaks give (-1)^(k(N-1)) sin(N psi)/sin(psi), and N (-1)^(k(N-1)) at
     psi = 0.  The same delta weights the sum.  That is O(n) work in place
     of N (2n - 1) cosines; the check is (M o S) psi.  The nodes are those
-    of _resolution_nodes, at least 61.
+    of _resolution_nodes, at least 61.  It warns on a grid spacing above
+    _resolution_spacing(p).
     """
     psi = np.asarray(psi)
     if psi.shape != (grid.size,):
         raise ValueError("test vector must live on the grid")
+    if grid.spacing > _resolution_spacing(p):
+        _warnmod.warn(
+            "grid spacing exceeds 0.25 h sqrt(2a); resolution deviation "
+            "may be polluted",
+            stacklevel=2,
+        )
     norm = float(np.linalg.norm(psi))
     if norm == 0.0:
         return 0.0

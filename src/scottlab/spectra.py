@@ -15,13 +15,14 @@ Coulomb-type singularities at the origin.
 A radial grid is uniform in t and maps to the radius r(t) = t + stretch t^2.
 With stretch = 0 it is uniform in r.  A positive stretch keeps the step near
 the origin, where a Coulomb well needs it, and widens it like sqrt(r) further
-out, as the local wavelength does.  Every channel matrix is assembled one
-way, the lumped-mass 3-point scheme in t: mass s r'(t_i) at node i, coupling
--h^2 / (s r'(t_{i+1/2})) between nodes i and i+1, both scaled by the square
-root of the mass so that the matrix stays symmetric tridiagonal.  With
-stretch = 0 that is the uniform 3-point matrix entry for entry.  The
-boundary-mass guard measures the mass on the interior points in the outer 5%
-of the box in r, r >= 0.95 r_max, and on at least two of them.
+out, as the local wavelength does.  Every tridiagonal matrix, 1D and radial,
+is assembled one way, the lumped-mass 3-point scheme in t: mass s r'(t_i) at
+node i, coupling -h^2 / (s r'(t_{i+1/2})) between nodes i and i+1, both
+scaled by the square root of the mass so that the matrix stays symmetric
+tridiagonal.  With r' = 1 (1D, or stretch = 0) that is the uniform 3-point
+matrix entry for entry.  Each refinement level is built once per problem.
+The boundary-mass guard measures the mass on the interior points in the
+outer 5% of the box in r, r >= 0.95 r_max, and on at least two of them.
 
 The channel solves of a radial sum are independent, so they run through
 numerics._pinned_map, one worker thread per usable CPU.  Each solve is one
@@ -41,8 +42,8 @@ from __future__ import annotations
 import ctypes
 import math
 from dataclasses import dataclass, field
-from functools import cache
-from typing import Callable
+from functools import cache, cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -175,10 +176,9 @@ class RadialProblem:
 
     The step may not exceed h/8.  With stretch > 0 the local step s r'(t)
     must also stay within 1/8 of the local wavelength 2 pi h / sqrt(V_+(r)).
-    A potential that is not finite on the level-0 grid raises ValueError
-    where it is first sampled: here with stretch > 0, else in
-    sentinel_channel.  One that is not finite only on the halved grid
-    raises it in neg_sum_radial, before any channel is solved.
+    A potential that is not finite on either level raises ValueError where
+    the levels are first built, coarse level first: here with stretch > 0,
+    else in the first sentinel_channel or neg_sum_radial call.
     """
 
     potential: Callable[[np.ndarray], np.ndarray]
@@ -199,10 +199,9 @@ class RadialProblem:
                 "the Coulomb scale near the origin would be unresolved"
             )
         if self.stretch:
-            t, _ = self.interior(level=0)
-            r = self.radius(t)
-            v = np.maximum(_finite_samples(self.potential, r, "r"), 0.0)
-            local = step * self.jacobian(t)
+            coarse = self.levels[0]
+            r, v = coarse.points, np.maximum(coarse.v, 0.0)
+            local = step * coarse.node
             # local step over 1/8 of the local wavelength 2 pi h / sqrt(V_+)
             excess = 8.0 * local * np.sqrt(v) / (2.0 * math.pi * self.h)
             worst = int(np.argmax(excess))
@@ -234,20 +233,20 @@ class RadialProblem:
         """r(t) = t + stretch t^2."""
         return t + self.stretch * t * t
 
-    def jacobian(self, t):
-        """r'(t) = 1 + 2 stretch t."""
-        return 1.0 + 2.0 * self.stretch * t
-
     @property
     def r_max(self) -> float:
         return float(self.radius(self.grid.points[-1]))
 
-    def interior(self, level: int = 0) -> tuple[np.ndarray, float]:
-        """Interior t-points at refinement level 0 or 1 (halved step), with
-        the step; with stretch = 0 they are the radii."""
-        step = self.grid.spacing / (2.0**level)
-        n = int(round(self.grid.points[-1] / step))
-        return step * np.arange(1, n), step
+    @cached_property
+    def levels(self) -> tuple[_Level, _Level]:
+        """Levels 0 and 1 (halved step) at the radii of the interior t-points,
+        built on first use, coarse level first."""
+        levels = []
+        for step in (self.grid.spacing, self.grid.spacing / 2.0):
+            t = step * np.arange(1, int(round(self.grid.points[-1] / step)))
+            r = self.radius(t)
+            levels.append(_level(self.potential, self.h, r, step, self.stretch, "r"))
+        return tuple(levels)
 
 
 # ---------------------------------------------------------------------------
@@ -401,16 +400,37 @@ def _negative_solve(diag, conjugation, tail=0):
     return values[negative], None if masses is None else masses[order][negative]
 
 
-def _finite_samples(potential, points, coordinate: str) -> np.ndarray:
-    """potential at points; ValueError naming the first point where it is not
-    finite, as coordinate = value."""
+class _Level(NamedTuple):
+    """A refinement level: points (x, or r), r' and V there, and its matrix."""
+
+    points: np.ndarray
+    node: np.ndarray
+    v: np.ndarray
+    kinetic: np.ndarray
+    off: np.ndarray
+
+
+def _level(potential, h, points, step, stretch=0.0, coordinate="x") -> _Level:
+    """V at the interior points t_i = i s of a Dirichlet box, ValueError
+    naming the first as coordinate = value where it is not finite, and the
+    lumped-mass scheme in t with r'(t) = 1 + 2 stretch t: the kinetic
+    diagonal is h^2/(s^2 r'_i) (1/r'_{i-1/2} + 1/r'_{i+1/2}) and the
+    off-diagonal -h^2/(s^2 r'_{i+1/2} sqrt(r'_i r'_{i+1})), of norm below
+    4 h^2/s^2.  With stretch = 0 (r' = 1) they are 2 h^2/s^2 and -h^2/s^2
+    bit for bit.
+    """
     v = np.asarray(potential(points), dtype=float)
     bad = np.flatnonzero(~np.isfinite(np.broadcast_to(v, points.shape)))
     if bad.size:
         raise ValueError(
             f"potential is not finite at {coordinate} = {points[bad[0]]:g}"
         )
-    return v
+    n, h2 = points.size + 1, h**2
+    node = 1.0 + 2.0 * stretch * (step * np.arange(1, n))
+    half = 1.0 + 2.0 * stretch * (step * (np.arange(n) + 0.5))
+    kinetic = h2 / (step**2 * node) * (1.0 / half[:-1] + 1.0 / half[1:])
+    off = -h2 / (step**2 * half[1:-1] * np.sqrt(node[:-1] * node[1:]))
+    return _Level(points, node, v, kinetic, off)
 
 
 def neg_sum_1d(
@@ -429,13 +449,13 @@ def neg_sum_1d(
     x, coarse level first, before any eigensolve.
     """
     require_positive(h, "h")
-    levels = [(g.points[1:-1], g.spacing) for g in (grid, grid.halved())]
-    samples = [_finite_samples(potential, points, "x") for points, _ in levels]
+    levels = [
+        _level(potential, h, g.points[1:-1], g.spacing) for g in (grid, grid.halved())
+    ]
     sums = []
-    for (points, step), v in zip(levels, samples):
-        diag = 2.0 * h**2 / step**2 + v
-        off = np.full(points.size - 1, -(h**2) / step**2)
-        eigenvalues, _ = _negative_solve(diag, _conjugation(points, off, bump))
+    for level in levels:
+        conjugation = _conjugation(level.points, level.off, bump)
+        eigenvalues, _ = _negative_solve(level.kinetic + level.v, conjugation)
         sums.append(float(np.sum(eigenvalues)))
     return SpectralSum.richardson_pair(*sums, "eigenvalue sum")
 
@@ -446,7 +466,8 @@ def sentinel_channel(problem: RadialProblem, shift: float = 0.0) -> int:
     Channels 0 .. sentinel-1 can bind; the sentinel itself is solved as the
     emptiness witness.
     """
-    r2, _, v, _, _ = _radial_level(problem, 0, None)
+    coarse = problem.levels[0]
+    r2, v = coarse.points**2, coarse.v
     h2 = problem.h**2
     for ell in range(SENTINEL_MAX_ELL + 1):
         if np.min(ell * (ell + 1) * h2 / r2 - v + shift) >= 0.0:
@@ -454,28 +475,6 @@ def sentinel_channel(problem: RadialProblem, shift: float = 0.0) -> int:
     raise ChannelCutoffError(
         f"no empty channel found below ell = {SENTINEL_MAX_ELL}"
     )
-
-
-def _radial_level(problem: RadialProblem, level: int, bump):
-    """(r^2, kinetic diagonal, V, conjugation, tail points) of the channel
-    matrices at one refinement level.
-
-    The lumped-mass scheme in t, scaled by the square root of the mass
-    s r'(t_i): the kinetic diagonal is h^2/(s^2 r'_i) (1/r'_{i-1/2} +
-    1/r'_{i+1/2}) and the off-diagonal -h^2/(s^2 r'_{i+1/2} sqrt(r'_i
-    r'_{i+1})); the matrix norm stays below 4 h^2/s^2.  The tail is the
-    interior points in the outer 5% of the box in r, and at least two.
-    """
-    h2 = problem.h**2
-    t, step = problem.interior(level=level)
-    r = problem.radius(t)
-    v = _finite_samples(problem.potential, r, "r")
-    node = problem.jacobian(t)
-    half = problem.jacobian(step * (np.arange(t.size + 1) + 0.5))
-    kinetic = h2 / (step**2 * node) * (1.0 / half[:-1] + 1.0 / half[1:])
-    off = -h2 / (step**2 * half[1:-1] * np.sqrt(node[:-1] * node[1:]))
-    tail = max(2, int(np.count_nonzero(r >= 0.95 * problem.r_max)))
-    return r**2, kinetic, v, _conjugation(r, off, bump), tail
 
 
 def neg_sum_radial(
@@ -496,15 +495,18 @@ def neg_sum_radial(
     """
     sentinel = sentinel_channel(problem, shift)
     h2 = problem.h**2
-
-    levels = [_radial_level(problem, level, bump) for level in (0, 1)]
+    levels = problem.levels
+    r2 = [level.points**2 for level in levels]
+    conjugations = [_conjugation(level.points, level.off, bump) for level in levels]
+    # the interior points in the outer 5% of the box in r, and at least two
+    tail = max(2, int(np.count_nonzero(levels[1].points >= 0.95 * problem.r_max)))
 
     def solve(key):
         ell, level = key
-        r2, kinetic, v, conjugation, tail = levels[level]
-        diag = kinetic + ell * (ell + 1) * h2 / r2 - v + shift
+        kinetic, v = levels[level].kinetic, levels[level].v
+        diag = kinetic + ell * (ell + 1) * h2 / r2[level] - v + shift
         guarded = level == 1 and ell < sentinel
-        return _negative_solve(diag, conjugation, tail if guarded else 0)
+        return _negative_solve(diag, conjugations[level], tail if guarded else 0)
 
     keys = [(ell, level) for ell in range(sentinel + 1) for level in (0, 1)]
     solved = dict(zip(keys, _pinned_map(solve, keys), strict=True))
@@ -515,10 +517,7 @@ def neg_sum_radial(
             f"sentinel channel ell = {sentinel} holds {found} negative eigenvalues"
         )
 
-    channels = []
-    totals = {0: 0.0, 1: 0.0}
-    mass_num = 0.0
-    mass_den = 0.0
+    channels, totals, mass_num, mass_den = [], [0.0, 0.0], 0.0, 0.0
     for ell in range(sentinel):
         for level in (0, 1):
             eigs, _ = solved[ell, level]

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scottlab import cli, coherent, scott
-from scottlab.numerics import fit_power_series
+from scottlab.numerics import Grid1D, fit_power_series
 from scottlab.cli import (
     CONFIG_PREFIX,
     RunConfig,
@@ -367,6 +367,33 @@ class TestCoherentCheckCommand:
             "resolution_q_nodes": 671,
         }]
 
+    def test_resolution_grid_resolves_a_near_h(self, tmp_path, monkeypatch):
+        # at a = h the default spacing min(h, 1/sqrt(b))/6 is 0.37 h sqrt(2a),
+        # where the deviation is 0.04; the resolution grid is refined to
+        # 0.25 h sqrt(2a), and the old grid warns.  The representation check
+        # is slow at small a and not measured here.
+        monkeypatch.setattr(coherent, "representation_error_norm", lambda *a: 0.5)
+        path = tmp_path / "cc.csv"
+        status, data = run_to_file(
+            ["coherent-check", "--h", "0.1", "--a-rule", "0.1"], path
+        )
+        assert status == 0
+        lines = [l for l in data.decode().splitlines() if not l.startswith("#")]
+        row = dict(zip(lines[0].split(","), map(float, lines[1].split(","))))
+        assert row["resolution_dev"] < 1e-10
+        sidecar = json.loads((tmp_path / "cc.csv.meta.json").read_text())
+        assert sidecar["warnings"] == []
+        [sizes] = sidecar["meta"]["problem_sizes"]
+        p = coherent.CoherentParams(h=0.1, a=0.1)
+        assert 14.0 / (sizes["resolution_grid_points"] - 1) <= (
+            0.25 * p.h * math.sqrt(2.0 * p.a)
+        )
+        old = Grid1D.uniform(-7.0, 7.0, int(round(14.0 / (0.1 / 6.0))) + 1)
+        psi = np.exp(-old.points**2 / 2.0)
+        with pytest.warns(UserWarning, match=r"exceeds 0\.25 h sqrt\(2a\); resol"):
+            deviation = coherent.resolution_of_identity_check(p, psi, old)
+        assert deviation > 0.01
+
     def test_weight_dev_matches_the_two_dimensional_sum(self, tmp_path):
         # the pipeline sums w(u, q) as two 1D sums; the oracle sums all
         # 801 x 801 nodes of the same span
@@ -564,9 +591,15 @@ class TestInputBoundary:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["--h", "100", "--a-rule", "0.001"],
-             "half-width 7 gives a 5-point grid at h = 100; "
+            (["--h", "200", "--a-rule", "0.0025"],
+             "half-width 7 gives a 6-point grid at h = 200; "
              "a grid needs at least 8 points"),
+            # a = 0.001 at h = 100 puts the resolution grid's spacing bound
+            # 0.25 h sqrt(2a) below its min(h, 1/sqrt(b))/6, so that grid
+            # gets 14 points and the representation grid's margin fails
+            (["--h", "100", "--a-rule", "0.001"],
+             "grid at h = 100, a = 0.001, half-width 19.4737: grid too short "
+             "for the edge margin"),
             (["--h", "10", "--a-rule", "0.01"],
              "grid at h = 10, a = 0.01, half-width 6.5: grid too short "
              "for the edge margin"),
@@ -574,16 +607,33 @@ class TestInputBoundary:
              "grid at h = 0.5, a = 0.01, half-width 4: grid spacing too coarse"),
             (["--h", "0.3", "--half-width", "1e308"],
              "half-width 1e+308 at h = 0.3 gives more grid points than a float"),
+            (["--h", "0.4", "--half-width", "1e300"],
+             f"half-width 1e+300 gives more than {cli.MAX_GRID_POINTS} grid "
+             "points at h = 0.4"),
+            # dx = 0.0667 at h = 0.4: 2 * 167 / dx + 1 = 5011 points
+            (["--h", "0.4", "--half-width", "167"],
+             f"half-width 167 gives more than {cli.MAX_GRID_POINTS} grid points"),
         ],
     )
-    def test_coherent_check_grid_errors_exit_two(self, argv, message):
+    def test_coherent_check_grid_errors_exit_two(self, argv, message, monkeypatch):
         # the grid each h gets follows from the input alone, so a grid that
-        # the pipeline cannot build is a domain error
+        # the pipeline cannot build is a domain error, raised before any check
+        def no_check(*args):
+            pytest.fail("a check started")
+
+        for name in ("resolution_of_identity_check", "representation_error_norm"):
+            monkeypatch.setattr(coherent, name, no_check)
         status, out, err = run_captured(["coherent-check", *argv])
         assert status == 2
         assert out == ""
         assert f"scottlab: usage error: {message}" in err
 
+
+    def test_grid_just_under_the_point_limit_is_accepted(self):
+        # half-width 166 at h = 0.4 counts 4981 points, and only counts them
+        params = {"a_rule": "h^-0.8", "half_width": 166.0, "h_values": [0.4]}
+        [(_, _, n, _, r_n)] = cli._coherent_cases(params)
+        assert r_n == n == 4981 <= cli.MAX_GRID_POINTS
     @pytest.mark.parametrize(
         "command, parameters, key, bad",
         NON_NUMBER_CASES,

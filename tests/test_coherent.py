@@ -421,12 +421,12 @@ class TestRepresentationError:
             records.append(calls)
         assert_fixed_calls_in_calling_thread(*records)
 
-    def test_dense_kernels_wait_for_the_factor_blocks(self, traced_peak_mib):
-        # coherent-check's h = 0.25 grid (n = 193, core m = 67): one block of
-        # Hermite factors and its products, next to S_P, set the peak, and
-        # are freed before the m x m core kernels are built: 3.4 MiB.  With
-        # n x n kernels built after the blocks it was 3.8 MiB, and 5.8 with
-        # them built before and summed into fresh arrays.  The 5 MiB budget
+    def test_block_loop_peak_within_budget(self, traced_peak_mib):
+        # coherent-check's h = 0.25 grid (n = 193, core m = 67): the block
+        # loop of _momentum_sandwich, one block of Hermite factors and its
+        # products next to S_P, sets the check's traced peak, 3.4 MiB.  The
+        # m x m core kernels are about 70 KiB each, so where they are built
+        # barely moves it; this bounds the block loop.  The 5 MiB budget
         # leaves 1.6 MiB of margin above today's peak.
         p = CoherentParams(h=0.25, a=0.25**-0.8)
         grid = working_grid(p, 4.0)

@@ -79,6 +79,32 @@ class TestNegSum1D:
                 lambda x: np.where(np.isclose(x, 0.515625), np.inf, -1.0), 0.1, grid
             )
 
+    @pytest.mark.parametrize("case", ["harmonic", "well", "bump"])
+    def test_sums_bitwise_scipys_uniform_matrices(self, case):
+        # the uniform 3-point matrices 2h^2/s^2 + V and -h^2/s^2, built here
+        # and solved by scipy, give both refinements bit for bit
+        bump = None
+        if case == "harmonic":
+            h, grid, v = 0.1, Grid1D.uniform(-8.0, 8.0, 257), lambda x: x * x - 1.0
+        else:  # local-trace --n 1 --potential well, with and without its bump
+            h, grid = 0.2, Grid1D.uniform(-2.5, 2.5, 201)
+            v = lambda x: np.where(np.abs(x) < 1.0, -((1.0 - x * x) ** 2), 0.0)
+            bump = Bump(center=0.0, radius=2.0) if case == "bump" else None
+        expected = []
+        for g in (grid, grid.halved()):
+            x, step = g.points[1:-1], g.spacing
+            diag = 2.0 * h**2 / step**2 + v(x)
+            off = np.full(x.size - 1, -(h**2) / step**2)
+            if bump is not None:
+                phi = bump(x)
+                diag, off = phi**2 * diag, phi[:-1] * off * phi[1:]
+            window = (float(min(np.min(diag) - 2.0 * np.max(np.abs(off)), -1.0)), 0.0)
+            w = eigvalsh_tridiagonal(diag, off, select="v", select_range=window)
+            expected.append(float(np.sum(w[w < 0])))
+        s = neg_sum_1d(v, h, grid, bump=bump)
+        assert expected[0] < 0.0
+        assert (s.coarse, s.fine) == tuple(expected)
+
 
 class TestRadialProblem:
     def test_grid_must_start_one_spacing_in(self):
@@ -132,6 +158,44 @@ class TestRadialProblem:
         )
         with pytest.raises(ValueError, match=r"not finite at r = 1\.0125$"):
             neg_sum_radial(prob)
+        # a stretched problem builds both levels at construction, so there
+        # the halved grid's radius is named before a problem exists
+        finite = RadialProblem.build(
+            lambda r: 1 - r * r, h=0.2, r_max=3.0, spacing=0.025, stretch=0.5
+        )
+        hidden = finite.levels[1].points[80]  # t = 40.5 steps: level 1 only
+        assert hidden not in finite.levels[0].points
+        with pytest.raises(ValueError, match=rf"not finite at r = {hidden:g}$"):
+            RadialProblem.build(
+                lambda r: np.where(r == hidden, np.nan, 1 - r * r),
+                h=0.2, r_max=3.0, spacing=0.025, stretch=0.5,
+            )
+
+    @pytest.mark.parametrize("stretch", [0.0, 0.5])
+    def test_each_level_sampled_once(self, stretch):
+        # the wavelength check, the sentinel scan and every channel solve
+        # read one record per level: two samples of V per problem, however
+        # many sums it serves
+        sizes = []
+
+        def counting(r):
+            sizes.append(r.size)
+            return 1 - r * r
+
+        prob = RadialProblem.build(
+            counting, h=0.2, r_max=3.0, spacing=0.025, stretch=stretch
+        )
+        assert len(sizes) == (2 if stretch else 0)
+        first = neg_sum_radial(prob)
+        assert sizes == [level.points.size for level in prob.levels]
+        assert sentinel_channel(prob) == first.sentinel
+        assert_same_radial_sum(first, neg_sum_radial(prob, bump=None))
+        assert neg_sum_radial(prob, shift=0.1).total.value > first.total.value
+        assert len(sizes) == 2
+        # the 1D sum samples its two levels once each too
+        sizes.clear()
+        neg_sum_1d(counting, 0.2, Grid1D.uniform(-3.0, 3.0, 241))
+        assert sizes == [239, 479]
 
 
 class TestNegSumRadial:
@@ -187,6 +251,21 @@ class TestNegSumRadial:
         assert res.total.value < 0.0
 
 
+def guarded_tail(problem, monkeypatch):
+    """The tail length that neg_sum_radial(problem, shift=1) hands to its
+    guarded level-1 solves."""
+    solve, tails = spectra._negative_solve, set()
+
+    def recording(diag, conjugation, tail=0):
+        tails.add(tail)
+        return solve(diag, conjugation, tail)
+
+    monkeypatch.setattr(spectra, "_negative_solve", recording)
+    neg_sum_radial(problem, shift=1.0)
+    (tail,) = tails - {0}
+    return tail
+
+
 def mapped_coulomb(h, scale=1.0, r_max=6.0, stretch=None):
     """-h^2 Lap - 1/r on r = t + t^2/(4h^2), the Scott sweep's map for z = 1."""
     if stretch is None:
@@ -215,21 +294,21 @@ class TestMappedRadialGrid:
         )
         assert ratio == pytest.approx(4.0, rel=0.03)
 
-    def test_radius_ends_at_r_max_and_tail_is_measured_in_r(self):
+    def test_radius_ends_at_r_max_and_tail_is_measured_in_r(self, monkeypatch):
         prob = mapped_coulomb(0.1)
         assert prob.r_max == pytest.approx(6.0, rel=1e-12)
-        tail = spectra._radial_level(prob, 1, None)[-1]
-        r = prob.radius(prob.interior(level=1)[0])
+        tail = guarded_tail(prob, monkeypatch)
+        r = prob.levels[1].points
         # the map widens the step outwards, so the outer 5% in r holds about
         # half as many points as the last 5% of them
         assert tail == np.count_nonzero(r >= 0.95 * prob.r_max) < int(0.05 * r.size)
 
-    def test_uniform_grid_tail_is_measured_in_r_too(self):
+    def test_uniform_grid_tail_is_measured_in_r_too(self, monkeypatch):
         # criterion 2's h = 0.2 grid: 75 of its 1499 level-1 radii lie in the
         # outer 5% in r, one more than the last int(0.05 * 1499) = 74 points
         prob = RadialProblem.build(lambda r: 1.0 / r, h=0.2, r_max=6.0, spacing=0.008)
-        r, _ = prob.interior(level=1)
-        tail = spectra._radial_level(prob, 1, None)[-1]
+        r = prob.levels[1].points
+        tail = guarded_tail(prob, monkeypatch)
         assert tail == np.count_nonzero(r >= 0.95 * prob.r_max) == 75
 
     def test_small_box_trips_boundary_guard(self):
@@ -256,14 +335,17 @@ class TestMappedRadialGrid:
 
 
 def scipy_radial_reference(problem, shift=0.0, bump=None):
-    """The radial sum as one serial loop over scipy's tridiagonal solvers:
-    (coarse, fine, level-1 eigenvalues per channel, boundary mass)."""
+    """The radial sum of a grid uniform in r as one serial loop over scipy's
+    tridiagonal solvers, on radii built here from problem.grid: (coarse,
+    fine, level-1 eigenvalues per channel, boundary mass)."""
+    assert problem.stretch == 0.0
     ells = list(range(sentinel_channel(problem, shift) + 1))
     h2 = problem.h**2
     totals, spectra_fine, num, den = [0.0, 0.0], [], 0.0, 0.0
     for ell in ells[:-1]:
         for level in (0, 1):
-            r, step = problem.interior(level=level)
+            step = problem.grid.spacing / 2**level
+            r = step * np.arange(1, round(problem.grid.points[-1] / step))
             v = np.asarray(problem.potential(r), dtype=float)
             diag = 2.0 * h2 / step**2 + ell * (ell + 1) * h2 / r**2 - v + shift
             off = np.full(r.size - 1, -h2 / step**2)
